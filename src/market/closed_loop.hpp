@@ -143,15 +143,24 @@ class CoupledMarket {
                        const CoupledHourFaults* faults) const;
 
   /// Re-derives one step curve per site around the operating point:
-  /// site i's own draw is swept over [0, sweep_cap_mw[i]] while the other
-  /// sites stay at `site_power_mw`, and the LMP-vs-draw series collapses
-  /// into a PricingPolicy exactly as the static derivation does. The
-  /// returned thresholds are expressed over the site's *total* locational
-  /// consumption p + billing_base_mw[i], so PricingPolicy::cost_for keeps
-  /// its contract when the capper passes that same demand.
+  /// site i's own draw ranges over the grid 0, step, 2 step, ... up to
+  /// sweep_cap_mw[i] (step = sweep_step_mw, at least 0.1 MW) while the
+  /// other sites stay at `site_power_mw`, and the LMP-vs-draw series
+  /// collapses into a PricingPolicy exactly as the static derivation does:
+  /// a new level starts at the first grid draw whose LMP differs from the
+  /// current level's by more than price_tol. The OPF cost is convex in one
+  /// bus's load, so that bus's LMP is monotone in the site's draw and each
+  /// step is found by bisecting the grid: O(steps * log N) OPF solves for
+  /// an N-point grid instead of N, with the same thresholds and prices as
+  /// solving at every grid draw. The returned thresholds are expressed
+  /// over the site's *total* locational consumption p + billing_base_mw[i],
+  /// so PricingPolicy::cost_for keeps its contract when the capper passes
+  /// that same demand.
   ///
-  /// Throws std::runtime_error if the OPF is infeasible anywhere in a
-  /// sweep (load shed beyond the grid's capability).
+  /// Throws std::invalid_argument unless price_tol > 0, and
+  /// std::runtime_error naming the first infeasible grid draw if the OPF is
+  /// infeasible anywhere on a site's grid (load shed beyond the grid's
+  /// capability).
   std::vector<PricingPolicy> derive_local_policies(
       std::span<const double> site_power_mw,
       std::span<const double> background_mw,

@@ -9,10 +9,14 @@
 //     every few hours reproduces the uninterrupted month bitwise — the
 //     breaker clock, damping rung and oscillation tally all live in the
 //     checkpoint, so recovery cannot fork the trajectory — while the
-//     premium QoS guarantee survives the whole episode.
+//     premium QoS guarantee survives the whole episode;
+//   - a derated closed-loop stretch reproduces values recorded from the
+//     linear own-draw sweep, so a faster curve derivation cannot drift.
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
 #include <cstdio>
 #include <filesystem>
 #include <string>
@@ -141,6 +145,41 @@ TEST(CouplerLoopTest, DestabilizedMonthKillResumeIsBitwise) {
 
   EXPECT_EQ(restarts, (want.hours.size() + 3) / 4);
   expect_months_bitwise_equal(want, outcome.result);
+}
+
+TEST(CouplerLoopTest, PinnedDeratedClosedLoopMatchesRecordedReference) {
+  // The other tests here compare two runs of the same code, so a change to
+  // the curve derivation that is deterministic but wrong would pass them.
+  // This one pins the first 72 hours of a closed-loop month (paper gain,
+  // damping ladder, the D-E line derated to 60 % for two days) to values
+  // recorded from the linear 2 MW own-draw sweep: the bill as exact double
+  // bits, the served totals and the coupler's iteration count.
+  SimulationConfig config;
+  config.market_coupler.enabled = true;
+  config.fault_plan.congestion_spikes.push_back({5, 12, 48, 0.6});
+  const Simulator sim(config);
+  const std::string path = temp_path("billcap_coupler_pinned.j");
+  std::remove(path.c_str());
+  Simulator::ResumeControls controls;
+  controls.max_hours = 72;
+  const Simulator::ResumableOutcome out = sim.run_resumable(
+      Strategy::kCostCapping, path, /*resume=*/false, {}, controls);
+  std::remove(path.c_str());
+  ASSERT_TRUE(out.stopped);
+  const MonthlyResult& m = out.result;
+  ASSERT_EQ(m.hours.size(), 72u);
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(m.total_cost), 0x410b4b24899a845fULL)
+      << m.total_cost;  // $223588.56718924918
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(m.total_served_premium),
+            0x42cfc07cf7b3d045ULL)
+      << m.total_served_premium;
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(m.total_served_ordinary),
+            0x42a93aec2225f777ULL)
+      << m.total_served_ordinary;
+  EXPECT_EQ(m.coupler_iterations, 167u);
+  EXPECT_EQ(m.closed_loop_hours, 67u);
+  EXPECT_EQ(m.coupler_fallback_hours, 5u);
+  EXPECT_EQ(m.degraded_hours, 5u);
 }
 
 }  // namespace
