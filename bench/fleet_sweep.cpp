@@ -124,8 +124,8 @@ struct MonthSummary {
 };
 
 /// One scenario-month end to end. A fresh controller per month: quarantine
-/// state and warm arenas never leak between months, so each month is an
-/// independent sample and every pass sees identical inputs.
+/// state never leaks between months, so each month is an independent
+/// sample and every pass sees identical inputs.
 MonthSummary run_one_month(const Fleet& fleet, std::size_t month,
                            std::size_t hours, util::ThreadPool* chunk_pool) {
   MonthSummary summary;

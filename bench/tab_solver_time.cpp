@@ -5,15 +5,18 @@
 //
 // Two parts. The custom main first runs the solver-engine comparison — a
 // month of hourly min-cost MILPs on exactly that problem shape, solved by
-// the legacy reference engine, by a cold arena (fresh ArenaSolver per
-// hour) and by a warm arena (one solver carrying its basis hour over
-// hour) — verifies all three agree on every objective, and drops the
-// numbers as BENCH_solver.json (archived by tools/ci.sh). Then the
-// google-benchmark micro benches below time the production entry points
-// across workload magnitudes; pass --benchmark_filter=^$ to skip them.
+// the legacy reference engine and by the arena solver (fresh ArenaSolver
+// per hour, dual warm starts for branch-and-bound children) — over
+// kRepetitions alternating repetitions, verifies both agree on every
+// objective, and drops min and median timings with the host's core count,
+// build type and git revision as BENCH_solver.json (archived by
+// tools/ci.sh). Then the google-benchmark micro benches below time the
+// production entry points across workload magnitudes; pass
+// --benchmark_filter=^$ to skip them.
 
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <chrono>
 #include <cmath>
 #include <cstdio>
@@ -21,6 +24,8 @@
 #include <filesystem>
 #include <fstream>
 #include <iostream>
+#include <string>
+#include <thread>
 #include <vector>
 
 #include "bench_common.hpp"
@@ -49,7 +54,7 @@ const Fixture& fixture() {
   return f;
 }
 
-// ---- BENCH_solver.json: cold vs warm engine comparison ---------------------
+// ---- BENCH_solver.json: reference vs arena engine comparison ---------------
 
 /// The hourly min-cost MILP at a given total arrival rate — the same
 /// formulation BillCapper's step 1 solves every invocation period.
@@ -72,12 +77,29 @@ double microseconds_since(std::chrono::steady_clock::time_point start) {
   return std::chrono::duration<double, std::micro>(now - start).count();
 }
 
+/// Timed repetitions of each engine; the JSON reports min and median.
+constexpr int kRepetitions = 5;
+
+struct Timings {
+  double min = 0.0;
+  double median = 0.0;
+};
+
+Timings summarize(std::vector<double> samples) {
+  std::sort(samples.begin(), samples.end());
+  const std::size_t n = samples.size();
+  const double median = n % 2 == 1
+                            ? samples[n / 2]
+                            : 0.5 * (samples[n / 2 - 1] + samples[n / 2]);
+  return {samples.front(), median};
+}
+
 /// Runs the month-long engine comparison and writes BENCH_solver.json into
 /// the working directory. Returns false (and reports) when any engine
 /// disagrees with the reference — the benchmark numbers are only worth
 /// publishing at equal objectives.
 bool write_solver_bench_json() {
-  bench::heading("solver engines: reference vs cold arena vs warm arena");
+  bench::heading("solver engines: reference vs arena");
   const Fixture& f = fixture();
   std::vector<core::SiteModel> models;
   models.reserve(f.sites.size());
@@ -97,19 +119,6 @@ bool write_solver_bench_json() {
   }
 
   std::vector<double> ref_obj(kHours, 0.0);
-  // billcap-lint: allow(wall-clock): bench harness measures real solver latency, not simulated time
-  const auto t_ref = std::chrono::steady_clock::now();
-  for (int h = 0; h < kHours; ++h) {
-    const lp::Solution s = lp::solve_milp_reference(problems[h]);
-    if (s.status != lp::SolveStatus::kOptimal) {
-      std::fprintf(stderr, "reference engine: hour %d not optimal (%s)\n", h,
-                   lp::to_string(s.status));
-      return false;
-    }
-    ref_obj[static_cast<std::size_t>(h)] = s.objective;
-  }
-  const double ref_us = microseconds_since(t_ref) / kHours;
-
   double max_rel_diff = 0.0;
   const auto check = [&](int h, const lp::Solution& s, const char* engine) {
     if (s.status != lp::SolveStatus::kOptimal) {
@@ -129,54 +138,65 @@ bool write_solver_bench_json() {
     return true;
   };
 
-  lp::ArenaStats cold_stats;
-  // billcap-lint: allow(wall-clock): bench harness measures real solver latency, not simulated time
-  const auto t_cold = std::chrono::steady_clock::now();
-  for (int h = 0; h < kHours; ++h) {
-    lp::ArenaSolver solver;  // fresh arena: pure cold path
-    if (!check(h, solver.solve(problems[h]), "arena cold")) return false;
-    const lp::ArenaStats& s = solver.stats();
-    cold_stats.primal_iterations += s.primal_iterations;
-    cold_stats.dual_iterations += s.dual_iterations;
-    cold_stats.nodes_explored += s.nodes_explored;
+  // The engines alternate within each repetition so a noisy stretch of the
+  // host hits both. Search effort is deterministic, so the arena's
+  // counters come from the last repetition.
+  std::vector<double> ref_samples, arena_samples;
+  lp::ArenaStats arena_stats;
+  for (int rep = 0; rep < kRepetitions; ++rep) {
+    // billcap-lint: allow(wall-clock): bench harness measures real solver latency, not simulated time
+    const auto t_ref = std::chrono::steady_clock::now();
+    for (int h = 0; h < kHours; ++h) {
+      const lp::Solution s = lp::solve_milp_reference(problems[h]);
+      if (s.status != lp::SolveStatus::kOptimal) {
+        std::fprintf(stderr, "reference engine: hour %d not optimal (%s)\n",
+                     h, lp::to_string(s.status));
+        return false;
+      }
+      ref_obj[static_cast<std::size_t>(h)] = s.objective;
+    }
+    ref_samples.push_back(microseconds_since(t_ref) / kHours);
+
+    arena_stats = {};
+    // billcap-lint: allow(wall-clock): bench harness measures real solver latency, not simulated time
+    const auto t_arena = std::chrono::steady_clock::now();
+    for (int h = 0; h < kHours; ++h) {
+      lp::ArenaSolver solver;  // fresh arena per hour
+      if (!check(h, solver.solve(problems[h]), "arena")) return false;
+      const lp::ArenaStats& s = solver.stats();
+      arena_stats.primal_iterations += s.primal_iterations;
+      arena_stats.dual_iterations += s.dual_iterations;
+      arena_stats.nodes_explored += s.nodes_explored;
+      arena_stats.node_warm_solves += s.node_warm_solves;
+      arena_stats.node_cold_solves += s.node_cold_solves;
+    }
+    arena_samples.push_back(microseconds_since(t_arena) / kHours);
   }
-  const double cold_us = microseconds_since(t_cold) / kHours;
+  const Timings ref = summarize(ref_samples);
+  const Timings arena = summarize(arena_samples);
+  const double pivots_per_solve =
+      static_cast<double>(arena_stats.primal_iterations +
+                          arena_stats.dual_iterations) /
+      kHours;
+  const double nodes_per_solve =
+      static_cast<double>(arena_stats.nodes_explored) / kHours;
 
-  lp::ArenaSolver warm(lp::ArenaConfig{.warm_across_solves = true});
-  // billcap-lint: allow(wall-clock): bench harness measures real solver latency, not simulated time
-  const auto t_warm = std::chrono::steady_clock::now();
-  for (int h = 0; h < kHours; ++h)
-    if (!check(h, warm.solve(problems[h]), "arena warm")) return false;
-  const double warm_us = microseconds_since(t_warm) / kHours;
-  const lp::ArenaStats& ws = warm.stats();
-  const long warm_attempts = ws.warm_solves + ws.warm_fallbacks;
-  const double fallback_rate =
-      warm_attempts > 0
-          ? static_cast<double>(ws.warm_fallbacks) /
-                static_cast<double>(warm_attempts)
-          : 0.0;
-
-  util::Table table({"engine", "us/solve", "pivots/solve", "nodes/solve"});
-  const auto row = [&](const char* name, double us, long pivots, long nodes) {
-    char us_s[32], piv_s[32], nod_s[32];
-    std::snprintf(us_s, sizeof us_s, "%.1f", us);
-    std::snprintf(piv_s, sizeof piv_s, "%.1f",
-                  static_cast<double>(pivots) / kHours);
-    std::snprintf(nod_s, sizeof nod_s, "%.1f",
-                  static_cast<double>(nodes) / kHours);
-    table.add_row({name, us_s, piv_s, nod_s});
+  util::Table table({"engine", "us/solve min", "us/solve median",
+                     "pivots/solve", "nodes/solve"});
+  const auto cell = [](double v) {
+    char buf[32];
+    std::snprintf(buf, sizeof buf, "%.1f", v);
+    return std::string(buf);
   };
-  row("cold (legacy, from scratch)", ref_us, 0, 0);
-  row("arena cold", cold_us,
-      cold_stats.primal_iterations + cold_stats.dual_iterations,
-      cold_stats.nodes_explored);
-  row("arena warm", warm_us, ws.primal_iterations + ws.dual_iterations,
-      ws.nodes_explored);
+  table.add_row({"legacy, from scratch per node", cell(ref.min),
+                 cell(ref.median), "-", "-"});
+  table.add_row({"arena, node warm starts", cell(arena.min),
+                 cell(arena.median), cell(pivots_per_solve),
+                 cell(nodes_per_solve)});
   table.print(std::cout);
-  std::printf("warm vs cold (from-scratch): %.1fx  warm vs arena cold: "
-              "%.1fx  fallback rate: %.4f  max |obj diff|: %.3g\n",
-              ref_us / warm_us, cold_us / warm_us, fallback_rate,
-              max_rel_diff);
+  std::printf("arena vs legacy (median): %.2fx  max |obj diff|: %.3g  "
+              "(%d repetitions)\n",
+              ref.median / arena.median, max_rel_diff, kRepetitions);
 
   const std::string path = "BENCH_solver.json";
   // billcap-lint: allow(raw-write): bench artifact, regenerated every run; no resume path reads it
@@ -190,30 +210,25 @@ bool write_solver_bench_json() {
       buf, sizeof buf,
       "{\n"
       "  \"bench\": \"tab_solver_time\",\n"
+      "  \"host\": {\"cores\": %u, \"build_type\": \"%s\","
+      " \"git_rev\": \"%s\"},\n"
       "  \"shape\": {\"sites\": %zu, \"price_levels\": 5, \"hours\": %d},\n"
+      "  \"repetitions\": %d,\n"
       "  \"cold\": {\"engine\": \"legacy two-phase from scratch per node\","
-      " \"us_per_solve\": %.3f},\n"
+      " \"us_per_solve_min\": %.3f, \"us_per_solve_median\": %.3f},\n"
       "  \"arena_cold\": {\"engine\": \"arena + dual warm-started children,"
-      " fresh per hour\", \"us_per_solve\": %.3f, \"pivots_per_solve\": %.3f,"
-      " \"nodes_per_solve\": %.3f},\n"
-      "  \"arena_warm\": {\"engine\": \"arena carried hour over hour\","
-      " \"us_per_solve\": %.3f, \"pivots_per_solve\": %.3f,"
-      " \"nodes_per_solve\": %.3f, \"warm_solves\": %ld,"
-      " \"warm_fallbacks\": %ld, \"fallback_rate\": %.6f,"
-      " \"node_warm_solves\": %ld, \"node_cold_solves\": %ld},\n"
-      "  \"speedup_warm_vs_cold\": %.3f,\n"
-      "  \"speedup_warm_vs_arena_cold\": %.3f,\n"
+      " fresh per hour\", \"us_per_solve_min\": %.3f,"
+      " \"us_per_solve_median\": %.3f, \"pivots_per_solve\": %.3f,"
+      " \"nodes_per_solve\": %.3f, \"node_warm_solves\": %ld,"
+      " \"node_cold_solves\": %ld},\n"
+      "  \"speedup_arena_vs_cold_median\": %.3f,\n"
       "  \"max_objective_rel_diff\": %.3g\n"
       "}\n",
-      f.sites.size(), kHours, ref_us, cold_us,
-      static_cast<double>(cold_stats.primal_iterations +
-                          cold_stats.dual_iterations) /
-          kHours,
-      static_cast<double>(cold_stats.nodes_explored) / kHours, warm_us,
-      static_cast<double>(ws.primal_iterations + ws.dual_iterations) / kHours,
-      static_cast<double>(ws.nodes_explored) / kHours, ws.warm_solves,
-      ws.warm_fallbacks, fallback_rate, ws.node_warm_solves,
-      ws.node_cold_solves, ref_us / warm_us, cold_us / warm_us, max_rel_diff);
+      std::thread::hardware_concurrency(), BILLCAP_BUILD_TYPE, BILLCAP_GIT_REV,
+      f.sites.size(), kHours, kRepetitions, ref.min, ref.median, arena.min,
+      arena.median, pivots_per_solve, nodes_per_solve,
+      arena_stats.node_warm_solves, arena_stats.node_cold_solves,
+      ref.median / arena.median, max_rel_diff);
   out << buf;
   out.close();
   std::printf("[data] %s\n", std::filesystem::absolute(path).string().c_str());
@@ -259,23 +274,6 @@ void BM_BillCapperDecide(benchmark::State& state) {
 // Ample budget = step 1 only; tight = both steps; punishing = all three
 // solves (min, max-throughput, premium-only min).
 BENCHMARK(BM_BillCapperDecide)->Arg(10'000)->Arg(1'500)->Arg(300)
-    ->Unit(benchmark::kMillisecond);
-
-void BM_BillCapperDecideWarm(benchmark::State& state) {
-  // The same three-step decide, but with hour-over-hour warm starts on —
-  // the production fast path behind --warm-solver.
-  const Fixture& f = fixture();
-  core::OptimizerOptions options;
-  options.warm_hourly_solver = true;
-  const core::BillCapper capper(f.sites, f.policies, options);
-  const double budget = static_cast<double>(state.range(0));
-  for (auto _ : state) {
-    const core::CappingOutcome outcome =
-        capper.decide(8e11, 2e11, f.demand, budget);
-    benchmark::DoNotOptimize(outcome.served_ordinary);
-  }
-}
-BENCHMARK(BM_BillCapperDecideWarm)->Arg(10'000)->Arg(1'500)->Arg(300)
     ->Unit(benchmark::kMillisecond);
 
 void BM_MoreSitesScaling(benchmark::State& state) {

@@ -70,13 +70,7 @@ SiteModel down_site_model() {
 BillCapper::BillCapper(const std::vector<datacenter::DataCenter>& sites,
                        const std::vector<market::PricingPolicy>& policies,
                        OptimizerOptions options)
-    : sites_(sites), policies_(policies), options_(options),
-      min_cost_solver_(
-          lp::ArenaConfig{.warm_across_solves = options.warm_hourly_solver}),
-      throughput_solver_(
-          lp::ArenaConfig{.warm_across_solves = options.warm_hourly_solver}),
-      premium_solver_(
-          lp::ArenaConfig{.warm_across_solves = options.warm_hourly_solver}) {
+    : sites_(sites), policies_(policies), options_(options) {
   if (sites_.size() != policies_.size())
     throw std::invalid_argument("BillCapper: one policy per site required");
   if (sites_.empty())

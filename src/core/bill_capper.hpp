@@ -76,7 +76,7 @@ struct DecideOptions {
   /// overrides MilpOptions::max_nodes, < 0 keeps it. The fleet layer's
   /// primary (deterministic) chunk deadline.
   long max_nodes = -1;
-  /// Per-solve arena byte cap; nonzero tightens
+  /// Per-solve arena byte cap; nonzero replaces
   /// MilpOptions::max_arena_bytes for this hour's solves (arena exhaustion
   /// degrades the chunk with FailureReason::kArenaExhausted).
   std::size_t max_arena_bytes = 0;
@@ -126,12 +126,11 @@ class BillCapper {
   const std::vector<datacenter::DataCenter>& sites_;
   const std::vector<market::PricingPolicy>& policies_;
   OptimizerOptions options_;
-  // One persistent solver arena per solve role, so each role's hour-over-
-  // hour problem sequence stays structurally coherent for warm starts
-  // (OptimizerOptions::warm_hourly_solver). With the flag off the arenas
-  // carry no state between calls and decide() remains a pure function of
-  // its arguments. Mutable: solver state is a cache, not an observable
-  // property of the capper.
+  // One persistent solver arena per solve role, so each hour re-solves in
+  // allocations reserved by the earlier hours. The arenas carry no basis
+  // between calls and decide() remains a pure function of its arguments.
+  // Mutable: the arenas are a cache, not an observable property of the
+  // capper.
   mutable lp::ArenaSolver min_cost_solver_;
   mutable lp::ArenaSolver throughput_solver_;
   mutable lp::ArenaSolver premium_solver_;

@@ -175,7 +175,7 @@ std::uint64_t checkpoint_digest(const SimulationConfig& config,
   d.mix_double(config.workload.flash_crowd_decay);
 
   d.mix_bool(config.optimizer.model_cooling_network);
-  d.mix_bool(config.optimizer.warm_hourly_solver);
+  d.mix_bool(false);  // a retired solver flag, always off: old digests hold
   d.mix_u64(static_cast<std::uint64_t>(config.optimizer.milp.max_nodes));
   d.mix_double(config.optimizer.milp.integrality_tol);
   d.mix_double(config.optimizer.milp.relative_gap);

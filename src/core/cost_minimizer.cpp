@@ -7,7 +7,7 @@ namespace billcap::core {
 AllocationResult minimize_cost_over_models(std::span<const SiteModel> models,
                                            double lambda_total,
                                            const OptimizerOptions& options) {
-  // Solve-local arena: within-call warm starts only, cross-call state none.
+  // Solve-local arena; a caller-owned one gives the same answer.
   lp::ArenaSolver solver;
   return minimize_cost_over_models(models, lambda_total, options, solver);
 }

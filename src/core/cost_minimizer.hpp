@@ -31,9 +31,8 @@ AllocationResult minimize_cost_over_models(std::span<const SiteModel> models,
                                            const OptimizerOptions& options = {});
 
 /// Same, solving on a caller-owned lp::ArenaSolver. A long-lived solver
-/// warm starts each hour's MILP from the previous hour's basis when
-/// configured with warm_across_solves (see OptimizerOptions::
-/// warm_hourly_solver); the three-argument overload uses a solve-local
+/// reuses its arena's allocations hour over hour (the answer is the same
+/// as on a fresh one); the three-argument overload uses a solve-local
 /// arena instead.
 AllocationResult minimize_cost_over_models(std::span<const SiteModel> models,
                                            double lambda_total,

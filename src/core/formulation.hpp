@@ -48,18 +48,6 @@ struct OptimizerOptions {
   /// reproduces the baselines' first limitation and the power-model
   /// ablation).
   bool model_cooling_network = true;
-  /// Carry each solver's final basis from one hour to the next: BillCapper
-  /// keeps one lp::ArenaSolver per solve role with warm-across-solves
-  /// enabled, so consecutive hours that share the MILP's row structure
-  /// (same sites up, same background demand) re-solve by dual simplex from
-  /// the previous optimum instead of two-phase from scratch. Structure
-  /// changes are detected and fall back to a cold solve automatically.
-  ///
-  /// OFF by default: like --replan-deadline-ms, enabling this trades
-  /// bitwise kill/resume reproducibility for speed (a resumed month starts
-  /// with empty arenas). Within one process, results stay deterministic
-  /// and agree with the cold path to the solver's gap tolerances.
-  bool warm_hourly_solver = false;
   lp::MilpOptions milp;
 };
 

@@ -59,8 +59,8 @@ class HierarchicalCapper {
 
   const Region& region(std::size_t r) const { return regions_.at(r); }
 
-  /// The persistent per-region capper (its solver arenas carry warm state
-  /// hour over hour). Not thread-safe: at most one thread may drive a given
+  /// The persistent per-region capper (its solver arenas keep their
+  /// allocations hour over hour). Not thread-safe: at most one thread may drive a given
   /// region's capper at a time — the FleetController shards exactly one
   /// task per region per hour for this reason.
   const BillCapper& region_capper(std::size_t r) const {
@@ -78,8 +78,8 @@ class HierarchicalCapper {
   std::vector<Region> regions_;
   OptimizerOptions options_;
   // Per-region materialized catalogs (BillCapper holds references), then
-  // one persistent capper per region so each region's solver arenas carry
-  // hour-over-hour warm state (OptimizerOptions::warm_hourly_solver).
+  // one persistent capper per region so each region's solver arenas keep
+  // their allocations hour over hour.
   // Built strictly after the catalogs are fully populated: the cappers
   // reference catalog elements, which must not move again.
   std::vector<std::vector<datacenter::DataCenter>> region_sites_;

@@ -17,7 +17,7 @@ constexpr double kCostTieBreak = 1e-7;
 AllocationResult maximize_throughput_over_models(
     std::span<const SiteModel> models, double lambda_available,
     double cost_budget, const OptimizerOptions& options) {
-  // Solve-local arena: within-call warm starts only, cross-call state none.
+  // Solve-local arena; a caller-owned one gives the same answer.
   lp::ArenaSolver solver;
   return maximize_throughput_over_models(models, lambda_available, cost_budget,
                                          options, solver);

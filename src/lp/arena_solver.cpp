@@ -6,8 +6,6 @@
 #include <utility>
 #include <vector>
 
-#include "lp/presolve.hpp"
-
 namespace billcap::lp {
 
 namespace {
@@ -34,12 +32,10 @@ constexpr double kStablePivot = 1e-7;
 /// [structural | slack/surplus | artificial | rhs], rows normalized to
 /// rhs >= 0 at build time — so the cold path reproduces the legacy engine's
 /// pivot sequence bit for bit, and the columns that started as the identity
-/// (identity_col_) read back B^-1 for the warm rhs swaps.
+/// (identity_col) read back B^-1 for the node rhs swaps.
 struct ArenaSolver::Impl {
-  explicit Impl(const ArenaConfig& cfg) : config(cfg) {}
-
-  ArenaConfig config;
   ArenaStats stat;
+  std::size_t max_arena_bytes = 0;  ///< this call's byte cap; 0 = unlimited
 
   // ---- variable mapping onto the nonnegative standard form --------------
   enum class Kind : unsigned char { kShifted, kMirrored, kSplit };
@@ -80,29 +76,9 @@ struct ArenaSolver::Impl {
   /// Tableau holds phase-2 reduced costs over a consistent basis, so a
   /// dual-simplex warm re-solve from it is sound.
   bool resident_valid = false;
-  /// Additionally primal-feasible at the root rhs (parked): a follow-up
-  /// solve may run the cost pass primal from here.
-  bool parked = false;
   /// Every integer variable is kShifted with a finite upper bound, so
   /// branching moves only the rhs and children can warm start.
   bool fast_path_ok = false;
-  /// The previous solve's optimal integer assignment, positional over
-  /// int_vars. On the next warm root one dual re-solve with the integers
-  /// pinned to this pattern seeds the incumbent, so branch-and-bound
-  /// starts with a strong upper bound instead of discovering one node by
-  /// node — the pattern rarely moves hour over hour.
-  std::vector<double> seed_values;
-  bool has_seed = false;
-
-  // ---- structural signature of the resident problem ---------------------
-  struct VarSig {
-    unsigned char kind = 0;
-    bool is_integer = false;
-    bool has_bound_row = false;
-  };
-  std::vector<VarSig> sig_vars;
-  std::vector<Relation> sig_rel;
-  std::vector<std::vector<Term>> sig_terms;
 
   // ---- per-solve working buffers (reserved once per shape) --------------
   std::vector<double> cur_lo, cur_hi;
@@ -143,16 +119,6 @@ struct ArenaSolver::Impl {
            pool.capacity() * sizeof(NodeSlot);
   }
 
-  static Kind kind_of(const Variable& v) {
-    if (v.lower == kNegInf && v.upper == kInfinity) return Kind::kSplit;
-    if (v.lower == kNegInf) return Kind::kMirrored;
-    return Kind::kShifted;
-  }
-  static bool has_bound_row(const Variable& v, Kind k) {
-    return (k == Kind::kShifted && v.upper != kInfinity) ||
-           (k == Kind::kMirrored && v.lower != kNegInf);
-  }
-
   double offset_of(int j) const {
     switch (maps[static_cast<std::size_t>(j)].kind) {
       case Kind::kShifted: return cur_lo[static_cast<std::size_t>(j)];
@@ -162,56 +128,7 @@ struct ArenaSolver::Impl {
     return 0.0;
   }
 
-  // ---- structure adoption ------------------------------------------------
-
-  /// True when `problem` has the same standard-form structure as the
-  /// resident tableau: same variable kinds/bound-row pattern and bitwise
-  /// identical constraint coefficients. Bound *values* and every rhs may
-  /// differ — those are exactly what the warm start re-loads.
-  bool signature_matches(const Problem& problem) const {
-    if (static_cast<int>(sig_vars.size()) != problem.num_variables())
-      return false;
-    if (static_cast<int>(sig_rel.size()) != problem.num_constraints())
-      return false;
-    for (int j = 0; j < problem.num_variables(); ++j) {
-      const Variable& v = problem.variable(j);
-      const Kind k = kind_of(v);
-      const VarSig& s = sig_vars[static_cast<std::size_t>(j)];
-      if (static_cast<unsigned char>(k) != s.kind) return false;
-      if (v.is_integer != s.is_integer) return false;
-      if (has_bound_row(v, k) != s.has_bound_row) return false;
-    }
-    for (int i = 0; i < problem.num_constraints(); ++i) {
-      const Constraint& c = problem.constraint(i);
-      if (c.relation != sig_rel[static_cast<std::size_t>(i)]) return false;
-      const auto& terms = sig_terms[static_cast<std::size_t>(i)];
-      if (terms.size() != c.terms.size()) return false;
-      for (std::size_t t = 0; t < terms.size(); ++t) {
-        if (terms[t].var != c.terms[t].var) return false;
-        if (terms[t].coef != c.terms[t].coef) return false;
-      }
-    }
-    return true;
-  }
-
-  void capture_signature(const Problem& problem) {
-    const std::size_t n = static_cast<std::size_t>(problem.num_variables());
-    const std::size_t mm = static_cast<std::size_t>(problem.num_constraints());
-    sig_vars.assign(n, VarSig{});
-    for (int j = 0; j < problem.num_variables(); ++j) {
-      const Variable& v = problem.variable(j);
-      const Kind k = kind_of(v);
-      sig_vars[static_cast<std::size_t>(j)] = VarSig{
-          static_cast<unsigned char>(k), v.is_integer, has_bound_row(v, k)};
-    }
-    sig_rel.resize(mm);
-    sig_terms.resize(mm);
-    for (int i = 0; i < problem.num_constraints(); ++i) {
-      const Constraint& c = problem.constraint(i);
-      sig_rel[static_cast<std::size_t>(i)] = c.relation;
-      sig_terms[static_cast<std::size_t>(i)] = c.terms;
-    }
-  }
+  // ---- per-solve setup ---------------------------------------------------
 
   void load_bounds(const Problem& problem) {
     const std::size_t n = static_cast<std::size_t>(problem.num_variables());
@@ -311,7 +228,7 @@ struct ArenaSolver::Impl {
   /// Builds the tableau from `problem` under the current bounds and runs
   /// phase 1 + phase 2. Mirrors the legacy simplex construction exactly
   /// (including the rhs-sign row flips). Returns kIterationLimit-class
-  /// statuses as the legacy engine does; kArenaExhausted when a configured
+  /// statuses as the legacy engine does; kArenaExhausted when the call's
   /// byte cap would be exceeded.
   SolveStatus cold_build(const Problem& problem, const SimplexOptions& lp) {
     lp_iters = 0;
@@ -371,11 +288,10 @@ struct ArenaSolver::Impl {
     stride = static_cast<std::size_t>(n_total) + 1;
     first_artificial = n_struct + n_slack;
 
-    if (config.max_arena_bytes != 0 &&
+    if (max_arena_bytes != 0 &&
         tableau_bytes(m, stride) + pool.capacity() * sizeof(NodeSlot) >
-            config.max_arena_bytes) {
+            max_arena_bytes) {
       resident_valid = false;
-      parked = false;
       return SolveStatus::kArenaExhausted;
     }
 
@@ -737,8 +653,6 @@ struct ArenaSolver::Impl {
   void recover_x(Solution& sol) {
     work_x.assign(static_cast<std::size_t>(n_orig), 0.0);
     // Structural std values from the basis.
-    std::vector<double>& xs = work_xb;  // reuse: xs[col] not needed, scan rows
-    (void)xs;
     snap_buf.assign(static_cast<std::size_t>(n_struct), 0.0);
     for (int i = 0; i < m; ++i) {
       const int b = basis[static_cast<std::size_t>(i)];
@@ -809,21 +723,29 @@ struct ArenaSolver::Impl {
   }
 
   /// Grows the node pool (between node expansions, never inside the
-  /// simplex loops). Returns false when a configured byte cap forbids it.
+  /// simplex loops). Returns false when the call's byte cap forbids it.
   bool ensure_pool_capacity(std::size_t needed) {
     if (needed <= pool.capacity()) return true;
     std::size_t next = std::max<std::size_t>(1024, pool.capacity() * 2);
     while (next < needed) next *= 2;
-    if (config.max_arena_bytes != 0 &&
-        tableau_bytes(m, stride) + next * sizeof(NodeSlot) >
-            config.max_arena_bytes)
+    if (max_arena_bytes != 0 &&
+        tableau_bytes(m, stride) + next * sizeof(NodeSlot) > max_arena_bytes)
       return false;
     pool.reserve(next);
     dfs.reserve(next);
     return true;
   }
 
-  Solution solve_core(const Problem& problem, const MilpOptions& options) {
+  Solution solve(const Problem& problem, const MilpOptions& options) {
+    // An arena already holding more than this call's cap is exhausted by
+    // definition: a pool grown by an earlier solve would otherwise sail past
+    // the growth checks.
+    max_arena_bytes = options.max_arena_bytes;
+    if (max_arena_bytes != 0 && footprint() > max_arena_bytes) {
+      Solution sol;
+      sol.status = SolveStatus::kArenaExhausted;
+      return sol;
+    }
     const bool maximize = problem.sense() == Sense::kMaximize;
     const auto to_min = [maximize](double obj) { return maximize ? -obj : obj; };
     iterations_this_solve = 0;
@@ -851,91 +773,9 @@ struct ArenaSolver::Impl {
                  .count() >= options.time_limit_ms;
     };
 
-    // ---- root: adopt the previous solve's basis, or build cold ----------
-    bool warm_root = false;
-    SolveStatus warm_root_status = SolveStatus::kInfeasible;
-    Solution seeded;  // incumbent candidate from the previous optimum
-    bool have_seeded = false;
-    const bool warm_candidate =
-        config.warm_across_solves && resident_valid && parked;
-    if (warm_candidate && signature_matches(problem)) {
-      load_bounds(problem);
-      // maps/int_vars pattern matches the resident build by signature.
-      build_maps();
-      build_std_costs(problem);
-      // Cost pass: new objective over the parked (primal-feasible) basis.
-      lp_iters = 0;
-      load_phase2_costs();
-      SolveStatus st =
-          primal_iterate(/*phase1=*/false, options.lp, kStablePivot);
-      if (st == SolveStatus::kOptimal && has_seed && !int_vars.empty() &&
-          seed_values.size() == int_vars.size()) {
-        // Incumbent seeding: pin the integers to the previous optimum's
-        // pattern and dual re-solve for the best continuous completion.
-        // The result (re-verified against the root problem) becomes the
-        // starting incumbent once the root LP below confirms optimality.
-        bool pattern_fits = true;
-        for (std::size_t k = 0; k < int_vars.size() && pattern_fits; ++k) {
-          const std::size_t v = static_cast<std::size_t>(int_vars[k]);
-          pattern_fits = seed_values[k] >= root_lo[v] - 1e-9 &&
-                         seed_values[k] <= root_hi[v] + 1e-9;
-        }
-        if (pattern_fits) {
-          for (std::size_t k = 0; k < int_vars.size(); ++k) {
-            const std::size_t v = static_cast<std::size_t>(int_vars[k]);
-            cur_lo[v] = seed_values[k];
-            cur_hi[v] = seed_values[k];
-          }
-          if (warm_eval(problem, options.lp) == SolveStatus::kOptimal) {
-            seeded.status = SolveStatus::kOptimal;
-            recover_x(seeded);
-            for (const int j : int_vars)
-              seeded.x[static_cast<std::size_t>(j)] =
-                  std::round(seeded.x[static_cast<std::size_t>(j)]);
-            if (problem.is_feasible(seeded.x, 1e-6)) {
-              seeded.objective = problem.objective_value(seeded.x);
-              have_seeded = true;
-            }
-          }
-          cur_lo = root_lo;
-          cur_hi = root_hi;
-        }
-      }
-      if (st == SolveStatus::kOptimal) {
-        // Rhs pass: swap in the new root rhs, repair dual.
-        st = warm_eval(problem, options.lp);
-        if (st == SolveStatus::kOptimal || st == SolveStatus::kInfeasible) {
-          warm_root = true;
-          warm_root_status = st;
-          ++stat.warm_solves;
-        }
-      }
-      // kUnbounded under the *old* rhs does not settle the status for the
-      // new rhs (which may be infeasible): decide cold.
-      if (!warm_root) {
-        ++stat.warm_fallbacks;
-        resident_valid = false;
-        parked = false;
-      }
-    } else if (warm_candidate) {
-      // Same solver, different structure: fall back cold by design.
-      ++stat.warm_fallbacks;
-      resident_valid = false;
-      parked = false;
-    }
-    if (!warm_root) {
-      load_bounds(problem);
-      resident_valid = false;
-      parked = false;
-    }
-    if (warm_root && warm_root_status == SolveStatus::kOptimal &&
-        have_seeded) {
-      // The seeded solution is feasible and the root confirmed solvable:
-      // start the search holding it, so every node whose relaxation bound
-      // cannot beat it is fathomed immediately.
-      incumbent = to_min(seeded.objective);
-      best = seeded;
-    }
+    // ---- root: always cold; no basis survives from an earlier solve -----
+    load_bounds(problem);
+    resident_valid = false;
 
     // ---- depth-first search over pooled nodes ---------------------------
     pool.clear();
@@ -947,7 +787,6 @@ struct ArenaSolver::Impl {
     pool.push_back(NodeSlot{});  // root
     dfs.push_back(0);
 
-    bool first_node = true;
     while (!dfs.empty()) {
       if (nodes >= options.max_nodes) {
         hit_node_limit = true;
@@ -968,21 +807,14 @@ struct ArenaSolver::Impl {
       ++stat.nodes_explored;
 
       // ---- node LP -------------------------------------------------------
-      SolveStatus st;
+      SolveStatus st = SolveStatus::kIterationLimit;
       bool solved_warm = false;
-      const bool root_already_solved = first_node && warm_root;
-      first_node = false;
-      if (root_already_solved) {
-        st = warm_root_status;
-        solved_warm = true;
-      } else if (resident_valid && fast_path_ok) {
+      if (resident_valid && fast_path_ok) {
         st = warm_eval(problem, options.lp);
         if (st == SolveStatus::kOptimal || st == SolveStatus::kInfeasible) {
           solved_warm = true;
           ++stat.node_warm_solves;
         }
-      } else {
-        st = SolveStatus::kIterationLimit;  // force the cold path below
       }
       if (!solved_warm) {
         st = cold_build(problem, options.lp);
@@ -1001,8 +833,6 @@ struct ArenaSolver::Impl {
         sol.status = SolveStatus::kUnbounded;
         sol.nodes = nodes;
         sol.iterations = iterations_this_solve;
-        resident_valid = false;
-        parked = false;
         return sol;
       }
       if (st != SolveStatus::kOptimal) continue;  // infeasible/limit node
@@ -1123,91 +953,18 @@ struct ArenaSolver::Impl {
                                        : SolveStatus::kNodeLimit;
     }
 
-    // ---- remember the winning integer pattern for the next seed ---------
-    if (config.warm_across_solves &&
-        best.status == SolveStatus::kOptimal) {
-      seed_values.resize(int_vars.size());
-      for (std::size_t k = 0; k < int_vars.size(); ++k)
-        seed_values[k] = best.x[static_cast<std::size_t>(int_vars[k])];
-      has_seed = true;
-    }
-
-    // ---- park the tableau at the root optimum for the next solve --------
-    if (config.warm_across_solves && resident_valid && fast_path_ok &&
-        !exhausted) {
-      cur_lo = root_lo;
-      cur_hi = root_hi;
-      const SolveStatus st = warm_eval(problem, options.lp);
-      if (st == SolveStatus::kOptimal) {
-        parked = true;
-        capture_signature(problem);
-      } else {
-        resident_valid = false;
-        parked = false;
-      }
-    } else {
-      resident_valid = false;
-      parked = false;
-    }
     return best;
-  }
-
-  Solution solve(const Problem& problem, const MilpOptions& options) {
-    if (!config.use_presolve) return solve_core(problem, options);
-
-    const PresolveResult pre = presolve(problem);
-    if (pre.infeasible) {
-      Solution sol;
-      sol.status = SolveStatus::kInfeasible;
-      return sol;
-    }
-    Solution sol = solve_core(pre.reduced, options);
-    if (!sol.x.empty()) {
-      sol.x = pre.restore(sol.x);
-      if (sol.has_incumbent()) sol.objective = problem.objective_value(sol.x);
-    } else if (sol.ok() || sol.has_incumbent()) {
-      // A fully presolved-away problem solves with an empty reduced x.
-      sol.x = pre.restore(std::span<const double>{});
-      sol.objective = problem.objective_value(sol.x);
-    }
-    return sol;
   }
 };
 
-ArenaSolver::ArenaSolver(ArenaConfig config)
-    : config_(config), impl_(std::make_unique<Impl>(config)) {}
+ArenaSolver::ArenaSolver() : impl_(std::make_unique<Impl>()) {}
 
 ArenaSolver::~ArenaSolver() = default;
 ArenaSolver::ArenaSolver(ArenaSolver&&) noexcept = default;
 ArenaSolver& ArenaSolver::operator=(ArenaSolver&&) noexcept = default;
 
 Solution ArenaSolver::solve(const Problem& problem, const MilpOptions& options) {
-  // A per-call cap (MilpOptions::max_arena_bytes) tightens the lifetime cap
-  // for this solve only; the lifetime value is restored before returning so
-  // one squeezed chunk solve cannot shrink the arena for later hours.
-  const std::size_t lifetime_cap = config_.max_arena_bytes;
-  std::size_t effective = lifetime_cap;
-  if (options.max_arena_bytes != 0 &&
-      (effective == 0 || options.max_arena_bytes < effective)) {
-    effective = options.max_arena_bytes;
-  }
-  // An arena already holding more than the squeezed cap is exhausted by
-  // definition — a warm pool would otherwise sail past the growth checks.
-  if (effective != 0 && impl_->footprint() > effective) {
-    Solution sol;
-    sol.status = SolveStatus::kArenaExhausted;
-    return sol;
-  }
-  impl_->config.max_arena_bytes = effective;
-  Solution sol = impl_->solve(problem, options);
-  impl_->config.max_arena_bytes = lifetime_cap;
-  return sol;
-}
-
-void ArenaSolver::invalidate() noexcept {
-  impl_->resident_valid = false;
-  impl_->parked = false;
-  impl_->has_seed = false;
+  return impl_->solve(problem, options);
 }
 
 const ArenaStats& ArenaSolver::stats() const noexcept { return impl_->stat; }

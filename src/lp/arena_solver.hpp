@@ -8,41 +8,12 @@
 
 namespace billcap::lp {
 
-/// Arena sizing and warm-start policy for ArenaSolver. Everything that
-/// changes per *call* (node limits, deadlines, tolerances) stays in
-/// MilpOptions; this struct only holds what is fixed for the solver's
-/// lifetime.
-struct ArenaConfig {
-  /// Reuse the previous solve's final basis as the starting point of the
-  /// next solve when the two problems share the same row structure (the
-  /// hourly bill-capping MILPs differ only in objective costs and rhs).
-  ///
-  /// OFF by default: a resumed month starts with an empty arena, so a
-  /// kill/resume run would diverge (at the ulp level) from an
-  /// uninterrupted one. Like --replan-deadline-ms, enabling this trades
-  /// bitwise kill/resume reproducibility for speed; results within one
-  /// process remain fully deterministic.
-  bool warm_across_solves = false;
-
-  /// Run the lp presolve pass (singleton rows, fixed variables) before the
-  /// branch-and-bound. Off by default for exact parity with the legacy
-  /// engine; the differential suite exercises both settings.
-  bool use_presolve = false;
-
-  /// Hard cap on the arena footprint in bytes (tableau + node pool).
-  /// 0 = unlimited: the arena is re-reserved between solves as shapes
-  /// require and never grows inside the simplex loop. When the cap is set,
-  /// a solve whose shape or node pool would not fit returns a Solution
-  /// with SolveStatus::kArenaExhausted instead of allocating.
-  std::size_t max_arena_bytes = 0;
-};
-
 /// Counters describing how solves were served. Monotonic over the solver's
 /// lifetime; read them before/after a block to attribute a window.
 struct ArenaStats {
   long cold_solves = 0;       ///< root solved by two-phase from scratch
-  long warm_solves = 0;       ///< root served from the previous solve's basis
-  long warm_fallbacks = 0;    ///< warm attempts that fell back to cold
+  long warm_solves = 0;       ///< always 0: every root is solved cold
+  long warm_fallbacks = 0;    ///< always 0: no root is ever warm started
   long node_warm_solves = 0;  ///< B&B children re-solved by dual simplex
   long node_cold_solves = 0;  ///< B&B children that needed a cold rebuild
   long primal_iterations = 0; ///< primal simplex pivots (phases 1+2)
@@ -54,51 +25,43 @@ struct ArenaStats {
 /// index arrays and a pooled branch-and-bound node stack, sized once per
 /// shape so the solve loops never allocate.
 ///
-/// Branch-and-bound children re-solve from the parent's basis with a dual
-/// simplex (bound branching only moves the rhs, so the resident tableau
-/// stays dual-feasible); each child costs a handful of pivots instead of a
-/// full two-phase solve. With `warm_across_solves` the final basis also
-/// carries over to the next solve() on the same row structure: new
-/// objective costs are reloaded and polished primal, then the new rhs is
-/// swapped in through B^-1 and repaired dual. Every warm path falls back
-/// to the cold two-phase solve when basis repair fails, so results match
-/// the legacy engine's statuses and objectives (the differential suite in
-/// tests/lp/solver_differential_test.cpp pins this to 1e-9).
+/// Every solve() builds its root cold (two-phase, the legacy engine's pivot
+/// sequence). Branch-and-bound children re-solve from the parent's basis
+/// with a dual simplex (bound branching only moves the rhs, so the resident
+/// tableau stays dual-feasible); each child costs a handful of pivots
+/// instead of a full two-phase solve, and falls back to a cold rebuild when
+/// basis repair fails. No basis survives a solve(): a long-lived solver
+/// only keeps its allocations, so each result is a pure function of the
+/// problem and options (tests/lp/solver_differential_test.cpp pins this
+/// bitwise and holds statuses and objectives to the legacy engine to 1e-9).
 ///
-/// Not thread-safe: one ArenaSolver per thread (the warm state is the
-/// point of the class).
+/// Not thread-safe: one ArenaSolver per thread.
 class ArenaSolver {
  public:
-  explicit ArenaSolver(ArenaConfig config = {});
+  ArenaSolver();
   ~ArenaSolver();
   ArenaSolver(const ArenaSolver&) = delete;
   ArenaSolver& operator=(const ArenaSolver&) = delete;
   // Movable so long-lived owners (BillCapper, region capper vectors) can be
-  // moved without losing their warm state.
+  // moved without losing their reserved arenas.
   ArenaSolver(ArenaSolver&&) noexcept;
   ArenaSolver& operator=(ArenaSolver&&) noexcept;
 
   /// Solves `problem` (MILP via branch-and-bound; a problem without
   /// integer marks is solved at the root only). Status semantics mirror
   /// lp::solve_milp_reference: kOptimal/kInfeasible/kUnbounded, kNodeLimit
-  /// and kTimeLimit with the best incumbent, plus kArenaExhausted when a
-  /// configured byte cap would be exceeded. Duals are not populated.
+  /// and kTimeLimit with the best incumbent, plus kArenaExhausted when
+  /// MilpOptions::max_arena_bytes would be exceeded. Duals are not
+  /// populated.
   Solution solve(const Problem& problem, const MilpOptions& options = {});
-
-  /// Drops any warm state; the next solve starts cold. Also called
-  /// implicitly when a solve's structure does not match the resident one.
-  void invalidate() noexcept;
 
   const ArenaStats& stats() const noexcept;
 
   /// Current arena footprint in bytes (tableau + cost row + node pool).
   std::size_t arena_bytes() const noexcept;
 
-  const ArenaConfig& config() const noexcept { return config_; }
-
  private:
   struct Impl;
-  ArenaConfig config_;
   std::unique_ptr<Impl> impl_;
 };
 

@@ -40,10 +40,9 @@ int pick_branch_variable(const Problem& problem, std::span<const double> x,
 }  // namespace
 
 Solution solve_milp(const Problem& problem, const MilpOptions& options) {
-  // A fresh solver per call: within-call warm starts (B&B children resume
-  // from the parent basis) apply, cross-call state does not, keeping this
-  // free function a pure function of its arguments. Long-lived callers that
-  // want hour-over-hour warm starts hold their own ArenaSolver.
+  // A fresh solver per call. Long-lived callers that want to reuse the
+  // arena's allocations hour over hour hold their own ArenaSolver; the
+  // answer is the same either way.
   ArenaSolver solver;
   return solver.solve(problem, options);
 }

@@ -19,11 +19,11 @@ struct MilpOptions {
   /// found so far is returned with SolveStatus::kTimeLimit (an hourly
   /// control loop must never block on one stubborn solve).
   double time_limit_ms = 0.0;
-  /// Per-solve arena byte cap; 0 leaves the solver's lifetime cap
-  /// (ArenaConfig::max_arena_bytes) in charge. A nonzero value tightens the
-  /// cap for this call only — the fleet layer uses it to squeeze one chunk's
-  /// solve without reconfiguring the warm arena it shares across hours.
-  /// Exhaustion surfaces as SolveStatus::kArenaExhausted, never a throw.
+  /// Arena byte cap for this solve (tableau + node pool); 0 = unlimited.
+  /// It binds this call only — the fleet layer uses it to squeeze one
+  /// chunk's solve on an arena it reuses across hours. An arena that an
+  /// earlier solve grew past the cap is exhausted up front. Exhaustion
+  /// surfaces as SolveStatus::kArenaExhausted, never a throw.
   std::size_t max_arena_bytes = 0;
   SimplexOptions lp;               ///< options for each relaxation solve
 };
@@ -41,7 +41,7 @@ struct MilpOptions {
 ///
 /// Since the arena-solver rewrite this entry point runs lp::ArenaSolver
 /// (one solve-local instance: B&B children warm start from the parent
-/// basis via dual simplex; no state survives the call, so results stay a
+/// basis via dual simplex; every root is solved cold, so results stay a
 /// pure function of the inputs). The original stack-of-Problem-copies
 /// engine remains available as solve_milp_reference and is held equal to
 /// the arena path by tests/lp/solver_differential_test.cpp.

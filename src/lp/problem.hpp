@@ -65,8 +65,7 @@ class Problem {
   /// Replaces the objective coefficient of a variable.
   void set_objective(int var, double coef);
 
-  /// Replaces a constraint's right-hand side. Rhs-only edits preserve the
-  /// row structure ArenaSolver keys its warm starts on.
+  /// Replaces a constraint's right-hand side.
   void set_rhs(int row, double rhs);
 
   /// Adds `delta` to the objective coefficient of a variable (handy when a
@@ -126,7 +125,7 @@ enum class SolveStatus {
   kIterationLimit,
   kNodeLimit,
   kTimeLimit,
-  /// An ArenaSolver with a configured byte cap (ArenaConfig::max_arena_bytes)
+  /// An ArenaSolver solve with a byte cap (MilpOptions::max_arena_bytes)
   /// refused to grow its arena. A typed, recoverable condition — callers
   /// treat it like an iteration limit (degrade), never as a feasible answer;
   /// Solution::has_incumbent() is false for it.

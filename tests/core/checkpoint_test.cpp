@@ -245,6 +245,17 @@ TEST(CheckpointTest, DigestSeparatesConfigsAndStrategies) {
   EXPECT_NE(base, checkpoint_digest(other, Strategy::kCostCapping));
 }
 
+TEST(CheckpointTest, DefaultConfigDigestsArePinned) {
+  // Checkpoints already on disk carry these digests: a config edit that
+  // moves them (a field added, dropped or reordered in checkpoint_digest)
+  // silently orphans every existing checkpoint, so it must fail here.
+  const SimulationConfig config;
+  EXPECT_EQ(checkpoint_digest(config, Strategy::kCostCapping),
+            0xe3b4c7810177f10bULL);
+  EXPECT_EQ(checkpoint_digest(config, Strategy::kMinOnlyAvg),
+            0xa2619c927c273cc6ULL);
+}
+
 /// Appends one committed hour to `st`, mimicking the simulator's per-hour
 /// commit, so successive rotated saves hold distinguishable states.
 void commit_one_hour(CheckpointState& st) {

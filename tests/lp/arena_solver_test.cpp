@@ -1,7 +1,7 @@
 // Property tests for ArenaSolver's basis handling and arena limits: a
-// stale or structurally mismatched resident basis must be repaired or
-// dropped cold — never crash, never return a silently suboptimal
-// "optimal" — and a configured byte cap must surface as the typed
+// long-lived solver carries allocations, never a basis, from one solve to
+// the next, so every answer is bitwise the answer of a fresh solver (and
+// agrees with the reference engine); a byte cap must surface as the typed
 // SolveStatus::kArenaExhausted with no incumbent.
 
 #include "lp/arena_solver.hpp"
@@ -14,6 +14,7 @@
 #include <vector>
 
 #include "lp/milp.hpp"
+#include "solution_bits.hpp"
 
 namespace billcap::lp {
 namespace {
@@ -40,78 +41,127 @@ Problem three_var_problem(double rhs) {
   return p;
 }
 
-TEST(ArenaSolverTest, WarmSequenceMatchesColdOnRhsDrift) {
-  ArenaSolver warm(ArenaConfig{.warm_across_solves = true});
+/// Solves `p` on the long-lived `solver` and checks the answer against a
+/// fresh solver (bitwise) and the reference engine (status, objective).
+void expect_history_free(ArenaSolver& solver, const Problem& p,
+                         const std::string& tag) {
+  const Solution got = solve_history_free(solver, p, tag);
+  const Solution want = solve_milp_reference(p);
+  ASSERT_EQ(got.status, want.status) << tag;
+  if (want.status == SolveStatus::kOptimal) {
+    EXPECT_NEAR(got.objective, want.objective, 1e-9) << tag;
+  }
+}
+
+MilpOptions capped_at(std::size_t bytes) {
+  MilpOptions options;
+  options.max_arena_bytes = bytes;
+  return options;
+}
+
+void expect_no_cross_solve_warm(const ArenaSolver& solver) {
+  EXPECT_EQ(solver.stats().warm_solves, 0);
+  EXPECT_EQ(solver.stats().warm_fallbacks, 0);
+}
+
+TEST(ArenaSolverTest, LongLivedSolverMatchesFreshOnRhsDrift) {
+  ArenaSolver solver;
   for (int k = 0; k < 12; ++k) {
     const double rhs = 1.0 + 0.7 * k;
-    const Problem p = two_var_problem(rhs, /*integers=*/true);
-    const Solution got = warm.solve(p);
-    const Solution want = solve_milp_reference(p);
-    ASSERT_EQ(got.status, want.status) << k;
-    EXPECT_NEAR(got.objective, want.objective, 1e-9) << k;
+    expect_history_free(solver, two_var_problem(rhs, /*integers=*/true),
+                        "k=" + std::to_string(k));
   }
-  EXPECT_GT(warm.stats().warm_solves, 0);
-  EXPECT_GT(warm.stats().cold_solves, 0);  // the first solve is always cold
+  expect_no_cross_solve_warm(solver);
+  EXPECT_EQ(solver.stats().cold_solves, 12);  // every root is cold
 }
 
 TEST(ArenaSolverTest, StructureChangeFallsBackColdNotWrong) {
-  // Alternating shapes invalidate the resident basis every solve: the
-  // signature check must force a cold rebuild each time, and every answer
-  // must still match the reference.
-  ArenaSolver warm(ArenaConfig{.warm_across_solves = true});
+  // Alternating shapes: the arena is rebuilt for a different tableau every
+  // solve, and every answer must still be the fresh solver's and match the
+  // reference.
+  ArenaSolver solver;
   for (int k = 0; k < 10; ++k) {
     const bool odd = (k % 2) != 0;
     const Problem p =
         odd ? three_var_problem(3.0 + k) : two_var_problem(2.0 + k);
-    const Solution got = warm.solve(p);
-    const Solution want = solve_milp_reference(p);
-    ASSERT_EQ(got.status, want.status) << k;
-    EXPECT_NEAR(got.objective, want.objective, 1e-9) << k;
+    expect_history_free(solver, p, "k=" + std::to_string(k));
   }
-  // No two consecutive problems share a structure, so the warm root can
-  // never fire.
-  EXPECT_EQ(warm.stats().warm_solves, 0);
+  expect_no_cross_solve_warm(solver);
 }
 
-TEST(ArenaSolverTest, InvalidateForcesColdResolve) {
-  ArenaSolver warm(ArenaConfig{.warm_across_solves = true});
-  const Problem p = two_var_problem(4.0);
-  const Solution first = warm.solve(p);
-  warm.invalidate();
-  const Solution second = warm.solve(p);
+TEST(ArenaSolverTest, RepeatedSolveIsBitwiseIdentical) {
+  ArenaSolver solver;
+  const Problem p = three_var_problem(4.0);
+  const Solution first = solver.solve(p);
+  const Solution second = solver.solve(p);
   EXPECT_EQ(first.status, SolveStatus::kOptimal);
-  EXPECT_EQ(second.status, SolveStatus::kOptimal);
-  EXPECT_DOUBLE_EQ(first.objective, second.objective);
-  // Both solves took the cold path; the warm root never fired.
-  EXPECT_EQ(warm.stats().warm_solves, 0);
-  EXPECT_EQ(warm.stats().cold_solves, 2);
+  expect_bitwise_equal(first, second, "repeat");
+  expect_no_cross_solve_warm(solver);
+  EXPECT_EQ(solver.stats().cold_solves, 2);
 }
 
 TEST(ArenaSolverTest, ArenaExhaustionIsTypedAndRecoverable) {
   // A cap far below any real tableau: the solve must refuse to allocate,
   // return the typed status, and leave no bogus incumbent behind.
-  ArenaSolver tiny(ArenaConfig{.max_arena_bytes = 64});
+  ArenaSolver solver;
   const Problem p = three_var_problem(4.0);
-  const Solution s = tiny.solve(p);
+  const MilpOptions tiny = capped_at(64);
+  const Solution s = solver.solve(p, tiny);
   EXPECT_EQ(s.status, SolveStatus::kArenaExhausted);
   EXPECT_FALSE(s.has_incumbent());
   EXPECT_STREQ(to_string(s.status), "arena_exhausted");
 
-  // The same solver keeps answering (typed, not crashed) on later calls,
-  // and an uncapped solver solves the identical problem fine.
-  EXPECT_EQ(tiny.solve(p).status, SolveStatus::kArenaExhausted);
-  ArenaSolver roomy;
-  EXPECT_EQ(roomy.solve(p).status, SolveStatus::kOptimal);
+  // The same solver keeps answering (typed, not crashed) on later capped
+  // calls, and the cap binds only the call it is passed to: an uncapped
+  // call on the same solver solves the identical problem as a fresh one.
+  EXPECT_EQ(solver.solve(p, tiny).status, SolveStatus::kArenaExhausted);
+  expect_history_free(solver, p, "uncapped after exhaustion");
 }
 
 TEST(ArenaSolverTest, GenerousCapStillSolves) {
   // A cap big enough for the tableau must not trip: the cap bounds the
   // footprint, it does not tax successful solves.
-  ArenaSolver capped(ArenaConfig{.max_arena_bytes = 1 << 20});
+  ArenaSolver solver;
   const Problem p = three_var_problem(4.0);
-  const Solution s = capped.solve(p);
+  const MilpOptions capped = capped_at(std::size_t{1} << 20);
+  const Solution s = solver.solve(p, capped);
   EXPECT_EQ(s.status, SolveStatus::kOptimal);
-  EXPECT_LE(capped.arena_bytes(), static_cast<std::size_t>(1) << 20);
+  EXPECT_LE(solver.arena_bytes(), static_cast<std::size_t>(1) << 20);
+  ArenaSolver fresh;
+  expect_bitwise_equal(fresh.solve(p), s, "generous cap");
+}
+
+TEST(ArenaSolverTest, SqueezeBelowGrownFootprintIsExhausted) {
+  // An arena grown by an earlier uncapped solve already holds more than a
+  // squeezed cap: the squeezed call is exhausted up front even though a
+  // fresh arena for the same small problem would fit under it.
+  ArenaSolver solver;
+  const Problem small = two_var_problem(3.0);
+  ArenaSolver probe;
+  ASSERT_EQ(probe.solve(small).status, SolveStatus::kOptimal);
+  const std::size_t small_bytes = probe.arena_bytes();
+
+  Problem big;
+  std::vector<Term> cover;
+  for (int j = 0; j < 40; ++j) {
+    big.add_variable("x" + std::to_string(j), 0.0, 3.0, 1.0 + 0.1 * j, true);
+    cover.push_back({j, 1.0});
+  }
+  big.add_constraint("cover", std::move(cover), Relation::kGreaterEqual, 7.5);
+  ASSERT_EQ(solver.solve(big).status, SolveStatus::kOptimal);
+  const std::size_t grown = solver.arena_bytes();
+  ASSERT_GT(grown, small_bytes);
+
+  const MilpOptions squeezed = capped_at(grown - 1);
+  ASSERT_GE(squeezed.max_arena_bytes, small_bytes);
+  EXPECT_EQ(probe.solve(small, squeezed).status, SolveStatus::kOptimal);
+  const Solution s = solver.solve(small, squeezed);
+  EXPECT_EQ(s.status, SolveStatus::kArenaExhausted);
+  EXPECT_FALSE(s.has_incumbent());
+  EXPECT_EQ(solver.arena_bytes(), grown);  // refused before touching it
+
+  // The squeeze does not stick: the next uncapped call is history-free.
+  expect_history_free(solver, small, "after squeeze");
 }
 
 TEST(ArenaSolverTest, StatsCountersAccountForNodeWarmStarts) {
@@ -138,15 +188,14 @@ TEST(ArenaSolverTest, StatsCountersAccountForNodeWarmStarts) {
   EXPECT_NEAR(s.objective, want.objective, 1e-9);
 }
 
-TEST(ArenaSolverTest, WarmNeverSilentlySuboptimalUnderRandomDrift) {
-  // Property sweep: one warm solver, 60 solves whose rhs and costs drift
-  // randomly (occasionally into infeasibility). Every claimed optimum is
-  // re-verified against a fresh reference solve; every infeasibility claim
-  // must match the reference too.
+TEST(ArenaSolverTest, LongLivedSolverHistoryFreeUnderRandomDrift) {
+  // Property sweep: one long-lived solver, 60 solves whose rhs and costs
+  // drift randomly (occasionally into infeasibility). Every answer must be
+  // bitwise a fresh solver's, and match a reference solve.
   std::mt19937 rng(2026);
   std::uniform_real_distribution<double> rhs_draw(-2.0, 14.0);
   std::uniform_real_distribution<double> cost_draw(0.5, 3.0);
-  ArenaSolver warm(ArenaConfig{.warm_across_solves = true});
+  ArenaSolver solver;
   for (int k = 0; k < 60; ++k) {
     Problem p;
     const int x = p.add_variable("x", 0.0, 4.0, cost_draw(rng), true);
@@ -155,27 +204,9 @@ TEST(ArenaSolverTest, WarmNeverSilentlySuboptimalUnderRandomDrift) {
     p.add_constraint("cover", {{x, 1.0}, {y, 1.0}, {z, 1.0}},
                      Relation::kGreaterEqual, rhs_draw(rng));
     p.add_constraint("cap", {{x, 1.0}, {y, 2.0}}, Relation::kLessEqual, 9.0);
-    const Solution got = warm.solve(p);
-    const Solution want = solve_milp_reference(p);
-    ASSERT_EQ(got.status, want.status) << "k=" << k;
-    if (want.status == SolveStatus::kOptimal) {
-      EXPECT_NEAR(got.objective, want.objective, 1e-9) << "k=" << k;
-    }
+    expect_history_free(solver, p, "k=" + std::to_string(k));
   }
-}
-
-TEST(ArenaSolverTest, PresolveConfigAgreesWithDirectSolve) {
-  ArenaSolver with(ArenaConfig{.use_presolve = true});
-  ArenaSolver without;
-  for (int k = 0; k < 10; ++k) {
-    const Problem p = three_var_problem(1.0 + k);
-    const Solution a = with.solve(p);
-    const Solution b = without.solve(p);
-    ASSERT_EQ(a.status, b.status) << k;
-    if (a.status == SolveStatus::kOptimal) {
-      EXPECT_NEAR(a.objective, b.objective, 1e-9) << k;
-    }
-  }
+  expect_no_cross_solve_warm(solver);
 }
 
 }  // namespace

@@ -259,13 +259,6 @@ void parse_faults(const util::CliArgs& args, core::SimulationConfig& config) {
   if (args.has("deadline-ms"))
     config.optimizer.milp.time_limit_ms =
         args.get_positive_double("deadline-ms", 0.0);
-
-  // Hour-over-hour solver warm starts. Like --replan-deadline-ms this
-  // trades bitwise kill/resume reproducibility for speed (a resumed run
-  // starts with empty solver arenas); within one process results stay
-  // deterministic. The flag is mixed into the checkpoint digest so warm
-  // and cold trajectories cannot be silently mixed across a resume.
-  config.optimizer.warm_hourly_solver = args.get_bool("warm-solver", false);
 }
 
 /// Parses the closed-loop coupler flags. --closed-loop turns the coupler
@@ -1010,8 +1003,6 @@ int cmd_help() {
       "              (breaker), counts degraded, and exits 0 unless the\n"
       "              premium guarantee itself breaks (exit 3).\n"
       "            --deadline-ms M   hard wall-clock limit per solve\n"
-      "            --warm-solver     hour-over-hour solver warm starts\n"
-      "                              (faster; costs bitwise kill/resume)\n"
       "            --min-premium r   exit 3 if premium throughput < r\n"
       "  serve     overload-safe serving daemon: the month at sub-hour ticks\n"
       "            through a bounded ingest plane, an admission ladder and a\n"
