@@ -19,11 +19,10 @@
 //      pass by at least that factor.
 //
 // Results land in BENCH_fleet.json next to the binary (archived at the
-// repo root by tools/ci.sh). Flags: --months N, --hours H, --threads T,
-// --shard months|chunks (which axis the threaded pass fans out: whole
-// scenario-months as independent pool tasks, or each month's 20 region
-// chunks via the FleetController's own dispatch), --min-speedup X, and
-// --smoke for the small ctest soak configuration.
+// repo root by tools/ci.sh). `fleet_sweep --help` lists the flags.
+// --shard picks the axis the threaded pass fans out: whole scenario-months
+// as independent pool tasks, or each month's 20 region chunks via the
+// FleetController's own dispatch.
 
 #include <algorithm>
 #include <array>
@@ -202,33 +201,52 @@ PassResult run_pass(const Fleet& fleet, std::size_t months, std::size_t hours,
   return result;
 }
 
+constexpr util::Flag kFlags[] = {
+    {"smoke", util::FlagKind::kSwitch, "6 months x 8 h on 4 threads"},
+    {"months", util::FlagKind::kInteger, "scenario-months (default 1000)", "",
+     util::kAtLeastOne},
+    {"hours", util::FlagKind::kInteger, "hours per month (default 24)", "",
+     util::kAtLeastOne},
+    {"threads", util::FlagKind::kInteger,
+     "threaded-pass workers (default max(2, cores))", "", util::kAtLeastOne},
+    {"min-speedup", util::FlagKind::kNumber,
+     "fail below this threaded speedup (0: report only)", "0",
+     util::kNonNegative},
+    {"shard", util::FlagKind::kText, "months | chunks", "months"},
+};
+
 }  // namespace
 
 int main(int argc, char** argv) {
-  util::CliArgs args(argc, argv);
   std::size_t months = 1000;
   std::size_t hours = 24;
   std::size_t threads = std::max(2u, std::thread::hardware_concurrency());
-  double min_speedup = 0.0;  // 0 = report only, don't gate
+  double min_speedup = 0.0;
+  std::string shard_name;
   try {
-    if (args.get_bool("smoke")) {
+    const util::CliArgs args(kFlags, argc, argv);
+    if (args.help()) {
+      std::printf("fleet_sweep flags:\n%s", util::help_text(kFlags).c_str());
+      return core::kExitSuccess;
+    }
+    if (args.get_switch("smoke")) {
       months = 6;
       hours = 8;
       threads = 4;
     }
-    months = static_cast<std::size_t>(
-        args.get_positive_long("months", static_cast<long>(months)));
-    hours = static_cast<std::size_t>(
-        args.get_positive_long("hours", static_cast<long>(hours)));
-    threads = static_cast<std::size_t>(
-        args.get_positive_long("threads", static_cast<long>(threads)));
-    min_speedup = args.get_double("min-speedup", min_speedup);
+    if (args.has("months"))
+      months = static_cast<std::size_t>(args.get_integer("months"));
+    if (args.has("hours"))
+      hours = static_cast<std::size_t>(args.get_integer("hours"));
+    if (args.has("threads"))
+      threads = static_cast<std::size_t>(args.get_integer("threads"));
+    min_speedup = args.get_number("min-speedup");
+    shard_name = args.get_text("shard");
   } catch (const std::exception& e) {
     std::fprintf(stderr, "fleet_sweep: %s\n", e.what());
     return core::kExitUsage;
   }
   Shard shard = Shard::kMonths;
-  const std::string shard_name = args.get("shard", "months");
   if (shard_name == "chunks") {
     shard = Shard::kChunks;
   } else if (shard_name != "months") {

@@ -16,9 +16,9 @@
 //      and coupler trajectory).
 //
 // Results land in BENCH_market.json next to the binary (archived at the
-// repo root by tools/ci.sh). Flags: --gains a,b,c --dampings off,ladder,full
-// to reshape the sweep, --smoke for the contract-only ctest configuration
-// (the three configurations the gates need, nothing more).
+// repo root by tools/ci.sh). `market_loop --help` lists the flags: --gains
+// and --dampings reshape the sweep, --smoke runs only the three
+// configurations the gates need (the ctest configuration).
 
 #include <algorithm>
 #include <array>
@@ -128,17 +128,28 @@ core::DampingMode damping_from(const std::string& name) {
                            "' (off|ladder|full)");
 }
 
+constexpr util::Flag kFlags[] = {
+    {"smoke", util::FlagKind::kSwitch, "only the configurations gated on"},
+    {"gains", util::FlagKind::kNumberList, "feedback gains", "1,2.5,4",
+     util::kPositive},
+    {"dampings", util::FlagKind::kText, "damping modes", "off,ladder,full"},
+};
+
 }  // namespace
 
 int main(int argc, char** argv) {
-  util::CliArgs args(argc, argv);
   std::vector<double> gains;
   std::vector<core::DampingMode> dampings;
   bool smoke = false;
   try {
-    smoke = args.get_bool("smoke");
-    gains = args.get_double_list("gains", {1.0, 2.5, 4.0});
-    const std::string damping_csv = args.get("dampings", "off,ladder,full");
+    const util::CliArgs args(kFlags, argc, argv);
+    if (args.help()) {
+      std::printf("market_loop flags:\n%s", util::help_text(kFlags).c_str());
+      return core::kExitSuccess;
+    }
+    smoke = args.get_switch("smoke");
+    gains = args.get_number_list("gains");
+    const std::string damping_csv = args.get_text("dampings");
     for (std::size_t pos = 0; pos <= damping_csv.size();) {
       const std::size_t comma = damping_csv.find(',', pos);
       const std::size_t end =

@@ -1,148 +1,228 @@
 #include "util/cli.hpp"
 
-#include <cmath>
+#include <algorithm>
+#include <cerrno>
 #include <cstdlib>
-#include <stdexcept>
+#include <optional>
+#include <type_traits>
 
 namespace billcap::util {
 
 namespace {
 
-bool is_flag(const std::string& token) {
-  return token.size() >= 3 && token[0] == '-' && token[1] == '-';
+std::string dashed(std::string_view name) {
+  return "--" + std::string(name);
+}
+
+/// One number (double) or integer (long) value of `flag`, range-checked.
+/// Overflow is an error, never a silent clamp.
+template <typename T>
+T convert(const Flag& flag, std::string_view text) {
+  const std::string s(text);
+  char* end = nullptr;
+  errno = 0;
+  T v{};
+  if constexpr (std::is_same_v<T, long>)
+    v = std::strtol(s.c_str(), &end, 10);
+  else
+    v = std::strtod(s.c_str(), &end);
+  const auto d = static_cast<double>(v);
+  const Range& r = flag.range;
+  if (s.empty() || end != s.c_str() + s.size() || errno == ERANGE ||
+      !((r.lo_open ? d > r.lo : d >= r.lo) && d <= r.hi))
+    throw UsageError(
+        dashed(flag.name) + ": expected " +
+        (std::is_same_v<T, long> ? "an integer" : "a number") +
+        (r.text == kFinite.text ? "" : " (" + std::string(r.text) + ")") +
+        ", got '" + s + "'");
+  return v;
+}
+
+/// "0.5e6,1e6,,2e6": empty items are skipped, an empty list is an error.
+std::vector<double> convert_list(const Flag& flag, std::string_view text) {
+  std::vector<double> out;
+  for (std::size_t pos = 0; pos <= text.size();) {
+    const std::size_t comma = std::min(text.find(',', pos), text.size());
+    if (comma > pos)
+      out.push_back(convert<double>(flag, text.substr(pos, comma - pos)));
+    pos = comma + 1;
+  }
+  if (out.empty())
+    throw UsageError(dashed(flag.name) + ": expected a list of numbers");
+  return out;
+}
+
+void check_value(const Flag& flag, std::string_view text) {
+  if (flag.kind == FlagKind::kNumber) convert<double>(flag, text);
+  if (flag.kind == FlagKind::kInteger) convert<long>(flag, text);
+  if (flag.kind == FlagKind::kNumberList) convert_list(flag, text);
+}
+
+std::size_t edit_distance(std::string_view a, std::string_view b) {
+  std::vector<std::size_t> row(b.size() + 1);
+  for (std::size_t j = 0; j <= b.size(); ++j) row[j] = j;
+  for (std::size_t i = 1; i <= a.size(); ++i) {
+    std::size_t diagonal = row[0];
+    row[0] = i;
+    for (std::size_t j = 1; j <= b.size(); ++j) {
+      const std::size_t above = row[j];
+      row[j] = std::min({above + 1, row[j - 1] + 1,
+                         diagonal + (a[i - 1] == b[j - 1] ? 0 : 1)});
+      diagonal = above;
+    }
+  }
+  return row[b.size()];
+}
+
+const Flag* find_flag(std::span<const Flag> table, std::string_view name) {
+  const auto it = std::find_if(table.begin(), table.end(),
+                               [&](const Flag& f) { return f.name == name; });
+  return it == table.end() ? nullptr : &*it;
 }
 
 }  // namespace
 
-CliArgs::CliArgs(int argc, const char* const* argv) {
-  for (int i = 1; i < argc; ++i) {
-    const std::string token = argv[i];
-    if (is_flag(token)) {
-      const std::string body = token.substr(2);
-      const std::size_t eq = body.find('=');
-      if (eq != std::string::npos) {
-        flags_[body.substr(0, eq)] = body.substr(eq + 1);
-      } else if (i + 1 < argc && !is_flag(argv[i + 1])) {
-        flags_[body] = argv[++i];
-      } else {
-        flags_[body] = "";  // bare switch
-      }
-    } else if (command_.empty()) {
-      command_ = token;
-    } else {
-      positionals_.push_back(token);
+FlagTable join(std::initializer_list<std::span<const Flag>> groups) {
+  FlagTable table;
+  for (const std::span<const Flag> group : groups)
+    for (const Flag& flag : group) {
+      if (find_flag(table, flag.name) != nullptr)
+        throw std::logic_error(dashed(flag.name) + " is declared twice");
+      table.push_back(flag);
+    }
+  return table;
+}
+
+CliArgs::CliArgs(std::span<const Flag> table, int argc,
+                 const char* const* argv)
+    : table_(table.begin(), table.end()) {
+  for (const Flag& flag : table_) {
+    try {
+      if (!flag.fallback.empty()) check_value(flag, flag.fallback);
+    } catch (const UsageError& e) {
+      throw std::logic_error(std::string("bad default: ") + e.what());
     }
   }
+  const std::vector<std::string_view> tokens(argv + std::min(argc, 1),
+                                             argv + argc);
+  help_ = std::find(tokens.begin(), tokens.end(), "--help") != tokens.end();
+  for (std::size_t i = 0; i < tokens.size() && !help_; ++i) {
+    const std::string_view token = tokens[i];
+    if (token.size() < 3 || !token.starts_with("--"))
+      throw UsageError("unexpected argument '" + std::string(token) + "'");
+    const std::size_t eq = token.find('=');
+    const std::string_view name =
+        token.substr(2, eq == std::string_view::npos ? eq : eq - 2);
+    const Flag* flag = find_flag(table_, name);
+    if (flag == nullptr) {
+      const auto nearest = std::min_element(
+          table_.begin(), table_.end(), [&](const Flag& a, const Flag& b) {
+            return edit_distance(name, a.name) < edit_distance(name, b.name);
+          });
+      throw UsageError(
+          "unknown flag " + dashed(name) + " (nearest: " +
+          (nearest == table_.end() ? "none" : dashed(nearest->name)) + ")");
+    }
+    if (given(name)) throw UsageError(dashed(name) + " is given twice");
+    std::string text;
+    if (flag->kind == FlagKind::kSwitch) {
+      if (eq != std::string_view::npos)
+        throw UsageError(dashed(name) + " is a switch and takes no value");
+    } else if (eq != std::string_view::npos) {
+      text = token.substr(eq + 1);
+    } else if (i + 1 < tokens.size() && !tokens[i + 1].starts_with("--")) {
+      text = tokens[++i];
+    } else {
+      throw UsageError(dashed(name) + " needs a value");
+    }
+    check_value(*flag, text);
+    given_.emplace_back(flag->name, std::move(text));
+  }
 }
 
-bool CliArgs::has(const std::string& name) const {
-  return flags_.count(name) > 0;
+const Flag& CliArgs::row(std::string_view name,
+                         std::optional<FlagKind> kind) const {
+  const Flag* flag = find_flag(table_, name);
+  if (flag == nullptr || (kind && flag->kind != *kind))
+    throw std::logic_error(dashed(name) + (flag == nullptr
+                                               ? " is not in the flag table"
+                                               : " is read as another kind"));
+  return *flag;
 }
 
-std::string CliArgs::get(const std::string& name,
-                         const std::string& fallback) const {
-  const auto it = flags_.find(name);
-  return it == flags_.end() ? fallback : it->second;
+const std::string* CliArgs::given(std::string_view name) const {
+  for (const auto& [flag, text] : given_)
+    if (flag == name) return &text;
+  return nullptr;
 }
 
-double CliArgs::get_double(const std::string& name, double fallback) const {
-  const auto it = flags_.find(name);
-  if (it == flags_.end()) return fallback;
-  char* end = nullptr;
-  const double value = std::strtod(it->second.c_str(), &end);
-  if (end != it->second.c_str() + it->second.size() || it->second.empty())
-    throw std::runtime_error("--" + name + ": expected a number, got '" +
-                             it->second + "'");
-  return value;
+std::string_view CliArgs::value(const Flag& flag) const {
+  if (const std::string* text = given(flag.name)) return *text;
+  if (flag.fallback.empty() && flag.kind != FlagKind::kText)
+    throw std::logic_error(dashed(flag.name) + " has no default; check has()");
+  return flag.fallback;
 }
 
-long CliArgs::get_long(const std::string& name, long fallback) const {
-  const auto it = flags_.find(name);
-  if (it == flags_.end()) return fallback;
-  char* end = nullptr;
-  const long value = std::strtol(it->second.c_str(), &end, 10);
-  if (end != it->second.c_str() + it->second.size() || it->second.empty())
-    throw std::runtime_error("--" + name + ": expected an integer, got '" +
-                             it->second + "'");
-  return value;
+bool CliArgs::has(std::string_view name) const {
+  return given(row(name, std::nullopt).name) != nullptr;
 }
 
-bool CliArgs::get_bool(const std::string& name, bool fallback) const {
-  const auto it = flags_.find(name);
-  if (it == flags_.end()) return fallback;
-  if (it->second.empty() || it->second == "true" || it->second == "1")
-    return true;
-  if (it->second == "false" || it->second == "0") return false;
-  throw std::runtime_error("--" + name + ": expected a boolean, got '" +
-                           it->second + "'");
+bool CliArgs::get_switch(std::string_view name) const {
+  return given(row(name, FlagKind::kSwitch).name) != nullptr;
 }
 
-std::vector<double> CliArgs::get_double_list(
-    const std::string& name, std::vector<double> fallback) const {
-  const auto it = flags_.find(name);
-  if (it == flags_.end()) return fallback;
-  std::vector<double> out;
-  std::string current;
-  auto flush = [&] {
-    if (current.empty()) return;
-    char* end = nullptr;
-    const double value = std::strtod(current.c_str(), &end);
-    if (end != current.c_str() + current.size())
-      throw std::runtime_error("--" + name + ": bad list item '" + current +
-                               "'");
-    out.push_back(value);
-    current.clear();
+std::string CliArgs::get_text(std::string_view name) const {
+  return std::string(value(row(name, FlagKind::kText)));
+}
+
+double CliArgs::get_number(std::string_view name) const {
+  const Flag& flag = row(name, FlagKind::kNumber);
+  return convert<double>(flag, value(flag));
+}
+
+long CliArgs::get_integer(std::string_view name) const {
+  const Flag& flag = row(name, FlagKind::kInteger);
+  return convert<long>(flag, value(flag));
+}
+
+std::vector<double> CliArgs::get_number_list(std::string_view name) const {
+  const Flag& flag = row(name, FlagKind::kNumberList);
+  return convert_list(flag, value(flag));
+}
+
+std::vector<std::string> CliArgs::tokens_for(
+    std::span<const Flag> rows) const {
+  std::vector<std::string> tokens;
+  for (const auto& [name, text] : given_)
+    if (const Flag* flag = find_flag(rows, name))
+      tokens.push_back(dashed(name) +
+                       (flag->kind == FlagKind::kSwitch ? "" : "=" + text));
+  return tokens;
+}
+
+std::string help_text(std::span<const Flag> table) {
+  constexpr std::string_view kPlaceholder[] = {"", " <text>", " <x>", " <n>",
+                                               " <x,...>"};
+  const auto left = [&](const Flag& flag) {
+    return dashed(flag.name) +
+           std::string(kPlaceholder[static_cast<std::size_t>(flag.kind)]);
   };
-  for (char c : it->second) {
-    if (c == ',')
-      flush();
-    else
-      current.push_back(c);
+  std::size_t width = 0;
+  for (const Flag& flag : table) width = std::max(width, left(flag).size());
+  std::string out;
+  for (const Flag& flag : table) {
+    const bool ranged = flag.kind != FlagKind::kSwitch &&
+                        flag.kind != FlagKind::kText &&
+                        flag.range.text != kFinite.text;
+    std::string notes(ranged ? flag.range.text : "");
+    if (!flag.fallback.empty())
+      notes += (ranged ? "; default " : "default ") + std::string(flag.fallback);
+    std::string line = left(flag);
+    line.resize(width + 2, ' ');
+    out += "  " + line + std::string(flag.help) +
+           (notes.empty() ? "" : " (" + notes + ")") + "\n";
   }
-  flush();
-  if (out.empty())
-    throw std::runtime_error("--" + name + ": empty list");
   return out;
-}
-
-double CliArgs::get_prob(const std::string& name, double fallback) const {
-  double value = fallback;
-  try {
-    value = get_double(name, fallback);
-  } catch (const std::runtime_error& e) {
-    throw UsageError(e.what());
-  }
-  if (std::isnan(value) || value < 0.0 || value > 1.0)
-    throw UsageError("--" + name + ": expected a probability in [0, 1], got " +
-                     get(name));
-  return value;
-}
-
-double CliArgs::get_positive_double(const std::string& name,
-                                    double fallback) const {
-  double value = fallback;
-  try {
-    value = get_double(name, fallback);
-  } catch (const std::runtime_error& e) {
-    throw UsageError(e.what());
-  }
-  if (!std::isfinite(value) || value <= 0.0)
-    throw UsageError("--" + name + ": expected a finite value > 0, got " +
-                     get(name));
-  return value;
-}
-
-long CliArgs::get_positive_long(const std::string& name, long fallback) const {
-  long value = fallback;
-  try {
-    value = get_long(name, fallback);
-  } catch (const std::runtime_error& e) {
-    throw UsageError(e.what());
-  }
-  if (value < 1)
-    throw UsageError("--" + name + ": expected an integer >= 1, got " +
-                     get(name));
-  return value;
 }
 
 }  // namespace billcap::util

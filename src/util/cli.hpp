@@ -1,65 +1,102 @@
 #pragma once
 
-#include <map>
+#include <initializer_list>
+#include <limits>
+#include <optional>
+#include <span>
 #include <stdexcept>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace billcap::util {
 
-/// A bad command line (unparseable value, out-of-range flag, contradictory
-/// flags). Tools catch this separately from std::runtime_error and exit
-/// with the usage code (2) instead of the generic error code (1).
+/// A bad command line (unknown flag, unparseable or out-of-range value,
+/// repeated flag, stray argument, contradictory flags). Tools catch this
+/// separately from std::runtime_error and exit with the usage code (2)
+/// instead of the generic error code (1).
 class UsageError : public std::runtime_error {
  public:
   explicit UsageError(const std::string& what) : std::runtime_error(what) {}
 };
 
-/// Minimal command-line parser for the repository's tools:
-///   prog <command> [--flag value] [--flag=value] [--switch] [positional...]
-/// Unknown flags are collected rather than rejected so callers can decide;
-/// values are typed on access with defaults.
+enum class FlagKind { kSwitch, kText, kNumber, kInteger, kNumberList };
+
+/// Where a number, integer or list item must lie: [lo, hi], or (lo, hi]
+/// when `lo_open`; NaN never does. `text` names it in errors and --help.
+struct Range {
+  double lo;
+  double hi;
+  bool lo_open;
+  std::string_view text;
+};
+
+inline constexpr double kMaxFinite = std::numeric_limits<double>::max();
+inline constexpr double kInfinity = std::numeric_limits<double>::infinity();
+inline constexpr Range kFinite{-kMaxFinite, kMaxFinite, false, "finite"};
+inline constexpr Range kProbability{0.0, 1.0, false, "in [0, 1]"};
+inline constexpr Range kPositive{0.0, kMaxFinite, true, "finite, > 0"};
+inline constexpr Range kNonNegative{0.0, kInfinity, false, ">= 0"};
+inline constexpr Range kAtLeastOne{1.0, kInfinity, false, ">= 1"};
+
+/// One row of a command's flag table, the only place a flag is declared.
+/// `fallback` is the default as spelled on the command line; an empty one
+/// on a number, integer or list row means "unset" (check has() first).
+struct Flag {
+  std::string_view name;  ///< without the leading "--"
+  FlagKind kind;
+  std::string_view help;
+  std::string_view fallback = {};
+  Range range = kFinite;
+};
+
+using FlagTable = std::vector<Flag>;
+
+/// Concatenates row groups; a name declared twice is a std::logic_error.
+FlagTable join(std::initializer_list<std::span<const Flag>> groups);
+
+/// A command line `[--flag value | --flag=value | --switch]...` checked
+/// against a flag table. Everything is validated at construction, before
+/// the command does any work.
 class CliArgs {
  public:
-  /// Parses argv (argv[0] is skipped). The first non-flag token becomes the
-  /// command; later non-flag tokens are positionals.
-  CliArgs(int argc, const char* const* argv);
+  /// Parses argv[1..argc) (argv[0], the program or command word, is
+  /// skipped). Throws UsageError for a flag not in `table` (naming the
+  /// nearest one), a value that does not convert or is out of range, a
+  /// repeated flag or a stray argument. Switches never take a value. A
+  /// `--help` anywhere skips every check and sets help().
+  CliArgs(std::span<const Flag> table, int argc, const char* const* argv);
 
-  const std::string& command() const noexcept { return command_; }
-  const std::vector<std::string>& positionals() const noexcept {
-    return positionals_;
-  }
+  bool help() const noexcept { return help_; }
+  const FlagTable& table() const noexcept { return table_; }
 
-  /// True if the flag was given (with or without a value).
-  bool has(const std::string& name) const;
+  /// True if the flag was given on the command line.
+  bool has(std::string_view name) const;
 
-  /// Typed access with defaults. Throws std::runtime_error when the flag is
-  /// present but not parseable as the requested type.
-  std::string get(const std::string& name,
-                  const std::string& fallback = "") const;
-  double get_double(const std::string& name, double fallback) const;
-  long get_long(const std::string& name, long fallback) const;
-  bool get_bool(const std::string& name, bool fallback = false) const;
+  /// The given value, else the row's default. Reading a name the table
+  /// does not declare, as another kind, or unset without a default is a
+  /// programming error (std::logic_error).
+  bool get_switch(std::string_view name) const;
+  std::string get_text(std::string_view name) const;
+  double get_number(std::string_view name) const;
+  long get_integer(std::string_view name) const;
+  std::vector<double> get_number_list(std::string_view name) const;
 
-  /// Comma-separated list of doubles ("0.5e6,1e6,2e6").
-  std::vector<double> get_double_list(const std::string& name,
-                                      std::vector<double> fallback) const;
-
-  /// Range-validated access: these reject NaN/out-of-range values with a
-  /// UsageError naming the flag, so degenerate configurations (negative
-  /// fault rates, zero mean durations, non-positive deadlines) fail fast
-  /// with exit code 2 instead of silently producing a broken run.
-  /// A probability in [0, 1].
-  double get_prob(const std::string& name, double fallback) const;
-  /// A finite double > 0.
-  double get_positive_double(const std::string& name, double fallback) const;
-  /// An integer >= 1.
-  long get_positive_long(const std::string& name, long fallback) const;
+  /// The given flags that `rows` declares, in command-line order, as
+  /// tokens that parse back to the same values (to forward to a child).
+  std::vector<std::string> tokens_for(std::span<const Flag> rows) const;
 
  private:
-  std::string command_;
-  std::vector<std::string> positionals_;
-  std::map<std::string, std::string> flags_;  // name (no dashes) -> value
+  const Flag& row(std::string_view name, std::optional<FlagKind> kind) const;
+  const std::string* given(std::string_view name) const;
+  std::string_view value(const Flag& flag) const;
+
+  FlagTable table_;
+  bool help_ = false;
+  std::vector<std::pair<std::string_view, std::string>> given_;
 };
+
+/// One line per row: name, value kind, help, range and default.
+std::string help_text(std::span<const Flag> table);
 
 }  // namespace billcap::util

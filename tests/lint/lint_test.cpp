@@ -146,6 +146,7 @@ TEST(AuditFixtures, EachKnownBadTreeTriggersExactlyItsRule) {
       {"journal_registry_bad", Rule::kJournalRegistry},
       {"exit_registry_bad", Rule::kExitRegistry},
       {"rng_bad", Rule::kUnseededRng},
+      {"flag_registry_bad", Rule::kFlagRegistry},
   };
   for (const FixtureCase& c : cases)
     expect_only(audit_tree(c.file).findings, c.rule, c.file);
@@ -156,7 +157,8 @@ TEST(AuditFixtures, CleanAndSuppressedTreesAuditClean) {
        {"layering_clean", "layering_suppressed", "journal_registry_clean",
         "journal_registry_suppressed", "exit_registry_clean",
         "exit_registry_suppressed", "rng_clean", "rng_suppressed",
-        "rng_test_exempt"}) {
+        "rng_test_exempt", "flag_registry_clean",
+        "flag_registry_suppressed"}) {
     for (const Finding& f : audit_tree(tree).findings)
       ADD_FAILURE() << tree << ": " << format_finding(f);
   }
@@ -218,6 +220,24 @@ TEST(AuditFixtures, ExitLiteralFindingsNameTheRegistry) {
   }
   EXPECT_TRUE(named);
   EXPECT_TRUE(unregistered);
+}
+
+TEST(AuditFixtures, UndeclaredReadAndDeadRowBothSurface) {
+  // The acceptance shape for BL044: a flag read with no table row (a typo
+  // in the reader) and a row no code reads (a dead flag like the deleted
+  // --warm-solver).
+  const AuditResult result = audit_tree("flag_registry_bad");
+  ASSERT_EQ(result.findings.size(), 2u);
+  bool undeclared = false, dead = false;
+  for (const Finding& f : result.findings) {
+    undeclared = undeclared ||
+                 f.message.find("--bugdet is read but has no row") !=
+                     std::string::npos;
+    dead = dead || f.message.find("--warm-solver has a table row but is "
+                                  "read nowhere") != std::string::npos;
+  }
+  EXPECT_TRUE(undeclared);
+  EXPECT_TRUE(dead);
 }
 
 TEST(Tokenizer, CodeInStringLiteralsIsInertForLoopRules) {

@@ -1,81 +1,31 @@
-// billcap — command-line front end to the library.
-//
-//   billcap simulate   [--budget $] [--policy 0..3] [--strategy name]
-//                      [--seed N] [--no-cap] [--csv path]
-//                      [--outages s:start:dur,...] [--stale start:dur,...]
-//                      [--shocks s:start:dur:mult,...]
-//                      [--squeezes start:dur:ms,...] [--deadline-ms X]
-//                      [--fault-outage-rate p] [--fault-stale-rate p]
-//                      [--fault-shock-rate p] [--fault-squeeze-rate p]
-//                      [--fault-*-mean H] [--crash-rate p] [--crash-at h,..]
-//                      [--feed-retry-prob p] [--feed-max-retries N]
-//                      [--checkpoint path] [--resume]
-//                      [--keep-generations K] [--die-on-crash]
-//                      [--exit-storm h:n,...] [--corrupt-checkpoint-at h,..]
-//                      [--standby [--standby-hours N]]
-//                      [--min-premium r]
-//                      [--closed-loop [--coupler-max-iters N]
-//                       [--coupler-gain G] [--damping off|ladder|full]
-//                       [--coupler-open-plan]]
-//                      [--line-outage l:start:dur,...]
-//                      [--bg-shock bus:start:dur:mult,...]
-//                      [--congestion-spike l:start:dur:factor,...]
-//   billcap serve      [simulate config/fault flags...]
-//                      [--ticks-per-hour T] [--hours H]
-//                      [--premium-queue-ticks Q] [--ordinary-queue-ticks Q]
-//                      [--feed-queue N] [--feed-drain N] [--stale-ticks N]
-//                      [--breaker-trip N] [--breaker-cooldown N]
-//                      [--replan-nodes N] [--replan-deadline-ms X]
-//                      [--kill-at-ticks t,...] [--die-on-kill]
-//                      [--checkpoint path] [--resume]
-//                      [--keep-generations K] [--csv path]
-//                      [--standby [--standby-hours N]]
-//   billcap supervise  --checkpoint path [--serve] [child flags...]
-//                      [--restart-budget N] [--restart-window-s S]
-//                      [--backoff-ms B] [--backoff-multiplier M]
-//                      [--backoff-max-ms X] [--backoff-jitter J]
-//                      [--escalate-after N] [--standby-hours H]
-//                      [--keep-generations K]
-//   billcap sweep      [--budgets a,b,c] [--policy 0..3] [--seed N]
-//   billcap opf        [--load MW]
-//   billcap trace      [--seed N]
-//   billcap help
-//
-// Every command prints human-readable tables; `simulate --csv` dumps the
-// hourly records for plotting.
-//
-// Exit codes:
-//   0  success
-//   1  runtime error (I/O failure, no viable checkpoint, internal error)
-//   2  usage error (unknown command, unparseable or out-of-range flag)
-//   3  unrecoverable degradation (the premium QoS guarantee was broken)
-//   4  graceful stop (SIGTERM/SIGINT, or a standby attempt's chunk done)
-//   5  the supervisor gave up (restart budget exhausted)
+// billcap — command-line front end to the library. Each command declares
+// its flags once, in the tables below: `billcap <command> --help` prints
+// them, and a flag the table does not name is a usage error (exit 2).
+// `billcap help` lists the commands and the exit codes.
 
+#include <algorithm>
 #include <cmath>
 #include <csignal>
 #include <cstdio>
 #include <cstdlib>
 #include <iostream>
 #include <memory>
-#include <set>
 #include <sstream>
 #include <stdexcept>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #if defined(__unix__) || defined(__APPLE__)
 #include <unistd.h>
 #endif
 
-#include "core/checkpoint.hpp"
 #include "core/exit_codes.hpp"
 #include "core/simulator.hpp"
 #include "core/supervisor.hpp"
 #include "serve/serve_loop.hpp"
 #include "market/dcopf.hpp"
 #include "market/pjm5.hpp"
-#include "market/policy_derivation.hpp"
 #include "util/cli.hpp"
 #include "util/csv.hpp"
 #include "util/table.hpp"
@@ -85,6 +35,132 @@
 namespace {
 
 using namespace billcap;
+using enum util::FlagKind;
+using util::kAtLeastOne, util::kNonNegative, util::kPositive,
+    util::kProbability;
+
+// ---- flag tables -----------------------------------------------------------
+// Every flag is declared once, in one of these groups; a command's table
+// joins the groups it takes. Defaults are spelled as on the command line.
+
+constexpr util::Flag kSeedFlags[] = {
+    {"seed", kInteger, "seed of the synthetic trace and the faults", "2012"},
+};
+
+constexpr util::Flag kPolicyFlags[] = {
+    {"policy", kInteger, "pricing policy (Fig. 1)", "1", {0, 3, false, "0..3"}},
+};
+
+/// The world, fault, coupler and output rows simulate and serve share.
+/// Explicit fault plans are comma-separated colon tuples; fault rates are
+/// per hour and draw the plan from the seed.
+constexpr util::Flag kSharedFlags[] = {
+    {"budget", kNumber, "monthly electricity budget, $", "1.5e6", kPositive},
+    {"no-cap", kSwitch, "do not enforce the budget"},
+    {"outages", kText, "site outages site:start:dur,..."},
+    {"stale", kText, "stale price feed start:dur,..."},
+    {"shocks", kText, "demand shocks site:start:dur:mult,..."},
+    {"squeezes", kText, "solver deadline squeezes start:dur:ms,..."},
+    {"crash-at", kText, "controller crashes at hours h,..."},
+    {"exit-storm", kText, "no-progress deaths hour:count,..."},
+    {"corrupt-checkpoint-at", kText, "bit rot in the newest checkpoint h,..."},
+    {"line-outage", kText, "grid line outages line:start:dur,..."},
+    {"bg-shock", kText, "background demand shocks bus:start:dur:mult,..."},
+    {"congestion-spike", kText, "line derates line:start:dur:factor,..."},
+    {"fault-outage-rate", kNumber, "site outage rate", "0", kProbability},
+    {"fault-stale-rate", kNumber, "stale-feed rate", "0", kProbability},
+    {"fault-shock-rate", kNumber, "demand-shock rate", "0", kProbability},
+    {"fault-squeeze-rate", kNumber, "deadline-squeeze rate", "0", kProbability},
+    {"crash-rate", kNumber, "controller crash rate", "0", kProbability},
+    {"fault-outage-mean", kInteger, "mean outage, hours", "6", kAtLeastOne},
+    {"fault-stale-mean", kInteger, "mean stale feed, hours", "4", kAtLeastOne},
+    {"fault-shock-mean", kInteger, "mean shock, hours", "3", kAtLeastOne},
+    {"fault-squeeze-mean", kInteger, "mean squeeze, hours", "2", kAtLeastOne},
+    {"feed-retry-prob", kNumber, "feed retry success", "0", kProbability},
+    {"feed-max-retries", kInteger, "feed attempts per hour", "5", kAtLeastOne},
+    {"feed-backoff-ms", kNumber, "feed retry backoff, ms", "100", kPositive},
+    {"deadline-ms", kNumber, "wall-clock limit per solve, ms", "", kPositive},
+    {"closed-loop", kSwitch, "close the price-load market loop"},
+    {"coupler-max-iters", kInteger, "iterations per hour", "12", kAtLeastOne},
+    {"coupler-gain", kNumber, "price-impact feedback gain", "1.0", kPositive},
+    {"damping", kText, "off | ladder | full", "ladder"},
+    {"coupler-open-plan", kSwitch, "plan on static curves, bill coupled"},
+    {"checkpoint", kText, "durable checkpoint path"},
+    {"csv", kText, "per-hour (serve: per-tick) CSV path"},
+    {"min-premium", kNumber, "premium floor (exit 3)", "0.995", kProbability},
+};
+
+/// Set by the supervisor on its children, so supervise does not take them.
+constexpr util::Flag kRestartFlags[] = {
+    {"resume", kSwitch, "continue from the checkpoint"},
+    {"keep-generations", kInteger, "checkpoint generations", "1", kAtLeastOne},
+    {"standby", kSwitch, "degraded premium-only mode (no MILP)"},
+    {"standby-hours", kInteger, "hours per standby attempt", "4", kAtLeastOne},
+};
+
+constexpr util::Flag kSimulateFlags[] = {
+    {"strategy", kText, "costcapping|minonly-avg|minonly-low", "costcapping"},
+    {"months", kInteger, "consecutive months", "1", kAtLeastOne},
+};
+
+constexpr util::Flag kServeFlags[] = {
+    {"ticks-per-hour", kInteger, "ticks per hour", "6", kAtLeastOne},
+    {"hours", kInteger, "horizon, hours (0 = the month)", "0", kNonNegative},
+    {"premium-queue-ticks", kNumber, "premium queue, ticks", "4", kPositive},
+    {"ordinary-queue-ticks", kNumber, "ordinary queue, ticks", "4", kPositive},
+    {"feed-queue", kInteger, "price-revision queue", "16", kAtLeastOne},
+    {"feed-drain", kInteger, "price revisions per tick", "1", kAtLeastOne},
+    {"stale-ticks", kInteger, "staleness tolerated, ticks", "12", kAtLeastOne},
+    {"breaker-trip", kInteger, "failed re-plans to trip", "3", kAtLeastOne},
+    {"breaker-cooldown", kInteger, "breaker cooldown, ticks", "4", kAtLeastOne},
+    {"replan-nodes", kInteger, "branch-and-bound nodes per re-plan", "20000"},
+    {"replan-deadline-ms", kNumber, "re-plan time limit, ms", "", kPositive},
+    {"kill-at-ticks", kText, "daemon deaths at ticks t,..."},
+    {"flash-crowds", kText, "arrival surges hour:len:mult,..."},
+    {"feed-bursts", kText, "price-revision bursts hour:len:count,..."},
+};
+
+constexpr util::Flag kDieOnCrashFlags[] = {
+    {"die-on-crash", kSwitch, "an injected crash SIGKILLs the process"},
+};
+
+constexpr util::Flag kDieOnKillFlags[] = {
+    {"die-on-kill", kSwitch, "an injected kill SIGKILLs the process"},
+};
+
+constexpr util::Flag kSuperviseFlags[] = {
+    {"serve", kSwitch, "supervise serve instead of simulate"},
+    {"restart-budget", kInteger, "restarts per window", "100", kAtLeastOne},
+    {"restart-window-s", kNumber, "restart window, s", "3600", kPositive},
+    {"backoff-ms", kNumber, "first restart delay, ms", "50", kPositive},
+    {"backoff-multiplier", kNumber, "restart delay growth", "2", kPositive},
+    {"backoff-max-ms", kNumber, "restart delay cap, ms", "5000", kPositive},
+    {"backoff-jitter", kNumber, "restart delay jitter", "0.2", kProbability},
+    {"escalate-after", kInteger, "deaths before standby", "3", kAtLeastOne},
+    {"standby-hours", kInteger, "hours per standby attempt", "4", kAtLeastOne},
+    {"keep-generations", kInteger, "checkpoint generations", "3", kAtLeastOne},
+};
+
+constexpr util::Flag kSweepFlags[] = {
+    {"budgets", kNumberList, "monthly budgets, $",
+     "0.5e6,1.0e6,1.5e6,2.0e6,2.5e6", kPositive},
+};
+
+constexpr util::Flag kOpfFlags[] = {
+    {"load", kNumber, "PJM 5-bus system load, MW", "900"},
+};
+
+/// The rows of simulate (or serve). A supervisor sets the restart rows on
+/// its children itself and forwards the rest (`restart_rows` false).
+util::FlagTable child_flags(bool serve, bool restart_rows) {
+  using Rows = std::span<const util::Flag>;
+  const util::FlagTable forwarded = util::join(
+      {kSharedFlags, kPolicyFlags, kSeedFlags,
+       serve ? Rows(kServeFlags) : Rows(kSimulateFlags)});
+  if (!restart_rows) return forwarded;
+  return util::join({forwarded, kRestartFlags,
+                     serve ? Rows(kDieOnKillFlags) : Rows(kDieOnCrashFlags)});
+}
 
 core::Strategy parse_strategy(const std::string& name) {
   if (name == "costcapping") return core::Strategy::kCostCapping;
@@ -94,178 +170,135 @@ core::Strategy parse_strategy(const std::string& name) {
       "--strategy: expected costcapping | minonly-avg | minonly-low");
 }
 
-/// Splits "a:b:c,d:e:f" into rows of numeric fields; every row must have
-/// exactly `fields` entries, all finite and non-negative (fault schedules
-/// have no meaningful negative field). Malformed specs are usage errors.
-std::vector<std::vector<double>> parse_tuples(const std::string& spec,
-                                              std::size_t fields,
-                                              const std::string& flag) {
+/// Splits "a:b:c,d:e:f" into rows of `fields` numbers, all finite and
+/// non-negative (fault schedules have no meaningful negative field). Field
+/// `duration`, when given, is an interval length: zero hours is almost
+/// always a typo that silently injects nothing, so it must be >= 1.
+std::vector<std::vector<double>> parse_tuples(
+    const std::string& spec, std::size_t fields, const std::string& flag,
+    std::size_t duration = std::string::npos) {
   std::vector<std::vector<double>> rows;
   std::stringstream list(spec);
-  std::string item;
-  while (std::getline(list, item, ',')) {
+  for (std::string item; std::getline(list, item, ',');) {
     if (item.empty()) continue;
     std::vector<double> row;
     std::stringstream tuple(item);
-    std::string field;
-    while (std::getline(tuple, field, ':')) {
-      try {
-        row.push_back(std::stod(field));
-      } catch (const std::exception&) {
-        throw util::UsageError("--" + flag + ": bad number '" + field +
-                               "' in '" + item + "'");
-      }
+    for (std::string field; std::getline(tuple, field, ':');) {
+      char* end = nullptr;
+      row.push_back(std::strtod(field.c_str(), &end));
+      if (field.empty() || *end != '\0' || !std::isfinite(row.back()) ||
+          row.back() < 0.0)
+        throw util::UsageError("--" + flag + ": field '" + field + "' in '" +
+                               item + "' is not a finite number >= 0");
     }
     if (row.size() != fields)
       throw util::UsageError("--" + flag + ": expected " +
                              std::to_string(fields) +
                              " colon-separated fields, got '" + item + "'");
-    for (double v : row)
-      if (!std::isfinite(v) || v < 0.0)
-        throw util::UsageError("--" + flag +
-                               ": fields must be finite and >= 0, got '" +
-                               item + "'");
+    if (duration < fields && row[duration] < 1.0)
+      throw util::UsageError("--" + flag + ": duration must be >= 1 hour");
     rows.push_back(std::move(row));
   }
   return rows;
 }
 
-/// A fault interval of zero hours is almost always a typo that silently
-/// injects nothing; reject it loudly.
-void require_duration(double hours, const std::string& flag,
-                      const std::string& item_desc) {
-  if (hours < 1.0)
-    throw util::UsageError("--" + flag + ": duration must be >= 1 hour" +
-                           item_desc);
+void require(bool ok, const char* message) {
+  if (!ok) throw util::UsageError(message);
 }
+
+std::size_t whole(double v) { return static_cast<std::size_t>(v); }
+std::size_t whole(long v) { return static_cast<std::size_t>(v); }
 
 /// Builds the fault schedule from the CLI flags: explicit interval flags
 /// populate a FaultPlan, rate flags populate FaultRates (the simulator
-/// draws the plan from the seed). Degenerate values — negative or NaN
-/// rates, zero mean durations, non-positive deadlines — are rejected with
-/// a UsageError (exit 2) instead of generating a broken plan.
+/// draws the plan from the seed).
 void parse_faults(const util::CliArgs& args, core::SimulationConfig& config) {
+  core::FaultPlan& plan = config.fault_plan;
+  for (const auto& t : parse_tuples(args.get_text("outages"), 3, "outages", 2))
+    plan.outages.push_back({whole(t[0]), whole(t[1]), whole(t[2])});
+  for (const auto& t : parse_tuples(args.get_text("stale"), 2, "stale", 1))
+    plan.stale_intervals.push_back({whole(t[0]), whole(t[1])});
+  for (const auto& t : parse_tuples(args.get_text("shocks"), 4, "shocks", 2)) {
+    require(t[3] > 0.0, "--shocks: multiplier must be > 0");
+    plan.demand_shocks.push_back(
+        {whole(t[0]), whole(t[1]), whole(t[2]), t[3]});
+  }
   for (const auto& t :
-       parse_tuples(args.get("outages"), 3, "outages")) {
-    require_duration(t[2], "outages", "");
-    config.fault_plan.outages.push_back(
-        {static_cast<std::size_t>(t[0]), static_cast<std::size_t>(t[1]),
-         static_cast<std::size_t>(t[2])});
+       parse_tuples(args.get_text("squeezes"), 3, "squeezes", 1)) {
+    require(t[2] > 0.0, "--squeezes: time limit must be > 0 ms");
+    plan.deadline_squeezes.push_back({whole(t[0]), whole(t[1]), t[2]});
   }
-  for (const auto& t : parse_tuples(args.get("stale"), 2, "stale")) {
-    require_duration(t[1], "stale", "");
-    config.fault_plan.stale_intervals.push_back(
-        {static_cast<std::size_t>(t[0]), static_cast<std::size_t>(t[1])});
+  for (const auto& t : parse_tuples(args.get_text("crash-at"), 1, "crash-at"))
+    plan.crashes.push_back({whole(t[0]), false});
+  for (const auto& t :
+       parse_tuples(args.get_text("exit-storm"), 2, "exit-storm")) {
+    require(t[1] >= 1.0, "--exit-storm: death count must be >= 1");
+    plan.exit_storms.push_back({whole(t[0]), whole(t[1])});
   }
-  for (const auto& t : parse_tuples(args.get("shocks"), 4, "shocks")) {
-    require_duration(t[2], "shocks", "");
-    if (t[3] <= 0.0)
-      throw util::UsageError("--shocks: multiplier must be > 0");
-    config.fault_plan.demand_shocks.push_back(
-        {static_cast<std::size_t>(t[0]), static_cast<std::size_t>(t[1]),
-         static_cast<std::size_t>(t[2]), t[3]});
-  }
-  for (const auto& t : parse_tuples(args.get("squeezes"), 3, "squeezes")) {
-    require_duration(t[1], "squeezes", "");
-    if (t[2] <= 0.0)
-      throw util::UsageError("--squeezes: time limit must be > 0 ms");
-    config.fault_plan.deadline_squeezes.push_back(
-        {static_cast<std::size_t>(t[0]), static_cast<std::size_t>(t[1]),
-         t[2]});
-  }
-  for (const auto& t : parse_tuples(args.get("crash-at"), 1, "crash-at"))
-    config.fault_plan.crashes.push_back(
-        {static_cast<std::size_t>(t[0]), false});
-  for (const auto& t : parse_tuples(args.get("exit-storm"), 2, "exit-storm")) {
-    if (t[1] < 1.0)
-      throw util::UsageError("--exit-storm: death count must be >= 1");
-    config.fault_plan.exit_storms.push_back(
-        {static_cast<std::size_t>(t[0]), static_cast<std::size_t>(t[1])});
-  }
-  for (const auto& t : parse_tuples(args.get("corrupt-checkpoint-at"), 1,
+  for (const auto& t : parse_tuples(args.get_text("corrupt-checkpoint-at"), 1,
                                     "corrupt-checkpoint-at"))
-    config.fault_plan.checkpoint_corruptions.push_back(
-        {static_cast<std::size_t>(t[0])});
-  for (const auto& t :
-       parse_tuples(args.get("flash-crowds"), 3, "flash-crowds")) {
-    require_duration(t[1], "flash-crowds", "");
-    if (t[2] <= 0.0)
-      throw util::UsageError("--flash-crowds: multiplier must be > 0");
-    config.fault_plan.flash_crowds.push_back(
-        {static_cast<std::size_t>(t[0]), static_cast<std::size_t>(t[1]),
-         t[2]});
-  }
-  for (const auto& t :
-       parse_tuples(args.get("feed-bursts"), 3, "feed-bursts")) {
-    require_duration(t[1], "feed-bursts", "");
-    if (t[2] < 1.0)
-      throw util::UsageError("--feed-bursts: updates per tick must be >= 1");
-    config.fault_plan.feed_bursts.push_back(
-        {static_cast<std::size_t>(t[0]), static_cast<std::size_t>(t[1]),
-         static_cast<std::size_t>(t[2])});
-  }
+    plan.checkpoint_corruptions.push_back({whole(t[0])});
   // Grid-side hazards (bite the closed-loop coupler; legacy static-curve
   // months ignore them by construction since their prices are fixed).
   for (const auto& t :
-       parse_tuples(args.get("line-outage"), 3, "line-outage")) {
-    require_duration(t[2], "line-outage", "");
-    config.fault_plan.line_outages.push_back(
-        {static_cast<std::size_t>(t[0]), static_cast<std::size_t>(t[1]),
-         static_cast<std::size_t>(t[2])});
-  }
-  for (const auto& t : parse_tuples(args.get("bg-shock"), 4, "bg-shock")) {
-    require_duration(t[2], "bg-shock", "");
-    if (t[3] <= 0.0)
-      throw util::UsageError("--bg-shock: multiplier must be > 0");
-    config.fault_plan.grid_demand_shocks.push_back(
-        {static_cast<std::size_t>(t[0]), static_cast<std::size_t>(t[1]),
-         static_cast<std::size_t>(t[2]), t[3]});
-  }
+       parse_tuples(args.get_text("line-outage"), 3, "line-outage", 2))
+    plan.line_outages.push_back({whole(t[0]), whole(t[1]), whole(t[2])});
   for (const auto& t :
-       parse_tuples(args.get("congestion-spike"), 4, "congestion-spike")) {
-    require_duration(t[2], "congestion-spike", "");
-    if (t[3] <= 0.0 || t[3] > 1.0)
-      throw util::UsageError(
-          "--congestion-spike: limit factor must be in (0, 1]");
-    config.fault_plan.congestion_spikes.push_back(
-        {static_cast<std::size_t>(t[0]), static_cast<std::size_t>(t[1]),
-         static_cast<std::size_t>(t[2]), t[3]});
+       parse_tuples(args.get_text("bg-shock"), 4, "bg-shock", 2)) {
+    require(t[3] > 0.0, "--bg-shock: multiplier must be > 0");
+    plan.grid_demand_shocks.push_back(
+        {whole(t[0]), whole(t[1]), whole(t[2]), t[3]});
+  }
+  for (const auto& t : parse_tuples(args.get_text("congestion-spike"), 4,
+                                    "congestion-spike", 2)) {
+    require(t[3] > 0.0 && t[3] <= 1.0,
+            "--congestion-spike: limit factor must be in (0, 1]");
+    plan.congestion_spikes.push_back(
+        {whole(t[0]), whole(t[1]), whole(t[2]), t[3]});
   }
 
-  config.fault_rates.outage_rate = args.get_prob("fault-outage-rate", 0.0);
-  config.fault_rates.stale_rate = args.get_prob("fault-stale-rate", 0.0);
-  config.fault_rates.shock_rate = args.get_prob("fault-shock-rate", 0.0);
-  config.fault_rates.squeeze_rate = args.get_prob("fault-squeeze-rate", 0.0);
-  config.fault_rates.crash_rate = args.get_prob("crash-rate", 0.0);
-  config.fault_rates.outage_mean_hours = static_cast<std::size_t>(
-      args.get_positive_long("fault-outage-mean", 6));
-  config.fault_rates.stale_mean_hours = static_cast<std::size_t>(
-      args.get_positive_long("fault-stale-mean", 4));
-  config.fault_rates.shock_mean_hours = static_cast<std::size_t>(
-      args.get_positive_long("fault-shock-mean", 3));
-  config.fault_rates.squeeze_mean_hours = static_cast<std::size_t>(
-      args.get_positive_long("fault-squeeze-mean", 2));
+  core::FaultRates& rates = config.fault_rates;
+  rates.outage_rate = args.get_number("fault-outage-rate");
+  rates.stale_rate = args.get_number("fault-stale-rate");
+  rates.shock_rate = args.get_number("fault-shock-rate");
+  rates.squeeze_rate = args.get_number("fault-squeeze-rate");
+  rates.crash_rate = args.get_number("crash-rate");
+  rates.outage_mean_hours = whole(args.get_integer("fault-outage-mean"));
+  rates.stale_mean_hours = whole(args.get_integer("fault-stale-mean"));
+  rates.shock_mean_hours = whole(args.get_integer("fault-shock-mean"));
+  rates.squeeze_mean_hours = whole(args.get_integer("fault-squeeze-mean"));
 
   // Market-feed retry policy (0 = legacy frozen feed).
-  config.market_feed.retry_success_prob =
-      args.get_prob("feed-retry-prob", 0.0);
-  config.market_feed.max_attempts_per_hour = static_cast<int>(
-      args.get_positive_long("feed-max-retries", 5));
-  config.market_feed.base_backoff_ms =
-      args.get_positive_double("feed-backoff-ms", 100.0);
+  config.market_feed.retry_success_prob = args.get_number("feed-retry-prob");
+  config.market_feed.max_attempts_per_hour =
+      static_cast<int>(args.get_integer("feed-max-retries"));
+  config.market_feed.base_backoff_ms = args.get_number("feed-backoff-ms");
 
-  // A solver deadline for every hour of the month (absent = unlimited; an
-  // explicit non-positive deadline is degenerate, not "unlimited").
+  // A solver deadline for every hour of the month (absent = unlimited).
   if (args.has("deadline-ms"))
-    config.optimizer.milp.time_limit_ms =
-        args.get_positive_double("deadline-ms", 0.0);
+    config.optimizer.milp.time_limit_ms = args.get_number("deadline-ms");
+}
+
+/// The serve-only fault kinds: arrival surges and price-revision bursts
+/// act on the tick plane, which simulate's hourly loop does not have.
+void parse_serve_faults(const util::CliArgs& args, core::FaultPlan& plan) {
+  for (const auto& t :
+       parse_tuples(args.get_text("flash-crowds"), 3, "flash-crowds", 1)) {
+    require(t[2] > 0.0, "--flash-crowds: multiplier must be > 0");
+    plan.flash_crowds.push_back({whole(t[0]), whole(t[1]), t[2]});
+  }
+  for (const auto& t :
+       parse_tuples(args.get_text("feed-bursts"), 3, "feed-bursts", 1)) {
+    require(t[2] >= 1.0, "--feed-bursts: updates per tick must be >= 1");
+    plan.feed_bursts.push_back({whole(t[0]), whole(t[1]), whole(t[2])});
+  }
 }
 
 /// Parses the closed-loop coupler flags. --closed-loop turns the coupler
 /// on; the other --coupler-* / --damping flags refine it and are usage
 /// errors without it (a silent no-op here would fake a closed-loop run).
 void parse_coupler(const util::CliArgs& args, core::SimulationConfig& config) {
-  config.market_coupler.enabled = args.get_bool("closed-loop", false);
+  config.market_coupler.enabled = args.get_switch("closed-loop");
   if (!config.market_coupler.enabled) {
     for (const char* flag :
          {"coupler-max-iters", "coupler-gain", "damping", "coupler-open-plan"})
@@ -274,11 +307,10 @@ void parse_coupler(const util::CliArgs& args, core::SimulationConfig& config) {
                                " requires --closed-loop");
     return;
   }
-  config.market_coupler.loop.max_iters = static_cast<std::size_t>(
-      args.get_positive_long("coupler-max-iters", 12));
-  config.market_coupler.loop.feedback_gain =
-      args.get_positive_double("coupler-gain", 1.0);
-  const std::string damping = args.get("damping", "ladder");
+  config.market_coupler.loop.max_iters =
+      whole(args.get_integer("coupler-max-iters"));
+  config.market_coupler.loop.feedback_gain = args.get_number("coupler-gain");
+  const std::string damping = args.get_text("damping");
   if (damping == "off")
     config.market_coupler.damping = core::DampingMode::kOff;
   else if (damping == "ladder")
@@ -290,7 +322,48 @@ void parse_coupler(const util::CliArgs& args, core::SimulationConfig& config) {
   // The open-loop arm of the resilience comparison: coupled billing, but
   // planning stays on the static curves (no feedback iteration).
   config.market_coupler.plan_closed_loop =
-      !args.get_bool("coupler-open-plan", false);
+      !args.get_switch("coupler-open-plan");
+}
+
+/// The world simulate and serve both run: budget, pricing policy, seed,
+/// faults and the market coupler.
+core::SimulationConfig world_config(const util::CliArgs& args) {
+  core::SimulationConfig config;
+  config.monthly_budget = args.get_number("budget");
+  config.policy_level = static_cast<int>(args.get_integer("policy"));
+  config.seed = static_cast<std::uint64_t>(args.get_integer("seed"));
+  config.enforce_budget = !args.get_switch("no-cap");
+  parse_faults(args, config);
+  parse_coupler(args, config);
+  return config;
+}
+
+/// The checkpoint, output and standby flags simulate and serve share.
+struct RunFlags {
+  std::string checkpoint;
+  std::string csv;
+  bool resume;
+  bool standby;
+  std::size_t keep_generations;
+  double min_premium;  // below it the premium QoS guarantee broke: exit 3
+
+  /// A flag that acts only on a checkpointed run is a usage error without.
+  void require_checkpoint(bool used, const char* flag) const {
+    if (used && checkpoint.empty())
+      throw util::UsageError(std::string(flag) +
+                             " requires --checkpoint <path>");
+  }
+};
+
+RunFlags run_flags(const util::CliArgs& args) {
+  const RunFlags run{args.get_text("checkpoint"), args.get_text("csv"),
+                     args.get_switch("resume"), args.get_switch("standby"),
+                     whole(args.get_integer("keep-generations")),
+                     args.get_number("min-premium")};
+  run.require_checkpoint(run.resume, "--resume");
+  if (args.has("standby-hours") && !run.standby)
+    throw util::UsageError("--standby-hours requires --standby");
+  return run;
 }
 
 /// Column set of the per-hour CSV (written whole for plain runs, streamed
@@ -334,54 +407,63 @@ std::vector<std::string> hour_csv_row(const core::HourRecord& h,
 volatile std::sig_atomic_t g_stop_requested = 0;
 void request_stop(int) { g_stop_requested = 1; }
 
-int cmd_simulate(const util::CliArgs& args) {
-  core::SimulationConfig config;
-  config.monthly_budget = args.get_positive_double("budget", 1.5e6);
-  config.policy_level = static_cast<int>(args.get_long("policy", 1));
-  config.seed = static_cast<std::uint64_t>(args.get_long("seed", 2012));
-  config.enforce_budget = !args.get_bool("no-cap", false);
-  config.standby = args.get_bool("standby", false);
-  parse_faults(args, config);
-  parse_coupler(args, config);
-  const core::Strategy strategy =
-      parse_strategy(args.get("strategy", "costcapping"));
+void honour_graceful_stop() {
+  g_stop_requested = 0;
+  std::signal(SIGTERM, request_stop);
+  std::signal(SIGINT, request_stop);
+}
+
+/// Supervised mode: an injected fault must kill the real process (the
+/// cursor-advanced checkpoint is already on disk), so the watchdog sees a
+/// genuine abnormal death.
+[[noreturn]] void die(const std::string& what) {
+  std::fprintf(stderr, "%s; dying\n", what.c_str());
+  std::fflush(nullptr);
+#if defined(__unix__) || defined(__APPLE__)
+  std::raise(SIGKILL);
+#endif
+  std::abort();
+}
+
+/// Says which checkpoint generations a resume skipped and, when it fell
+/// back past the newest, which one it resumed from.
+void report_resume(const std::vector<std::string>& skipped,
+                   std::size_t generation, std::size_t from,
+                   const char* checkpoint, const char* unit) {
+  for (const auto& s : skipped)
+    std::fprintf(stderr, "%s generation skipped: %s\n", checkpoint, s.c_str());
+  if (generation > 0)
+    std::fprintf(stderr,
+                 "resumed from %s generation %zu at %s %zu (newer "
+                 "generations unusable)\n",
+                 checkpoint, generation, unit, from);
+}
+
+int cmd_simulate(const util::CliArgs& args, const char* /*argv0*/) {
+  core::SimulationConfig config = world_config(args);
+  const RunFlags run = run_flags(args);
+  config.standby = run.standby;
+  const core::Strategy strategy = parse_strategy(args.get_text("strategy"));
   if (config.market_coupler.enabled &&
       strategy != core::Strategy::kCostCapping)
     throw util::UsageError("--closed-loop is CostCapping only");
   const bool coupled = config.market_coupler.enabled;
-  // Below this premium throughput the run counts as an unrecoverable
-  // failure: the QoS guarantee was broken (exit code 3).
-  const double min_premium = args.get_prob("min-premium", 0.995);
-
-  const std::string checkpoint_path = args.get("checkpoint");
-  const bool resume = args.get_bool("resume", false);
-  const bool die_on_crash = args.get_bool("die-on-crash", false);
-  const auto keep_generations = static_cast<std::size_t>(
-      args.get_positive_long("keep-generations", 1));
-  if (resume && checkpoint_path.empty())
-    throw util::UsageError("--resume requires --checkpoint <path>");
-  if (checkpoint_path.empty() && !config.fault_plan.crashes.empty())
-    throw util::UsageError("--crash-at requires --checkpoint <path>");
-  if (checkpoint_path.empty() && config.fault_rates.crash_rate > 0.0)
-    throw util::UsageError("--crash-rate requires --checkpoint <path>");
-  if (checkpoint_path.empty() && !config.fault_plan.exit_storms.empty())
-    throw util::UsageError("--exit-storm requires --checkpoint <path>");
-  if (checkpoint_path.empty() &&
-      !config.fault_plan.checkpoint_corruptions.empty())
-    throw util::UsageError(
-        "--corrupt-checkpoint-at requires --checkpoint <path>");
-  if (die_on_crash && checkpoint_path.empty())
-    throw util::UsageError("--die-on-crash requires --checkpoint <path>");
-  if (args.has("standby-hours") && !config.standby)
-    throw util::UsageError("--standby-hours requires --standby");
+  const bool die_on_crash = args.get_switch("die-on-crash");
+  run.require_checkpoint(!config.fault_plan.crashes.empty(), "--crash-at");
+  run.require_checkpoint(config.fault_rates.crash_rate > 0.0, "--crash-rate");
+  run.require_checkpoint(!config.fault_plan.exit_storms.empty(),
+                         "--exit-storm");
+  run.require_checkpoint(!config.fault_plan.checkpoint_corruptions.empty(),
+                         "--corrupt-checkpoint-at");
+  run.require_checkpoint(die_on_crash, "--die-on-crash");
 
   const core::Simulator sim(config);
 
-  const long months = args.get_positive_long("months", 1);
+  const long months = args.get_integer("months");
   if (months > 1) {
     if (strategy != core::Strategy::kCostCapping)
       throw util::UsageError("--months: multi-month runs are CostCapping only");
-    if (!checkpoint_path.empty())
+    if (!run.checkpoint.empty())
       throw util::UsageError(
           "--checkpoint supports single-month runs only (--months 1)");
     const auto results =
@@ -396,86 +478,61 @@ int cmd_simulate(const util::CliArgs& args) {
                      util::format_fixed(100.0 * r.premium_throughput_ratio(), 2) + "%",
                      util::format_fixed(100.0 * r.ordinary_throughput_ratio(), 2) + "%",
                      std::to_string(r.degraded_hours)});
-      qos_broken = qos_broken || r.premium_throughput_ratio() < min_premium;
+      qos_broken = qos_broken || r.premium_throughput_ratio() < run.min_premium;
     }
     table.print(std::cout);
     if (qos_broken) {
       std::fprintf(stderr,
                    "unrecoverable: premium throughput below %.3f in at "
                    "least one month\n",
-                   min_premium);
+                   run.min_premium);
       return core::kExitQosBroken;
     }
     return core::kExitSuccess;
   }
 
-  const std::string csv_path = args.get("csv");
   core::MonthlyResult r;
-  if (!checkpoint_path.empty()) {
+  if (!run.checkpoint.empty()) {
     // Crash-tolerant month: every hour is durably checkpointed, the CSV is
     // streamed (and flushed) in lockstep with the checkpoint, and injected
     // controller crashes are survived by resuming in-process.
     std::unique_ptr<util::CsvWriter> writer;
     const auto on_hour = [&](const core::HourRecord& h) {
-      if (csv_path.empty()) return;
+      if (run.csv.empty()) return;
       // First committed hour of this attempt: keep only the CSV rows the
       // checkpoint vouches for, so a resumed run appends without
       // duplicating hours.
       if (!writer)
         writer = std::make_unique<util::CsvWriter>(
-            csv_path, hour_csv_header(coupled), h.hour);
+            run.csv, hour_csv_header(coupled), h.hour);
       writer->add_row(hour_csv_row(h, coupled));
     };
 
     // Honour SIGTERM/SIGINT as a graceful stop: finish the hour, commit
     // the checkpoint, exit with the "do not restart" code.
-    g_stop_requested = 0;
-    std::signal(SIGTERM, request_stop);
-    std::signal(SIGINT, request_stop);
+    honour_graceful_stop();
 
     core::Simulator::ResumeControls controls;
-    controls.keep_generations = keep_generations;
+    controls.keep_generations = run.keep_generations;
     controls.stop_flag = &g_stop_requested;
     if (config.standby)
-      controls.max_hours = static_cast<std::size_t>(
-          args.get_positive_long("standby-hours", 4));
+      controls.max_hours = whole(args.get_integer("standby-hours"));
 
-    const auto report_resume = [&](const core::Simulator::ResumableOutcome& o) {
-      for (const auto& skipped : o.resume_skipped)
-        std::fprintf(stderr, "checkpoint generation skipped: %s\n",
-                     skipped.c_str());
-      if (o.resumed_generation > 0)
-        std::fprintf(stderr,
-                     "resumed from checkpoint generation %zu at hour %zu "
-                     "(newer generations unusable)\n",
-                     o.resumed_generation, o.resumed_from);
-    };
-
-    core::Simulator::ResumableOutcome outcome = sim.run_resumable(
-        strategy, checkpoint_path, resume, on_hour, controls);
-    report_resume(outcome);
+    core::Simulator::ResumableOutcome outcome;
     std::size_t restarts = 0;
-    while (outcome.crashed) {
-      if (die_on_crash) {
-        // Supervised mode: the injected fault must kill the real process
-        // (the cursor-advanced checkpoint is already on disk), so the
-        // watchdog sees a genuine abnormal death.
-        std::fprintf(stderr, "controller crashed at hour %zu; dying\n",
-                     outcome.crash_hour);
-        std::fflush(nullptr);
-#if defined(__unix__) || defined(__APPLE__)
-        std::raise(SIGKILL);
-#endif
-        std::abort();
-      }
-      ++restarts;
-      std::fprintf(stderr,
-                   "controller crashed at hour %zu; resuming from %s\n",
-                   outcome.crash_hour, checkpoint_path.c_str());
-      writer.reset();  // reopen against the post-crash checkpoint state
-      outcome = sim.run_resumable(strategy, checkpoint_path, true, on_hour,
+    for (bool resume = run.resume;; resume = true) {
+      outcome = sim.run_resumable(strategy, run.checkpoint, resume, on_hour,
                                   controls);
-      report_resume(outcome);
+      report_resume(outcome.resume_skipped, outcome.resumed_generation,
+                    outcome.resumed_from, "checkpoint", "hour");
+      if (!outcome.crashed) break;
+      const std::string crash =
+          "controller crashed at hour " + std::to_string(outcome.crash_hour);
+      if (die_on_crash) die(crash);
+      ++restarts;
+      std::fprintf(stderr, "%s; resuming from %s\n", crash.c_str(),
+                   run.checkpoint.c_str());
+      writer.reset();  // reopen against the post-crash checkpoint state
     }
     if (outcome.stopped) {
       std::printf("stopped gracefully at hour %zu (checkpoint consistent; "
@@ -486,12 +543,9 @@ int cmd_simulate(const util::CliArgs& args) {
     r = std::move(outcome.result);
     if (restarts > 0)
       std::printf("recovered from %zu controller crash(es)\n", restarts);
-    if (csv_path.empty()) {
-      // nothing streamed
-    } else if (writer) {
-      std::printf("wrote %s (%zu rows)\n", csv_path.c_str(),
+    if (writer)
+      std::printf("wrote %s (%zu rows)\n", run.csv.c_str(),
                   writer->num_rows());
-    }
   } else {
     r = sim.run(strategy);
   }
@@ -541,17 +595,17 @@ int cmd_simulate(const util::CliArgs& args) {
   }
   table.print(std::cout);
 
-  if (!csv_path.empty() && checkpoint_path.empty()) {
+  if (!run.csv.empty() && run.checkpoint.empty()) {
     util::Csv csv(hour_csv_header(coupled));
     for (const auto& h : r.hours) csv.add_row(hour_csv_row(h, coupled));
-    csv.save(csv_path);
-    std::printf("wrote %s (%zu rows)\n", csv_path.c_str(), csv.num_rows());
+    csv.save(run.csv);
+    std::printf("wrote %s (%zu rows)\n", run.csv.c_str(), csv.num_rows());
   }
-  if (r.premium_throughput_ratio() < min_premium) {
+  if (r.premium_throughput_ratio() < run.min_premium) {
     std::fprintf(stderr,
                  "unrecoverable: premium throughput %.4f below the %.3f "
                  "guarantee\n",
-                 r.premium_throughput_ratio(), min_premium);
+                 r.premium_throughput_ratio(), run.min_premium);
     return core::kExitQosBroken;
   }
   return core::kExitSuccess;
@@ -589,120 +643,73 @@ std::vector<std::string> tick_csv_row(const serve::TickRecord& t) {
 /// at sub-hour tick granularity through the bounded ingest plane, the
 /// admission ladder and the breaker-guarded re-plan engine, with a durable
 /// per-tick checkpoint. Reuses simulate's config and fault flags.
-int cmd_serve(const util::CliArgs& args) {
-  core::SimulationConfig config;
-  config.monthly_budget = args.get_positive_double("budget", 1.5e6);
-  config.policy_level = static_cast<int>(args.get_long("policy", 1));
-  config.seed = static_cast<std::uint64_t>(args.get_long("seed", 2012));
-  config.enforce_budget = !args.get_bool("no-cap", false);
-  parse_faults(args, config);
-  parse_coupler(args, config);
+int cmd_serve(const util::CliArgs& args, const char* /*argv0*/) {
+  core::SimulationConfig config = world_config(args);
+  parse_serve_faults(args, config.fault_plan);
+  const RunFlags run = run_flags(args);
 
   serve::ServeConfig serve_config;
-  serve_config.ticks_per_hour =
-      static_cast<std::size_t>(args.get_positive_long("ticks-per-hour", 6));
-  const long hours = args.get_long("hours", 0);
-  if (hours < 0) throw util::UsageError("--hours: must be >= 0 (0 = month)");
-  serve_config.horizon_hours = static_cast<std::size_t>(hours);
-  serve_config.premium_queue_ticks =
-      args.get_positive_double("premium-queue-ticks", 4.0);
-  serve_config.ordinary_queue_ticks =
-      args.get_positive_double("ordinary-queue-ticks", 4.0);
-  serve_config.feed_queue_capacity =
-      static_cast<std::size_t>(args.get_positive_long("feed-queue", 16));
-  serve_config.feed_updates_per_tick =
-      static_cast<std::size_t>(args.get_positive_long("feed-drain", 1));
+  serve_config.ticks_per_hour = whole(args.get_integer("ticks-per-hour"));
+  serve_config.horizon_hours = whole(args.get_integer("hours"));
+  serve_config.premium_queue_ticks = args.get_number("premium-queue-ticks");
+  serve_config.ordinary_queue_ticks = args.get_number("ordinary-queue-ticks");
+  serve_config.feed_queue_capacity = whole(args.get_integer("feed-queue"));
+  serve_config.feed_updates_per_tick = whole(args.get_integer("feed-drain"));
   serve_config.admission.stale_ticks_tolerated =
-      static_cast<std::size_t>(args.get_positive_long("stale-ticks", 12));
-  serve_config.breaker.trip_after =
-      static_cast<std::size_t>(args.get_positive_long("breaker-trip", 3));
+      whole(args.get_integer("stale-ticks"));
+  serve_config.breaker.trip_after = whole(args.get_integer("breaker-trip"));
   serve_config.breaker.cooldown_ticks =
-      static_cast<std::size_t>(args.get_positive_long("breaker-cooldown", 4));
-  serve_config.replan_node_budget = args.get_long("replan-nodes", 20000);
+      whole(args.get_integer("breaker-cooldown"));
+  serve_config.replan_node_budget = args.get_integer("replan-nodes");
   if (args.has("replan-deadline-ms"))
-    serve_config.replan_deadline_ms =
-        args.get_positive_double("replan-deadline-ms", 0.0);
-  serve_config.standby = args.get_bool("standby", false);
+    serve_config.replan_deadline_ms = args.get_number("replan-deadline-ms");
+  serve_config.standby = run.standby;
   for (const auto& t :
-       parse_tuples(args.get("kill-at-ticks"), 1, "kill-at-ticks"))
+       parse_tuples(args.get_text("kill-at-ticks"), 1, "kill-at-ticks"))
     serve_config.kill_at_ticks.push_back(static_cast<std::size_t>(t[0]));
 
-  const double min_premium = args.get_prob("min-premium", 0.995);
-  const std::string checkpoint_path = args.get("checkpoint");
-  const bool resume = args.get_bool("resume", false);
-  const bool die_on_kill = args.get_bool("die-on-kill", false);
-  const auto keep_generations = static_cast<std::size_t>(
-      args.get_positive_long("keep-generations", 1));
-  if (resume && checkpoint_path.empty())
-    throw util::UsageError("--resume requires --checkpoint <path>");
-  if (checkpoint_path.empty() && !serve_config.kill_at_ticks.empty())
-    throw util::UsageError("--kill-at-ticks requires --checkpoint <path>");
-  if (die_on_kill && checkpoint_path.empty())
-    throw util::UsageError("--die-on-kill requires --checkpoint <path>");
-  if (args.has("standby-hours") && !serve_config.standby)
-    throw util::UsageError("--standby-hours requires --standby");
+  const bool die_on_kill = args.get_switch("die-on-kill");
+  run.require_checkpoint(!serve_config.kill_at_ticks.empty(),
+                         "--kill-at-ticks");
+  run.require_checkpoint(die_on_kill, "--die-on-kill");
 
   const core::Simulator sim(config);
   const serve::ServeLoop loop(sim, serve_config);
 
-  const std::string csv_path = args.get("csv");
   std::unique_ptr<util::CsvWriter> writer;
   const auto on_tick = [&](const serve::TickRecord& t) {
-    if (csv_path.empty()) return;
+    if (run.csv.empty()) return;
     // First committed tick of this attempt: keep only the CSV rows the
     // serve checkpoint vouches for.
     if (!writer)
-      writer = std::make_unique<util::CsvWriter>(csv_path, tick_csv_header(),
+      writer = std::make_unique<util::CsvWriter>(run.csv, tick_csv_header(),
                                                  t.tick);
     writer->add_row(tick_csv_row(t));
   };
 
-  g_stop_requested = 0;
-  std::signal(SIGTERM, request_stop);
-  std::signal(SIGINT, request_stop);
+  honour_graceful_stop();
 
   serve::ServeLoop::Controls controls;
-  controls.keep_generations = keep_generations;
+  controls.keep_generations = run.keep_generations;
   controls.stop_flag = &g_stop_requested;
   if (serve_config.standby)
-    controls.max_ticks =
-        static_cast<std::size_t>(args.get_positive_long("standby-hours", 4)) *
+    controls.max_ticks = whole(args.get_integer("standby-hours")) *
         serve_config.ticks_per_hour;
 
-  const auto report_resume = [&](const serve::ServeOutcome& o) {
-    for (const auto& skipped : o.resume_skipped)
-      std::fprintf(stderr, "serve checkpoint generation skipped: %s\n",
-                   skipped.c_str());
-    if (o.resumed_generation > 0)
-      std::fprintf(stderr,
-                   "resumed from serve checkpoint generation %zu at tick %zu "
-                   "(newer generations unusable)\n",
-                   o.resumed_generation, o.resumed_from_tick);
-  };
-
-  serve::ServeOutcome outcome =
-      loop.run(checkpoint_path, resume, on_tick, controls);
-  report_resume(outcome);
+  serve::ServeOutcome outcome;
   std::size_t restarts = 0;
-  while (outcome.crashed) {
-    if (die_on_kill) {
-      // Supervised mode: the injected kill must take down the real process
-      // (the kill-cursor-advanced checkpoint is already on disk), so the
-      // watchdog sees a genuine abnormal death.
-      std::fprintf(stderr, "serve daemon killed at tick %zu; dying\n",
-                   outcome.crash_tick);
-      std::fflush(nullptr);
-#if defined(__unix__) || defined(__APPLE__)
-      std::raise(SIGKILL);
-#endif
-      std::abort();
-    }
+  for (bool resume = run.resume;; resume = true) {
+    outcome = loop.run(run.checkpoint, resume, on_tick, controls);
+    report_resume(outcome.resume_skipped, outcome.resumed_generation,
+                  outcome.resumed_from_tick, "serve checkpoint", "tick");
+    if (!outcome.crashed) break;
+    const std::string kill =
+        "serve daemon killed at tick " + std::to_string(outcome.crash_tick);
+    if (die_on_kill) die(kill);
     ++restarts;
-    std::fprintf(stderr, "serve daemon killed at tick %zu; resuming from %s\n",
-                 outcome.crash_tick, checkpoint_path.c_str());
+    std::fprintf(stderr, "%s; resuming from %s\n", kill.c_str(),
+                 run.checkpoint.c_str());
     writer.reset();  // reopen against the post-kill checkpoint state
-    outcome = loop.run(checkpoint_path, true, on_tick, controls);
-    report_resume(outcome);
   }
   if (outcome.stopped) {
     std::printf("stopped gracefully at tick %zu (serve checkpoint "
@@ -762,9 +769,9 @@ int cmd_serve(const util::CliArgs& args) {
   if (restarts > 0)
     std::printf("recovered from %zu daemon kill(s)\n", restarts);
   if (writer)
-    std::printf("wrote %s (%zu rows)\n", csv_path.c_str(), writer->num_rows());
+    std::printf("wrote %s (%zu rows)\n", run.csv.c_str(), writer->num_rows());
 
-  if (!r.premium_qos_ok() || r.premium_throughput_ratio() < min_premium) {
+  if (!r.premium_qos_ok() || r.premium_throughput_ratio() < run.min_premium) {
     std::fprintf(stderr,
                  "unrecoverable: premium QoS contract broken (dropped %.0f "
                  "at the door, final backlog %.0f, throughput %.4f)\n",
@@ -775,15 +782,14 @@ int cmd_serve(const util::CliArgs& args) {
   return core::kExitSuccess;
 }
 
-int cmd_sweep(const util::CliArgs& args) {
-  const auto budgets =
-      args.get_double_list("budgets", {0.5e6, 1.0e6, 1.5e6, 2.0e6, 2.5e6});
+int cmd_sweep(const util::CliArgs& args, const char* /*argv0*/) {
+  const auto budgets = args.get_number_list("budgets");
   util::Table table({"budget", "cost / budget", "premium", "ordinary"});
   for (double budget : budgets) {
     core::SimulationConfig config;
     config.monthly_budget = budget;
-    config.policy_level = static_cast<int>(args.get_long("policy", 1));
-    config.seed = static_cast<std::uint64_t>(args.get_long("seed", 2012));
+    config.policy_level = static_cast<int>(args.get_integer("policy"));
+    config.seed = static_cast<std::uint64_t>(args.get_integer("seed"));
     const core::MonthlyResult r =
         core::Simulator(config).run(core::Strategy::kCostCapping);
     table.add_row({"$" + util::format_fixed(budget / 1e6, 2) + "M",
@@ -795,8 +801,8 @@ int cmd_sweep(const util::CliArgs& args) {
   return core::kExitSuccess;
 }
 
-int cmd_opf(const util::CliArgs& args) {
-  const double load = args.get_double("load", 900.0);
+int cmd_opf(const util::CliArgs& args, const char* /*argv0*/) {
+  const double load = args.get_number("load");
   const market::Grid grid = market::pjm5_grid();
   const market::DcOpfResult r =
       market::solve_dcopf(grid, market::pjm5_loads(load));
@@ -831,8 +837,8 @@ int cmd_opf(const util::CliArgs& args) {
   return core::kExitSuccess;
 }
 
-int cmd_trace(const util::CliArgs& args) {
-  const auto seed = static_cast<std::uint64_t>(args.get_long("seed", 2012));
+int cmd_trace(const util::CliArgs& args, const char* /*argv0*/) {
+  const auto seed = static_cast<std::uint64_t>(args.get_integer("seed"));
   const workload::TwoMonthTrace both = workload::paper_two_month_trace(seed);
   workload::TraceStatsOptions options;
   options.spike_threshold = 1.12;
@@ -875,70 +881,34 @@ std::string self_path(const char* argv0) {
 /// controller as a child, restarts it (with budget + backoff) when it dies
 /// abnormally, escalates to the degraded premium-only standby after
 /// repeated zero-progress deaths, and stops cleanly on SIGTERM/SIGINT or a
-/// graceful child exit. Needs raw argv so non-supervisor flags can be
-/// forwarded to the child verbatim.
-int cmd_supervise(int argc, char** argv, const util::CliArgs& args) {
-  const std::string checkpoint_path = args.get("checkpoint");
+/// graceful child exit. The child's flags were parsed against the child's
+/// own table, so a typo fails here instead of in every restart.
+int cmd_supervise(const util::CliArgs& args, const char* argv0) {
+  const std::string checkpoint_path = args.get_text("checkpoint");
   if (checkpoint_path.empty())
     throw util::UsageError("supervise requires --checkpoint <path>");
 
   core::SupervisorOptions options;
-  options.restart_budget =
-      static_cast<std::size_t>(args.get_positive_long("restart-budget", 100));
-  options.restart_window_s =
-      args.get_positive_double("restart-window-s", 3600.0);
-  options.backoff_base_ms = args.get_positive_double("backoff-ms", 50.0);
-  options.backoff_multiplier =
-      args.get_positive_double("backoff-multiplier", 2.0);
-  options.backoff_max_ms = args.get_positive_double("backoff-max-ms", 5000.0);
-  options.backoff_jitter_frac = args.get_prob("backoff-jitter", 0.2);
-  options.seed = static_cast<std::uint64_t>(args.get_long("seed", 2012));
-  options.escalate_after =
-      static_cast<std::size_t>(args.get_positive_long("escalate-after", 3));
-  options.standby_hours =
-      static_cast<std::size_t>(args.get_positive_long("standby-hours", 4));
-  const auto keep_generations = static_cast<std::size_t>(
-      args.get_positive_long("keep-generations", 3));
-
-  // Flags the supervisor consumes or controls itself; everything else on
-  // the command line is forwarded to the simulate child verbatim.
-  static const std::set<std::string> kSupervisorFlags = {
-      "restart-budget", "restart-window-s", "backoff-ms",
-      "backoff-multiplier", "backoff-max-ms", "backoff-jitter",
-      "escalate-after", "standby-hours", "keep-generations",
-      "resume", "die-on-crash", "die-on-kill", "standby", "serve"};
-  std::vector<std::string> forwarded;
-  bool command_seen = false;
-  for (int i = 1; i < argc; ++i) {
-    const std::string token = argv[i];
-    if (token.size() >= 3 && token[0] == '-' && token[1] == '-') {
-      const std::size_t eq = token.find('=');
-      const std::string name =
-          eq == std::string::npos ? token.substr(2) : token.substr(2, eq - 2);
-      const bool separate_value =
-          eq == std::string::npos && i + 1 < argc &&
-          !(std::string(argv[i + 1]).rfind("--", 0) == 0);
-      if (kSupervisorFlags.count(name)) {
-        if (separate_value) ++i;
-        continue;
-      }
-      forwarded.push_back(token);
-      if (separate_value) forwarded.emplace_back(argv[++i]);
-    } else if (!command_seen) {
-      command_seen = true;  // the "supervise" command word
-    } else {
-      throw util::UsageError("supervise: unexpected positional '" + token +
-                             "'");
-    }
-  }
+  options.restart_budget = whole(args.get_integer("restart-budget"));
+  options.restart_window_s = args.get_number("restart-window-s");
+  options.backoff_base_ms = args.get_number("backoff-ms");
+  options.backoff_multiplier = args.get_number("backoff-multiplier");
+  options.backoff_max_ms = args.get_number("backoff-max-ms");
+  options.backoff_jitter_frac = args.get_number("backoff-jitter");
+  options.seed = static_cast<std::uint64_t>(args.get_integer("seed"));
+  options.escalate_after = whole(args.get_integer("escalate-after"));
+  options.standby_hours = whole(args.get_integer("standby-hours"));
+  const auto keep_generations = whole(args.get_integer("keep-generations"));
 
   // Both children always resume from the rotated checkpoint chain and let
   // injected crashes (or serve kill-ticks) kill the real process so the
   // watchdog sees them. --serve supervises the serving daemon instead of
   // the batch controller.
-  const bool serve_child = args.get_bool("serve", false);
+  const bool serve_child = args.get_switch("serve");
+  const std::vector<std::string> forwarded =
+      args.tokens_for(child_flags(serve_child, false));
   core::ChildSpec primary;
-  primary.program = self_path(argv[0]);
+  primary.program = self_path(argv0);
   primary.args.emplace_back(serve_child ? "serve" : "simulate");
   primary.args.insert(primary.args.end(), forwarded.begin(), forwarded.end());
   primary.args.emplace_back("--resume");
@@ -964,102 +934,78 @@ int cmd_supervise(int argc, char** argv, const util::CliArgs& args) {
   return report.exit_code;
 }
 
+struct Command {
+  const char* name;
+  const char* summary;
+  util::FlagTable (*flags)(bool serve_child);  // --serve: supervise only
+  int (*run)(const util::CliArgs& args, const char* argv0);
+};
+
+constexpr Command kCommands[] = {
+    {"simulate", "run one budgeting month (or --months N) through the capper",
+     [](bool) { return child_flags(false, true); }, cmd_simulate},
+    {"serve", "the month at sub-hour ticks as an overload-safe daemon",
+     [](bool) { return child_flags(true, true); }, cmd_serve},
+    {"supervise", "watchdog restarting simulate (or serve) from its checkpoint",
+     [](bool serve) {
+       return util::join({kSuperviseFlags, child_flags(serve, false)});
+     },
+     cmd_supervise},
+    {"sweep", "budget sweep of CostCapping months",
+     [](bool) { return util::join({kSweepFlags, kPolicyFlags, kSeedFlags}); },
+     cmd_sweep},
+    {"opf", "PJM 5-bus DC optimal power flow",
+     [](bool) { return util::join({kOpfFlags}); }, cmd_opf},
+    {"trace", "synthetic workload statistics",
+     [](bool) { return util::join({kSeedFlags}); }, cmd_trace},
+};
+
 int cmd_help() {
+  std::printf("billcap — electricity bill capping for cloud-scale data "
+              "centers\n\ncommands (`billcap <command> --help` lists the "
+              "flags):\n");
+  for (const Command& c : kCommands)
+    std::printf("  %-10s %s\n", c.name, c.summary);
   std::printf(
-      "billcap — electricity bill capping for cloud-scale data centers\n\n"
-      "commands:\n"
-      "  simulate  run one month (--budget --policy --strategy --seed\n"
-      "            --no-cap --csv out.csv --months N)\n"
-      "            fault injection: --outages site:start:dur,...\n"
-      "              --stale start:dur,...  --shocks site:start:dur:mult,...\n"
-      "              --squeezes start:dur:ms,...  or random via\n"
-      "              --fault-outage-rate --fault-stale-rate\n"
-      "              --fault-shock-rate --fault-squeeze-rate (per hour)\n"
-      "              with mean interval lengths --fault-outage-mean\n"
-      "              --fault-stale-mean --fault-shock-mean\n"
-      "              --fault-squeeze-mean (hours, >= 1)\n"
-      "            market-feed retry: --feed-retry-prob p (per attempt)\n"
-      "              --feed-max-retries N --feed-backoff-ms B\n"
-      "            crash tolerance: --checkpoint path (durable per-hour\n"
-      "              checkpoint) --resume (continue from it)\n"
-      "              --crash-at h1,h2,...  --crash-rate p (injected\n"
-      "              controller deaths, survived via the checkpoint)\n"
-      "              --exit-storm hour:count,...  (repeated no-progress\n"
-      "              deaths) --corrupt-checkpoint-at h,... (bit rot in the\n"
-      "              newest checkpoint generation)\n"
-      "              --keep-generations K  rotated checkpoint generations\n"
-      "              --die-on-crash  injected crashes SIGKILL the process\n"
-      "              --standby [--standby-hours N]  degraded premium-only\n"
-      "              mode (no MILP), N committed hours per attempt\n"
-      "            closed market loop: --closed-loop (plan against curves\n"
-      "              re-derived from the fleet's own price impact, billed at\n"
-      "              realized LMPs) --coupler-max-iters N --coupler-gain G\n"
-      "              --damping off|ladder|full --coupler-open-plan (static\n"
-      "              planning, coupled billing). Grid hazards:\n"
-      "              --line-outage line:start:dur,...\n"
-      "              --bg-shock bus:start:dur:mult,...\n"
-      "              --congestion-spike line:start:dur:factor,...\n"
-      "              An oscillating or diverging hour falls back open-loop\n"
-      "              (breaker), counts degraded, and exits 0 unless the\n"
-      "              premium guarantee itself breaks (exit 3).\n"
-      "            --deadline-ms M   hard wall-clock limit per solve\n"
-      "            --min-premium r   exit 3 if premium throughput < r\n"
-      "  serve     overload-safe serving daemon: the month at sub-hour ticks\n"
-      "            through a bounded ingest plane, an admission ladder and a\n"
-      "            breaker-guarded re-plan engine. Takes simulate's config\n"
-      "            and fault flags, plus: --ticks-per-hour N  --hours H\n"
-      "            --premium-queue-ticks --ordinary-queue-ticks (capacity in\n"
-      "            mean tick arrivals) --feed-queue N --feed-drain N\n"
-      "            --stale-ticks N (re-plan staleness tolerance)\n"
-      "            --breaker-trip N --breaker-cooldown T (circuit breaker)\n"
-      "            --replan-nodes N --replan-deadline-ms M (per-tick\n"
-      "            re-plan budget; node budget keeps resume bitwise)\n"
-      "            --kill-at-ticks t1,t2,... --die-on-kill (injected daemon\n"
-      "            deaths) --checkpoint --resume --keep-generations --csv\n"
-      "            --standby [--standby-hours N] --min-premium r\n"
-      "  supervise watchdog around simulate (or the serving daemon with\n"
-      "            --serve): forks the controller, restarts\n"
-      "            abnormal exits with a budget (--restart-budget\n"
-      "            --restart-window-s) and exponential backoff (--backoff-ms\n"
-      "            --backoff-multiplier --backoff-max-ms --backoff-jitter),\n"
-      "            escalates to standby after --escalate-after zero-progress\n"
-      "            deaths, keeps --keep-generations rotated checkpoints.\n"
-      "            All other flags are forwarded to the child.\n"
-      "  sweep     budget sweep (--budgets 0.5e6,1e6,... --policy --seed)\n"
-      "  opf       PJM 5-bus optimal power flow (--load MW)\n"
-      "  trace     synthetic workload statistics (--seed)\n"
-      "  help      this text\n\n"
-      "exit codes:\n"
-      "  0  success\n"
-      "  1  runtime error (I/O failure, no viable checkpoint generation)\n"
-      "  2  usage error (unknown command, bad or out-of-range flag)\n"
-      "  3  unrecoverable degradation (premium QoS guarantee broken)\n"
-      "  4  graceful stop (SIGTERM/SIGINT honoured, or a standby attempt\n"
-      "     that committed its chunk) — resume with --resume\n"
-      "  5  supervisor gave up (restart budget exhausted)\n");
-  return billcap::core::kExitSuccess;
+      "\nexit codes: 0 success, 1 runtime error, 2 usage error (unknown "
+      "command or\nflag, bad value, repeated flag, stray argument), 3 premium "
+      "QoS broken, 4 graceful\nstop (resume with --resume), 5 supervisor "
+      "gave up\n");
+  return core::kExitSuccess;
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
-  const util::CliArgs args(argc, argv);
-  try {
-    if (args.command() == "simulate") return cmd_simulate(args);
-    if (args.command() == "serve") return cmd_serve(args);
-    if (args.command() == "supervise") return cmd_supervise(argc, argv, args);
-    if (args.command() == "sweep") return cmd_sweep(args);
-    if (args.command() == "opf") return cmd_opf(args);
-    if (args.command() == "trace") return cmd_trace(args);
-    if (args.command().empty() || args.command() == "help") return cmd_help();
+  const std::string_view name = argc > 1 ? argv[1] : "help";
+  const auto command =
+      std::find_if(std::begin(kCommands), std::end(kCommands),
+                   [&](const Command& c) { return name == c.name; });
+  if (command == std::end(kCommands)) {
+    if (name == "help" || name == "--help") return cmd_help();
     std::fprintf(stderr, "unknown command '%s' (try: billcap help)\n",
-                 args.command().c_str());
-    return billcap::core::kExitUsage;
+                 argv[1]);
+    return core::kExitUsage;
+  }
+  try {
+    // Supervise parses its children's flags too; which child it runs
+    // decides which table they come from.
+    const bool serve_child =
+        std::find(argv + 2, argv + argc, std::string_view("--serve")) !=
+        argv + argc;
+    const util::CliArgs args(command->flags(serve_child), argc - 1, argv + 1);
+    if (args.help()) {
+      std::printf("billcap %s — %s\n\nflags:\n%s", command->name,
+                  command->summary, util::help_text(args.table()).c_str());
+      return core::kExitSuccess;
+    }
+    return command->run(args, argv[0]);
   } catch (const util::UsageError& e) {
-    std::fprintf(stderr, "usage error: %s (try: billcap help)\n", e.what());
-    return billcap::core::kExitUsage;
+    std::fprintf(stderr, "usage error: %s (try: billcap %s --help)\n",
+                 e.what(), command->name);
+    return core::kExitUsage;
   } catch (const std::exception& e) {
     std::fprintf(stderr, "error: %s\n", e.what());
-    return billcap::core::kExitRuntimeError;
+    return core::kExitRuntimeError;
   }
 }

@@ -408,6 +408,71 @@ void check_unseeded_rng(const RepoModel& model, std::vector<Finding>& out) {
   }
 }
 
+// ---- BL044 flag registry ---------------------------------------------------
+
+constexpr std::string_view kFlagKinds[] = {
+    "kSwitch", "kText", "kNumber", "kInteger", "kNumberList",
+};
+constexpr std::string_view kFlagReaders[] = {
+    "has", "get_switch", "get_text", "get_number", "get_integer",
+    "get_number_list",
+};
+
+struct FlagSite {
+  std::size_t file_index = 0;
+  std::size_t line = 0;  ///< 0-based
+  std::string name;
+};
+
+/// Matches the flag tables (util::Flag rows, `{"name", [FlagKind::]kKind`)
+/// against the literal names read through util::CliArgs, across every
+/// scanned file that includes util/cli.hpp: a read with no row throws at
+/// run time, and a row no code reads is a flag the parser accepts and then
+/// ignores.
+void check_flag_registry(const RepoModel& model, std::vector<Finding>& out) {
+  std::vector<FlagSite> rows;
+  std::vector<FlagSite> reads;
+  for (std::size_t fi = 0; fi < model.files.size(); ++fi) {
+    const SourceFile& source = model.files[fi].source;
+    if (!source.includes_path("util/cli.hpp")) continue;
+    const std::vector<Token>& t = source.tokens;
+    for (std::size_t i = 0; i + 2 < t.size(); ++i) {
+      if (t[i].kind == TokKind::kPunct && t[i].text == "{" &&
+          t[i + 1].kind == TokKind::kString && t[i + 2].text == ",") {
+        std::size_t k = i + 3;
+        while (k + 1 < t.size() && t[k].kind == TokKind::kIdentifier &&
+               t[k + 1].text == "::")
+          k += 2;
+        if (k < t.size() && contains(kFlagKinds, t[k].text))
+          rows.push_back({fi, t[i + 1].line, t[i + 1].text});
+      } else if (accessor_call(t, i) && contains(kFlagReaders, t[i].text) &&
+                 t[i + 2].kind == TokKind::kString) {
+        reads.push_back({fi, t[i].line, t[i + 2].text});
+      }
+    }
+  }
+  std::set<std::string> declared;
+  std::set<std::string> read;
+  for (const FlagSite& r : rows) declared.insert(r.name);
+  for (const FlagSite& r : reads) read.insert(r.name);
+  const auto flag = [&](const FlagSite& site, const std::string& message) {
+    const FileModel& fm = model.files[site.file_index];
+    if (fm.suppress.allows(site.line, Rule::kFlagRegistry)) return;
+    out.push_back({fm.path, site.line + 1, Rule::kFlagRegistry,
+                   "flag --" + site.name + " " + message +
+                       ", or annotate allow(flag-registry)",
+                   {}});
+  };
+  for (const FlagSite& r : reads)
+    if (!declared.count(r.name))
+      flag(r, "is read but has no row in any flag table — the read throws "
+              "at run time; declare it");
+  for (const FlagSite& r : rows)
+    if (!read.count(r.name))
+      flag(r, "has a table row but is read nowhere — the parser accepts it "
+              "and the run ignores it; delete the row");
+}
+
 // ---- driver ----------------------------------------------------------------
 
 void dedupe(std::vector<Finding>& findings) {
@@ -439,6 +504,7 @@ AuditResult audit_model(const RepoModel& model) {
   check_journal_registry(model, result.findings);
   check_exit_registry(model, result.findings);
   check_unseeded_rng(model, result.findings);
+  check_flag_registry(model, result.findings);
   dedupe(result.findings);
   std::sort(result.findings.begin(), result.findings.end(),
             [](const Finding& a, const Finding& b) {

@@ -2,10 +2,10 @@
 
 // billcap-audit pass 2, part 2: the cross-file rules. Pass 1 polices one
 // translation unit; these rules police the *project* — the layering DAG,
-// the journal-key registry, the exit-code registry and ambient RNG
-// seeding — because the invariants they protect only fail across files
-// (a key written in serve/ but never declared in core/, an include that
-// quietly inverts a layer edge).
+// the journal-key registry, the exit-code registry, ambient RNG seeding
+// and the command-line flag tables — because the invariants they protect
+// only fail across files (a key written in serve/ but never declared in
+// core/, an include that quietly inverts a layer edge).
 //
 //   BL040 layering            include edge violating the DESIGN layer DAG,
 //                             plus include-cycle detection
@@ -14,6 +14,8 @@
 //                             inconsistently guarded reads
 //   BL042 exit-code-registry  integer-literal exits outside exit_codes.hpp
 //   BL043 unseeded-rng        ambient-seeded RNG outside *_test.* files
+//   BL044 flag-registry       flag names read through util::CliArgs with no
+//                             util::Flag table row; rows read nowhere
 //
 // audit_model() also runs every pass-1 rule over each file and dedupes the
 // overlap (BL042 over BL010, BL043 over BL001 at the same site), so one

@@ -71,6 +71,10 @@ constexpr std::array<RuleInfo, kRuleCount> kRules = {{
      "an ambient-seeded RNG (std::random_device, rand(), time-seeded "
      "engines) outside test code makes runs unreproducible; seed from "
      "config through util::Rng"},
+    {Rule::kFlagRegistry, "BL044", "flag-registry",
+     "every flag a tool reads must have a row in a util::Flag table, and "
+     "every row must be read; an undeclared read throws at run time and a "
+     "dead row is a flag the parser accepts and silently ignores"},
 }};
 
 bool is_word(char c) noexcept {

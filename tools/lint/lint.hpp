@@ -11,7 +11,7 @@
 //
 // This header is pass 1: the per-file rules (BL001–BL030). Pass 2 — the
 // repo model (include graph, key/exit-code registries) and the cross-file
-// rules BL040–BL043 — lives in model.hpp / audit.hpp.
+// rules BL040–BL044 — lives in model.hpp / audit.hpp.
 //
 // Suppression syntax, checked in-source — for example:
 //
@@ -52,9 +52,10 @@ enum class Rule {
   kJournalRegistry, ///< BL041: journal key not in checkpoint_keys.hpp
   kExitRegistry,    ///< BL042: exit literal outside the exit-code registry
   kUnseededRng,     ///< BL043: ambient-seeded RNG outside test code
+  kFlagRegistry,    ///< BL044: flag read without a table row, or dead row
 };
 
-constexpr std::size_t kRuleCount = 17;
+constexpr std::size_t kRuleCount = 18;
 
 struct RuleInfo {
   Rule rule;
