@@ -9,6 +9,7 @@
 
 #include "core/checkpoint_keys.hpp"
 #include "util/journal.hpp"
+#include "util/record_log.hpp"
 
 namespace billcap::core {
 
@@ -149,6 +150,326 @@ HourRecord decode_hour(const std::string& text) {
     rec.coupler_rung = static_cast<std::size_t>(take_u(is));
   }
   return rec;
+}
+
+// ---- fixed-width binary HourRecord (hour log, format v2) ------------------
+
+/// Fixed words of a log record before its two per-site arrays.
+constexpr std::size_t kRecordWords = 20;
+
+std::string encode_record(const HourRecord& rec) {
+  std::string out(
+      8 * (kRecordWords + rec.site_lambda.size() + rec.site_power_mw.size()),
+      '\0');
+  char* at = out.data();
+  const auto put = [&at](std::uint64_t v) {
+    util::store_le64(at, v);
+    at += 8;
+  };
+  const auto put_bits = [&put](double v) {
+    put(std::bit_cast<std::uint64_t>(v));
+  };
+  put(rec.hour);
+  put(static_cast<std::uint64_t>(rec.mode));
+  put(static_cast<std::uint64_t>(rec.failure));
+  put((rec.degraded ? 1u : 0u) | (rec.used_incumbent ? 2u : 0u) |
+      (rec.used_heuristic ? 4u : 0u) | (rec.stale_prices ? 8u : 0u) |
+      (rec.feed_recovered ? 16u : 0u) | (rec.coupler_converged ? 32u : 0u) |
+      (rec.coupler_fallback ? 64u : 0u));
+  put(static_cast<std::uint64_t>(static_cast<std::int64_t>(rec.feed_attempts)));
+  put(rec.sites_down);
+  put(static_cast<std::uint64_t>(static_cast<std::int64_t>(rec.nodes)));
+  put(rec.coupler_iterations);
+  put(rec.coupler_rung);
+  put_bits(rec.arrivals);
+  put_bits(rec.premium_arrivals);
+  put_bits(rec.ordinary_arrivals);
+  put_bits(rec.served_premium);
+  put_bits(rec.served_ordinary);
+  put_bits(rec.hourly_budget);
+  put_bits(rec.cost);
+  put_bits(rec.predicted_cost);
+  put_bits(rec.solve_ms);
+  put(rec.site_lambda.size());
+  put(rec.site_power_mw.size());
+  for (double v : rec.site_lambda) put_bits(v);
+  for (double v : rec.site_power_mw) put_bits(v);
+  return out;
+}
+
+/// Decodes one log record; `slot` is record_bytes wide, zero-padded past
+/// the record's own arrays.
+HourRecord decode_record(std::string_view slot) {
+  const std::size_t words = slot.size() / 8;
+  if (words < kRecordWords)
+    throw std::runtime_error("checkpoint: hour log record too narrow");
+  const char* at = slot.data();
+  const auto take = [&at] {
+    const std::uint64_t v = util::load_le64(at);
+    at += 8;
+    return v;
+  };
+  const auto take_bits = [&take] { return std::bit_cast<double>(take()); };
+  HourRecord rec;
+  rec.hour = static_cast<std::size_t>(take());
+  rec.mode = static_cast<CappingOutcome::Mode>(take());
+  rec.failure = static_cast<FailureReason>(take());
+  const std::uint64_t flags = take();
+  rec.degraded = (flags & 1u) != 0;
+  rec.used_incumbent = (flags & 2u) != 0;
+  rec.used_heuristic = (flags & 4u) != 0;
+  rec.stale_prices = (flags & 8u) != 0;
+  rec.feed_recovered = (flags & 16u) != 0;
+  rec.coupler_converged = (flags & 32u) != 0;
+  rec.coupler_fallback = (flags & 64u) != 0;
+  rec.feed_attempts = static_cast<int>(static_cast<std::int64_t>(take()));
+  rec.sites_down = static_cast<std::size_t>(take());
+  rec.nodes = static_cast<long>(static_cast<std::int64_t>(take()));
+  rec.coupler_iterations = static_cast<std::size_t>(take());
+  rec.coupler_rung = static_cast<std::size_t>(take());
+  rec.arrivals = take_bits();
+  rec.premium_arrivals = take_bits();
+  rec.ordinary_arrivals = take_bits();
+  rec.served_premium = take_bits();
+  rec.served_ordinary = take_bits();
+  rec.hourly_budget = take_bits();
+  rec.cost = take_bits();
+  rec.predicted_cost = take_bits();
+  rec.solve_ms = take_bits();
+  const std::uint64_t n_lambda = take();
+  const std::uint64_t n_power = take();
+  if (n_lambda > words - kRecordWords ||
+      n_power > words - kRecordWords - n_lambda)
+    throw std::runtime_error("checkpoint: malformed hour log record");
+  rec.site_lambda.resize(static_cast<std::size_t>(n_lambda));
+  for (double& v : rec.site_lambda) v = take_bits();
+  rec.site_power_mw.resize(static_cast<std::size_t>(n_power));
+  for (double& v : rec.site_power_mw) v = take_bits();
+  return rec;
+}
+
+// ---- the head journal -----------------------------------------------------
+
+/// Every CheckpointState field except the HourRecords, as a journal of
+/// format `version`; the caller adds the hours (inline or as a log prefix).
+util::Journal encode_head(const CheckpointState& state, int version) {
+  util::Journal journal(keys::kCheckpointMagic, version);
+  journal.set_u64(keys::kConfigDigest, state.config_digest);
+  journal.set_u64(keys::kStrategy, static_cast<std::uint64_t>(state.strategy));
+  journal.set_size(keys::kNextHour, state.next_hour);
+  journal.set_double_bits(keys::kSpent, state.spent);
+  journal.set_size(keys::kCrashesFired, state.crashes_fired);
+  journal.set_size(keys::kStormsFired, state.storms_fired);
+  journal.set_size(keys::kCorruptionsFired, state.corruptions_fired);
+  for (std::size_t i = 0; i < state.feed.rng.size(); ++i)
+    journal.set_u64(keys::feed_rng(i), state.feed.rng[i]);
+  journal.set_size(keys::kFeedRecoveredUntil, state.feed.recovered_until);
+
+  const MarketCoupler::State& cp = state.coupler;
+  journal.set_u64(keys::kCouplerBreakerState, cp.breaker_state);
+  journal.set_size(keys::kCouplerConsecTroubled, cp.consecutive_troubled);
+  journal.set_size(keys::kCouplerCooldown, cp.cooldown_remaining);
+  journal.set_size(keys::kCouplerCurrentCooldown, cp.current_cooldown_hours);
+  journal.set_size(keys::kCouplerTrips, cp.trips);
+  journal.set_size(keys::kCouplerRung, cp.rung);
+  journal.set_size(keys::kCouplerCleanStreak, cp.clean_streak);
+  journal.set_u64(keys::kCouplerLastValid, cp.last_valid ? 1 : 0);
+  {
+    std::ostringstream active;
+    for (std::size_t i = 0; i < cp.last_active.size(); ++i) {
+      if (i) active << ' ';
+      active << static_cast<unsigned>(cp.last_active[i]);
+    }
+    journal.set(keys::kCouplerLastActive, active.str());
+  }
+  {
+    std::ostringstream power;
+    for (double v : cp.last_power_mw) put_d(power, v);
+    journal.set(keys::kCouplerLastPower, power.str());
+  }
+
+  const MonthlyResult& r = state.partial;
+  journal.set_double_bits(keys::kMonthlyBudget, r.monthly_budget);
+  journal.set_double_bits(keys::kTotalCost, r.total_cost);
+  journal.set_double_bits(keys::kTotalPremiumArrivals, r.total_premium_arrivals);
+  journal.set_double_bits(keys::kTotalOrdinaryArrivals,
+                          r.total_ordinary_arrivals);
+  journal.set_double_bits(keys::kTotalServedPremium, r.total_served_premium);
+  journal.set_double_bits(keys::kTotalServedOrdinary, r.total_served_ordinary);
+  journal.set_double_bits(keys::kMaxSolveMs, r.max_solve_ms);
+  journal.set_size(keys::kDegradedHours, r.degraded_hours);
+  journal.set_size(keys::kIncumbentHours, r.incumbent_hours);
+  journal.set_size(keys::kHeuristicHours, r.heuristic_hours);
+  journal.set_size(keys::kOutageHours, r.outage_hours);
+  journal.set_size(keys::kStaleHours, r.stale_hours);
+  journal.set_size(keys::kFeedRetryAttempts, r.feed_retry_attempts);
+  journal.set_size(keys::kFeedRecoveredHours, r.feed_recovered_hours);
+  journal.set_size(keys::kCrashRecoveries, r.crash_recoveries);
+  journal.set_size(keys::kClosedLoopHours, r.closed_loop_hours);
+  journal.set_size(keys::kCouplerFallbackHours, r.coupler_fallback_hours);
+  journal.set_size(keys::kCouplerIterations, r.coupler_iterations);
+  {
+    std::ostringstream tally;
+    for (std::size_t i = 0; i < r.failure_tally.size(); ++i) {
+      if (i) tally << ' ';
+      tally << r.failure_tally[i];
+    }
+    journal.set(keys::kFailureTally, tally.str());
+  }
+  journal.set_size(keys::kDegradedChunks, r.degraded_chunks);
+  journal.set_size(keys::kQuarantinedChunks, r.quarantined_chunks);
+  journal.set_size(keys::kRegionDownChunks, r.region_down_chunks);
+  {
+    std::ostringstream tally;
+    for (std::size_t i = 0; i < r.chunk_failure_tally.size(); ++i) {
+      if (i) tally << ' ';
+      tally << r.chunk_failure_tally[i];
+    }
+    journal.set(keys::kChunkFailureTally, tally.str());
+  }
+
+  return journal;
+}
+
+/// Every field a head carries; partial.hours stays empty. logged_hours is
+/// the head's log prefix for v2, 0 for a v1 file (its hours are inline).
+CheckpointState decode_head(const util::Journal& journal) {
+  CheckpointState state;
+  state.config_digest = journal.get_u64(keys::kConfigDigest);
+  state.strategy = static_cast<Strategy>(journal.get_u64(keys::kStrategy));
+  state.next_hour = journal.get_size(keys::kNextHour);
+  state.spent = journal.get_double_bits(keys::kSpent);
+  state.crashes_fired = journal.get_size(keys::kCrashesFired);
+  // Written since the rotated-generations format; absent in checkpoints
+  // from before that, which simply had no storms/corruptions to count.
+  state.storms_fired =
+      journal.has(keys::kStormsFired) ? journal.get_size(keys::kStormsFired) : 0;
+  state.corruptions_fired = journal.has(keys::kCorruptionsFired)
+                                ? journal.get_size(keys::kCorruptionsFired)
+                                : 0;
+  for (std::size_t i = 0; i < state.feed.rng.size(); ++i)
+    state.feed.rng[i] = journal.get_u64(keys::feed_rng(i));
+  state.feed.recovered_until = journal.get_size(keys::kFeedRecoveredUntil);
+
+  // Coupler trajectory: absent in pre-coupler checkpoints, which simply
+  // had no coupler state to carry — a fresh (default) coupler is correct.
+  if (journal.has(keys::kCouplerBreakerState)) {
+    MarketCoupler::State& cp = state.coupler;
+    cp.breaker_state = journal.get_u64(keys::kCouplerBreakerState);
+    cp.consecutive_troubled = journal.get_size(keys::kCouplerConsecTroubled);
+    cp.cooldown_remaining = journal.get_size(keys::kCouplerCooldown);
+    cp.current_cooldown_hours =
+        journal.get_size(keys::kCouplerCurrentCooldown);
+    cp.trips = journal.get_size(keys::kCouplerTrips);
+    cp.rung = journal.get_size(keys::kCouplerRung);
+    cp.clean_streak = journal.get_size(keys::kCouplerCleanStreak);
+    cp.last_valid = journal.get_u64(keys::kCouplerLastValid) != 0;
+    {
+      std::istringstream active(journal.get(keys::kCouplerLastActive));
+      unsigned v = 0;
+      while (active >> v) cp.last_active.push_back(v != 0 ? 1 : 0);
+    }
+    {
+      std::istringstream power(journal.get(keys::kCouplerLastPower));
+      while (power >> std::ws, power.peek() != std::istringstream::traits_type::eof()) {
+        cp.last_power_mw.push_back(take_d(power));
+      }
+    }
+  }
+
+  MonthlyResult& r = state.partial;
+  r.strategy = state.strategy;
+  r.monthly_budget = journal.get_double_bits(keys::kMonthlyBudget);
+  r.total_cost = journal.get_double_bits(keys::kTotalCost);
+  r.total_premium_arrivals = journal.get_double_bits(keys::kTotalPremiumArrivals);
+  r.total_ordinary_arrivals =
+      journal.get_double_bits(keys::kTotalOrdinaryArrivals);
+  r.total_served_premium = journal.get_double_bits(keys::kTotalServedPremium);
+  r.total_served_ordinary = journal.get_double_bits(keys::kTotalServedOrdinary);
+  r.max_solve_ms = journal.get_double_bits(keys::kMaxSolveMs);
+  r.degraded_hours = journal.get_size(keys::kDegradedHours);
+  r.incumbent_hours = journal.get_size(keys::kIncumbentHours);
+  r.heuristic_hours = journal.get_size(keys::kHeuristicHours);
+  r.outage_hours = journal.get_size(keys::kOutageHours);
+  r.stale_hours = journal.get_size(keys::kStaleHours);
+  r.feed_retry_attempts = journal.get_size(keys::kFeedRetryAttempts);
+  r.feed_recovered_hours = journal.get_size(keys::kFeedRecoveredHours);
+  r.crash_recoveries = journal.get_size(keys::kCrashRecoveries);
+  // Coupler aggregates: absent before the closed-loop format, zero then.
+  r.closed_loop_hours = journal.has(keys::kClosedLoopHours)
+                            ? journal.get_size(keys::kClosedLoopHours)
+                            : 0;
+  r.coupler_fallback_hours =
+      journal.has(keys::kCouplerFallbackHours)
+          ? journal.get_size(keys::kCouplerFallbackHours)
+          : 0;
+  r.coupler_iterations = journal.has(keys::kCouplerIterations)
+                             ? journal.get_size(keys::kCouplerIterations)
+                             : 0;
+  {
+    // Tolerant of shorter tallies: a checkpoint written before a
+    // FailureReason was added carries fewer entries, and the reasons it
+    // predates necessarily tallied zero (the array is zero-initialized).
+    std::istringstream tally(journal.get(keys::kFailureTally));
+    for (std::size_t i = 0; i < r.failure_tally.size(); ++i)
+      if (!(tally >> r.failure_tally[i])) break;
+  }
+  // Written since the fleet-controller format; absent means a pre-fleet
+  // checkpoint whose month had no chunk solves to count.
+  r.degraded_chunks = journal.has(keys::kDegradedChunks)
+                          ? journal.get_size(keys::kDegradedChunks)
+                          : 0;
+  r.quarantined_chunks = journal.has(keys::kQuarantinedChunks)
+                             ? journal.get_size(keys::kQuarantinedChunks)
+                             : 0;
+  r.region_down_chunks = journal.has(keys::kRegionDownChunks)
+                             ? journal.get_size(keys::kRegionDownChunks)
+                             : 0;
+  if (journal.has(keys::kChunkFailureTally)) {
+    // Same shorter-tally tolerance as failure_tally above.
+    std::istringstream tally(journal.get(keys::kChunkFailureTally));
+    for (std::size_t i = 0; i < r.chunk_failure_tally.size(); ++i)
+      if (!(tally >> r.chunk_failure_tally[i])) break;
+  }
+
+  if (journal.get_size(keys::kHours) != state.next_hour)
+    throw std::runtime_error(
+        "checkpoint: hour count does not match next_hour (inconsistent "
+        "file)");
+  state.logged_hours = journal.has(keys::kHourLog) ? state.next_hour : 0;
+  return state;
+}
+
+util::Journal load_head_journal(const std::string& path) {
+  return util::Journal::load(path, keys::kCheckpointMagic,
+                             keys::kCheckpointVersion);
+}
+
+/// Fills state.partial.hours from the head's own keys (v1) or from the
+/// log prefix it names (v2), resolving the log's file name against the
+/// directory of `head_path`.
+void load_hours(const util::Journal& journal, const std::string& head_path,
+                CheckpointState& state) {
+  std::vector<HourRecord>& hours = state.partial.hours;
+  const std::size_t count = state.next_hour;
+  if (!journal.has(keys::kHourLog)) {
+    for (std::size_t i = 0; i < count; ++i)
+      hours.push_back(decode_hour(journal.get(keys::hour(i))));
+    return;
+  }
+  const std::string& name = journal.get(keys::kHourLog);
+  if (name.empty() || name.find('/') != std::string::npos)
+    throw std::runtime_error("checkpoint: bad hour log name '" + name + "'");
+  const std::size_t slash = head_path.find_last_of('/');
+  const std::string log_path =
+      slash == std::string::npos ? name : head_path.substr(0, slash + 1) + name;
+  const util::RecordLog::Contents log = util::RecordLog::read(
+      log_path, {count, journal.get_u64(keys::kHourLogChain)});
+  const std::string_view payloads = log.payloads;
+  hours.reserve(count);
+  for (std::size_t i = 0; i < count; ++i)
+    hours.push_back(decode_record(
+        payloads.substr(i * log.record_bytes, log.record_bytes)));
 }
 
 }  // namespace
@@ -310,206 +631,50 @@ bool checkpoint_exists(const std::string& path) noexcept {
 }
 
 void save_checkpoint(const std::string& path, const CheckpointState& state) {
-  util::Journal journal(keys::kCheckpointMagic, keys::kCheckpointVersion);
-  journal.set_u64(keys::kConfigDigest, state.config_digest);
-  journal.set_u64(keys::kStrategy, static_cast<std::uint64_t>(state.strategy));
-  journal.set_size(keys::kNextHour, state.next_hour);
-  journal.set_double_bits(keys::kSpent, state.spent);
-  journal.set_size(keys::kCrashesFired, state.crashes_fired);
-  journal.set_size(keys::kStormsFired, state.storms_fired);
-  journal.set_size(keys::kCorruptionsFired, state.corruptions_fired);
-  for (std::size_t i = 0; i < state.feed.rng.size(); ++i)
-    journal.set_u64(keys::feed_rng(i), state.feed.rng[i]);
-  journal.set_size(keys::kFeedRecoveredUntil, state.feed.recovered_until);
-
-  const MarketCoupler::State& cp = state.coupler;
-  journal.set_u64(keys::kCouplerBreakerState, cp.breaker_state);
-  journal.set_size(keys::kCouplerConsecTroubled, cp.consecutive_troubled);
-  journal.set_size(keys::kCouplerCooldown, cp.cooldown_remaining);
-  journal.set_size(keys::kCouplerCurrentCooldown, cp.current_cooldown_hours);
-  journal.set_size(keys::kCouplerTrips, cp.trips);
-  journal.set_size(keys::kCouplerRung, cp.rung);
-  journal.set_size(keys::kCouplerCleanStreak, cp.clean_streak);
-  journal.set_u64(keys::kCouplerLastValid, cp.last_valid ? 1 : 0);
-  {
-    std::ostringstream active;
-    for (std::size_t i = 0; i < cp.last_active.size(); ++i) {
-      if (i) active << ' ';
-      active << static_cast<unsigned>(cp.last_active[i]);
-    }
-    journal.set(keys::kCouplerLastActive, active.str());
-  }
-  {
-    std::ostringstream power;
-    for (double v : cp.last_power_mw) put_d(power, v);
-    journal.set(keys::kCouplerLastPower, power.str());
-  }
-
-  const MonthlyResult& r = state.partial;
-  journal.set_double_bits(keys::kMonthlyBudget, r.monthly_budget);
-  journal.set_double_bits(keys::kTotalCost, r.total_cost);
-  journal.set_double_bits(keys::kTotalPremiumArrivals, r.total_premium_arrivals);
-  journal.set_double_bits(keys::kTotalOrdinaryArrivals,
-                          r.total_ordinary_arrivals);
-  journal.set_double_bits(keys::kTotalServedPremium, r.total_served_premium);
-  journal.set_double_bits(keys::kTotalServedOrdinary, r.total_served_ordinary);
-  journal.set_double_bits(keys::kMaxSolveMs, r.max_solve_ms);
-  journal.set_size(keys::kDegradedHours, r.degraded_hours);
-  journal.set_size(keys::kIncumbentHours, r.incumbent_hours);
-  journal.set_size(keys::kHeuristicHours, r.heuristic_hours);
-  journal.set_size(keys::kOutageHours, r.outage_hours);
-  journal.set_size(keys::kStaleHours, r.stale_hours);
-  journal.set_size(keys::kFeedRetryAttempts, r.feed_retry_attempts);
-  journal.set_size(keys::kFeedRecoveredHours, r.feed_recovered_hours);
-  journal.set_size(keys::kCrashRecoveries, r.crash_recoveries);
-  journal.set_size(keys::kClosedLoopHours, r.closed_loop_hours);
-  journal.set_size(keys::kCouplerFallbackHours, r.coupler_fallback_hours);
-  journal.set_size(keys::kCouplerIterations, r.coupler_iterations);
-  {
-    std::ostringstream tally;
-    for (std::size_t i = 0; i < r.failure_tally.size(); ++i) {
-      if (i) tally << ' ';
-      tally << r.failure_tally[i];
-    }
-    journal.set(keys::kFailureTally, tally.str());
-  }
-  journal.set_size(keys::kDegradedChunks, r.degraded_chunks);
-  journal.set_size(keys::kQuarantinedChunks, r.quarantined_chunks);
-  journal.set_size(keys::kRegionDownChunks, r.region_down_chunks);
-  {
-    std::ostringstream tally;
-    for (std::size_t i = 0; i < r.chunk_failure_tally.size(); ++i) {
-      if (i) tally << ' ';
-      tally << r.chunk_failure_tally[i];
-    }
-    journal.set(keys::kChunkFailureTally, tally.str());
-  }
-
-  journal.set_size(keys::kHours, r.hours.size());
-  for (std::size_t i = 0; i < r.hours.size(); ++i)
-    journal.set(keys::hour(i), encode_hour(r.hours[i]));
-
+  util::Journal journal = encode_head(state, keys::kCheckpointInlineVersion);
+  const std::vector<HourRecord>& hours = state.partial.hours;
+  journal.set_size(keys::kHours, hours.size());
+  for (std::size_t i = 0; i < hours.size(); ++i)
+    journal.set(keys::hour(i), encode_hour(hours[i]));
   journal.save_atomic(path);
 }
 
 CheckpointState load_checkpoint(const std::string& path) {
-  const util::Journal journal = util::Journal::load(
-      path, keys::kCheckpointMagic, keys::kCheckpointVersion);
-
-  CheckpointState state;
-  state.config_digest = journal.get_u64(keys::kConfigDigest);
-  state.strategy = static_cast<Strategy>(journal.get_u64(keys::kStrategy));
-  state.next_hour = journal.get_size(keys::kNextHour);
-  state.spent = journal.get_double_bits(keys::kSpent);
-  state.crashes_fired = journal.get_size(keys::kCrashesFired);
-  // Written since the rotated-generations format; absent in checkpoints
-  // from before that, which simply had no storms/corruptions to count.
-  state.storms_fired =
-      journal.has(keys::kStormsFired) ? journal.get_size(keys::kStormsFired) : 0;
-  state.corruptions_fired = journal.has(keys::kCorruptionsFired)
-                                ? journal.get_size(keys::kCorruptionsFired)
-                                : 0;
-  for (std::size_t i = 0; i < state.feed.rng.size(); ++i)
-    state.feed.rng[i] = journal.get_u64(keys::feed_rng(i));
-  state.feed.recovered_until = journal.get_size(keys::kFeedRecoveredUntil);
-
-  // Coupler trajectory: absent in pre-coupler checkpoints, which simply
-  // had no coupler state to carry — a fresh (default) coupler is correct.
-  if (journal.has(keys::kCouplerBreakerState)) {
-    MarketCoupler::State& cp = state.coupler;
-    cp.breaker_state = journal.get_u64(keys::kCouplerBreakerState);
-    cp.consecutive_troubled = journal.get_size(keys::kCouplerConsecTroubled);
-    cp.cooldown_remaining = journal.get_size(keys::kCouplerCooldown);
-    cp.current_cooldown_hours =
-        journal.get_size(keys::kCouplerCurrentCooldown);
-    cp.trips = journal.get_size(keys::kCouplerTrips);
-    cp.rung = journal.get_size(keys::kCouplerRung);
-    cp.clean_streak = journal.get_size(keys::kCouplerCleanStreak);
-    cp.last_valid = journal.get_u64(keys::kCouplerLastValid) != 0;
-    {
-      std::istringstream active(journal.get(keys::kCouplerLastActive));
-      unsigned v = 0;
-      while (active >> v) cp.last_active.push_back(v != 0 ? 1 : 0);
-    }
-    {
-      std::istringstream power(journal.get(keys::kCouplerLastPower));
-      while (power >> std::ws, power.peek() != std::istringstream::traits_type::eof()) {
-        cp.last_power_mw.push_back(take_d(power));
-      }
-    }
-  }
-
-  MonthlyResult& r = state.partial;
-  r.strategy = state.strategy;
-  r.monthly_budget = journal.get_double_bits(keys::kMonthlyBudget);
-  r.total_cost = journal.get_double_bits(keys::kTotalCost);
-  r.total_premium_arrivals = journal.get_double_bits(keys::kTotalPremiumArrivals);
-  r.total_ordinary_arrivals =
-      journal.get_double_bits(keys::kTotalOrdinaryArrivals);
-  r.total_served_premium = journal.get_double_bits(keys::kTotalServedPremium);
-  r.total_served_ordinary = journal.get_double_bits(keys::kTotalServedOrdinary);
-  r.max_solve_ms = journal.get_double_bits(keys::kMaxSolveMs);
-  r.degraded_hours = journal.get_size(keys::kDegradedHours);
-  r.incumbent_hours = journal.get_size(keys::kIncumbentHours);
-  r.heuristic_hours = journal.get_size(keys::kHeuristicHours);
-  r.outage_hours = journal.get_size(keys::kOutageHours);
-  r.stale_hours = journal.get_size(keys::kStaleHours);
-  r.feed_retry_attempts = journal.get_size(keys::kFeedRetryAttempts);
-  r.feed_recovered_hours = journal.get_size(keys::kFeedRecoveredHours);
-  r.crash_recoveries = journal.get_size(keys::kCrashRecoveries);
-  // Coupler aggregates: absent before the closed-loop format, zero then.
-  r.closed_loop_hours = journal.has(keys::kClosedLoopHours)
-                            ? journal.get_size(keys::kClosedLoopHours)
-                            : 0;
-  r.coupler_fallback_hours =
-      journal.has(keys::kCouplerFallbackHours)
-          ? journal.get_size(keys::kCouplerFallbackHours)
-          : 0;
-  r.coupler_iterations = journal.has(keys::kCouplerIterations)
-                             ? journal.get_size(keys::kCouplerIterations)
-                             : 0;
-  {
-    // Tolerant of shorter tallies: a checkpoint written before a
-    // FailureReason was added carries fewer entries, and the reasons it
-    // predates necessarily tallied zero (the array is zero-initialized).
-    std::istringstream tally(journal.get(keys::kFailureTally));
-    for (std::size_t i = 0; i < r.failure_tally.size(); ++i)
-      if (!(tally >> r.failure_tally[i])) break;
-  }
-  // Written since the fleet-controller format; absent means a pre-fleet
-  // checkpoint whose month had no chunk solves to count.
-  r.degraded_chunks = journal.has(keys::kDegradedChunks)
-                          ? journal.get_size(keys::kDegradedChunks)
-                          : 0;
-  r.quarantined_chunks = journal.has(keys::kQuarantinedChunks)
-                             ? journal.get_size(keys::kQuarantinedChunks)
-                             : 0;
-  r.region_down_chunks = journal.has(keys::kRegionDownChunks)
-                             ? journal.get_size(keys::kRegionDownChunks)
-                             : 0;
-  if (journal.has(keys::kChunkFailureTally)) {
-    // Same shorter-tally tolerance as failure_tally above.
-    std::istringstream tally(journal.get(keys::kChunkFailureTally));
-    for (std::size_t i = 0; i < r.chunk_failure_tally.size(); ++i)
-      if (!(tally >> r.chunk_failure_tally[i])) break;
-  }
-
-  const std::size_t hours = journal.get_size(keys::kHours);
-  if (hours != state.next_hour)
-    throw std::runtime_error(
-        "checkpoint: hour count does not match next_hour (inconsistent "
-        "file)");
-  r.hours.reserve(hours);
-  for (std::size_t i = 0; i < hours; ++i)
-    r.hours.push_back(decode_hour(journal.get(keys::hour(i))));
+  const util::Journal journal = load_head_journal(path);
+  CheckpointState state = decode_head(journal);
+  load_hours(journal, path, state);
   return state;
 }
+
+CheckpointState load_checkpoint_head(const std::string& path) {
+  return decode_head(load_head_journal(path));
+}
+
+std::string hour_log_path(const std::string& path) { return path + ".hours"; }
 
 void save_checkpoint_rotated(const std::string& path,
                              const CheckpointState& state,
                              std::size_t keep_generations) {
+  const std::vector<HourRecord>& hours = state.partial.hours;
+  if (state.logged_hours > hours.size())
+    throw std::invalid_argument(
+        "save_checkpoint_rotated: logged_hours exceeds the hours held");
+  std::vector<std::string> fresh;
+  fresh.reserve(hours.size() - state.logged_hours);
+  for (std::size_t i = state.logged_hours; i < hours.size(); ++i)
+    fresh.push_back(encode_record(hours[i]));
+  // The log is durable before any head names its new records: a kill in
+  // between leaves a tail no head covers, which the next commit truncates.
+  const std::string log_path = hour_log_path(path);
+  const util::RecordLog::Prefix prefix = util::RecordLog::append(
+      log_path, state.config_digest, state.logged_hours, fresh);
+
   util::Journal::rotate_generations(path, keep_generations);
-  save_checkpoint(path, state);
+  util::Journal head = encode_head(state, keys::kCheckpointVersion);
+  head.set_size(keys::kHours, prefix.count);
+  head.set(keys::kHourLog, log_path.substr(log_path.find_last_of('/') + 1));
+  head.set_u64(keys::kHourLogChain, prefix.chain);
+  head.save_atomic(path);
 }
 
 bool any_checkpoint_generation_exists(const std::string& path,
@@ -532,13 +697,15 @@ CheckpointLoadReport load_checkpoint_fallback(const std::string& path,
       continue;
     }
     try {
-      CheckpointState state = load_checkpoint(gen_path);
+      const util::Journal journal = load_head_journal(gen_path);
+      CheckpointState state = decode_head(journal);
       if (state.config_digest != expected_digest) {
         report.skipped.push_back(gen_path +
                                  ": config digest mismatch (checkpoint from a "
                                  "different configuration)");
         continue;
       }
+      load_hours(journal, gen_path, state);
       report.state = std::move(state);
       report.generation = g;
       return report;

@@ -15,6 +15,11 @@ namespace billcap::core {
 /// every committed HourRecord), the market-feed client's stream state, and
 /// the crash-plan cursor. Doubles are persisted bitwise, so a resumed
 /// month finishes with a result bit-identical to the uninterrupted run.
+///
+/// On disk the hourly commit splits it in two (format v2): a small head
+/// journal with everything but the HourRecords, and an append-only hour
+/// log beside it (hour_log_path) that gains one fixed-width record per
+/// committed hour. The head names the log prefix it covers.
 struct CheckpointState {
   /// Digest of the (config, strategy) pair that wrote the checkpoint;
   /// loading under a different configuration is refused rather than
@@ -35,6 +40,10 @@ struct CheckpointState {
   /// when loading pre-coupler checkpoint files.
   MarketCoupler::State coupler;
   MonthlyResult partial;          ///< committed hours + aggregates
+  /// HourRecords already durable in the hour log: 0 on a fresh start, the
+  /// head's count after a load. A commit appends only the records past it,
+  /// so its owner advances it to partial.hours.size() after each commit.
+  std::size_t logged_hours = 0;
 };
 
 /// Digest of the simulation configuration fields that determine a month's
@@ -46,20 +55,39 @@ std::uint64_t checkpoint_digest(const SimulationConfig& config,
 /// True if a checkpoint file exists at `path` (it may still fail to load).
 bool checkpoint_exists(const std::string& path) noexcept;
 
-/// Atomically persists `state` (write-temp-then-rename): a kill at any
-/// instant leaves either the previous checkpoint or this one, never a torn
-/// file. Throws std::runtime_error on I/O failure.
+/// Atomically persists `state` as one self-contained file with every
+/// HourRecord inline (format v1, write-temp-then-rename): a kill at any
+/// instant leaves either the previous file or this one, never a torn mix.
+/// It re-encodes the whole month, so the hourly loop commits through
+/// save_checkpoint_rotated instead. Throws std::runtime_error on I/O
+/// failure.
 void save_checkpoint(const std::string& path, const CheckpointState& state);
 
-/// Loads and verifies a checkpoint. Throws std::runtime_error when the
-/// file is missing, truncated, corrupted (checksum mismatch), from an
-/// unsupported format version, or structurally inconsistent.
+/// Loads and verifies a checkpoint of either format: a v1 file with its
+/// hours inline, or a v2 head plus the log prefix it names. Throws
+/// std::runtime_error when the head or the log is missing, truncated,
+/// corrupted (checksum mismatch), from an unsupported format version, or
+/// structurally inconsistent.
 CheckpointState load_checkpoint(const std::string& path);
 
-/// Like save_checkpoint, but first shifts the existing generation chain
-/// down one slot (`path` -> "<path>.1" -> ... -> "<path>.<K-1>", oldest
-/// dropped) so the last `keep_generations` checkpoints survive on disk.
-/// keep_generations <= 1 degenerates to plain save_checkpoint.
+/// Loads and verifies only the head at `path`: every field but
+/// partial.hours, which stays empty; the hour log is not opened. O(1) in
+/// the month's length for a v2 head. Throws like load_checkpoint.
+CheckpointState load_checkpoint_head(const std::string& path);
+
+/// The append-only hour log beside the checkpoint at `path`
+/// ("<path>.hours"; never a Journal::generation_path of it).
+std::string hour_log_path(const std::string& path);
+
+/// The hourly commit (format v2). Appends the HourRecords past
+/// state.logged_hours to hour_log_path(path), after truncating the log to
+/// that many records, and fsyncs it; then shifts the head generations down
+/// one slot (`path` -> "<path>.1" -> ... -> "<path>.<K-1>", oldest
+/// dropped) so the last `keep_generations` heads survive, and atomically
+/// writes the new head naming the log prefix it covers. Writes O(1) bytes
+/// per committed hour; with no new records (a re-save of the same hours)
+/// only the head is written. Throws std::runtime_error on I/O failure and
+/// std::invalid_argument when state.logged_hours exceeds the hours held.
 void save_checkpoint_rotated(const std::string& path,
                              const CheckpointState& state,
                              std::size_t keep_generations);
@@ -81,7 +109,8 @@ bool any_checkpoint_generation_exists(const std::string& path,
 
 /// Scans generations newest-first and returns the first one that loads
 /// cleanly AND matches `expected_digest`; corrupted, truncated, missing or
-/// digest-mismatched generations are recorded in `skipped` and passed
+/// digest-mismatched generations — and those naming a log prefix the hour
+/// log no longer holds intact — are recorded in `skipped` and passed
 /// over. Each generation the scan falls back costs at most the hours
 /// between the two saves (one simulated hour for a per-hour checkpointer).
 /// Throws std::runtime_error when no viable generation exists.

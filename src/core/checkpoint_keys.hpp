@@ -11,9 +11,16 @@ namespace billcap::core::keys {
 /// a field silently vanish on resume — billcap-lint rule BL011
 /// (journal-key) rejects raw string keys at Journal call sites.
 
-/// On-disk format identity of the checkpoint journal.
+/// On-disk format identity of the checkpoint journal. Version 1 carries
+/// every committed HourRecord inline (kHours plus one hour() key each);
+/// version 2 is a head that names a prefix of the append-only hour log
+/// (kHours records ending on kHourLogChain in file kHourLog) instead. The
+/// loader tells them apart by kHourLog, so both load under the newest
+/// version number.
 inline constexpr const char* kCheckpointMagic = "billcap-checkpoint";
-inline constexpr int kCheckpointVersion = 1;
+inline constexpr int kCheckpointVersion = 2;
+/// What save_checkpoint's self-contained single file is stamped with.
+inline constexpr int kCheckpointInlineVersion = 1;
 
 // ---- run identity and crash cursor ----------------------------------------
 inline constexpr const char* kConfigDigest = "config_digest";
@@ -71,6 +78,10 @@ inline constexpr const char* kQuarantinedChunks = "quarantined_chunks";
 inline constexpr const char* kRegionDownChunks = "region_down_chunks";
 inline constexpr const char* kChunkFailureTally = "chunk_failure_tally";
 inline constexpr const char* kHours = "hours";
+// Format v2 only: the hour log's file name (beside the head) and the chain
+// value that ends the kHours-record prefix this head covers.
+inline constexpr const char* kHourLog = "hour_log";
+inline constexpr const char* kHourLogChain = "hour_log_chain";
 
 // ---- serve-mode checkpoint -------------------------------------------------
 // The serving daemon journals tick-granular state under its own magic so a

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <cstdio>
 #include <fstream>
 #include <stdexcept>
 
@@ -588,6 +589,9 @@ Simulator::ResumableOutcome Simulator::run_resumable(
     st.strategy = strategy;
     st.partial.strategy = strategy;
     st.partial.monthly_budget = config_.monthly_budget;
+    // A fresh month owns the path: no head it writes names an older run's
+    // hour log, so that log is dropped rather than left to be truncated.
+    std::remove(hour_log_path(checkpoint_path).c_str());
   }
 
   const BillCapper capper(sites_, policies_, config_.optimizer);
@@ -638,8 +642,9 @@ Simulator::ResumableOutcome Simulator::run_resumable(
   // Injected crashes and exit storms model defects in the primary decide
   // path; the degraded standby bypasses that path, so they do not fire.
   const bool standby = config_.standby;
-  const auto save = [&](const CheckpointState& s) {
+  const auto save = [&](CheckpointState& s) {
     save_checkpoint_rotated(checkpoint_path, s, gens);
+    s.logged_hours = s.partial.hours.size();
   };
 
   out.resumed_from = st.next_hour;

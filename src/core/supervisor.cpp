@@ -239,7 +239,9 @@ std::size_t probe_checkpoint_hour(const std::string& checkpoint_path,
     const std::string path =
         util::Journal::generation_path(checkpoint_path, g);
     try {
-      return load_checkpoint(path).next_hour;
+      // The head alone: the probe runs between every restart and must not
+      // read (or need) the month's hour log.
+      return load_checkpoint_head(path).next_hour;
       // A noexcept probe by contract: the child that wrote a bad file
       // already tagged its own FailureReason, so swallowing here is safe.
       // billcap-lint: allow(catch-all): fall back to the serve probe

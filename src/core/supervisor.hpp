@@ -105,7 +105,8 @@ struct ChildSpec {
 int run_child(const ChildSpec& spec);
 
 /// Best-effort progress probe: next_hour of the newest checkpoint
-/// generation that loads cleanly, or 0 when none does. Serve-daemon
+/// generation whose head loads cleanly, or 0 when none does. It reads
+/// heads only, never the hour log, so it costs the same at any hour. Serve-daemon
 /// checkpoints are probed too (next_tick); the restart policy only
 /// compares deltas, so any monotone progress counter serves.
 std::size_t probe_checkpoint_hour(const std::string& checkpoint_path,

@@ -47,6 +47,23 @@ std::uint64_t parse_hex_u64(std::string_view text) {
 
 }  // namespace
 
+void fsync_parent_directory(const std::string& path) noexcept {
+#if defined(__unix__) || defined(__APPLE__)
+  const std::size_t slash = path.find_last_of('/');
+  const std::string dir = slash == std::string::npos ? std::string(".")
+                                                     : path.substr(0, slash);
+  const int dfd = ::open(dir.c_str(), O_RDONLY);
+  if (dfd >= 0) {
+    // Some filesystems refuse fsync on a directory handle (EINVAL); that
+    // is a property of the mount, not an I/O error worth aborting for.
+    ::fsync(dfd);
+    ::close(dfd);
+  }
+#else
+  (void)path;
+#endif
+}
+
 Journal::Journal(std::string magic, int version)
     : magic_(std::move(magic)), version_(version) {
   if (magic_.empty() || magic_.find_first_of(" \n") != std::string::npos)
@@ -229,16 +246,7 @@ void Journal::save_atomic(const std::string& path) const {
   if (std::rename(tmp.c_str(), path.c_str()) != 0)
     throw std::runtime_error("Journal: rename " + tmp + " -> " + path +
                              " failed");
-  const std::size_t slash = path.find_last_of('/');
-  const std::string dir = slash == std::string::npos ? std::string(".")
-                                                     : path.substr(0, slash);
-  const int dfd = ::open(dir.c_str(), O_RDONLY);
-  if (dfd >= 0) {
-    // Some filesystems refuse fsync on a directory handle (EINVAL); that
-    // is a property of the mount, not an I/O error worth aborting for.
-    ::fsync(dfd);
-    ::close(dfd);
-  }
+  fsync_parent_directory(path);
 #else
   {
     // This IS the atomic path — the non-POSIX half of save_atomic writes

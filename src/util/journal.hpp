@@ -7,6 +7,11 @@
 
 namespace billcap::util {
 
+/// fsyncs the directory holding `path`, so a file created or renamed there
+/// survives power loss, not just process death. Best effort: a mount that
+/// refuses a directory fsync is not an error. No-op off POSIX.
+void fsync_parent_directory(const std::string& path) noexcept;
+
 /// A small versioned key/value journal for durable state (checkpoints).
 /// The on-disk form is line-oriented text:
 ///

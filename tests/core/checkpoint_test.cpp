@@ -10,6 +10,7 @@
 #include "core/checkpoint_keys.hpp"
 #include "core/simulator.hpp"
 #include "util/journal.hpp"
+#include "util/rng.hpp"
 
 namespace billcap::core {
 namespace {
@@ -515,6 +516,229 @@ TEST(CheckpointTest, HourCountInconsistencyIsRejected) {
       },
       std::runtime_error);
   std::remove(path.c_str());
+}
+
+// ---- format v2: head + append-only hour log --------------------------------
+
+/// Adds one fully populated hour to `st` (three sites, every double off its
+/// default), so log records carry real payloads.
+void add_full_hour(CheckpointState& st) {
+  HourRecord rec = st.partial.hours.back();
+  rec.hour = st.next_hour++;
+  rec.cost = 1000.0 + static_cast<double>(rec.hour) / 7.0;
+  const double h = static_cast<double>(rec.hour);
+  rec.site_lambda = {1.5 * h, 2.0 + h, 3.0 / (1.0 + h)};
+  st.spent += rec.cost;
+  st.partial.total_cost = st.spent;
+  st.partial.hours.push_back(rec);
+}
+
+/// The simulator's hourly commit: a rotated save, then logged_hours moves
+/// up to the hours now durable.
+void commit(const std::string& path, CheckpointState& st, std::size_t gens) {
+  save_checkpoint_rotated(path, st, gens);
+  st.logged_hours = st.partial.hours.size();
+}
+
+void remove_checkpoint(const std::string& path, std::size_t gens) {
+  remove_generations(path, gens);
+  std::remove(hour_log_path(path).c_str());
+}
+
+std::string read_bytes(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  return std::string(std::istreambuf_iterator<char>(in),
+                     std::istreambuf_iterator<char>{});
+}
+
+void write_bytes(const std::string& path, const std::string& bytes) {
+  std::ofstream out(path, std::ios::binary | std::ios::trunc);
+  out << bytes;
+}
+
+TEST(CheckpointTest, RotatedCommitRoundTripsThroughTheHourLog) {
+  const std::string path = temp_path("billcap_checkpoint_v2.j");
+  remove_checkpoint(path, 3);
+  CheckpointState st = coupler_sample_state();
+  commit(path, st, 3);
+  add_full_hour(st);
+  commit(path, st, 3);
+
+  const util::Journal head = util::Journal::load(
+      path, keys::kCheckpointMagic, keys::kCheckpointVersion);
+  EXPECT_EQ(head.version(), keys::kCheckpointVersion);
+  EXPECT_TRUE(head.has(keys::kHourLog));
+  EXPECT_FALSE(head.has(keys::hour(0))) << "v2 heads carry no hour inline";
+  const CheckpointState back = load_checkpoint(path);
+  expect_states_bitwise_equal(st, back);
+  EXPECT_EQ(back.logged_hours, st.partial.hours.size());
+
+  const CheckpointState only_head = load_checkpoint_head(path);
+  EXPECT_EQ(only_head.next_hour, st.next_hour);
+  EXPECT_TRUE(only_head.partial.hours.empty());
+  remove_checkpoint(path, 3);
+}
+
+TEST(CheckpointTest, FlippedLogByteSkipsEveryGenerationNamingIt) {
+  const std::string path = temp_path("billcap_checkpoint_logrot.j");
+  const std::string log = hour_log_path(path);
+  remove_checkpoint(path, 3);
+  CheckpointState st = sample_state();
+  std::vector<std::uintmax_t> sizes;  // log size after each commit
+  for (int i = 0; i < 4; ++i) {
+    add_full_hour(st);
+    commit(path, st, 3);
+    sizes.push_back(std::filesystem::file_size(log));
+  }
+  // Generations 0..2 name 6, 5 and 4 records.
+  const std::uintmax_t stride = sizes[1] - sizes[0];
+  const std::uintmax_t header = sizes[0] - 3 * stride;
+  const auto flip_inside = [&](std::size_t record) {
+    std::string bytes = read_bytes(log);
+    bytes[header + record * stride + stride / 2] ^= 0x5a;
+    write_bytes(log, bytes);
+  };
+
+  // Record 4 rots: generations naming 5 or 6 records are skipped, each
+  // with a reason naming the log; generation 2 (4 records) still loads.
+  flip_inside(4);
+  const CheckpointLoadReport report =
+      load_checkpoint_fallback(path, 3, st.config_digest);
+  EXPECT_EQ(report.generation, 2u);
+  EXPECT_EQ(report.state.next_hour, 4u);
+  ASSERT_EQ(report.skipped.size(), 2u);
+  for (const std::string& reason : report.skipped)
+    EXPECT_NE(reason.find(log), std::string::npos) << reason;
+
+  // Record 0 rots: no generation is viable, and the resume is refused
+  // rather than silently shortened.
+  flip_inside(0);
+  try {
+    load_checkpoint_fallback(path, 3, st.config_digest);
+    FAIL() << "expected std::runtime_error";
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find(log), std::string::npos) << e.what();
+  }
+  remove_checkpoint(path, 3);
+}
+
+TEST(CheckpointTest, HeadIsRejectedWithAForeignOrRewrittenLog) {
+  const std::string path = temp_path("billcap_checkpoint_foreign.j");
+  const std::string log = hour_log_path(path);
+  remove_checkpoint(path, 1);
+  CheckpointState a = sample_state();
+  for (int i = 0; i < 3; ++i) {
+    add_full_hour(a);
+    commit(path, a, 1);
+  }
+  const std::string a_head = read_bytes(path);
+  const std::string a_log = read_bytes(log);
+
+  // Another run (another digest, other records) starts fresh at the path.
+  CheckpointState b = sample_state();
+  b.config_digest ^= 0xff;
+  b.partial.hours[0].cost += 1.0;
+  std::remove(log.c_str());
+  for (int i = 0; i < 3; ++i) {
+    add_full_hour(b);
+    commit(path, b, 1);
+  }
+  expect_states_bitwise_equal(b, load_checkpoint(path));
+
+  // b's head paired with a's log.
+  write_bytes(log, a_log);
+  EXPECT_THROW(load_checkpoint(path), std::runtime_error);
+  EXPECT_THROW(load_checkpoint_fallback(path, 1, b.config_digest),
+               std::runtime_error);
+
+  // a's own head, but its log rewritten from hour 0 with a different
+  // first record: the prefix checksum the head names no longer matches.
+  CheckpointState rewritten = a;
+  rewritten.partial.hours[0].served_ordinary += 1.0;
+  rewritten.logged_hours = 0;
+  commit(path, rewritten, 1);
+  write_bytes(path, a_head);
+  EXPECT_THROW(load_checkpoint(path), std::runtime_error);
+  EXPECT_THROW(load_checkpoint_fallback(path, 1, a.config_digest),
+               std::runtime_error);
+
+  // Restoring a's log restores the pair.
+  write_bytes(log, a_log);
+  expect_states_bitwise_equal(a, load_checkpoint(path));
+  remove_checkpoint(path, 1);
+}
+
+TEST(CheckpointTest, MutatedHeadOrLogLoadsACommittedStateOrThrows) {
+  // A seeded corpus of damaged checkpoints: byte flips, truncations and
+  // appended garbage on the two newest heads and on the hour log. Every
+  // load must either return a state equal to one that was committed, or
+  // throw std::runtime_error; any other exception escapes and fails.
+  const std::string path = temp_path("billcap_checkpoint_mutants.j");
+  const std::string log = hour_log_path(path);
+  remove_checkpoint(path, 2);
+  CheckpointState st = coupler_sample_state();
+  std::vector<CheckpointState> committed;  // indexed by next_hour - 3
+  for (int i = 0; i < 12; ++i) {
+    add_full_hour(st);
+    commit(path, st, 2);
+    committed.push_back(st);
+  }
+  const std::string files[] = {path, util::Journal::generation_path(path, 1),
+                               log};
+  const std::string pristine[] = {read_bytes(files[0]), read_bytes(files[1]),
+                                  read_bytes(files[2])};
+
+  util::Rng rng(2012);
+  std::size_t loaded = 0;
+  std::size_t refused = 0;
+  for (int mutant = 0; mutant < 300; ++mutant) {
+    for (int f = 0; f < 3; ++f) write_bytes(files[f], pristine[f]);
+    const std::size_t target = rng.below(3);
+    std::string bytes = pristine[target];
+    const std::uint64_t kind = rng.below(3);
+    std::string what;
+    if (kind == 0) {
+      const std::uint64_t flips = 1 + rng.below(3);
+      for (std::uint64_t k = 0; k < flips; ++k) {
+        const std::size_t at = rng.below(bytes.size());
+        bytes[at] = static_cast<char>(bytes[at] ^ (1 + rng.below(255)));
+        what += " flip@" + std::to_string(at);
+      }
+    } else if (kind == 1) {
+      bytes.resize(rng.below(bytes.size()));
+      what = " truncate to " + std::to_string(bytes.size());
+    } else {
+      const std::uint64_t extra = 1 + rng.below(64);
+      for (std::uint64_t k = 0; k < extra; ++k)
+        bytes.push_back(static_cast<char>(rng.below(256)));
+      what = " append " + std::to_string(extra);
+    }
+    write_bytes(files[target], bytes);
+    SCOPED_TRACE("mutant " + std::to_string(mutant) + " of " +
+                 files[target] + ":" + what);
+
+    const auto check = [&](const CheckpointState& got) {
+      ++loaded;
+      ASSERT_GE(got.next_hour, 3u);
+      ASSERT_LT(got.next_hour - 3, committed.size());
+      expect_states_bitwise_equal(committed[got.next_hour - 3], got);
+    };
+    try {
+      check(load_checkpoint(path));
+    } catch (const std::runtime_error&) {
+      ++refused;
+    }
+    try {
+      check(load_checkpoint_fallback(path, 2, st.config_digest).state);
+    } catch (const std::runtime_error&) {
+      ++refused;
+    }
+  }
+  // Both outcomes occur: appended garbage past the named prefix loads, a
+  // flipped head or a cut log is refused.
+  EXPECT_GT(loaded, 0u);
+  EXPECT_GT(refused, 0u);
+  remove_checkpoint(path, 2);
 }
 
 }  // namespace

@@ -393,6 +393,28 @@ TEST(SupervisorTest, ProbeFallsBackPastCorruptedGenerations) {
     std::remove(util::Journal::generation_path(path, g).c_str());
 }
 
+TEST(SupervisorTest, ProbeReadsTheHeadWithoutTheHourLog) {
+  // A 700-hour v2 checkpoint whose hour log is gone: the full load fails,
+  // but the probe reads heads only and still reports the hour.
+  const std::string path = temp_path("billcap_supervisor_probe_head.j");
+  for (std::size_t g = 0; g < 3; ++g)
+    std::remove(util::Journal::generation_path(path, g).c_str());
+  CheckpointState st;
+  st.next_hour = 700;
+  for (std::size_t h = 0; h < st.next_hour; ++h) {
+    HourRecord rec;
+    rec.hour = h;
+    rec.site_lambda = {1.0, 2.0, 3.0};
+    st.partial.hours.push_back(rec);
+  }
+  save_checkpoint_rotated(path, st, 3);
+  std::remove(hour_log_path(path).c_str());
+  EXPECT_THROW(load_checkpoint(path), std::runtime_error);
+  EXPECT_EQ(probe_checkpoint_hour(path, 3), 700u);
+  for (std::size_t g = 0; g < 3; ++g)
+    std::remove(util::Journal::generation_path(path, g).c_str());
+}
+
 // ---- wall-clock independence (billcap-lint BL001 audit) -------------------
 
 // The supervisor's only wall-clock input is the injected now_s hook (see

@@ -107,6 +107,30 @@ TEST(CliFlagsTest, TickPlaneFaultsAreServeOnly) {
   EXPECT_EQ(r.code, kExitSuccess) << r.output;
 }
 
+TEST(CliFlagsTest, ControllerFaultsAreSimulateOnly) {
+  // The serve daemon never reads simulate's squeezes, controller deaths or
+  // checkpoint bit rot, so it refuses them rather than ignoring them.
+  for (const char* flag :
+       {"--squeezes 1:2:5", "--crash-at 3", "--crash-rate 0.1",
+        "--exit-storm 2:2", "--corrupt-checkpoint-at 4"}) {
+    for (const char* command : {"serve --hours 2", "supervise --serve"}) {
+      const std::string args = std::string(command) + " " + flag;
+      const Outcome r = cli(args);
+      EXPECT_EQ(r.code, kExitUsage) << args << "\n" << r.output;
+      EXPECT_NE(r.output.find("unknown flag " +
+                              std::string(flag).substr(0, std::string(flag)
+                                                              .find(' '))),
+                std::string::npos)
+          << args << "\n" << r.output;
+      EXPECT_NE(r.output.find("nearest: --"), std::string::npos)
+          << args << "\n" << r.output;
+    }
+  }
+  // simulate still takes them.
+  EXPECT_EQ(cli("simulate --squeezes 1:2:5 --crash-rate 0 --help").code,
+            kExitSuccess);
+}
+
 TEST(CliFlagsTest, SuperviseRejectsATypoWithoutForkingAChild) {
   const std::string path = temp_path("billcap_cli_flags.j");
   std::filesystem::remove(path);
@@ -126,14 +150,16 @@ TEST(CliFlagsTest, SuperviseRejectsATypoWithoutForkingAChild) {
 TEST(CliFlagsTest, HelpExits0WritesNoCsvAndListsEveryRow) {
   const std::vector<std::string> shared = {
       "budget", "no-cap", "policy", "seed", "outages", "stale", "shocks",
-      "squeezes", "crash-at", "exit-storm", "corrupt-checkpoint-at",
       "line-outage", "bg-shock", "congestion-spike", "fault-outage-rate",
       "fault-stale-rate", "fault-shock-rate", "fault-squeeze-rate",
-      "crash-rate", "fault-outage-mean", "fault-stale-mean",
+      "fault-outage-mean", "fault-stale-mean",
       "fault-shock-mean", "fault-squeeze-mean", "feed-retry-prob",
       "feed-max-retries", "feed-backoff-ms", "deadline-ms", "closed-loop",
       "coupler-max-iters", "coupler-gain", "damping", "coupler-open-plan",
       "checkpoint", "csv", "min-premium"};
+  const std::vector<std::string> controller_faults = {
+      "squeezes", "crash-at", "exit-storm", "corrupt-checkpoint-at",
+      "crash-rate"};
   const std::vector<std::string> restart = {"resume", "keep-generations",
                                             "standby", "standby-hours"};
   const std::vector<std::string> serve_only = {
@@ -155,10 +181,11 @@ TEST(CliFlagsTest, HelpExits0WritesNoCsvAndListsEveryRow) {
     std::vector<std::string> rows;
   };
   const Case cases[] = {
-      {"simulate", concat({shared, restart,
+      {"simulate", concat({shared, controller_faults, restart,
                            {"strategy", "months", "die-on-crash"}})},
       {"serve", concat({shared, restart, serve_only, {"die-on-kill"}})},
-      {"supervise", concat({supervise_own, shared, {"strategy", "months"}})},
+      {"supervise", concat({supervise_own, shared, controller_faults,
+                            {"strategy", "months"}})},
       {"supervise --serve", concat({supervise_own, shared, serve_only})},
       {"sweep", {"budgets", "policy", "seed"}},
       {"opf", {"load"}},

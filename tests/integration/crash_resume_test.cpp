@@ -15,8 +15,10 @@
 #include <filesystem>
 #include <fstream>
 #include <string>
+#include <vector>
 
 #include "core/checkpoint.hpp"
+#include "core/checkpoint_keys.hpp"
 #include "core/simulator.hpp"
 #include "util/journal.hpp"
 
@@ -479,6 +481,142 @@ TEST(CrashResumeTest, CorruptedCheckpointIsRefusedOnResume) {
   EXPECT_THROW(sim.run_resumable(Strategy::kCostCapping, path, true),
                std::runtime_error);
   std::remove(path.c_str());
+}
+
+// ---- format v2: the append-only hour log -----------------------------------
+
+std::string read_bytes(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  return std::string(std::istreambuf_iterator<char>(in),
+                     std::istreambuf_iterator<char>{});
+}
+
+void write_bytes(const std::string& path, const std::string& bytes) {
+  std::ofstream out(path, std::ios::binary | std::ios::trunc);
+  out << bytes;
+}
+
+TEST(CrashResumeTest, EachCommitAppendsOneRecordAndKeepsTheHeadSmall) {
+  // The O(1) commit: the log grows by exactly one record width per
+  // committed hour, the head does not grow with the month, and no commit
+  // rewrites a record it keeps (a byte rotted into record 5 at hour 30
+  // is still there when the month ends).
+  const Simulator sim(faulty_config());
+  const std::string path = temp_path("billcap_resume_o1.j");
+  const std::string log = hour_log_path(path);
+  std::remove(path.c_str());
+  std::vector<std::uintmax_t> log_size;  // [h]: after h commits
+  std::uintmax_t head_after_24 = 0;
+  std::uintmax_t head_after_700 = 0;
+  // The observer runs before hour h commits, so the files hold h commits.
+  const auto on_hour = [&](const HourRecord& rec) {
+    log_size.push_back(rec.hour == 0 ? 0 : std::filesystem::file_size(log));
+    if (rec.hour == 25) head_after_24 = std::filesystem::file_size(path);
+    if (rec.hour == 701) head_after_700 = std::filesystem::file_size(path);
+    if (rec.hour == 30) {
+      const std::uintmax_t width = log_size[2] - log_size[1];
+      std::string bytes = read_bytes(log);
+      bytes[log_size[1] - width + 5 * width + width / 2] ^= 0x5a;
+      write_bytes(log, bytes);
+    }
+  };
+  const Simulator::ResumableOutcome outcome =
+      sim.run_resumable(Strategy::kCostCapping, path, false, on_hour);
+  ASSERT_FALSE(outcome.crashed);
+  ASSERT_GT(log_size.size(), 701u);
+  const std::uintmax_t width = log_size[2] - log_size[1];
+  EXPECT_GT(width, 0u);
+  for (std::size_t h = 2; h < log_size.size(); ++h)
+    EXPECT_EQ(log_size[h] - log_size[h - 1], width) << "commit " << h;
+  const std::uintmax_t grew = head_after_700 > head_after_24
+                                  ? head_after_700 - head_after_24
+                                  : head_after_24 - head_after_700;
+  EXPECT_LT(grew, 64u) << head_after_24 << " -> " << head_after_700;
+  EXPECT_LE(head_after_700, 4096u);
+  EXPECT_THROW(load_checkpoint(path), std::runtime_error);
+  std::remove(path.c_str());
+  std::remove(log.c_str());
+}
+
+TEST(CrashResumeTest, KillMidLogAppendResumesBitIdentically) {
+  // A kill while hour h's record is being appended leaves the head at h
+  // records and the log cut anywhere inside record h (or past it, when
+  // the log was synced but the head never landed). Every cut resumes to
+  // the uninterrupted month.
+  const SimulationConfig config = faulty_config();
+  const MonthlyResult want = Simulator(config).run(Strategy::kCostCapping);
+  const Simulator sim(config);
+  const std::string path = temp_path("billcap_resume_torn_log.j");
+  const std::string log = hour_log_path(path);
+  std::remove(path.c_str());
+  const std::size_t h = want.hours.size() - 3;
+
+  Simulator::ResumeControls controls;
+  controls.max_hours = h;
+  ASSERT_TRUE(
+      sim.run_resumable(Strategy::kCostCapping, path, false, {}, controls)
+          .stopped);
+  const std::string head = read_bytes(path);
+  const std::size_t record_start = read_bytes(log).size();
+  controls.max_hours = 1;
+  ASSERT_TRUE(
+      sim.run_resumable(Strategy::kCostCapping, path, true, {}, controls)
+          .stopped);
+  const std::string full_log = read_bytes(log);
+  ASSERT_GT(full_log.size(), record_start);
+
+  for (std::size_t cut = record_start; cut <= full_log.size(); ++cut) {
+    write_bytes(path, head);
+    write_bytes(log, full_log.substr(0, cut));
+    const Simulator::ResumableOutcome outcome =
+        sim.run_resumable(Strategy::kCostCapping, path, true);
+    ASSERT_FALSE(outcome.crashed) << "cut at " << cut;
+    EXPECT_EQ(outcome.resumed_from, h) << "cut at " << cut;
+    expect_results_bitwise_equal(want, outcome.result);
+    // What the resumed run committed must read back, too.
+    expect_results_bitwise_equal(want, load_checkpoint(path).partial);
+    if (::testing::Test::HasFailure()) FAIL() << "cut at " << cut;
+  }
+  std::remove(path.c_str());
+  std::remove(log.c_str());
+}
+
+TEST(CrashResumeTest, V1CheckpointResumesBitIdenticallyAndContinuesAsV2) {
+  // A checkpoint from the v1 writer (every hour inline, no log) resumes
+  // to the uninterrupted month, and the resumed run commits format v2.
+  const SimulationConfig config = faulty_config();
+  const MonthlyResult want = Simulator(config).run(Strategy::kCostCapping);
+  const Simulator sim(config);
+  const std::string path = temp_path("billcap_resume_v1.j");
+  const std::string log = hour_log_path(path);
+  std::remove(path.c_str());
+
+  Simulator::ResumeControls controls;
+  controls.max_hours = 300;
+  ASSERT_TRUE(
+      sim.run_resumable(Strategy::kCostCapping, path, false, {}, controls)
+          .stopped);
+  const CheckpointState mid = load_checkpoint(path);
+  std::remove(log.c_str());
+  save_checkpoint(path, mid);
+  ASSERT_EQ(util::Journal::load(path, keys::kCheckpointMagic,
+                                keys::kCheckpointVersion)
+                .version(),
+            keys::kCheckpointInlineVersion);
+
+  const Simulator::ResumableOutcome outcome =
+      sim.run_resumable(Strategy::kCostCapping, path, true);
+  ASSERT_FALSE(outcome.crashed);
+  EXPECT_EQ(outcome.resumed_from, 300u);
+  expect_results_bitwise_equal(want, outcome.result);
+
+  const util::Journal head = util::Journal::load(
+      path, keys::kCheckpointMagic, keys::kCheckpointVersion);
+  EXPECT_EQ(head.version(), keys::kCheckpointVersion);
+  EXPECT_TRUE(head.has(keys::kHourLog));
+  expect_results_bitwise_equal(want, load_checkpoint(path).partial);
+  std::remove(path.c_str());
+  std::remove(log.c_str());
 }
 
 }  // namespace

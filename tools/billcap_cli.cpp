@@ -60,10 +60,6 @@ constexpr util::Flag kSharedFlags[] = {
     {"outages", kText, "site outages site:start:dur,..."},
     {"stale", kText, "stale price feed start:dur,..."},
     {"shocks", kText, "demand shocks site:start:dur:mult,..."},
-    {"squeezes", kText, "solver deadline squeezes start:dur:ms,..."},
-    {"crash-at", kText, "controller crashes at hours h,..."},
-    {"exit-storm", kText, "no-progress deaths hour:count,..."},
-    {"corrupt-checkpoint-at", kText, "bit rot in the newest checkpoint h,..."},
     {"line-outage", kText, "grid line outages line:start:dur,..."},
     {"bg-shock", kText, "background demand shocks bus:start:dur:mult,..."},
     {"congestion-spike", kText, "line derates line:start:dur:factor,..."},
@@ -71,7 +67,6 @@ constexpr util::Flag kSharedFlags[] = {
     {"fault-stale-rate", kNumber, "stale-feed rate", "0", kProbability},
     {"fault-shock-rate", kNumber, "demand-shock rate", "0", kProbability},
     {"fault-squeeze-rate", kNumber, "deadline-squeeze rate", "0", kProbability},
-    {"crash-rate", kNumber, "controller crash rate", "0", kProbability},
     {"fault-outage-mean", kInteger, "mean outage, hours", "6", kAtLeastOne},
     {"fault-stale-mean", kInteger, "mean stale feed, hours", "4", kAtLeastOne},
     {"fault-shock-mean", kInteger, "mean shock, hours", "3", kAtLeastOne},
@@ -88,6 +83,18 @@ constexpr util::Flag kSharedFlags[] = {
     {"checkpoint", kText, "durable checkpoint path"},
     {"csv", kText, "per-hour (serve: per-tick) CSV path"},
     {"min-premium", kNumber, "premium floor (exit 3)", "0.995", kProbability},
+};
+
+/// Faults of simulate's hourly controller: solver deadline squeezes,
+/// controller deaths and checkpoint bit rot. The serve daemon has its own
+/// deadline (--replan-deadline-ms) and deaths (--kill-at-ticks) and never
+/// reads these, so it does not take them.
+constexpr util::Flag kControllerFaultFlags[] = {
+    {"squeezes", kText, "solver deadline squeezes start:dur:ms,..."},
+    {"crash-at", kText, "controller crashes at hours h,..."},
+    {"exit-storm", kText, "no-progress deaths hour:count,..."},
+    {"corrupt-checkpoint-at", kText, "bit rot in the newest checkpoint h,..."},
+    {"crash-rate", kNumber, "controller crash rate", "0", kProbability},
 };
 
 /// Set by the supervisor on its children, so supervise does not take them.
@@ -154,9 +161,10 @@ constexpr util::Flag kOpfFlags[] = {
 /// its children itself and forwards the rest (`restart_rows` false).
 util::FlagTable child_flags(bool serve, bool restart_rows) {
   using Rows = std::span<const util::Flag>;
-  const util::FlagTable forwarded = util::join(
-      {kSharedFlags, kPolicyFlags, kSeedFlags,
-       serve ? Rows(kServeFlags) : Rows(kSimulateFlags)});
+  const util::FlagTable forwarded =
+      serve ? util::join({kSharedFlags, kPolicyFlags, kSeedFlags, kServeFlags})
+            : util::join({kSharedFlags, kControllerFaultFlags, kPolicyFlags,
+                          kSeedFlags, kSimulateFlags});
   if (!restart_rows) return forwarded;
   return util::join({forwarded, kRestartFlags,
                      serve ? Rows(kDieOnKillFlags) : Rows(kDieOnCrashFlags)});
@@ -223,21 +231,6 @@ void parse_faults(const util::CliArgs& args, core::SimulationConfig& config) {
     plan.demand_shocks.push_back(
         {whole(t[0]), whole(t[1]), whole(t[2]), t[3]});
   }
-  for (const auto& t :
-       parse_tuples(args.get_text("squeezes"), 3, "squeezes", 1)) {
-    require(t[2] > 0.0, "--squeezes: time limit must be > 0 ms");
-    plan.deadline_squeezes.push_back({whole(t[0]), whole(t[1]), t[2]});
-  }
-  for (const auto& t : parse_tuples(args.get_text("crash-at"), 1, "crash-at"))
-    plan.crashes.push_back({whole(t[0]), false});
-  for (const auto& t :
-       parse_tuples(args.get_text("exit-storm"), 2, "exit-storm")) {
-    require(t[1] >= 1.0, "--exit-storm: death count must be >= 1");
-    plan.exit_storms.push_back({whole(t[0]), whole(t[1])});
-  }
-  for (const auto& t : parse_tuples(args.get_text("corrupt-checkpoint-at"), 1,
-                                    "corrupt-checkpoint-at"))
-    plan.checkpoint_corruptions.push_back({whole(t[0])});
   // Grid-side hazards (bite the closed-loop coupler; legacy static-curve
   // months ignore them by construction since their prices are fixed).
   for (const auto& t :
@@ -262,7 +255,6 @@ void parse_faults(const util::CliArgs& args, core::SimulationConfig& config) {
   rates.stale_rate = args.get_number("fault-stale-rate");
   rates.shock_rate = args.get_number("fault-shock-rate");
   rates.squeeze_rate = args.get_number("fault-squeeze-rate");
-  rates.crash_rate = args.get_number("crash-rate");
   rates.outage_mean_hours = whole(args.get_integer("fault-outage-mean"));
   rates.stale_mean_hours = whole(args.get_integer("fault-stale-mean"));
   rates.shock_mean_hours = whole(args.get_integer("fault-shock-mean"));
@@ -277,6 +269,28 @@ void parse_faults(const util::CliArgs& args, core::SimulationConfig& config) {
   // A solver deadline for every hour of the month (absent = unlimited).
   if (args.has("deadline-ms"))
     config.optimizer.milp.time_limit_ms = args.get_number("deadline-ms");
+}
+
+/// The simulate-only fault kinds (kControllerFaultFlags).
+void parse_controller_faults(const util::CliArgs& args,
+                             core::SimulationConfig& config) {
+  core::FaultPlan& plan = config.fault_plan;
+  for (const auto& t :
+       parse_tuples(args.get_text("squeezes"), 3, "squeezes", 1)) {
+    require(t[2] > 0.0, "--squeezes: time limit must be > 0 ms");
+    plan.deadline_squeezes.push_back({whole(t[0]), whole(t[1]), t[2]});
+  }
+  for (const auto& t : parse_tuples(args.get_text("crash-at"), 1, "crash-at"))
+    plan.crashes.push_back({whole(t[0]), false});
+  for (const auto& t :
+       parse_tuples(args.get_text("exit-storm"), 2, "exit-storm")) {
+    require(t[1] >= 1.0, "--exit-storm: death count must be >= 1");
+    plan.exit_storms.push_back({whole(t[0]), whole(t[1])});
+  }
+  for (const auto& t : parse_tuples(args.get_text("corrupt-checkpoint-at"), 1,
+                                    "corrupt-checkpoint-at"))
+    plan.checkpoint_corruptions.push_back({whole(t[0])});
+  config.fault_rates.crash_rate = args.get_number("crash-rate");
 }
 
 /// The serve-only fault kinds: arrival surges and price-revision bursts
@@ -441,6 +455,7 @@ void report_resume(const std::vector<std::string>& skipped,
 
 int cmd_simulate(const util::CliArgs& args, const char* /*argv0*/) {
   core::SimulationConfig config = world_config(args);
+  parse_controller_faults(args, config);
   const RunFlags run = run_flags(args);
   config.standby = run.standby;
   const core::Strategy strategy = parse_strategy(args.get_text("strategy"));

@@ -31,8 +31,9 @@ constexpr std::array<RuleInfo, kRuleCount> kRules = {{
      "journal keys live in src/core/checkpoint_keys.hpp; a typo'd raw key "
      "silently drops state on resume"},
     {Rule::kRawWrite, "BL012", "raw-write",
-     "durable writes must go through the atomic temp+rename path "
-     "(util::Journal / util::CsvWriter)"},
+     "durable writes must go through a sanctioned writer: the atomic "
+     "temp+rename util::Journal, or the append-only util::CsvWriter and "
+     "util::RecordLog"},
     {Rule::kCatchAll, "BL020", "catch-all",
      "a swallowed exception must tag a FailureReason or rethrow; silence "
      "hides degradation"},
@@ -261,15 +262,16 @@ void check_raw_write(std::string_view code, std::vector<std::string>& hits) {
   for_each_identifier(code, [&](std::string_view tok, std::size_t pos) {
     if (tok == "ofstream") {
       hits.push_back(
-          "'ofstream' — raw file write bypasses the atomic temp+rename "
-          "path; use util::Journal::save_atomic / util::CsvWriter, or "
-          "annotate allow(raw-write)");
+          "'ofstream' — raw file write bypasses the sanctioned durable "
+          "writers; use util::Journal::save_atomic / util::CsvWriter / "
+          "util::RecordLog, or annotate allow(raw-write)");
     } else if (contains(kRawWriteCallTokens, tok) &&
                followed_by_call(code, pos + tok.size())) {
       hits.push_back("call to '" + std::string(tok) +
-                     "' — raw file write bypasses the atomic temp+rename "
-                     "path; use util::Journal::save_atomic / "
-                     "util::CsvWriter, or annotate allow(raw-write)");
+                     "' — raw file write bypasses the sanctioned durable "
+                     "writers; use util::Journal::save_atomic / "
+                     "util::CsvWriter / util::RecordLog, or annotate "
+                     "allow(raw-write)");
     }
   });
 }
