@@ -10,6 +10,7 @@
 #include "lp/milp.hpp"
 #include "lp/piecewise.hpp"
 #include "lp/simplex.hpp"
+#include "market/closed_loop.hpp"
 #include "market/dcopf.hpp"
 #include "market/pjm5.hpp"
 #include "market/pricing_policy.hpp"
@@ -73,6 +74,34 @@ void BM_DcOpfPjm5(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_DcOpfPjm5)->Arg(300)->Arg(900)->Unit(benchmark::kMicrosecond);
+
+void BM_DeriveLocalPolicies(benchmark::State& state) {
+  // One closed-loop curve re-derivation: the three paper sites on PJM5's
+  // load buses at the paper's background demand, each at half its full
+  // power, every own-draw grid running to full power. Arg 1 derates D-E
+  // to 60 %, the hazard window of the closed-loop benchmark month.
+  const market::CoupledMarket market = market::CoupledMarket::paper();
+  const std::vector<double> background = {228.0, 182.0, 172.0};
+  std::vector<double> cap, power;
+  for (const auto& site : datacenter::paper_datacenters()) {
+    cap.push_back(site.power_mw(site.max_requests_per_hour()));
+    power.push_back(0.5 * cap.back());
+  }
+  market::CoupledHourFaults faults;
+  if (state.range(0) == 1) {
+    faults.line_limit_factor.assign(
+        static_cast<std::size_t>(market.grid().num_lines()), 1.0);
+    faults.line_limit_factor[5] = 0.6;
+  }
+  const market::ClosedLoopOptions options;
+  for (auto _ : state) {
+    const auto curves = market.derive_local_policies(
+        power, background, background, cap, options, &faults);
+    benchmark::DoNotOptimize(curves.data());
+  }
+}
+BENCHMARK(BM_DeriveLocalPolicies)->Arg(0)->Arg(1)
+    ->Unit(benchmark::kMicrosecond);
 
 void BM_ServerSizing(benchmark::State& state) {
   const queueing::GgmParams params{1.8e6, 1.0, 1.0};

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <chrono>
 #include <cmath>
+#include <stdexcept>
 #include <utility>
 #include <vector>
 
@@ -560,47 +561,52 @@ struct ArenaSolver::Impl {
       }
       if (r < 0) return SolveStatus::kOptimal;
       if (++local > budget) return SolveStatus::kIterationLimit;
-
-      // Entering column: exact minimum of rc_j / -a_rj over eligible
-      // columns, smallest index inside the epsilon window (same anchored
-      // tie-break as the primal ratio test). Only numerically solid pivots
-      // (|a| >= kStablePivot) are eligible; kInfeasible is certified only
-      // when the row has no negative entry at all.
-      double min_ratio = kInfinity;
-      bool any_negative = false;
-      for (int j = 0; j < n_total; ++j) {
-        if (is_artificial[static_cast<std::size_t>(j)]) continue;
-        const double a = at(r, j);
-        if (a >= -lp.pivot_tol) continue;
-        any_negative = true;
-        if (a >= -kStablePivot) continue;
-        const double ratio =
-            std::max(cost_row[static_cast<std::size_t>(j)], 0.0) / (-a);
-        if (ratio < min_ratio) min_ratio = ratio;
-      }
-      if (min_ratio == kInfinity) {
-        // Negative entries exist but none is safe to pivot on: the warm
-        // repair cannot proceed reliably -- rebuild cold instead.
-        return any_negative ? SolveStatus::kIterationLimit
-                            : SolveStatus::kInfeasible;
-      }
       int e = -1;
-      for (int j = 0; j < n_total; ++j) {
-        if (is_artificial[static_cast<std::size_t>(j)]) continue;
-        const double a = at(r, j);
-        if (a >= -kStablePivot) continue;
-        const double ratio =
-            std::max(cost_row[static_cast<std::size_t>(j)], 0.0) / (-a);
-        if (ratio <= min_ratio + 1e-12) {
-          e = j;
-          break;  // smallest index in the window
-        }
-      }
-      if (e < 0) return SolveStatus::kIterationLimit;
+      const SolveStatus st = dual_entering(r, lp, e);
+      if (st != SolveStatus::kOptimal) return st;
       pivot(r, e);
       ++iterations_this_solve;
       ++stat.dual_iterations;
     }
+  }
+
+  /// Entering column `e` of a dual-simplex pivot on row r: exact minimum
+  /// of rc_j / -a_rj over eligible columns, smallest index inside the
+  /// epsilon window (same anchored tie-break as the primal ratio test).
+  /// Only numerically solid pivots (|a| >= kStablePivot) are eligible.
+  /// Returns kOptimal with `e` set; kInfeasible, certified only when the
+  /// row has no negative entry at all; or kIterationLimit when negative
+  /// entries exist but none is safe to pivot on, so the warm repair cannot
+  /// proceed reliably and the caller rebuilds cold instead.
+  SolveStatus dual_entering(int r, const SimplexOptions& lp, int& e) const {
+    double min_ratio = kInfinity;
+    bool any_negative = false;
+    for (int j = 0; j < n_total; ++j) {
+      if (is_artificial[static_cast<std::size_t>(j)]) continue;
+      const double a = at(r, j);
+      if (a >= -lp.pivot_tol) continue;
+      any_negative = true;
+      if (a >= -kStablePivot) continue;
+      const double ratio =
+          std::max(cost_row[static_cast<std::size_t>(j)], 0.0) / (-a);
+      if (ratio < min_ratio) min_ratio = ratio;
+    }
+    if (min_ratio == kInfinity)
+      return any_negative ? SolveStatus::kIterationLimit
+                          : SolveStatus::kInfeasible;
+    e = -1;
+    for (int j = 0; j < n_total; ++j) {
+      if (is_artificial[static_cast<std::size_t>(j)]) continue;
+      const double a = at(r, j);
+      if (a >= -kStablePivot) continue;
+      const double ratio =
+          std::max(cost_row[static_cast<std::size_t>(j)], 0.0) / (-a);
+      if (ratio <= min_ratio + 1e-12) {
+        e = j;
+        break;  // smallest index in the window
+      }
+    }
+    return e < 0 ? SolveStatus::kIterationLimit : SolveStatus::kOptimal;
   }
 
   /// Swaps a freshly computed rhs (work_rhs) into the resident tableau via
@@ -678,6 +684,99 @@ struct ArenaSolver::Impl {
       work_x[static_cast<std::size_t>(j)] = value;
     }
     sol.x = work_x;
+  }
+
+  /// Row duals of an optimal LP, read off the resident tableau exactly as
+  /// the legacy engine does: y_i = -(reduced cost of row i's identity
+  /// column), undoing the build-time flip and the max-sense negation.
+  /// Original constraints are the first rows of the tableau.
+  double row_dual(const Problem& problem, int i) const {
+    double y = -cost_row[static_cast<std::size_t>(
+        identity_col[static_cast<std::size_t>(i)])];
+    if (rows[static_cast<std::size_t>(i)].flipped) y = -y;
+    if (problem.sense() == Sense::kMaximize) y = -y;
+    return y;
+  }
+
+  void recover_duals(const Problem& problem, Solution& sol) const {
+    sol.duals.resize(static_cast<std::size_t>(problem.num_constraints()));
+    for (int i = 0; i < problem.num_constraints(); ++i)
+      sol.duals[static_cast<std::size_t>(i)] = row_dual(problem, i);
+  }
+
+  // ---- rhs ranging: a parametric dual-simplex walk on one row -----------
+
+  void range_rhs(const Problem& problem, int row, double direction,
+                 double t_max, RhsRange& out) {
+    if (problem.has_integers())
+      throw std::invalid_argument("ArenaSolver::range_rhs: LP only");
+    if (row < 0 || row >= problem.num_constraints())
+      throw std::invalid_argument("ArenaSolver::range_rhs: row out of range");
+    out.breakpoints.clear();
+    out.start = solve(problem, MilpOptions{});
+    if (!out.start.ok()) {
+      out.end = RhsRange::End::kRefused;
+      out.end_t = 0.0;
+      return;
+    }
+    // An LP's only node is the root, so its optimal tableau is resident.
+    // In the build-time row convention the rhs moves by `d` per unit t.
+    const double d = rows[static_cast<std::size_t>(row)].flipped ? -direction
+                                                                 : direction;
+    const int col = identity_col[static_cast<std::size_t>(row)];
+    const SimplexOptions lp;
+    const long budget = dual_pivot_budget(m);
+    long pivots = 0;
+    const auto refuse = [&](double t) {
+      out.end = RhsRange::End::kRefused;
+      out.end_t = t;
+      ++stat.range_refusals;
+    };
+    double t = 0.0;
+    for (;;) {
+      // Basic values move as x_B(t + s) = x_B(t) + s * d * B^-1 e_row; the
+      // first to reach zero leaves (exact-minimum ratio, smallest basis
+      // index inside the epsilon window, as in the primal ratio test).
+      double step = kInfinity;
+      for (int i = 0; i < m; ++i) {
+        const double g = d * at(i, col);
+        if (g > lp.pivot_tol &&
+            is_artificial[static_cast<std::size_t>(basis[static_cast<std::size_t>(i)])])
+          return refuse(t);  // a redundant row's artificial would go positive
+        if (g < -lp.pivot_tol) step = std::min(step, std::max(rhs(i), 0.0) / -g);
+      }
+      if (step == kInfinity || t + step > t_max) {
+        out.end = RhsRange::End::kReachedMax;
+        out.end_t = t_max;
+        return;
+      }
+      int leave = -1;
+      for (int i = 0; i < m; ++i) {
+        const double g = d * at(i, col);
+        if (g >= -lp.pivot_tol) continue;
+        if (std::max(rhs(i), 0.0) / -g <= step + 1e-12 &&
+            (leave < 0 || basis[static_cast<std::size_t>(i)] <
+                              basis[static_cast<std::size_t>(leave)]))
+          leave = i;
+      }
+      t += step;
+      for (int i = 0; i < m; ++i) at(i, n_total) += step * d * at(i, col);
+      at(leave, n_total) = 0.0;  // exactly at its bound at the breakpoint
+
+      // One dual-simplex pivot replaces it. A row with no negative entry
+      // certifies that no rhs past t is feasible.
+      int e = -1;
+      const SolveStatus st = dual_entering(leave, lp, e);
+      if (st == SolveStatus::kInfeasible) {
+        out.end = RhsRange::End::kInfeasible;
+        out.end_t = t;
+        return;
+      }
+      if (st != SolveStatus::kOptimal || ++pivots > budget) return refuse(t);
+      pivot(leave, e);
+      ++stat.dual_iterations;
+      out.breakpoints.push_back({t, row_dual(problem, row)});
+    }
   }
 
   // ---- branch-and-bound ---------------------------------------------------
@@ -887,7 +986,10 @@ struct ArenaSolver::Impl {
           if (node_bound < incumbent) {
             incumbent = node_bound;
             best = std::move(relax);
-            best.duals.clear();
+            if (int_vars.empty())
+              recover_duals(problem, best);
+            else
+              best.duals.clear();
             best.x = snap_buf;
             best.objective = problem.objective_value(best.x);
           }
@@ -965,6 +1067,11 @@ ArenaSolver& ArenaSolver::operator=(ArenaSolver&&) noexcept = default;
 
 Solution ArenaSolver::solve(const Problem& problem, const MilpOptions& options) {
   return impl_->solve(problem, options);
+}
+
+void ArenaSolver::range_rhs(const Problem& problem, int row, double direction,
+                            double t_max, RhsRange& out) {
+  impl_->range_rhs(problem, row, direction, t_max, out);
 }
 
 const ArenaStats& ArenaSolver::stats() const noexcept { return impl_->stat; }

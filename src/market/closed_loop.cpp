@@ -22,13 +22,13 @@ double linf(std::span<const double> a, std::span<const double> b) noexcept {
   return d;
 }
 
-/// OPF on an already faulted grid: bus load = background (scaled by the
-/// hour's BackgroundDemandShock) + feedback_gain * site draw.
-DcOpfResult solve_on(const Grid& working, const std::vector<int>& site_buses,
-                     std::span<const double> site_power_mw,
-                     std::span<const double> background_mw,
-                     double feedback_gain, const CoupledHourFaults* faults) {
-  std::vector<double> loads(static_cast<std::size_t>(working.num_buses()), 0.0);
+/// Nodal loads of an operating point: background (scaled by the hour's
+/// BackgroundDemandShock) + feedback_gain * site draw at each site's bus.
+void nodal_loads(const std::vector<int>& site_buses,
+                 std::span<const double> site_power_mw,
+                 std::span<const double> background_mw, double feedback_gain,
+                 const CoupledHourFaults* faults, std::vector<double>& loads) {
+  std::fill(loads.begin(), loads.end(), 0.0);
   for (std::size_t i = 0; i < site_buses.size(); ++i) {
     const std::size_t bus = static_cast<std::size_t>(site_buses[i]);
     double mult = 1.0;
@@ -36,22 +36,12 @@ DcOpfResult solve_on(const Grid& working, const std::vector<int>& site_buses,
       mult = faults->bus_demand_multiplier[bus];
     loads[bus] += background_mw[i] * mult + feedback_gain * site_power_mw[i];
   }
-  return solve_dcopf(working, loads);
 }
 
-/// First index in (lo, hi] where `pred` holds, given !pred(lo), pred(hi)
-/// and a predicate monotone in the index.
-template <class Pred>
-std::size_t first_true(std::size_t lo, std::size_t hi, Pred pred) {
-  while (hi - lo > 1) {
-    const std::size_t mid = lo + (hi - lo) / 2;
-    if (pred(mid))
-      hi = mid;
-    else
-      lo = mid;
-  }
-  return hi;
-}
+/// A walk event this close below a grid draw is confirmed at that draw:
+/// a breakpoint on (or within round-off of) a grid draw may price either
+/// side there, so the cold solve decides.
+constexpr double kTieMw = 1e-6;
 
 }  // namespace
 
@@ -151,92 +141,105 @@ DcOpfResult CoupledMarket::solve_at(std::span<const double> site_power_mw,
   if (site_power_mw.size() != site_buses_.size() ||
       background_mw.size() != site_buses_.size())
     throw std::invalid_argument("CoupledMarket::solve_at: size mismatch");
-  return solve_on(faulted_grid(faults), site_buses_, site_power_mw,
-                  background_mw, feedback_gain, faults);
+  const Grid working = faulted_grid(faults);
+  std::vector<double> loads(static_cast<std::size_t>(working.num_buses()));
+  nodal_loads(site_buses_, site_power_mw, background_mw, feedback_gain, faults,
+              loads);
+  return solve_dcopf(working, loads);
 }
 
 std::vector<PricingPolicy> CoupledMarket::derive_local_policies(
     std::span<const double> site_power_mw, std::span<const double> background_mw,
     std::span<const double> billing_base_mw, std::span<const double> sweep_cap_mw,
     const ClosedLoopOptions& options, const CoupledHourFaults* faults) const {
+  lp::ArenaSolver solver;
+  return derive_local_policies(site_power_mw, background_mw, billing_base_mw,
+                               sweep_cap_mw, options, faults, solver);
+}
+
+std::vector<PricingPolicy> CoupledMarket::derive_local_policies(
+    std::span<const double> site_power_mw, std::span<const double> background_mw,
+    std::span<const double> billing_base_mw, std::span<const double> sweep_cap_mw,
+    const ClosedLoopOptions& options, const CoupledHourFaults* faults,
+    lp::ArenaSolver& solver) const {
   const std::size_t n = site_buses_.size();
   if (site_power_mw.size() != n || background_mw.size() != n ||
       billing_base_mw.size() != n || sweep_cap_mw.size() != n)
     throw std::invalid_argument(
         "CoupledMarket::derive_local_policies: size mismatch");
-  // The collapse predicate is monotone in the draw only while the tolerance
-  // dominates solver round-off.
+  // A level is "the price moved more than price_tol"; with no positive
+  // tolerance solver round-off alone would open levels.
   if (!(options.price_tol > 0.0))
     throw std::invalid_argument(
         "CoupledMarket::derive_local_policies: price_tol must be > 0");
   const double step = std::max(0.1, options.sweep_step_mw);
   const Grid working = faulted_grid(faults);
+  DcOpfModel model = build_dcopf_model(working);
+  std::vector<double> loads(static_cast<std::size_t>(working.num_buses()));
+  lp::RhsRange walk;
 
   std::vector<PricingPolicy> policies;
   policies.reserve(n);
   std::vector<double> point(site_power_mw.begin(), site_power_mw.end());
   for (std::size_t i = 0; i < n; ++i) {
     const double kept = point[i];
-    const std::size_t bus = static_cast<std::size_t>(site_buses_[i]);
+    const int row = model.balance_row[static_cast<std::size_t>(site_buses_[i])];
     // The own-draw grid, accumulated step by step rather than as k * step
     // so every draw (and threshold) is a linear sweep's to the last bit.
     std::vector<double> draws;
     for (double p = 0.0; p <= sweep_cap_mw[i] + 1e-9; p += step)
       draws.push_back(p);
 
-    // One OPF per grid index at most, with the other sites pinned at the
-    // operating point: the local price response the controller's next
-    // decision sees.
-    struct Sample {
-      bool solved = false;
-      bool ok = false;
-      double lmp = 0.0;
-    };
-    std::vector<Sample> memo(draws.size());
-    const auto sample = [&](std::size_t k) -> const Sample& {
-      Sample& s = memo[k];
-      if (!s.solved) {
-        point[i] = draws[k];
-        const DcOpfResult opf = solve_on(working, site_buses_, point,
-                                         background_mw, options.feedback_gain,
-                                         faults);
-        s = {true, opf.ok(), opf.ok() ? opf.lmp[bus] : 0.0};
-      }
-      return s;
-    };
-    const auto infeasible_at = [&](std::size_t k) {
-      return std::runtime_error(
-          "CoupledMarket: OPF infeasible sweeping site " + std::to_string(i) +
-          " at draw " + std::to_string(draws[k]) + " MW");
-    };
-    const auto lmp_at = [&](std::size_t k) {
-      const Sample& s = sample(k);
-      if (!s.ok) throw infeasible_at(k);
-      return s.lmp;
+    // Cold-solves the OPF at grid draw k, with the other sites pinned at
+    // the operating point, and walks the site's balance-row rhs from there
+    // to the last grid draw. Returns the cold LMP at draw k: bitwise what
+    // solve_dcopf reports there.
+    const auto solve_and_walk = [&](std::size_t k) {
+      point[i] = draws[k];
+      nodal_loads(site_buses_, point, background_mw, options.feedback_gain,
+                  faults, loads);
+      set_dcopf_loads(model, working, loads);
+      solver.range_rhs(model.problem, row, options.feedback_gain,
+                       draws.back() - draws[k] + kTieMw, walk);
+      if (!walk.start.ok())
+        throw std::runtime_error(
+            "CoupledMarket: OPF infeasible sweeping site " + std::to_string(i) +
+            " at draw " + std::to_string(draws[k]) + " MW");
+      return walk.start.duals[static_cast<std::size_t>(row)];
     };
 
     std::vector<double> thresholds;
     std::vector<double> prices;
     if (!draws.empty()) {
-      const std::size_t last = draws.size() - 1;
       thresholds.push_back(0.0);
-      prices.push_back(lmp_at(0));
-      // Feasible draws form an interval, so with both ends feasible every
-      // grid draw is; otherwise name the first infeasible one.
-      if (!sample(last).ok)
-        throw infeasible_at(first_true(
-            0, last, [&](std::size_t k) { return !sample(k).ok; }));
-      // The LMP is monotone in the own draw, so "the price moved more than
-      // price_tol off the current level" is false up to the next step and
-      // true from it on: bisect for each step instead of visiting every
-      // grid draw.
-      const auto moved = [&](std::size_t k) {
-        return std::abs(lmp_at(k) - prices.back()) > options.price_tol;
-      };
-      for (std::size_t level = 0; level < last && moved(last);) {
-        level = first_true(level, last, moved);
-        thresholds.push_back(billing_base_mw[i] + draws[level]);
-        prices.push_back(memo[level].lmp);
+      prices.push_back(solve_and_walk(0));
+      // Every grid draw up to `confirmed` is priced: cold-solved, or within
+      // price_tol of its level by the walk that started at the latest cold
+      // solve, draws[confirmed]. That walk's next event (a dual off the
+      // level by more than price_tol, infeasibility, or a refused pivot)
+      // names the next grid draw worth a cold solve; the LMP is monotone
+      // in the own draw, so no draw before it can have moved.
+      std::size_t confirmed = 0;
+      for (;;) {
+        const double level = prices.back();
+        double event = walk.end == lp::RhsRange::End::kReachedMax
+                           ? std::numeric_limits<double>::infinity()
+                           : walk.end_t;
+        for (const lp::RhsBreakpoint& b : walk.breakpoints)
+          if (std::abs(b.dual - level) > options.price_tol) {
+            event = b.t;
+            break;
+          }
+        const double at = draws[confirmed] + event - kTieMw;
+        std::size_t k = confirmed + 1;
+        while (k < draws.size() && draws[k] < at) ++k;
+        if (k == draws.size()) break;
+        const double lmp = solve_and_walk(k);
+        if (std::abs(lmp - level) > options.price_tol) {
+          thresholds.push_back(billing_base_mw[i] + draws[k]);
+          prices.push_back(lmp);
+        }
+        confirmed = k;
       }
     }
     point[i] = kept;

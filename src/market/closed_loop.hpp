@@ -6,6 +6,7 @@
 #include <span>
 #include <vector>
 
+#include "lp/arena_solver.hpp"
 #include "market/dcopf.hpp"
 #include "market/grid.hpp"
 #include "market/pricing_policy.hpp"
@@ -118,7 +119,7 @@ struct CoupledHourFaults {
 
 /// The physical side of the closed loop: a grid whose load buses host the
 /// data centers. Solves the hour's DC-OPF with the fleet's draw added to
-/// nodal demand and re-derives each site's *local* step curve by sweeping
+/// nodal demand and re-derives each site's *local* step curve by ranging
 /// that site's own draw with every other site held fixed — the price
 /// response the controller re-decides against.
 class CoupledMarket {
@@ -148,25 +149,44 @@ class CoupledMarket {
   /// other sites stay at `site_power_mw`, and the LMP-vs-draw series
   /// collapses into a PricingPolicy exactly as the static derivation does:
   /// a new level starts at the first grid draw whose LMP differs from the
-  /// current level's by more than price_tol. The OPF cost is convex in one
-  /// bus's load, so that bus's LMP is monotone in the site's draw and each
-  /// step is found by bisecting the grid: O(steps * log N) OPF solves for
-  /// an N-point grid instead of N, with the same thresholds and prices as
-  /// solving at every grid draw. The returned thresholds are expressed
-  /// over the site's *total* locational consumption p + billing_base_mw[i],
-  /// so PricingPolicy::cost_for keeps its contract when the capper passes
-  /// that same demand.
+  /// current level's by more than price_tol. The returned thresholds are
+  /// expressed over the site's *total* locational consumption
+  /// p + billing_base_mw[i], so PricingPolicy::cost_for keeps its contract
+  /// when the capper passes that same demand.
+  ///
+  /// The series is not solved at every grid draw. A bus's LMP is the dual
+  /// of its balance row, piecewise constant and monotone in the site's
+  /// draw, and it moves only where the optimal basis changes. So each site
+  /// takes one cold OPF at draw 0, then walks that row's rhs to the last
+  /// grid draw on the same tableau (lp::ArenaSolver::range_rhs, one
+  /// dual-simplex pivot per basis change). The first walk dual off the
+  /// level by more than price_tol is snapped to the first grid draw at or
+  /// past it and confirmed there by a cold solve, which also restarts the
+  /// walk; when the price has not moved there, the next event is confirmed
+  /// the same way. A level's threshold and price are that cold solve's, so
+  /// curves are a linear sweep's to the last bit, from 1 + levels cold
+  /// solves per site (plus one per refused walk pivot, and one per walk
+  /// event that lands on a grid draw and prices the old side there).
   ///
   /// Throws std::invalid_argument unless price_tol > 0, and
   /// std::runtime_error naming the first infeasible grid draw if the OPF is
   /// infeasible anywhere on a site's grid (load shed beyond the grid's
-  /// capability).
+  /// capability); the walk names that draw and a cold solve confirms it.
   std::vector<PricingPolicy> derive_local_policies(
       std::span<const double> site_power_mw,
       std::span<const double> background_mw,
       std::span<const double> billing_base_mw,
       std::span<const double> sweep_cap_mw, const ClosedLoopOptions& options,
       const CoupledHourFaults* faults) const;
+
+  /// The same, solving on `solver`: its ArenaStats count the cold solves
+  /// (cold_solves) and the refused walk pivots (range_refusals).
+  std::vector<PricingPolicy> derive_local_policies(
+      std::span<const double> site_power_mw,
+      std::span<const double> background_mw,
+      std::span<const double> billing_base_mw,
+      std::span<const double> sweep_cap_mw, const ClosedLoopOptions& options,
+      const CoupledHourFaults* faults, lp::ArenaSolver& solver) const;
 
  private:
   /// Grid with the hour's line outages removed and congestion derates

@@ -8,37 +8,36 @@
 
 namespace billcap::market {
 
-DcOpfResult solve_dcopf(const Grid& grid, std::span<const double> load_mw) {
+DcOpfModel build_dcopf_model(const Grid& grid) {
   const int nb = grid.num_buses();
   const int nl = grid.num_lines();
   const int ng = grid.num_generators();
-  if (static_cast<int>(load_mw.size()) != nb)
-    throw std::invalid_argument("solve_dcopf: one load per bus required");
   if (nb == 0 || ng == 0)
     throw std::invalid_argument("solve_dcopf: need buses and generators");
 
-  lp::Problem p;
+  DcOpfModel model;
+  lp::Problem& p = model.problem;
   p.set_sense(lp::Sense::kMinimize);
 
   // Generator dispatch variables.
-  std::vector<int> gen_var(static_cast<std::size_t>(ng));
+  model.gen_var.resize(static_cast<std::size_t>(ng));
   for (int g = 0; g < ng; ++g) {
     const Generator& gen = grid.generator(g);
-    gen_var[static_cast<std::size_t>(g)] = p.add_variable(
+    model.gen_var[static_cast<std::size_t>(g)] = p.add_variable(
         "P." + gen.name, 0.0, gen.capacity_mw, gen.marginal_cost);
   }
 
   // Bus angles; the slack bus (0) is pinned at zero.
-  std::vector<int> theta_var(static_cast<std::size_t>(nb));
+  model.theta_var.resize(static_cast<std::size_t>(nb));
   for (int b = 0; b < nb; ++b) {
     const bool slack = (b == 0);
-    theta_var[static_cast<std::size_t>(b)] = p.add_variable(
+    model.theta_var[static_cast<std::size_t>(b)] = p.add_variable(
         "theta." + grid.bus_name(b), slack ? 0.0 : -lp::kInfinity,
         slack ? 0.0 : lp::kInfinity);
   }
 
   // Line flows as explicit variables tied to the angle difference.
-  std::vector<int> flow_var(static_cast<std::size_t>(nl));
+  model.flow_var.resize(static_cast<std::size_t>(nl));
   for (int l = 0; l < nl; ++l) {
     const Line& line = grid.line(l);
     const double cap =
@@ -46,63 +45,80 @@ DcOpfResult solve_dcopf(const Grid& grid, std::span<const double> load_mw) {
     const int f = p.add_variable("f." + line.name,
                                  cap == lp::kInfinity ? -lp::kInfinity : -cap,
                                  cap);
-    flow_var[static_cast<std::size_t>(l)] = f;
+    model.flow_var[static_cast<std::size_t>(l)] = f;
     const double b_susceptance = 1.0 / line.reactance;
     // f - (theta_from - theta_to)/x = 0.
     p.add_constraint(
         "flowdef." + line.name,
         {{f, 1.0},
-         {theta_var[static_cast<std::size_t>(line.from_bus)], -b_susceptance},
-         {theta_var[static_cast<std::size_t>(line.to_bus)], b_susceptance}},
+         {model.theta_var[static_cast<std::size_t>(line.from_bus)], -b_susceptance},
+         {model.theta_var[static_cast<std::size_t>(line.to_bus)], b_susceptance}},
         lp::Relation::kEqual, 0.0);
   }
 
   // Nodal balance per bus: generation - net outflow = load. The dual of
   // this row is the bus LMP.
-  std::vector<int> balance_row(static_cast<std::size_t>(nb));
+  model.balance_row.resize(static_cast<std::size_t>(nb));
   for (int b = 0; b < nb; ++b) {
     std::vector<lp::Term> terms;
     for (int g = 0; g < ng; ++g)
       if (grid.generator(g).bus == b)
-        terms.push_back({gen_var[static_cast<std::size_t>(g)], 1.0});
+        terms.push_back({model.gen_var[static_cast<std::size_t>(g)], 1.0});
     for (int l = 0; l < nl; ++l) {
       const Line& line = grid.line(l);
       if (line.from_bus == b)
-        terms.push_back({flow_var[static_cast<std::size_t>(l)], -1.0});
+        terms.push_back({model.flow_var[static_cast<std::size_t>(l)], -1.0});
       else if (line.to_bus == b)
-        terms.push_back({flow_var[static_cast<std::size_t>(l)], 1.0});
+        terms.push_back({model.flow_var[static_cast<std::size_t>(l)], 1.0});
     }
-    if (terms.empty() && load_mw[static_cast<std::size_t>(b)] != 0.0)
-      throw std::invalid_argument("solve_dcopf: isolated loaded bus " +
-                                  grid.bus_name(b));
-    balance_row[static_cast<std::size_t>(b)] = p.add_constraint(
+    model.balance_row[static_cast<std::size_t>(b)] = p.add_constraint(
         "balance." + grid.bus_name(b), std::move(terms), lp::Relation::kEqual,
-        load_mw[static_cast<std::size_t>(b)]);
+        0.0);
   }
+  return model;
+}
 
-  const lp::Solution sol = lp::solve_lp(p);
+void set_dcopf_loads(DcOpfModel& model, const Grid& grid,
+                     std::span<const double> load_mw) {
+  if (load_mw.size() != model.balance_row.size())
+    throw std::invalid_argument("solve_dcopf: one load per bus required");
+  for (std::size_t b = 0; b < load_mw.size(); ++b) {
+    const int row = model.balance_row[b];
+    if (model.problem.constraint(row).terms.empty() && load_mw[b] != 0.0)
+      throw std::invalid_argument("solve_dcopf: isolated loaded bus " +
+                                  grid.bus_name(static_cast<int>(b)));
+    model.problem.set_rhs(row, load_mw[b]);
+  }
+}
+
+namespace {
+
+/// Reads a solution of `model` back as dispatch, flows, angles and LMPs.
+DcOpfResult read_dcopf(const DcOpfModel& model, const lp::Solution& sol) {
   DcOpfResult out;
   out.status = sol.status;
   if (!sol.ok()) return out;
 
+  const auto value = [&sol](int var) {
+    return sol.x[static_cast<std::size_t>(var)];
+  };
   out.total_cost = sol.objective;
-  out.dispatch_mw.resize(static_cast<std::size_t>(ng));
-  for (int g = 0; g < ng; ++g)
-    out.dispatch_mw[static_cast<std::size_t>(g)] =
-        sol.x[static_cast<std::size_t>(gen_var[static_cast<std::size_t>(g)])];
-  out.flow_mw.resize(static_cast<std::size_t>(nl));
-  for (int l = 0; l < nl; ++l)
-    out.flow_mw[static_cast<std::size_t>(l)] =
-        sol.x[static_cast<std::size_t>(flow_var[static_cast<std::size_t>(l)])];
-  out.theta.resize(static_cast<std::size_t>(nb));
-  out.lmp.resize(static_cast<std::size_t>(nb));
-  for (int b = 0; b < nb; ++b) {
-    out.theta[static_cast<std::size_t>(b)] =
-        sol.x[static_cast<std::size_t>(theta_var[static_cast<std::size_t>(b)])];
-    out.lmp[static_cast<std::size_t>(b)] =
-        sol.duals[static_cast<std::size_t>(balance_row[static_cast<std::size_t>(b)])];
-  }
+  for (const int g : model.gen_var) out.dispatch_mw.push_back(value(g));
+  for (const int f : model.flow_var) out.flow_mw.push_back(value(f));
+  for (const int t : model.theta_var) out.theta.push_back(value(t));
+  for (const int row : model.balance_row)
+    out.lmp.push_back(sol.duals[static_cast<std::size_t>(row)]);
   return out;
+}
+
+}  // namespace
+
+DcOpfResult solve_dcopf(const Grid& grid, std::span<const double> load_mw) {
+  if (static_cast<int>(load_mw.size()) != grid.num_buses())
+    throw std::invalid_argument("solve_dcopf: one load per bus required");
+  DcOpfModel model = build_dcopf_model(grid);
+  set_dcopf_loads(model, grid, load_mw);
+  return read_dcopf(model, lp::solve_lp(model.problem));
 }
 
 DcOpfReport analyze_opf(const Grid& grid, const DcOpfResult& result,

@@ -32,6 +32,25 @@ struct DcOpfResult {
 /// becomes binding as load grows, the LMP vector jumps.
 DcOpfResult solve_dcopf(const Grid& grid, std::span<const double> load_mw);
 
+/// The LP behind solve_dcopf and where each grid element sits in it.
+struct DcOpfModel {
+  lp::Problem problem;
+  std::vector<int> gen_var;      ///< per generator: dispatch P_g
+  std::vector<int> theta_var;    ///< per bus: voltage angle
+  std::vector<int> flow_var;     ///< per line: flow f_l
+  std::vector<int> balance_row;  ///< per bus: nodal balance (its dual = LMP)
+};
+
+/// Builds the DC-OPF LP of `grid` with every balance rhs at zero. Throws
+/// std::invalid_argument for a grid without buses or generators.
+DcOpfModel build_dcopf_model(const Grid& grid);
+
+/// Sets each bus's balance rhs to its load. Throws std::invalid_argument
+/// unless there is one load per bus, or when a loaded bus has no generator
+/// and no line.
+void set_dcopf_loads(DcOpfModel& model, const Grid& grid,
+                     std::span<const double> load_mw);
+
 /// A constraint that is binding at the OPF optimum — the events that
 /// create new price levels as load grows (Section II: "a step change
 /// happens when a new constraint, either transmission or generation,

@@ -108,11 +108,13 @@ TEST(CliFlagsTest, TickPlaneFaultsAreServeOnly) {
 }
 
 TEST(CliFlagsTest, ControllerFaultsAreSimulateOnly) {
-  // The serve daemon never reads simulate's squeezes, controller deaths or
-  // checkpoint bit rot, so it refuses them rather than ignoring them.
+  // The serve daemon never reads simulate's squeezes (planned or drawn at a
+  // rate), controller deaths or checkpoint bit rot, so it refuses them
+  // rather than ignoring them.
   for (const char* flag :
        {"--squeezes 1:2:5", "--crash-at 3", "--crash-rate 0.1",
-        "--exit-storm 2:2", "--corrupt-checkpoint-at 4"}) {
+        "--exit-storm 2:2", "--corrupt-checkpoint-at 4",
+        "--fault-squeeze-rate 0.9", "--fault-squeeze-mean 5"}) {
     for (const char* command : {"serve --hours 2", "supervise --serve"}) {
       const std::string args = std::string(command) + " " + flag;
       const Outcome r = cli(args);
@@ -127,7 +129,9 @@ TEST(CliFlagsTest, ControllerFaultsAreSimulateOnly) {
     }
   }
   // simulate still takes them.
-  EXPECT_EQ(cli("simulate --squeezes 1:2:5 --crash-rate 0 --help").code,
+  EXPECT_EQ(cli("simulate --squeezes 1:2:5 --crash-rate 0 "
+                "--fault-squeeze-rate 0.5 --fault-squeeze-mean 3 --help")
+                .code,
             kExitSuccess);
 }
 
@@ -151,15 +155,14 @@ TEST(CliFlagsTest, HelpExits0WritesNoCsvAndListsEveryRow) {
   const std::vector<std::string> shared = {
       "budget", "no-cap", "policy", "seed", "outages", "stale", "shocks",
       "line-outage", "bg-shock", "congestion-spike", "fault-outage-rate",
-      "fault-stale-rate", "fault-shock-rate", "fault-squeeze-rate",
-      "fault-outage-mean", "fault-stale-mean",
-      "fault-shock-mean", "fault-squeeze-mean", "feed-retry-prob",
+      "fault-stale-rate", "fault-shock-rate", "fault-outage-mean",
+      "fault-stale-mean", "fault-shock-mean", "feed-retry-prob",
       "feed-max-retries", "feed-backoff-ms", "deadline-ms", "closed-loop",
       "coupler-max-iters", "coupler-gain", "damping", "coupler-open-plan",
       "checkpoint", "csv", "min-premium"};
   const std::vector<std::string> controller_faults = {
       "squeezes", "crash-at", "exit-storm", "corrupt-checkpoint-at",
-      "crash-rate"};
+      "crash-rate", "fault-squeeze-rate", "fault-squeeze-mean"};
   const std::vector<std::string> restart = {"resume", "keep-generations",
                                             "standby", "standby-hours"};
   const std::vector<std::string> serve_only = {

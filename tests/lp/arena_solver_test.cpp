@@ -2,14 +2,19 @@
 // long-lived solver carries allocations, never a basis, from one solve to
 // the next, so every answer is bitwise the answer of a fresh solver (and
 // agrees with the reference engine); a byte cap must surface as the typed
-// SolveStatus::kArenaExhausted with no incumbent.
+// SolveStatus::kArenaExhausted with no incumbent. The rhs-ranging walk
+// (range_rhs) starts from solve()'s own answer, and between its
+// breakpoints its dual is the one a cold solve at that rhs finds.
 
 #include "lp/arena_solver.hpp"
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <random>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -207,6 +212,146 @@ TEST(ArenaSolverTest, LongLivedSolverHistoryFreeUnderRandomDrift) {
     expect_history_free(solver, p, "k=" + std::to_string(k));
   }
   expect_no_cross_solve_warm(solver);
+}
+
+
+/// Economic dispatch: generators with random capacities and costs serve
+/// `demand` (row 0), and a random weighted "line" row caps part of the
+/// dispatch (row 1), so the demand row's dual steps both where a unit
+/// fills and where the line binds.
+Problem dispatch_problem(std::mt19937& rng, double demand) {
+  std::uniform_real_distribution<double> cap(5.0, 40.0), cost(5.0, 50.0),
+      weight(0.0, 1.0);
+  Problem p;
+  std::vector<Term> serve, line;
+  for (int g = 0; g < 5; ++g) {
+    const int v = p.add_variable("P", 0.0, cap(rng), cost(rng));
+    serve.push_back({v, 1.0});
+    line.push_back({v, weight(rng)});
+  }
+  p.add_constraint("demand", std::move(serve), Relation::kEqual, demand);
+  p.add_constraint("line", std::move(line), Relation::kLessEqual, 30.0);
+  return p;
+}
+
+/// The demand dual a cold solve finds with row 0's rhs moved by t.
+Solution cold_at(const Problem& base, double t) {
+  Problem p = base;
+  p.set_rhs(0, base.constraint(0).rhs + t);
+  ArenaSolver fresh;
+  return fresh.solve(p);
+}
+
+TEST(ArenaSolverTest, RangeRhsStartIsSolveBitwiseWithDuals) {
+  std::mt19937 rng(18);
+  ArenaSolver walker;
+  RhsRange walk;
+  for (int k = 0; k < 40; ++k) {
+    const Problem p = dispatch_problem(rng, 20.0);
+    walker.range_rhs(p, 0, 1.0, 60.0, walk);
+    ArenaSolver fresh;
+    const Solution want = fresh.solve(p);
+    const std::string tag = "k=" + std::to_string(k);
+    expect_bitwise_equal(want, walk.start, tag);
+    ASSERT_EQ(want.duals.size(), walk.start.duals.size()) << tag;
+    for (std::size_t i = 0; i < want.duals.size(); ++i)
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(want.duals[i]),
+                std::bit_cast<std::uint64_t>(walk.start.duals[i]))
+          << tag << " dual " << i;
+  }
+  EXPECT_EQ(walker.stats().cold_solves, 40);
+}
+
+TEST(ArenaSolverTest, RangeRhsDualsAreColdDualsBetweenBreakpoints) {
+  // Off its breakpoints the optimal value is linear in t, so its slope,
+  // the demand row's dual, is unique: a cold solve anywhere strictly
+  // between two breakpoints must find the walk's dual there. Past an
+  // infeasible end no rhs is feasible.
+  std::mt19937 rng(2012);
+  ArenaSolver walker;
+  RhsRange walk;
+  int steps = 0, infeasible = 0;
+  for (int k = 0; k < 60; ++k) {
+    const Problem p = dispatch_problem(rng, 10.0);
+    const double direction = k % 3 == 0 ? 2.5 : 1.0;
+    walker.range_rhs(p, 0, direction, 50.0, walk);
+    const std::string tag = "k=" + std::to_string(k);
+    if (!walk.start.ok()) continue;
+    ASSERT_NE(walk.end, RhsRange::End::kRefused) << tag;
+    std::vector<double> ts = {0.0};
+    std::vector<double> duals = {walk.start.duals[0]};
+    for (const RhsBreakpoint& b : walk.breakpoints) {
+      ts.push_back(b.t);
+      duals.push_back(b.dual);
+    }
+    ts.push_back(walk.end_t);
+    for (std::size_t j = 0; j + 1 < ts.size(); ++j) {
+      if (ts[j + 1] - ts[j] < 1e-6) continue;
+      const double mid = 0.5 * (ts[j] + ts[j + 1]);
+      const Solution cold = cold_at(p, direction * mid);
+      ASSERT_TRUE(cold.ok()) << tag << " t=" << mid;
+      EXPECT_NEAR(cold.duals[0], duals[j], 1e-7) << tag << " t=" << mid;
+      if (j > 0 && std::abs(duals[j] - duals[j - 1]) > 1e-9) ++steps;
+    }
+    if (walk.end == RhsRange::End::kInfeasible) {
+      ++infeasible;
+      EXPECT_FALSE(cold_at(p, direction * (walk.end_t + 1e-3)).ok()) << tag;
+      EXPECT_TRUE(cold_at(p, direction * walk.end_t * (1.0 - 1e-9)).ok()) << tag;
+    }
+  }
+  EXPECT_GT(steps, 60) << "too few dual steps for the check to bite";
+  EXPECT_GT(infeasible, 5);
+  EXPECT_EQ(walker.stats().range_refusals, 0);
+}
+
+TEST(ArenaSolverTest, RangeRhsOnARedundantRowRefusesOrEndsInfeasible) {
+  // The same equality twice: phase 1 leaves one row's artificial basic at
+  // zero. Moving one copy's rhs makes the pair inconsistent. In one
+  // direction the basic artificial would rise, a pivot the walk refuses;
+  // in the other it leaves with no entering column, which certifies
+  // infeasibility. Either way nothing past t = 0 is reported.
+  Problem p;
+  const int x = p.add_variable("x", 0.0, 10.0, 1.0);
+  const int y = p.add_variable("y", 0.0, 10.0, 2.0);
+  p.add_constraint("a", {{x, 1.0}, {y, 1.0}}, Relation::kEqual, 3.0);
+  p.add_constraint("b", {{x, 1.0}, {y, 1.0}}, Relation::kEqual, 3.0);
+  ArenaSolver solver;
+  RhsRange up, down;
+  solver.range_rhs(p, 0, 1.0, 5.0, up);
+  solver.range_rhs(p, 0, -1.0, 5.0, down);
+  ASSERT_TRUE(up.start.ok());
+  EXPECT_TRUE(up.breakpoints.empty());
+  EXPECT_TRUE(down.breakpoints.empty());
+  EXPECT_EQ(up.end_t, 0.0);
+  EXPECT_EQ(down.end_t, 0.0);
+  EXPECT_NE(up.end, down.end);
+  for (const RhsRange* r : {&up, &down})
+    EXPECT_NE(r->end, RhsRange::End::kReachedMax);
+  EXPECT_EQ(solver.stats().range_refusals, 1);
+}
+
+TEST(ArenaSolverTest, RangeRhsWalksNothingFromAnInfeasibleStart) {
+  ArenaSolver solver;
+  RhsRange walk;
+  Problem p;
+  const int x = p.add_variable("x", 0.0, 1.0, 1.0);
+  p.add_constraint("need", {{x, 1.0}}, Relation::kEqual, 2.0);
+  solver.range_rhs(p, 0, -1.0, 5.0, walk);
+  EXPECT_EQ(walk.start.status, SolveStatus::kInfeasible);
+  EXPECT_TRUE(walk.breakpoints.empty());
+  EXPECT_EQ(walk.end, RhsRange::End::kRefused);
+  EXPECT_EQ(walk.end_t, 0.0);
+}
+
+TEST(ArenaSolverTest, RangeRhsRejectsMilpsAndMissingRows) {
+  ArenaSolver solver;
+  RhsRange walk;
+  EXPECT_THROW(solver.range_rhs(two_var_problem(3.0, true), 0, 1.0, 1.0, walk),
+               std::invalid_argument);
+  EXPECT_THROW(solver.range_rhs(two_var_problem(3.0), 1, 1.0, 1.0, walk),
+               std::invalid_argument);
+  EXPECT_THROW(solver.range_rhs(two_var_problem(3.0), -1, 1.0, 1.0, walk),
+               std::invalid_argument);
 }
 
 }  // namespace

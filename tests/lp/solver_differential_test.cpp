@@ -11,7 +11,9 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <random>
 #include <string>
 #include <vector>
@@ -21,7 +23,11 @@
 #include "core/throughput_maximizer.hpp"
 #include "datacenter/catalog.hpp"
 #include "lp/milp.hpp"
+#include "lp/simplex.hpp"
+#include "market/dcopf.hpp"
+#include "market/pjm5.hpp"
 #include "market/pricing_policy.hpp"
+#include "util/rng.hpp"
 #include "solution_bits.hpp"
 
 namespace billcap::lp {
@@ -126,30 +132,35 @@ TEST(SolverDifferentialTest, RandomSequencesHistoryFree) {
   }
 }
 
-TEST(SolverDifferentialTest, DegenerateLpsAgree) {
-  // Degeneracy on purpose: duplicated rows, zero rhs, and ties that make
-  // several bases optimal. The anchored tie-break rule (see
-  // Simplex::choose_leaving) must keep both engines on agreeing optima.
-  std::mt19937 rng(4242);
+/// Degeneracy on purpose: duplicated rows, zero rhs, and ties that make
+/// several bases optimal.
+Problem degenerate_problem(std::mt19937& rng) {
   std::uniform_real_distribution<double> coef(-2.0, 2.0);
   std::uniform_int_distribution<int> nv(2, 5), coin(0, 1);
-  for (int iter = 0; iter < 120; ++iter) {
-    Problem p;
-    const int n = nv(rng);
-    for (int j = 0; j < n; ++j)
-      p.add_variable("x", 0.0, 4.0, coef(rng), coin(rng) == 0 && j < 2);
-    std::vector<Term> row;
-    for (int j = 0; j < n; ++j) row.push_back({j, coef(rng)});
-    // The same row three times, as <=, >= and (sometimes) = with rhs 0:
-    // every vertex touching it is degenerate.
-    p.add_constraint("a", row, Relation::kLessEqual, 0.0);
-    p.add_constraint("b", row, Relation::kGreaterEqual, 0.0);
-    if (coin(rng) == 0) p.add_constraint("c", row, Relation::kEqual, 0.0);
-    std::vector<Term> cover;
-    for (int j = 0; j < n; ++j) cover.push_back({j, 1.0});
-    p.add_constraint("cover", cover, Relation::kLessEqual, 6.0);
-    if (coin(rng) == 0) p.set_sense(Sense::kMaximize);
+  Problem p;
+  const int n = nv(rng);
+  for (int j = 0; j < n; ++j)
+    p.add_variable("x", 0.0, 4.0, coef(rng), coin(rng) == 0 && j < 2);
+  std::vector<Term> row;
+  for (int j = 0; j < n; ++j) row.push_back({j, coef(rng)});
+  // The same row three times, as <=, >= and (sometimes) = with rhs 0:
+  // every vertex touching it is degenerate.
+  p.add_constraint("a", row, Relation::kLessEqual, 0.0);
+  p.add_constraint("b", row, Relation::kGreaterEqual, 0.0);
+  if (coin(rng) == 0) p.add_constraint("c", row, Relation::kEqual, 0.0);
+  std::vector<Term> cover;
+  for (int j = 0; j < n; ++j) cover.push_back({j, 1.0});
+  p.add_constraint("cover", cover, Relation::kLessEqual, 6.0);
+  if (coin(rng) == 0) p.set_sense(Sense::kMaximize);
+  return p;
+}
 
+TEST(SolverDifferentialTest, DegenerateLpsAgree) {
+  // The anchored tie-break rule (see Simplex::choose_leaving) must keep
+  // both engines on agreeing optima of degenerate problems.
+  std::mt19937 rng(4242);
+  for (int iter = 0; iter < 120; ++iter) {
+    const Problem p = degenerate_problem(rng);
     const Solution ref = solve_milp_reference(p);
     ArenaSolver solver;
     const Solution arena = solver.solve(p);
@@ -177,6 +188,99 @@ TEST(SolverDifferentialTest, InfeasibleAndUnboundedByConstruction) {
     expect_agrees(solve_milp_reference(unb), s2.solve(unb),
                   "constructed unbounded " + std::to_string(k));
   }
+}
+
+/// Bitwise equality of two doubles, NaN payloads and signed zeros included.
+bool same_bits(double a, double b) {
+  return std::bit_cast<std::uint64_t>(a) == std::bit_cast<std::uint64_t>(b);
+}
+
+/// An optimal arena LP answer must be the legacy engine's to the last bit
+/// (objective, x, duals, pivot count); otherwise both must be non-optimal.
+/// The B&B fields (nodes, best_bound) are the arena's alone.
+void expect_lp_bitwise(const Solution& legacy, const Solution& arena,
+                       const std::string& tag) {
+  ASSERT_EQ(legacy.ok(), arena.ok()) << tag;
+  if (!legacy.ok()) return;
+  EXPECT_TRUE(same_bits(legacy.objective, arena.objective)) << tag;
+  EXPECT_EQ(legacy.iterations, arena.iterations) << tag;
+  ASSERT_EQ(legacy.x.size(), arena.x.size()) << tag;
+  for (std::size_t j = 0; j < legacy.x.size(); ++j)
+    EXPECT_TRUE(same_bits(legacy.x[j], arena.x[j])) << tag << ": x " << j;
+  ASSERT_EQ(legacy.duals.size(), arena.duals.size()) << tag;
+  for (std::size_t i = 0; i < legacy.duals.size(); ++i)
+    EXPECT_TRUE(same_bits(legacy.duals[i], arena.duals[i]))
+        << tag << ": dual " << i << " " << legacy.duals[i] << " vs "
+        << arena.duals[i];
+}
+
+TEST(SolverDifferentialTest, LpDualsMatchLegacyBitwise) {
+  // The LP cases of the random and degenerate corpora above (integer
+  // marks dropped), against lp::solve_lp: same optimum, same x, same
+  // duals, bit for bit, because the arena's cold root replays the legacy
+  // pivot sequence and reads duals off the same reduced costs.
+  std::mt19937 random_rng(12345), degenerate_rng(4242);
+  int optimal = 0;
+  for (int iter = 0; iter < 520; ++iter) {
+    Problem p = iter < 400 ? random_problem(random_rng)
+                           : degenerate_problem(degenerate_rng);
+    for (int j = 0; j < p.num_variables(); ++j) p.set_integer(j, false);
+    ArenaSolver solver;
+    const Solution legacy = solve_lp(p);
+    const Solution arena = solver.solve(p);
+    expect_lp_bitwise(legacy, arena, "iter " + std::to_string(iter));
+    if (legacy.ok()) ++optimal;
+  }
+  EXPECT_GT(optimal, 150);
+}
+
+TEST(SolverDifferentialTest, DcOpfDualsMatchLegacyBitwise) {
+  // Seeded PJM5 hours: loads around the paper's levels with the site draw
+  // fed back at gain 1 or 4, plus line outages, D-E derates and bus demand
+  // shocks. The arena's answer must be solve_lp's to the last bit, and its
+  // balance-row duals solve_dcopf's LMPs.
+  const market::Grid nominal = market::pjm5_grid();
+  int congested = 0;
+  for (std::uint64_t seed = 1; seed <= 200; ++seed) {
+    util::Rng rng(seed);
+    const double gain = seed % 2 == 0 ? 1.0 : 4.0;
+    const int out = rng.below(3) == 0 ? static_cast<int>(rng.below(6)) : -1;
+    const double derate = rng.below(2) == 0 ? rng.uniform(0.3, 0.95) : 1.0;
+    std::vector<double> loads(5, 0.0);
+    for (const int bus : market::pjm5_load_buses())
+      loads[static_cast<std::size_t>(bus)] =
+          rng.uniform(140.0, 330.0) + gain * rng.uniform(0.0, 70.0);
+    if (rng.below(3) == 0) loads[rng.below(5)] *= rng.uniform(1.0, 1.7);
+
+    market::Grid grid;
+    for (int b = 0; b < nominal.num_buses(); ++b)
+      grid.add_bus(nominal.bus_name(b));
+    for (int l = 0; l < nominal.num_lines(); ++l) {
+      if (l == out) continue;
+      const market::Line& line = nominal.line(l);
+      grid.add_line(line.name, line.from_bus, line.to_bus, line.reactance,
+                    line.limit_mw * derate);
+    }
+    for (const market::Generator& g : nominal.generators())
+      grid.add_generator(g.name, g.bus, g.capacity_mw, g.marginal_cost);
+
+    market::DcOpfModel model = market::build_dcopf_model(grid);
+    market::set_dcopf_loads(model, grid, loads);
+    const std::string tag = "seed " + std::to_string(seed);
+    ArenaSolver solver;
+    const Solution arena = solver.solve(model.problem);
+    expect_lp_bitwise(solve_lp(model.problem), arena, tag);
+    const market::DcOpfResult want = market::solve_dcopf(grid, loads);
+    ASSERT_EQ(want.ok(), arena.ok()) << tag;
+    if (!want.ok()) continue;
+    for (std::size_t b = 0; b < want.lmp.size(); ++b)
+      EXPECT_TRUE(same_bits(
+          want.lmp[b],
+          arena.duals[static_cast<std::size_t>(model.balance_row[b])]))
+          << tag << ": LMP at bus " << b;
+    if (want.lmp[1] != want.lmp[4]) ++congested;
+  }
+  EXPECT_GT(congested, 20) << "too few congested hours to exercise the duals";
 }
 
 class RealHourlyDifferentialTest : public ::testing::Test {

@@ -1,15 +1,22 @@
 // The local step-curve derivation of the closed loop, proved against the
 // linear own-draw sweep it replaces. CoupledMarket::derive_local_policies
-// bisects each site's 2 MW draw grid for the next price step instead of
-// solving the DC-OPF at every grid draw; that is exact only because a
-// bus's LMP is monotone in its own load. This suite holds:
+// solves the DC-OPF cold at draw 0, walks the site's balance-row rhs on
+// the same tableau to find where the LMP moves, and confirms each move
+// with one cold solve at the grid draw it lands on; that is exact only
+// because a bus's LMP is monotone in its own load and changes only with
+// the optimal basis. This suite holds:
 //
 //   - the differential: reference_sweep_policies (the linear sweep, kept
-//     here as the oracle) and the bisection return bitwise-identical
+//     here as the oracle) and the walk return bitwise-identical
 //     thresholds and prices over a few hundred seeded operating points,
 //     both feedback gains, 2 MW and irregular grid steps, line outages,
 //     derates and bus demand shocks, and throw the same error naming the
 //     same first infeasible draw;
+//   - the cost: per site, cold solves are at most 1 + new levels + refused
+//     walk pivots;
+//   - the walk's edge paths: a breakpoint exactly on a grid draw (either
+//     side may price there), a price move at the start draw, and an
+//     infeasible tail whose boundary is or is not a grid draw;
 //   - the precondition: on PJM5 the LMP at each site's bus never falls as
 //     that site's draw rises on a fine grid, with and without a derate;
 //   - the guards and edge cases: a non-positive price tolerance is
@@ -29,6 +36,7 @@
 #include <string>
 #include <vector>
 
+#include "lp/arena_solver.hpp"
 #include "util/rng.hpp"
 
 namespace billcap::market {
@@ -106,7 +114,7 @@ Derived by_sweep(const CoupledMarket& market, const CurveCase& c) {
   });
 }
 
-Derived by_bisection(const CoupledMarket& market, const CurveCase& c) {
+Derived by_walk(const CoupledMarket& market, const CurveCase& c) {
   return capture([&] {
     return market.derive_local_policies(c.power, c.background, c.base, c.cap,
                                         c.options, &c.faults);
@@ -175,7 +183,7 @@ CurveCase random_case(const CoupledMarket& market, std::uint64_t seed) {
   return c;
 }
 
-TEST(LocalCurveTest, BisectionMatchesLinearSweepBitwise) {
+TEST(LocalCurveTest, WalkMatchesLinearSweepBitwise) {
   const CoupledMarket market = CoupledMarket::paper();
   constexpr std::uint64_t kCases = 240;
   std::size_t stepped = 0;     // a site's curve has at least two levels
@@ -183,7 +191,7 @@ TEST(LocalCurveTest, BisectionMatchesLinearSweepBitwise) {
   for (std::uint64_t seed = 1; seed <= kCases; ++seed) {
     const CurveCase c = random_case(market, seed);
     const Derived want = by_sweep(market, c);
-    const Derived got = by_bisection(market, c);
+    const Derived got = by_walk(market, c);
     expect_identical(want, got, "seed " + std::to_string(seed));
     if (want.error) ++infeasible;
     for (const PricingPolicy& policy : want.policies)
@@ -200,7 +208,7 @@ TEST(LocalCurveTest, BisectionMatchesLinearSweepBitwise) {
 
 TEST(LocalCurveTest, GridEndingOnAPriceStepMatches) {
   // Every price step of the seeded curves becomes the last grid draw once
-  // the cap is cut back to it: the step the bisection must still find
+  // the cap is cut back to it: the step the walk must still find
   // when nothing lies beyond it, including steps one index apart.
   const CoupledMarket market = CoupledMarket::paper();
   std::size_t cut = 0;
@@ -213,7 +221,7 @@ TEST(LocalCurveTest, GridEndingOnAPriceStepMatches) {
         CurveCase truncated = c;
         truncated.cap[i] = thresholds[k] - c.base[i];
         expect_identical(by_sweep(market, truncated),
-                         by_bisection(market, truncated),
+                         by_walk(market, truncated),
                          "seed " + std::to_string(seed) + " site " +
                              std::to_string(i) + " step " + std::to_string(k));
         ++cut;
@@ -234,7 +242,7 @@ TEST(LocalCurveTest, GridTurningInfeasiblePartWayNamesTheSameFirstDraw) {
   c.power = {0.0, 20.5, 20.0};
   c.cap = {200.0, 40.0, 40.0};
   const Derived want = by_sweep(market, c);
-  const Derived got = by_bisection(market, c);
+  const Derived got = by_walk(market, c);
   ASSERT_TRUE(want.error.has_value());
   EXPECT_EQ(want.error, got.error);
   EXPECT_NE(want.error->find("site 0 at draw 120.000000 MW"), std::string::npos)
@@ -242,7 +250,7 @@ TEST(LocalCurveTest, GridTurningInfeasiblePartWayNamesTheSameFirstDraw) {
 }
 
 TEST(LocalCurveTest, LmpNeverFallsAsOwnDrawRises) {
-  // Bisection's precondition: the OPF cost is convex in one bus's load, so
+  // The walk's precondition: the OPF cost is convex in one bus's load, so
   // the balance-row dual there is monotone in that site's draw. Checked on
   // a fine grid across load levels that cross Brighton's capacity and the
   // D-E limit, with and without that line derated.
@@ -304,7 +312,7 @@ TEST(LocalCurveTest, ZeroCapGivesTheOneLevelCurveAtZeroDraw) {
   c.options.feedback_gain = 4.0;
   c.cap = {0.0, 0.0, 0.0};
   const Derived want = by_sweep(market, c);
-  const Derived got = by_bisection(market, c);
+  const Derived got = by_walk(market, c);
   expect_identical(want, got, "zero cap");
   ASSERT_EQ(got.policies.size(), 3u);
   for (const PricingPolicy& policy : got.policies) {
@@ -320,7 +328,7 @@ TEST(LocalCurveTest, EmptyGridIsRejectedLikeTheSweep) {
   CurveCase c = nominal_case();
   c.cap = {62.0, -1.0, 62.0};
   EXPECT_THROW(by_sweep(market, c), std::invalid_argument);
-  EXPECT_THROW(by_bisection(market, c), std::invalid_argument);
+  EXPECT_THROW(by_walk(market, c), std::invalid_argument);
 }
 
 TEST(LocalCurveTest, GridEndingExactlyOnTheCapMatches) {
@@ -332,10 +340,167 @@ TEST(LocalCurveTest, GridEndingExactlyOnTheCapMatches) {
       CurveCase c = nominal_case();
       c.options.feedback_gain = gain;
       c.cap = {cap, cap, cap};
-      expect_identical(by_sweep(market, c), by_bisection(market, c),
+      expect_identical(by_sweep(market, c), by_walk(market, c),
                        "gain " + std::to_string(gain) + " cap " +
                            std::to_string(cap));
     }
+  }
+}
+
+TEST(LocalCurveTest, WalkSolvesColdOnceAtDrawZeroAndOncePerLevel) {
+  // Site by site (the other sites' grids cut to their single zero draw,
+  // one cold solve each), over the differential corpus: every cold solve
+  // beyond the start must open a new level or follow a refused pivot.
+  const CoupledMarket market = CoupledMarket::paper();
+  const std::size_t n = market.num_sites();
+  long sweeps = 0, cold = 0, levels = 0;
+  for (std::uint64_t seed = 1; seed <= 240; ++seed) {
+    const CurveCase c = random_case(market, seed);
+    for (std::size_t i = 0; i < n; ++i) {
+      CurveCase one = c;
+      for (std::size_t j = 0; j < n; ++j)
+        if (j != i) one.cap[j] = 0.0;
+      lp::ArenaSolver solver;
+      std::vector<PricingPolicy> policies;
+      try {
+        policies = market.derive_local_policies(one.power, one.background,
+                                                one.base, one.cap, one.options,
+                                                &one.faults, solver);
+      } catch (const std::runtime_error&) {
+        continue;  // an infeasible tail ends the sweep early
+      }
+      const long site_cold = solver.stats().cold_solves - static_cast<long>(n - 1);
+      const long new_levels = static_cast<long>(policies[i].num_levels()) - 1;
+      EXPECT_LE(site_cold, 1 + new_levels + solver.stats().range_refusals)
+          << "seed " << seed << " site " << i;
+      ++sweeps;
+      cold += site_cold;
+      levels += new_levels;
+    }
+  }
+  ASSERT_GT(sweeps, 600);
+  EXPECT_GT(levels, sweeps / 4) << "too few price steps to mean anything";
+  EXPECT_LT(static_cast<double>(cold) / static_cast<double>(sweeps), 3.0);
+}
+
+/// PJM5 with D-E out: no thermal limit is left, so every price step sits
+/// where total load crosses a generator stack capacity (600, 710, 810,
+/// 1330 MW) and integer loads put it on an integer draw.
+CurveCase uncongested_case(std::vector<double> background,
+                           std::vector<double> power, double cap) {
+  CurveCase c;
+  c.background = std::move(background);
+  c.base = c.background;
+  c.power = std::move(power);
+  c.cap = {cap, 0.0, 0.0};
+  c.faults.line_out.assign(6, 0);
+  c.faults.line_out[5] = 1;
+  return c;
+}
+
+/// Where the walk from site 0's draw 0 sees basis changes up to just past
+/// its cap, solved on the DC-OPF model the derivation uses.
+std::vector<lp::RhsBreakpoint> site0_breakpoints(const CoupledMarket& market,
+                                                 const CurveCase& c) {
+  Grid grid;
+  for (int b = 0; b < market.grid().num_buses(); ++b)
+    grid.add_bus(market.grid().bus_name(b));
+  for (int l = 0; l < market.grid().num_lines(); ++l) {
+    if (c.faults.line_out[static_cast<std::size_t>(l)]) continue;
+    const Line& line = market.grid().line(l);
+    grid.add_line(line.name, line.from_bus, line.to_bus, line.reactance,
+                  line.limit_mw);
+  }
+  for (const Generator& g : market.grid().generators())
+    grid.add_generator(g.name, g.bus, g.capacity_mw, g.marginal_cost);
+  std::vector<double> loads(5, 0.0);
+  for (std::size_t i = 0; i < market.num_sites(); ++i)
+    loads[static_cast<std::size_t>(market.site_buses()[i])] +=
+        c.background[i] + (i == 0 ? 0.0 : c.power[i]);
+  DcOpfModel model = build_dcopf_model(grid);
+  set_dcopf_loads(model, grid, loads);
+  lp::ArenaSolver solver;
+  lp::RhsRange walk;
+  const int row = model.balance_row[static_cast<std::size_t>(market.site_buses()[0])];
+  solver.range_rhs(model.problem, row, 1.0, c.cap[0] + 1e-6, walk);
+  return walk.breakpoints;
+}
+
+TEST(LocalCurveTest, BreakpointExactlyOnAGridDrawMatchesTheSweep) {
+  // A price step whose breakpoint is a grid draw, where both adjacent
+  // prices are optimal duals and the cold solve picks one. Brighton's
+  // 600 MW filling at draw 50 (and at the last draw, 62) prices the old
+  // side there, so the step shows one draw later or not at all;
+  // Solitude's 1330 MW filling at draw 20 (also as the last draw) prices
+  // the new side, so the step sits on the breakpoint itself.
+  struct Tie {
+    std::vector<double> background, power;
+    double cap, at;
+    std::size_t levels;
+    double first_step;  // draw of the first step; 0 = none
+  };
+  const Tie ties[] = {
+      {{200.0, 150.0, 150.0}, {0.0, 30.0, 20.0}, 62.0, 50.0, 2, 52.0},
+      {{200.0, 150.0, 150.0}, {0.0, 18.0, 20.0}, 62.0, 62.0, 1, 0.0},
+      {{990.0, 150.0, 150.0}, {0.0, 10.0, 10.0}, 62.0, 20.0, 2, 20.0},
+      {{990.0, 150.0, 150.0}, {0.0, 10.0, 10.0}, 20.0, 20.0, 2, 20.0},
+  };
+  const CoupledMarket market = CoupledMarket::paper();
+  for (const Tie& tie : ties) {
+    const CurveCase c = uncongested_case(tie.background, tie.power, tie.cap);
+    const std::string tag =
+        "tie at " + std::to_string(tie.at) + ", cap " + std::to_string(tie.cap);
+    const std::vector<lp::RhsBreakpoint> breaks = site0_breakpoints(market, c);
+    ASSERT_FALSE(breaks.empty()) << tag;
+    EXPECT_NEAR(breaks.front().t, tie.at, 1e-9) << tag << ": the tie";
+    const Derived want = by_sweep(market, c);
+    expect_identical(want, by_walk(market, c), tag);
+    ASSERT_FALSE(want.error.has_value()) << tag;
+    const std::vector<double>& thresholds = want.policies[0].thresholds_mw();
+    ASSERT_EQ(thresholds.size(), tie.levels) << tag;
+    if (tie.levels > 1) {
+      EXPECT_EQ(thresholds[1], c.base[0] + tie.first_step) << tag;
+    }
+  }
+}
+
+TEST(LocalCurveTest, PriceMovingAtTheStartDrawMatchesTheSweep) {
+  // 600 MW before site 0 draws: draw 0 itself is Brighton's breakpoint, so
+  // the cold start sits on a degenerate vertex and the price moves at
+  // t = 0+. Also the same breakpoint one grid draw up, and half a draw up,
+  // where the step must land on the very next draw.
+  const CoupledMarket market = CoupledMarket::paper();
+  for (const double other : {50.0, 48.0, 49.0}) {
+    const CurveCase c =
+        uncongested_case({200.0, 150.0, 150.0}, {0.0, other, 50.0}, 40.0);
+    const std::vector<lp::RhsBreakpoint> breaks = site0_breakpoints(market, c);
+    ASSERT_FALSE(breaks.empty());
+    EXPECT_NEAR(breaks.front().t, 50.0 - other, 1e-9);
+    const Derived want = by_sweep(market, c);
+    expect_identical(want, by_walk(market, c),
+                     "start at " + std::to_string(other));
+    ASSERT_FALSE(want.error.has_value());
+    EXPECT_GE(want.policies[0].num_levels(), 2u);
+  }
+}
+
+TEST(LocalCurveTest, InfeasibleTailNamesTheSweepsDraw) {
+  // All 1530 MW of generation serve 1470 MW (or 1471 MW) before site 0
+  // draws: the tail turns infeasible past draw 60, which is itself the
+  // last feasible point (or past 59, between grid draws). The walk's
+  // error must name the sweep's first infeasible draw, 62 or 60.
+  const CoupledMarket market = CoupledMarket::paper();
+  for (const double extra : {0.0, 1.0}) {
+    const CurveCase c = uncongested_case({500.0, 480.0, 440.0 + extra},
+                                         {0.0, 30.0, 20.0}, 100.0);
+    const Derived want = by_sweep(market, c);
+    const Derived got = by_walk(market, c);
+    ASSERT_TRUE(want.error.has_value());
+    EXPECT_EQ(want.error, got.error);
+    const std::string draw = extra == 0.0 ? "62.000000" : "60.000000";
+    EXPECT_NE(want.error->find("site 0 at draw " + draw + " MW"),
+              std::string::npos)
+        << *want.error;
   }
 }
 

@@ -66,11 +66,9 @@ constexpr util::Flag kSharedFlags[] = {
     {"fault-outage-rate", kNumber, "site outage rate", "0", kProbability},
     {"fault-stale-rate", kNumber, "stale-feed rate", "0", kProbability},
     {"fault-shock-rate", kNumber, "demand-shock rate", "0", kProbability},
-    {"fault-squeeze-rate", kNumber, "deadline-squeeze rate", "0", kProbability},
     {"fault-outage-mean", kInteger, "mean outage, hours", "6", kAtLeastOne},
     {"fault-stale-mean", kInteger, "mean stale feed, hours", "4", kAtLeastOne},
     {"fault-shock-mean", kInteger, "mean shock, hours", "3", kAtLeastOne},
-    {"fault-squeeze-mean", kInteger, "mean squeeze, hours", "2", kAtLeastOne},
     {"feed-retry-prob", kNumber, "feed retry success", "0", kProbability},
     {"feed-max-retries", kInteger, "feed attempts per hour", "5", kAtLeastOne},
     {"feed-backoff-ms", kNumber, "feed retry backoff, ms", "100", kPositive},
@@ -85,8 +83,8 @@ constexpr util::Flag kSharedFlags[] = {
     {"min-premium", kNumber, "premium floor (exit 3)", "0.995", kProbability},
 };
 
-/// Faults of simulate's hourly controller: solver deadline squeezes,
-/// controller deaths and checkpoint bit rot. The serve daemon has its own
+/// Faults of simulate's hourly controller: solver deadline squeezes (by
+/// plan or by rate), controller deaths and checkpoint bit rot. The serve daemon has its own
 /// deadline (--replan-deadline-ms) and deaths (--kill-at-ticks) and never
 /// reads these, so it does not take them.
 constexpr util::Flag kControllerFaultFlags[] = {
@@ -95,6 +93,8 @@ constexpr util::Flag kControllerFaultFlags[] = {
     {"exit-storm", kText, "no-progress deaths hour:count,..."},
     {"corrupt-checkpoint-at", kText, "bit rot in the newest checkpoint h,..."},
     {"crash-rate", kNumber, "controller crash rate", "0", kProbability},
+    {"fault-squeeze-rate", kNumber, "deadline-squeeze rate", "0", kProbability},
+    {"fault-squeeze-mean", kInteger, "mean squeeze, hours", "2", kAtLeastOne},
 };
 
 /// Set by the supervisor on its children, so supervise does not take them.
@@ -254,11 +254,9 @@ void parse_faults(const util::CliArgs& args, core::SimulationConfig& config) {
   rates.outage_rate = args.get_number("fault-outage-rate");
   rates.stale_rate = args.get_number("fault-stale-rate");
   rates.shock_rate = args.get_number("fault-shock-rate");
-  rates.squeeze_rate = args.get_number("fault-squeeze-rate");
   rates.outage_mean_hours = whole(args.get_integer("fault-outage-mean"));
   rates.stale_mean_hours = whole(args.get_integer("fault-stale-mean"));
   rates.shock_mean_hours = whole(args.get_integer("fault-shock-mean"));
-  rates.squeeze_mean_hours = whole(args.get_integer("fault-squeeze-mean"));
 
   // Market-feed retry policy (0 = legacy frozen feed).
   config.market_feed.retry_success_prob = args.get_number("feed-retry-prob");
@@ -290,7 +288,10 @@ void parse_controller_faults(const util::CliArgs& args,
   for (const auto& t : parse_tuples(args.get_text("corrupt-checkpoint-at"), 1,
                                     "corrupt-checkpoint-at"))
     plan.checkpoint_corruptions.push_back({whole(t[0])});
-  config.fault_rates.crash_rate = args.get_number("crash-rate");
+  core::FaultRates& rates = config.fault_rates;
+  rates.crash_rate = args.get_number("crash-rate");
+  rates.squeeze_rate = args.get_number("fault-squeeze-rate");
+  rates.squeeze_mean_hours = whole(args.get_integer("fault-squeeze-mean"));
 }
 
 /// The serve-only fault kinds: arrival surges and price-revision bursts
