@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <cstdio>
 #include <stdexcept>
 #include <string>
@@ -266,6 +267,52 @@ TEST(FleetInvarianceTest, HundredSiteMonthIsThreadCountInvariant) {
       EXPECT_EQ(csv, reference) << "threads=" << threads;
     }
   }
+}
+
+TEST(FleetInvarianceTest, SweepLadderMonthCsvDigestIsPinned) {
+  // A short month of bench/fleet_sweep's 100-site fleet under its rotating
+  // fault ladder (month 1: a dead region, a stalled chunk, a squeezed
+  // arena and a site outage). The FNV-1a of its fleet_month_csv pins the
+  // fleet hour bit for bit.
+  const auto base_sites = datacenter::paper_datacenters();
+  const auto base_policies = market::paper_policies(1);
+  std::vector<datacenter::DataCenter> sites;
+  std::vector<market::PricingPolicy> policies;
+  while (sites.size() < 100) {
+    const std::size_t i = sites.size() % base_sites.size();
+    sites.push_back(base_sites[i]);
+    policies.push_back(base_policies[i]);
+  }
+  const std::vector<Region> regions = contiguous_regions(100, 5);
+
+  const std::size_t month = 1;
+  const std::size_t hours = 12;
+  FleetMonthConfig config;
+  config.hours = hours;
+  config.seed = 0xb111ca9f1ee7ULL ^ (month * 0x9e3779b97f4a7c15ULL);
+  config.base_premium = 1.2e13;
+  config.base_ordinary = 3e12;
+  config.base_demand_mw = 180.0;
+  config.hourly_budget = 2e8;
+  const std::size_t quarter = hours / 4 + 1;
+  config.faults.region_outages.push_back(
+      {month % regions.size(), quarter, quarter / 2 + 1});
+  config.faults.chunk_stalls.push_back(
+      {(month * 7 + 3) % regions.size(), quarter / 2, quarter, 1});
+  config.faults.chunk_squeezes.push_back(
+      {(month * 13 + 5) % regions.size(), 2 * quarter, quarter, 64});
+  config.faults.outages.push_back({(month * 11 + 1) % 100, 1, quarter});
+
+  FleetController fleet(sites, policies, regions);
+  const MonthlyResult result = fleet.run_month(config);
+  EXPECT_GT(result.degraded_chunks, 0u);
+  EXPECT_GT(result.region_down_chunks, 0u);
+  std::uint64_t hash = 0xcbf29ce484222325ULL;
+  for (const char c : fleet_month_csv(result)) {
+    hash ^= static_cast<unsigned char>(c);
+    hash *= 0x100000001b3ULL;
+  }
+  EXPECT_EQ(hash, 0x2928c241376b2ae2ULL);
 }
 
 }  // namespace

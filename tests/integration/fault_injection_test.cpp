@@ -7,6 +7,8 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
 #include <vector>
 
 #include "core/simulator.hpp"
@@ -175,6 +177,83 @@ TEST(FaultInjectionTest, MinOnlyBaselineSurvivesFaultsToo) {
   }
   EXPECT_EQ(r.outage_hours, 48u);
   EXPECT_GT(r.premium_throughput_ratio(), 0.95);
+}
+
+/// FNV-1a over the bit pattern of every HourRecord field of the month
+/// except solve_ms (wall-clock telemetry), in record order.
+std::uint64_t hour_record_digest(const MonthlyResult& r) {
+  std::uint64_t hash = 0xcbf29ce484222325ULL;
+  const auto mix = [&hash](std::uint64_t value) {
+    for (int i = 0; i < 8; ++i) {
+      hash ^= (value >> (8 * i)) & 0xffu;
+      hash *= 0x100000001b3ULL;
+    }
+  };
+  const auto mix_d = [&mix](double v) { mix(std::bit_cast<std::uint64_t>(v)); };
+  const auto mix_all = [&](const std::vector<double>& values) {
+    mix(values.size());
+    for (double v : values) mix_d(v);
+  };
+  for (const HourRecord& rec : r.hours) {
+    mix(rec.hour);
+    mix_d(rec.arrivals);
+    mix_d(rec.premium_arrivals);
+    mix_d(rec.ordinary_arrivals);
+    mix_d(rec.served_premium);
+    mix_d(rec.served_ordinary);
+    mix_d(rec.hourly_budget);
+    mix_d(rec.cost);
+    mix_d(rec.predicted_cost);
+    mix(static_cast<std::uint64_t>(rec.mode));
+    mix_all(rec.site_lambda);
+    mix_all(rec.site_power_mw);
+    mix(static_cast<std::uint64_t>(rec.nodes));
+    mix(rec.degraded ? 1 : 0);
+    mix(static_cast<std::uint64_t>(rec.failure));
+    mix(rec.used_incumbent ? 1 : 0);
+    mix(rec.used_heuristic ? 1 : 0);
+    mix(rec.sites_down);
+    mix(rec.stale_prices ? 1 : 0);
+    mix(static_cast<std::uint64_t>(rec.feed_attempts));
+    mix(rec.feed_recovered ? 1 : 0);
+    mix(rec.coupler_iterations);
+    mix(rec.coupler_converged ? 1 : 0);
+    mix(rec.coupler_fallback ? 1 : 0);
+    mix(rec.coupler_rung);
+  }
+  return hash;
+}
+
+TEST(FaultInjectionTest, LadderMonthDigestsArePinned) {
+  // A three-node budget with an outage and a demand shock walks both
+  // strategies down the degradation ladder (optimal, incumbent, greedy;
+  // Min-Only Low never needs the greedy rung). The digests pin every
+  // record field of those months and the rung counts pin the walk, so a
+  // refactor of the hour pipeline that moves any bit fails here.
+  SimulationConfig config;
+  config.optimizer.milp.max_nodes = 3;
+  config.fault_plan.outages.push_back({2, 200, 48});
+  config.fault_plan.demand_shocks.push_back({0, 350, 24, 1.4});
+  const Simulator sim(config);
+  struct Pin {
+    Strategy strategy;
+    std::uint64_t digest;
+    std::size_t incumbent_hours;
+    std::size_t heuristic_hours;
+  };
+  for (const Pin& pin : {Pin{Strategy::kCostCapping, 0x528bf1aa80ef7892ULL,
+                             124, 508},
+                         Pin{Strategy::kMinOnlyAvg, 0x334e437f6de44223ULL,
+                             100, 95},
+                         Pin{Strategy::kMinOnlyLow, 0x1608afc25ddc5284ULL,
+                             32, 0}}) {
+    const MonthlyResult r = sim.run(pin.strategy);
+    EXPECT_EQ(hour_record_digest(r), pin.digest) << to_string(pin.strategy);
+    EXPECT_EQ(r.incumbent_hours, pin.incumbent_hours)
+        << to_string(pin.strategy);
+    EXPECT_EQ(r.heuristic_hours, pin.heuristic_hours)
+        << to_string(pin.strategy);
+  }
 }
 
 }  // namespace
