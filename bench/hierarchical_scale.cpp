@@ -4,8 +4,8 @@
 // hierarchical capper buys.
 //
 // The paper network is replicated to 3/6/9/12 sites; for each size the
-// flat capper and a hierarchical capper (3 sites per region) allocate the
-// same hour. Reported: wall time per invocation and the ground-truth cost
+// flat capper and the two-level FleetController (3 sites per region,
+// chunks solved inline with no pool) allocate the same hour. Reported: wall time per invocation and the ground-truth cost
 // gap of decentralization.
 
 #include <chrono>
@@ -15,7 +15,7 @@
 
 #include "bench_common.hpp"
 #include "core/cost_model.hpp"
-#include "core/hierarchical.hpp"
+#include "core/fleet.hpp"
 #include "datacenter/catalog.hpp"
 #include "market/pricing_policy.hpp"
 
@@ -69,11 +69,16 @@ int main() {
                                   flat_out.allocation.lambda_vector())
             .total_cost;
 
-    const core::HierarchicalCapper hier(
-        sites, policies, core::contiguous_regions(sites.size(), 3));
-    core::HierarchicalOutcome hier_out;
+    // No chunk node budget: each region solves under the same MILP
+    // options as the flat capper.
+    core::FleetOptions options;
+    options.deadline.max_nodes = 0;
+    core::FleetController hier(sites, policies,
+                               core::contiguous_regions(sites.size(), 3),
+                               options);
+    core::FleetHourOutcome hier_out;
     const double hier_ms = now_solve_ms([&] {
-      hier_out = hier.decide(premium, ordinary, demand, budget);
+      hier_out = hier.decide_hour(0, premium, ordinary, demand, budget);
     });
     const double hier_cost =
         core::evaluate_allocation(sites, policies, demand,

@@ -1,8 +1,7 @@
 #include "core/baselines.hpp"
 
+#include <algorithm>
 #include <stdexcept>
-
-#include "core/cost_minimizer.hpp"
 
 namespace billcap::core {
 
@@ -31,15 +30,6 @@ std::vector<SiteModel> min_only_site_models(
     models.push_back(std::move(model));
   }
   return models;
-}
-
-AllocationResult min_only_allocate(
-    const std::vector<datacenter::DataCenter>& sites,
-    const std::vector<market::PricingPolicy>& policies, double lambda_total,
-    MinOnlyPriceModel price_model, const OptimizerOptions& options) {
-  const std::vector<SiteModel> models =
-      min_only_site_models(sites, policies, price_model);
-  return minimize_cost_over_models(models, lambda_total, options);
 }
 
 }  // namespace billcap::core

@@ -1,6 +1,5 @@
 #pragma once
 
-#include <span>
 #include <vector>
 
 #include "core/formulation.hpp"
@@ -14,23 +13,14 @@ enum class MinOnlyPriceModel {
   kLow,      ///< Min-Only (Low): lowest level price
 };
 
-/// The state-of-the-art baseline ([2], as characterized in Section VII-A):
-/// an optimization-based cost minimizer that (1) treats the data centers as
-/// price takers — a constant locational price unaffected by its own routing
-/// — and (2) models only server power, ignoring cooling and networking.
-/// It never looks at a budget.
-///
-/// The returned result carries the baseline's *beliefs*; the simulator
-/// bills the resulting allocation through core::evaluate_allocation, which
-/// is where the 17.9 % / 33.5 % gaps of Figure 3 come from.
-AllocationResult min_only_allocate(
-    const std::vector<datacenter::DataCenter>& sites,
-    const std::vector<market::PricingPolicy>& policies,
-    double lambda_total, MinOnlyPriceModel price_model,
-    const OptimizerOptions& options = {});
-
-/// The believed site models of the baseline (exposed for tests/ablations):
-/// flat price, server-only power.
+/// The believed site models of the state-of-the-art baseline ([2], as
+/// characterized in Section VII-A): an optimization-based cost minimizer
+/// that (1) treats the data centers as price takers — a constant
+/// locational price unaffected by its own routing — and (2) models only
+/// server power, ignoring cooling and networking. It never looks at a
+/// budget. The Min-Only hour (Simulator::run) minimizes cost over these
+/// beliefs and bills the allocation through core::evaluate_allocation,
+/// which is where the 17.9 % / 33.5 % gaps of Figure 3 come from.
 std::vector<SiteModel> min_only_site_models(
     const std::vector<datacenter::DataCenter>& sites,
     const std::vector<market::PricingPolicy>& policies,

@@ -65,7 +65,34 @@ SiteModel down_site_model() {
   return model;
 }
 
+/// Records a degradation; the first failure reason sticks (later steps may
+/// degrade too, but the hour's root cause is what broke first).
+void mark_degraded(CappingOutcome& out, lp::SolveStatus status) {
+  out.degraded = true;
+  if (out.failure == FailureReason::kNone)
+    out.failure = failure_reason_from(status);
+}
+
 }  // namespace
+
+AllocationResult minimize_cost_with_fallback(std::span<const SiteModel> models,
+                                             double lambda_total,
+                                             const OptimizerOptions& options,
+                                             lp::ArenaSolver& solver,
+                                             CappingOutcome& out) {
+  AllocationResult allocation =
+      minimize_cost_over_models(models, lambda_total, options, solver);
+  if (allocation.ok()) return allocation;
+  mark_degraded(out, allocation.status);
+  // The rung flags describe the allocation actually served: a flag an
+  // earlier, discarded rung set must not stay behind.
+  out.used_incumbent = allocation.feasible;
+  out.used_heuristic = !allocation.feasible;
+  if (!allocation.feasible)
+    allocation = fallback_allocate(
+        models, FallbackRequest{lambda_total, 0.0, lp::kInfinity});
+  return allocation;
+}
 
 BillCapper::BillCapper(const std::vector<datacenter::DataCenter>& sites,
                        const std::vector<market::PricingPolicy>& policies,
@@ -129,14 +156,6 @@ CappingOutcome BillCapper::decide(double lambda_premium,
   CappingOutcome out;
   out.hourly_budget = hourly_budget;
 
-  // Records a degradation; the first failure reason sticks (later steps may
-  // degrade too, but the hour's root cause is what broke first).
-  const auto mark_degraded = [&out](lp::SolveStatus status) {
-    out.degraded = true;
-    if (out.failure == FailureReason::kNone)
-      out.failure = failure_reason_from(status);
-  };
-
   // The optimizer's affine power model under-counts the exact (integer
   // servers/switches) draw by a hair; solving against a slightly reduced
   // budget keeps the *billed* cost under the real budget instead of
@@ -181,18 +200,8 @@ CappingOutcome BillCapper::decide(double lambda_premium,
 
   // Step 1: cost minimization for the full (admitted) workload.
   // Degradation ladder: optimal -> limit-solve incumbent -> greedy.
-  AllocationResult min_cost =
-      minimize_cost_over_models(models, lambda_total, opts, min_cost_solver_);
-  if (!min_cost.ok()) {
-    mark_degraded(min_cost.status);
-    if (min_cost.feasible) {
-      out.used_incumbent = true;
-    } else {
-      min_cost = fallback_allocate(
-          models, FallbackRequest{lambda_total, 0.0, lp::kInfinity});
-      out.used_heuristic = true;
-    }
-  }
+  AllocationResult min_cost = minimize_cost_with_fallback(
+      models, lambda_total, opts, min_cost_solver_, out);
 
   if (min_cost.predicted_cost <= solver_budget) {
     out.mode = CappingOutcome::Mode::kUncapped;
@@ -212,7 +221,7 @@ CappingOutcome BillCapper::decide(double lambda_premium,
       models, lambda_total, solver_budget, opts, throughput_solver_);
   if (capped.usable() && capped.total_lambda >= premium - 1e-6) {
     if (!capped.ok()) {
-      mark_degraded(capped.status);
+      mark_degraded(out, capped.status);
       // The rung flags describe the allocation actually served; a step-1
       // fallback that was then discarded must not leave its flag behind
       // (the rungs are exclusive per hour).
@@ -229,7 +238,7 @@ CappingOutcome BillCapper::decide(double lambda_premium,
   if (!capped.usable()) {
     // The solver died outright: greedy water-filling serves premium
     // unconditionally and ordinary only while the budget lasts.
-    mark_degraded(capped.status);
+    mark_degraded(out, capped.status);
     out.used_heuristic = true;
     out.used_incumbent = false;
     AllocationResult greedy = fallback_allocate(
@@ -244,20 +253,8 @@ CappingOutcome BillCapper::decide(double lambda_premium,
 
   // Budget cannot even cover premium: guarantee premium QoS at minimum
   // cost and accept the violation (Section V-B).
-  AllocationResult premium_only =
-      minimize_cost_over_models(models, premium, opts, premium_solver_);
-  if (!premium_only.ok()) {
-    mark_degraded(premium_only.status);
-    if (premium_only.feasible) {
-      out.used_incumbent = true;
-      out.used_heuristic = false;
-    } else {
-      premium_only = fallback_allocate(
-          models, FallbackRequest{premium, 0.0, lp::kInfinity});
-      out.used_heuristic = true;
-      out.used_incumbent = false;
-    }
-  }
+  AllocationResult premium_only = minimize_cost_with_fallback(
+      models, premium, opts, premium_solver_, out);
   out.mode = CappingOutcome::Mode::kPremiumOnly;
   out.served_premium =
       out.used_heuristic ? std::min(premium, premium_only.total_lambda)

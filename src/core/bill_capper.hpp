@@ -59,6 +59,18 @@ struct CappingOutcome {
 
 const char* to_string(CappingOutcome::Mode mode) noexcept;
 
+/// The degradation ladder of one cost-minimization solve: the optimal
+/// allocation of `lambda_total` over `models`, else the limit-terminated
+/// solve's feasible incumbent, else greedy water-filling. A fall marks
+/// `out` degraded (the first failure reason sticks) and sets exactly one
+/// of its used_incumbent / used_heuristic flags. BillCapper's step-1 and
+/// premium-only rungs and the Min-Only hour all run it.
+AllocationResult minimize_cost_with_fallback(std::span<const SiteModel> models,
+                                             double lambda_total,
+                                             const OptimizerOptions& options,
+                                             lp::ArenaSolver& solver,
+                                             CappingOutcome& out);
+
 /// Per-call environment overrides for fault injection and degraded
 /// operation. All spans are either empty (no override) or one entry per
 /// site.

@@ -42,6 +42,23 @@ struct FleetController::ChunkInput {
   std::size_t arena_bytes = 0;
 };
 
+std::vector<Region> contiguous_regions(std::size_t num_sites,
+                                       std::size_t max_sites_per_region) {
+  if (max_sites_per_region == 0)
+    throw std::invalid_argument("contiguous_regions: empty region size");
+  std::vector<Region> regions;
+  for (std::size_t start = 0; start < num_sites;
+       start += max_sites_per_region) {
+    Region region;
+    region.name = "region" + std::to_string(regions.size());
+    for (std::size_t i = start;
+         i < std::min(num_sites, start + max_sites_per_region); ++i)
+      region.site_indices.push_back(i);
+    regions.push_back(std::move(region));
+  }
+  return regions;
+}
+
 FleetController::FleetController(
     const std::vector<datacenter::DataCenter>& sites,
     const std::vector<market::PricingPolicy>& policies,
@@ -51,8 +68,39 @@ FleetController::FleetController(
       options_(options),
       pool_(pool),
       num_sites_(sites.size()),
-      hier_(sites, policies, std::move(regions), options.optimizer),
-      quarantine_(hier_.num_regions()) {}
+      regions_(std::move(regions)),
+      quarantine_(regions_.size()) {
+  if (sites_.size() != policies_.size())
+    throw std::invalid_argument("FleetController: one policy per site");
+  std::vector<bool> covered(num_sites_, false);
+  for (const Region& region : regions_) {
+    if (region.site_indices.empty())
+      throw std::invalid_argument("FleetController: empty region " +
+                                  region.name);
+    for (std::size_t i : region.site_indices) {
+      if (i >= num_sites_ || covered[i])
+        throw std::invalid_argument(
+            "FleetController: bad or duplicate site in " + region.name);
+      covered[i] = true;
+    }
+  }
+  if (std::find(covered.begin(), covered.end(), false) != covered.end())
+    throw std::invalid_argument("FleetController: uncovered site");
+
+  region_sites_.resize(regions_.size());
+  region_policies_.resize(regions_.size());
+  for (std::size_t r = 0; r < regions_.size(); ++r)
+    for (std::size_t i : regions_[r].site_indices) {
+      region_sites_[r].push_back(sites_[i]);
+      region_policies_[r].push_back(policies_[i]);
+    }
+  // Only now that the catalogs have stopped reallocating: each capper
+  // keeps references into its region's catalogs.
+  region_cappers_.reserve(regions_.size());
+  for (std::size_t r = 0; r < regions_.size(); ++r)
+    region_cappers_.emplace_back(region_sites_[r], region_policies_[r],
+                                 options_.optimizer);
+}
 
 bool FleetController::region_quarantined(std::size_t region,
                                          std::size_t hour) const {
@@ -74,7 +122,7 @@ ChunkOutcome FleetController::run_chunk(const ChunkInput& in) const {
     return chunk;
   }
 
-  const BillCapper& capper = hier_.region_capper(in.region);
+  const BillCapper& capper = region_cappers_[in.region];
   DecideOptions opts;
   opts.site_available = in.available;
   opts.time_limit_ms = in.time_limit_ms;
@@ -123,7 +171,7 @@ FleetHourOutcome FleetController::decide_hour(
     const FaultInjector* injector) {
   if (other_demand_mw.size() != num_sites_)
     throw std::invalid_argument("FleetController: demand size mismatch");
-  const std::size_t num_regions = hier_.num_regions();
+  const std::size_t num_regions = regions_.size();
 
   // ---- coordinator (serial): availability, shares, chunk inputs --------
   std::vector<std::uint8_t> site_up(num_sites_, 1);
@@ -141,7 +189,7 @@ FleetHourOutcome FleetController::decide_hour(
     in.down = injector != nullptr && injector->region_down(r, hour);
     in.quarantined =
         !in.down && hour < quarantine_[r].quarantined_until;
-    const Region& region = hier_.region(r);
+    const Region& region = regions_[r];
     in.demand.reserve(region.site_indices.size());
     in.available.reserve(region.site_indices.size());
     for (std::size_t i : region.site_indices) {
@@ -173,57 +221,61 @@ FleetHourOutcome FleetController::decide_hour(
   out.site_lambda.assign(num_sites_, 0.0);
   out.chunks.resize(num_regions);
 
-  if (total_capacity > 0.0) {
-    for (std::size_t r = 0; r < num_regions; ++r) {
-      const double share = capacity[r] / total_capacity;
-      inputs[r].premium = lambda_premium * share;
-      inputs[r].ordinary = lambda_ordinary * share;
-      inputs[r].budget = hourly_budget * share;
-    }
+  // Nothing can serve anywhere (every region or site down): the hour
+  // completes with zero service rather than aborting. The shares then
+  // follow site counts, so each region sheds its share of the arrivals and
+  // dropped_capacity accounts for the whole hour.
+  const bool no_capacity = total_capacity <= 0.0;
+  if (no_capacity) {
+    for (std::size_t r = 0; r < num_regions; ++r)
+      capacity[r] = static_cast<double>(regions_[r].site_indices.size());
+    total_capacity = static_cast<double>(num_sites_);
+  }
+  for (std::size_t r = 0; r < num_regions; ++r) {
+    const double share = capacity[r] / total_capacity;
+    inputs[r].premium = lambda_premium * share;
+    inputs[r].ordinary = lambda_ordinary * share;
+    inputs[r].budget = hourly_budget * share;
+  }
 
-    // ---- sharded chunk solves ------------------------------------------
-    // One task per region; each region's solver arena is touched by
-    // exactly one task, results land in indexed slots, and the reduction
-    // below walks them in region order — bitwise-identical for any thread
-    // count (and for no pool at all).
-    if (pool_ != nullptr && num_regions > 1) {
-      std::vector<std::future<util::TaskResult<ChunkOutcome>>> futures;
-      futures.reserve(num_regions);
-      for (std::size_t r = 0; r < num_regions; ++r)
-        futures.push_back(pool_->submit_noexcept(
-            [this, &in = inputs[r]] { return run_chunk(in); }));
-      for (std::size_t r = 0; r < num_regions; ++r) {
-        util::TaskResult<ChunkOutcome> result = futures[r].get();
-        if (result.ok) {
-          out.chunks[r] = std::move(result.value);
-        } else {
-          // The envelope itself failed (run_chunk catches solve trouble,
-          // so this is a harness-level fault). Same contract: the chunk
-          // sheds locally with FailureReason::kThrown.
-          out.chunks[r].region = r;
-          out.chunks[r].status = ChunkStatus::kDegraded;
-          out.chunks[r].failure = FailureReason::kThrown;
-          out.chunks[r].outcome.mode = CappingOutcome::Mode::kPremiumOnly;
-          out.chunks[r].outcome.hourly_budget = inputs[r].budget;
-          out.chunks[r].outcome.degraded = true;
-          out.chunks[r].outcome.failure = FailureReason::kThrown;
-        }
+  // ---- sharded chunk solves --------------------------------------------
+  // One task per region; each region's solver arena is touched by exactly
+  // one task, results land in indexed slots, and the reduction below walks
+  // them in region order — bitwise-identical for any thread count (and for
+  // no pool at all).
+  if (pool_ != nullptr && num_regions > 1) {
+    std::vector<std::future<util::TaskResult<ChunkOutcome>>> futures;
+    futures.reserve(num_regions);
+    for (std::size_t r = 0; r < num_regions; ++r)
+      futures.push_back(pool_->submit_noexcept(
+          [this, &in = inputs[r]] { return run_chunk(in); }));
+    for (std::size_t r = 0; r < num_regions; ++r) {
+      util::TaskResult<ChunkOutcome> result = futures[r].get();
+      if (result.ok) {
+        out.chunks[r] = std::move(result.value);
+      } else {
+        // The envelope itself failed (run_chunk catches solve trouble, so
+        // this is a harness-level fault). Same contract: the chunk sheds
+        // locally with FailureReason::kThrown.
+        out.chunks[r].region = r;
+        out.chunks[r].status = ChunkStatus::kDegraded;
+        out.chunks[r].failure = FailureReason::kThrown;
+        out.chunks[r].outcome.mode = CappingOutcome::Mode::kPremiumOnly;
+        out.chunks[r].outcome.hourly_budget = inputs[r].budget;
+        out.chunks[r].outcome.degraded = true;
+        out.chunks[r].outcome.failure = FailureReason::kThrown;
       }
-    } else {
-      for (std::size_t r = 0; r < num_regions; ++r)
-        out.chunks[r] = run_chunk(inputs[r]);
     }
   } else {
-    // Nothing can serve anywhere (every region down): the hour completes
-    // with zero service rather than aborting.
-    for (std::size_t r = 0; r < num_regions; ++r) {
+    for (std::size_t r = 0; r < num_regions; ++r)
       out.chunks[r] = run_chunk(inputs[r]);
+  }
+  if (no_capacity)
+    for (std::size_t r = 0; r < num_regions; ++r)
       if (!inputs[r].down) {
         out.chunks[r].status = ChunkStatus::kDegraded;
         out.chunks[r].failure = FailureReason::kInfeasible;
       }
-    }
-  }
 
   // ---- ordered reduction ------------------------------------------------
   for (std::size_t r = 0; r < num_regions; ++r) {
@@ -233,7 +285,7 @@ FleetHourOutcome FleetController::decide_hour(
     out.predicted_cost += chunk.outcome.allocation.predicted_cost;
     out.dropped_capacity += chunk.outcome.dropped_capacity;
     out.mode = std::max(out.mode, chunk.outcome.mode);
-    const Region& region = hier_.region(r);
+    const Region& region = regions_[r];
     const auto lambdas = chunk.outcome.allocation.lambda_vector();
     if (lambdas.size() == region.site_indices.size())
       for (std::size_t k = 0; k < region.site_indices.size(); ++k)
@@ -315,23 +367,13 @@ MonthlyResult FleetController::run_month(const FleetMonthConfig& config) {
       rec.used_heuristic = rec.used_heuristic || chunk.outcome.used_heuristic;
     }
 
-    result.total_cost += rec.cost;
-    result.total_premium_arrivals += rec.premium_arrivals;
-    result.total_ordinary_arrivals += rec.ordinary_arrivals;
-    result.total_served_premium += rec.served_premium;
-    result.total_served_ordinary += rec.served_ordinary;
-    if (rec.degraded) {
-      ++result.degraded_hours;
-      result.failure_tally[static_cast<std::size_t>(rec.failure)] += 1;
-    }
-    if (rec.used_incumbent) ++result.incumbent_hours;
-    if (rec.used_heuristic) ++result.heuristic_hours;
-    if (rec.sites_down > 0 || hour_out.region_down_chunks > 0)
+    // A region-wide outage is an outage hour even with no site-level one.
+    if (rec.sites_down == 0 && hour_out.region_down_chunks > 0)
       ++result.outage_hours;
     result.degraded_chunks += hour_out.degraded_chunks;
     result.quarantined_chunks += hour_out.quarantined_chunks;
     result.region_down_chunks += hour_out.region_down_chunks;
-    result.hours.push_back(std::move(rec));
+    result.accumulate(std::move(rec));
   }
   return result;
 }

@@ -7,12 +7,23 @@
 #include <string>
 #include <vector>
 
+#include "core/bill_capper.hpp"
 #include "core/fault_injector.hpp"
-#include "core/hierarchical.hpp"
 #include "core/simulator.hpp"
 #include "util/thread_pool.hpp"
 
 namespace billcap::core {
+
+/// A group of sites managed by one regional capper.
+struct Region {
+  std::string name;
+  std::vector<std::size_t> site_indices;  ///< into the global site catalog
+};
+
+/// Partitions sites into contiguous regions of at most
+/// `max_sites_per_region` sites.
+std::vector<Region> contiguous_regions(std::size_t num_sites,
+                                       std::size_t max_sites_per_region);
 
 /// How a region's chunk solve ended this fleet hour.
 enum class ChunkStatus {
@@ -30,7 +41,8 @@ const char* to_string(ChunkStatus status) noexcept;
 /// assist mirrors serve's re-plan engine: off by default, opt-in for
 /// latency-sensitive deployments that accept losing determinism.
 struct ChunkDeadline {
-  long max_nodes = 20'000;     ///< per-solve branch-and-bound budget
+  long max_nodes = 20'000;     ///< per-solve B&B budget; <= 0 keeps the
+                               ///< OptimizerOptions' own
   double wall_clock_ms = 0.0;  ///< > 0 adds a wall-clock ceiling per solve
 };
 
@@ -58,8 +70,8 @@ struct ChunkOutcome {
   CappingOutcome outcome;
 };
 
-/// The merged fleet hour: the same global view HierarchicalOutcome carries,
-/// plus the per-chunk fault accounting.
+/// The merged fleet hour: the global view (worst mode, summed service and
+/// cost, site rates in global order) plus the per-chunk fault accounting.
 struct FleetHourOutcome {
   CappingOutcome::Mode mode = CappingOutcome::Mode::kUncapped;
   double served_premium = 0.0;
@@ -87,12 +99,19 @@ struct FleetMonthConfig {
   FaultPlan faults;              ///< region-scoped kinds welcome
 };
 
-/// Fault-isolated parallel fleet controller: the 100-site scale-out layer
-/// on top of HierarchicalCapper. Each hour the coordinator splits workload
-/// and budget across regions exactly like the hierarchical capper, then
-/// shards one chunk solve per region across a util::ThreadPool (or runs
-/// them inline with no pool). Every chunk solve runs inside a fault
-/// envelope:
+/// The two-level bill capping architecture sketched in Section IX, made
+/// fault-isolated and parallel for a 100-site fleet. Each hour a thin
+/// coordinator splits workload and budget across regions in proportion to
+/// regional believed capacity, and every region runs the full two-step
+/// algorithm on its own small site set: complexity stays exponential only
+/// in one region's sites x price levels, so the fleet scales by adding
+/// regions. The price of decentralization is coordination loss (a region
+/// cannot shift load or budget to another mid-hour); bench/
+/// hierarchical_scale measures both the speedup and the optimality gap
+/// against the flat capper.
+///
+/// The chunk solves (one per region) shard across a util::ThreadPool, or
+/// run inline with no pool. Every chunk solve runs inside a fault envelope:
 ///
 ///   - a per-chunk deadline (node budget primary, wall-clock assist),
 ///   - typed failure classification (timeout / infeasible / arena-exhausted
@@ -109,14 +128,16 @@ struct FleetMonthConfig {
 /// any thread count, including none.
 class FleetController {
  public:
-  /// `pool` may be null (chunks solve inline, serially). The caller keeps
-  /// sites/policies/pool alive for the controller's lifetime.
+  /// Every site must belong to exactly one region (throws
+  /// std::invalid_argument otherwise). `pool` may be null (chunks solve
+  /// inline, serially). The caller keeps sites/policies/pool alive for the
+  /// controller's lifetime.
   FleetController(const std::vector<datacenter::DataCenter>& sites,
                   const std::vector<market::PricingPolicy>& policies,
                   std::vector<Region> regions, FleetOptions options = {},
                   util::ThreadPool* pool = nullptr);
 
-  std::size_t num_regions() const noexcept { return hier_.num_regions(); }
+  std::size_t num_regions() const noexcept { return regions_.size(); }
   std::size_t num_sites() const noexcept { return num_sites_; }
 
   /// True when the region is quarantined for the *next* decide_hour call.
@@ -132,9 +153,10 @@ class FleetController {
                                double hourly_budget,
                                const FaultInjector* injector = nullptr);
 
-  /// Runs a synthetic scenario-month through decide_hour and aggregates a
-  /// MonthlyResult (chunk counters filled in; `cost` is the coordinator's
-  /// predicted cost — the fleet bench compares months, not billing).
+  /// Runs a synthetic scenario-month through decide_hour and folds the
+  /// hours with MonthlyResult::accumulate (chunk counters filled in; `cost`
+  /// is the coordinator's predicted cost — the fleet bench compares months,
+  /// not billing).
   MonthlyResult run_month(const FleetMonthConfig& config);
 
   /// Test seam: called inside each chunk's fault envelope, before the
@@ -156,7 +178,15 @@ class FleetController {
   FleetOptions options_;
   util::ThreadPool* pool_ = nullptr;
   std::size_t num_sites_ = 0;
-  HierarchicalCapper hier_;
+  std::vector<Region> regions_;
+  // Per-region materialized catalogs (BillCapper holds references), then
+  // one persistent capper per region so each region's solver arenas keep
+  // their allocations hour over hour. The cappers are built strictly after
+  // the catalogs stop moving, and each is driven by at most one chunk task
+  // per hour (a capper is not thread-safe).
+  std::vector<std::vector<datacenter::DataCenter>> region_sites_;
+  std::vector<std::vector<market::PricingPolicy>> region_policies_;
+  std::vector<BillCapper> region_cappers_;
   std::vector<QuarantineState> quarantine_;
 };
 

@@ -60,7 +60,7 @@ class MarketCoupler {
   const MarketCouplerOptions& options() const noexcept { return options_; }
 
   /// Inputs of one hour's planning decision, mirroring what
-  /// Simulator::run_capping_hour hands the capper.
+  /// Simulator::run_hour hands the capper.
   struct HourInputs {
     double premium = 0.0;
     double ordinary = 0.0;

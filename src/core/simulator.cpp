@@ -8,7 +8,6 @@
 
 #include "core/baselines.hpp"
 #include "core/checkpoint.hpp"
-#include "core/fallback_allocator.hpp"
 #include "datacenter/catalog.hpp"
 #include "market/background_demand.hpp"
 #include "util/calendar.hpp"
@@ -25,29 +24,6 @@ double elapsed_ms(std::chrono::steady_clock::time_point start) {
   // billcap-lint: allow(wall-clock): same sanctioned telemetry site
   const auto end = std::chrono::steady_clock::now();
   return std::chrono::duration<double, std::milli>(end - start).count();
-}
-
-/// Folds one finished hour into the month's aggregates.
-void accumulate(MonthlyResult& result, HourRecord&& rec) {
-  result.total_cost += rec.cost;
-  result.total_premium_arrivals += rec.premium_arrivals;
-  result.total_ordinary_arrivals += rec.ordinary_arrivals;
-  result.total_served_premium += rec.served_premium;
-  result.total_served_ordinary += rec.served_ordinary;
-  result.max_solve_ms = std::max(result.max_solve_ms, rec.solve_ms);
-  result.degraded_hours += rec.degraded ? 1 : 0;
-  result.incumbent_hours += rec.used_incumbent ? 1 : 0;
-  result.heuristic_hours += rec.used_heuristic ? 1 : 0;
-  result.outage_hours += rec.sites_down > 0 ? 1 : 0;
-  result.stale_hours += rec.stale_prices ? 1 : 0;
-  if (rec.degraded)
-    ++result.failure_tally[static_cast<std::size_t>(rec.failure)];
-  result.feed_retry_attempts += static_cast<std::size_t>(rec.feed_attempts);
-  result.feed_recovered_hours += rec.feed_recovered ? 1 : 0;
-  result.closed_loop_hours += rec.coupler_converged ? 1 : 0;
-  result.coupler_fallback_hours += rec.coupler_fallback ? 1 : 0;
-  result.coupler_iterations += rec.coupler_iterations;
-  result.hours.push_back(std::move(rec));
 }
 
 }  // namespace
@@ -84,6 +60,28 @@ double MonthlyResult::ordinary_throughput_ratio() const noexcept {
 
 double MonthlyResult::budget_utilization() const noexcept {
   return monthly_budget > 0.0 ? total_cost / monthly_budget : 0.0;
+}
+
+void MonthlyResult::accumulate(HourRecord&& rec) {
+  total_cost += rec.cost;
+  total_premium_arrivals += rec.premium_arrivals;
+  total_ordinary_arrivals += rec.ordinary_arrivals;
+  total_served_premium += rec.served_premium;
+  total_served_ordinary += rec.served_ordinary;
+  max_solve_ms = std::max(max_solve_ms, rec.solve_ms);
+  degraded_hours += rec.degraded ? 1 : 0;
+  incumbent_hours += rec.used_incumbent ? 1 : 0;
+  heuristic_hours += rec.used_heuristic ? 1 : 0;
+  outage_hours += rec.sites_down > 0 ? 1 : 0;
+  stale_hours += rec.stale_prices ? 1 : 0;
+  if (rec.degraded)
+    ++failure_tally[static_cast<std::size_t>(rec.failure)];
+  feed_retry_attempts += static_cast<std::size_t>(rec.feed_attempts);
+  feed_recovered_hours += rec.feed_recovered ? 1 : 0;
+  closed_loop_hours += rec.coupler_converged ? 1 : 0;
+  coupler_fallback_hours += rec.coupler_fallback ? 1 : 0;
+  coupler_iterations += rec.coupler_iterations;
+  hours.push_back(std::move(rec));
 }
 
 Simulator::Simulator(SimulationConfig config)
@@ -229,94 +227,121 @@ std::vector<double> Simulator::demand_at(std::size_t hour) const {
   return d;
 }
 
-HourRecord Simulator::run_hour_cost_capping(const BillCapper& capper,
-                                            MarketFeed& feed,
-                                            MarketCoupler* coupler,
-                                            std::size_t hour,
-                                            double spent_so_far) const {
-  // Without budget enforcement the capper still runs, but against an
-  // unlimited budget: exactly step 1 (used for Figures 3 and 4).
-  const double budget = config_.enforce_budget
-                            ? budgeter_.hourly_budget(hour, spent_so_far)
-                            : 1e18;
-  return run_capping_hour(capper, feed, coupler, hour, hour,
-                          evaluation_.at(hour), demand_at(hour), budget);
+void Simulator::apply_demand_shocks(std::vector<double>& demand,
+                                    std::size_t fault_hour) const {
+  for (std::size_t i = 0; i < demand.size(); ++i)
+    demand[i] *= injector_.demand_multiplier(i, fault_hour);
 }
 
-HourRecord Simulator::run_capping_hour(const BillCapper& capper,
-                                       MarketFeed& feed,
-                                       MarketCoupler* coupler,
-                                       std::size_t hour,
-                                       std::size_t fault_hour,
-                                       double arrivals,
-                                       std::vector<double> raw_demand,
-                                       double budget) const {
+std::vector<double> Simulator::shocked_demand_at(std::size_t hour) const {
+  std::vector<double> d = demand_at(hour);
+  apply_demand_shocks(d, hour);
+  return d;
+}
+
+HourRecord Simulator::run_hour(Strategy strategy, const BillCapper& capper,
+                               MarketFeed& feed, MarketCoupler* coupler,
+                               const Budgeter& budgeter, double spent,
+                               std::size_t hour, std::size_t fault_hour,
+                               double arrivals,
+                               std::vector<double> raw_demand) const {
   const workload::PremiumSplit split(config_.premium_share);
   const double premium = split.premium(arrivals);
   const double ordinary = split.ordinary(arrivals);
   const std::size_t n = sites_.size();
 
-  // Ground-truth demand carries the hour's injected shocks; the believed
-  // demand is what the (possibly stale) market feed shows the optimizer.
+  // ---- fault overlay --------------------------------------------------
+  // Ground-truth demand carries the hour's injected shocks; a down site
+  // offers no capacity; a squeeze caps every solve of the hour.
   std::vector<double> d = std::move(raw_demand);
-  for (std::size_t i = 0; i < n; ++i)
-    d[i] *= injector_.demand_multiplier(i, fault_hour);
-
-  DecideOptions overrides;
-  overrides.standby = config_.standby;
+  apply_demand_shocks(d, fault_hour);
   std::vector<std::uint8_t> available;
-  std::vector<double> believed;
-  std::size_t sites_down = 0;
-  FeedObservation feed_obs;
-  feed_obs.observed_hour = fault_hour;
   if (injector_.enabled()) {
     available.resize(n);
-    for (std::size_t i = 0; i < n; ++i) {
+    for (std::size_t i = 0; i < n; ++i)
       available[i] = injector_.site_available(i, fault_hour) ? 1 : 0;
-      sites_down += available[i] ? 0 : 1;
-    }
-    overrides.site_available = available;
-
-    // The market-data client: passes a fresh feed through, re-polls a
-    // frozen one with backoff. Only when it stays stale does the optimizer
-    // plan against the frozen hour's demand while billing uses today's.
-    feed_obs = feed.poll(fault_hour);
-    if (feed_obs.stale) {
-      const std::size_t observed = feed_obs.observed_hour;
-      believed = demand_at(std::min(observed, evaluation_.hours() - 1));
-      for (std::size_t i = 0; i < n; ++i)
-        believed[i] *= injector_.demand_multiplier(i, observed);
-      overrides.believed_demand_mw = believed;
-    }
-
-    const double squeeze = injector_.solver_deadline_ms(fault_hour);
-    if (squeeze > 0.0) overrides.time_limit_ms = squeeze;
   }
+  const double squeeze = injector_.solver_deadline_ms(fault_hour);
+  const market::CoupledHourFaults grid_faults =
+      coupler ? grid_faults_at(fault_hour) : market::CoupledHourFaults{};
 
   // billcap-lint: allow(wall-clock): telemetry-only, never checkpointed
   const auto start = std::chrono::steady_clock::now();
   CappingOutcome outcome;
+  FeedObservation feed_obs;
   MarketCoupler::HourPlan plan;
-  GroundTruth truth;
-  if (coupler) {
-    // Closed market loop: plan against re-derived coupled curves (inside
-    // the fault envelope), then bill at the LMPs the realized draw itself
-    // produces — the fleet is a price maker on both sides.
-    MarketCoupler::HourInputs in;
-    in.premium = premium;
-    in.ordinary = ordinary;
-    in.true_demand_mw = d;
-    in.budget = budget;
-    in.overrides = &overrides;
-    in.faults = grid_faults_at(fault_hour);
-    plan = coupler->plan_hour(in, capper);
-    outcome = std::move(plan.outcome);
-    truth = coupler->bill(outcome.allocation.lambda_vector(), d, in.faults);
+  if (strategy == Strategy::kCostCapping) {
+    // Without budget enforcement the capper still runs, but against an
+    // unlimited budget: exactly step 1 (used for Figures 3 and 4).
+    const double budget = config_.enforce_budget
+                              ? budgeter.hourly_budget(hour, spent)
+                              : 1e18;
+    DecideOptions overrides;
+    overrides.standby = config_.standby;
+    overrides.site_available = available;
+    if (squeeze > 0.0) overrides.time_limit_ms = squeeze;
+    std::vector<double> believed;
+    if (injector_.enabled()) {
+      // The market-data client: passes a fresh feed through, re-polls a
+      // frozen one with backoff. Only when it stays stale does the
+      // optimizer plan against the frozen hour's demand while billing uses
+      // today's.
+      feed_obs = feed.poll(fault_hour);
+      if (feed_obs.stale) {
+        const std::size_t observed = feed_obs.observed_hour;
+        believed = demand_at(std::min(observed, evaluation_.hours() - 1));
+        apply_demand_shocks(believed, observed);
+        overrides.believed_demand_mw = believed;
+      }
+    }
+    if (coupler) {
+      // Closed market loop: plan against re-derived coupled curves (inside
+      // the fault envelope); the bill below then uses the LMPs the
+      // realized draw itself produces — the fleet is a price maker on both
+      // sides.
+      MarketCoupler::HourInputs in;
+      in.premium = premium;
+      in.ordinary = ordinary;
+      in.true_demand_mw = d;
+      in.budget = budget;
+      in.overrides = &overrides;
+      in.faults = grid_faults;
+      plan = coupler->plan_hour(in, capper);
+      outcome = std::move(plan.outcome);
+    } else {
+      outcome = capper.decide(premium, ordinary, d, budget, overrides);
+    }
   } else {
-    outcome = capper.decide(premium, ordinary, d, budget, overrides);
-    truth = evaluate_allocation(sites_, policies_, d,
-                                outcome.allocation.lambda_vector());
+    // Min-Only knows no budget and believes a flat price (a stale feed
+    // cannot mislead it): it admits everything its believed models can
+    // hold and sheds the rest like any dispatcher would. A site down this
+    // hour has no capacity to offer.
+    std::vector<SiteModel> believed = min_only_site_models(
+        sites_, policies_,
+        strategy == Strategy::kMinOnlyAvg ? MinOnlyPriceModel::kAverage
+                                          : MinOnlyPriceModel::kLow);
+    for (std::size_t i = 0; i < available.size(); ++i)
+      if (available[i] == 0) believed[i].lambda_max = 0.0;
+    const double admitted = std::min(arrivals, system_capacity(believed));
+    OptimizerOptions opts = config_.optimizer;
+    if (squeeze > 0.0) opts.milp.time_limit_ms = squeeze;
+    lp::ArenaSolver solver;
+    outcome.allocation = minimize_cost_with_fallback(believed, admitted, opts,
+                                                     solver, outcome);
+    // Min-Only serves everything placed regardless of cost (Section
+    // VII-C); capacity shedding drops ordinary traffic first.
+    const double placed =
+        outcome.used_heuristic
+            ? std::min(admitted, outcome.allocation.total_lambda)
+            : admitted;
+    outcome.served_premium = std::min(premium, placed);
+    outcome.served_ordinary =
+        std::min(ordinary, placed - outcome.served_premium);
   }
+  std::vector<double> lambda = outcome.allocation.lambda_vector();
+  const GroundTruth truth =
+      coupler ? coupler->bill(lambda, d, grid_faults)
+              : evaluate_allocation(sites_, policies_, d, lambda);
   const double ms = elapsed_ms(start);
 
   HourRecord rec;
@@ -330,7 +355,7 @@ HourRecord Simulator::run_capping_hour(const BillCapper& capper,
   rec.cost = truth.total_cost;
   rec.predicted_cost = outcome.allocation.predicted_cost;
   rec.mode = outcome.mode;
-  rec.site_lambda = outcome.allocation.lambda_vector();
+  rec.site_lambda = std::move(lambda);
   rec.site_power_mw.reserve(truth.sites.size());
   for (const auto& site : truth.sites)
     rec.site_power_mw.push_back(site.power.total_mw());
@@ -340,7 +365,7 @@ HourRecord Simulator::run_capping_hour(const BillCapper& capper,
   rec.failure = outcome.failure;
   rec.used_incumbent = outcome.used_incumbent;
   rec.used_heuristic = outcome.used_heuristic;
-  rec.sites_down = sites_down;
+  rec.sites_down = injector_.sites_down(fault_hour);
   rec.stale_prices = feed_obs.stale;
   rec.feed_attempts = feed_obs.attempts;
   rec.feed_recovered = feed_obs.recovered;
@@ -360,92 +385,6 @@ HourRecord Simulator::run_capping_hour(const BillCapper& capper,
     rec.coupler_fallback = plan.fallback;
     rec.coupler_rung = plan.rung;
   }
-  return rec;
-}
-
-HourRecord Simulator::run_hour_min_only(std::size_t hour,
-                                        MinOnlyPriceModel price_model) const {
-  const workload::PremiumSplit split(config_.premium_share);
-  const double arrivals = evaluation_.at(hour);
-  const std::size_t n = sites_.size();
-
-  // Ground-truth demand carries the hour's injected shocks. (Min-Only
-  // believes a flat price, so a stale market feed cannot mislead it — only
-  // outages and the solver deadline bite.)
-  std::vector<double> d = demand_at(hour);
-  for (std::size_t i = 0; i < n; ++i)
-    d[i] *= injector_.demand_multiplier(i, hour);
-
-  // Min-Only admits everything it physically can (it knows no budget);
-  // arrivals beyond its believed capacity are shed like any dispatcher
-  // would. A site down this hour has no capacity to offer.
-  std::vector<SiteModel> believed = min_only_site_models(
-      sites_, policies_, price_model);
-  std::size_t sites_down = 0;
-  for (std::size_t i = 0; i < n; ++i) {
-    if (!injector_.site_available(i, hour)) {
-      believed[i].lambda_max = 0.0;
-      ++sites_down;
-    }
-  }
-  const double admitted = std::min(arrivals, system_capacity(believed));
-
-  OptimizerOptions opts = config_.optimizer;
-  const double squeeze = injector_.solver_deadline_ms(hour);
-  if (squeeze > 0.0) opts.milp.time_limit_ms = squeeze;
-
-  // billcap-lint: allow(wall-clock): telemetry-only, never checkpointed
-  const auto start = std::chrono::steady_clock::now();
-  AllocationResult allocation =
-      minimize_cost_over_models(believed, admitted, opts);
-  const double ms = elapsed_ms(start);
-
-  // Degradation ladder, same as the capper's: incumbent, then greedy
-  // water-filling. The baseline must not abort the month either.
-  bool degraded = false;
-  bool used_incumbent = false;
-  bool used_heuristic = false;
-  FailureReason failure = FailureReason::kNone;
-  if (!allocation.ok()) {
-    degraded = true;
-    failure = failure_reason_from(allocation.status);
-    if (allocation.feasible) {
-      used_incumbent = true;
-    } else {
-      allocation = fallback_allocate(
-          believed, FallbackRequest{admitted, 0.0, lp::kInfinity});
-      used_heuristic = true;
-    }
-  }
-  const double placed =
-      used_heuristic ? std::min(admitted, allocation.total_lambda) : admitted;
-
-  const GroundTruth truth =
-      evaluate_allocation(sites_, policies_, d, allocation.lambda_vector());
-
-  HourRecord rec;
-  rec.hour = hour;
-  rec.arrivals = arrivals;
-  rec.premium_arrivals = split.premium(arrivals);
-  rec.ordinary_arrivals = split.ordinary(arrivals);
-  // Min-Only serves everything admitted regardless of cost (Section VII-C);
-  // capacity shedding drops ordinary traffic first.
-  rec.served_premium = std::min(rec.premium_arrivals, placed);
-  rec.served_ordinary =
-      std::min(rec.ordinary_arrivals, placed - rec.served_premium);
-  rec.cost = truth.total_cost;
-  rec.predicted_cost = allocation.predicted_cost;
-  rec.site_lambda = allocation.lambda_vector();
-  rec.site_power_mw.reserve(truth.sites.size());
-  for (const auto& site : truth.sites)
-    rec.site_power_mw.push_back(site.power.total_mw());
-  rec.solve_ms = ms;
-  rec.nodes = allocation.nodes;
-  rec.degraded = degraded;
-  rec.failure = failure;
-  rec.used_incumbent = used_incumbent;
-  rec.used_heuristic = used_heuristic;
-  rec.sites_down = sites_down;
   return rec;
 }
 
@@ -487,37 +426,18 @@ std::vector<MonthlyResult> Simulator::run_months(std::size_t months) const {
       std::vector<double> d;
       d.reserve(full_demand.size());
       for (const auto& series : full_demand) d.push_back(series[g]);
-      const double budget = config_.enforce_budget
-                                ? budgeter.hourly_budget(h, spent)
-                                : 1e18;
 
       // Fault hours continue across months; the month-scoped plan only
       // covers month 0, later hours report fault-free.
-      HourRecord rec =
-          run_capping_hour(capper, feed, coupler.get(), h,
-                           m * kMonthHours + h, full.at(g), std::move(d),
-                           budget);
+      HourRecord rec = run_hour(Strategy::kCostCapping, capper, feed,
+                                coupler.get(), budgeter, spent, h,
+                                m * kMonthHours + h, full.at(g), std::move(d));
       spent += rec.cost;
-      accumulate(result, std::move(rec));
+      result.accumulate(std::move(rec));
     }
     results.push_back(std::move(result));
   }
   return results;
-}
-
-HourRecord Simulator::run_one_hour(Strategy strategy, const BillCapper& capper,
-                                   MarketFeed& feed, MarketCoupler* coupler,
-                                   std::size_t hour,
-                                   double spent_so_far) const {
-  switch (strategy) {
-    case Strategy::kCostCapping:
-      return run_hour_cost_capping(capper, feed, coupler, hour, spent_so_far);
-    case Strategy::kMinOnlyAvg:
-      return run_hour_min_only(hour, MinOnlyPriceModel::kAverage);
-    case Strategy::kMinOnlyLow:
-      return run_hour_min_only(hour, MinOnlyPriceModel::kLow);
-  }
-  throw std::logic_error("run_one_hour: unknown strategy");
 }
 
 MonthlyResult Simulator::run(Strategy strategy) const {
@@ -531,10 +451,11 @@ MonthlyResult Simulator::run(Strategy strategy) const {
   const std::unique_ptr<MarketCoupler> coupler = make_coupler(strategy);
   double spent = 0.0;
   for (std::size_t hour = 0; hour < evaluation_.hours(); ++hour) {
-    HourRecord rec =
-        run_one_hour(strategy, capper, feed, coupler.get(), hour, spent);
+    HourRecord rec = run_hour(strategy, capper, feed, coupler.get(),
+                              budgeter_, spent, hour, hour,
+                              evaluation_.at(hour), demand_at(hour));
     spent += rec.cost;
-    accumulate(result, std::move(rec));
+    result.accumulate(std::move(rec));
   }
   return result;
 }
@@ -674,8 +595,9 @@ Simulator::ResumableOutcome Simulator::run_resumable(
         st.corruptions_fired < corruptions.size() &&
         corruptions[st.corruptions_fired].hour == hour;
 
-    HourRecord rec =
-        run_one_hour(strategy, capper, feed, coupler.get(), hour, st.spent);
+    HourRecord rec = run_hour(strategy, capper, feed, coupler.get(),
+                              budgeter_, st.spent, hour, hour,
+                              evaluation_.at(hour), demand_at(hour));
 
     if (storm_now) {
       // One exit-storm death: the process dies before this hour's
@@ -737,7 +659,7 @@ Simulator::ResumableOutcome Simulator::run_resumable(
     // supervisor and post-mortems read) carries the recovery count too.
     st.partial.crash_recoveries = st.crashes_fired + st.storms_fired;
 
-    accumulate(st.partial, std::move(rec));
+    st.partial.accumulate(std::move(rec));
     // The observer (the CLI's streamed CSV row) runs BEFORE the hour's
     // checkpoint commits: an asynchronous kill between the two leaves an
     // extra row for an uncommitted hour, which the resume's

@@ -8,7 +8,6 @@
 #include <string>
 #include <vector>
 
-#include "core/baselines.hpp"
 #include "core/bill_capper.hpp"
 #include "core/budgeter.hpp"
 #include "core/cost_model.hpp"
@@ -177,6 +176,10 @@ struct MonthlyResult {
   double ordinary_throughput_ratio() const noexcept;
   /// Total cost / monthly budget (> 1 means the cap was violated).
   double budget_utilization() const noexcept;
+
+  /// Folds one finished hour into the aggregates and appends it to
+  /// `hours`. The one fold of every batch month (simulate and the fleet).
+  void accumulate(HourRecord&& rec);
 };
 
 /// Hour-by-hour closed-loop simulation of the evaluation month: each hour
@@ -205,6 +208,11 @@ class Simulator {
   }
   const Budgeter& budgeter() const noexcept { return budgeter_; }
   const FaultInjector& fault_injector() const noexcept { return injector_; }
+  /// Background demand per site for `hour` of the evaluation month, scaled
+  /// by the demand shocks the fault plan puts on that hour: the ground
+  /// truth the batch hour bills against. Public so the serving daemon
+  /// plans and bills against the same demand.
+  std::vector<double> shocked_demand_at(std::size_t hour) const;
   /// The effective fault schedule: the explicit plan, or the plan drawn
   /// from `fault_rates` (controller crashes live here too).
   const FaultPlan& fault_plan() const noexcept { return plan_; }
@@ -279,28 +287,25 @@ class Simulator {
   std::vector<MonthlyResult> run_months(std::size_t months) const;
 
  private:
-  HourRecord run_hour_cost_capping(const BillCapper& capper, MarketFeed& feed,
-                                   MarketCoupler* coupler, std::size_t hour,
-                                   double spent_so_far) const;
-  /// Shared core of run()'s and run_months()'s cost-capping hour:
-  /// `fault_hour` indexes the fault injector (month-scoped plans do not
-  /// repeat in later months), `raw_demand` is the unshocked background
-  /// demand for the hour. `coupler` may be null (static-curve world).
-  HourRecord run_capping_hour(const BillCapper& capper, MarketFeed& feed,
-                              MarketCoupler* coupler, std::size_t hour,
-                              std::size_t fault_hour, double arrivals,
-                              std::vector<double> raw_demand,
-                              double budget) const;
-  HourRecord run_hour_min_only(std::size_t hour,
-                               MinOnlyPriceModel price_model) const;
-  HourRecord run_one_hour(Strategy strategy, const BillCapper& capper,
-                          MarketFeed& feed, MarketCoupler* coupler,
-                          std::size_t hour, double spent_so_far) const;
+  /// The one batch hour of run(), run_resumable() and run_months(): the
+  /// fault overlay (shocked demand, availability, squeeze deadline), the
+  /// strategy's decision, ground-truth billing and the record. `hour`
+  /// indexes `budgeter` (spent so far: `spent`), `fault_hour` the fault
+  /// injector (month-scoped plans do not repeat in later months), and
+  /// `raw_demand` is the unshocked background demand for the hour.
+  /// `coupler` may be null (static-curve world; always null for Min-Only).
+  HourRecord run_hour(Strategy strategy, const BillCapper& capper,
+                      MarketFeed& feed, MarketCoupler* coupler,
+                      const Budgeter& budgeter, double spent,
+                      std::size_t hour, std::size_t fault_hour,
+                      double arrivals, std::vector<double> raw_demand) const;
   MarketFeed make_feed() const;
   /// A fresh per-run coupler, or null when coupling is off / the strategy
   /// is not Cost Capping (the baselines know no step curves to re-derive).
   std::unique_ptr<MarketCoupler> make_coupler(Strategy strategy) const;
   std::vector<double> demand_at(std::size_t hour) const;
+  void apply_demand_shocks(std::vector<double>& demand,
+                           std::size_t fault_hour) const;
 
   SimulationConfig config_;
   std::vector<datacenter::DataCenter> sites_;

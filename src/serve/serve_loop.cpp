@@ -498,10 +498,8 @@ ServeOutcome ServeLoop::run(
   // context and re-derive from the persisted anchor (not a new refresh —
   // the counter stays what the checkpoint said).
   if (coupled && resumed && st.coupled_anchor_valid) {
-    const std::size_t demand_hour = st.hour_stale ? st.observed_hour : st.hour;
-    for (std::size_t i = 0; i < n; ++i)
-      believed[i] = sim_.background_demand()[i].at(demand_hour) *
-                    injector.demand_multiplier(i, demand_hour);
+    believed =
+        sim_.shocked_demand_at(st.hour_stale ? st.observed_hour : st.hour);
     const std::size_t refreshes = st.coupled_refreshes;
     refresh_coupled(st.hour);
     st.coupled_refreshes = refreshes;
@@ -570,14 +568,10 @@ ServeOutcome ServeLoop::run(
       replan_wanted = true;
 
     // ---- world as the daemon believes it --------------------------------
-    const std::size_t demand_hour = st.hour_stale ? st.observed_hour : hour;
-    for (std::size_t i = 0; i < n; ++i) {
-      believed[i] = sim_.background_demand()[i].at(demand_hour) *
-                    injector.demand_multiplier(i, demand_hour);
-      truth[i] = sim_.background_demand()[i].at(hour) *
-                 injector.demand_multiplier(i, hour);
+    believed = sim_.shocked_demand_at(st.hour_stale ? st.observed_hour : hour);
+    truth = sim_.shocked_demand_at(hour);
+    for (std::size_t i = 0; i < n; ++i)
       available[i] = injector.site_available(i, hour) ? 1 : 0;
-    }
 
     // ---- closed-loop coupling: hour-boundary curve refresh --------------
     // Anchored at the plan the daemon carries into the hour; re-plans later

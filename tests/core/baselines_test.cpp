@@ -14,6 +14,13 @@ namespace {
 
 class BaselinesTest : public ::testing::Test {
  protected:
+  /// The Min-Only baseline's fault-free decision: minimum believed cost
+  /// over its flat-priced, server-only models.
+  AllocationResult min_only(double lambda, MinOnlyPriceModel model) const {
+    return minimize_cost_over_models(
+        min_only_site_models(sites_, policies_, model), lambda);
+  }
+
   const std::vector<datacenter::DataCenter> sites_ =
       datacenter::paper_datacenters();
   const std::vector<market::PricingPolicy> policies_ =
@@ -67,8 +74,7 @@ TEST_F(BaselinesTest, EnforcesTruePowerCap) {
 TEST_F(BaselinesTest, ServesTheFullWorkload) {
   const double lambda = 8e11;
   for (auto model : {MinOnlyPriceModel::kAverage, MinOnlyPriceModel::kLow}) {
-    const AllocationResult r =
-        min_only_allocate(sites_, policies_, lambda, model);
+    const AllocationResult r = min_only(lambda, model);
     ASSERT_TRUE(r.ok());
     EXPECT_NEAR(r.total_lambda / lambda, 1.0, 1e-6);
   }
@@ -77,8 +83,7 @@ TEST_F(BaselinesTest, ServesTheFullWorkload) {
 TEST_F(BaselinesTest, UnderestimatesItsOwnBill) {
   // Both limitations bite: the belief is far below the ground truth.
   const double lambda = 8e11;
-  const AllocationResult r = min_only_allocate(
-      sites_, policies_, lambda, MinOnlyPriceModel::kLow);
+  const AllocationResult r = min_only(lambda, MinOnlyPriceModel::kLow);
   ASSERT_TRUE(r.ok());
   const GroundTruth truth =
       evaluate_allocation(sites_, policies_, demand_, r.lambda_vector());
@@ -96,8 +101,7 @@ TEST_F(BaselinesTest, NeverBeatsCostCappingAtGroundTruth) {
         evaluate_allocation(sites_, policies_, demand_, cc.lambda_vector())
             .total_cost;
     for (auto model : {MinOnlyPriceModel::kAverage, MinOnlyPriceModel::kLow}) {
-      const AllocationResult mo =
-          min_only_allocate(sites_, policies_, lambda, model);
+      const AllocationResult mo = min_only(lambda, model);
       ASSERT_TRUE(mo.ok());
       const double mo_truth =
           evaluate_allocation(sites_, policies_, demand_, mo.lambda_vector())

@@ -1,6 +1,8 @@
-// FleetController: per-chunk fault envelopes, quarantine ladder, and
-// bitwise thread-count invariance. The 6-site fixture mirrors
-// hierarchical_test; the invariance test scales to 100 sites / 20 regions.
+// FleetController: Section IX's two-level capping (regional split, premium
+// guarantee, gap to the flat capper), per-chunk fault envelopes,
+// quarantine ladder, and bitwise thread-count invariance. The fixture is a
+// 6-site network in two regions; the invariance test scales to 100 sites /
+// 20 regions.
 #include "core/fleet.hpp"
 
 #include <gtest/gtest.h>
@@ -12,6 +14,7 @@
 #include <vector>
 
 #include "core/checkpoint.hpp"
+#include "core/cost_model.hpp"
 #include "datacenter/catalog.hpp"
 #include "market/pricing_policy.hpp"
 #include "util/thread_pool.hpp"
@@ -51,11 +54,170 @@ TEST_F(FleetTest, ServesEverythingWithAmpleBudget) {
   EXPECT_NEAR(out.served_premium, 8e11, 1e3);
   EXPECT_NEAR(out.served_ordinary, 2e11, 1e3);
   ASSERT_EQ(out.chunks.size(), 2u);
-  for (const ChunkOutcome& chunk : out.chunks)
+  for (const ChunkOutcome& chunk : out.chunks) {
     EXPECT_EQ(chunk.status, ChunkStatus::kOk);
+    EXPECT_EQ(chunk.failure, FailureReason::kNone);
+    EXPECT_FALSE(chunk.outcome.degraded);
+  }
   EXPECT_EQ(out.degraded_chunks, 0u);
   EXPECT_EQ(out.quarantined_chunks, 0u);
   EXPECT_EQ(out.region_down_chunks, 0u);
+}
+
+TEST(ContiguousRegionsTest, PartitionsEvenly) {
+  const auto regions = contiguous_regions(6, 3);
+  ASSERT_EQ(regions.size(), 2u);
+  EXPECT_EQ(regions[0].site_indices, (std::vector<std::size_t>{0, 1, 2}));
+  EXPECT_EQ(regions[1].site_indices, (std::vector<std::size_t>{3, 4, 5}));
+}
+
+TEST(ContiguousRegionsTest, HandlesRemainder) {
+  const auto regions = contiguous_regions(7, 3);
+  ASSERT_EQ(regions.size(), 3u);
+  EXPECT_EQ(regions[2].site_indices.size(), 1u);
+  EXPECT_THROW(contiguous_regions(5, 0), std::invalid_argument);
+}
+
+// Section IX's two-level capping properties, on the inline (null-pool)
+// controller.
+using HierarchicalTest = FleetTest;
+
+TEST_F(HierarchicalTest, ConstructorValidation) {
+  EXPECT_NO_THROW(
+      FleetController(sites_, policies_, contiguous_regions(6, 3)));
+  // Uncovered site.
+  std::vector<Region> missing = {{"r0", {0, 1, 2}}, {"r1", {3, 4}}};
+  EXPECT_THROW(FleetController(sites_, policies_, missing),
+               std::invalid_argument);
+  // Duplicate site.
+  std::vector<Region> duplicate = {{"r0", {0, 1, 2, 3}}, {"r1", {3, 4, 5}}};
+  EXPECT_THROW(FleetController(sites_, policies_, duplicate),
+               std::invalid_argument);
+  // Site index out of range.
+  std::vector<Region> out_of_range = {{"r0", {0, 1, 2}}, {"r1", {3, 4, 6}}};
+  EXPECT_THROW(FleetController(sites_, policies_, out_of_range),
+               std::invalid_argument);
+  // Empty region.
+  std::vector<Region> empty = {{"r0", {0, 1, 2, 3, 4, 5}}, {"r1", {}}};
+  EXPECT_THROW(FleetController(sites_, policies_, empty),
+               std::invalid_argument);
+  // One policy per site.
+  const std::vector<market::PricingPolicy> short_policies(
+      policies_.begin(), policies_.end() - 1);
+  EXPECT_THROW(
+      FleetController(sites_, short_policies, contiguous_regions(6, 3)),
+      std::invalid_argument);
+}
+
+TEST_F(HierarchicalTest, SiteLambdaCoversGlobalOrder) {
+  FleetController fleet = make_controller();
+  const FleetHourOutcome out = fleet.decide_hour(0, 8e11, 2e11, demand_, 1e7);
+  ASSERT_EQ(out.site_lambda.size(), 6u);
+  double total = 0.0;
+  for (double l : out.site_lambda) total += l;
+  EXPECT_NEAR(total, out.served_premium + out.served_ordinary,
+              1e-3 * total);
+  // Each region's rates land on its own sites, in region-local order.
+  for (std::size_t r = 0; r < 2; ++r) {
+    const auto lambdas = out.chunks[r].outcome.allocation.lambda_vector();
+    for (std::size_t k = 0; k < 3; ++k)
+      EXPECT_EQ(out.site_lambda[3 * r + k], lambdas[k]) << r << ' ' << k;
+  }
+  // The allocation must bill consistently at global ground truth.
+  const GroundTruth truth =
+      evaluate_allocation(sites_, policies_, demand_, out.site_lambda);
+  EXPECT_NEAR(truth.total_cost / out.predicted_cost, 1.0, 0.02);
+}
+
+TEST_F(HierarchicalTest, PremiumGuaranteeSurvivesDecentralization) {
+  FleetController fleet = make_controller();
+  for (double budget : {200.0, 1000.0, 4000.0}) {
+    const FleetHourOutcome out =
+        fleet.decide_hour(0, 8e11, 2e11, demand_, budget);
+    EXPECT_NEAR(out.served_premium, 8e11, 1e3) << "budget " << budget;
+  }
+}
+
+TEST_F(HierarchicalTest, TightBudgetThrottlesOrdinary) {
+  FleetController fleet = make_controller();
+  const FleetHourOutcome free_run =
+      fleet.decide_hour(0, 8e11, 2e11, demand_, 1e7);
+  const FleetHourOutcome capped = fleet.decide_hour(
+      1, 8e11, 2e11, demand_, free_run.predicted_cost * 0.9);
+  EXPECT_LT(capped.served_ordinary, 2e11);
+  EXPECT_NE(capped.mode, CappingOutcome::Mode::kUncapped);
+}
+
+TEST_F(HierarchicalTest, NearOptimalVsFlatCapper) {
+  // Decentralization loses some coordination; the gap against the flat
+  // capper must stay small for a balanced network.
+  const BillCapper flat(sites_, policies_);
+  FleetController fleet = make_controller();
+  const double premium = 9e11;
+  const double ordinary = 2.2e11;
+  const CappingOutcome flat_out =
+      flat.decide(premium, ordinary, demand_, 1e7);
+  const FleetHourOutcome fleet_out =
+      fleet.decide_hour(0, premium, ordinary, demand_, 1e7);
+  const double flat_cost =
+      evaluate_allocation(sites_, policies_, demand_,
+                          flat_out.allocation.lambda_vector())
+          .total_cost;
+  const double fleet_cost =
+      evaluate_allocation(sites_, policies_, demand_, fleet_out.site_lambda)
+          .total_cost;
+  EXPECT_GE(fleet_cost, flat_cost * 0.999);  // flat is the lower bound
+  EXPECT_LE(fleet_cost, flat_cost * 1.25);   // but the gap stays bounded
+}
+
+TEST_F(HierarchicalTest, SingleRegionMatchesFlat) {
+  // One region holding every site is the flat capper, bit for bit.
+  const BillCapper flat(sites_, policies_);
+  FleetController fleet(sites_, policies_, contiguous_regions(6, 6));
+  const CappingOutcome a = flat.decide(6e11, 1.5e11, demand_, 1e7);
+  const FleetHourOutcome b = fleet.decide_hour(0, 6e11, 1.5e11, demand_, 1e7);
+  EXPECT_EQ(a.allocation.predicted_cost, b.predicted_cost);
+  EXPECT_EQ(a.allocation.lambda_vector(), b.site_lambda);
+}
+
+TEST_F(HierarchicalTest, PerRegionFailuresSurviveTheMerge) {
+  // A crushing node budget degrades every region's solve; the merge must
+  // say which regions degraded and why, not just the worst Mode.
+  FleetOptions options;
+  options.deadline.max_nodes = 1;
+  FleetController fleet = make_controller(options);
+  const FleetHourOutcome out = fleet.decide_hour(0, 8e11, 2e11, demand_, 1e7);
+  EXPECT_EQ(out.degraded_chunks, 2u);
+  for (const ChunkOutcome& chunk : out.chunks) {
+    EXPECT_EQ(chunk.status, ChunkStatus::kDegraded) << chunk.region;
+    EXPECT_NE(chunk.failure, FailureReason::kNone) << chunk.region;
+    // The chunk outcome agrees with the surfaced status.
+    EXPECT_TRUE(chunk.outcome.degraded) << chunk.region;
+    EXPECT_EQ(chunk.outcome.failure, chunk.failure) << chunk.region;
+  }
+}
+
+TEST_F(HierarchicalTest, DemandSizeValidation) {
+  FleetController fleet = make_controller();
+  EXPECT_THROW(
+      fleet.decide_hour(0, 1e11, 1e10, std::vector<double>{1.0}, 100.0),
+      std::invalid_argument);
+}
+
+TEST_F(FleetTest, EveryRegionDownDropsTheWholeHour) {
+  FaultPlan plan;
+  plan.region_outages.push_back({/*region=*/0, /*start=*/1, /*duration=*/1});
+  plan.region_outages.push_back({/*region=*/1, /*start=*/1, /*duration=*/1});
+  const FaultInjector injector(plan, sites_.size(), 2, 24);
+  FleetController fleet = make_controller();
+  const FleetHourOutcome out =
+      fleet.decide_hour(1, 8e11, 2e11, demand_, 1e7, &injector);
+  EXPECT_EQ(out.region_down_chunks, 2u);
+  EXPECT_EQ(out.served_premium, 0.0);
+  EXPECT_EQ(out.served_ordinary, 0.0);
+  // Nothing could serve, so every arrival was dropped.
+  EXPECT_DOUBLE_EQ(out.dropped_capacity, 8e11 + 2e11);
+  for (double l : out.site_lambda) EXPECT_EQ(l, 0.0);
 }
 
 TEST_F(FleetTest, PooledAndSerialHoursAreBitwiseIdentical) {

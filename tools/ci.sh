@@ -43,10 +43,19 @@ echo "== bench: fleet scale-out sweep (BENCH_fleet.json) =="
 # 100-site / 20-region fleet, serial vs threaded, under the rotating
 # fault ladder. Exits nonzero on any fleet-hour abort or serial/threaded
 # digest mismatch, so the determinism contract is gated here, not just in
-# ctest. The full 1000-month sweep is a manual run (`./fleet_sweep`); the
-# JSON records shape + host_cores so archived numbers stay comparable.
+# ctest; the digest itself must match the pinned value below. The full
+# 1000-month sweep is a manual run (`./fleet_sweep`); the JSON records
+# shape + host_cores so archived numbers stay comparable.
 cmake --build "$ROOT/$PREFIX" -j "$JOBS" --target fleet_sweep
 (cd "$ROOT/$PREFIX/bench" && ./fleet_sweep --months 24)
+# The 24-month digest is pinned: a change that moves any fleet bit must
+# re-baseline this one line and say why in CHANGES.md.
+FLEET_DIGEST=deac4797102fb5fe
+if ! grep -q "\"digest\": \"$FLEET_DIGEST\"" \
+    "$ROOT/$PREFIX/bench/BENCH_fleet.json"; then
+  echo "ci: fleet_sweep --months 24 digest is not $FLEET_DIGEST" >&2
+  exit 1
+fi
 cp "$ROOT/$PREFIX/bench/BENCH_fleet.json" "$ROOT/BENCH_fleet.json"
 
 echo "== bench: closed-loop market coupler envelope (BENCH_market.json) =="
