@@ -5,8 +5,9 @@
 //
 // The paper network is replicated to 3/6/9/12 sites; for each size the
 // flat capper and the two-level FleetController (3 sites per region,
-// chunks solved inline with no pool) allocate the same hour. Reported: wall time per invocation and the ground-truth cost
-// gap of decentralization.
+// chunks solved inline with no pool) allocate the same hour. Reported:
+// wall time per invocation and the ground-truth cost gap of
+// decentralization.
 
 #include <chrono>
 #include <cstdio>

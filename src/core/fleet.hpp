@@ -106,9 +106,9 @@ struct FleetMonthConfig {
 /// algorithm on its own small site set: complexity stays exponential only
 /// in one region's sites x price levels, so the fleet scales by adding
 /// regions. The price of decentralization is coordination loss (a region
-/// cannot shift load or budget to another mid-hour); bench/
-/// hierarchical_scale measures both the speedup and the optimality gap
-/// against the flat capper.
+/// cannot shift load or budget to another mid-hour); the
+/// hierarchical_scale bench measures both the speedup and the optimality
+/// gap against the flat capper.
 ///
 /// The chunk solves (one per region) shard across a util::ThreadPool, or
 /// run inline with no pool. Every chunk solve runs inside a fault envelope:

@@ -210,7 +210,7 @@ class Simulator {
   const FaultInjector& fault_injector() const noexcept { return injector_; }
   /// Background demand per site for `hour` of the evaluation month, scaled
   /// by the demand shocks the fault plan puts on that hour: the ground
-  /// truth the batch hour bills against. Public so the serving daemon
+  /// truth run() bills that hour against. Public so the serving daemon
   /// plans and bills against the same demand.
   std::vector<double> shocked_demand_at(std::size_t hour) const;
   /// The effective fault schedule: the explicit plan, or the plan drawn
