@@ -54,11 +54,8 @@ TEST_F(FleetTest, ServesEverythingWithAmpleBudget) {
   EXPECT_NEAR(out.served_premium, 8e11, 1e3);
   EXPECT_NEAR(out.served_ordinary, 2e11, 1e3);
   ASSERT_EQ(out.chunks.size(), 2u);
-  for (const ChunkOutcome& chunk : out.chunks) {
+  for (const ChunkOutcome& chunk : out.chunks)
     EXPECT_EQ(chunk.status, ChunkStatus::kOk);
-    EXPECT_EQ(chunk.failure, FailureReason::kNone);
-    EXPECT_FALSE(chunk.outcome.degraded);
-  }
   EXPECT_EQ(out.degraded_chunks, 0u);
   EXPECT_EQ(out.quarantined_chunks, 0u);
   EXPECT_EQ(out.region_down_chunks, 0u);
@@ -107,6 +104,27 @@ TEST_F(HierarchicalTest, ConstructorValidation) {
   EXPECT_THROW(
       FleetController(sites_, short_policies, contiguous_regions(6, 3)),
       std::invalid_argument);
+}
+
+TEST_F(HierarchicalTest, ServesEverythingWithAmpleBudget) {
+  FleetController fleet = make_controller();
+  const FleetHourOutcome out =
+      fleet.decide_hour(0, 8e11, 2e11, demand_, /*hourly_budget=*/1e7);
+  EXPECT_EQ(out.mode, CappingOutcome::Mode::kUncapped);
+  EXPECT_NEAR(out.served_premium, 8e11, 1e3);
+  EXPECT_NEAR(out.served_ordinary, 2e11, 1e3);
+  ASSERT_EQ(out.chunks.size(), 2u);
+  // Each region serves its share of both classes in full.
+  double premium = 0.0;
+  double ordinary = 0.0;
+  for (const ChunkOutcome& chunk : out.chunks) {
+    EXPECT_EQ(chunk.outcome.mode, CappingOutcome::Mode::kUncapped)
+        << chunk.region;
+    premium += chunk.outcome.served_premium;
+    ordinary += chunk.outcome.served_ordinary;
+  }
+  EXPECT_EQ(premium, out.served_premium);
+  EXPECT_EQ(ordinary, out.served_ordinary);
 }
 
 TEST_F(HierarchicalTest, SiteLambdaCoversGlobalOrder) {
@@ -178,6 +196,18 @@ TEST_F(HierarchicalTest, SingleRegionMatchesFlat) {
   const FleetHourOutcome b = fleet.decide_hour(0, 6e11, 1.5e11, demand_, 1e7);
   EXPECT_EQ(a.allocation.predicted_cost, b.predicted_cost);
   EXPECT_EQ(a.allocation.lambda_vector(), b.site_lambda);
+}
+
+TEST_F(HierarchicalTest, CleanSolveSurfacesNoRegionFailures) {
+  FleetController fleet = make_controller();
+  const FleetHourOutcome out = fleet.decide_hour(0, 8e11, 2e11, demand_, 1e7);
+  EXPECT_EQ(out.degraded_chunks, 0u);
+  ASSERT_EQ(out.chunks.size(), 2u);
+  for (const ChunkOutcome& chunk : out.chunks) {
+    EXPECT_EQ(chunk.failure, FailureReason::kNone) << chunk.region;
+    EXPECT_FALSE(chunk.outcome.degraded) << chunk.region;
+    EXPECT_EQ(chunk.outcome.failure, FailureReason::kNone) << chunk.region;
+  }
 }
 
 TEST_F(HierarchicalTest, PerRegionFailuresSurviveTheMerge) {
