@@ -36,6 +36,7 @@
 #include "datacenter/catalog.hpp"
 #include "lp/arena_solver.hpp"
 #include "lp/milp.hpp"
+#include "lp/reference.hpp"
 #include "market/pricing_policy.hpp"
 
 namespace {

@@ -23,16 +23,16 @@ long dual_pivot_budget(int m) { return std::max<long>(200, 4L * m); }
 /// silently destroys B^-1 for every later warm re-solve (observed as bogus
 /// node bounds on the paper's MILPs). Warm repairs refuse such pivots and
 /// report a repair failure so the caller rebuilds cold; the cold two-phase
-/// path keeps the legacy pivot_tol rule and bit-for-bit legacy behavior.
+/// path keeps the reference simplex's pivot_tol rule, bit for bit.
 constexpr double kStablePivot = 1e-7;
 
 }  // namespace
 
 /// All solver state lives here, in flat capacity-reserved storage. The
-/// tableau layout matches the legacy simplex exactly — columns
+/// tableau layout matches the reference simplex exactly — columns
 /// [structural | slack/surplus | artificial | rhs], rows normalized to
-/// rhs >= 0 at build time — so the cold path reproduces the legacy engine's
-/// pivot sequence bit for bit, and the columns that started as the identity
+/// rhs >= 0 at build time — so the cold path reproduces the reference
+/// simplex's pivot sequence bit for bit, and the columns that started as the identity
 /// (identity_col) read back B^-1 for the node rhs swaps.
 struct ArenaSolver::Impl {
   ArenaStats stat;
@@ -224,12 +224,12 @@ struct ArenaSolver::Impl {
     }
   }
 
-  // ---- cold build: legacy two-phase from scratch -------------------------
+  // ---- cold build: two-phase from scratch --------------------------------
 
   /// Builds the tableau from `problem` under the current bounds and runs
-  /// phase 1 + phase 2. Mirrors the legacy simplex construction exactly
+  /// phase 1 + phase 2. Mirrors the reference simplex construction exactly
   /// (including the rhs-sign row flips). Returns kIterationLimit-class
-  /// statuses as the legacy engine does; kArenaExhausted when the call's
+  /// statuses as the reference simplex does; kArenaExhausted when the call's
   /// byte cap would be exceeded.
   SolveStatus cold_build(const Problem& problem, const SimplexOptions& lp) {
     lp_iters = 0;
@@ -431,12 +431,12 @@ struct ArenaSolver::Impl {
     }
   }
 
-  // ---- primal simplex (legacy rules, drift-free ratio tie-break) --------
+  // ---- primal simplex (reference rules, drift-free ratio tie-break) -----
 
   /// `stable_pivot` > 0 makes the iteration refuse pivot elements below
   /// that magnitude (returning kIterationLimit, i.e. "repair failed, go
   /// cold"). Warm polishing passes set it; the cold path leaves it 0 to
-  /// match the legacy engine's pivot sequence exactly.
+  /// match the reference simplex's pivot sequence exactly.
   SolveStatus primal_iterate(bool phase1, const SimplexOptions& lp,
                              double stable_pivot = 0.0) {
     long since_improvement = 0;
@@ -489,7 +489,7 @@ struct ArenaSolver::Impl {
   /// one absolute epsilon of the true minimum. Anchoring the window at the
   /// exact minimum (instead of letting it drift with each accepted tie)
   /// keeps degenerate pivots deterministic and cycling-resistant; the same
-  /// rule is pinned in the legacy simplex by tests/lp/simplex_test.cpp.
+  /// rule is pinned by tests/lp/simplex_test.cpp.
   int choose_leaving(int entering, const SimplexOptions& lp) const {
     double min_ratio = kInfinity;
     for (int i = 0; i < m; ++i) {
@@ -687,7 +687,7 @@ struct ArenaSolver::Impl {
   }
 
   /// Row duals of an optimal LP, read off the resident tableau exactly as
-  /// the legacy engine does: y_i = -(reduced cost of row i's identity
+  /// the reference simplex does: y_i = -(reduced cost of row i's identity
   /// column), undoing the build-time flip and the max-sense negation.
   /// Original constraints are the first rows of the tableau.
   double row_dual(const Problem& problem, int i) const {
@@ -934,7 +934,12 @@ struct ArenaSolver::Impl {
         sol.iterations = iterations_this_solve;
         return sol;
       }
-      if (st != SolveStatus::kOptimal) continue;  // infeasible/limit node
+      if (st != SolveStatus::kOptimal) {
+        // Without integer marks the root is the whole problem: it reports
+        // its own status (kIterationLimit too), not an infeasible node.
+        if (int_vars.empty()) best.status = st;
+        continue;
+      }
 
       Solution relax;
       relax.status = SolveStatus::kOptimal;

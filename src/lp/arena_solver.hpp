@@ -49,16 +49,18 @@ struct RhsRange {
 /// index arrays and a pooled branch-and-bound node stack, sized once per
 /// shape so the solve loops never allocate.
 ///
-/// Every solve() builds its root cold (two-phase, the legacy engine's pivot
-/// sequence). Branch-and-bound children re-solve from the parent's basis
-/// with a dual simplex (bound branching only moves the rhs, so the resident
+/// Every solve() builds its root cold (two-phase, the pivot sequence of
+/// the reference simplex the tests keep, solve_lp_reference).
+/// Branch-and-bound children re-solve from the parent's basis with a dual
+/// simplex (bound branching only moves the rhs, so the resident
 /// tableau stays dual-feasible); each child costs a handful of pivots
 /// instead of a full two-phase solve, and falls back to a cold rebuild when
 /// basis repair fails. range_rhs() walks an LP root's basis within the
 /// same call. No basis survives a call: a long-lived solver only keeps its
 /// allocations, so each result is a pure function of the problem and
 /// options (tests/lp/solver_differential_test.cpp pins this bitwise and
-/// holds statuses and objectives to the legacy engine to 1e-9).
+/// holds statuses and objectives to the reference branch-and-bound in
+/// tests/lp/reference.hpp to 1e-9).
 ///
 /// Not thread-safe: one ArenaSolver per thread.
 class ArenaSolver {
@@ -73,12 +75,13 @@ class ArenaSolver {
   ArenaSolver& operator=(ArenaSolver&&) noexcept;
 
   /// Solves `problem` (MILP via branch-and-bound; a problem without
-  /// integer marks is solved at the root only). Status semantics mirror
-  /// lp::solve_milp_reference: kOptimal/kInfeasible/kUnbounded, kNodeLimit
-  /// and kTimeLimit with the best incumbent, plus kArenaExhausted when
-  /// MilpOptions::max_arena_bytes would be exceeded. An optimal LP (no
-  /// integer marks) carries its duals, bitwise lp::solve_lp's; a MILP
-  /// carries none.
+  /// integer marks is solved at the root only and returns the root's own
+  /// status, kIterationLimit included). Status semantics mirror the test
+  /// oracle's branch-and-bound: kOptimal/kInfeasible/kUnbounded,
+  /// kNodeLimit and kTimeLimit with the best incumbent, plus
+  /// kArenaExhausted when MilpOptions::max_arena_bytes would be exceeded.
+  /// An optimal LP (no integer marks) carries its duals, bitwise
+  /// solve_lp_reference's; a MILP carries none.
   Solution solve(const Problem& problem, const MilpOptions& options = {});
 
   /// RHS ranging on one row: solves the LP `problem` cold as solve() does,

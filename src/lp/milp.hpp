@@ -39,19 +39,11 @@ struct MilpOptions {
 /// gap, and `nodes`/`iterations` report search effort. Duals are not
 /// populated for MILPs.
 ///
-/// Since the arena-solver rewrite this entry point runs lp::ArenaSolver
-/// (one solve-local instance: B&B children warm start from the parent
-/// basis via dual simplex; every root is solved cold, so results stay a
-/// pure function of the inputs). The original stack-of-Problem-copies
-/// engine remains available as solve_milp_reference and is held equal to
-/// the arena path by tests/lp/solver_differential_test.cpp.
+/// This entry point runs lp::ArenaSolver (one solve-local instance: B&B
+/// children warm start from the parent basis via dual simplex; every root
+/// is solved cold, so results stay a pure function of the inputs).
+/// tests/lp/solver_differential_test.cpp holds it to the pre-arena
+/// engine, kept with the tests as the oracle (tests/lp/reference.hpp).
 Solution solve_milp(const Problem& problem, const MilpOptions& options = {});
-
-/// The pre-arena branch-and-bound engine (a fresh two-phase simplex per
-/// node). Kept as the independent oracle for the differential test harness
-/// and as a fallback reference for debugging; production callers use
-/// solve_milp.
-Solution solve_milp_reference(const Problem& problem,
-                              const MilpOptions& options = {});
 
 }  // namespace billcap::lp

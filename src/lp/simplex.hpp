@@ -18,12 +18,18 @@ struct SimplexOptions {
 };
 
 /// Solves the LP relaxation of `problem` (integrality marks are ignored)
-/// with a dense two-phase tableau simplex.
+/// on a one-call lp::ArenaSolver: the cold two-phase tableau root that
+/// every MILP starts from. Defined beside lp::solve_milp in milp.cpp.
 ///
-/// On kOptimal the solution carries primal values for every variable and a
+/// The status is the root's own: kOptimal, kInfeasible, kUnbounded or
+/// kIterationLimit when `max_iterations` pivots did not finish. On
+/// kOptimal the solution carries primal values for every variable and a
 /// dual value per original constraint, oriented so that duals[i] is the
 /// sensitivity d(objective)/d(rhs_i) in the problem's own sense. For the
 /// DC-OPF substrate these duals ARE the locational marginal prices.
+/// tests/lp/solver_differential_test.cpp holds the answer (status,
+/// objective, x, duals and pivot count) bitwise to the dense reference
+/// simplex kept with the tests.
 Solution solve_lp(const Problem& problem, const SimplexOptions& options = {});
 
 }  // namespace billcap::lp

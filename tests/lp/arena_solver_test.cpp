@@ -19,6 +19,7 @@
 #include <vector>
 
 #include "lp/milp.hpp"
+#include "lp/reference.hpp"
 #include "solution_bits.hpp"
 
 namespace billcap::lp {

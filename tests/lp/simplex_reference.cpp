@@ -1,4 +1,4 @@
-#include "lp/simplex.hpp"
+#include "lp/reference.hpp"
 
 #include <algorithm>
 #include <cmath>
@@ -317,7 +317,8 @@ class Tableau {
 
 }  // namespace
 
-Solution solve_lp(const Problem& problem, const SimplexOptions& options) {
+Solution solve_lp_reference(const Problem& problem,
+                            const SimplexOptions& options) {
   const int n = problem.num_variables();
   const int m = problem.num_constraints();
   const bool maximize = problem.sense() == Sense::kMaximize;

@@ -23,6 +23,7 @@
 #include "core/throughput_maximizer.hpp"
 #include "datacenter/catalog.hpp"
 #include "lp/milp.hpp"
+#include "lp/reference.hpp"
 #include "lp/simplex.hpp"
 #include "market/dcopf.hpp"
 #include "market/pjm5.hpp"
@@ -195,12 +196,14 @@ bool same_bits(double a, double b) {
   return std::bit_cast<std::uint64_t>(a) == std::bit_cast<std::uint64_t>(b);
 }
 
-/// An optimal arena LP answer must be the legacy engine's to the last bit
-/// (objective, x, duals, pivot count); otherwise both must be non-optimal.
+/// An arena LP answer must carry the legacy engine's status and, when
+/// optimal, its answer to the last bit (objective, x, duals, pivot count).
 /// The B&B fields (nodes, best_bound) are the arena's alone.
 void expect_lp_bitwise(const Solution& legacy, const Solution& arena,
                        const std::string& tag) {
-  ASSERT_EQ(legacy.ok(), arena.ok()) << tag;
+  ASSERT_EQ(legacy.status, arena.status)
+      << tag << ": legacy=" << to_string(legacy.status)
+      << " arena=" << to_string(arena.status);
   if (!legacy.ok()) return;
   EXPECT_TRUE(same_bits(legacy.objective, arena.objective)) << tag;
   EXPECT_EQ(legacy.iterations, arena.iterations) << tag;
@@ -216,29 +219,44 @@ void expect_lp_bitwise(const Solution& legacy, const Solution& arena,
 
 TEST(SolverDifferentialTest, LpDualsMatchLegacyBitwise) {
   // The LP cases of the random and degenerate corpora above (integer
-  // marks dropped), against lp::solve_lp: same optimum, same x, same
-  // duals, bit for bit, because the arena's cold root replays the legacy
-  // pivot sequence and reads duals off the same reduced costs.
+  // marks dropped), against lp::solve_lp_reference: same status, and for
+  // an optimum the same x and duals, bit for bit, because the arena's
+  // cold root replays the legacy pivot sequence and reads duals off the
+  // same reduced costs. Production lp::solve_lp is held to it too. Each
+  // problem is solved again under a pivot cap of 0 and of 2: a root cut
+  // short reports kIterationLimit as the legacy engine does, never a
+  // phantom kInfeasible.
   std::mt19937 random_rng(12345), degenerate_rng(4242);
-  int optimal = 0;
+  int optimal = 0, capped = 0;
   for (int iter = 0; iter < 520; ++iter) {
     Problem p = iter < 400 ? random_problem(random_rng)
                            : degenerate_problem(degenerate_rng);
     for (int j = 0; j < p.num_variables(); ++j) p.set_integer(j, false);
+    const std::string tag = "iter " + std::to_string(iter);
     ArenaSolver solver;
-    const Solution legacy = solve_lp(p);
-    const Solution arena = solver.solve(p);
-    expect_lp_bitwise(legacy, arena, "iter " + std::to_string(iter));
+    const Solution legacy = solve_lp_reference(p);
+    expect_lp_bitwise(legacy, solver.solve(p), tag);
+    expect_lp_bitwise(legacy, solve_lp(p), tag + " solve_lp");
     if (legacy.ok()) ++optimal;
+    for (const long cap : {0L, 2L}) {
+      MilpOptions options;
+      options.lp.max_iterations = cap;
+      const Solution capped_legacy = solve_lp_reference(p, options.lp);
+      const std::string capped_tag = tag + " cap " + std::to_string(cap);
+      expect_lp_bitwise(capped_legacy, solver.solve(p, options), capped_tag);
+      expect_lp_bitwise(capped_legacy, solve_lp(p, options.lp), capped_tag);
+      if (capped_legacy.status == SolveStatus::kIterationLimit) ++capped;
+    }
   }
   EXPECT_GT(optimal, 150);
+  EXPECT_GT(capped, 400) << "too few roots cut short by the pivot cap";
 }
 
 TEST(SolverDifferentialTest, DcOpfDualsMatchLegacyBitwise) {
   // Seeded PJM5 hours: loads around the paper's levels with the site draw
   // fed back at gain 1 or 4, plus line outages, D-E derates and bus demand
-  // shocks. The arena's answer must be solve_lp's to the last bit, and its
-  // balance-row duals solve_dcopf's LMPs.
+  // shocks. The arena's answer must be solve_lp_reference's to the last
+  // bit, and its balance-row duals solve_dcopf's LMPs.
   const market::Grid nominal = market::pjm5_grid();
   int congested = 0;
   for (std::uint64_t seed = 1; seed <= 200; ++seed) {
@@ -269,7 +287,7 @@ TEST(SolverDifferentialTest, DcOpfDualsMatchLegacyBitwise) {
     const std::string tag = "seed " + std::to_string(seed);
     ArenaSolver solver;
     const Solution arena = solver.solve(model.problem);
-    expect_lp_bitwise(solve_lp(model.problem), arena, tag);
+    expect_lp_bitwise(solve_lp_reference(model.problem), arena, tag);
     const market::DcOpfResult want = market::solve_dcopf(grid, loads);
     ASSERT_EQ(want.ok(), arena.ok()) << tag;
     if (!want.ok()) continue;
