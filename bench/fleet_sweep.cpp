@@ -42,6 +42,7 @@
 #include "datacenter/catalog.hpp"
 #include "market/pricing_policy.hpp"
 #include "util/cli.hpp"
+#include "util/fnv1a.hpp"
 #include "util/table.hpp"
 #include "util/thread_pool.hpp"
 
@@ -97,14 +98,6 @@ core::FleetMonthConfig month_config(std::size_t month, std::size_t hours,
   return config;
 }
 
-std::uint64_t fnv1a(std::uint64_t hash, const std::string& bytes) {
-  for (const char c : bytes) {
-    hash ^= static_cast<unsigned char>(c);
-    hash *= 0x100000001b3ULL;
-  }
-  return hash;
-}
-
 /// Which axis the threaded pass shards across the pool. Months is the
 /// scalable default: each scenario-month is one task running its chunks
 /// inline (independent samples, near-linear in cores, and no nested pool
@@ -147,7 +140,7 @@ MonthSummary run_one_month(const Fleet& fleet, std::size_t month,
 
 struct PassResult {
   double seconds = 0.0;
-  std::uint64_t digest = 0xcbf29ce484222325ULL;
+  std::uint64_t digest = util::kFnv1aOffset;
   std::size_t aborts = 0;  ///< months that threw out of run_month
   std::size_t degraded_chunks = 0;
   std::size_t quarantined_chunks = 0;
@@ -187,7 +180,7 @@ PassResult run_pass(const Fleet& fleet, std::size_t months, std::size_t hours,
                    s.error.c_str());
       continue;
     }
-    result.digest = fnv1a(result.digest, s.csv);
+    result.digest = util::fnv1a(result.digest, s.csv);
     result.degraded_chunks += s.degraded_chunks;
     result.quarantined_chunks += s.quarantined_chunks;
     result.region_down_chunks += s.region_down_chunks;

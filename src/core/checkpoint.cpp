@@ -8,32 +8,13 @@
 #include <stdexcept>
 
 #include "core/checkpoint_keys.hpp"
+#include "util/fnv1a.hpp"
 #include "util/journal.hpp"
 #include "util/record_log.hpp"
 
 namespace billcap::core {
 
 namespace {
-
-// ---- digest ---------------------------------------------------------------
-
-struct Digest {
-  std::uint64_t hash = 0xcbf29ce484222325ULL;
-
-  void mix_u64(std::uint64_t value) noexcept {
-    for (int i = 0; i < 8; ++i) {
-      hash ^= (value >> (8 * i)) & 0xffu;
-      hash *= 0x100000001b3ULL;
-    }
-  }
-  void mix_size(std::size_t value) noexcept {
-    mix_u64(static_cast<std::uint64_t>(value));
-  }
-  void mix_double(double value) noexcept {
-    mix_u64(std::bit_cast<std::uint64_t>(value));
-  }
-  void mix_bool(bool value) noexcept { mix_u64(value ? 1 : 0); }
-};
 
 // ---- token stream for HourRecord ------------------------------------------
 
@@ -476,7 +457,7 @@ void load_hours(const util::Journal& journal, const std::string& head_path,
 
 std::uint64_t checkpoint_digest(const SimulationConfig& config,
                                 Strategy strategy) {
-  Digest d;
+  util::Fnv1a d;
   d.mix_u64(static_cast<std::uint64_t>(strategy));
   d.mix_u64(config.seed);
   d.mix_double(config.monthly_budget);

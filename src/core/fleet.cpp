@@ -1,7 +1,6 @@
 #include "core/fleet.hpp"
 
 #include <algorithm>
-#include <bit>
 #include <cmath>
 #include <cstdio>
 #include <future>
@@ -10,6 +9,7 @@
 #include <utility>
 
 #include "util/csv.hpp"
+#include "util/fnv1a.hpp"
 #include "util/rng.hpp"
 
 namespace billcap::core {
@@ -380,14 +380,6 @@ MonthlyResult FleetController::run_month(const FleetMonthConfig& config) {
 
 namespace {
 
-std::uint64_t fnv1a_mix(std::uint64_t hash, std::uint64_t value) noexcept {
-  for (int i = 0; i < 8; ++i) {
-    hash ^= (value >> (8 * i)) & 0xffu;
-    hash *= 0x100000001b3ULL;
-  }
-  return hash;
-}
-
 std::string hex64(std::uint64_t value) {
   char buf[17];
   std::snprintf(buf, sizeof(buf), "%016llx",
@@ -402,9 +394,8 @@ std::string fleet_month_csv(const MonthlyResult& result) {
   os << "hour,mode,degraded,failure,premium_arrivals,ordinary_arrivals,"
         "served_premium,served_ordinary,budget,predicted_cost,lambda_hash\n";
   for (const HourRecord& rec : result.hours) {
-    std::uint64_t hash = 0xcbf29ce484222325ULL;
-    for (double v : rec.site_lambda)
-      hash = fnv1a_mix(hash, std::bit_cast<std::uint64_t>(v));
+    util::Fnv1a lambda_hash;
+    for (double v : rec.site_lambda) lambda_hash.mix_double(v);
     os << rec.hour << ',' << to_string(rec.mode) << ','
        << (rec.degraded ? 1 : 0) << ',' << to_string(rec.failure) << ','
        << util::format_double(rec.premium_arrivals) << ','
@@ -413,7 +404,7 @@ std::string fleet_month_csv(const MonthlyResult& result) {
        << util::format_double(rec.served_ordinary) << ','
        << util::format_double(rec.hourly_budget) << ','
        << util::format_double(rec.predicted_cost) << ','
-       << hex64(hash) << '\n';
+       << hex64(lambda_hash.hash) << '\n';
   }
   os << "total,," << result.degraded_chunks << ','
      << result.quarantined_chunks << ',' << result.region_down_chunks << ','

@@ -1,7 +1,6 @@
 #include "serve/serve_loop.hpp"
 
 #include <algorithm>
-#include <bit>
 #include <cstdint>
 #include <optional>
 #include <span>
@@ -18,6 +17,7 @@
 #include "core/market_feed.hpp"
 #include "lp/problem.hpp"
 #include "market/closed_loop.hpp"
+#include "util/fnv1a.hpp"
 #include "util/journal.hpp"
 
 namespace billcap::serve {
@@ -25,31 +25,6 @@ namespace billcap::serve {
 namespace keys = core::keys;
 
 namespace {
-
-// ---- digest ---------------------------------------------------------------
-
-/// FNV-1a continuation mixer (same scheme as core/checkpoint.cpp's): the
-/// serve digest starts from the batch config digest and folds in every
-/// serve knob that changes decisions, so a serve checkpoint can be resumed
-/// only under the exact configuration that wrote it.
-struct Digest {
-  std::uint64_t hash;
-
-  explicit Digest(std::uint64_t seed) noexcept : hash(seed) {}
-
-  void mix_u64(std::uint64_t value) noexcept {
-    for (int i = 0; i < 8; ++i) {
-      hash ^= (value >> (8 * i)) & 0xffu;
-      hash *= 0x100000001b3ULL;
-    }
-  }
-  void mix_size(std::size_t value) noexcept {
-    mix_u64(static_cast<std::uint64_t>(value));
-  }
-  void mix_double(double value) noexcept {
-    mix_u64(std::bit_cast<std::uint64_t>(value));
-  }
-};
 
 // ---- durable state --------------------------------------------------------
 
@@ -343,8 +318,11 @@ ServeLoop::ServeLoop(const core::Simulator& sim, ServeConfig config)
   ordinary_cap_ =
       std::max(config_.ordinary_queue_ticks * split.ordinary(mean), 1.0);
 
-  Digest d(core::checkpoint_digest(sim_.config(),
-                                   core::Strategy::kCostCapping));
+  // The serve digest continues the batch config digest with every serve
+  // knob that changes decisions, so a serve checkpoint resumes only under
+  // the exact configuration that wrote it.
+  util::Fnv1a d{core::checkpoint_digest(sim_.config(),
+                                        core::Strategy::kCostCapping)};
   d.mix_size(config_.ticks_per_hour);
   d.mix_size(horizon_hours_);
   d.mix_double(config_.premium_queue_ticks);

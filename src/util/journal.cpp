@@ -8,6 +8,8 @@
 #include <sstream>
 #include <stdexcept>
 
+#include "util/fnv1a.hpp"
+
 #if defined(__unix__) || defined(__APPLE__)
 #include <fcntl.h>
 #include <unistd.h>
@@ -17,15 +19,9 @@ namespace billcap::util {
 
 namespace {
 
-/// FNV-1a over the journal payload; cheap, stable, and plenty to catch
-/// truncation and bit rot (this is an integrity check, not authentication).
-std::uint64_t fnv1a(std::string_view data) noexcept {
-  std::uint64_t hash = 0xcbf29ce484222325ULL;
-  for (char c : data) {
-    hash ^= static_cast<unsigned char>(c);
-    hash *= 0x100000001b3ULL;
-  }
-  return hash;
+/// FNV-1a over the journal payload; plenty to catch truncation and bit rot.
+std::uint64_t checksum(std::string_view payload) noexcept {
+  return fnv1a(kFnv1aOffset, payload);
 }
 
 std::string hex_u64(std::uint64_t value) {
@@ -153,7 +149,7 @@ std::string Journal::serialize() const {
     payload += v;
     payload += '\n';
   }
-  return payload + "checksum " + hex_u64(fnv1a(payload)) + "\n";
+  return payload + "checksum " + hex_u64(checksum(payload)) + "\n";
 }
 
 Journal Journal::parse(std::string_view text, std::string_view expected_magic,
@@ -171,7 +167,7 @@ Journal Journal::parse(std::string_view text, std::string_view expected_magic,
   const std::string_view payload = text.substr(0, marker);
   const std::uint64_t stated =
       parse_hex_u64(checksum_line.substr(std::string_view("checksum ").size()));
-  if (stated != fnv1a(payload))
+  if (stated != checksum(payload))
     throw std::runtime_error("Journal: checksum mismatch (corrupted file)");
 
   // Header: "<magic> v<version>".

@@ -7,6 +7,7 @@
 #include <fstream>
 #include <stdexcept>
 
+#include "util/fnv1a.hpp"
 #include "util/journal.hpp"
 
 #if defined(__unix__) || defined(__APPLE__)
@@ -25,15 +26,6 @@ constexpr std::size_t kChainBytes = 8;
 /// A damaged header must not make a reader allocate gigabytes.
 constexpr std::uint64_t kMaxRecordBytes = 1u << 20;
 
-std::uint64_t fnv1a(std::uint64_t hash, const char* data,
-                    std::size_t n) noexcept {
-  for (std::size_t i = 0; i < n; ++i) {
-    hash ^= static_cast<unsigned char>(data[i]);
-    hash *= 0x100000001b3ULL;
-  }
-  return hash;
-}
-
 std::runtime_error log_error(const std::string& path, const std::string& what) {
   return std::runtime_error("record log " + path + ": " + what);
 }
@@ -48,7 +40,7 @@ std::string encode_header(const Header& h) {
   std::memcpy(out.data(), kMagic, sizeof kMagic);
   store_le64(out.data() + 8, h.tag);
   store_le64(out.data() + 16, h.record_bytes);
-  store_le64(out.data() + 24, fnv1a(RecordLog::kEmptyChain, out.data(), 24));
+  store_le64(out.data() + 24, fnv1a(RecordLog::kEmptyChain, {out.data(), 24}));
   return out;
 }
 
@@ -86,7 +78,7 @@ Opened open_log(const std::string& path) {
   const std::string h = read_at(log.in, 0, kHeaderBytes);
   if (h.size() != kHeaderBytes || std::memcmp(h.data(), kMagic, 8) != 0)
     throw log_error(path, "bad header");
-  if (load_le64(h.data() + 24) != fnv1a(RecordLog::kEmptyChain, h.data(), 24))
+  if (load_le64(h.data() + 24) != fnv1a(RecordLog::kEmptyChain, {h.data(), 24}))
     throw log_error(path, "header checksum mismatch (corrupted file)");
   const std::uint64_t width = load_le64(h.data() + 16);
   if (width > kMaxRecordBytes)
@@ -188,7 +180,7 @@ RecordLog::Prefix RecordLog::append(const std::string& path, std::uint64_t tag,
                                 "-byte width");
     std::string slot = r;
     slot.resize(header.record_bytes, '\0');
-    prefix.chain = fnv1a(prefix.chain, slot.data(), slot.size());
+    prefix.chain = fnv1a(prefix.chain, slot);
     ++prefix.count;
     bytes += slot;
     char chain[kChainBytes];
@@ -223,7 +215,7 @@ RecordLog::Contents RecordLog::read(const std::string& path,
   std::uint64_t chain = kEmptyChain;
   for (std::size_t i = 0; i < prefix.count; ++i) {
     const char* rec = body.data() + i * log.stride();
-    chain = fnv1a(chain, rec, out.record_bytes);
+    chain = fnv1a(chain, {rec, out.record_bytes});
     if (load_le64(rec + out.record_bytes) != chain)
       throw log_error(path, "record " + std::to_string(i) +
                                 " fails its checksum (corrupted file)");

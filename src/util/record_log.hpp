@@ -4,6 +4,8 @@
 #include <string>
 #include <vector>
 
+#include "util/fnv1a.hpp"
+
 namespace billcap::util {
 
 /// An append-only file of fixed-width, checksummed records: durable state
@@ -28,7 +30,7 @@ namespace billcap::util {
 class RecordLog {
  public:
   /// FNV-1a offset basis: the chain value of the empty prefix.
-  static constexpr std::uint64_t kEmptyChain = 0xcbf29ce484222325ULL;
+  static constexpr std::uint64_t kEmptyChain = kFnv1aOffset;
 
   /// The first `count` records of a log and the chain value after them.
   struct Prefix {
