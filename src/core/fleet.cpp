@@ -224,9 +224,10 @@ FleetHourOutcome FleetController::decide_hour(
   // Nothing can serve anywhere (every region or site down): the hour
   // completes with zero service rather than aborting. The shares then
   // follow site counts, so each region sheds its share of the arrivals and
-  // dropped_capacity accounts for the whole hour.
-  const bool no_capacity = total_capacity <= 0.0;
-  if (no_capacity) {
+  // dropped_capacity accounts for the whole hour. Each chunk keeps its own
+  // outcome: dark sites are an outage, not a solver failure, so nothing
+  // here feeds the quarantine ladder.
+  if (total_capacity <= 0.0) {
     for (std::size_t r = 0; r < num_regions; ++r)
       capacity[r] = static_cast<double>(regions_[r].site_indices.size());
     total_capacity = static_cast<double>(num_sites_);
@@ -270,12 +271,6 @@ FleetHourOutcome FleetController::decide_hour(
     for (std::size_t r = 0; r < num_regions; ++r)
       out.chunks[r] = run_chunk(inputs[r]);
   }
-  if (no_capacity)
-    for (std::size_t r = 0; r < num_regions; ++r)
-      if (!inputs[r].down) {
-        out.chunks[r].status = ChunkStatus::kDegraded;
-        out.chunks[r].failure = FailureReason::kInfeasible;
-      }
 
   // ---- ordered reduction ------------------------------------------------
   for (std::size_t r = 0; r < num_regions; ++r) {

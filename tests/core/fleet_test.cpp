@@ -250,6 +250,35 @@ TEST_F(FleetTest, EveryRegionDownDropsTheWholeHour) {
   for (double l : out.site_lambda) EXPECT_EQ(l, 0.0);
 }
 
+TEST_F(FleetTest, FleetWideSiteOutageIsNotASolverFailure) {
+  // Every site dark for trip_failures hours: nothing can serve anywhere,
+  // but no solver failed, so no chunk degrades (as when only one region's
+  // sites are dark) and no region is quarantined once the sites are back.
+  const FleetOptions options;
+  const std::size_t dark = options.quarantine.trip_failures;
+  FaultPlan plan;
+  for (std::size_t i = 0; i < sites_.size(); ++i)
+    plan.outages.push_back({/*site=*/i, /*start=*/0, /*duration=*/dark});
+  const FaultInjector injector(plan, sites_.size(), 2, 24);
+  FleetController fleet = make_controller(options);
+  for (std::size_t h = 0; h < dark; ++h) {
+    const FleetHourOutcome out =
+        fleet.decide_hour(h, 8e11, 2e11, demand_, 1e7, &injector);
+    EXPECT_EQ(out.served_premium, 0.0) << h;
+    EXPECT_EQ(out.degraded_chunks, 0u) << h;
+    for (const ChunkOutcome& chunk : out.chunks) {
+      EXPECT_EQ(chunk.status, ChunkStatus::kOk) << h;
+      EXPECT_EQ(chunk.failure, FailureReason::kNone) << h;
+    }
+  }
+  for (std::size_t r = 0; r < 2; ++r)
+    EXPECT_FALSE(fleet.region_quarantined(r, dark)) << r;
+  const FleetHourOutcome back =
+      fleet.decide_hour(dark, 8e11, 2e11, demand_, 1e7, &injector);
+  EXPECT_EQ(back.quarantined_chunks, 0u);
+  EXPECT_GT(back.served_ordinary, 0.0);
+}
+
 TEST_F(FleetTest, PooledAndSerialHoursAreBitwiseIdentical) {
   util::ThreadPool pool(4);
   FleetController serial = make_controller();
