@@ -666,39 +666,47 @@ bool any_checkpoint_generation_exists(const std::string& path,
   return false;
 }
 
-CheckpointLoadReport load_checkpoint_fallback(const std::string& path,
-                                              std::size_t keep_generations,
-                                              std::uint64_t expected_digest) {
-  CheckpointLoadReport report;
+std::size_t scan_generations(
+    const std::string& path, std::size_t keep_generations,
+    const std::string& what, std::vector<std::string>& skipped,
+    const std::function<void(const std::string& generation_path)>& load) {
   const std::size_t gens = keep_generations == 0 ? 1 : keep_generations;
   for (std::size_t g = 0; g < gens; ++g) {
     const std::string gen_path = util::Journal::generation_path(path, g);
     if (!checkpoint_exists(gen_path)) {
-      report.skipped.push_back(gen_path + ": missing");
+      skipped.push_back(gen_path + ": missing");
       continue;
     }
     try {
-      const util::Journal journal = load_head_journal(gen_path);
-      CheckpointState state = decode_head(journal);
-      if (state.config_digest != expected_digest) {
-        report.skipped.push_back(gen_path +
-                                 ": config digest mismatch (checkpoint from a "
-                                 "different configuration)");
-        continue;
-      }
-      load_hours(journal, gen_path, state);
-      report.state = std::move(state);
-      report.generation = g;
-      return report;
+      load(gen_path);
+      return g;
     } catch (const std::exception& e) {
-      report.skipped.push_back(gen_path + ": " + e.what());
+      skipped.push_back(gen_path + ": " + e.what());
     }
   }
   std::string detail;
-  for (const std::string& s : report.skipped) detail += "\n  " + s;
-  throw std::runtime_error(
-      "checkpoint: no viable generation among the newest " +
-      std::to_string(gens) + detail);
+  for (const std::string& s : skipped) detail += "\n  " + s;
+  throw std::runtime_error(what + ": no viable generation among the newest " +
+                           std::to_string(gens) + detail);
+}
+
+CheckpointLoadReport load_checkpoint_fallback(const std::string& path,
+                                              std::size_t keep_generations,
+                                              std::uint64_t expected_digest) {
+  CheckpointLoadReport report;
+  report.generation = scan_generations(
+      path, keep_generations, "checkpoint", report.skipped,
+      [&](const std::string& gen_path) {
+        const util::Journal journal = load_head_journal(gen_path);
+        CheckpointState state = decode_head(journal);
+        if (state.config_digest != expected_digest)
+          throw std::runtime_error(
+              "config digest mismatch (checkpoint from a different "
+              "configuration)");
+        load_hours(journal, gen_path, state);
+        report.state = std::move(state);
+      });
+  return report;
 }
 
 }  // namespace billcap::core

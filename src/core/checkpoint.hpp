@@ -1,6 +1,7 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <string>
 #include <vector>
 
@@ -106,6 +107,18 @@ struct CheckpointLoadReport {
 /// or any of "<path>.1" ... "<path>.<K-1>").
 bool any_checkpoint_generation_exists(const std::string& path,
                                       std::size_t keep_generations) noexcept;
+
+/// The newest-first generation scan shared by every rotated checkpoint:
+/// calls `load` on each generation of `path` that exists ("<path>", then
+/// "<path>.1" ... "<path>.<K-1>") and returns the index of the first one
+/// it loads without throwing. Each missing or throwing generation adds
+/// "<generation path>: <why>" to `skipped`. When none loads, throws
+/// std::runtime_error("<what>: no viable generation among the newest K")
+/// with the skipped lines appended.
+std::size_t scan_generations(
+    const std::string& path, std::size_t keep_generations,
+    const std::string& what, std::vector<std::string>& skipped,
+    const std::function<void(const std::string& generation_path)>& load);
 
 /// Scans generations newest-first and returns the first one that loads
 /// cleanly AND matches `expected_digest`; corrupted, truncated, missing or

@@ -232,38 +232,24 @@ struct ServeLoadReport {
   std::vector<std::string> skipped;
 };
 
-/// Newest-first generation scan, exactly like core::load_checkpoint_fallback
-/// but against the serve journal format.
+/// core::load_checkpoint_fallback's generation scan over the serve journal
+/// format.
 ServeLoadReport load_state_fallback(const std::string& path, std::size_t gens,
                                     std::uint64_t expected_digest) {
   ServeLoadReport report;
-  for (std::size_t g = 0; g < gens; ++g) {
-    const std::string gen_path = util::Journal::generation_path(path, g);
-    if (!core::checkpoint_exists(gen_path)) {
-      report.skipped.push_back(gen_path + ": missing");
-      continue;
-    }
-    try {
-      const util::Journal j = util::Journal::load(
-          gen_path, keys::kServeCheckpointMagic, keys::kServeCheckpointVersion);
-      if (j.get_u64(keys::kConfigDigest) != expected_digest) {
-        report.skipped.push_back(gen_path +
-                                 ": config digest mismatch (serve checkpoint "
-                                 "from a different configuration)");
-        continue;
-      }
-      report.state = decode_state(j);
-      report.generation = g;
-      return report;
-    } catch (const std::exception& e) {
-      report.skipped.push_back(gen_path + ": " + e.what());
-    }
-  }
-  std::string detail;
-  for (const std::string& s : report.skipped) detail += "\n  " + s;
-  throw std::runtime_error(
-      "serve checkpoint: no viable generation among the newest " +
-      std::to_string(gens) + detail);
+  report.generation = core::scan_generations(
+      path, gens, "serve checkpoint", report.skipped,
+      [&](const std::string& gen_path) {
+        const util::Journal j =
+            util::Journal::load(gen_path, keys::kServeCheckpointMagic,
+                                keys::kServeCheckpointVersion);
+        if (j.get_u64(keys::kConfigDigest) != expected_digest)
+          throw std::runtime_error(
+              "config digest mismatch (serve checkpoint from a different "
+              "configuration)");
+        report.state = decode_state(j);
+      });
+  return report;
 }
 
 }  // namespace
