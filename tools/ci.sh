@@ -67,6 +67,16 @@ echo "== bench: closed-loop market coupler envelope (BENCH_market.json) =="
 # (`./market_loop`).
 cmake --build "$ROOT/$PREFIX" -j "$JOBS" --target market_loop
 (cd "$ROOT/$PREFIX/bench" && ./market_loop --smoke)
+# The three smoke digests are pinned: every closed-loop hour runs the
+# DC-OPF through lp::solve_lp, so a change that moves an LMP bit moves
+# them. Re-baseline these lines with a reason in CHANGES.md.
+for MARKET_DIGEST in 87ceddef433bb6ea ae5ffb5552f2edc3 6de7c35749683f13; do
+  if ! grep -q "\"digest\": \"$MARKET_DIGEST\"" \
+      "$ROOT/$PREFIX/bench/BENCH_market.json"; then
+    echo "ci: market_loop --smoke has no config with digest $MARKET_DIGEST" >&2
+    exit 1
+  fi
+done
 cp "$ROOT/$PREFIX/bench/BENCH_market.json" "$ROOT/BENCH_market.json"
 
 echo "== tier 2: robustness label under address,undefined sanitizers =="
