@@ -231,12 +231,14 @@ TEST(SolverDifferentialTest, LpDualsMatchLegacyBitwise) {
   for (int iter = 0; iter < 520; ++iter) {
     Problem p = iter < 400 ? random_problem(random_rng)
                            : degenerate_problem(degenerate_rng);
+    const Solution marked = solve_lp(p);  // ignores the integrality marks
     for (int j = 0; j < p.num_variables(); ++j) p.set_integer(j, false);
     const std::string tag = "iter " + std::to_string(iter);
     ArenaSolver solver;
     const Solution legacy = solve_lp_reference(p);
     expect_lp_bitwise(legacy, solver.solve(p), tag);
     expect_lp_bitwise(legacy, solve_lp(p), tag + " solve_lp");
+    expect_lp_bitwise(legacy, marked, tag + " solve_lp, marks kept");
     if (legacy.ok()) ++optimal;
     for (const long cap : {0L, 2L}) {
       MilpOptions options;
