@@ -35,13 +35,6 @@ Budgeter::Budgeter(double monthly_budget,
     throw std::invalid_argument("Budgeter: weights sum to zero over horizon");
 }
 
-double Budgeter::weight_of_hour(std::size_t hour_index) const {
-  if (hour_index >= horizon_)
-    throw std::out_of_range("Budgeter: hour beyond horizon");
-  return weights_[util::hour_of_week(phase_offset_ + hour_index)] /
-         suffix_weight_.front();
-}
-
 double Budgeter::hourly_budget(std::size_t hour_index,
                                double spent_so_far) const {
   if (hour_index >= horizon_)

@@ -38,10 +38,6 @@ class Budgeter {
   /// negative; returns 0 once the month is overspent.
   double hourly_budget(std::size_t hour_index, double spent_so_far) const;
 
-  /// The static weight share of an hour (before carry-over), useful for
-  /// reporting.
-  double weight_of_hour(std::size_t hour_index) const;
-
  private:
   double monthly_budget_;
   std::vector<double> weights_;       // 168 hour-of-week weights

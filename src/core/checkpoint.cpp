@@ -18,7 +18,6 @@ namespace {
 
 // ---- token stream for HourRecord ------------------------------------------
 
-void put_u(std::ostringstream& os, std::uint64_t v) { os << v << ' '; }
 void put_d(std::ostringstream& os, double v) {
   char buf[17];
   std::snprintf(buf, sizeof(buf), "%016llx",
@@ -55,41 +54,6 @@ double take_d(std::istringstream& is) {
   if (res.ec != std::errc{} || res.ptr != token.data() + token.size())
     throw std::runtime_error("checkpoint: malformed hour record");
   return std::bit_cast<double>(bits);
-}
-
-std::string encode_hour(const HourRecord& rec) {
-  std::ostringstream os;
-  put_u(os, rec.hour);
-  put_u(os, static_cast<std::uint64_t>(rec.mode));
-  put_u(os, static_cast<std::uint64_t>(rec.failure));
-  put_u(os, rec.degraded ? 1 : 0);
-  put_u(os, rec.used_incumbent ? 1 : 0);
-  put_u(os, rec.used_heuristic ? 1 : 0);
-  put_u(os, rec.stale_prices ? 1 : 0);
-  put_u(os, static_cast<std::uint64_t>(rec.feed_attempts));
-  put_u(os, rec.feed_recovered ? 1 : 0);
-  put_u(os, rec.sites_down);
-  put_u(os, static_cast<std::uint64_t>(rec.nodes));
-  put_d(os, rec.arrivals);
-  put_d(os, rec.premium_arrivals);
-  put_d(os, rec.ordinary_arrivals);
-  put_d(os, rec.served_premium);
-  put_d(os, rec.served_ordinary);
-  put_d(os, rec.hourly_budget);
-  put_d(os, rec.cost);
-  put_d(os, rec.predicted_cost);
-  put_d(os, rec.solve_ms);
-  put_u(os, rec.site_lambda.size());
-  for (double v : rec.site_lambda) put_d(os, v);
-  put_u(os, rec.site_power_mw.size());
-  for (double v : rec.site_power_mw) put_d(os, v);
-  // Coupler fields: appended AFTER every v1 field so pre-coupler records
-  // decode with the (zero) defaults — extend only at the end.
-  put_u(os, rec.coupler_iterations);
-  put_u(os, rec.coupler_converged ? 1 : 0);
-  put_u(os, rec.coupler_fallback ? 1 : 0);
-  put_u(os, rec.coupler_rung);
-  return os.str();
 }
 
 HourRecord decode_hour(const std::string& text) {
@@ -609,15 +573,6 @@ std::uint64_t checkpoint_digest(const SimulationConfig& config,
 bool checkpoint_exists(const std::string& path) noexcept {
   const std::ifstream probe(path);
   return probe.good();
-}
-
-void save_checkpoint(const std::string& path, const CheckpointState& state) {
-  util::Journal journal = encode_head(state, keys::kCheckpointInlineVersion);
-  const std::vector<HourRecord>& hours = state.partial.hours;
-  journal.set_size(keys::kHours, hours.size());
-  for (std::size_t i = 0; i < hours.size(); ++i)
-    journal.set(keys::hour(i), encode_hour(hours[i]));
-  journal.save_atomic(path);
 }
 
 CheckpointState load_checkpoint(const std::string& path) {

@@ -56,14 +56,6 @@ std::uint64_t checkpoint_digest(const SimulationConfig& config,
 /// True if a checkpoint file exists at `path` (it may still fail to load).
 bool checkpoint_exists(const std::string& path) noexcept;
 
-/// Atomically persists `state` as one self-contained file with every
-/// HourRecord inline (format v1, write-temp-then-rename): a kill at any
-/// instant leaves either the previous file or this one, never a torn mix.
-/// It re-encodes the whole month, so the hourly loop commits through
-/// save_checkpoint_rotated instead. Throws std::runtime_error on I/O
-/// failure.
-void save_checkpoint(const std::string& path, const CheckpointState& state);
-
 /// Loads and verifies a checkpoint of either format: a v1 file with its
 /// hours inline, or a v2 head plus the log prefix it names. Throws
 /// std::runtime_error when the head or the log is missing, truncated,

@@ -6,8 +6,8 @@
 namespace billcap::core::keys {
 
 /// The one registry of every key the checkpoint journal reads or writes.
-/// save_checkpoint and load_checkpoint (and the generation-fallback scan
-/// built on it) must both go through these constants so a typo cannot make
+/// save_checkpoint_rotated and load_checkpoint (and the generation-fallback
+/// scan built on it) must both go through these constants so a typo cannot make
 /// a field silently vanish on resume — billcap-lint rule BL011
 /// (journal-key) rejects raw string keys at Journal call sites.
 
@@ -19,7 +19,8 @@ namespace billcap::core::keys {
 /// version number.
 inline constexpr const char* kCheckpointMagic = "billcap-checkpoint";
 inline constexpr int kCheckpointVersion = 2;
-/// What save_checkpoint's self-contained single file is stamped with.
+/// What a self-contained single file with the hours inline (format v1,
+/// still loaded) is stamped with.
 inline constexpr int kCheckpointInlineVersion = 1;
 
 // ---- run identity and crash cursor ----------------------------------------

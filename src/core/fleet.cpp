@@ -14,16 +14,6 @@
 
 namespace billcap::core {
 
-const char* to_string(ChunkStatus status) noexcept {
-  switch (status) {
-    case ChunkStatus::kOk: return "ok";
-    case ChunkStatus::kDegraded: return "degraded";
-    case ChunkStatus::kQuarantined: return "quarantined";
-    case ChunkStatus::kRegionDown: return "region_down";
-  }
-  return "unknown";
-}
-
 /// Everything one chunk task needs, materialized before dispatch so the
 /// task only reads its own slot (no shared mutable state, no dangling
 /// spans: the inputs vector outlives every future).
@@ -100,11 +90,6 @@ FleetController::FleetController(
   for (std::size_t r = 0; r < regions_.size(); ++r)
     region_cappers_.emplace_back(region_sites_[r], region_policies_[r],
                                  options_.optimizer);
-}
-
-bool FleetController::region_quarantined(std::size_t region,
-                                         std::size_t hour) const {
-  return hour < quarantine_.at(region).quarantined_until;
 }
 
 ChunkOutcome FleetController::run_chunk(const ChunkInput& in) const {

@@ -33,8 +33,6 @@ enum class ChunkStatus {
   kRegionDown,   ///< RegionOutage: the whole region served nothing
 };
 
-const char* to_string(ChunkStatus status) noexcept;
-
 /// Per-chunk solve deadline. The node budget is the primary limit — it is
 /// deterministic (the same solve always burns the same nodes), so results
 /// stay bitwise-identical across hosts and thread counts. The wall-clock
@@ -139,9 +137,6 @@ class FleetController {
 
   std::size_t num_regions() const noexcept { return regions_.size(); }
   std::size_t num_sites() const noexcept { return num_sites_; }
-
-  /// True when the region is quarantined for the *next* decide_hour call.
-  bool region_quarantined(std::size_t region, std::size_t hour) const;
 
   /// Decides one fleet hour. `injector` may be null (no faults); pass one
   /// built with the region-aware constructor to exercise RegionOutage /

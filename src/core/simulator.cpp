@@ -28,15 +28,6 @@ double elapsed_ms(std::chrono::steady_clock::time_point start) {
 
 }  // namespace
 
-const char* to_string(BudgetWeighting weighting) noexcept {
-  switch (weighting) {
-    case BudgetWeighting::kHistory: return "history";
-    case BudgetWeighting::kUniform: return "uniform";
-    case BudgetWeighting::kOracle: return "oracle";
-  }
-  return "unknown";
-}
-
 const char* to_string(Strategy strategy) noexcept {
   switch (strategy) {
     case Strategy::kCostCapping: return "CostCapping";

@@ -32,7 +32,6 @@ enum class BudgetWeighting {
   kOracle,   ///< weights from the *evaluation* month itself (perfect
              ///< prediction upper bound)
 };
-const char* to_string(BudgetWeighting weighting) noexcept;
 
 struct SimulationConfig {
   std::uint64_t seed = 2012;           ///< master seed (trace + demand)

@@ -74,12 +74,6 @@ double DataCenter::power_mw(double lambda_per_hour) const {
   return power_breakdown(lambda_per_hour).total_mw();
 }
 
-double DataCenter::response_time_hours(double lambda_per_hour) const {
-  const std::uint64_t n = servers_for(lambda_per_hour);
-  return queueing::allen_cunneen_response_time(
-      spec_.queue, static_cast<double>(n), lambda_per_hour);
-}
-
 DataCenter::AffinePower DataCenter::affine_power() const noexcept {
   // Watts per active server: server itself + its continuous network share,
   // grossed up by the cooling overhead (eq. 4-7 combined).

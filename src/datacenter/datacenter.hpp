@@ -68,9 +68,6 @@ class DataCenter {
   /// Total site power (MW) at a given load.
   double power_mw(double lambda_per_hour) const;
 
-  /// Achieved response time with the local optimizer's server count.
-  double response_time_hours(double lambda_per_hour) const;
-
   /// Continuous affine approximation  power_mw ~= slope * lambda + intercept
   /// valid for lambda > 0 (at lambda = 0 the site powers off entirely).
   /// This is what the MILP embeds; it differs from the exact model only by

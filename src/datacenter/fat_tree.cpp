@@ -20,14 +20,6 @@ std::uint64_t FatTree::hosts_per_pod() const noexcept {
   return half * half;
 }
 
-std::uint64_t FatTree::edge_switches_total() const noexcept {
-  return static_cast<std::uint64_t>(k_) * (k_ / 2);
-}
-
-std::uint64_t FatTree::aggregation_switches_total() const noexcept {
-  return edge_switches_total();
-}
-
 std::uint64_t FatTree::core_switches_total() const noexcept {
   const std::uint64_t half = k_ / 2;
   return half * half;

@@ -24,8 +24,6 @@ class FatTree {
   std::uint64_t total_hosts() const noexcept;
   std::uint64_t hosts_per_edge_switch() const noexcept { return k_ / 2; }
   std::uint64_t hosts_per_pod() const noexcept;
-  std::uint64_t edge_switches_total() const noexcept;
-  std::uint64_t aggregation_switches_total() const noexcept;
   std::uint64_t core_switches_total() const noexcept;
 
   /// Counts of switches that must be powered with `active_servers` servers

@@ -1068,7 +1068,6 @@ ArenaSolver::ArenaSolver() : impl_(std::make_unique<Impl>()) {}
 
 ArenaSolver::~ArenaSolver() = default;
 ArenaSolver::ArenaSolver(ArenaSolver&&) noexcept = default;
-ArenaSolver& ArenaSolver::operator=(ArenaSolver&&) noexcept = default;
 
 Solution ArenaSolver::solve(const Problem& problem, const MilpOptions& options) {
   return impl_->solve(problem, options);
@@ -1080,9 +1079,5 @@ void ArenaSolver::range_rhs(const Problem& problem, int row, double direction,
 }
 
 const ArenaStats& ArenaSolver::stats() const noexcept { return impl_->stat; }
-
-std::size_t ArenaSolver::arena_bytes() const noexcept {
-  return impl_->footprint();
-}
 
 }  // namespace billcap::lp

@@ -69,10 +69,9 @@ class ArenaSolver {
   ~ArenaSolver();
   ArenaSolver(const ArenaSolver&) = delete;
   ArenaSolver& operator=(const ArenaSolver&) = delete;
-  // Movable so long-lived owners (BillCapper, region capper vectors) can be
-  // moved without losing their reserved arenas.
+  // Move-constructible so long-lived owners (BillCapper, region capper
+  // vectors) can be moved without losing their reserved arenas.
   ArenaSolver(ArenaSolver&&) noexcept;
-  ArenaSolver& operator=(ArenaSolver&&) noexcept;
 
   /// Solves `problem` (MILP via branch-and-bound; a problem without
   /// integer marks is solved at the root only and returns the root's own
@@ -98,9 +97,6 @@ class ArenaSolver {
                  double t_max, RhsRange& out);
 
   const ArenaStats& stats() const noexcept;
-
-  /// Current arena footprint in bytes (tableau + cost row + node pool).
-  std::size_t arena_bytes() const noexcept;
 
  private:
   struct Impl;

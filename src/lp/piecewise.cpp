@@ -35,12 +35,6 @@ std::size_t PiecewiseAffine::segment_of(double x) const {
   return idx - 1;
 }
 
-double PiecewiseAffine::value(double x) const {
-  const double clamped = std::clamp(x, breaks.front(), breaks.back());
-  const std::size_t k = segment_of(clamped);
-  return intercepts[k] + slopes[k] * clamped;
-}
-
 PiecewiseVars add_piecewise_cost(Problem& problem, const PiecewiseAffine& pw,
                                  const std::string& prefix, double scale) {
   pw.validate();

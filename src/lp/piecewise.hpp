@@ -22,12 +22,10 @@ struct PiecewiseAffine {
   /// Number of segments.
   std::size_t num_segments() const noexcept { return slopes.size(); }
 
-  /// Evaluates the cost at x (clamped into [breaks.front(), breaks.back()]).
-  /// At an interior breakpoint the *right* segment applies, matching the
-  /// "price steps up when load reaches the threshold" semantics.
-  double value(double x) const;
-
-  /// Index of the segment containing x under the same convention.
+  /// Index of the segment containing x (clamped into [breaks.front(),
+  /// breaks.back()]). At an interior breakpoint the *right* segment
+  /// applies, matching the "price steps up when load reaches the
+  /// threshold" semantics.
   std::size_t segment_of(double x) const;
 
   /// Validates shape invariants; throws std::invalid_argument on violation.

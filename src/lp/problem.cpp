@@ -1,7 +1,6 @@
 #include "lp/problem.hpp"
 
 #include <cmath>
-#include <sstream>
 #include <stdexcept>
 
 namespace billcap::lp {
@@ -95,38 +94,6 @@ bool Problem::is_feasible(std::span<const double> x, double tol) const {
     }
   }
   return true;
-}
-
-std::string Problem::to_string() const {
-  std::ostringstream os;
-  os << (sense_ == Sense::kMinimize ? "minimize" : "maximize") << ":";
-  for (std::size_t j = 0; j < vars_.size(); ++j) {
-    if (vars_[j].objective == 0.0) continue;
-    os << ' ' << (vars_[j].objective >= 0 ? "+" : "") << vars_[j].objective
-       << ' ' << vars_[j].name;
-  }
-  if (objective_constant_ != 0.0) os << " + " << objective_constant_;
-  os << "\nsubject to:\n";
-  for (const auto& c : rows_) {
-    os << "  " << c.name << ":";
-    for (const Term& t : c.terms) {
-      os << ' ' << (t.coef >= 0 ? "+" : "") << t.coef << ' '
-         << vars_[static_cast<std::size_t>(t.var)].name;
-    }
-    switch (c.relation) {
-      case Relation::kLessEqual: os << " <= "; break;
-      case Relation::kGreaterEqual: os << " >= "; break;
-      case Relation::kEqual: os << " = "; break;
-    }
-    os << c.rhs << '\n';
-  }
-  os << "bounds:\n";
-  for (const auto& v : vars_) {
-    os << "  " << v.lower << " <= " << v.name << " <= " << v.upper;
-    if (v.is_integer) os << " integer";
-    os << '\n';
-  }
-  return os.str();
 }
 
 const char* to_string(SolveStatus status) noexcept {

@@ -107,9 +107,6 @@ class Problem {
   /// True if `x` satisfies all rows, bounds and integrality within `tol`.
   bool is_feasible(std::span<const double> x, double tol = 1e-6) const;
 
-  /// Human-readable dump (LP-format-like) for debugging and golden tests.
-  std::string to_string() const;
-
  private:
   std::vector<Variable> vars_;
   std::vector<Constraint> rows_;

@@ -33,12 +33,6 @@ int Grid::add_generator(std::string name, int bus, double capacity_mw,
   return static_cast<int>(generators_.size()) - 1;
 }
 
-int Grid::bus_index(const std::string& name) const {
-  for (int b = 0; b < num_buses(); ++b)
-    if (buses_[static_cast<std::size_t>(b)] == name) return b;
-  throw std::out_of_range("Grid: no such bus: " + name);
-}
-
 double Grid::total_capacity_mw() const noexcept {
   double total = 0.0;
   for (const auto& g : generators_) total += g.capacity_mw;

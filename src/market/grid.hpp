@@ -54,9 +54,6 @@ class Grid {
     return generators_;
   }
 
-  /// Index of a named bus; throws std::out_of_range if absent.
-  int bus_index(const std::string& name) const;
-
   /// Total generation capacity (MW).
   double total_capacity_mw() const noexcept;
 

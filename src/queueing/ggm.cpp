@@ -1,14 +1,11 @@
 #include "queueing/ggm.hpp"
 
 #include <cmath>
-#include <limits>
 #include <stdexcept>
 
 namespace billcap::queueing {
 
 namespace {
-
-constexpr double kInf = std::numeric_limits<double>::infinity();
 
 void check_params(const GgmParams& params) {
   if (!(params.service_rate > 0.0))
@@ -22,33 +19,6 @@ double variability(const GgmParams& params) noexcept {
 }
 
 }  // namespace
-
-double allen_cunneen_response_time(const GgmParams& params, double n_servers,
-                                   double arrival_rate) noexcept {
-  const double mu = params.service_rate;
-  const double capacity = n_servers * mu;
-  if (arrival_rate < 0.0 || capacity <= arrival_rate) return kInf;
-  if (arrival_rate == 0.0) return 1.0 / mu;
-  return 1.0 / mu + variability(params) / (capacity - arrival_rate);
-}
-
-double allen_cunneen_full_response_time(const GgmParams& params,
-                                        std::uint64_t m_servers,
-                                        double arrival_rate) noexcept {
-  const double mu = params.service_rate;
-  const double m = static_cast<double>(m_servers);
-  const double capacity = m * mu;
-  if (arrival_rate < 0.0 || capacity <= arrival_rate) return kInf;
-  if (arrival_rate == 0.0) return 1.0 / mu;
-  const double rho = arrival_rate / capacity;
-  // Sakasegawa's approximation of the Erlang-C delay probability inside the
-  // Allen-Cunneen waiting-time formula:
-  //   Wq ~= (C_A^2 + C_B^2)/2 * rho^(sqrt(2(m+1)) - 1) / (m (1 - rho) mu).
-  const double exponent = std::sqrt(2.0 * (m + 1.0)) - 1.0;
-  const double wq = variability(params) * std::pow(rho, exponent) /
-                    (m * (1.0 - rho) * mu);
-  return 1.0 / mu + wq;
-}
 
 double fractional_servers_for_response_time(const GgmParams& params,
                                             double arrival_rate,

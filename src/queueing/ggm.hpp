@@ -13,22 +13,6 @@ struct GgmParams {
   double cb2 = 1.0;           ///< squared CV of request sizes (C_B^2)
 };
 
-/// Allen-Cunneen response time of a G/G/m queue with n busy servers and
-/// arrival rate lambda, using the paper's rho -> 1 simplification:
-///   R = 1/mu + ((C_A^2 + C_B^2)/2) * 1/(n*mu - lambda).
-/// Requires n*mu > lambda (stability); returns +inf otherwise.
-double allen_cunneen_response_time(const GgmParams& params, double n_servers,
-                                   double arrival_rate) noexcept;
-
-/// Full Allen-Cunneen approximation (without the rho -> 1 shortcut):
-///   R = 1/mu + ((C_A^2 + C_B^2)/2) * (rho^(sqrt(2(m+1)) ) ... )
-/// We use the standard P_wait-based form with the Sakasegawa exponent
-/// rho^(sqrt(2(m+1))-1); provided for sensitivity tests against the
-/// simplified model the optimizer uses. Returns +inf when unstable.
-double allen_cunneen_full_response_time(const GgmParams& params,
-                                        std::uint64_t m_servers,
-                                        double arrival_rate) noexcept;
-
 /// Minimum number of servers n (integer) such that the simplified
 /// Allen-Cunneen response time is <= `target_response`. This is the paper's
 /// per-site "local optimizer" (Section IV-B): it keeps just enough servers

@@ -1,14 +1,6 @@
 #include "queueing/mmm.hpp"
 
-#include <cmath>
-#include <limits>
-#include <stdexcept>
-
 namespace billcap::queueing {
-
-namespace {
-constexpr double kInf = std::numeric_limits<double>::infinity();
-}
 
 double erlang_c(std::uint64_t m_servers, double arrival_rate,
                 double service_rate) noexcept {
@@ -27,35 +19,6 @@ double erlang_c(std::uint64_t m_servers, double arrival_rate,
   }
   const double rho = a / m;
   return b / (1.0 - rho * (1.0 - b));
-}
-
-double mmm_response_time(std::uint64_t m_servers, double arrival_rate,
-                         double service_rate) noexcept {
-  const double capacity = static_cast<double>(m_servers) * service_rate;
-  if (arrival_rate < 0.0 || capacity <= arrival_rate) return kInf;
-  if (arrival_rate == 0.0) return 1.0 / service_rate;
-  const double c = erlang_c(m_servers, arrival_rate, service_rate);
-  return 1.0 / service_rate + c / (capacity - arrival_rate);
-}
-
-double mm1_response_time(double arrival_rate, double service_rate) noexcept {
-  if (arrival_rate < 0.0 || service_rate <= arrival_rate) return kInf;
-  return 1.0 / (service_rate - arrival_rate);
-}
-
-std::uint64_t mmm_min_servers(double arrival_rate, double service_rate,
-                              double target_response) {
-  if (!(target_response > 1.0 / service_rate))
-    throw std::invalid_argument(
-        "mmm_min_servers: target must exceed the service time");
-  if (arrival_rate == 0.0) return 0;
-  auto m = static_cast<std::uint64_t>(
-      std::floor(arrival_rate / service_rate));  // below stability floor
-  for (;;) {
-    ++m;
-    if (mmm_response_time(m, arrival_rate, service_rate) <= target_response)
-      return m;
-  }
 }
 
 }  // namespace billcap::queueing

@@ -4,32 +4,11 @@
 
 namespace billcap::queueing {
 
-/// Exact M/M/m (Erlang-C) results, used as ground truth to validate the
-/// Allen-Cunneen approximation (which is exact for M/M/1 and asymptotically
-/// tight for M/M/m): the paper's G/G/m model reduces to M/M/m when
-/// C_A^2 = C_B^2 = 1.
-
 /// Erlang-C probability that an arriving request must wait, for m servers,
 /// arrival rate lambda and per-server service rate mu. Requires stability
 /// (lambda < m*mu); returns 1.0 at or beyond saturation. Computed with a
 /// numerically-stable recurrence (no factorials).
 double erlang_c(std::uint64_t m_servers, double arrival_rate,
                 double service_rate) noexcept;
-
-/// Exact mean response time of an M/M/m queue:
-///   R = 1/mu + C(m, lambda/mu) / (m*mu - lambda).
-/// Returns +inf when unstable.
-double mmm_response_time(std::uint64_t m_servers, double arrival_rate,
-                         double service_rate) noexcept;
-
-/// Exact mean response time of an M/M/1 queue: 1 / (mu - lambda).
-/// Returns +inf when unstable.
-double mm1_response_time(double arrival_rate, double service_rate) noexcept;
-
-/// Smallest m with exact M/M/m response time <= target. Linear scan from
-/// the stability floor; intended for validation, not hot paths. Throws
-/// std::invalid_argument when target <= 1/mu.
-std::uint64_t mmm_min_servers(double arrival_rate, double service_rate,
-                              double target_response);
 
 }  // namespace billcap::queueing

@@ -60,46 +60,10 @@ void Csv::add_numeric_row(const std::vector<double>& values) {
   add_row(std::move(cells));
 }
 
-const std::string& Csv::cell(std::size_t row, std::size_t col) const {
-  return rows_.at(row).at(col);
-}
-
-double Csv::cell_as_double(std::size_t row, std::size_t col) const {
-  const std::string& s = cell(row, col);
-  double value = 0.0;
-  const auto res = std::from_chars(s.data(), s.data() + s.size(), value);
-  if (res.ec != std::errc{})
-    throw std::runtime_error("Csv: cell is not numeric: " + s);
-  return value;
-}
-
-std::size_t Csv::column_index(std::string_view name) const {
-  for (std::size_t i = 0; i < header_.size(); ++i)
-    if (header_[i] == name) return i;
-  throw std::out_of_range("Csv: no such column: " + std::string(name));
-}
-
-std::vector<double> Csv::column_as_doubles(std::string_view name) const {
-  const std::size_t col = column_index(name);
-  std::vector<double> out;
-  out.reserve(rows_.size());
-  for (std::size_t r = 0; r < rows_.size(); ++r)
-    out.push_back(cell_as_double(r, col));
-  return out;
-}
-
 std::string Csv::to_string() const {
-  std::ostringstream os;
-  auto emit_row = [&os](const std::vector<std::string>& cells) {
-    for (std::size_t i = 0; i < cells.size(); ++i) {
-      if (i) os << ',';
-      os << (needs_quoting(cells[i]) ? quote(cells[i]) : cells[i]);
-    }
-    os << '\n';
-  };
-  emit_row(header_);
-  for (const auto& row : rows_) emit_row(row);
-  return os.str();
+  std::string text = serialize_row(header_);
+  for (const auto& row : rows_) text += serialize_row(row);
+  return text;
 }
 
 void Csv::save(const std::string& path) const {
@@ -114,8 +78,14 @@ void Csv::save(const std::string& path) const {
 
 namespace {
 
-/// Splits CSV text into records of cells (quote-aware); no width checks.
-std::vector<std::vector<std::string>> collect_records(std::string_view text) {
+/// CSV text split into records of cells (quote-aware); no width checks.
+struct Records {
+  std::vector<std::vector<std::string>> records;
+  /// The text ended inside a quoted cell: its last record was cut short.
+  bool open_quote = false;
+};
+
+Records collect_records(std::string_view text) {
   std::vector<std::vector<std::string>> records;
   std::vector<std::string> record;
   std::string cell;
@@ -170,19 +140,10 @@ std::vector<std::vector<std::string>> collect_records(std::string_view text) {
     }
   }
   end_record();
-  return records;
+  return {std::move(records), in_quotes};
 }
 
 }  // namespace
-
-Csv Csv::parse(std::string_view text) {
-  auto records = collect_records(text);
-  if (records.empty()) throw std::runtime_error("Csv::parse: empty document");
-  Csv doc(std::move(records.front()));
-  for (std::size_t r = 1; r < records.size(); ++r)
-    doc.add_row(std::move(records[r]));
-  return doc;
-}
 
 Csv Csv::parse_resilient(std::string_view text) {
   // An unterminated final line is a row the writer never finished: the
@@ -194,23 +155,19 @@ Csv Csv::parse_resilient(std::string_view text) {
     text = nl == std::string_view::npos ? std::string_view{}
                                         : text.substr(0, nl + 1);
   }
-  auto records = collect_records(text);
-  if (records.empty()) throw std::runtime_error("Csv::parse: empty document");
+  auto [records, open_quote] = collect_records(text);
+  if (records.empty())
+    throw std::runtime_error("Csv::parse_resilient: empty document");
   Csv doc(std::move(records.front()));
   for (std::size_t r = 1; r < records.size(); ++r) {
-    if (r + 1 == records.size() && records[r].size() != doc.num_cols())
-      break;  // torn final row (partial OS write that still got a newline)
+    // A torn final row: a partial OS write that still got a newline (too
+    // few cells), or one cut inside a quoted cell after a quoted newline.
+    if (r + 1 == records.size() &&
+        (open_quote || records[r].size() != doc.num_cols()))
+      break;
     doc.add_row(std::move(records[r]));
   }
   return doc;
-}
-
-Csv Csv::load(const std::string& path) {
-  std::ifstream in(path);
-  if (!in) throw std::runtime_error("Csv::load: cannot open " + path);
-  std::ostringstream buffer;
-  buffer << in.rdbuf();
-  return parse(buffer.str());
 }
 
 CsvWriter::CsvWriter(const std::string& path, std::vector<std::string> header)

@@ -8,8 +8,8 @@
 namespace billcap::util {
 
 /// Minimal CSV document: a header row plus numeric/text cells. The benches
-/// write their series as CSV so results can be plotted,
-/// and tests read fixture traces through the same code path.
+/// write their series as CSV so results can be plotted; CsvWriter reads a
+/// file back (parse_resilient) when it resumes one.
 class Csv {
  public:
   Csv() = default;
@@ -30,33 +30,20 @@ class Csv {
   std::size_t num_rows() const noexcept { return rows_.size(); }
   std::size_t num_cols() const noexcept { return header_.size(); }
 
-  /// Cell accessors; throw std::out_of_range on bad indices.
-  const std::string& cell(std::size_t row, std::size_t col) const;
-  double cell_as_double(std::size_t row, std::size_t col) const;
-
-  /// Index of a named column; throws std::out_of_range if absent.
-  std::size_t column_index(std::string_view name) const;
-
-  /// Whole column parsed as doubles.
-  std::vector<double> column_as_doubles(std::string_view name) const;
-
   /// Serializes to RFC-4180-ish CSV (quotes cells containing separators).
   std::string to_string() const;
 
   /// Writes to a file; throws std::runtime_error on I/O failure.
   void save(const std::string& path) const;
 
-  /// Parses CSV text (first row is the header). Handles quoted cells.
-  static Csv parse(std::string_view text);
-
-  /// Parses like parse(), but tolerates the shape a SIGKILL mid-append
-  /// leaves behind: a torn *final* record — an unterminated last line, or
-  /// a trailing row with fewer cells than the header — is dropped instead
-  /// of throwing. Malformed rows anywhere else still throw.
+  /// Parses CSV text (first row is the header; quoted cells may hold
+  /// separators, quotes and newlines), tolerating the shape a SIGKILL
+  /// mid-append leaves behind: a torn *final* record — an unterminated
+  /// last line, a trailing row with fewer cells than the header, or a
+  /// record cut inside a quoted cell — is dropped instead of throwing.
+  /// A row of the wrong width anywhere else throws std::invalid_argument;
+  /// a document without a header throws std::runtime_error.
   static Csv parse_resilient(std::string_view text);
-
-  /// Loads and parses a file; throws std::runtime_error on I/O failure.
-  static Csv load(const std::string& path);
 
  private:
   std::vector<std::string> header_;

@@ -90,11 +90,6 @@ double Rng::lognormal(double mu, double sigma) noexcept {
   return std::exp(normal(mu, sigma));
 }
 
-double Rng::exponential(double rate) noexcept {
-  // 1 - uniform() is in (0, 1], so the log is finite.
-  return -std::log(1.0 - uniform()) / rate;
-}
-
 bool Rng::bernoulli(double p) noexcept { return uniform() < p; }
 
 Rng Rng::split() noexcept { return Rng((*this)()); }

@@ -45,9 +45,6 @@ class Rng {
   /// Lognormal draw: exp(Normal(mu, sigma)).
   double lognormal(double mu, double sigma) noexcept;
 
-  /// Exponential draw with the given rate (> 0).
-  double exponential(double rate) noexcept;
-
   /// Bernoulli trial with success probability p in [0, 1].
   bool bernoulli(double p) noexcept;
 

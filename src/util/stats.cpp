@@ -21,8 +21,6 @@ double RunningStats::variance() const noexcept {
   return m2_ / static_cast<double>(n_ - 1);
 }
 
-double RunningStats::stddev() const noexcept { return std::sqrt(variance()); }
-
 double sum(std::span<const double> xs) noexcept {
   double acc = 0.0;
   for (double x : xs) acc += x;

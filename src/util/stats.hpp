@@ -19,8 +19,6 @@ class RunningStats {
   double mean() const noexcept { return mean_; }
   /// Unbiased sample variance; 0 with fewer than two observations.
   double variance() const noexcept;
-  /// Square root of variance().
-  double stddev() const noexcept;
   /// Smallest observation; +inf when empty.
   double min() const noexcept { return min_; }
   /// Largest observation; -inf when empty.

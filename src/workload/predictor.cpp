@@ -1,7 +1,10 @@
 #include "workload/predictor.hpp"
 
+#include <algorithm>
 #include <numeric>
 #include <stdexcept>
+
+#include "util/calendar.hpp"
 
 namespace billcap::workload {
 
@@ -33,44 +36,6 @@ std::vector<double> hour_of_week_weights(std::span<const double> history,
   }
   for (double& s : sums) s /= total;
   return sums;
-}
-
-HistoryPredictor::HistoryPredictor(std::size_t weeks) : weeks_(weeks) {
-  if (weeks == 0)
-    throw std::invalid_argument("HistoryPredictor: weeks must be >= 1");
-}
-
-void HistoryPredictor::observe(double arrivals_per_hour) {
-  if (arrivals_per_hour < 0.0)
-    throw std::invalid_argument("HistoryPredictor: negative arrivals");
-  history_.push_back(arrivals_per_hour);
-}
-
-void HistoryPredictor::observe_all(std::span<const double> series) {
-  for (double a : series) observe(a);
-}
-
-double HistoryPredictor::weight(std::size_t hour_of_week) const {
-  if (hour_of_week >= util::kHoursPerWeek)
-    throw std::out_of_range("HistoryPredictor::weight: hour_of_week >= 168");
-  return hour_of_week_weights(history_, weeks_)[hour_of_week];
-}
-
-std::vector<double> HistoryPredictor::weights() const {
-  return hour_of_week_weights(history_, weeks_);
-}
-
-double HistoryPredictor::predict_rate(std::size_t hour_of_week) const {
-  if (hour_of_week >= util::kHoursPerWeek)
-    throw std::out_of_range("HistoryPredictor::predict_rate: bad hour");
-  if (history_.empty()) return 0.0;
-  const double mean_rate =
-      std::accumulate(history_.begin(), history_.end(), 0.0) /
-      static_cast<double>(history_.size());
-  if (!has_full_week()) return mean_rate;
-  // weight * 168 is the slot's rate relative to the weekly mean.
-  return weight(hour_of_week) * static_cast<double>(util::kHoursPerWeek) *
-         mean_rate;
 }
 
 }  // namespace billcap::workload

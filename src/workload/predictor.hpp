@@ -4,8 +4,6 @@
 #include <span>
 #include <vector>
 
-#include "util/calendar.hpp"
-
 namespace billcap::workload {
 
 /// Hour-of-week workload weights from trailing history (Section VI-B): the
@@ -17,45 +15,5 @@ namespace billcap::workload {
 /// one full week is available, returns uniform weights (1/168 each).
 std::vector<double> hour_of_week_weights(std::span<const double> history,
                                          std::size_t weeks = 2);
-
-/// Streaming wrapper around hour_of_week_weights: observe hourly arrivals
-/// as they happen, query the weight (or a rate prediction) for any future
-/// hour index. This is the predictor the budgeter consults each hour.
-class HistoryPredictor {
- public:
-  /// `weeks` of trailing history to average over (the paper found 2 weeks
-  /// sufficient for the Wikipedia trace).
-  explicit HistoryPredictor(std::size_t weeks = 2);
-
-  /// Appends one observed hour of arrivals.
-  void observe(double arrivals_per_hour);
-
-  /// Bulk-appends a history series (e.g. the whole October trace).
-  void observe_all(std::span<const double> series);
-
-  /// Number of hours observed so far.
-  std::size_t observed_hours() const noexcept { return history_.size(); }
-
-  /// True once at least one full week has been observed.
-  bool has_full_week() const noexcept {
-    return history_.size() >= util::kHoursPerWeek;
-  }
-
-  /// Weight of a given hour-of-week [0, 168) under the current history;
-  /// weights sum to 1 over a week.
-  double weight(std::size_t hour_of_week) const;
-
-  /// All 168 weights.
-  std::vector<double> weights() const;
-
-  /// Predicted arrival rate for an hour with the given hour-of-week: the
-  /// trailing mean for that slot (uniform slots fall back to the overall
-  /// mean of the observed history).
-  double predict_rate(std::size_t hour_of_week) const;
-
- private:
-  std::size_t weeks_;
-  std::vector<double> history_;
-};
 
 }  // namespace billcap::workload

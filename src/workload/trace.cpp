@@ -1,9 +1,6 @@
 #include "workload/trace.hpp"
 
-#include <algorithm>
 #include <stdexcept>
-
-#include "util/csv.hpp"
 
 namespace billcap::workload {
 
@@ -22,11 +19,6 @@ Trace Trace::slice(std::size_t start, std::size_t length) const {
                                    arrivals_.begin() + static_cast<std::ptrdiff_t>(start + length)));
 }
 
-double Trace::peak() const noexcept {
-  if (arrivals_.empty()) return 0.0;
-  return *std::max_element(arrivals_.begin(), arrivals_.end());
-}
-
 double Trace::total() const noexcept {
   double t = 0.0;
   for (double a : arrivals_) t += a;
@@ -35,25 +27,6 @@ double Trace::total() const noexcept {
 
 double Trace::mean() const noexcept {
   return arrivals_.empty() ? 0.0 : total() / static_cast<double>(hours());
-}
-
-Trace Trace::scaled(double factor) const {
-  if (factor < 0.0) throw std::invalid_argument("Trace::scaled: negative factor");
-  std::vector<double> out(arrivals_);
-  for (double& a : out) a *= factor;
-  return Trace(std::move(out));
-}
-
-void Trace::save_csv(const std::string& path) const {
-  util::Csv doc({"hour", "requests_per_hour"});
-  for (std::size_t h = 0; h < arrivals_.size(); ++h)
-    doc.add_numeric_row({static_cast<double>(h), arrivals_[h]});
-  doc.save(path);
-}
-
-Trace Trace::load_csv(const std::string& path) {
-  const util::Csv doc = util::Csv::load(path);
-  return Trace(doc.column_as_doubles("requests_per_hour"));
 }
 
 PremiumSplit::PremiumSplit(double premium_share) : share_(premium_share) {

@@ -2,7 +2,6 @@
 
 #include <cstddef>
 #include <span>
-#include <string>
 #include <vector>
 
 namespace billcap::workload {
@@ -25,17 +24,8 @@ class Trace {
   /// Sub-trace of `length` hours starting at `start`; throws on overrun.
   Trace slice(std::size_t start, std::size_t length) const;
 
-  double peak() const noexcept;
   double total() const noexcept;
   double mean() const noexcept;
-
-  /// Element-wise scaling (the paper multiplies the 10 % Wikipedia sample
-  /// by 10 to recover full volume).
-  Trace scaled(double factor) const;
-
-  /// CSV round-trip ("hour,requests_per_hour").
-  void save_csv(const std::string& path) const;
-  static Trace load_csv(const std::string& path);
 
  private:
   std::vector<double> arrivals_;

@@ -74,16 +74,26 @@ TEST(BudgeterTest, WeightedHoursGetProportionalBudget) {
 TEST(BudgeterTest, HourBeyondHorizonThrows) {
   const Budgeter b(1e6, uniform_weights(), 720);
   EXPECT_THROW(b.hourly_budget(720, 0.0), std::out_of_range);
-  EXPECT_THROW(b.weight_of_hour(720), std::out_of_range);
 }
 
 TEST(BudgeterTest, WeightsOfHoursSumToOne) {
   std::vector<double> weights(util::kHoursPerWeek, 1.0);
   weights[0] = 7.0;
   const Budgeter b(1e6, weights, 720);
-  double total = 0.0;
-  for (std::size_t h = 0; h < 720; ++h) total += b.weight_of_hour(h);
-  EXPECT_NEAR(total, 1.0, 1e-9);
+  double horizon_weight = 0.0;
+  for (std::size_t h = 0; h < 720; ++h)
+    horizon_weight += weights[util::hour_of_week(h)];
+  // Spending every hour's budget in full hands each hour exactly its static
+  // weight share of the month, and the shares add up to the whole budget.
+  double spent = 0.0;
+  for (std::size_t h = 0; h < 720; ++h) {
+    const double budget = b.hourly_budget(h, spent);
+    EXPECT_NEAR(budget / 1e6, weights[util::hour_of_week(h)] / horizon_weight,
+                1e-12)
+        << h;
+    spent += budget;
+  }
+  EXPECT_NEAR(spent / 1e6, 1.0, 1e-9);
 }
 
 TEST(BudgeterTest, LastHourGetsEverythingRemaining) {

@@ -8,6 +8,7 @@
 #include <string>
 
 #include "core/checkpoint_keys.hpp"
+#include "core/checkpoint_v1.hpp"
 #include "core/simulator.hpp"
 #include "util/journal.hpp"
 #include "util/rng.hpp"
@@ -154,7 +155,7 @@ void expect_states_bitwise_equal(const CheckpointState& a,
 TEST(CheckpointTest, SaveLoadRoundTripIsBitwise) {
   const std::string path = temp_path("billcap_checkpoint_test.j");
   const CheckpointState st = sample_state();
-  save_checkpoint(path, st);
+  save_checkpoint_v1(path, st);
   EXPECT_TRUE(checkpoint_exists(path));
   const CheckpointState back = load_checkpoint(path);
   expect_states_bitwise_equal(st, back);
@@ -166,14 +167,14 @@ TEST(CheckpointTest, RepeatedSavesOverwriteAtomically) {
   const std::string path = temp_path("billcap_checkpoint_overwrite.j");
   CheckpointState st = sample_state();
   for (std::size_t extra = 0; extra < 3; ++extra) {
-    save_checkpoint(path, st);
+    save_checkpoint_v1(path, st);
     HourRecord rec;
     rec.hour = st.next_hour++;
     rec.cost = 1000.0 + static_cast<double>(extra);
     st.partial.hours.push_back(rec);
     st.spent += rec.cost;
   }
-  save_checkpoint(path, st);
+  save_checkpoint_v1(path, st);
   EXPECT_FALSE(std::filesystem::exists(path + ".tmp"));
   const CheckpointState back = load_checkpoint(path);
   expect_states_bitwise_equal(st, back);
@@ -182,7 +183,7 @@ TEST(CheckpointTest, RepeatedSavesOverwriteAtomically) {
 
 TEST(CheckpointTest, RejectsTruncatedAndCorruptedFiles) {
   const std::string path = temp_path("billcap_checkpoint_damage.j");
-  save_checkpoint(path, sample_state());
+  save_checkpoint_v1(path, sample_state());
   std::string text;
   {
     std::ifstream in(path, std::ios::binary);
@@ -372,7 +373,7 @@ TEST(CheckpointTest, FaultCursorsSurviveTheRoundTrip) {
   CheckpointState st = sample_state();
   st.storms_fired = 4;
   st.corruptions_fired = 2;
-  save_checkpoint(path, st);
+  save_checkpoint_v1(path, st);
   const CheckpointState back = load_checkpoint(path);
   EXPECT_EQ(back.storms_fired, 4u);
   EXPECT_EQ(back.corruptions_fired, 2u);
@@ -436,7 +437,7 @@ TEST(CheckpointTest, PreCouplerJournalLoadsWithFreshCouplerState) {
   const std::string modern_path = temp_path("billcap_checkpoint_modern.j");
   const std::string legacy_path = temp_path("billcap_checkpoint_legacy.j");
   const CheckpointState st = sample_state();  // coupler fields at defaults
-  save_checkpoint(modern_path, st);
+  save_checkpoint_v1(modern_path, st);
 
   const util::Journal modern = util::Journal::load(
       modern_path, keys::kCheckpointMagic, keys::kCheckpointVersion);
@@ -489,12 +490,12 @@ TEST(CheckpointTest, CouplerEraJournalRoundTripsBitwise) {
   const std::string path = temp_path("billcap_checkpoint_coupler.j");
   const std::string resaved = temp_path("billcap_checkpoint_coupler2.j");
   const CheckpointState st = coupler_sample_state();
-  save_checkpoint(path, st);
+  save_checkpoint_v1(path, st);
   const CheckpointState back = load_checkpoint(path);
   expect_states_bitwise_equal(st, back);
   EXPECT_EQ(back.partial.hours[1].failure, FailureReason::kPriceOscillation);
 
-  save_checkpoint(resaved, back);
+  save_checkpoint_v1(resaved, back);
   std::ifstream a(path, std::ios::binary), b(resaved, std::ios::binary);
   const std::string text_a(std::istreambuf_iterator<char>(a),
                            std::istreambuf_iterator<char>{});
@@ -511,7 +512,7 @@ TEST(CheckpointTest, HourCountInconsistencyIsRejected) {
   st.next_hour = st.partial.hours.size() + 5;  // claims more than it holds
   EXPECT_THROW(
       {
-        save_checkpoint(path, st);
+        save_checkpoint_v1(path, st);
         load_checkpoint(path);
       },
       std::runtime_error);

@@ -14,6 +14,7 @@
 #include <vector>
 
 #include "core/checkpoint.hpp"
+#include "core/checkpoint_v1.hpp"
 #include "core/cost_model.hpp"
 #include "datacenter/catalog.hpp"
 #include "market/pricing_policy.hpp"
@@ -271,8 +272,6 @@ TEST_F(FleetTest, FleetWideSiteOutageIsNotASolverFailure) {
       EXPECT_EQ(chunk.failure, FailureReason::kNone) << h;
     }
   }
-  for (std::size_t r = 0; r < 2; ++r)
-    EXPECT_FALSE(fleet.region_quarantined(r, dark)) << r;
   const FleetHourOutcome back =
       fleet.decide_hour(dark, 8e11, 2e11, demand_, 1e7, &injector);
   EXPECT_EQ(back.quarantined_chunks, 0u);
@@ -309,7 +308,10 @@ TEST_F(FleetTest, RegionOutageShedsLocallyAndRecovers) {
   EXPECT_GT(down.served_premium, 0.0);
   for (std::size_t i = 3; i < 6; ++i) EXPECT_EQ(down.site_lambda[i], 0.0);
   // A lost region is an outage, not a ladder failure: no quarantine.
-  EXPECT_FALSE(fleet.region_quarantined(1, 1));
+  const FleetHourOutcome still_down =
+      fleet.decide_hour(1, 8e11, 2e11, demand_, 1e7, &injector);
+  EXPECT_EQ(still_down.chunks[1].status, ChunkStatus::kRegionDown);
+  EXPECT_EQ(still_down.quarantined_chunks, 0u);
   const FleetHourOutcome after =
       fleet.decide_hour(2, 8e11, 2e11, demand_, 1e7, &injector);
   EXPECT_EQ(after.chunks[1].status, ChunkStatus::kOk);
@@ -376,7 +378,6 @@ TEST_F(FleetTest, QuarantineTripsAfterRepeatedFailuresAndRecovers) {
     EXPECT_EQ(out.chunks[0].status, ChunkStatus::kDegraded) << h;
   }
   // Three failures in the window: hours 3 and 4 are quarantined.
-  EXPECT_TRUE(fleet.region_quarantined(0, 3));
   hook_on = false;  // the region has recovered, but quarantine holds
   const FleetHourOutcome gated = fleet.decide_hour(3, 8e11, 2e11, demand_, 1e7);
   EXPECT_EQ(gated.chunks[0].status, ChunkStatus::kQuarantined);
@@ -388,7 +389,7 @@ TEST_F(FleetTest, QuarantineTripsAfterRepeatedFailuresAndRecovers) {
   // Probation: the ladder window was cleared, the region solves cleanly.
   const FleetHourOutcome healed = fleet.decide_hour(5, 8e11, 2e11, demand_, 1e7);
   EXPECT_EQ(healed.chunks[0].status, ChunkStatus::kOk);
-  EXPECT_FALSE(fleet.region_quarantined(0, 5));
+  EXPECT_EQ(healed.quarantined_chunks, 0u);
 }
 
 TEST_F(FleetTest, RunMonthAggregatesChunkCountersIntoMonthlyResult) {
@@ -432,7 +433,7 @@ TEST_F(FleetTest, ChunkTalliesSurviveTheCheckpointJournal) {
   state.partial = result;
   const std::string path =
       ::testing::TempDir() + "fleet_chunk_tally.journal";
-  save_checkpoint(path, state);
+  save_checkpoint_v1(path, state);
   const CheckpointState loaded = load_checkpoint(path);
   EXPECT_EQ(loaded.partial.degraded_chunks, result.degraded_chunks);
   EXPECT_EQ(loaded.partial.quarantined_chunks, result.quarantined_chunks);

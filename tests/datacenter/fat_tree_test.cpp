@@ -9,8 +9,9 @@ TEST(FatTreeTest, CanonicalK4Counts) {
   // The textbook k = 4 fat-tree: 16 hosts, 8 edge, 8 agg, 4 core.
   const FatTree t(4);
   EXPECT_EQ(t.total_hosts(), 16u);
-  EXPECT_EQ(t.edge_switches_total(), 8u);
-  EXPECT_EQ(t.aggregation_switches_total(), 8u);
+  const auto full = t.active_switches(t.total_hosts());
+  EXPECT_EQ(full.edge, 8u);
+  EXPECT_EQ(full.aggregation, 8u);
   EXPECT_EQ(t.core_switches_total(), 4u);
   EXPECT_EQ(t.hosts_per_edge_switch(), 2u);
   EXPECT_EQ(t.hosts_per_pod(), 4u);
@@ -37,10 +38,11 @@ TEST(FatTreeTest, ZeroServersZeroSwitches) {
 }
 
 TEST(FatTreeTest, FullFabricAllSwitchesOn) {
+  // k = 8: k pods of k/2 edge and k/2 aggregation switches each.
   const FatTree t(8);
   const auto active = t.active_switches(t.total_hosts());
-  EXPECT_EQ(active.edge, t.edge_switches_total());
-  EXPECT_EQ(active.aggregation, t.aggregation_switches_total());
+  EXPECT_EQ(active.edge, 32u);
+  EXPECT_EQ(active.aggregation, 32u);
   EXPECT_EQ(active.core, t.core_switches_total());
 }
 
@@ -70,13 +72,12 @@ TEST(FatTreeTest, RejectsOverCapacity) {
 }
 
 TEST(FatTreeTest, RatiosMatchTotalsAtFullLoad) {
+  // k = 16: 16 pods of 8 edge and 8 aggregation switches each.
   const FatTree t(16);
   const auto r = t.switch_ratios();
   const double hosts = static_cast<double>(t.total_hosts());
-  EXPECT_NEAR(r.edge_per_server * hosts,
-              static_cast<double>(t.edge_switches_total()), 1e-9);
-  EXPECT_NEAR(r.aggregation_per_server * hosts,
-              static_cast<double>(t.aggregation_switches_total()), 1e-9);
+  EXPECT_NEAR(r.edge_per_server * hosts, 128.0, 1e-9);
+  EXPECT_NEAR(r.aggregation_per_server * hosts, 128.0, 1e-9);
   EXPECT_NEAR(r.core_per_server * hosts,
               static_cast<double>(t.core_switches_total()), 1e-9);
 }

@@ -3,7 +3,8 @@
 // command checks its command line against its flag table before any month
 // runs, so a misspelled flag, an unconvertible or out-of-range value, a
 // repeated flag or a stray argument exits 2 at once, and `--help` prints
-// the table without running anything.
+// the table without running anything. A fresh run's streamed CSV
+// overwrites whatever stale file sits at its path.
 
 #include <gtest/gtest.h>
 
@@ -14,6 +15,8 @@
 
 #include <cstdio>
 #include <filesystem>
+#include <fstream>
+#include <iterator>
 #include <string>
 #include <vector>
 
@@ -210,6 +213,39 @@ TEST(CliFlagsTest, HelpExits0WritesNoCsvAndListsEveryRow) {
   }
   EXPECT_EQ(invoke(BILLCAP_FLEET_SWEEP_PATH, "--help").code, kExitSuccess);
   EXPECT_EQ(invoke(BILLCAP_MARKET_LOOP_PATH, "--help").code, kExitSuccess);
+}
+
+TEST(CliFlagsTest, FreshRunOverwritesAStaleCsv) {
+  // A first attempt has committed no row, so a CSV already at the path
+  // (another run's, with another header) is stale: the streamed writers
+  // overwrite it, as the whole-file writer of a plain simulate does.
+  const std::string dir = temp_path("billcap_cli_stale");
+  const std::string csv = dir + "/out.csv";
+  const std::string ck = dir + "/run.ck";
+  struct Case {
+    std::string args, header;
+  };
+  const Case cases[] = {
+      {"simulate --checkpoint " + ck + " --csv " + csv, "hour,arrivals,"},
+      {"serve --hours 2 --csv " + csv, "tick,hour,"},
+      {"serve --hours 2 --checkpoint " + ck + " --csv " + csv, "tick,hour,"},
+  };
+  for (const Case& c : cases) {
+    std::filesystem::remove_all(dir);
+    std::filesystem::create_directories(dir);
+    {
+      std::ofstream stale(csv, std::ios::binary);
+      stale << "x,y\n1,2\n";
+    }
+    const Outcome r = cli(c.args);
+    EXPECT_EQ(r.code, kExitSuccess) << c.args << "\n" << r.output;
+    std::ifstream in(csv, std::ios::binary);
+    const std::string text((std::istreambuf_iterator<char>(in)),
+                           std::istreambuf_iterator<char>());
+    EXPECT_EQ(text.rfind(c.header, 0), 0u) << c.args << "\n" << text;
+    EXPECT_EQ(text.find("x,y"), std::string::npos) << c.args;
+  }
+  std::filesystem::remove_all(dir);
 }
 
 }  // namespace

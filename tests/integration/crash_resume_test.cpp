@@ -19,6 +19,7 @@
 
 #include "core/checkpoint.hpp"
 #include "core/checkpoint_keys.hpp"
+#include "core/checkpoint_v1.hpp"
 #include "core/simulator.hpp"
 #include "util/journal.hpp"
 
@@ -598,7 +599,7 @@ TEST(CrashResumeTest, V1CheckpointResumesBitIdenticallyAndContinuesAsV2) {
           .stopped);
   const CheckpointState mid = load_checkpoint(path);
   std::remove(log.c_str());
-  save_checkpoint(path, mid);
+  save_checkpoint_v1(path, mid);
   ASSERT_EQ(util::Journal::load(path, keys::kCheckpointMagic,
                                 keys::kCheckpointVersion)
                 .version(),

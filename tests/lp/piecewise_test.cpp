@@ -6,6 +6,7 @@
 #include <vector>
 
 #include "lp/milp.hpp"
+#include "lp/piecewise_value.hpp"
 #include "util/rng.hpp"
 
 namespace billcap::lp {
@@ -55,15 +56,15 @@ TEST(PiecewiseAffineTest, SegmentLookupUsesRightContinuousConvention) {
 
 TEST(PiecewiseAffineTest, ValueMatchesStepPriceSemantics) {
   const PiecewiseAffine pw = paper_like_policy();
-  EXPECT_DOUBLE_EQ(pw.value(100.0), 10.0 * 100.0);
-  EXPECT_DOUBLE_EQ(pw.value(210.0), 13.9 * 210.0);
-  EXPECT_DOUBLE_EQ(pw.value(350.0), 24.0 * 350.0);
+  EXPECT_DOUBLE_EQ(piecewise_value(pw, 100.0), 10.0 * 100.0);
+  EXPECT_DOUBLE_EQ(piecewise_value(pw, 210.0), 13.9 * 210.0);
+  EXPECT_DOUBLE_EQ(piecewise_value(pw, 350.0), 24.0 * 350.0);
 }
 
 TEST(PiecewiseAffineTest, ValueClampsOutOfRange) {
   const PiecewiseAffine pw = paper_like_policy();
-  EXPECT_DOUBLE_EQ(pw.value(-5.0), 0.0);
-  EXPECT_DOUBLE_EQ(pw.value(1e9), 24.0 * 400.0);
+  EXPECT_DOUBLE_EQ(piecewise_value(pw, -5.0), 0.0);
+  EXPECT_DOUBLE_EQ(piecewise_value(pw, 1e9), 24.0 * 400.0);
 }
 
 TEST(PiecewiseEncodingTest, FixedQuantityReproducesCost) {
@@ -77,7 +78,8 @@ TEST(PiecewiseEncodingTest, FixedQuantityReproducesCost) {
     p.add_constraint("pin", {{vars.x, 1.0}}, Relation::kEqual, target);
     const Solution s = solve_milp(p);
     ASSERT_TRUE(s.ok()) << "target " << target;
-    EXPECT_NEAR(s.objective, pw.value(target), 1e-5) << "target " << target;
+    EXPECT_NEAR(s.objective, piecewise_value(pw, target), 1e-5)
+        << "target " << target;
   }
 }
 
@@ -113,7 +115,7 @@ TEST(PiecewiseEncodingTest, ScaleMultipliesObjective) {
   p.add_constraint("pin", {{vars.x, 1.0}}, Relation::kEqual, 100.0);
   const Solution s = solve_milp(p);
   ASSERT_TRUE(s.ok());
-  EXPECT_NEAR(s.objective, 2.5 * pw.value(100.0), 1e-6);
+  EXPECT_NEAR(s.objective, 2.5 * piecewise_value(pw, 100.0), 1e-6);
 }
 
 TEST(PiecewiseEncodingTest, AffineSegmentsWithIntercepts) {
@@ -168,7 +170,7 @@ TEST(PiecewiseEncodingTest, RandomizedAgainstDirectEvaluation) {
     // a breakpoint between differently-priced segments; away from
     // breakpoints it must match exactly. Either way, never worse than the
     // cheapest applicable segment, never better than the cheapest slope.
-    const double direct = pw.value(target);
+    const double direct = piecewise_value(pw, target);
     EXPECT_LE(s.objective, direct + 1e-6) << "trial " << trial;
     const std::size_t k = pw.segment_of(target);
     const double left_price = (k > 0 && target == pw.breaks[k])

@@ -114,16 +114,6 @@ TEST(ProblemTest, SetBoundsTightens) {
   EXPECT_THROW(p.set_bounds(x, 5.0, 4.0), std::invalid_argument);
 }
 
-TEST(ProblemTest, ToStringMentionsPieces) {
-  Problem p;
-  p.add_variable("alpha", 0, 4, 1.5);
-  p.add_constraint("cap", {{0, 2.0}}, Relation::kLessEqual, 8.0);
-  const std::string s = p.to_string();
-  EXPECT_NE(s.find("alpha"), std::string::npos);
-  EXPECT_NE(s.find("cap"), std::string::npos);
-  EXPECT_NE(s.find("minimize"), std::string::npos);
-}
-
 TEST(SolveStatusTest, Names) {
   EXPECT_STREQ(to_string(SolveStatus::kOptimal), "optimal");
   EXPECT_STREQ(to_string(SolveStatus::kInfeasible), "infeasible");

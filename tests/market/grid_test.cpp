@@ -10,8 +10,8 @@ TEST(GridTest, BusIndexing) {
   EXPECT_EQ(g.add_bus("A"), 0);
   EXPECT_EQ(g.add_bus("B"), 1);
   EXPECT_EQ(g.num_buses(), 2);
-  EXPECT_EQ(g.bus_index("B"), 1);
-  EXPECT_THROW(g.bus_index("Z"), std::out_of_range);
+  EXPECT_EQ(g.bus_name(1), "B");
+  EXPECT_THROW(g.bus_name(2), std::out_of_range);
 }
 
 TEST(GridTest, LineValidation) {

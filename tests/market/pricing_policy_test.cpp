@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include "lp/piecewise_value.hpp"
+
 namespace billcap::market {
 namespace {
 
@@ -108,7 +110,7 @@ TEST(PricingPolicyTest, DcCostCurveMatchesCostForAwayFromSteps) {
   const double d = 150.0;
   const lp::PiecewiseAffine pw = p.dc_cost_curve(d, 120.0);
   for (double dc_power : {5.0, 30.0, 60.0, 100.0, 115.0}) {
-    EXPECT_NEAR(pw.value(dc_power), p.cost_for(dc_power, d), 0.7)
+    EXPECT_NEAR(piecewise_value(pw, dc_power), p.cost_for(dc_power, d), 0.7)
         << "power " << dc_power;  // within margin-induced slack
   }
 }
@@ -120,7 +122,7 @@ TEST(PricingPolicyTest, DcCostCurveConservativeNearSteps) {
   const double d = 150.0;
   const lp::PiecewiseAffine pw = p.dc_cost_curve(d, 120.0);
   for (double dc_power = 0.5; dc_power < 120.0; dc_power += 0.5) {
-    EXPECT_GE(pw.value(dc_power) + 1e-9, p.cost_for(dc_power, d))
+    EXPECT_GE(piecewise_value(pw, dc_power) + 1e-9, p.cost_for(dc_power, d))
         << "power " << dc_power;
   }
 }

@@ -6,6 +6,7 @@
 #include <cmath>
 
 #include "lp/milp.hpp"
+#include "lp/piecewise_value.hpp"
 #include "lp/problem.hpp"
 
 namespace billcap::market {
@@ -71,7 +72,7 @@ TEST(ApplyRebateTest, MatchesGroundTruthEverywhere) {
   const lp::PiecewiseAffine base = policy.dc_cost_curve(d, 60.0);
   const lp::PiecewiseAffine rebated = apply_rebate(base, prog);
   for (double p = 0.5; p < 60.0; p += 0.5) {
-    EXPECT_NEAR(rebated.value(p) - base.value(p),
+    EXPECT_NEAR(piecewise_value(rebated, p) - piecewise_value(base, p),
                 -prog.rebate_per_mwh *
                     std::max(0.0, prog.baseline_mw - p),
                 1e-9)

@@ -7,6 +7,7 @@
 #include <vector>
 
 #include "util/rng.hpp"
+#include "util/rng_draws.hpp"
 
 namespace billcap::queueing {
 
@@ -35,17 +36,17 @@ class Sampler {
       case Distribution::kDeterministic:
         return mean_;
       case Distribution::kExponential:
-        return rng_.exponential(1.0 / mean_);
+        return util::exponential(rng_, 1.0 / mean_);
       case Distribution::kHyperexponential: {
         const double rate = rng_.bernoulli(p_) ? 2.0 * p_ / mean_
                                                : 2.0 * (1.0 - p_) / mean_;
-        return rng_.exponential(rate);
+        return util::exponential(rng_, rate);
       }
       case Distribution::kErlang: {
         const double phase_rate = static_cast<double>(phases_) / mean_;
         double total = 0.0;
         for (std::uint64_t k = 0; k < phases_; ++k)
-          total += rng_.exponential(phase_rate);
+          total += util::exponential(rng_, phase_rate);
         return total;
       }
     }

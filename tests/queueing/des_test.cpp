@@ -2,8 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include "queueing/closed_forms.hpp"
 #include "queueing/ggm.hpp"
-#include "queueing/mmm.hpp"
 
 namespace billcap::queueing {
 namespace {

@@ -6,7 +6,7 @@
 #include <limits>
 #include <tuple>
 
-#include "queueing/mmm.hpp"
+#include "queueing/closed_forms.hpp"
 
 namespace billcap::queueing {
 namespace {

@@ -5,6 +5,8 @@
 #include <cmath>
 #include <limits>
 
+#include "queueing/closed_forms.hpp"
+
 namespace billcap::queueing {
 namespace {
 

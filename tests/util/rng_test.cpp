@@ -6,6 +6,8 @@
 #include <cstdint>
 #include <vector>
 
+#include "util/rng_draws.hpp"
+
 namespace billcap::util {
 namespace {
 
@@ -96,7 +98,7 @@ TEST(RngTest, ExponentialMeanIsInverseRate) {
   double total = 0.0;
   constexpr int kN = 100'000;
   for (int i = 0; i < kN; ++i) {
-    const double x = rng.exponential(4.0);
+    const double x = exponential(rng, 4.0);
     EXPECT_GE(x, 0.0);
     total += x;
   }

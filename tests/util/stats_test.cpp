@@ -6,6 +6,7 @@
 #include <vector>
 
 #include "util/rng.hpp"
+#include "util/rng_draws.hpp"
 
 namespace billcap::util {
 namespace {
@@ -83,7 +84,7 @@ TEST(StatsTest, SquaredCvOfExponentialIsNearOne) {
   Rng rng(99);
   std::vector<double> xs;
   xs.reserve(200'000);
-  for (int i = 0; i < 200'000; ++i) xs.push_back(rng.exponential(2.0));
+  for (int i = 0; i < 200'000; ++i) xs.push_back(exponential(rng, 2.0));
   EXPECT_NEAR(squared_cv(xs), 1.0, 0.03);
 }
 

@@ -56,44 +56,12 @@ TEST(HourOfWeekWeightsTest, AllZeroHistoryFallsBackToUniform) {
   for (double x : w) EXPECT_DOUBLE_EQ(x, 1.0 / 168.0);
 }
 
-TEST(HistoryPredictorTest, ObserveAndQuery) {
-  HistoryPredictor predictor(2);
-  EXPECT_FALSE(predictor.has_full_week());
-  for (std::size_t h = 0; h < 2 * util::kHoursPerWeek; ++h)
-    predictor.observe(util::hour_of_week(h) < 24 ? 100.0 : 50.0);
-  EXPECT_TRUE(predictor.has_full_week());
-  EXPECT_GT(predictor.weight(5), predictor.weight(30));
-}
-
-TEST(HistoryPredictorTest, PredictRateRecoversSlotMean) {
-  HistoryPredictor predictor(2);
-  std::vector<double> week(util::kHoursPerWeek, 10.0);
-  week[42] = 178.0;
-  for (int rep = 0; rep < 2; ++rep)
-    predictor.observe_all(week);
-  EXPECT_NEAR(predictor.predict_rate(42), 178.0, 1e-9);
-  EXPECT_NEAR(predictor.predict_rate(43), 10.0, 1e-9);
-}
-
-TEST(HistoryPredictorTest, Validation) {
-  EXPECT_THROW(HistoryPredictor(0), std::invalid_argument);
-  HistoryPredictor predictor(1);
-  EXPECT_THROW(predictor.observe(-1.0), std::invalid_argument);
-  EXPECT_THROW(predictor.weight(util::kHoursPerWeek), std::out_of_range);
-  EXPECT_THROW(predictor.predict_rate(200), std::out_of_range);
-}
-
-TEST(HistoryPredictorTest, EmptyPredictsZero) {
-  const HistoryPredictor predictor(2);
-  EXPECT_DOUBLE_EQ(predictor.predict_rate(0), 0.0);
-}
-
 TEST(HistoryPredictorTest, OctoberPredictsNovemberShape) {
   // The end-to-end property the budgeter relies on (Section VI-B): weights
   // learned on the history month rank November's hours correctly.
   const TwoMonthTrace both = paper_two_month_trace(2012);
-  HistoryPredictor predictor(2);
-  predictor.observe_all(both.history.series());
+  const std::vector<double> predicted =
+      hour_of_week_weights(both.history.series(), 2);
   // Predicted weights must correlate with the realized hour-of-week means
   // of the evaluation month: check peak vs trough ordering.
   std::vector<double> november_mean(util::kHoursPerWeek, 0.0);
@@ -113,7 +81,7 @@ TEST(HistoryPredictorTest, OctoberPredictsNovemberShape) {
   const auto trough_slot = static_cast<std::size_t>(
       std::min_element(november_mean.begin(), november_mean.end()) -
       november_mean.begin());
-  EXPECT_GT(predictor.weight(peak_slot), predictor.weight(trough_slot));
+  EXPECT_GT(predicted[peak_slot], predicted[trough_slot]);
 }
 
 }  // namespace

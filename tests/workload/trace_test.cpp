@@ -2,9 +2,6 @@
 
 #include <gtest/gtest.h>
 
-#include <cstdio>
-#include <filesystem>
-
 namespace billcap::workload {
 namespace {
 
@@ -13,7 +10,6 @@ TEST(TraceTest, BasicAccessors) {
   EXPECT_EQ(t.hours(), 3u);
   EXPECT_FALSE(t.empty());
   EXPECT_DOUBLE_EQ(t.at(1), 20.0);
-  EXPECT_DOUBLE_EQ(t.peak(), 30.0);
   EXPECT_DOUBLE_EQ(t.total(), 60.0);
   EXPECT_DOUBLE_EQ(t.mean(), 20.0);
 }
@@ -21,7 +17,6 @@ TEST(TraceTest, BasicAccessors) {
 TEST(TraceTest, EmptyTrace) {
   const Trace t;
   EXPECT_TRUE(t.empty());
-  EXPECT_DOUBLE_EQ(t.peak(), 0.0);
   EXPECT_DOUBLE_EQ(t.mean(), 0.0);
 }
 
@@ -41,26 +36,6 @@ TEST(TraceTest, SliceExtractsWindow) {
   EXPECT_DOUBLE_EQ(s.at(0), 1.0);
   EXPECT_DOUBLE_EQ(s.at(2), 3.0);
   EXPECT_THROW(t.slice(3, 5), std::out_of_range);
-}
-
-TEST(TraceTest, ScaledMultiplies) {
-  const Trace t({1.0, 2.0});
-  const Trace s = t.scaled(10.0);  // the paper's 10 % sample x 10
-  EXPECT_DOUBLE_EQ(s.at(0), 10.0);
-  EXPECT_DOUBLE_EQ(s.at(1), 20.0);
-  EXPECT_THROW(t.scaled(-1.0), std::invalid_argument);
-}
-
-TEST(TraceTest, CsvRoundTrip) {
-  const auto path =
-      (std::filesystem::temp_directory_path() / "billcap_trace_test.csv")
-          .string();
-  const Trace t({1.5, 2.5, 3.5});
-  t.save_csv(path);
-  const Trace loaded = Trace::load_csv(path);
-  ASSERT_EQ(loaded.hours(), 3u);
-  EXPECT_DOUBLE_EQ(loaded.at(2), 3.5);
-  std::remove(path.c_str());
 }
 
 TEST(PremiumSplitTest, PaperDefaultEightyTwenty) {

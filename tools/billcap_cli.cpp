@@ -416,6 +416,19 @@ std::vector<std::string> hour_csv_row(const core::HourRecord& h,
   return row;
 }
 
+/// Opens the streamed CSV of an attempt whose first committed row is
+/// `first_row`. At row 0 nothing was committed before it, so a file
+/// already at `path` is stale and is overwritten; past row 0 the attempt
+/// keeps the `first_row` rows the checkpoint vouches for and appends after
+/// them (dropping any row past them, so a resumed run duplicates nothing).
+std::unique_ptr<util::CsvWriter> open_streamed_csv(
+    const std::string& path, std::vector<std::string> header,
+    std::size_t first_row) {
+  if (first_row == 0)
+    return std::make_unique<util::CsvWriter>(path, std::move(header));
+  return std::make_unique<util::CsvWriter>(path, std::move(header), first_row);
+}
+
 /// SIGTERM/SIGINT land here during a checkpointed run: the hourly loop
 /// finishes the in-flight hour, commits its checkpoint and exits with
 /// core::kExitStopped — the supervisor reads that as "do not restart".
@@ -515,12 +528,8 @@ int cmd_simulate(const util::CliArgs& args, const char* /*argv0*/) {
     std::unique_ptr<util::CsvWriter> writer;
     const auto on_hour = [&](const core::HourRecord& h) {
       if (run.csv.empty()) return;
-      // First committed hour of this attempt: keep only the CSV rows the
-      // checkpoint vouches for, so a resumed run appends without
-      // duplicating hours.
       if (!writer)
-        writer = std::make_unique<util::CsvWriter>(
-            run.csv, hour_csv_header(coupled), h.hour);
+        writer = open_streamed_csv(run.csv, hour_csv_header(coupled), h.hour);
       writer->add_row(hour_csv_row(h, coupled));
     };
 
@@ -695,11 +704,7 @@ int cmd_serve(const util::CliArgs& args, const char* /*argv0*/) {
   std::unique_ptr<util::CsvWriter> writer;
   const auto on_tick = [&](const serve::TickRecord& t) {
     if (run.csv.empty()) return;
-    // First committed tick of this attempt: keep only the CSV rows the
-    // serve checkpoint vouches for.
-    if (!writer)
-      writer = std::make_unique<util::CsvWriter>(run.csv, tick_csv_header(),
-                                                 t.tick);
+    if (!writer) writer = open_streamed_csv(run.csv, tick_csv_header(), t.tick);
     writer->add_row(tick_csv_row(t));
   };
 

@@ -1,6 +1,7 @@
 #!/bin/sh
 # Local CI gate: static analysis first (billcap-audit + clang-tidy — the
-# cheapest stage fails fastest), then the tier-1 suite, then the
+# cheapest stage fails fastest), then the reachability ratchet (src/ holds
+# only what a shipped binary links), then the tier-1 suite, then the
 # robustness suite again under AddressSanitizer + UBSan (fault paths,
 # crash/resume and the journal I/O are exactly the code most likely to
 # hide lifetime or conversion bugs that only a sanitizer sees), then the
@@ -23,6 +24,14 @@ cmake --build "$ROOT/$PREFIX" -j "$JOBS" --target billcap-audit
 (cd "$ROOT" && "$ROOT/$PREFIX/tools/lint/billcap-audit" --summary \
   --json "$ROOT/$PREFIX/audit.json" src tools bench examples)
 sh "$ROOT/tools/run_clang_tidy.sh" "$ROOT/$PREFIX"
+
+echo "== stage 0b: reachability ratchet (src/ holds only what ships) =="
+# Builds the product set (billcap, bench/, examples/, perfbench) at -O0
+# with -ffunction-sections and -Wl,--gc-sections in <prefix>-reach and
+# <prefix>-reach-perf, and fails on any billcap:: symbol of the src/
+# libraries that no product binary links and tools/reachability_baseline.txt
+# does not list, or on a baseline line that is reachable again or gone.
+sh "$ROOT/tools/reachability.sh" "$PREFIX"
 
 echo "== tier 1: full suite, default toolchain =="
 cmake --build "$ROOT/$PREFIX" -j "$JOBS"
