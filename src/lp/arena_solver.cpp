@@ -26,6 +26,32 @@ long dual_pivot_budget(int m) { return std::max<long>(200, 4L * m); }
 /// path keeps the reference simplex's pivot_tol rule, bit for bit.
 constexpr double kStablePivot = 1e-7;
 
+/// The pivot's two row kernels, d[j] *= s and d[j] -= f * s[j] over a
+/// whole padded tableau row. They are free functions so the rows can be
+/// restrict-qualified parameters (restrict on local pointers inside a
+/// member function does not reach GCC's vectorizer), and `n` is rounded
+/// down to even so the trip count is a known multiple of the two-double
+/// vector: at GCC's default -O2 ("very cheap") cost model the loops then
+/// vectorize with no alias check and no scalar epilogue. Without FMA
+/// contraction each lane computes the scalar loop's IEEE result, so the
+/// pivot sequence stays bitwise the reference simplex's. tools/ci.sh
+/// fails if the row_sub_scaled loop stops being reported vectorized.
+/// GCC 12 rejects the one-statement form of row_scale ("no vectype"); the
+/// body of two lanes per iteration vectorizes.
+void row_scale(double* __restrict d, double s, std::size_t n) {
+  n &= ~std::size_t{1};
+  for (std::size_t j = 0; j < n; j += 2) {
+    d[j] *= s;
+    d[j + 1] *= s;
+  }
+}
+
+void row_sub_scaled(double* __restrict d, const double* __restrict s, double f,
+                    std::size_t n) {
+  n &= ~std::size_t{1};
+  for (std::size_t j = 0; j < n; ++j) d[j] -= f * s[j];
+}
+
 }  // namespace
 
 /// All solver state lives here, in flat capacity-reserved storage. The
@@ -33,7 +59,10 @@ constexpr double kStablePivot = 1e-7;
 /// [structural | slack/surplus | artificial | rhs], rows normalized to
 /// rhs >= 0 at build time — so the cold path reproduces the reference
 /// simplex's pivot sequence bit for bit, and the columns that started as the identity
-/// (identity_col) read back B^-1 for the node rhs swaps.
+/// (identity_col) read back B^-1 for the node rhs swaps. Each row (and the
+/// cost row) is padded from its logical width n_total + 1 to an even
+/// stride for the row kernels; the padding lanes start at zero, pivots
+/// keep them zero, and no scan reads them.
 struct ArenaSolver::Impl {
   ArenaStats stat;
   std::size_t max_arena_bytes = 0;  ///< this call's byte cap; 0 = unlimited
@@ -59,13 +88,19 @@ struct ArenaSolver::Impl {
   std::vector<RowMeta> rows;
 
   // ---- the flat tableau arena -------------------------------------------
-  std::vector<double> tab;        ///< m_ x stride_
-  std::vector<double> cost_row;   ///< reduced costs
+  std::vector<double> tab;        ///< m x stride
+  std::vector<double> cost_row;   ///< reduced costs, stride wide
   std::vector<double> std_costs;  ///< current min-sense structural costs
   std::vector<int> basis;
   std::vector<int> identity_col;  ///< per row: the column that was e_i at build
   std::vector<char> is_artificial;
-  std::size_t stride = 0;
+  std::size_t width = 0;   ///< logical row width, n_total + 1
+  std::size_t stride = 0;  ///< width rounded up to even
+  /// The largest logical tableau and cost row ever held, in doubles. The
+  /// byte cap counts these, never the padded capacity, so padding cannot
+  /// change a kArenaExhausted decision.
+  std::size_t tab_held = 0;
+  std::size_t cost_held = 0;
   int m = 0;
   int n_total = 0;
   int first_artificial = 0;
@@ -111,12 +146,16 @@ struct ArenaSolver::Impl {
   }
   double rhs(int i) const { return at(i, n_total); }
 
-  std::size_t tableau_bytes(int rows_needed, std::size_t stride_needed) const {
-    return (static_cast<std::size_t>(rows_needed) + 1) * stride_needed *
-           sizeof(double);
+  double* row_data(int i) {
+    return tab.data() + static_cast<std::size_t>(i) * stride;
+  }
+
+  /// Logical bytes of the tableau plus its cost row.
+  std::size_t tableau_bytes() const {
+    return (static_cast<std::size_t>(m) + 1) * width * sizeof(double);
   }
   std::size_t footprint() const {
-    return tab.capacity() * sizeof(double) + cost_row.capacity() * sizeof(double) +
+    return tab_held * sizeof(double) + cost_held * sizeof(double) +
            pool.capacity() * sizeof(NodeSlot);
   }
 
@@ -286,18 +325,20 @@ struct ArenaSolver::Impl {
       if (rm.relation != Relation::kLessEqual) ++num_artificial;
     }
     n_total = n_struct + n_slack + num_artificial;
-    stride = static_cast<std::size_t>(n_total) + 1;
+    width = static_cast<std::size_t>(n_total) + 1;
+    stride = (width + 1) & ~std::size_t{1};
     first_artificial = n_struct + n_slack;
 
     if (max_arena_bytes != 0 &&
-        tableau_bytes(m, stride) + pool.capacity() * sizeof(NodeSlot) >
-            max_arena_bytes) {
+        tableau_bytes() + pool.capacity() * sizeof(NodeSlot) > max_arena_bytes) {
       resident_valid = false;
       return SolveStatus::kArenaExhausted;
     }
 
     tab.assign(static_cast<std::size_t>(m) * stride, 0.0);
     cost_row.assign(stride, 0.0);
+    tab_held = std::max(tab_held, static_cast<std::size_t>(m) * width);
+    cost_held = std::max(cost_held, width);
     basis.assign(static_cast<std::size_t>(m), -1);
     identity_col.assign(static_cast<std::size_t>(m), -1);
     is_artificial.assign(static_cast<std::size_t>(n_total), 0);
@@ -513,24 +554,23 @@ struct ArenaSolver::Impl {
   }
 
   void pivot(int leaving_row, int entering_col) {
-    const double p = at(leaving_row, entering_col);
-    const double inv = 1.0 / p;
-    for (int j = 0; j <= n_total; ++j) at(leaving_row, j) *= inv;
-    at(leaving_row, entering_col) = 1.0;
+    const std::size_t e = static_cast<std::size_t>(entering_col);
+    double* const prow = row_data(leaving_row);
+    row_scale(prow, 1.0 / prow[e], stride);
+    prow[e] = 1.0;
 
     for (int i = 0; i < m; ++i) {
       if (i == leaving_row) continue;
-      const double factor = at(i, entering_col);
+      double* const r = row_data(i);
+      const double factor = r[e];
       if (factor == 0.0) continue;
-      for (int j = 0; j <= n_total; ++j)
-        at(i, j) -= factor * at(leaving_row, j);
-      at(i, entering_col) = 0.0;
+      row_sub_scaled(r, prow, factor, stride);
+      r[e] = 0.0;
     }
-    const double cfactor = cost_row[static_cast<std::size_t>(entering_col)];
+    const double cfactor = cost_row[e];
     if (cfactor != 0.0) {
-      for (int j = 0; j <= n_total; ++j)
-        cost_row[static_cast<std::size_t>(j)] -= cfactor * at(leaving_row, j);
-      cost_row[static_cast<std::size_t>(entering_col)] = 0.0;
+      row_sub_scaled(cost_row.data(), prow, cfactor, stride);
+      cost_row[e] = 0.0;
       cost_value += cfactor * rhs(leaving_row);
     }
     basis[static_cast<std::size_t>(leaving_row)] = entering_col;
@@ -828,7 +868,7 @@ struct ArenaSolver::Impl {
     std::size_t next = std::max<std::size_t>(1024, pool.capacity() * 2);
     while (next < needed) next *= 2;
     if (max_arena_bytes != 0 &&
-        tableau_bytes(m, stride) + next * sizeof(NodeSlot) > max_arena_bytes)
+        tableau_bytes() + next * sizeof(NodeSlot) > max_arena_bytes)
       return false;
     pool.reserve(next);
     dfs.reserve(next);

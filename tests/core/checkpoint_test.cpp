@@ -7,6 +7,7 @@
 #include <fstream>
 #include <string>
 
+#include "core/checkpoint_files.hpp"
 #include "core/checkpoint_keys.hpp"
 #include "core/checkpoint_v1.hpp"
 #include "core/simulator.hpp"
@@ -268,14 +269,9 @@ void commit_one_hour(CheckpointState& st) {
   st.partial.hours.push_back(rec);
 }
 
-void remove_generations(const std::string& path, std::size_t gens) {
-  for (std::size_t g = 0; g < gens; ++g)
-    std::remove(util::Journal::generation_path(path, g).c_str());
-}
-
 TEST(CheckpointTest, RotatedSaveKeepsExactlyKGenerations) {
   const std::string path = temp_path("billcap_checkpoint_rotate.j");
-  remove_generations(path, 6);
+  remove_checkpoint_files(path, 6);
   CheckpointState st = sample_state();
   for (int saves = 0; saves < 5; ++saves) {
     save_checkpoint_rotated(path, st, 3);
@@ -292,12 +288,12 @@ TEST(CheckpointTest, RotatedSaveKeepsExactlyKGenerations) {
   }
   EXPECT_FALSE(
       std::filesystem::exists(util::Journal::generation_path(path, 3)));
-  remove_generations(path, 6);
+  remove_checkpoint_files(path, 6);
 }
 
 TEST(CheckpointTest, FallbackSkipsCorruptedNewestGeneration) {
   const std::string path = temp_path("billcap_checkpoint_fallback.j");
-  remove_generations(path, 3);
+  remove_checkpoint_files(path, 3);
   CheckpointState st = sample_state();
   save_checkpoint_rotated(path, st, 3);
   commit_one_hour(st);
@@ -321,12 +317,12 @@ TEST(CheckpointTest, FallbackSkipsCorruptedNewestGeneration) {
   ASSERT_EQ(report.skipped.size(), 1u);
   EXPECT_NE(report.skipped[0].find(path), std::string::npos);
   EXPECT_EQ(report.state.next_hour, st.next_hour - 1);
-  remove_generations(path, 3);
+  remove_checkpoint_files(path, 3);
 }
 
 TEST(CheckpointTest, FallbackSkipsDigestMismatchedGeneration) {
   const std::string path = temp_path("billcap_checkpoint_digestfb.j");
-  remove_generations(path, 2);
+  remove_checkpoint_files(path, 2);
   CheckpointState st = sample_state();
   save_checkpoint_rotated(path, st, 2);
   CheckpointState foreign = st;
@@ -340,12 +336,12 @@ TEST(CheckpointTest, FallbackSkipsDigestMismatchedGeneration) {
   ASSERT_EQ(report.skipped.size(), 1u);
   EXPECT_NE(report.skipped[0].find("digest"), std::string::npos);
   expect_states_bitwise_equal(st, report.state);
-  remove_generations(path, 2);
+  remove_checkpoint_files(path, 2);
 }
 
 TEST(CheckpointTest, FallbackThrowsWhenNoGenerationIsViable) {
   const std::string path = temp_path("billcap_checkpoint_allbad.j");
-  remove_generations(path, 3);
+  remove_checkpoint_files(path, 3);
   EXPECT_FALSE(any_checkpoint_generation_exists(path, 3));
   EXPECT_THROW(load_checkpoint_fallback(path, 3, 0), std::runtime_error);
 
@@ -365,7 +361,7 @@ TEST(CheckpointTest, FallbackThrowsWhenNoGenerationIsViable) {
   } catch (const std::runtime_error& e) {
     EXPECT_NE(std::string(e.what()).find(path), std::string::npos);
   }
-  remove_generations(path, 3);
+  remove_checkpoint_files(path, 3);
 }
 
 TEST(CheckpointTest, FaultCursorsSurviveTheRoundTrip) {
@@ -541,11 +537,6 @@ void commit(const std::string& path, CheckpointState& st, std::size_t gens) {
   st.logged_hours = st.partial.hours.size();
 }
 
-void remove_checkpoint(const std::string& path, std::size_t gens) {
-  remove_generations(path, gens);
-  std::remove(hour_log_path(path).c_str());
-}
-
 std::string read_bytes(const std::string& path) {
   std::ifstream in(path, std::ios::binary);
   return std::string(std::istreambuf_iterator<char>(in),
@@ -559,7 +550,7 @@ void write_bytes(const std::string& path, const std::string& bytes) {
 
 TEST(CheckpointTest, RotatedCommitRoundTripsThroughTheHourLog) {
   const std::string path = temp_path("billcap_checkpoint_v2.j");
-  remove_checkpoint(path, 3);
+  remove_checkpoint_files(path, 3);
   CheckpointState st = coupler_sample_state();
   commit(path, st, 3);
   add_full_hour(st);
@@ -577,13 +568,13 @@ TEST(CheckpointTest, RotatedCommitRoundTripsThroughTheHourLog) {
   const CheckpointState only_head = load_checkpoint_head(path);
   EXPECT_EQ(only_head.next_hour, st.next_hour);
   EXPECT_TRUE(only_head.partial.hours.empty());
-  remove_checkpoint(path, 3);
+  remove_checkpoint_files(path, 3);
 }
 
 TEST(CheckpointTest, FlippedLogByteSkipsEveryGenerationNamingIt) {
   const std::string path = temp_path("billcap_checkpoint_logrot.j");
   const std::string log = hour_log_path(path);
-  remove_checkpoint(path, 3);
+  remove_checkpoint_files(path, 3);
   CheckpointState st = sample_state();
   std::vector<std::uintmax_t> sizes;  // log size after each commit
   for (int i = 0; i < 4; ++i) {
@@ -620,13 +611,13 @@ TEST(CheckpointTest, FlippedLogByteSkipsEveryGenerationNamingIt) {
   } catch (const std::runtime_error& e) {
     EXPECT_NE(std::string(e.what()).find(log), std::string::npos) << e.what();
   }
-  remove_checkpoint(path, 3);
+  remove_checkpoint_files(path, 3);
 }
 
 TEST(CheckpointTest, HeadIsRejectedWithAForeignOrRewrittenLog) {
   const std::string path = temp_path("billcap_checkpoint_foreign.j");
   const std::string log = hour_log_path(path);
-  remove_checkpoint(path, 1);
+  remove_checkpoint_files(path, 1);
   CheckpointState a = sample_state();
   for (int i = 0; i < 3; ++i) {
     add_full_hour(a);
@@ -666,7 +657,7 @@ TEST(CheckpointTest, HeadIsRejectedWithAForeignOrRewrittenLog) {
   // Restoring a's log restores the pair.
   write_bytes(log, a_log);
   expect_states_bitwise_equal(a, load_checkpoint(path));
-  remove_checkpoint(path, 1);
+  remove_checkpoint_files(path, 1);
 }
 
 TEST(CheckpointTest, MutatedHeadOrLogLoadsACommittedStateOrThrows) {
@@ -676,7 +667,7 @@ TEST(CheckpointTest, MutatedHeadOrLogLoadsACommittedStateOrThrows) {
   // throw std::runtime_error; any other exception escapes and fails.
   const std::string path = temp_path("billcap_checkpoint_mutants.j");
   const std::string log = hour_log_path(path);
-  remove_checkpoint(path, 2);
+  remove_checkpoint_files(path, 2);
   CheckpointState st = coupler_sample_state();
   std::vector<CheckpointState> committed;  // indexed by next_hour - 3
   for (int i = 0; i < 12; ++i) {
@@ -739,7 +730,7 @@ TEST(CheckpointTest, MutatedHeadOrLogLoadsACommittedStateOrThrows) {
   // flipped head or a cut log is refused.
   EXPECT_GT(loaded, 0u);
   EXPECT_GT(refused, 0u);
-  remove_checkpoint(path, 2);
+  remove_checkpoint_files(path, 2);
 }
 
 }  // namespace

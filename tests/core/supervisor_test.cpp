@@ -10,7 +10,7 @@
 #include <vector>
 
 #include "core/checkpoint.hpp"
-#include "util/journal.hpp"
+#include "core/checkpoint_files.hpp"
 
 #if defined(__unix__) || defined(__APPLE__)
 #include <sys/wait.h>
@@ -364,8 +364,7 @@ TEST(SupervisorTest, BudgetExhaustionGivesUp) {
 
 TEST(SupervisorTest, ProbeFallsBackPastCorruptedGenerations) {
   const std::string path = temp_path("billcap_supervisor_probe.j");
-  for (std::size_t g = 0; g < 3; ++g)
-    std::remove(util::Journal::generation_path(path, g).c_str());
+  remove_checkpoint_files(path);
   EXPECT_EQ(probe_checkpoint_hour(path, 3), 0u);
 
   CheckpointState st;
@@ -389,16 +388,14 @@ TEST(SupervisorTest, ProbeFallsBackPastCorruptedGenerations) {
     std::fclose(f);
   }
   EXPECT_EQ(probe_checkpoint_hour(path, 3), 2u);
-  for (std::size_t g = 0; g < 3; ++g)
-    std::remove(util::Journal::generation_path(path, g).c_str());
+  remove_checkpoint_files(path);
 }
 
 TEST(SupervisorTest, ProbeReadsTheHeadWithoutTheHourLog) {
   // A 700-hour v2 checkpoint whose hour log is gone: the full load fails,
   // but the probe reads heads only and still reports the hour.
   const std::string path = temp_path("billcap_supervisor_probe_head.j");
-  for (std::size_t g = 0; g < 3; ++g)
-    std::remove(util::Journal::generation_path(path, g).c_str());
+  remove_checkpoint_files(path);
   CheckpointState st;
   st.next_hour = 700;
   for (std::size_t h = 0; h < st.next_hour; ++h) {
@@ -411,8 +408,7 @@ TEST(SupervisorTest, ProbeReadsTheHeadWithoutTheHourLog) {
   std::remove(hour_log_path(path).c_str());
   EXPECT_THROW(load_checkpoint(path), std::runtime_error);
   EXPECT_EQ(probe_checkpoint_hour(path, 3), 700u);
-  for (std::size_t g = 0; g < 3; ++g)
-    std::remove(util::Journal::generation_path(path, g).c_str());
+  remove_checkpoint_files(path);
 }
 
 // ---- wall-clock independence (billcap-lint BL001 audit) -------------------

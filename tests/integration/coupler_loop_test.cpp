@@ -22,6 +22,7 @@
 #include <string>
 
 #include "core/checkpoint.hpp"
+#include "core/checkpoint_files.hpp"
 #include "core/simulator.hpp"
 
 namespace billcap::core {
@@ -132,7 +133,7 @@ TEST(CouplerLoopTest, DestabilizedMonthKillResumeIsBitwise) {
     config.fault_plan.crashes.push_back({h, /*before_checkpoint=*/h % 8 == 0});
   const Simulator sim(config);
   const std::string path = temp_path("billcap_coupler_resume.j");
-  std::remove(path.c_str());
+  remove_checkpoint_files(path);
 
   Simulator::ResumableOutcome outcome =
       sim.run_resumable(Strategy::kCostCapping, path, /*resume=*/false);
@@ -141,7 +142,7 @@ TEST(CouplerLoopTest, DestabilizedMonthKillResumeIsBitwise) {
     ++restarts;
     outcome = sim.run_resumable(Strategy::kCostCapping, path, /*resume=*/true);
   }
-  std::remove(path.c_str());
+  remove_checkpoint_files(path);
 
   EXPECT_EQ(restarts, (want.hours.size() + 3) / 4);
   expect_months_bitwise_equal(want, outcome.result);
@@ -159,12 +160,12 @@ TEST(CouplerLoopTest, PinnedDeratedClosedLoopMatchesRecordedReference) {
   config.fault_plan.congestion_spikes.push_back({5, 12, 48, 0.6});
   const Simulator sim(config);
   const std::string path = temp_path("billcap_coupler_pinned.j");
-  std::remove(path.c_str());
+  remove_checkpoint_files(path);
   Simulator::ResumeControls controls;
   controls.max_hours = 72;
   const Simulator::ResumableOutcome out = sim.run_resumable(
       Strategy::kCostCapping, path, /*resume=*/false, {}, controls);
-  std::remove(path.c_str());
+  remove_checkpoint_files(path);
   ASSERT_TRUE(out.stopped);
   const MonthlyResult& m = out.result;
   ASSERT_EQ(m.hours.size(), 72u);

@@ -18,6 +18,7 @@
 #include <vector>
 
 #include "core/checkpoint.hpp"
+#include "core/checkpoint_files.hpp"
 #include "core/checkpoint_keys.hpp"
 #include "core/checkpoint_v1.hpp"
 #include "core/simulator.hpp"
@@ -93,7 +94,7 @@ void expect_results_bitwise_equal(const MonthlyResult& a,
 MonthlyResult run_to_completion(const Simulator& sim, Strategy strategy,
                                 const std::string& path,
                                 std::size_t* restarts = nullptr) {
-  std::remove(path.c_str());
+  remove_checkpoint_files(path);
   Simulator::ResumableOutcome outcome =
       sim.run_resumable(strategy, path, /*resume=*/false);
   std::size_t n = 0;
@@ -102,7 +103,7 @@ MonthlyResult run_to_completion(const Simulator& sim, Strategy strategy,
     outcome = sim.run_resumable(strategy, path, /*resume=*/true);
   }
   if (restarts) *restarts = n;
-  std::remove(path.c_str());
+  remove_checkpoint_files(path);
   return outcome.result;
 }
 
@@ -148,7 +149,7 @@ TEST(CrashResumeTest, CrashReportsHourAndResumePoint) {
   config.fault_plan.crashes.push_back({11, /*before_checkpoint=*/true});
   const Simulator sim(config);
   const std::string path = temp_path("billcap_resume_report.j");
-  std::remove(path.c_str());
+  remove_checkpoint_files(path);
 
   // Crash after hour 10's checkpoint: hours [0, 10] are committed.
   Simulator::ResumableOutcome outcome =
@@ -170,7 +171,7 @@ TEST(CrashResumeTest, CrashReportsHourAndResumePoint) {
   EXPECT_EQ(outcome.result.crash_recoveries, 2u);
   expect_results_bitwise_equal(sim.run(Strategy::kCostCapping),
                                outcome.result);
-  std::remove(path.c_str());
+  remove_checkpoint_files(path);
 }
 
 /// Like run_to_completion, but with explicit ResumeControls on every
@@ -180,8 +181,7 @@ MonthlyResult run_to_completion_controlled(
     const Simulator::ResumeControls& controls, std::size_t* restarts,
     bool fresh_start = true) {
   if (fresh_start) {
-    for (std::size_t g = 0; g < controls.keep_generations; ++g)
-      std::remove((path + (g ? "." + std::to_string(g) : "")).c_str());
+    remove_checkpoint_files(path, controls.keep_generations);
   }
   Simulator::ResumableOutcome outcome =
       sim.run_resumable(strategy, path, !fresh_start, {}, controls);
@@ -201,7 +201,7 @@ TEST(CrashResumeTest, ExitStormDiesRepeatedlyWithoutProgressThenDrains) {
   config.fault_plan.exit_storms.push_back({5, 3});
   const Simulator sim(config);
   const std::string path = temp_path("billcap_resume_storm.j");
-  std::remove(path.c_str());
+  remove_checkpoint_files(path);
 
   // Every storm death strikes before hour 5's checkpoint commits: three
   // attempts in a row die at hour 5 with the checkpoint pinned there.
@@ -219,7 +219,7 @@ TEST(CrashResumeTest, ExitStormDiesRepeatedlyWithoutProgressThenDrains) {
   EXPECT_FALSE(outcome.crashed);
   EXPECT_EQ(outcome.result.crash_recoveries, 3u);
   expect_results_bitwise_equal(want, outcome.result);
-  std::remove(path.c_str());
+  remove_checkpoint_files(path);
 }
 
 TEST(CrashResumeTest, CheckpointCorruptionFallsBackOneGeneration) {
@@ -230,8 +230,7 @@ TEST(CrashResumeTest, CheckpointCorruptionFallsBackOneGeneration) {
   const std::string path = temp_path("billcap_resume_bitrot.j");
   Simulator::ResumeControls controls;
   controls.keep_generations = 3;
-  for (std::size_t g = 0; g < 3; ++g)
-    std::remove((path + (g ? "." + std::to_string(g) : "")).c_str());
+  remove_checkpoint_files(path);
 
   // The first attempt commits hour 10, stomps the newest generation and
   // dies: generation 0 is unreadable, generation 1 holds the pre-hour-10
@@ -251,8 +250,7 @@ TEST(CrashResumeTest, CheckpointCorruptionFallsBackOneGeneration) {
   ASSERT_EQ(outcome.resume_skipped.size(), 1u);
   EXPECT_EQ(outcome.resumed_from, 10u);
   expect_results_bitwise_equal(want, outcome.result);
-  for (std::size_t g = 0; g < 3; ++g)
-    std::remove((path + (g ? "." + std::to_string(g) : "")).c_str());
+  remove_checkpoint_files(path);
 }
 
 TEST(CrashResumeTest, DeathMidRotatedCheckpointWriteResumesNewestViable) {
@@ -277,8 +275,7 @@ TEST(CrashResumeTest, DeathMidRotatedCheckpointWriteResumesNewestViable) {
   const std::string path = temp_path("billcap_resume_torn.j");
   Simulator::ResumeControls controls;
   controls.keep_generations = 3;
-  for (std::size_t g = 0; g < 3; ++g)
-    std::remove(util::Journal::generation_path(path, g).c_str());
+  remove_checkpoint_files(path);
 
   // Crash 1 pins the chain at hour 12. Shape: torn tmp left beside it.
   Simulator::ResumableOutcome outcome =
@@ -331,8 +328,7 @@ TEST(CrashResumeTest, DeathMidRotatedCheckpointWriteResumesNewestViable) {
   EXPECT_FALSE(outcome.crashed);
   EXPECT_EQ(outcome.result.crash_recoveries, 3u);
   expect_results_bitwise_equal(want, outcome.result);
-  for (std::size_t g = 0; g < 3; ++g)
-    std::remove(util::Journal::generation_path(path, g).c_str());
+  remove_checkpoint_files(path);
 }
 
 TEST(CrashResumeTest, KillStormWithRotationAndBitRotStillBitIdentical) {
@@ -352,9 +348,10 @@ TEST(CrashResumeTest, KillStormWithRotationAndBitRotStillBitIdentical) {
   Simulator::ResumeControls controls;
   controls.keep_generations = 3;
   std::size_t restarts = 0;
+  const std::string path = temp_path("billcap_resume_storm_rot.j");
   const MonthlyResult got = run_to_completion_controlled(
-      sim, Strategy::kCostCapping,
-      temp_path("billcap_resume_storm_rot.j"), controls, &restarts);
+      sim, Strategy::kCostCapping, path, controls, &restarts);
+  remove_checkpoint_files(path);
   EXPECT_EQ(restarts, month_hours + 3);  // every crash + every corruption
   expect_results_bitwise_equal(want, got);
 }
@@ -364,7 +361,7 @@ TEST(CrashResumeTest, StopFlagFinishesInFlightHourAndResumesCleanly) {
   const MonthlyResult want = Simulator(config).run(Strategy::kCostCapping);
   const Simulator sim(config);
   const std::string path = temp_path("billcap_resume_stop.j");
-  std::remove(path.c_str());
+  remove_checkpoint_files(path);
 
   // The flag flips while hour 5 is in flight (from the per-hour hook,
   // like the CLI's SIGTERM handler): the attempt must commit hour 5,
@@ -391,7 +388,7 @@ TEST(CrashResumeTest, StopFlagFinishesInFlightHourAndResumesCleanly) {
   EXPECT_FALSE(outcome.stopped);
   EXPECT_FALSE(outcome.crashed);
   expect_results_bitwise_equal(want, outcome.result);
-  std::remove(path.c_str());
+  remove_checkpoint_files(path);
 }
 
 TEST(CrashResumeTest, StandbyChunkIsPremiumOnlyAndHandsBackToPrimary) {
@@ -406,7 +403,7 @@ TEST(CrashResumeTest, StandbyChunkIsPremiumOnlyAndHandsBackToPrimary) {
   standby_config.standby = true;
   const Simulator standby(standby_config);
   const std::string path = temp_path("billcap_resume_standby.j");
-  std::remove(path.c_str());
+  remove_checkpoint_files(path);
 
   Simulator::ResumableOutcome outcome =
       primary.run_resumable(Strategy::kCostCapping, path, false);
@@ -435,7 +432,7 @@ TEST(CrashResumeTest, StandbyChunkIsPremiumOnlyAndHandsBackToPrimary) {
   EXPECT_FALSE(outcome.crashed);
   EXPECT_EQ(outcome.result.hours.size(), primary.evaluation_trace().hours());
   EXPECT_EQ(outcome.result.crash_recoveries, 99u);
-  std::remove(path.c_str());
+  remove_checkpoint_files(path);
 }
 
 TEST(CrashResumeTest, ResumeUnderDifferentConfigIsRefused) {
@@ -443,7 +440,7 @@ TEST(CrashResumeTest, ResumeUnderDifferentConfigIsRefused) {
   config.fault_plan.crashes.push_back({5, false});
   const Simulator sim(config);
   const std::string path = temp_path("billcap_resume_mismatch.j");
-  std::remove(path.c_str());
+  remove_checkpoint_files(path);
   const Simulator::ResumableOutcome outcome =
       sim.run_resumable(Strategy::kCostCapping, path, false);
   ASSERT_TRUE(outcome.crashed);
@@ -457,7 +454,7 @@ TEST(CrashResumeTest, ResumeUnderDifferentConfigIsRefused) {
   // A different strategy under the same config is a mismatch too.
   EXPECT_THROW(sim.run_resumable(Strategy::kMinOnlyAvg, path, true),
                std::runtime_error);
-  std::remove(path.c_str());
+  remove_checkpoint_files(path);
 }
 
 TEST(CrashResumeTest, CorruptedCheckpointIsRefusedOnResume) {
@@ -465,7 +462,7 @@ TEST(CrashResumeTest, CorruptedCheckpointIsRefusedOnResume) {
   config.fault_plan.crashes.push_back({5, false});
   const Simulator sim(config);
   const std::string path = temp_path("billcap_resume_corrupt.j");
-  std::remove(path.c_str());
+  remove_checkpoint_files(path);
   ASSERT_TRUE(sim.run_resumable(Strategy::kCostCapping, path, false).crashed);
 
   // Truncate the file to half: the resume must refuse, not half-load.
@@ -481,7 +478,7 @@ TEST(CrashResumeTest, CorruptedCheckpointIsRefusedOnResume) {
   }
   EXPECT_THROW(sim.run_resumable(Strategy::kCostCapping, path, true),
                std::runtime_error);
-  std::remove(path.c_str());
+  remove_checkpoint_files(path);
 }
 
 // ---- format v2: the append-only hour log -----------------------------------
@@ -505,7 +502,7 @@ TEST(CrashResumeTest, EachCommitAppendsOneRecordAndKeepsTheHeadSmall) {
   const Simulator sim(faulty_config());
   const std::string path = temp_path("billcap_resume_o1.j");
   const std::string log = hour_log_path(path);
-  std::remove(path.c_str());
+  remove_checkpoint_files(path);
   std::vector<std::uintmax_t> log_size;  // [h]: after h commits
   std::uintmax_t head_after_24 = 0;
   std::uintmax_t head_after_700 = 0;
@@ -535,8 +532,7 @@ TEST(CrashResumeTest, EachCommitAppendsOneRecordAndKeepsTheHeadSmall) {
   EXPECT_LT(grew, 64u) << head_after_24 << " -> " << head_after_700;
   EXPECT_LE(head_after_700, 4096u);
   EXPECT_THROW(load_checkpoint(path), std::runtime_error);
-  std::remove(path.c_str());
-  std::remove(log.c_str());
+  remove_checkpoint_files(path);
 }
 
 TEST(CrashResumeTest, KillMidLogAppendResumesBitIdentically) {
@@ -549,7 +545,7 @@ TEST(CrashResumeTest, KillMidLogAppendResumesBitIdentically) {
   const Simulator sim(config);
   const std::string path = temp_path("billcap_resume_torn_log.j");
   const std::string log = hour_log_path(path);
-  std::remove(path.c_str());
+  remove_checkpoint_files(path);
   const std::size_t h = want.hours.size() - 3;
 
   Simulator::ResumeControls controls;
@@ -578,8 +574,7 @@ TEST(CrashResumeTest, KillMidLogAppendResumesBitIdentically) {
     expect_results_bitwise_equal(want, load_checkpoint(path).partial);
     if (::testing::Test::HasFailure()) FAIL() << "cut at " << cut;
   }
-  std::remove(path.c_str());
-  std::remove(log.c_str());
+  remove_checkpoint_files(path);
 }
 
 TEST(CrashResumeTest, V1CheckpointResumesBitIdenticallyAndContinuesAsV2) {
@@ -590,7 +585,7 @@ TEST(CrashResumeTest, V1CheckpointResumesBitIdenticallyAndContinuesAsV2) {
   const Simulator sim(config);
   const std::string path = temp_path("billcap_resume_v1.j");
   const std::string log = hour_log_path(path);
-  std::remove(path.c_str());
+  remove_checkpoint_files(path);
 
   Simulator::ResumeControls controls;
   controls.max_hours = 300;
@@ -616,8 +611,7 @@ TEST(CrashResumeTest, V1CheckpointResumesBitIdenticallyAndContinuesAsV2) {
   EXPECT_EQ(head.version(), keys::kCheckpointVersion);
   EXPECT_TRUE(head.has(keys::kHourLog));
   expect_results_bitwise_equal(want, load_checkpoint(path).partial);
-  std::remove(path.c_str());
-  std::remove(log.c_str());
+  remove_checkpoint_files(path);
 }
 
 }  // namespace

@@ -16,14 +16,13 @@
 #include <sys/wait.h>
 #include <unistd.h>
 
-#include <cstdio>
 #include <filesystem>
 #include <string>
 #include <vector>
 
 #include "core/checkpoint.hpp"
+#include "core/checkpoint_files.hpp"
 #include "core/supervisor.hpp"
-#include "util/journal.hpp"
 
 namespace billcap::core {
 namespace {
@@ -47,20 +46,15 @@ int run_cli(std::vector<std::string> args) {
   return WIFEXITED(status) ? WEXITSTATUS(status) : -1;
 }
 
-void remove_generations(const std::string& path, std::size_t gens) {
-  for (std::size_t g = 0; g < gens; ++g)
-    std::remove(util::Journal::generation_path(path, g).c_str());
-}
-
 /// The uninterrupted reference month, produced once by the real binary
 /// with the same default flags the supervised children receive.
 const CheckpointState& reference_state() {
   static const CheckpointState state = [] {
     const std::string path = temp_path("billcap_supervise_ref.j");
-    std::remove(path.c_str());
+    remove_checkpoint_files(path);
     EXPECT_EQ(run_cli({"simulate", "--checkpoint", path}), kExitSuccess);
     CheckpointState st = load_checkpoint(path);
-    std::remove(path.c_str());
+    remove_checkpoint_files(path);
     return st;
   }();
   return state;
@@ -109,7 +103,7 @@ void expect_results_bitwise_equal(const MonthlyResult& a,
 
 TEST(SuperviseTest, KillStormCompletesBitIdenticalToUninterruptedRun) {
   const std::string path = temp_path("billcap_supervise_storm.j");
-  remove_generations(path, 3);
+  remove_checkpoint_files(path);
 
   // The child SIGKILLs itself (via --die-on-crash, forced by supervise)
   // at hours spread across the month, including the first and last hour;
@@ -125,12 +119,12 @@ TEST(SuperviseTest, KillStormCompletesBitIdenticalToUninterruptedRun) {
   EXPECT_EQ(final_state.partial.crash_recoveries, 5u);
   expect_results_bitwise_equal(reference_state().partial,
                                final_state.partial);
-  remove_generations(path, 3);
+  remove_checkpoint_files(path);
 }
 
 TEST(SuperviseTest, CorruptedNewestGenerationIsFallenBackOver) {
   const std::string path = temp_path("billcap_supervise_corrupt.j");
-  remove_generations(path, 3);
+  remove_checkpoint_files(path);
 
   // At hour 10 the child stomps its freshly written generation 0 and
   // dies. The restarted child must fall back to generation 1 (the
@@ -146,12 +140,12 @@ TEST(SuperviseTest, CorruptedNewestGenerationIsFallenBackOver) {
   EXPECT_EQ(final_state.corruptions_fired, 1u);
   expect_results_bitwise_equal(reference_state().partial,
                                final_state.partial);
-  remove_generations(path, 3);
+  remove_checkpoint_files(path);
 }
 
 TEST(SuperviseTest, ExitStormEscalatesToStandbyAndStillCompletes) {
   const std::string path = temp_path("billcap_supervise_escalate.j");
-  remove_generations(path, 3);
+  remove_checkpoint_files(path);
 
   // Three no-progress deaths in a row at hour 5 trip the escalation
   // threshold of 2; the standby child commits a 2-hour premium-only chunk
@@ -172,12 +166,12 @@ TEST(SuperviseTest, ExitStormEscalatesToStandbyAndStillCompletes) {
   EXPECT_EQ(heuristic_hours, 2u);
   EXPECT_TRUE(final_state.partial.hours.at(5).used_heuristic);
   EXPECT_TRUE(final_state.partial.hours.at(6).used_heuristic);
-  remove_generations(path, 3);
+  remove_checkpoint_files(path);
 }
 
 TEST(SuperviseTest, RestartBudgetExhaustionExitsGaveUp) {
   const std::string path = temp_path("billcap_supervise_gaveup.j");
-  remove_generations(path, 3);
+  remove_checkpoint_files(path);
 
   // An endless storm at hour 0 with a tiny budget and no escalation: the
   // supervisor must stop hammering the machine and exit kExitGaveUp, with
@@ -188,7 +182,7 @@ TEST(SuperviseTest, RestartBudgetExhaustionExitsGaveUp) {
                             "--backoff-max-ms", "5"});
   EXPECT_EQ(code, kExitGaveUp);
   EXPECT_EQ(load_checkpoint(path).next_hour, 0u);
-  remove_generations(path, 3);
+  remove_checkpoint_files(path);
 }
 
 TEST(SuperviseTest, UsageErrorsAreNotRetried) {
@@ -196,13 +190,13 @@ TEST(SuperviseTest, UsageErrorsAreNotRetried) {
   // surface as kExitGaveUp after exactly one attempt, not loop through
   // the restart budget.
   const std::string path = temp_path("billcap_supervise_usage.j");
-  remove_generations(path, 3);
+  remove_checkpoint_files(path);
   const int code = run_cli({"supervise", "--checkpoint", path,
                             "--crash-at", "nonsense"});
   EXPECT_EQ(code, kExitGaveUp);
   // A supervise invocation without a checkpoint is its own usage error.
   EXPECT_EQ(run_cli({"supervise"}), kExitUsage);
-  remove_generations(path, 3);
+  remove_checkpoint_files(path);
 }
 
 }  // namespace

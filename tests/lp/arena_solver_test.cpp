@@ -2,7 +2,9 @@
 // long-lived solver carries allocations, never a basis, from one solve to
 // the next, so every answer is bitwise the answer of a fresh solver (and
 // agrees with the reference engine); a byte cap must surface as the typed
-// SolveStatus::kArenaExhausted with no incumbent. The rhs-ranging walk
+// SolveStatus::kArenaExhausted with no incumbent, and it counts logical
+// tableau bytes, so the rows' padding for the pivot kernels changes neither
+// an answer nor a cap decision. The rhs-ranging walk
 // (range_rhs) starts from solve()'s own answer, and between its
 // breakpoints its dual is the one a cold solve at that rhs finds.
 
@@ -233,6 +235,81 @@ TEST(ArenaSolverTest, LongLivedSolverHistoryFreeUnderRandomDrift) {
   expect_no_cross_solve_warm(solver);
 }
 
+/// Four variables in [0, 10], a cover row (>=) and `caps` capacity rows
+/// (<=), every rhs nonnegative so no row is flipped. Its standard form has
+/// m = 5 + caps rows and n_total = 10 + caps columns before the rhs: four
+/// structural, one slack per bound, cover and capacity row, and the cover
+/// row's artificial. Even `caps` gives an odd logical row width.
+Problem width_problem(int caps, bool integers = false) {
+  Problem p;
+  std::vector<Term> cover;
+  for (int j = 0; j < 4; ++j) {
+    p.add_variable("x" + std::to_string(j), 0.0, 10.0, 4.0 - j, integers);
+    cover.push_back({j, 1.0});
+  }
+  p.add_constraint("cover", std::move(cover), Relation::kGreaterEqual, 17.5);
+  p.add_constraint("cap01", {{0, 1.0}, {1, 1.0}}, Relation::kLessEqual, 8.25);
+  p.add_constraint("cap23", {{2, 1.0}, {3, 1.0}}, Relation::kLessEqual, 12.0);
+  if (caps == 3)
+    p.add_constraint("cap02", {{0, 2.0}, {2, 1.0}}, Relation::kLessEqual, 13.0);
+  return p;
+}
+
+TEST(ArenaSolverTest, PaddedRowsMatchReferenceAtOddAndEvenWidths) {
+  // Tableau rows are padded from their logical width n_total + 1 to an
+  // even stride for the pivot's row kernels. With a padding lane (width
+  // 13) and without one (width 14) the LP must be the reference simplex's
+  // answer bit for bit: status, objective, every x, every dual, pivots.
+  for (const int caps : {2, 3}) {
+    const std::string tag = "caps=" + std::to_string(caps);
+    const Problem p = width_problem(caps);
+    const Solution want = solve_lp_reference(p);
+    ArenaSolver solver;
+    const Solution got = solver.solve(p);
+    ASSERT_EQ(want.status, SolveStatus::kOptimal) << tag;
+    ASSERT_EQ(got.status, want.status) << tag;
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(got.objective),
+              std::bit_cast<std::uint64_t>(want.objective))
+        << tag;
+    EXPECT_EQ(got.iterations, want.iterations) << tag;
+    EXPECT_GE(got.iterations, 3) << tag << ": too few pivots to bite";
+    ASSERT_EQ(got.x.size(), want.x.size()) << tag;
+    for (std::size_t j = 0; j < want.x.size(); ++j)
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(got.x[j]),
+                std::bit_cast<std::uint64_t>(want.x[j]))
+          << tag << " x" << j;
+    ASSERT_EQ(got.duals.size(), want.duals.size()) << tag;
+    for (std::size_t i = 0; i < want.duals.size(); ++i)
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(got.duals[i]),
+                std::bit_cast<std::uint64_t>(want.duals[i]))
+          << tag << " dual " << i;
+  }
+}
+
+TEST(ArenaSolverTest, ByteCapCountsLogicalNotPaddedTableau) {
+  // The cap counts the logical tableau, (m + 1) rows of n_total + 1
+  // doubles with the cost row, plus the node pool, never the padded
+  // stride: a MILP of odd logical width (13, padded to 14) solves under a
+  // cap of exactly those bytes and is exhausted one byte under it. The
+  // first node pool is 1024 NodeSlots of 40 bytes.
+  const Problem p = width_problem(2, /*integers=*/true);
+  constexpr std::size_t kRows = 7;
+  constexpr std::size_t kWidth = 13;
+  constexpr std::size_t kPoolBytes = 1024 * 40;
+  const std::size_t exact = (kRows + 1) * kWidth * sizeof(double) + kPoolBytes;
+
+  ArenaSolver fits;
+  const Solution s = fits.solve(p, capped_at(exact));
+  ASSERT_EQ(s.status, SolveStatus::kOptimal);
+  EXPECT_GT(s.nodes, 1) << "the MILP must branch for the pool to matter";
+  ArenaSolver fresh;
+  expect_bitwise_equal(fresh.solve(p), s, "exact cap");
+
+  ArenaSolver squeezed;
+  const Solution t = squeezed.solve(p, capped_at(exact - 1));
+  EXPECT_EQ(t.status, SolveStatus::kArenaExhausted);
+  EXPECT_FALSE(t.has_incumbent());
+}
 
 /// Economic dispatch: generators with random capacities and costs serve
 /// `demand` (row 0), and a random weighted "line" row caps part of the

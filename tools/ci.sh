@@ -1,7 +1,8 @@
 #!/bin/sh
 # Local CI gate: static analysis first (billcap-audit + clang-tidy — the
 # cheapest stage fails fastest), then the reachability ratchet (src/ holds
-# only what a shipped binary links), then the tier-1 suite, then the
+# only what a shipped binary links), then a check that the simplex pivot's
+# row kernel still vectorizes, then the tier-1 suite, then the
 # robustness suite again under AddressSanitizer + UBSan (fault paths,
 # crash/resume and the journal I/O are exactly the code most likely to
 # hide lifetime or conversion bugs that only a sanitizer sees), then the
@@ -32,6 +33,37 @@ echo "== stage 0b: reachability ratchet (src/ holds only what ships) =="
 # libraries that no product binary links and tools/reachability_baseline.txt
 # does not list, or on a baseline line that is reachable again or gone.
 sh "$ROOT/tools/reachability.sh" "$PREFIX"
+
+echo "== stage 0c: the pivot's row kernel stays vectorized =="
+# ArenaSolver's row_sub_scaled (src/lp/arena_solver.cpp) carries most of a
+# fleet month. GCC vectorizes it at the default -O2 cost model only while
+# its rows are restrict-qualified parameters and its trip count is a known
+# multiple of two; an edit that loses either still compiles and silently
+# runs scalar. Recompile the file with the build's own flags plus GCC's
+# -fopt-info-vec-optimized and fail unless the kernel's loop line is
+# reported vectorized.
+python3 - "$ROOT/$PREFIX/compile_commands.json" \
+    "$ROOT/src/lp/arena_solver.cpp" "$ROOT/$PREFIX/vec_check.o" <<'PY'
+import json, os, re, shlex, subprocess, sys
+database, source, obj = sys.argv[1:4]
+with open(source) as f:
+    lines = [n for n, text in enumerate(f, 1) if "d[j] -= f * s[j];" in text]
+if len(lines) != 1:
+    sys.exit("ci: cannot find the row_sub_scaled loop line in " + source)
+with open(database) as f:
+    entry = next(e for e in json.load(f)
+                 if os.path.realpath(e["file"]) == os.path.realpath(source))
+args = entry.get("arguments") or shlex.split(entry["command"])
+i = args.index("-o")
+args = args[:i] + args[i + 2:] + ["-fopt-info-vec-optimized", "-o", obj]
+out = subprocess.run(args, cwd=entry["directory"], capture_output=True,
+                     text=True, check=True).stderr
+if not re.search(r"arena_solver\.cpp:%d:\d+: optimized: loop vectorized"
+                 % lines[0], out):
+    sys.exit("ci: row_sub_scaled (arena_solver.cpp:%d) is no longer "
+             "vectorized at the build's flags" % lines[0])
+print("ci: row_sub_scaled loop (arena_solver.cpp:%d) is vectorized" % lines[0])
+PY
 
 echo "== tier 1: full suite, default toolchain =="
 cmake --build "$ROOT/$PREFIX" -j "$JOBS"
