@@ -17,7 +17,6 @@
 
 #include <bit>
 #include <cstdint>
-#include <cstdio>
 #include <filesystem>
 #include <string>
 

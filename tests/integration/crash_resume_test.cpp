@@ -180,9 +180,7 @@ MonthlyResult run_to_completion_controlled(
     const Simulator& sim, Strategy strategy, const std::string& path,
     const Simulator::ResumeControls& controls, std::size_t* restarts,
     bool fresh_start = true) {
-  if (fresh_start) {
-    remove_checkpoint_files(path, controls.keep_generations);
-  }
+  if (fresh_start) remove_checkpoint_files(path, controls.keep_generations);
   Simulator::ResumableOutcome outcome =
       sim.run_resumable(strategy, path, !fresh_start, {}, controls);
   std::size_t n = 0;
