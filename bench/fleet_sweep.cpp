@@ -320,7 +320,7 @@ int main(int argc, char** argv) {
       "  \"degraded_chunks\": %zu,\n"
       "  \"quarantined_chunks\": %zu,\n"
       "  \"region_down_chunks\": %zu,\n"
-      "  \"failure_tally\": {\"node_limit\": %zu, \"time_limit\": %zu,"
+      "  \"failure_tally\": {\"node_limit\": %zu,"
       " \"infeasible\": %zu, \"arena_exhausted\": %zu, \"thrown\": %zu}\n"
       "}\n",
       kSites, fleet.regions.size(), months, hours, threads,
@@ -331,7 +331,6 @@ int main(int argc, char** argv) {
       serial.degraded_chunks, serial.quarantined_chunks,
       serial.region_down_chunks,
       serial.tally[static_cast<std::size_t>(core::FailureReason::kNodeLimit)],
-      serial.tally[static_cast<std::size_t>(core::FailureReason::kTimeLimit)],
       serial.tally[static_cast<std::size_t>(core::FailureReason::kInfeasible)],
       serial.tally[static_cast<std::size_t>(
           core::FailureReason::kArenaExhausted)],

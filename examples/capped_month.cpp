@@ -66,10 +66,10 @@ int run(int argc, char** argv) {
 
   std::printf(
       "\nMonth: cost $%.0f / budget $%.0f (%.1f%%) | premium %.2f%% | "
-      "ordinary %.2f%% | max solve %.2f ms\n",
+      "ordinary %.2f%%\n",
       r.total_cost, r.monthly_budget, 100.0 * r.budget_utilization(),
       100.0 * r.premium_throughput_ratio(),
-      100.0 * r.ordinary_throughput_ratio(), r.max_solve_ms);
+      100.0 * r.ordinary_throughput_ratio());
   return billcap::core::kExitSuccess;
 }
 

@@ -39,7 +39,6 @@ FailureReason failure_reason_from(lp::SolveStatus status) noexcept {
     case lp::SolveStatus::kNodeLimit: return FailureReason::kNodeLimit;
     case lp::SolveStatus::kIterationLimit:
       return FailureReason::kIterationLimit;
-    case lp::SolveStatus::kTimeLimit: return FailureReason::kTimeLimit;
     case lp::SolveStatus::kInfeasible: return FailureReason::kInfeasible;
     case lp::SolveStatus::kUnbounded: return FailureReason::kUnbounded;
     case lp::SolveStatus::kArenaExhausted:
@@ -131,8 +130,6 @@ CappingOutcome BillCapper::decide(double lambda_premium,
         "BillCapper::decide: believed demand size mismatch");
 
   OptimizerOptions opts = options_;
-  if (overrides.time_limit_ms >= 0.0)
-    opts.milp.time_limit_ms = overrides.time_limit_ms;
   if (overrides.max_nodes >= 0) opts.milp.max_nodes = overrides.max_nodes;
   if (overrides.max_arena_bytes != 0)
     opts.milp.max_arena_bytes = overrides.max_arena_bytes;

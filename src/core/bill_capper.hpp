@@ -11,12 +11,14 @@
 namespace billcap::core {
 
 /// Why an hour's allocation came from the degradation ladder (incumbent or
-/// greedy heuristic) instead of a clean optimal solve.
+/// greedy heuristic) instead of a clean optimal solve. Records and tallies
+/// persist the integer value, so the numbering never changes.
 enum class FailureReason {
   kNone,            ///< clean optimal solves all the way
   kNodeLimit,       ///< branch-and-bound node budget exhausted
   kIterationLimit,  ///< simplex pivot budget exhausted
-  kTimeLimit,       ///< wall-clock solver deadline expired
+  kTimeLimit,       ///< retired wall-clock deadline; only older
+                    ///< checkpoints carry it
   kInfeasible,      ///< solver reported infeasible (numerical trouble)
   kUnbounded,       ///< solver reported unbounded (model corruption)
   kArenaExhausted,  ///< solver arena byte cap hit (lp::kArenaExhausted)
@@ -81,12 +83,9 @@ struct DecideOptions {
   /// The background demand the *optimizer believes* (a stale market feed);
   /// ground-truth billing still uses the real demand. Empty = fresh feed.
   std::span<const double> believed_demand_mw{};
-  /// Wall-clock deadline for each MILP solve this hour; >= 0 overrides the
-  /// configured MilpOptions::time_limit_ms, < 0 keeps it.
-  double time_limit_ms = -1.0;
   /// Branch-and-bound node budget for each MILP solve this hour; >= 0
-  /// overrides MilpOptions::max_nodes, < 0 keeps it. The fleet layer's
-  /// primary (deterministic) chunk deadline.
+  /// overrides MilpOptions::max_nodes, < 0 keeps it. Fleet chunk deadlines
+  /// and simulate's squeezes set it; it is the only solve bound.
   long max_nodes = -1;
   /// Per-solve arena byte cap; nonzero replaces
   /// MilpOptions::max_arena_bytes for this hour's solves (arena exhaustion

@@ -78,7 +78,7 @@ HourRecord decode_hour(const std::string& text) {
   rec.hourly_budget = take_d(is);
   rec.cost = take_d(is);
   rec.predicted_cost = take_d(is);
-  rec.solve_ms = take_d(is);
+  take_d(is);  // the retired wall-time word: ignored
   const std::size_t n_lambda = static_cast<std::size_t>(take_u(is));
   rec.site_lambda.reserve(n_lambda);
   for (std::size_t i = 0; i < n_lambda; ++i)
@@ -134,7 +134,7 @@ std::string encode_record(const HourRecord& rec) {
   put_bits(rec.hourly_budget);
   put_bits(rec.cost);
   put_bits(rec.predicted_cost);
-  put_bits(rec.solve_ms);
+  put_bits(0.0);  // the retired wall-time word keeps the width
   put(rec.site_lambda.size());
   put(rec.site_power_mw.size());
   for (double v : rec.site_lambda) put_bits(v);
@@ -180,7 +180,7 @@ HourRecord decode_record(std::string_view slot) {
   rec.hourly_budget = take_bits();
   rec.cost = take_bits();
   rec.predicted_cost = take_bits();
-  rec.solve_ms = take_bits();
+  take_bits();  // the retired wall-time word: ignored
   const std::uint64_t n_lambda = take();
   const std::uint64_t n_power = take();
   if (n_lambda > words - kRecordWords ||
@@ -241,7 +241,6 @@ util::Journal encode_head(const CheckpointState& state, int version) {
                           r.total_ordinary_arrivals);
   journal.set_double_bits(keys::kTotalServedPremium, r.total_served_premium);
   journal.set_double_bits(keys::kTotalServedOrdinary, r.total_served_ordinary);
-  journal.set_double_bits(keys::kMaxSolveMs, r.max_solve_ms);
   journal.set_size(keys::kDegradedHours, r.degraded_hours);
   journal.set_size(keys::kIncumbentHours, r.incumbent_hours);
   journal.set_size(keys::kHeuristicHours, r.heuristic_hours);
@@ -331,7 +330,6 @@ CheckpointState decode_head(const util::Journal& journal) {
       journal.get_double_bits(keys::kTotalOrdinaryArrivals);
   r.total_served_premium = journal.get_double_bits(keys::kTotalServedPremium);
   r.total_served_ordinary = journal.get_double_bits(keys::kTotalServedOrdinary);
-  r.max_solve_ms = journal.get_double_bits(keys::kMaxSolveMs);
   r.degraded_hours = journal.get_size(keys::kDegradedHours);
   r.incumbent_hours = journal.get_size(keys::kIncumbentHours);
   r.heuristic_hours = journal.get_size(keys::kHeuristicHours);
@@ -446,7 +444,6 @@ std::uint64_t checkpoint_digest(const SimulationConfig& config,
   d.mix_double(config.optimizer.milp.integrality_tol);
   d.mix_double(config.optimizer.milp.relative_gap);
   d.mix_double(config.optimizer.milp.absolute_gap);
-  d.mix_double(config.optimizer.milp.time_limit_ms);
 
   const FaultPlan& plan = config.fault_plan;
   d.mix_size(plan.outages.size());
@@ -471,7 +468,7 @@ std::uint64_t checkpoint_digest(const SimulationConfig& config,
   for (const auto& s : plan.deadline_squeezes) {
     d.mix_size(s.start_hour);
     d.mix_size(s.duration_hours);
-    d.mix_double(s.time_limit_ms);
+    d.mix_u64(static_cast<std::uint64_t>(s.node_budget));
   }
   d.mix_size(plan.crashes.size());
   for (const auto& c : plan.crashes) {
@@ -535,7 +532,6 @@ std::uint64_t checkpoint_digest(const SimulationConfig& config,
   d.mix_double(config.fault_rates.shock_multiplier);
   d.mix_double(config.fault_rates.squeeze_rate);
   d.mix_size(config.fault_rates.squeeze_mean_hours);
-  d.mix_double(config.fault_rates.squeeze_ms);
   d.mix_double(config.fault_rates.crash_rate);
 
   d.mix_double(config.market_feed.retry_success_prob);

@@ -58,7 +58,6 @@ inline constexpr const char* kTotalPremiumArrivals = "total_premium_arrivals";
 inline constexpr const char* kTotalOrdinaryArrivals = "total_ordinary_arrivals";
 inline constexpr const char* kTotalServedPremium = "total_served_premium";
 inline constexpr const char* kTotalServedOrdinary = "total_served_ordinary";
-inline constexpr const char* kMaxSolveMs = "max_solve_ms";
 inline constexpr const char* kDegradedHours = "degraded_hours";
 inline constexpr const char* kIncumbentHours = "incumbent_hours";
 inline constexpr const char* kHeuristicHours = "heuristic_hours";

@@ -44,7 +44,7 @@ FaultPlan generate_fault_plan(const FaultRates& rates,
     if (rates.squeeze_rate > 0.0 && squeeze_rng.bernoulli(rates.squeeze_rate))
       plan.deadline_squeezes.push_back(
           {h, draw_duration(squeeze_rng, rates.squeeze_mean_hours),
-           rates.squeeze_ms});
+           kDrawnSqueezeNodes});
     // Half the crashes strike before the hour's checkpoint commits (the
     // resume recomputes the hour), half after — exercising both recovery
     // paths in rate-driven sweeps.
@@ -68,7 +68,7 @@ FaultInjector::FaultInjector(const FaultPlan& plan, std::size_t num_sites,
   if (!enabled_) return;
   down_.assign(num_sites_ * horizon_, 0);
   multiplier_.assign(num_sites_ * horizon_, 1.0);
-  deadline_ms_.assign(horizon_, 0.0);
+  squeeze_nodes_.assign(horizon_, 0);
   arrival_mult_.assign(horizon_, 1.0);
   burst_updates_.assign(horizon_, 0);
   observed_hour_.resize(horizon_);
@@ -111,12 +111,13 @@ FaultInjector::FaultInjector(const FaultPlan& plan, std::size_t num_sites,
       burst_updates_[h] += burst.updates_per_tick;
   }
   for (const auto& squeeze : plan.deadline_squeezes) {
-    if (squeeze.time_limit_ms <= 0.0) continue;
+    if (squeeze.node_budget <= 0) continue;
     for (std::size_t h = squeeze.start_hour;
-         h < clip_end(squeeze.start_hour, squeeze.duration_hours); ++h)
-      deadline_ms_[h] = deadline_ms_[h] <= 0.0
-                            ? squeeze.time_limit_ms
-                            : std::min(deadline_ms_[h], squeeze.time_limit_ms);
+         h < clip_end(squeeze.start_hour, squeeze.duration_hours); ++h) {
+      long& slot = squeeze_nodes_[h];
+      slot = slot == 0 ? squeeze.node_budget
+                       : std::min(slot, squeeze.node_budget);
+    }
   }
 
   // Grid-side kinds: arrays sized by the largest index the plan names, so
@@ -217,9 +218,9 @@ double FaultInjector::demand_multiplier(std::size_t site,
   return multiplier_[site * horizon_ + hour];
 }
 
-double FaultInjector::solver_deadline_ms(std::size_t hour) const noexcept {
-  if (!enabled_ || hour >= horizon_) return 0.0;
-  return deadline_ms_[hour];
+long FaultInjector::solver_node_budget(std::size_t hour) const noexcept {
+  if (!enabled_ || hour >= horizon_) return 0;
+  return squeeze_nodes_[hour];
 }
 
 double FaultInjector::arrival_multiplier(std::size_t hour) const noexcept {

@@ -8,7 +8,7 @@ namespace billcap::core {
 
 /// A deterministic schedule of operational hazards injected into the
 /// closed-loop month: site outages, stale market-data feeds, background
-/// demand shocks and solver-deadline squeezes. Hours are month-local
+/// demand shocks and solver node-budget squeezes. Hours are month-local
 /// (0 = first evaluation hour); intervals are [start, start + duration).
 /// The plan is plain data — build it by hand for targeted scenarios or via
 /// generate_fault_plan for rate-driven sweeps.
@@ -35,12 +35,14 @@ struct FaultPlan {
     std::size_t duration_hours = 0;
     double multiplier = 1.0;
   };
-  /// Every MILP solve in the interval gets a hard wall-clock deadline (an
-  /// overloaded control node must still produce an allocation on time).
+  /// Every MILP solve in the interval gets a tight branch-and-bound node
+  /// budget (an overloaded control node must still produce an allocation
+  /// on time). Deterministic, unlike a wall-clock deadline, so a squeezed
+  /// month resumes and replays bit for bit.
   struct DeadlineSqueeze {
     std::size_t start_hour = 0;
     std::size_t duration_hours = 0;
-    double time_limit_ms = 0.0;
+    long node_budget = 0;  ///< per-solve max_nodes; <= 0 = no squeeze
   };
 
   /// The controller process dies. Consumed by Simulator::run_resumable,
@@ -192,6 +194,10 @@ struct FaultPlan {
   }
 };
 
+/// Node budget of a rate-drawn squeeze: tight enough that the capper's
+/// branch-and-bound stops short and falls down the degradation ladder.
+inline constexpr long kDrawnSqueezeNodes = 3;
+
 /// Per-hour fault *rates* for randomized resilience sweeps. A fault of each
 /// kind starts independently each hour with the given probability;
 /// durations are drawn uniformly in [1, 2 * mean - 1] so the mean holds.
@@ -204,8 +210,7 @@ struct FaultRates {
   std::size_t shock_mean_hours = 3;
   double shock_multiplier = 1.5;
   double squeeze_rate = 0.0;       ///< per hour
-  std::size_t squeeze_mean_hours = 2;
-  double squeeze_ms = 5.0;
+  std::size_t squeeze_mean_hours = 2;  ///< each draws kDrawnSqueezeNodes
   double crash_rate = 0.0;         ///< controller death per hour
 
   bool any() const noexcept {
@@ -251,9 +256,9 @@ class FaultInjector {
 
   double demand_multiplier(std::size_t site, std::size_t hour) const noexcept;
 
-  /// Wall-clock MILP deadline for the hour in ms; 0 = no squeeze. When
-  /// several squeezes overlap, the tightest wins.
-  double solver_deadline_ms(std::size_t hour) const noexcept;
+  /// Per-solve MILP node budget for the hour; 0 = no squeeze. When
+  /// several squeezes overlap, the tightest (smallest) budget wins.
+  long solver_node_budget(std::size_t hour) const noexcept;
 
   /// Fleet-wide interactive-arrival multiplier for the hour (flash crowds;
   /// overlapping crowds compound). 1.0 when calm.
@@ -299,7 +304,7 @@ class FaultInjector {
   std::vector<std::uint8_t> down_;          // [site * horizon + hour]
   std::vector<std::size_t> observed_hour_;  // [hour]
   std::vector<double> multiplier_;          // [site * horizon + hour]
-  std::vector<double> deadline_ms_;         // [hour]
+  std::vector<long> squeeze_nodes_;         // [hour]
   std::vector<double> arrival_mult_;        // [hour]
   std::vector<std::size_t> burst_updates_;  // [hour]
   std::vector<std::uint8_t> region_down_;   // [region * horizon + hour]

@@ -28,7 +28,6 @@ struct FleetController::ChunkInput {
   std::vector<double> demand;           ///< region-local site order
   std::vector<std::uint8_t> available;  ///< region-local site order
   long max_nodes = -1;
-  double time_limit_ms = -1.0;
   std::size_t arena_bytes = 0;
 };
 
@@ -110,7 +109,6 @@ ChunkOutcome FleetController::run_chunk(const ChunkInput& in) const {
   const BillCapper& capper = region_cappers_[in.region];
   DecideOptions opts;
   opts.site_available = in.available;
-  opts.time_limit_ms = in.time_limit_ms;
   opts.max_nodes = in.max_nodes;
   opts.max_arena_bytes = in.arena_bytes;
   opts.standby = in.quarantined;
@@ -198,8 +196,6 @@ FleetHourOutcome FleetController::decide_hour(
                                         : stall;
       in.arena_bytes = injector->chunk_arena_bytes(r, hour);
     }
-    if (options_.deadline.wall_clock_ms > 0.0)
-      in.time_limit_ms = options_.deadline.wall_clock_ms;
   }
 
   FleetHourOutcome out;

@@ -33,15 +33,12 @@ enum class ChunkStatus {
   kRegionDown,   ///< RegionOutage: the whole region served nothing
 };
 
-/// Per-chunk solve deadline. The node budget is the primary limit — it is
-/// deterministic (the same solve always burns the same nodes), so results
-/// stay bitwise-identical across hosts and thread counts. The wall-clock
-/// assist mirrors serve's re-plan engine: off by default, opt-in for
-/// latency-sensitive deployments that accept losing determinism.
+/// Per-chunk solve deadline: a node budget. It is deterministic (the same
+/// solve always burns the same nodes), so results stay bitwise-identical
+/// across hosts and thread counts.
 struct ChunkDeadline {
-  long max_nodes = 20'000;     ///< per-solve B&B budget; <= 0 keeps the
-                               ///< OptimizerOptions' own
-  double wall_clock_ms = 0.0;  ///< > 0 adds a wall-clock ceiling per solve
+  long max_nodes = 20'000;  ///< per-solve B&B budget; <= 0 keeps the
+                            ///< OptimizerOptions' own
 };
 
 /// Sliding-window quarantine, mirroring SupervisorPolicy's restart budget:
@@ -111,8 +108,8 @@ struct FleetMonthConfig {
 /// The chunk solves (one per region) shard across a util::ThreadPool, or
 /// run inline with no pool. Every chunk solve runs inside a fault envelope:
 ///
-///   - a per-chunk deadline (node budget primary, wall-clock assist),
-///   - typed failure classification (timeout / infeasible / arena-exhausted
+///   - a per-chunk deadline (a deterministic node budget),
+///   - typed failure classification (node limit / infeasible / arena-exhausted
 ///     / thrown),
 ///   - automatic degradation to the greedy fallback (BillCapper's ladder)
 ///     or, when the chunk's own envelope trips, premium-only standby —

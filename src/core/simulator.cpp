@@ -1,7 +1,6 @@
 #include "core/simulator.hpp"
 
 #include <algorithm>
-#include <chrono>
 #include <cstdio>
 #include <fstream>
 #include <stdexcept>
@@ -14,19 +13,6 @@
 #include "workload/predictor.hpp"
 
 namespace billcap::core {
-
-namespace {
-
-// solve_ms is timing telemetry only — it is excluded from bitwise-resume
-// comparisons (see crash_resume_test).
-// billcap-lint: allow(wall-clock): telemetry-only, never checkpointed
-double elapsed_ms(std::chrono::steady_clock::time_point start) {
-  // billcap-lint: allow(wall-clock): same sanctioned telemetry site
-  const auto end = std::chrono::steady_clock::now();
-  return std::chrono::duration<double, std::milli>(end - start).count();
-}
-
-}  // namespace
 
 const char* to_string(Strategy strategy) noexcept {
   switch (strategy) {
@@ -59,7 +45,6 @@ void MonthlyResult::accumulate(HourRecord&& rec) {
   total_ordinary_arrivals += rec.ordinary_arrivals;
   total_served_premium += rec.served_premium;
   total_served_ordinary += rec.served_ordinary;
-  max_solve_ms = std::max(max_solve_ms, rec.solve_ms);
   degraded_hours += rec.degraded ? 1 : 0;
   incumbent_hours += rec.used_incumbent ? 1 : 0;
   heuristic_hours += rec.used_heuristic ? 1 : 0;
@@ -243,7 +228,7 @@ HourRecord Simulator::run_hour(Strategy strategy, const BillCapper& capper,
 
   // ---- fault overlay --------------------------------------------------
   // Ground-truth demand carries the hour's injected shocks; a down site
-  // offers no capacity; a squeeze caps every solve of the hour.
+  // offers no capacity; a squeeze tightens every solve's node budget.
   std::vector<double> d = std::move(raw_demand);
   apply_demand_shocks(d, fault_hour);
   std::vector<std::uint8_t> available;
@@ -252,12 +237,13 @@ HourRecord Simulator::run_hour(Strategy strategy, const BillCapper& capper,
     for (std::size_t i = 0; i < n; ++i)
       available[i] = injector_.site_available(i, fault_hour) ? 1 : 0;
   }
-  const double squeeze = injector_.solver_deadline_ms(fault_hour);
+  const long squeeze = injector_.solver_node_budget(fault_hour);
+  const long max_nodes =
+      squeeze > 0 ? std::min(squeeze, config_.optimizer.milp.max_nodes)
+                  : config_.optimizer.milp.max_nodes;
   const market::CoupledHourFaults grid_faults =
       coupler ? grid_faults_at(fault_hour) : market::CoupledHourFaults{};
 
-  // billcap-lint: allow(wall-clock): telemetry-only, never checkpointed
-  const auto start = std::chrono::steady_clock::now();
   CappingOutcome outcome;
   FeedObservation feed_obs;
   MarketCoupler::HourPlan plan;
@@ -270,7 +256,7 @@ HourRecord Simulator::run_hour(Strategy strategy, const BillCapper& capper,
     DecideOptions overrides;
     overrides.standby = config_.standby;
     overrides.site_available = available;
-    if (squeeze > 0.0) overrides.time_limit_ms = squeeze;
+    if (squeeze > 0) overrides.max_nodes = max_nodes;
     std::vector<double> believed;
     if (injector_.enabled()) {
       // The market-data client: passes a fresh feed through, re-polls a
@@ -315,7 +301,7 @@ HourRecord Simulator::run_hour(Strategy strategy, const BillCapper& capper,
       if (available[i] == 0) believed[i].lambda_max = 0.0;
     const double admitted = std::min(arrivals, system_capacity(believed));
     OptimizerOptions opts = config_.optimizer;
-    if (squeeze > 0.0) opts.milp.time_limit_ms = squeeze;
+    opts.milp.max_nodes = max_nodes;
     lp::ArenaSolver solver;
     outcome.allocation = minimize_cost_with_fallback(believed, admitted, opts,
                                                      solver, outcome);
@@ -333,7 +319,6 @@ HourRecord Simulator::run_hour(Strategy strategy, const BillCapper& capper,
   const GroundTruth truth =
       coupler ? coupler->bill(lambda, d, grid_faults)
               : evaluate_allocation(sites_, policies_, d, lambda);
-  const double ms = elapsed_ms(start);
 
   HourRecord rec;
   rec.hour = hour;
@@ -350,7 +335,6 @@ HourRecord Simulator::run_hour(Strategy strategy, const BillCapper& capper,
   rec.site_power_mw.reserve(truth.sites.size());
   for (const auto& site : truth.sites)
     rec.site_power_mw.push_back(site.power.total_mw());
-  rec.solve_ms = ms;
   rec.nodes = outcome.allocation.nodes;
   rec.degraded = outcome.degraded;
   rec.failure = outcome.failure;

@@ -99,7 +99,6 @@ struct HourRecord {
   CappingOutcome::Mode mode = CappingOutcome::Mode::kUncapped;
   std::vector<double> site_lambda;    ///< requests/hour per site
   std::vector<double> site_power_mw;  ///< ground-truth draw per site
-  double solve_ms = 0.0;              ///< optimizer wall time
   long nodes = 0;                     ///< branch-and-bound nodes
 
   /// Degraded-mode bookkeeping: true when a fallback (incumbent reuse or
@@ -134,7 +133,6 @@ struct MonthlyResult {
   double total_ordinary_arrivals = 0.0;
   double total_served_premium = 0.0;
   double total_served_ordinary = 0.0;
-  double max_solve_ms = 0.0;
 
   /// Aggregate degradation counters (graceful-degradation observability).
   std::size_t degraded_hours = 0;   ///< hours produced by any fallback
@@ -287,7 +285,7 @@ class Simulator {
 
  private:
   /// The one batch hour of run(), run_resumable() and run_months(): the
-  /// fault overlay (shocked demand, availability, squeeze deadline), the
+  /// fault overlay (shocked demand, availability, squeeze node budget), the
   /// strategy's decision, ground-truth billing and the record. `hour`
   /// indexes `budgeter` (spent so far: `spent`), `fault_hour` the fault
   /// injector (month-scoped plans do not repeat in later months), and

@@ -114,7 +114,7 @@ std::size_t probe_checkpoint_hour(const std::string& checkpoint_path,
 
 /// Seams for tests: every interaction with the outside world goes through
 /// one of these. Unset members get the real implementation (fork/exec,
-/// steady_clock, nanosleep, checkpoint probe, stderr logging).
+/// the monotonic clock, nanosleep, checkpoint probe, stderr logging).
 struct SuperviseHooks {
   std::function<int(const ChildSpec&, bool standby)> run;
   std::function<double()> now_s;

@@ -1,7 +1,6 @@
 #include "lp/arena_solver.hpp"
 
 #include <algorithm>
-#include <chrono>
 #include <cmath>
 #include <stdexcept>
 #include <utility>
@@ -26,18 +25,19 @@ long dual_pivot_budget(int m) { return std::max<long>(200, 4L * m); }
 /// path keeps the reference simplex's pivot_tol rule, bit for bit.
 constexpr double kStablePivot = 1e-7;
 
-/// The pivot's two row kernels, d[j] *= s and d[j] -= f * s[j] over a
-/// whole padded tableau row. They are free functions so the rows can be
-/// restrict-qualified parameters (restrict on local pointers inside a
-/// member function does not reach GCC's vectorizer), and `n` is rounded
-/// down to even so the trip count is a known multiple of the two-double
+/// The pivot's two row kernels, d[j] *= s and d[j] -= f * s[j] over a whole
+/// padded tableau row (the cold build's cost loaders reuse the second; f = 1.0
+/// is exact, so they match the scalar subtraction). They are free functions so
+/// the rows can be restrict-qualified parameters (restrict on local pointers
+/// inside a member function does not reach GCC's vectorizer), and `n` is
+/// rounded down to even so the trip count is a known multiple of the two-double
 /// vector: at GCC's default -O2 ("very cheap") cost model the loops then
 /// vectorize with no alias check and no scalar epilogue. Without FMA
-/// contraction each lane computes the scalar loop's IEEE result, so the
-/// pivot sequence stays bitwise the reference simplex's. tools/ci.sh
-/// fails if the row_sub_scaled loop stops being reported vectorized.
-/// GCC 12 rejects the one-statement form of row_scale ("no vectype"); the
-/// body of two lanes per iteration vectorizes.
+/// contraction each lane computes the scalar loop's IEEE result, so the pivot
+/// sequence stays bitwise the reference simplex's. tools/ci.sh fails if the
+/// row_sub_scaled loop stops being reported vectorized. GCC 12 rejects the
+/// one-statement form of row_scale ("no vectype"); the body of two lanes per
+/// iteration vectorizes.
 void row_scale(double* __restrict d, double s, std::size_t n) {
   n &= ~std::size_t{1};
   for (std::size_t j = 0; j < n; j += 2) {
@@ -62,7 +62,7 @@ void row_sub_scaled(double* __restrict d, const double* __restrict s, double f,
 /// (identity_col) read back B^-1 for the node rhs swaps. Each row (and the
 /// cost row) is padded from its logical width n_total + 1 to an even
 /// stride for the row kernels; the padding lanes start at zero, pivots
-/// keep them zero, and no scan reads them.
+/// and cost loads keep them zero, and no scan reads them.
 struct ArenaSolver::Impl {
   ArenaStats stat;
   std::size_t max_arena_bytes = 0;  ///< this call's byte cap; 0 = unlimited
@@ -435,8 +435,7 @@ struct ArenaSolver::Impl {
     for (int i = 0; i < m; ++i) {
       if (!is_artificial[static_cast<std::size_t>(basis[static_cast<std::size_t>(i)])])
         continue;
-      for (int j = 0; j <= n_total; ++j)
-        cost_row[static_cast<std::size_t>(j)] -= at(i, j);
+      row_sub_scaled(cost_row.data(), row_data(i), 1.0, stride);
     }
     cost_value = -cost_row[static_cast<std::size_t>(n_total)];
     cost_row[static_cast<std::size_t>(n_total)] = 0.0;
@@ -450,8 +449,7 @@ struct ArenaSolver::Impl {
       const int b = basis[static_cast<std::size_t>(i)];
       const double cb = (b < n_struct) ? std_costs[static_cast<std::size_t>(b)] : 0.0;
       if (cb == 0.0) continue;
-      for (int j = 0; j <= n_total; ++j)
-        cost_row[static_cast<std::size_t>(j)] -= cb * at(i, j);
+      row_sub_scaled(cost_row.data(), row_data(i), cb, stride);
     }
     cost_value = -cost_row[static_cast<std::size_t>(n_total)];
     cost_row[static_cast<std::size_t>(n_total)] = 0.0;
@@ -894,23 +892,9 @@ struct ArenaSolver::Impl {
     double incumbent = kInfinity;
     long nodes = 0;
     bool hit_node_limit = false;
-    bool hit_time_limit = false;
     bool exhausted = false;
     double root_bound = kNegInf;
     bool root_known = false;
-
-    const bool deadline_armed = options.time_limit_ms > 0.0;
-    // The kTimeLimit deadline is real time by definition; deadline-armed
-    // solves are documented non-reproducible.
-    // billcap-lint: allow(wall-clock): solver deadline timing, never output
-    const auto deadline_start = std::chrono::steady_clock::now();
-    const auto past_deadline = [&]() {
-      if (!deadline_armed) return false;
-      // billcap-lint: allow(wall-clock): same sanctioned deadline site
-      const auto now = std::chrono::steady_clock::now();
-      return std::chrono::duration<double, std::milli>(now - deadline_start)
-                 .count() >= options.time_limit_ms;
-    };
 
     // ---- root: always cold; no basis survives from an earlier solve -----
     load_bounds(problem);
@@ -929,10 +913,6 @@ struct ArenaSolver::Impl {
     while (!dfs.empty()) {
       if (nodes >= options.max_nodes) {
         hit_node_limit = true;
-        break;
-      }
-      if (past_deadline()) {
-        hit_time_limit = true;
         break;
       }
       const int idx = dfs.back();
@@ -1081,7 +1061,7 @@ struct ArenaSolver::Impl {
 
     best.nodes = nodes;
     best.iterations = iterations_this_solve;
-    const bool cut_short = hit_node_limit || hit_time_limit || exhausted;
+    const bool cut_short = hit_node_limit || exhausted;
     if (best.status == SolveStatus::kOptimal) {
       double open_bound = incumbent;
       if (cut_short) {
@@ -1092,12 +1072,10 @@ struct ArenaSolver::Impl {
       }
       best.best_bound = maximize ? -open_bound : open_bound;
       if (exhausted) best.status = SolveStatus::kArenaExhausted;
-      else if (hit_time_limit) best.status = SolveStatus::kTimeLimit;
       else if (hit_node_limit) best.status = SolveStatus::kNodeLimit;
     } else if (cut_short) {
-      best.status = exhausted          ? SolveStatus::kArenaExhausted
-                    : hit_time_limit   ? SolveStatus::kTimeLimit
-                                       : SolveStatus::kNodeLimit;
+      best.status = exhausted ? SolveStatus::kArenaExhausted
+                              : SolveStatus::kNodeLimit;
     }
 
     return best;

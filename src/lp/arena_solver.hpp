@@ -77,7 +77,7 @@ class ArenaSolver {
   /// integer marks is solved at the root only and returns the root's own
   /// status, kIterationLimit included). Status semantics mirror the test
   /// oracle's branch-and-bound: kOptimal/kInfeasible/kUnbounded,
-  /// kNodeLimit and kTimeLimit with the best incumbent, plus
+  /// kNodeLimit with the best incumbent, plus
   /// kArenaExhausted when MilpOptions::max_arena_bytes would be exceeded.
   /// An optimal LP (no integer marks) carries its duals, bitwise
   /// solve_lp_reference's; a MILP carries none.

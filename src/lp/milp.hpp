@@ -14,11 +14,6 @@ struct MilpOptions {
   double integrality_tol = 1e-6;   ///< |x - round(x)| treated as integral
   double relative_gap = 1e-9;      ///< stop when bound and incumbent close
   double absolute_gap = 1e-9;
-  /// Wall-clock deadline for the whole branch-and-bound search in
-  /// milliseconds; <= 0 disables the deadline. On expiry the best incumbent
-  /// found so far is returned with SolveStatus::kTimeLimit (an hourly
-  /// control loop must never block on one stubborn solve).
-  double time_limit_ms = 0.0;
   /// Arena byte cap for this solve (tableau + node pool); 0 = unlimited.
   /// It binds this call only — the fleet layer uses it to squeeze one
   /// chunk's solve on an arena it reuses across hours. An arena that an

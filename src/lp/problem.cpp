@@ -103,7 +103,6 @@ const char* to_string(SolveStatus status) noexcept {
     case SolveStatus::kUnbounded: return "unbounded";
     case SolveStatus::kIterationLimit: return "iteration_limit";
     case SolveStatus::kNodeLimit: return "node_limit";
-    case SolveStatus::kTimeLimit: return "time_limit";
     case SolveStatus::kArenaExhausted: return "arena_exhausted";
   }
   return "unknown";

@@ -121,7 +121,6 @@ enum class SolveStatus {
   kUnbounded,
   kIterationLimit,
   kNodeLimit,
-  kTimeLimit,
   /// An ArenaSolver solve with a byte cap (MilpOptions::max_arena_bytes)
   /// refused to grow its arena. A typed, recoverable condition — callers
   /// treat it like an iteration limit (degrade), never as a feasible answer;
@@ -145,13 +144,12 @@ struct Solution {
   bool ok() const noexcept { return status == SolveStatus::kOptimal; }
 
   /// True when `x` holds a feasible assignment: proven optimal, or the best
-  /// incumbent found before a node/time limit cut the search short.
+  /// incumbent found before the node limit cut the search short.
   /// Degraded-mode callers may act on such a solution without optimality.
   bool has_incumbent() const noexcept {
     return !x.empty() &&
            (status == SolveStatus::kOptimal ||
-            status == SolveStatus::kNodeLimit ||
-            status == SolveStatus::kTimeLimit);
+            status == SolveStatus::kNodeLimit);
   }
 };
 

@@ -110,9 +110,8 @@ void CircuitBreaker::restore(const State& state) noexcept {
 ReplanEngine::ReplanEngine(const std::vector<datacenter::DataCenter>& sites,
                            const std::vector<market::PricingPolicy>& policies,
                            core::OptimizerOptions options, long node_budget,
-                           double deadline_ms, BreakerConfig breaker)
+                           BreakerConfig breaker)
     : capper_(sites, policies, budgeted(options, node_budget)),
-      deadline_ms_(deadline_ms),
       breaker_(breaker) {}
 
 bool ReplanEngine::replan(const Request& request, ActivePlan& plan) {
@@ -120,7 +119,6 @@ bool ReplanEngine::replan(const Request& request, ActivePlan& plan) {
 
   core::DecideOptions overrides;
   overrides.site_available = request.site_available;
-  if (deadline_ms_ > 0.0) overrides.time_limit_ms = deadline_ms_;
 
   const core::CappingOutcome outcome =
       capper_.decide(request.premium_rate, request.ordinary_rate,

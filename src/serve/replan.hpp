@@ -20,7 +20,7 @@ const char* to_string(BreakerState state) noexcept;
 /// breaker trajectories are bitwise-reproducible across kill/resume.
 struct BreakerConfig {
   /// Trip after this many *consecutive* degraded re-plans (MILP fell off
-  /// the optimal rung: node budget exhausted, infeasible, deadline).
+  /// the optimal rung: node budget exhausted, infeasible, arena cap).
   std::size_t trip_after = 3;
   /// First open period, in ticks.
   std::size_t cooldown_ticks = 4;
@@ -88,10 +88,8 @@ struct ActivePlan {
 };
 
 /// The serve-mode re-plan engine: wraps BillCapper::decide behind a
-/// deterministic per-tick deadline budget (a branch-and-bound node cap —
-/// wall-clock deadlines would make breaker trajectories irreproducible)
-/// and the circuit breaker. An optional wall-clock assist can be layered
-/// on for production, at the documented cost of bitwise resume.
+/// deterministic per-tick deadline budget (a branch-and-bound node cap, so
+/// breaker trajectories replay bitwise) and the circuit breaker.
 class ReplanEngine {
  public:
   /// `sites`/`policies` must outlive the engine (the Simulator owns them).
@@ -99,7 +97,7 @@ class ReplanEngine {
   ReplanEngine(const std::vector<datacenter::DataCenter>& sites,
                const std::vector<market::PricingPolicy>& policies,
                core::OptimizerOptions options, long node_budget,
-               double deadline_ms, BreakerConfig breaker);
+               BreakerConfig breaker);
 
   CircuitBreaker& breaker() noexcept { return breaker_; }
   const CircuitBreaker& breaker() const noexcept { return breaker_; }
@@ -128,7 +126,6 @@ class ReplanEngine {
 
  private:
   core::BillCapper capper_;
-  double deadline_ms_;
   CircuitBreaker breaker_;
   std::size_t replans_ = 0;
   std::size_t degraded_replans_ = 0;

@@ -325,7 +325,6 @@ ServeLoop::ServeLoop(const core::Simulator& sim, ServeConfig config)
   d.mix_double(config_.breaker.cooldown_multiplier);
   d.mix_size(config_.breaker.cooldown_max_ticks);
   d.mix_u64(static_cast<std::uint64_t>(config_.replan_node_budget));
-  d.mix_double(config_.replan_deadline_ms);
   d.mix_size(config_.kill_at_ticks.size());
   for (std::size_t k : config_.kill_at_ticks) d.mix_size(k);
   // `standby` is deliberately NOT mixed: a standby attempt must be able to
@@ -420,8 +419,7 @@ ServeOutcome ServeLoop::run(
   AdmissionController admission(config_.admission, config_.standby);
   admission.restore(st.admission);
   ReplanEngine engine(sites, active_policies, sim_cfg.optimizer,
-                      config_.replan_node_budget, config_.replan_deadline_ms,
-                      config_.breaker);
+                      config_.replan_node_budget, config_.breaker);
   engine.breaker().restore(st.breaker);
   engine.restore_counters(st.replans, st.degraded_replans);
   HealthTracker tracker = HealthTracker::decode(st.health,

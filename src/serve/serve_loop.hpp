@@ -38,13 +38,10 @@ struct ServeConfig {
   AdmissionConfig admission;
   BreakerConfig breaker;
 
-  /// Deterministic per-tick re-plan deadline: a branch-and-bound node cap
-  /// (<= 0 keeps the configured MILP limit). Preferred over wall-clock so
-  /// breaker trajectories replay bitwise across kill/resume.
+  /// Per-tick re-plan deadline: a branch-and-bound node cap (<= 0 keeps
+  /// the configured MILP limit). It is deterministic, so breaker
+  /// trajectories replay bitwise across kill/resume.
   long replan_node_budget = 20000;
-  /// Optional wall-clock assist per re-plan in ms (0 = off). Turning it on
-  /// trades bitwise resume for a hard real-time bound.
-  double replan_deadline_ms = 0.0;
 
   /// Injected daemon deaths: the process dies at these ticks, before the
   /// tick's checkpoint commits (zero forward progress for that tick; the

@@ -2,7 +2,6 @@
 
 #include <cstddef>
 #include <span>
-#include <vector>
 
 namespace billcap::util {
 
@@ -35,25 +34,9 @@ class RunningStats {
   double max_ = -1e300;
 };
 
-/// Sum of a series.
-double sum(std::span<const double> xs) noexcept;
-
-/// Arithmetic mean; 0 for an empty span.
-double mean(std::span<const double> xs) noexcept;
-
-/// Linearly-interpolated quantile, q in [0, 1]. Copies and sorts; intended
-/// for reporting, not hot loops. Returns 0 for an empty span.
-double quantile(std::span<const double> xs, double q);
-
 /// Squared coefficient of variation (variance / mean^2) of a series; this is
 /// the C_A^2 / C_B^2 statistic of the Allen-Cunneen formula. Returns 0 when
 /// the mean is 0 or there are fewer than two observations.
 double squared_cv(std::span<const double> xs) noexcept;
-
-/// Element-wise relative error |a-b| / max(|b|, eps), useful in tests
-/// comparing measured series against expected shapes.
-std::vector<double> relative_error(std::span<const double> a,
-                                   std::span<const double> b,
-                                   double eps = 1e-12);
 
 }  // namespace billcap::util

@@ -166,12 +166,15 @@ TEST_F(BillCapperTest, NodeStarvedSolverDegradesGracefully) {
 }
 
 TEST_F(BillCapperTest, ExpiredDeadlineDegradesGracefully) {
+  // The per-hour deadline is a node budget (a squeeze, a fleet chunk's
+  // deadline); zero nodes expires before the root is explored.
   DecideOptions overrides;
-  overrides.time_limit_ms = 1e-9;  // expires before the first node
+  overrides.max_nodes = 0;
   const CappingOutcome outcome =
       capper_.decide(4.8e11, 1.2e11, demand_, 1e7, overrides);
   EXPECT_TRUE(outcome.degraded);
-  EXPECT_EQ(outcome.failure, FailureReason::kTimeLimit);
+  EXPECT_EQ(outcome.failure, FailureReason::kNodeLimit);
+  EXPECT_TRUE(outcome.used_heuristic);
   EXPECT_TRUE(outcome.allocation.usable());
   EXPECT_GT(outcome.served_premium, 0.0);
   expect_within_site_limits(outcome, sites_, policies_, demand_);
@@ -236,13 +239,15 @@ TEST_F(BillCapperTest, FailureReasonNames) {
   EXPECT_STREQ(to_string(FailureReason::kNone), "none");
   EXPECT_STREQ(to_string(FailureReason::kNodeLimit), "node_limit");
   EXPECT_STREQ(to_string(FailureReason::kIterationLimit), "iteration_limit");
+  // Retired, but older checkpoints still carry it.
   EXPECT_STREQ(to_string(FailureReason::kTimeLimit), "time_limit");
+  EXPECT_EQ(static_cast<int>(FailureReason::kTimeLimit), 3);
   EXPECT_STREQ(to_string(FailureReason::kInfeasible), "infeasible");
   EXPECT_STREQ(to_string(FailureReason::kUnbounded), "unbounded");
   EXPECT_EQ(failure_reason_from(lp::SolveStatus::kNodeLimit),
             FailureReason::kNodeLimit);
-  EXPECT_EQ(failure_reason_from(lp::SolveStatus::kTimeLimit),
-            FailureReason::kTimeLimit);
+  EXPECT_EQ(failure_reason_from(lp::SolveStatus::kArenaExhausted),
+            FailureReason::kArenaExhausted);
   EXPECT_EQ(failure_reason_from(lp::SolveStatus::kOptimal),
             FailureReason::kNone);
 }

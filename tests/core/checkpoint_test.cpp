@@ -2,16 +2,21 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <sstream>
 #include <string>
+#include <vector>
 
 #include "core/checkpoint_files.hpp"
 #include "core/checkpoint_keys.hpp"
 #include "core/checkpoint_v1.hpp"
 #include "core/simulator.hpp"
 #include "util/journal.hpp"
+#include "util/record_log.hpp"
 #include "util/rng.hpp"
 
 namespace billcap::core {
@@ -41,7 +46,6 @@ CheckpointState sample_state() {
   r.total_ordinary_arrivals = 9000.125;
   r.total_served_premium = 1000.25;
   r.total_served_ordinary = 8000.0625;
-  r.max_solve_ms = 3.14159;
   r.degraded_hours = 1;
   r.incumbent_hours = 1;
   r.outage_hours = 1;
@@ -64,7 +68,6 @@ CheckpointState sample_state() {
     rec.mode = CappingOutcome::Mode::kCapped;
     rec.site_lambda = {1000.1, 2000.2, 3000.3};
     rec.site_power_mw = {10.5, 20.25, 30.125};
-    rec.solve_ms = 2.5;
     rec.nodes = 17;
     rec.degraded = (h == 1);
     rec.failure = (h == 1) ? FailureReason::kInfeasible : FailureReason::kNone;
@@ -96,7 +99,6 @@ void expect_states_bitwise_equal(const CheckpointState& a,
   EXPECT_EQ(x.total_ordinary_arrivals, y.total_ordinary_arrivals);
   EXPECT_EQ(x.total_served_premium, y.total_served_premium);
   EXPECT_EQ(x.total_served_ordinary, y.total_served_ordinary);
-  EXPECT_EQ(x.max_solve_ms, y.max_solve_ms);
   EXPECT_EQ(x.degraded_hours, y.degraded_hours);
   EXPECT_EQ(x.incumbent_hours, y.incumbent_hours);
   EXPECT_EQ(x.heuristic_hours, y.heuristic_hours);
@@ -122,7 +124,6 @@ void expect_states_bitwise_equal(const CheckpointState& a,
     EXPECT_EQ(p.mode, q.mode);
     EXPECT_EQ(p.site_lambda, q.site_lambda);
     EXPECT_EQ(p.site_power_mw, q.site_power_mw);
-    EXPECT_EQ(p.solve_ms, q.solve_ms);
     EXPECT_EQ(p.nodes, q.nodes);
     EXPECT_EQ(p.degraded, q.degraded);
     EXPECT_EQ(p.failure, q.failure);
@@ -254,9 +255,9 @@ TEST(CheckpointTest, DefaultConfigDigestsArePinned) {
   // silently orphans every existing checkpoint, so it must fail here.
   const SimulationConfig config;
   EXPECT_EQ(checkpoint_digest(config, Strategy::kCostCapping),
-            0xe3b4c7810177f10bULL);
+            0x4db6034f69897e0fULL);
   EXPECT_EQ(checkpoint_digest(config, Strategy::kMinOnlyAvg),
-            0xa2619c927c273cc6ULL);
+            0xf7a72b526b3e55caULL);
 }
 
 /// Appends one committed hour to `st`, mimicking the simulator's per-hour
@@ -446,16 +447,18 @@ TEST(CheckpointTest, PreCouplerJournalLoadsWithFreshCouplerState) {
       keys::kMonthlyBudget,       keys::kTotalCost,
       keys::kTotalPremiumArrivals, keys::kTotalOrdinaryArrivals,
       keys::kTotalServedPremium,  keys::kTotalServedOrdinary,
-      keys::kMaxSolveMs,          keys::kDegradedHours,
-      keys::kIncumbentHours,      keys::kHeuristicHours,
-      keys::kOutageHours,         keys::kStaleHours,
-      keys::kFeedRetryAttempts,   keys::kFeedRecoveredHours,
-      keys::kCrashRecoveries,     keys::kFailureTally,
-      keys::kDegradedChunks,      keys::kQuarantinedChunks,
-      keys::kRegionDownChunks,    keys::kChunkFailureTally,
-      keys::kHours,
+      keys::kDegradedHours,       keys::kIncumbentHours,
+      keys::kHeuristicHours,      keys::kOutageHours,
+      keys::kStaleHours,          keys::kFeedRetryAttempts,
+      keys::kFeedRecoveredHours,  keys::kCrashRecoveries,
+      keys::kFailureTally,        keys::kDegradedChunks,
+      keys::kQuarantinedChunks,   keys::kRegionDownChunks,
+      keys::kChunkFailureTally,   keys::kHours,
   };
   for (const char* key : v1_keys) legacy.set(key, modern.get(key));
+  // The month's slowest solve in ms, which heads carried until solves were
+  // bounded by node budgets alone; a load ignores it.
+  legacy.set_double_bits("max_solve_ms", 3.14159);
   for (std::size_t i = 0; i < 4; ++i)
     legacy.set(keys::feed_rng(i), modern.get(keys::feed_rng(i)));
   for (std::size_t h = 0; h < st.partial.hours.size(); ++h) {
@@ -569,6 +572,57 @@ TEST(CheckpointTest, RotatedCommitRoundTripsThroughTheHourLog) {
   EXPECT_EQ(only_head.next_hour, st.next_hour);
   EXPECT_TRUE(only_head.partial.hours.empty());
   remove_checkpoint_files(path, 3);
+}
+
+TEST(CheckpointTest, RetiredWallTimeWordsOfOlderFilesAreIgnored) {
+  // Until solves were bounded by node budgets alone, every hour-log record
+  // carried the hour's measured solve time in word 17 and the head a
+  // max_solve_ms key. Such a file still loads, and both are ignored; a
+  // commit now writes +0.0 in the word (the record keeps its width) and no
+  // key.
+  constexpr std::size_t kWallTimeWord = 17;
+  const std::string path = temp_path("billcap_checkpoint_walltime.j");
+  remove_checkpoint_files(path);
+  CheckpointState st = coupler_sample_state();
+  commit(path, st, 1);
+
+  const util::Journal head = util::Journal::load(
+      path, keys::kCheckpointMagic, keys::kCheckpointVersion);
+  EXPECT_FALSE(head.has("max_solve_ms"));
+  const std::string log_path = hour_log_path(path);
+  const util::RecordLog::Contents log = util::RecordLog::read(
+      log_path,
+      {head.get_size(keys::kHours), head.get_u64(keys::kHourLogChain)});
+  std::vector<std::string> older;
+  for (std::size_t at = 0; at < log.payloads.size(); at += log.record_bytes) {
+    std::string rec = log.payloads.substr(at, log.record_bytes);
+    char* word = rec.data() + 8 * kWallTimeWord;
+    EXPECT_EQ(util::load_le64(word), 0u) << "record at byte " << at;
+    util::store_le64(word, std::bit_cast<std::uint64_t>(2.5));
+    older.push_back(std::move(rec));
+  }
+  ASSERT_EQ(older.size(), st.partial.hours.size());
+  const util::RecordLog::Prefix prefix =
+      util::RecordLog::append(log_path, log.tag, 0, older);
+  // The head as such a writer left it: every key, the rewritten log's
+  // chain and the month's slowest solve.
+  util::Journal older_head(keys::kCheckpointMagic, keys::kCheckpointVersion);
+  std::istringstream lines(head.serialize());
+  std::string line;
+  std::getline(lines, line);  // "<magic> v<version>"
+  while (std::getline(lines, line)) {
+    const std::size_t eq = line.find('=');
+    if (eq == std::string::npos) continue;  // the checksum line
+    const std::string key = line.substr(0, eq);
+    if (key != keys::kHourLogChain) older_head.set(key, line.substr(eq + 1));
+  }
+  older_head.set_u64(keys::kHourLogChain, prefix.chain);
+  older_head.set_double_bits("max_solve_ms", 3.14159);
+  older_head.save_atomic(path);
+
+  const CheckpointState back = load_checkpoint(path);
+  expect_states_bitwise_equal(st, back);
+  remove_checkpoint_files(path);
 }
 
 TEST(CheckpointTest, FlippedLogByteSkipsEveryGenerationNamingIt) {

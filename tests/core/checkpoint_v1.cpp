@@ -43,7 +43,9 @@ std::string encode_hour(const HourRecord& rec) {
   put_d(os, rec.hourly_budget);
   put_d(os, rec.cost);
   put_d(os, rec.predicted_cost);
-  put_d(os, rec.solve_ms);
+  // The retired wall-time word: writers of this format stored the hour's
+  // measured solve time here, and the loader ignores it.
+  put_d(os, 2.5);
   put_u(os, rec.site_lambda.size());
   for (double v : rec.site_lambda) put_d(os, v);
   put_u(os, rec.site_power_mw.size());

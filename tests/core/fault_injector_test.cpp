@@ -13,7 +13,7 @@ TEST(FaultInjectorTest, DefaultConstructedReportsNoFaults) {
   EXPECT_FALSE(injector.prices_stale(7));
   EXPECT_EQ(injector.observed_market_hour(7), 7u);
   EXPECT_DOUBLE_EQ(injector.demand_multiplier(1, 3), 1.0);
-  EXPECT_DOUBLE_EQ(injector.solver_deadline_ms(3), 0.0);
+  EXPECT_EQ(injector.solver_node_budget(3), 0);
 }
 
 TEST(FaultInjectorTest, OutageWindowExactBounds) {
@@ -70,14 +70,16 @@ TEST(FaultInjectorTest, ShocksMultiplyAndCompose) {
 
 TEST(FaultInjectorTest, TightestDeadlineWinsOnOverlap) {
   FaultPlan plan;
-  plan.deadline_squeezes.push_back({10, 10, 8.0});
-  plan.deadline_squeezes.push_back({15, 2, 2.0});
+  plan.deadline_squeezes.push_back({10, 10, 8});
+  plan.deadline_squeezes.push_back({15, 2, 2});
+  plan.deadline_squeezes.push_back({30, 5, 0});  // no budget: ignored
   const FaultInjector injector(plan, 1, 50);
-  EXPECT_DOUBLE_EQ(injector.solver_deadline_ms(9), 0.0);
-  EXPECT_DOUBLE_EQ(injector.solver_deadline_ms(12), 8.0);
-  EXPECT_DOUBLE_EQ(injector.solver_deadline_ms(15), 2.0);
-  EXPECT_DOUBLE_EQ(injector.solver_deadline_ms(17), 8.0);
-  EXPECT_DOUBLE_EQ(injector.solver_deadline_ms(20), 0.0);
+  EXPECT_EQ(injector.solver_node_budget(9), 0);
+  EXPECT_EQ(injector.solver_node_budget(12), 8);
+  EXPECT_EQ(injector.solver_node_budget(15), 2);
+  EXPECT_EQ(injector.solver_node_budget(17), 8);
+  EXPECT_EQ(injector.solver_node_budget(20), 0);
+  EXPECT_EQ(injector.solver_node_budget(31), 0);
 }
 
 TEST(FaultInjectorTest, IntervalsClipToHorizonAndBadSitesIgnored) {
@@ -110,6 +112,9 @@ TEST(FaultInjectorTest, GeneratedPlanDeterministicInSeed) {
   ASSERT_EQ(a.stale_intervals.size(), b.stale_intervals.size());
   ASSERT_EQ(a.demand_shocks.size(), b.demand_shocks.size());
   ASSERT_EQ(a.deadline_squeezes.size(), b.deadline_squeezes.size());
+  ASSERT_FALSE(a.deadline_squeezes.empty());
+  for (const auto& squeeze : a.deadline_squeezes)
+    EXPECT_EQ(squeeze.node_budget, kDrawnSqueezeNodes);
   // A different seed draws a different world.
   const auto same_outages = [](const FaultPlan& x, const FaultPlan& y) {
     if (x.outages.size() != y.outages.size()) return false;

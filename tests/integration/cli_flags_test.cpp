@@ -81,10 +81,15 @@ TEST(CliFlagsTest, MisspelledFlagExits2AndNamesTheNearest) {
 }
 
 TEST(CliFlagsTest, RemovedFlagExits2ThroughTheSamePath) {
-  const Outcome r = cli("simulate --warm-solver");
-  EXPECT_EQ(r.code, kExitUsage) << r.output;
-  EXPECT_NE(r.output.find("unknown flag --warm-solver"), std::string::npos)
-      << r.output;
+  // --squeezes took milliseconds; squeezes are node budgets now, and the
+  // old spelling must not be read as --node-squeezes 1:2:5.
+  for (const std::string flag : {"--warm-solver", "--squeezes 1:2:5"}) {
+    const Outcome r = cli("simulate " + flag);
+    EXPECT_EQ(r.code, kExitUsage) << flag << "\n" << r.output;
+    EXPECT_NE(r.output.find("unknown flag " + flag.substr(0, flag.find(' '))),
+              std::string::npos)
+        << r.output;
+  }
 }
 
 TEST(CliFlagsTest, BadValuesExit2BeforeAnyMonthRuns) {
@@ -93,7 +98,9 @@ TEST(CliFlagsTest, BadValuesExit2BeforeAnyMonthRuns) {
         "simulate --policy 9", "simulate --budget -1", "opf --load abc",
         "sweep --budgets 1e6,x", "serve --hours -1",
         "simulate --fault-stale-rate 1.5", "simulate --budget 1 --budget 2",
-        "simulate extra", "simulate --no-cap=yes", "simulate --csv"}) {
+        "simulate extra", "simulate --no-cap=yes", "simulate --csv",
+        "simulate --node-squeezes 1:2:0", "simulate --node-squeezes 1:2:2.5",
+        "simulate --node-squeezes 1:2"}) {
     const Outcome r = cli(args);
     EXPECT_EQ(r.code, kExitUsage) << args << "\n" << r.output;
     EXPECT_EQ(r.output.find("monthly cost"), std::string::npos) << args;
@@ -115,7 +122,7 @@ TEST(CliFlagsTest, ControllerFaultsAreSimulateOnly) {
   // rate), controller deaths or checkpoint bit rot, so it refuses them
   // rather than ignoring them.
   for (const char* flag :
-       {"--squeezes 1:2:5", "--crash-at 3", "--crash-rate 0.1",
+       {"--node-squeezes 1:2:5", "--crash-at 3", "--crash-rate 0.1",
         "--exit-storm 2:2", "--corrupt-checkpoint-at 4",
         "--fault-squeeze-rate 0.9", "--fault-squeeze-mean 5"}) {
     for (const char* command : {"serve --hours 2", "supervise --serve"}) {
@@ -132,7 +139,7 @@ TEST(CliFlagsTest, ControllerFaultsAreSimulateOnly) {
     }
   }
   // simulate still takes them.
-  EXPECT_EQ(cli("simulate --squeezes 1:2:5 --crash-rate 0 "
+  EXPECT_EQ(cli("simulate --node-squeezes 1:2:5 --crash-rate 0 "
                 "--fault-squeeze-rate 0.5 --fault-squeeze-mean 3 --help")
                 .code,
             kExitSuccess);
@@ -160,11 +167,11 @@ TEST(CliFlagsTest, HelpExits0WritesNoCsvAndListsEveryRow) {
       "line-outage", "bg-shock", "congestion-spike", "fault-outage-rate",
       "fault-stale-rate", "fault-shock-rate", "fault-outage-mean",
       "fault-stale-mean", "fault-shock-mean", "feed-retry-prob",
-      "feed-max-retries", "feed-backoff-ms", "deadline-ms", "closed-loop",
+      "feed-max-retries", "feed-backoff-ms", "closed-loop",
       "coupler-max-iters", "coupler-gain", "damping", "coupler-open-plan",
       "checkpoint", "csv", "min-premium"};
   const std::vector<std::string> controller_faults = {
-      "squeezes", "crash-at", "exit-storm", "corrupt-checkpoint-at",
+      "node-squeezes", "crash-at", "exit-storm", "corrupt-checkpoint-at",
       "crash-rate", "fault-squeeze-rate", "fault-squeeze-mean"};
   const std::vector<std::string> restart = {"resume", "keep-generations",
                                             "standby", "standby-hours"};
@@ -172,7 +179,7 @@ TEST(CliFlagsTest, HelpExits0WritesNoCsvAndListsEveryRow) {
       "ticks-per-hour", "hours", "premium-queue-ticks",
       "ordinary-queue-ticks", "feed-queue", "feed-drain", "stale-ticks",
       "breaker-trip", "breaker-cooldown", "replan-nodes",
-      "replan-deadline-ms", "kill-at-ticks", "flash-crowds", "feed-bursts"};
+      "kill-at-ticks", "flash-crowds", "feed-bursts"};
   const std::vector<std::string> supervise_own = {
       "serve", "restart-budget", "restart-window-s", "backoff-ms",
       "backoff-multiplier", "backoff-max-ms", "backoff-jitter",

@@ -32,8 +32,8 @@ std::string temp_path(const std::string& name) {
 }
 
 /// Bitwise equality over everything deterministic, including the coupler
-/// trajectory. Wall-clock fields (solve_ms, max_solve_ms) and the
-/// crash-recovery counter are excluded, as in crash_resume_test.
+/// trajectory. The crash-recovery counter is excluded, as in
+/// crash_resume_test.
 void expect_months_bitwise_equal(const MonthlyResult& a,
                                  const MonthlyResult& b) {
   EXPECT_EQ(a.total_cost, b.total_cost);

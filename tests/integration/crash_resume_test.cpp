@@ -2,10 +2,9 @@
 // durable checkpoint — even at EVERY hour — must finish with a
 // MonthlyResult bitwise identical to the same seed run uninterrupted.
 //
-// The fault mix uses outages + stale feeds + demand shocks only: those are
-// the wall-clock-independent fault kinds (deadline squeezes depend on
-// machine speed, see DESIGN.md), so bitwise comparison is meaningful.
-// solve_ms / max_solve_ms are wall-clock measurements and excluded;
+// The fault mix covers every hourly kind: outages, stale feeds, demand
+// shocks and node-budget squeezes, planned and drawn. All of them are
+// deterministic in the seed, so bitwise comparison is meaningful;
 // crash_recoveries differs by design (that is the point of the run).
 
 #include <gtest/gtest.h>
@@ -38,12 +37,15 @@ SimulationConfig faulty_config() {
   config.fault_rates.outage_rate = 0.003;
   config.fault_rates.stale_rate = 0.02;
   config.fault_rates.shock_rate = 0.005;
+  config.fault_rates.squeeze_rate = 0.01;
+  config.fault_plan.deadline_squeezes.push_back({40, 30, 3});
+  config.fault_plan.deadline_squeezes.push_back({300, 12, 1});
   config.market_feed.retry_success_prob = 0.5;
   return config;
 }
 
-/// Bitwise equality of two monthly results, except wall-clock measurements
-/// (solve_ms, max_solve_ms) and the crash-recovery counter.
+/// Bitwise equality of two monthly results, except the crash-recovery
+/// counter.
 void expect_results_bitwise_equal(const MonthlyResult& a,
                                   const MonthlyResult& b) {
   EXPECT_EQ(a.strategy, b.strategy);

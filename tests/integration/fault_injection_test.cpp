@@ -1,6 +1,6 @@
 // The acceptance scenario for the fault-injection framework: a month with a
-// mid-month single-site outage, a stale-price interval and a hard per-solve
-// wall-clock deadline must complete without throwing, every hour must carry
+// mid-month single-site outage, a stale-price interval and a tight per-solve
+// node budget must complete without throwing, every hour must carry
 // a feasible allocation, and the degraded hours must be flagged and counted
 // consistently. Fault-free runs must behave exactly as before the framework
 // existed.
@@ -23,8 +23,9 @@ SimulationConfig acceptance_config() {
   config.fault_plan.outages.push_back({1, 300, 60});
   // The market feed freezes for hours [400, 430).
   config.fault_plan.stale_intervals.push_back({400, 30});
-  // Every solve of the month runs against a 5 ms wall-clock deadline.
-  config.optimizer.milp.time_limit_ms = 5.0;
+  // Every solve of the month runs under a squeeze of 3 branch-and-bound
+  // nodes.
+  config.fault_plan.deadline_squeezes.push_back({0, 720, 3});
   return config;
 }
 
@@ -117,16 +118,16 @@ TEST(FaultInjectionTest, FaultFreeRunIsCleanAndUndegraded) {
 }
 
 TEST(FaultInjectionTest, SameSeedSamePlanBitwiseIdentical) {
-  // Determinism with the deterministic fault kinds (outages, stale feeds,
-  // demand shocks — wall-clock squeezes are excluded by construction): two
-  // independent simulators must agree to the last bit on everything except
-  // measured solve times.
+  // Determinism with every hourly fault kind (outages, stale feeds, demand
+  // shocks and node-budget squeezes): two independent simulators must agree
+  // to the last bit.
   SimulationConfig config;
   config.monthly_budget = 1.2e6;
   config.seed = 4242;
   config.fault_plan.outages.push_back({0, 100, 24});
   config.fault_plan.stale_intervals.push_back({250, 12});
   config.fault_plan.demand_shocks.push_back({2, 500, 48, 1.6});
+  config.fault_plan.deadline_squeezes.push_back({600, 24, 3});
 
   const MonthlyResult a = Simulator(config).run(Strategy::kCostCapping);
   const MonthlyResult b = Simulator(config).run(Strategy::kCostCapping);
@@ -134,7 +135,6 @@ TEST(FaultInjectionTest, SameSeedSamePlanBitwiseIdentical) {
   EXPECT_DOUBLE_EQ(a.total_cost, b.total_cost);
   EXPECT_DOUBLE_EQ(a.total_served_premium, b.total_served_premium);
   EXPECT_DOUBLE_EQ(a.total_served_ordinary, b.total_served_ordinary);
-  EXPECT_EQ(a.degraded_hours, b.degraded_hours);
   EXPECT_EQ(a.incumbent_hours, b.incumbent_hours);
   EXPECT_EQ(a.heuristic_hours, b.heuristic_hours);
   EXPECT_EQ(a.outage_hours, b.outage_hours);
@@ -179,8 +179,8 @@ TEST(FaultInjectionTest, MinOnlyBaselineSurvivesFaultsToo) {
   EXPECT_GT(r.premium_throughput_ratio(), 0.95);
 }
 
-/// FNV-1a over the bit pattern of every HourRecord field of the month
-/// except solve_ms (wall-clock telemetry), in record order.
+/// FNV-1a over the bit pattern of every HourRecord field of the month, in
+/// record order.
 std::uint64_t hour_record_digest(const MonthlyResult& r) {
   std::uint64_t hash = 0xcbf29ce484222325ULL;
   const auto mix = [&hash](std::uint64_t value) {
@@ -229,12 +229,18 @@ TEST(FaultInjectionTest, LadderMonthDigestsArePinned) {
   // strategies down the degradation ladder (optimal, incumbent, greedy;
   // Min-Only Low never needs the greedy rung). The digests pin every
   // record field of those months and the rung counts pin the walk, so a
-  // refactor of the hour pipeline that moves any bit fails here.
-  SimulationConfig config;
-  config.optimizer.milp.max_nodes = 3;
-  config.fault_plan.outages.push_back({2, 200, 48});
-  config.fault_plan.demand_shocks.push_back({0, 350, 24, 1.4});
-  const Simulator sim(config);
+  // refactor of the hour pipeline that moves any bit fails here. A
+  // squeeze is a node budget: one covering the whole month at 3 nodes
+  // walks exactly the same ladder, and a looser squeeze than the configured
+  // budget changes nothing (the tighter budget wins).
+  SimulationConfig squeezed;
+  squeezed.fault_plan.outages.push_back({2, 200, 48});
+  squeezed.fault_plan.demand_shocks.push_back({0, 350, 24, 1.4});
+  SimulationConfig configured = squeezed;
+  configured.optimizer.milp.max_nodes = 3;
+  squeezed.fault_plan.deadline_squeezes.push_back({0, 720, 3});
+  SimulationConfig loose = configured;
+  loose.fault_plan.deadline_squeezes.push_back({0, 720, 50});
   struct Pin {
     Strategy strategy;
     std::uint64_t digest;
@@ -247,13 +253,32 @@ TEST(FaultInjectionTest, LadderMonthDigestsArePinned) {
                              100, 95},
                          Pin{Strategy::kMinOnlyLow, 0x1608afc25ddc5284ULL,
                              32, 0}}) {
-    const MonthlyResult r = sim.run(pin.strategy);
-    EXPECT_EQ(hour_record_digest(r), pin.digest) << to_string(pin.strategy);
-    EXPECT_EQ(r.incumbent_hours, pin.incumbent_hours)
-        << to_string(pin.strategy);
-    EXPECT_EQ(r.heuristic_hours, pin.heuristic_hours)
-        << to_string(pin.strategy);
+    for (const SimulationConfig* config : {&configured, &squeezed, &loose}) {
+      const MonthlyResult r = Simulator(*config).run(pin.strategy);
+      EXPECT_EQ(hour_record_digest(r), pin.digest) << to_string(pin.strategy);
+      EXPECT_EQ(r.incumbent_hours, pin.incumbent_hours)
+          << to_string(pin.strategy);
+      EXPECT_EQ(r.heuristic_hours, pin.heuristic_hours)
+          << to_string(pin.strategy);
+    }
   }
+}
+
+TEST(FaultInjectionTest, RateDrawnSqueezeDrillDegradesHoursDeterministically) {
+  // The drawn squeeze (kDrawnSqueezeNodes per solve) bites on any host:
+  // simulate --fault-squeeze-rate 0.9 --fault-squeeze-mean 5 degrades
+  // hours, differs from the fault-free month, and replays bit for bit.
+  SimulationConfig drill;
+  drill.fault_rates.squeeze_rate = 0.9;
+  drill.fault_rates.squeeze_mean_hours = 5;
+  const MonthlyResult a = Simulator(drill).run(Strategy::kCostCapping);
+  const MonthlyResult b = Simulator(drill).run(Strategy::kCostCapping);
+  const MonthlyResult clean =
+      Simulator(SimulationConfig{}).run(Strategy::kCostCapping);
+  EXPECT_GT(a.degraded_hours, 0u);
+  EXPECT_EQ(hour_record_digest(a), hour_record_digest(b));
+  EXPECT_NE(hour_record_digest(a), hour_record_digest(clean));
+  EXPECT_EQ(clean.degraded_hours, 0u);
 }
 
 }  // namespace

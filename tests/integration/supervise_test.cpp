@@ -46,13 +46,23 @@ int run_cli(std::vector<std::string> args) {
   return WIFEXITED(status) ? WEXITSTATUS(status) : -1;
 }
 
+/// Node-budget squeezes, planned and drawn. They are deterministic, so a
+/// supervised month that carries them stays bitwise comparable.
+std::vector<std::string> with_squeezes(std::vector<std::string> args) {
+  for (const char* flag : {"--node-squeezes", "40:30:3,300:12:1",
+                           "--fault-squeeze-rate", "0.01"})
+    args.emplace_back(flag);
+  return args;
+}
+
 /// The uninterrupted reference month, produced once by the real binary
-/// with the same default flags the supervised children receive.
+/// with the same squeezes the supervised children receive.
 const CheckpointState& reference_state() {
   static const CheckpointState state = [] {
     const std::string path = temp_path("billcap_supervise_ref.j");
     remove_checkpoint_files(path);
-    EXPECT_EQ(run_cli({"simulate", "--checkpoint", path}), kExitSuccess);
+    EXPECT_EQ(run_cli(with_squeezes({"simulate", "--checkpoint", path})),
+              kExitSuccess);
     CheckpointState st = load_checkpoint(path);
     remove_checkpoint_files(path);
     return st;
@@ -60,9 +70,9 @@ const CheckpointState& reference_state() {
   return state;
 }
 
-/// Bitwise equality of two monthly results, except wall-clock measurements
-/// (solve_ms, max_solve_ms) and the crash-recovery counter (which differs
-/// by design between an interrupted and an uninterrupted run).
+/// Bitwise equality of two monthly results, except the crash-recovery
+/// counter (which differs by design between an interrupted and an
+/// uninterrupted run).
 void expect_results_bitwise_equal(const MonthlyResult& a,
                                   const MonthlyResult& b) {
   EXPECT_EQ(a.strategy, b.strategy);
@@ -108,9 +118,9 @@ TEST(SuperviseTest, KillStormCompletesBitIdenticalToUninterruptedRun) {
   // The child SIGKILLs itself (via --die-on-crash, forced by supervise)
   // at hours spread across the month, including the first and last hour;
   // the watchdog must restart it through every death.
-  const int code = run_cli({"supervise", "--checkpoint", path,
-                            "--crash-at", "0,3,300,650,719",
-                            "--backoff-ms", "1", "--backoff-max-ms", "5"});
+  const int code = run_cli(with_squeezes(
+      {"supervise", "--checkpoint", path, "--crash-at", "0,3,300,650,719",
+       "--backoff-ms", "1", "--backoff-max-ms", "5"}));
   EXPECT_EQ(code, kExitSuccess);
 
   const CheckpointState final_state = load_checkpoint(path);
@@ -130,9 +140,9 @@ TEST(SuperviseTest, CorruptedNewestGenerationIsFallenBackOver) {
   // dies. The restarted child must fall back to generation 1 (the
   // pre-corruption state carrying the advanced fault cursor), replay
   // exactly one hour, and still finish the month bit-identically.
-  const int code = run_cli({"supervise", "--checkpoint", path,
-                            "--corrupt-checkpoint-at", "10",
-                            "--keep-generations", "3", "--backoff-ms", "1"});
+  const int code = run_cli(with_squeezes(
+      {"supervise", "--checkpoint", path, "--corrupt-checkpoint-at", "10",
+       "--keep-generations", "3", "--backoff-ms", "1"}));
   EXPECT_EQ(code, kExitSuccess);
 
   const CheckpointState final_state = load_checkpoint(path);

@@ -118,6 +118,32 @@ TEST(LintScanner, SuppressionCoversItsLineAndTheNext) {
   EXPECT_EQ(findings[0].rule, Rule::kWallClock);
 }
 
+TEST(LintScanner, WallClockAllowUnderSrcIsHonouredOnlyInTheSupervisor) {
+  const char* text =
+      "#include <chrono>\n"
+      "// billcap-lint: allow(wall-clock): a solver deadline\n"
+      "auto t = std::chrono::steady_clock::now();\n";
+  // Outside src/ (benches, tools) and in the supervisor's restart clock the
+  // annotation sanctions its line.
+  for (const char* path :
+       {"bench/timer.cpp", "tools/lint/main.cpp", "src/core/supervisor.cpp",
+        "/repo/src/core/supervisor.cpp"})
+    EXPECT_TRUE(scan_source(path, text).empty()) << path;
+  // Anywhere else under src/ the annotation is itself a BL001 finding and
+  // sanctions nothing, so the clock read is flagged too.
+  for (const char* path :
+       {"src/lp/arena_solver.cpp", "src/core/simulator.cpp",
+        "src/core/supervisor.hpp", "/repo/src/serve/replan.cpp",
+        "fixtures/tree/src/core/fleet.cpp"}) {
+    const std::vector<Finding> findings = scan_source(path, text);
+    ASSERT_EQ(findings.size(), 2u) << path;
+    EXPECT_EQ(findings[0].line, 2u) << path;
+    EXPECT_EQ(findings[1].line, 3u) << path;
+    for (const Finding& f : findings)
+      EXPECT_EQ(f.rule, Rule::kWallClock) << format_finding(f);
+  }
+}
+
 TEST(LintScanner, StringAndCommentContentsAreInert) {
   const char* text =
       "#include <string>\n"

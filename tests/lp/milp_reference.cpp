@@ -1,7 +1,6 @@
 #include "lp/reference.hpp"
 
 #include <algorithm>
-#include <chrono>
 #include <cmath>
 #include <span>
 #include <utility>
@@ -50,22 +49,8 @@ Solution solve_milp_reference(const Problem& problem,
   long total_iterations = 0;
   long nodes = 0;
   bool hit_node_limit = false;
-  bool hit_time_limit = false;
   double root_bound = -kInfinity;
   bool root_known = false;
-
-  const bool deadline_armed = options.time_limit_ms > 0.0;
-  // The kTimeLimit deadline is real time by definition; deadline-armed
-  // solves are documented non-reproducible.
-  // billcap-lint: allow(wall-clock): solver deadline timing, never output
-  const auto deadline_start = std::chrono::steady_clock::now();
-  const auto past_deadline = [&]() {
-    if (!deadline_armed) return false;
-    // billcap-lint: allow(wall-clock): same sanctioned deadline site
-    const auto now = std::chrono::steady_clock::now();
-    return std::chrono::duration<double, std::milli>(now - deadline_start)
-               .count() >= options.time_limit_ms;
-  };
 
   // Depth-first stack; children of the most recently expanded node first.
   std::vector<Node> stack;
@@ -76,10 +61,6 @@ Solution solve_milp_reference(const Problem& problem,
   while (!stack.empty()) {
     if (nodes >= options.max_nodes) {
       hit_node_limit = true;
-      break;
-    }
-    if (past_deadline()) {
-      hit_time_limit = true;
       break;
     }
     Node node = std::move(stack.back());
@@ -190,7 +171,7 @@ Solution solve_milp_reference(const Problem& problem,
 
   best.nodes = nodes;
   best.iterations = total_iterations;
-  const bool cut_short = hit_node_limit || hit_time_limit;
+  const bool cut_short = hit_node_limit;
   if (best.status == SolveStatus::kOptimal) {
     // Best proven bound: the weakest of what remains on the stack, or the
     // incumbent itself when the search completed.
@@ -201,11 +182,9 @@ Solution solve_milp_reference(const Problem& problem,
       open_bound = std::max(open_bound, root_known ? root_bound : -kInfinity);
     }
     best.best_bound = maximize ? -open_bound : open_bound;
-    if (hit_time_limit) best.status = SolveStatus::kTimeLimit;
-    else if (hit_node_limit) best.status = SolveStatus::kNodeLimit;
+    if (hit_node_limit) best.status = SolveStatus::kNodeLimit;
   } else if (cut_short) {
-    best.status = hit_time_limit ? SolveStatus::kTimeLimit
-                                 : SolveStatus::kNodeLimit;
+    best.status = SolveStatus::kNodeLimit;
   }
   return best;
 }

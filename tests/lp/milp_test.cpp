@@ -176,58 +176,6 @@ TEST(MilpTest, NodeLimitReported) {
   EXPECT_EQ(s.status, SolveStatus::kNodeLimit);
 }
 
-TEST(MilpTest, TimeLimitReported) {
-  // A branching-heavy knapsack with an already-expired wall clock: the
-  // search must stop with kTimeLimit, and whatever incumbent it managed to
-  // find must be feasible.
-  Problem p;
-  p.set_sense(Sense::kMaximize);
-  util::Rng rng(99);
-  std::vector<Term> terms;
-  for (int j = 0; j < 24; ++j) {
-    p.add_binary("z" + std::to_string(j), rng.uniform(1.0, 9.0));
-    terms.push_back({j, rng.uniform(0.5, 4.0)});
-  }
-  p.add_constraint("cap", std::move(terms), Relation::kLessEqual, 11.3);
-  MilpOptions opts;
-  opts.time_limit_ms = 1e-9;  // expires at the first deadline check
-  const Solution s = solve_milp(p, opts);
-  EXPECT_EQ(s.status, SolveStatus::kTimeLimit);
-  if (!s.x.empty()) {
-    EXPECT_TRUE(p.is_feasible(s.x, 1e-6));
-  }
-}
-
-TEST(MilpTest, GenerousTimeLimitStillOptimal) {
-  // Same structure, a deadline the search cannot plausibly hit: the answer
-  // must be the proven optimum, identical to the unlimited solve.
-  Problem p;
-  p.set_sense(Sense::kMaximize);
-  for (int j = 0; j < 10; ++j) p.add_binary("z" + std::to_string(j), 1.0);
-  std::vector<Term> terms;
-  for (int j = 0; j < 10; ++j) terms.push_back({j, 1.0});
-  p.add_constraint("cap", std::move(terms), Relation::kLessEqual, 4.5);
-  MilpOptions opts;
-  opts.time_limit_ms = 60'000.0;
-  const Solution limited = solve_milp(p, opts);
-  const Solution free_run = solve_milp(p);
-  ASSERT_TRUE(limited.ok());
-  ASSERT_TRUE(free_run.ok());
-  EXPECT_DOUBLE_EQ(limited.objective, free_run.objective);
-}
-
-TEST(MilpTest, TimeLimitZeroDisablesDeadline) {
-  Problem p;
-  p.set_sense(Sense::kMaximize);
-  p.add_variable("x", 0, kInfinity, 1.0, /*is_integer=*/true);
-  p.add_constraint("cap", {{0, 1.0}}, Relation::kLessEqual, 4.5);
-  MilpOptions opts;
-  opts.time_limit_ms = 0.0;
-  const Solution s = solve_milp(p, opts);
-  ASSERT_TRUE(s.ok());
-  EXPECT_DOUBLE_EQ(s.x[0], 4.0);
-}
-
 TEST(MilpTest, SnapsIntegersExactly) {
   Problem p;
   p.set_sense(Sense::kMaximize);

@@ -14,7 +14,7 @@ constexpr Flag kTable[] = {
     {"delta", kNumber, "signed offset", "0"},
     {"p", kNumber, "a probability", "0.5", kProbability},
     {"n", kInteger, "a count", "1", kAtLeastOne},
-    {"deadline-ms", kNumber, "unset = none", "", kPositive},
+    {"scale", kNumber, "unset = none", "", kPositive},
     {"budgets", kNumberList, "budgets", "1,2", kPositive},
     {"name", kText, "a name", "fallback"},
     {"csv", kText, "a path"},
@@ -68,9 +68,9 @@ TEST(CliArgsTest, DefaultsWhenAbsent) {
   EXPECT_EQ(args.get_text("csv"), "");
   EXPECT_DOUBLE_EQ(args.get_number("budget"), 1.5e6);
   EXPECT_EQ(args.get_integer("seed"), 2012);
-  EXPECT_FALSE(args.has("deadline-ms"));
+  EXPECT_FALSE(args.has("scale"));
   // An unset flag without a default must be guarded with has().
-  EXPECT_THROW(args.get_number("deadline-ms"), std::logic_error);
+  EXPECT_THROW(args.get_number("scale"), std::logic_error);
 }
 
 TEST(CliArgsTest, TypeErrorsThrow) {
@@ -131,10 +131,10 @@ TEST(CliArgsTest, GetProbRejectsOutOfRangeNanAndGarbage) {
 }
 
 TEST(CliArgsTest, GetPositiveDoubleRejectsNonPositiveAndNonFinite) {
-  EXPECT_DOUBLE_EQ(parse({"--deadline-ms", "250.5"}).get_number("deadline-ms"),
+  EXPECT_DOUBLE_EQ(parse({"--scale", "250.5"}).get_number("scale"),
                    250.5);
   for (const char* bad : {"0", "-3", "inf", "nan"})
-    EXPECT_THROW(parse({"--deadline-ms", bad}), UsageError) << bad;
+    EXPECT_THROW(parse({"--scale", bad}), UsageError) << bad;
 }
 
 TEST(CliArgsTest, GetPositiveLongRejectsZeroAndNegative) {

@@ -48,31 +48,6 @@ TEST(RunningStatsTest, StableUnderLargeOffset) {
   EXPECT_NEAR(s.variance(), 5.0 / 3.0, 1e-6);
 }
 
-TEST(StatsTest, SumAndMean) {
-  const std::vector<double> xs = {1.0, 2.0, 3.0, 4.0};
-  EXPECT_DOUBLE_EQ(sum(xs), 10.0);
-  EXPECT_DOUBLE_EQ(mean(xs), 2.5);
-  EXPECT_DOUBLE_EQ(mean(std::vector<double>{}), 0.0);
-}
-
-TEST(StatsTest, QuantileEndpointsAndMedian) {
-  const std::vector<double> xs = {3.0, 1.0, 4.0, 1.0, 5.0};
-  EXPECT_DOUBLE_EQ(quantile(xs, 0.0), 1.0);
-  EXPECT_DOUBLE_EQ(quantile(xs, 1.0), 5.0);
-  EXPECT_DOUBLE_EQ(quantile(xs, 0.5), 3.0);
-}
-
-TEST(StatsTest, QuantileInterpolates) {
-  const std::vector<double> xs = {0.0, 10.0};
-  EXPECT_DOUBLE_EQ(quantile(xs, 0.25), 2.5);
-}
-
-TEST(StatsTest, QuantileRejectsBadQ) {
-  const std::vector<double> xs = {1.0};
-  EXPECT_THROW(quantile(xs, -0.1), std::invalid_argument);
-  EXPECT_THROW(quantile(xs, 1.1), std::invalid_argument);
-}
-
 TEST(StatsTest, SquaredCvOfConstantIsZero) {
   const std::vector<double> xs = {4.0, 4.0, 4.0, 4.0};
   EXPECT_DOUBLE_EQ(squared_cv(xs), 0.0);
@@ -86,20 +61,6 @@ TEST(StatsTest, SquaredCvOfExponentialIsNearOne) {
   xs.reserve(200'000);
   for (int i = 0; i < 200'000; ++i) xs.push_back(exponential(rng, 2.0));
   EXPECT_NEAR(squared_cv(xs), 1.0, 0.03);
-}
-
-TEST(StatsTest, RelativeErrorBasics) {
-  const std::vector<double> a = {1.1, 2.0};
-  const std::vector<double> b = {1.0, 2.0};
-  const auto err = relative_error(a, b);
-  EXPECT_NEAR(err[0], 0.1, 1e-12);
-  EXPECT_DOUBLE_EQ(err[1], 0.0);
-}
-
-TEST(StatsTest, RelativeErrorSizeMismatchThrows) {
-  const std::vector<double> a = {1.0};
-  const std::vector<double> b = {1.0, 2.0};
-  EXPECT_THROW(relative_error(a, b), std::invalid_argument);
 }
 
 }  // namespace

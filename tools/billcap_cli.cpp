@@ -72,7 +72,6 @@ constexpr util::Flag kSharedFlags[] = {
     {"feed-retry-prob", kNumber, "feed retry success", "0", kProbability},
     {"feed-max-retries", kInteger, "feed attempts per hour", "5", kAtLeastOne},
     {"feed-backoff-ms", kNumber, "feed retry backoff, ms", "100", kPositive},
-    {"deadline-ms", kNumber, "wall-clock limit per solve, ms", "", kPositive},
     {"closed-loop", kSwitch, "close the price-load market loop"},
     {"coupler-max-iters", kInteger, "iterations per hour", "12", kAtLeastOne},
     {"coupler-gain", kNumber, "price-impact feedback gain", "1.0", kPositive},
@@ -83,17 +82,17 @@ constexpr util::Flag kSharedFlags[] = {
     {"min-premium", kNumber, "premium floor (exit 3)", "0.995", kProbability},
 };
 
-/// Faults of simulate's hourly controller: solver deadline squeezes (by
-/// plan or by rate), controller deaths and checkpoint bit rot. The serve daemon has its own
-/// deadline (--replan-deadline-ms) and deaths (--kill-at-ticks) and never
-/// reads these, so it does not take them.
+/// Faults of simulate's hourly controller: solver node-budget squeezes (by
+/// plan or by rate), controller deaths and checkpoint bit rot. The serve
+/// daemon has its own node budget (--replan-nodes) and deaths
+/// (--kill-at-ticks) and never reads these, so it does not take them.
 constexpr util::Flag kControllerFaultFlags[] = {
-    {"squeezes", kText, "solver deadline squeezes start:dur:ms,..."},
+    {"node-squeezes", kText, "solver node budgets start:dur:nodes,..."},
     {"crash-at", kText, "controller crashes at hours h,..."},
     {"exit-storm", kText, "no-progress deaths hour:count,..."},
     {"corrupt-checkpoint-at", kText, "bit rot in the newest checkpoint h,..."},
     {"crash-rate", kNumber, "controller crash rate", "0", kProbability},
-    {"fault-squeeze-rate", kNumber, "deadline-squeeze rate", "0", kProbability},
+    {"fault-squeeze-rate", kNumber, "3-node squeeze rate", "0", kProbability},
     {"fault-squeeze-mean", kInteger, "mean squeeze, hours", "2", kAtLeastOne},
 };
 
@@ -121,7 +120,6 @@ constexpr util::Flag kServeFlags[] = {
     {"breaker-trip", kInteger, "failed re-plans to trip", "3", kAtLeastOne},
     {"breaker-cooldown", kInteger, "breaker cooldown, ticks", "4", kAtLeastOne},
     {"replan-nodes", kInteger, "branch-and-bound nodes per re-plan", "20000"},
-    {"replan-deadline-ms", kNumber, "re-plan time limit, ms", "", kPositive},
     {"kill-at-ticks", kText, "daemon deaths at ticks t,..."},
     {"flash-crowds", kText, "arrival surges hour:len:mult,..."},
     {"feed-bursts", kText, "price-revision bursts hour:len:count,..."},
@@ -263,10 +261,6 @@ void parse_faults(const util::CliArgs& args, core::SimulationConfig& config) {
   config.market_feed.max_attempts_per_hour =
       static_cast<int>(args.get_integer("feed-max-retries"));
   config.market_feed.base_backoff_ms = args.get_number("feed-backoff-ms");
-
-  // A solver deadline for every hour of the month (absent = unlimited).
-  if (args.has("deadline-ms"))
-    config.optimizer.milp.time_limit_ms = args.get_number("deadline-ms");
 }
 
 /// The simulate-only fault kinds (kControllerFaultFlags).
@@ -274,9 +268,11 @@ void parse_controller_faults(const util::CliArgs& args,
                              core::SimulationConfig& config) {
   core::FaultPlan& plan = config.fault_plan;
   for (const auto& t :
-       parse_tuples(args.get_text("squeezes"), 3, "squeezes", 1)) {
-    require(t[2] > 0.0, "--squeezes: time limit must be > 0 ms");
-    plan.deadline_squeezes.push_back({whole(t[0]), whole(t[1]), t[2]});
+       parse_tuples(args.get_text("node-squeezes"), 3, "node-squeezes", 1)) {
+    require(t[2] >= 1.0 && t[2] <= 1e9 && t[2] == std::floor(t[2]),
+            "--node-squeezes: node budget must be a whole number in [1, 1e9]");
+    plan.deadline_squeezes.push_back(
+        {whole(t[0]), whole(t[1]), static_cast<long>(t[2])});
   }
   for (const auto& t : parse_tuples(args.get_text("crash-at"), 1, "crash-at"))
     plan.crashes.push_back({whole(t[0]), false});
@@ -587,10 +583,7 @@ int cmd_simulate(const util::CliArgs& args, const char* /*argv0*/) {
                  util::format_fixed(100.0 * r.premium_throughput_ratio(), 2) + "%"});
   table.add_row({"ordinary throughput",
                  util::format_fixed(100.0 * r.ordinary_throughput_ratio(), 2) + "%"});
-  table.add_row({"max solve time",
-                 util::format_fixed(r.max_solve_ms, 2) + " ms"});
-  if (sim.fault_injector().enabled() || r.degraded_hours > 0 ||
-      config.optimizer.milp.time_limit_ms > 0.0) {
+  if (sim.fault_injector().enabled() || r.degraded_hours > 0) {
     table.add_row({"degraded hours", std::to_string(r.degraded_hours)});
     table.add_row({"  via incumbent", std::to_string(r.incumbent_hours)});
     table.add_row({"  via heuristic", std::to_string(r.heuristic_hours)});
@@ -686,8 +679,6 @@ int cmd_serve(const util::CliArgs& args, const char* /*argv0*/) {
   serve_config.breaker.cooldown_ticks =
       whole(args.get_integer("breaker-cooldown"));
   serve_config.replan_node_budget = args.get_integer("replan-nodes");
-  if (args.has("replan-deadline-ms"))
-    serve_config.replan_deadline_ms = args.get_number("replan-deadline-ms");
   serve_config.standby = run.standby;
   for (const auto& t :
        parse_tuples(args.get_text("kill-at-ticks"), 1, "kill-at-ticks"))

@@ -8,6 +8,8 @@
 #include <sstream>
 #include <stdexcept>
 
+#include "model.hpp"
+
 namespace billcap::lint {
 
 namespace {
@@ -654,6 +656,17 @@ std::vector<ParallelReduce> check_parallel_reduce(
   return out;
 }
 
+/// True unless `path` is a src/ file other than src/core/supervisor.cpp
+/// (the last "src" component decides, as for the layering rule).
+bool wall_clock_sanctioned(std::string_view path) {
+  const std::string layer = layer_of_path(path);
+  if (layer.empty()) return true;
+  const std::size_t slash = path.find_last_of("/\\");
+  const std::string_view base =
+      slash == std::string_view::npos ? path : path.substr(slash + 1);
+  return layer == "core" && base == "supervisor.cpp";
+}
+
 }  // namespace
 
 // ---- public API ------------------------------------------------------------
@@ -690,7 +703,7 @@ Suppressions collect_suppressions(std::string_view path,
     if (at == std::string_view::npos) continue;
     std::size_t pos = comment.find("allow(", at);
     if (pos == std::string_view::npos) {
-      out.bare_allow_findings.push_back(
+      out.annotation_findings.push_back(
           {std::string(path), n + 1, Rule::kBareAllow,
            "billcap-lint annotation without an allow(<rule>) clause", {}});
       continue;
@@ -701,9 +714,20 @@ Suppressions collect_suppressions(std::string_view path,
     const std::string name = comment.substr(pos, close - pos);
     const RuleInfo* rule = find_rule(name);
     if (rule == nullptr) {
-      out.bare_allow_findings.push_back(
+      out.annotation_findings.push_back(
           {std::string(path), n + 1, Rule::kBareAllow,
            "allow(" + name + ") names no billcap-lint rule", {}});
+      continue;
+    }
+    // Under src/ the wall clock has one sanctioned reader, the supervisor's
+    // restart clock: every solve is bounded by a node budget, so no other
+    // src/ file may opt out of BL001.
+    if (rule->rule == Rule::kWallClock && !wall_clock_sanctioned(path)) {
+      out.annotation_findings.push_back(
+          {std::string(path), n + 1, Rule::kWallClock,
+           "allow(wall-clock) under src/ is honoured only in "
+           "src/core/supervisor.cpp — bound the work by a deterministic "
+           "count (a node budget, the simulated hour) instead", {}});
       continue;
     }
     // The annotation sanctions this line and the one directly below it, so
@@ -716,7 +740,7 @@ Suppressions collect_suppressions(std::string_view path,
         colon < comment.size() && comment[colon] == ':' &&
         skip_spaces(comment, colon + 1) < comment.size();
     if (!has_rationale)
-      out.bare_allow_findings.push_back(
+      out.annotation_findings.push_back(
           {std::string(path), n + 1, Rule::kBareAllow,
            "allow(" + name + ") without a rationale — write 'allow(" + name +
                "): <why this site is sanctioned>'", {}});
@@ -846,7 +870,7 @@ std::vector<Finding> scan_tokens(std::string_view path,
     }
   }
 
-  for (Finding& f : suppress.bare_allow_findings)
+  for (Finding& f : suppress.annotation_findings)
     findings.push_back(std::move(f));
   std::sort(findings.begin(), findings.end(),
             [](const Finding& a, const Finding& b) {

@@ -15,11 +15,13 @@
 //
 // Suppression syntax, checked in-source — for example:
 //
-//   // billcap-lint: allow(wall-clock): solver deadline timing, never output
+//   // billcap-lint: allow(wall-clock): bench harness measures real latency
 //
 // on the offending line, or on its own line immediately above. An allow
 // without a rationale (or naming an unknown rule) is itself a finding
-// (BL030), so every sanctioned hazard carries its justification.
+// (BL030), so every sanctioned hazard carries its justification. Under
+// src/, allow(wall-clock) is honoured in src/core/supervisor.cpp alone (the
+// restart clock); anywhere else there it is a BL001 finding.
 
 #include <array>
 #include <cstddef>
@@ -88,7 +90,8 @@ std::string format_finding(const Finding& finding);
 struct Suppressions {
   /// line (0-based) -> rules allowed on that line.
   std::vector<std::set<Rule>> allowed;
-  std::vector<Finding> bare_allow_findings;
+  /// BL030 misuses, and BL001 for allow(wall-clock) where it is refused.
+  std::vector<Finding> annotation_findings;
 
   bool allows(std::size_t line0, Rule rule) const {
     return line0 < allowed.size() && allowed[line0].count(rule) != 0;
@@ -101,9 +104,9 @@ Suppressions collect_suppressions(std::string_view path,
                                   const SourceFile& source);
 
 /// Runs the per-file rules over an already-lexed translation unit. `path`
-/// is used for reporting and for nothing else — every applicability
-/// decision is content-based (includes, token sequences), so fixture files
-/// behave exactly like real sources.
+/// is used for reporting and for the one src/ wall-clock sanction — every
+/// other applicability decision is content-based (includes, token
+/// sequences), so fixture files behave exactly like real sources.
 std::vector<Finding> scan_tokens(std::string_view path,
                                  const SourceFile& source);
 
