@@ -505,6 +505,73 @@ TEST(CheckpointTest, CouplerEraJournalRoundTripsBitwise) {
   std::remove(resaved.c_str());
 }
 
+TEST(CheckpointTest, ParentCouplerBreakerWordsResume) {
+  // Older writers stored a closed divergence breaker's current cooldown as
+  // 0; the breaker now stores its base cooldown there. A head carrying the
+  // old word must resume the month bitwise: the next trip still opens for
+  // the base cooldown. The month is bench/market_loop's gain-4 undamped
+  // corner, whose breaker trips, probes and closes, then trips again.
+  SimulationConfig config;
+  config.market_coupler.enabled = true;
+  config.market_coupler.loop.feedback_gain = 4.0;
+  config.market_coupler.damping = DampingMode::kOff;
+  const MonthlyResult want = Simulator(config).run(Strategy::kCostCapping);
+
+  // The first hour a clean probe closes an opened breaker: a converged
+  // hour right after one the open breaker planned with no coupled attempt.
+  std::size_t closed_at = 0;
+  for (std::size_t h = 1; h < want.hours.size() && closed_at == 0; ++h)
+    if (want.hours[h].coupler_converged && want.hours[h - 1].coupler_fallback &&
+        want.hours[h - 1].coupler_iterations == 0)
+      closed_at = h;
+  ASSERT_GT(closed_at, 0u) << "the month never closes a tripped breaker";
+
+  config.fault_plan.crashes.push_back({closed_at, /*before_checkpoint=*/false});
+  const Simulator sim(config);
+  const std::string path = temp_path("billcap_checkpoint_parent_breaker.j");
+  remove_checkpoint_files(path);
+  Simulator::ResumableOutcome outcome =
+      sim.run_resumable(Strategy::kCostCapping, path, /*resume=*/false);
+  ASSERT_TRUE(outcome.crashed);
+
+  const util::Journal head = util::Journal::load(
+      path, keys::kCheckpointMagic, keys::kCheckpointVersion);
+  ASSERT_EQ(head.get_u64(keys::kCouplerBreakerState), 0u) << "not closed";
+  ASSERT_GT(head.get_size(keys::kCouplerTrips), 0u) << "never tripped";
+  // The head as an older writer left it: every key, the cooldown word 0.
+  util::Journal older_head(keys::kCheckpointMagic, keys::kCheckpointVersion);
+  std::istringstream lines(head.serialize());
+  std::string line;
+  std::getline(lines, line);  // "<magic> v<version>"
+  while (std::getline(lines, line)) {
+    const std::size_t eq = line.find('=');
+    if (eq == std::string::npos) continue;  // the checksum line
+    const std::string key = line.substr(0, eq);
+    if (key != keys::kCouplerCurrentCooldown)
+      older_head.set(key, line.substr(eq + 1));
+  }
+  older_head.set_size(keys::kCouplerCurrentCooldown, 0);
+  older_head.save_atomic(path);
+
+  outcome = sim.run_resumable(Strategy::kCostCapping, path, /*resume=*/true);
+  remove_checkpoint_files(path);
+  ASSERT_FALSE(outcome.crashed);
+  ASSERT_EQ(outcome.result.hours.size(), want.hours.size());
+  EXPECT_EQ(outcome.result.total_cost, want.total_cost);
+  EXPECT_EQ(outcome.result.coupler_fallback_hours, want.coupler_fallback_hours);
+  for (std::size_t h = 0; h < want.hours.size(); ++h) {
+    EXPECT_EQ(outcome.result.hours[h].cost, want.hours[h].cost) << h;
+    EXPECT_EQ(outcome.result.hours[h].site_lambda, want.hours[h].site_lambda)
+        << h;
+    EXPECT_EQ(outcome.result.hours[h].coupler_fallback,
+              want.hours[h].coupler_fallback)
+        << h;
+    EXPECT_EQ(outcome.result.hours[h].coupler_iterations,
+              want.hours[h].coupler_iterations)
+        << h;
+  }
+}
+
 TEST(CheckpointTest, HourCountInconsistencyIsRejected) {
   const std::string path = temp_path("billcap_checkpoint_inconsistent.j");
   CheckpointState st = sample_state();

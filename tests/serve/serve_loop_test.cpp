@@ -4,15 +4,18 @@
 // in standby, and publish a progress counter the supervisor's probe reads.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <stdexcept>
 #include <string>
+#include <vector>
 
 #include "core/simulator.hpp"
 #include "core/supervisor.hpp"
 #include "serve/serve_loop.hpp"
+#include "util/fnv1a.hpp"
 #include "util/journal.hpp"
 
 namespace billcap::serve {
@@ -229,6 +232,87 @@ TEST(ServeLoopTest, StandbyResumesThePrimarysCheckpoint) {
   EXPECT_FALSE(outcome.crashed);
   EXPECT_EQ(outcome.report.ticks_committed, 12u);
   std::remove(path.c_str());
+}
+
+/// FNV-1a over every field of every tick, in order: one word that moves if
+/// any per-tick decision, bill or state label does.
+std::uint64_t tick_digest(const std::vector<TickRecord>& ticks) {
+  util::Fnv1a d;
+  for (const TickRecord& t : ticks) {
+    d.mix_size(t.tick);
+    d.mix_size(t.hour);
+    d.mix_double(t.premium_arrivals);
+    d.mix_double(t.ordinary_arrivals);
+    d.mix_double(t.dropped_premium);
+    d.mix_double(t.dropped_ordinary);
+    d.mix_double(t.served_premium);
+    d.mix_double(t.served_ordinary);
+    d.mix_double(t.premium_depth);
+    d.mix_double(t.ordinary_depth);
+    d.mix_double(t.cost);
+    d.mix_double(t.hour_budget);
+    d.mix_double(t.crowd_multiplier);
+    d.mix_size(t.feed_updates);
+    d.mix_bool(t.replanned);
+    d.mix_bool(t.replan_degraded);
+    d.mix_bool(t.plan_held);
+    d.mix_bool(t.stale);
+    d.mix_size(static_cast<std::size_t>(t.admission));
+    d.mix_size(static_cast<std::size_t>(t.breaker));
+    d.mix_size(static_cast<std::size_t>(t.health));
+  }
+  return d.hash;
+}
+
+TEST(ServeLoopTest, TickDigestsArePinned) {
+  // Two 96-hour months pinned tick by tick, so moving the hour opening,
+  // the breaker or the coupled-curve derivation between files cannot move
+  // a decision. The chaos month is bench/serve_soak's plan (flash crowd,
+  // feed burst, stale feed, site outage) and trips the re-plan breaker;
+  // the closed-loop month derives coupled curves at every hour boundary.
+  constexpr std::size_t kHours = 96;
+  const auto at = [](double frac) {
+    return static_cast<std::size_t>(frac * static_cast<double>(kHours));
+  };
+  core::SimulationConfig chaos = small_config();
+  chaos.premium_share = 0.3;
+  chaos.fault_plan.flash_crowds.push_back({at(0.20), at(0.35) - at(0.20), 2.0});
+  chaos.fault_plan.feed_bursts.push_back({at(0.15), at(0.30) - at(0.15), 4});
+  chaos.fault_plan.stale_intervals.push_back({at(0.40), at(0.55) - at(0.40)});
+  chaos.fault_plan.outages.push_back({1, at(0.60), at(0.72) - at(0.60)});
+  ServeConfig soak;
+  soak.horizon_hours = kHours;
+  soak.premium_queue_ticks = 8.0;
+  soak.ordinary_queue_ticks = 6.0;
+  soak.feed_updates_per_tick = 2;
+  soak.admission.stale_ticks_tolerated = 8;
+  // A three-node re-plan budget degrades the MILP hours the crowd makes
+  // hard, so the breaker trips, probes and closes repeatedly.
+  soak.replan_node_budget = 3;
+  const core::Simulator chaos_sim(chaos);
+  const ServeReport chaos_run =
+      ServeLoop(chaos_sim, soak).run("", false).report;
+  EXPECT_EQ(tick_digest(chaos_run.ticks_this_attempt),
+            10238932388911353377ULL);
+  EXPECT_EQ(chaos_run.breaker_trips, 24u);
+  EXPECT_EQ(chaos_run.shed_ticks, 412u);
+  EXPECT_EQ(chaos_run.coupled_refreshes, 0u);
+
+  core::SimulationConfig closed = small_config();
+  closed.market_coupler.enabled = true;
+  closed.fault_plan.stale_intervals.push_back({30, 6});
+  closed.fault_plan.grid_demand_shocks.push_back({1, 50, 12, 1.6});
+  closed.fault_plan.congestion_spikes.push_back({5, 60, 12, 0.6});
+  ServeConfig month;
+  month.horizon_hours = kHours;
+  const core::Simulator closed_sim(closed);
+  const ServeReport closed_run =
+      ServeLoop(closed_sim, month).run("", false).report;
+  EXPECT_EQ(tick_digest(closed_run.ticks_this_attempt),
+            2387780042488494440ULL);
+  EXPECT_EQ(closed_run.breaker_trips, 0u);
+  EXPECT_EQ(closed_run.shed_ticks, 341u);
+  EXPECT_EQ(closed_run.coupled_refreshes, 96u);
 }
 
 TEST(ServeLoopTest, SupervisorProbeReadsServeCheckpointProgress) {
