@@ -211,11 +211,12 @@ util::Journal encode_head(const CheckpointState& state, int version) {
   journal.set_size(keys::kFeedRecoveredUntil, state.feed.recovered_until);
 
   const MarketCoupler::State& cp = state.coupler;
-  journal.set_u64(keys::kCouplerBreakerState, cp.breaker_state);
-  journal.set_size(keys::kCouplerConsecTroubled, cp.consecutive_troubled);
-  journal.set_size(keys::kCouplerCooldown, cp.cooldown_remaining);
-  journal.set_size(keys::kCouplerCurrentCooldown, cp.current_cooldown_hours);
-  journal.set_size(keys::kCouplerTrips, cp.trips);
+  journal.set_u64(keys::kCouplerBreakerState,
+                  static_cast<std::uint64_t>(cp.breaker.state));
+  journal.set_size(keys::kCouplerConsecTroubled, cp.breaker.consecutive_failed);
+  journal.set_size(keys::kCouplerCooldown, cp.breaker.cooldown_remaining);
+  journal.set_size(keys::kCouplerCurrentCooldown, cp.breaker.current_cooldown);
+  journal.set_size(keys::kCouplerTrips, cp.breaker.trips);
   journal.set_size(keys::kCouplerRung, cp.rung);
   journal.set_size(keys::kCouplerCleanStreak, cp.clean_streak);
   journal.set_u64(keys::kCouplerLastValid, cp.last_valid ? 1 : 0);
@@ -299,12 +300,14 @@ CheckpointState decode_head(const util::Journal& journal) {
   // had no coupler state to carry — a fresh (default) coupler is correct.
   if (journal.has(keys::kCouplerBreakerState)) {
     MarketCoupler::State& cp = state.coupler;
-    cp.breaker_state = journal.get_u64(keys::kCouplerBreakerState);
-    cp.consecutive_troubled = journal.get_size(keys::kCouplerConsecTroubled);
-    cp.cooldown_remaining = journal.get_size(keys::kCouplerCooldown);
-    cp.current_cooldown_hours =
+    cp.breaker.state =
+        breaker_state_from(journal.get_u64(keys::kCouplerBreakerState));
+    cp.breaker.consecutive_failed =
+        journal.get_size(keys::kCouplerConsecTroubled);
+    cp.breaker.cooldown_remaining = journal.get_size(keys::kCouplerCooldown);
+    cp.breaker.current_cooldown =
         journal.get_size(keys::kCouplerCurrentCooldown);
-    cp.trips = journal.get_size(keys::kCouplerTrips);
+    cp.breaker.trips = journal.get_size(keys::kCouplerTrips);
     cp.rung = journal.get_size(keys::kCouplerRung);
     cp.clean_streak = journal.get_size(keys::kCouplerCleanStreak);
     cp.last_valid = journal.get_u64(keys::kCouplerLastValid) != 0;
@@ -557,10 +560,10 @@ std::uint64_t checkpoint_digest(const SimulationConfig& config,
     d.mix_double(mc.loop.hysteresis_frac);
     d.mix_u64(static_cast<std::uint64_t>(mc.damping));
     d.mix_size(mc.deescalate_after);
-    d.mix_size(mc.breaker_trip_after);
-    d.mix_size(mc.breaker_cooldown_hours);
-    d.mix_double(mc.breaker_cooldown_multiplier);
-    d.mix_size(mc.breaker_cooldown_max_hours);
+    d.mix_size(mc.breaker.trip_after);
+    d.mix_size(mc.breaker.cooldown);
+    d.mix_double(static_cast<double>(kBreakerCooldownGrowth));
+    d.mix_size(mc.breaker.max_cooldown);
   }
 
   return d.hash;

@@ -32,7 +32,8 @@ MarketCoupler::MarketCoupler(
       coupled_policies_(static_policies),
       coupled_capper_(sites_, coupled_policies_, optimizer),
       detector_(8, std::max(options_.loop.epsilon_mw, 0.5)),
-      ladder_(options_.deescalate_after) {
+      ladder_(options_.deescalate_after),
+      breaker_(options_.breaker) {
   if (market_.num_sites() != sites_.size())
     throw std::invalid_argument(
         "MarketCoupler: site count does not match the coupled grid's load "
@@ -43,51 +44,18 @@ MarketCoupler::MarketCoupler(
 }
 
 std::vector<double> MarketCoupler::physical_power(
-    const CappingOutcome& outcome) const {
-  const std::vector<double> lambda = outcome.allocation.lambda_vector();
+    std::span<const double> lambda) const {
   std::vector<double> power(sites_.size(), 0.0);
   for (std::size_t i = 0; i < sites_.size() && i < lambda.size(); ++i)
     power[i] = lambda[i] > 0.0 ? sites_[i].power_mw(lambda[i]) : 0.0;
   return power;
 }
 
-void MarketCoupler::breaker_on_hour_start() noexcept {
-  if (breaker_state_ != BreakerState::kOpen) return;
-  if (cooldown_remaining_ > 0) --cooldown_remaining_;
-  if (cooldown_remaining_ == 0) breaker_state_ = BreakerState::kHalfOpen;
-}
-
-void MarketCoupler::breaker_on_attempt(bool troubled) noexcept {
-  if (!troubled) {
-    consecutive_troubled_ = 0;
-    if (breaker_state_ == BreakerState::kHalfOpen) {
-      // One clean probe closes the breaker and resets the cooldown ladder.
-      breaker_state_ = BreakerState::kClosed;
-      current_cooldown_hours_ = 0;
-    }
-    return;
-  }
-  ++consecutive_troubled_;
-  if (breaker_state_ == BreakerState::kHalfOpen) {
-    // Failed probe: re-open for an exponentially longer cooldown (capped).
-    const double next = static_cast<double>(std::max<std::size_t>(
-                            1, current_cooldown_hours_)) *
-                        options_.breaker_cooldown_multiplier;
-    current_cooldown_hours_ =
-        std::min(options_.breaker_cooldown_max_hours,
-                 static_cast<std::size_t>(next));
-    cooldown_remaining_ = current_cooldown_hours_;
-    breaker_state_ = BreakerState::kOpen;
-    ++trips_;
-    return;
-  }
-  if (breaker_state_ == BreakerState::kClosed &&
-      consecutive_troubled_ >= options_.breaker_trip_after) {
-    current_cooldown_hours_ = options_.breaker_cooldown_hours;
-    cooldown_remaining_ = current_cooldown_hours_;
-    breaker_state_ = BreakerState::kOpen;
-    ++trips_;
-  }
+std::vector<market::PricingPolicy> MarketCoupler::derive_curves(
+    std::span<const double> power_mw, std::span<const double> demand_mw,
+    const market::CoupledHourFaults& faults) const {
+  return market_.derive_local_policies(power_mw, demand_mw, demand_mw,
+                                       sweep_cap_mw_, options_.loop, &faults);
 }
 
 MarketCoupler::IterationResult MarketCoupler::iterate(
@@ -110,9 +78,8 @@ MarketCoupler::IterationResult MarketCoupler::iterate(
   double trust = loop.trust_region_mw;
 
   for (std::size_t j = 0; j < loop.max_iters; ++j) {
-    std::vector<market::PricingPolicy> curves = market_.derive_local_policies(
-        p, planning_demand_mw, planning_demand_mw, sweep_cap_mw_, loop,
-        &in.faults);
+    std::vector<market::PricingPolicy> curves =
+        derive_curves(p, planning_demand_mw, in.faults);
     if (rung >= 1 && !prev_curves.empty()) {
       for (std::size_t i = 0; i < n; ++i)
         curves[i] =
@@ -124,7 +91,8 @@ MarketCoupler::IterationResult MarketCoupler::iterate(
     coupled_policies_ = curves;
     CappingOutcome outcome = coupled_capper_.decide(
         in.premium, in.ordinary, in.true_demand_mw, in.budget, ov);
-    std::vector<double> p_new = physical_power(outcome);
+    std::vector<double> p_new =
+        physical_power(outcome.allocation.lambda_vector());
     ++res.iterations;
 
     // Rung >= 2: trust-region clamp on the fed-back draw, halved every
@@ -218,8 +186,8 @@ MarketCoupler::HourPlan MarketCoupler::plan_hour(
                                 in.budget, ov);
   };
   const auto commit_executed = [&](const CappingOutcome& outcome) {
-    last_power_mw_ = physical_power(outcome);
     const std::vector<double> lambda = outcome.allocation.lambda_vector();
+    last_power_mw_ = physical_power(lambda);
     last_active_.assign(n, 0);
     for (std::size_t i = 0; i < n && i < lambda.size(); ++i)
       last_active_[i] = lambda[i] > kActiveLambdaTol ? 1 : 0;
@@ -235,9 +203,9 @@ MarketCoupler::HourPlan MarketCoupler::plan_hour(
     return plan;
   }
 
-  breaker_on_hour_start();
+  breaker_.on_tick();
   plan.rung = ladder_.rung();
-  if (breaker_state_ == BreakerState::kOpen) {
+  if (!breaker_.allows_replan()) {
     // Divergence breaker open: the hour plans open-loop on the static
     // curves, no coupled attempt is made, and the cooldown keeps counting.
     plan.fallback = true;
@@ -264,7 +232,7 @@ MarketCoupler::HourPlan MarketCoupler::plan_hour(
     res.diverged = true;
   }
   const bool troubled = !res.converged;
-  breaker_on_attempt(troubled);
+  breaker_.on_replan(troubled);
   if (options_.damping == DampingMode::kLadder) ladder_.on_hour(troubled);
 
   plan.iterations = res.iterations;
@@ -285,9 +253,7 @@ GroundTruth MarketCoupler::bill(std::span<const double> lambda,
                                 std::span<const double> true_demand_mw,
                                 const market::CoupledHourFaults& faults) const {
   const std::size_t n = sites_.size();
-  std::vector<double> power(n, 0.0);
-  for (std::size_t i = 0; i < n && i < lambda.size(); ++i)
-    power[i] = lambda[i] > 0.0 ? sites_[i].power_mw(lambda[i]) : 0.0;
+  const std::vector<double> power = physical_power(lambda);
   const market::DcOpfResult opf = market_.solve_at(
       power, true_demand_mw, options_.loop.feedback_gain, &faults);
   if (!opf.ok())
@@ -303,11 +269,7 @@ GroundTruth MarketCoupler::bill(std::span<const double> lambda,
 
 MarketCoupler::State MarketCoupler::state() const {
   State st;
-  st.breaker_state = static_cast<std::uint64_t>(breaker_state_);
-  st.consecutive_troubled = consecutive_troubled_;
-  st.cooldown_remaining = cooldown_remaining_;
-  st.current_cooldown_hours = current_cooldown_hours_;
-  st.trips = trips_;
+  st.breaker = breaker_.snapshot();
   const market::DampingLadder::State ladder = ladder_.snapshot();
   st.rung = ladder.rung;
   st.clean_streak = ladder.clean_streak;
@@ -318,11 +280,7 @@ MarketCoupler::State MarketCoupler::state() const {
 }
 
 void MarketCoupler::restore(const State& st) {
-  breaker_state_ = static_cast<BreakerState>(st.breaker_state);
-  consecutive_troubled_ = st.consecutive_troubled;
-  cooldown_remaining_ = st.cooldown_remaining;
-  current_cooldown_hours_ = st.current_cooldown_hours;
-  trips_ = st.trips;
+  breaker_.restore(st.breaker);
   ladder_.restore({st.rung, st.clean_streak});
   last_valid_ = st.last_valid;
   last_power_mw_ = st.last_power_mw;

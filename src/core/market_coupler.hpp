@@ -6,6 +6,7 @@
 #include <vector>
 
 #include "core/bill_capper.hpp"
+#include "core/circuit_breaker.hpp"
 #include "core/cost_model.hpp"
 #include "market/closed_loop.hpp"
 
@@ -32,14 +33,10 @@ struct MarketCouplerOptions {
   /// Clean hours required before the damping ladder steps down a rung.
   std::size_t deescalate_after = 3;
 
-  /// Divergence circuit breaker (hours, not wall time — trajectories stay
-  /// bitwise-reproducible across kill/resume): consecutive troubled hours
-  /// trip it, it cools down exponentially, one clean half-open probe
+  /// Divergence circuit breaker on an hour clock: consecutive troubled
+  /// hours trip it, it cools down exponentially, one clean half-open probe
   /// closes it. While open, every hour plans open-loop on static curves.
-  std::size_t breaker_trip_after = 3;
-  std::size_t breaker_cooldown_hours = 4;
-  double breaker_cooldown_multiplier = 2.0;
-  std::size_t breaker_cooldown_max_hours = 24;
+  BreakerConfig breaker{.trip_after = 3, .cooldown = 4, .max_cooldown = 24};
 };
 
 /// Drives the closed market loop for the hourly control loop: each hour the
@@ -99,19 +96,23 @@ class MarketCoupler {
                    std::span<const double> true_demand_mw,
                    const market::CoupledHourFaults& faults) const;
 
-  /// Breaker observability.
-  enum class BreakerState { kClosed, kOpen, kHalfOpen };
-  BreakerState breaker_state() const noexcept { return breaker_state_; }
-  std::size_t breaker_trips() const noexcept { return trips_; }
   std::size_t rung() const noexcept { return ladder_.rung(); }
+
+  /// The sites' physical draw (MW) at the per-site request rates `lambda`.
+  std::vector<double> physical_power(std::span<const double> lambda) const;
+
+  /// The local step curves the coupled grid prices each site at when the
+  /// fleet draws `power_mw` over background `demand_mw` under `faults`:
+  /// the derivation every fixed-point iteration runs, and the one serve
+  /// runs at its hour boundaries. Throws when the grid cannot carry the
+  /// sweep.
+  std::vector<market::PricingPolicy> derive_curves(
+      std::span<const double> power_mw, std::span<const double> demand_mw,
+      const market::CoupledHourFaults& faults) const;
 
   /// Checkpoint support: everything that varies hour over hour.
   struct State {
-    std::uint64_t breaker_state = 0;  ///< BreakerState as integer
-    std::size_t consecutive_troubled = 0;
-    std::size_t cooldown_remaining = 0;
-    std::size_t current_cooldown_hours = 0;
-    std::size_t trips = 0;
+    CircuitBreaker::State breaker;
     std::size_t rung = 0;
     std::size_t clean_streak = 0;
     bool last_valid = false;           ///< last fixed point below is real
@@ -139,9 +140,6 @@ class MarketCoupler {
   CappingOutcome apply_hysteresis(const HourInputs& in,
                                   const DecideOptions& ov,
                                   CappingOutcome outcome);
-  std::vector<double> physical_power(const CappingOutcome& outcome) const;
-  void breaker_on_hour_start() noexcept;   ///< cooldown clock tick
-  void breaker_on_attempt(bool troubled) noexcept;
 
   const std::vector<datacenter::DataCenter>& sites_;
   const std::vector<market::PricingPolicy>& static_policies_;
@@ -156,11 +154,7 @@ class MarketCoupler {
 
   market::OscillationDetector detector_;
   market::DampingLadder ladder_;
-  BreakerState breaker_state_ = BreakerState::kClosed;
-  std::size_t consecutive_troubled_ = 0;
-  std::size_t cooldown_remaining_ = 0;
-  std::size_t current_cooldown_hours_ = 0;
-  std::size_t trips_ = 0;
+  CircuitBreaker breaker_;
   bool last_valid_ = false;
   std::vector<double> last_power_mw_;
   std::vector<std::uint8_t> last_active_;

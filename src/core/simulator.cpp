@@ -209,10 +209,48 @@ void Simulator::apply_demand_shocks(std::vector<double>& demand,
     demand[i] *= injector_.demand_multiplier(i, fault_hour);
 }
 
-std::vector<double> Simulator::shocked_demand_at(std::size_t hour) const {
-  std::vector<double> d = demand_at(hour);
-  apply_demand_shocks(d, hour);
-  return d;
+HourOpening Simulator::open_hour(std::size_t hour, std::size_t fault_hour,
+                                 double budget, const FeedObservation& feed,
+                                 std::vector<double> raw_demand) const {
+  // Ground-truth demand carries the hour's injected shocks; a down site
+  // offers no capacity; a squeeze tightens every solve's node budget. A
+  // feed that stayed stale plans against the frozen hour's demand while
+  // billing uses today's.
+  HourOpening open;
+  open.budget = budget;
+  open.feed = feed;
+  open.truth_mw = raw_demand.empty() ? demand_at(hour) : std::move(raw_demand);
+  apply_demand_shocks(open.truth_mw, fault_hour);
+  if (feed.stale) {
+    open.believed_mw =
+        demand_at(std::min(feed.observed_hour, evaluation_.hours() - 1));
+    apply_demand_shocks(open.believed_mw, feed.observed_hour);
+  } else {
+    open.believed_mw = open.truth_mw;
+  }
+  open.available.resize(sites_.size());
+  for (std::size_t i = 0; i < sites_.size(); ++i)
+    open.available[i] = injector_.site_available(i, fault_hour) ? 1 : 0;
+  const long squeeze = injector_.solver_node_budget(fault_hour);
+  if (squeeze > 0)
+    open.squeeze_nodes = std::min(squeeze, config_.optimizer.milp.max_nodes);
+  open.grid_faults = grid_faults_at(fault_hour);
+  return open;
+}
+
+HourOpening Simulator::open_hour(const Budgeter& budgeter, double spent,
+                                 MarketFeed& feed, std::size_t hour,
+                                 std::size_t fault_hour,
+                                 std::vector<double> raw_demand) const {
+  // Without budget enforcement the capper still runs, but against an
+  // unlimited budget: exactly step 1 (used for Figures 3 and 4).
+  const double budget =
+      config_.enforce_budget ? budgeter.hourly_budget(hour, spent) : 1e18;
+  // The market-data client: passes a fresh feed through, re-polls a frozen
+  // one with backoff.
+  const FeedObservation observation = feed.poll(fault_hour);
+  return open_hour(hour, fault_hour, budget, observation,
+                   std::move(raw_demand));
 }
 
 HourRecord Simulator::run_hour(Strategy strategy, const BillCapper& capper,
@@ -224,53 +262,23 @@ HourRecord Simulator::run_hour(Strategy strategy, const BillCapper& capper,
   const workload::PremiumSplit split(config_.premium_share);
   const double premium = split.premium(arrivals);
   const double ordinary = split.ordinary(arrivals);
-  const std::size_t n = sites_.size();
 
-  // ---- fault overlay --------------------------------------------------
-  // Ground-truth demand carries the hour's injected shocks; a down site
-  // offers no capacity; a squeeze tightens every solve's node budget.
-  std::vector<double> d = std::move(raw_demand);
-  apply_demand_shocks(d, fault_hour);
-  std::vector<std::uint8_t> available;
-  if (injector_.enabled()) {
-    available.resize(n);
-    for (std::size_t i = 0; i < n; ++i)
-      available[i] = injector_.site_available(i, fault_hour) ? 1 : 0;
-  }
-  const long squeeze = injector_.solver_node_budget(fault_hour);
-  const long max_nodes =
-      squeeze > 0 ? std::min(squeeze, config_.optimizer.milp.max_nodes)
-                  : config_.optimizer.milp.max_nodes;
-  const market::CoupledHourFaults grid_faults =
-      coupler ? grid_faults_at(fault_hour) : market::CoupledHourFaults{};
+  // Min-Only never budgets and never reads the feed.
+  const HourOpening open =
+      strategy == Strategy::kCostCapping
+          ? open_hour(budgeter, spent, feed, hour, fault_hour,
+                      std::move(raw_demand))
+          : open_hour(hour, fault_hour, 0.0, FeedObservation{},
+                      std::move(raw_demand));
 
   CappingOutcome outcome;
-  FeedObservation feed_obs;
   MarketCoupler::HourPlan plan;
   if (strategy == Strategy::kCostCapping) {
-    // Without budget enforcement the capper still runs, but against an
-    // unlimited budget: exactly step 1 (used for Figures 3 and 4).
-    const double budget = config_.enforce_budget
-                              ? budgeter.hourly_budget(hour, spent)
-                              : 1e18;
     DecideOptions overrides;
     overrides.standby = config_.standby;
-    overrides.site_available = available;
-    if (squeeze > 0) overrides.max_nodes = max_nodes;
-    std::vector<double> believed;
-    if (injector_.enabled()) {
-      // The market-data client: passes a fresh feed through, re-polls a
-      // frozen one with backoff. Only when it stays stale does the
-      // optimizer plan against the frozen hour's demand while billing uses
-      // today's.
-      feed_obs = feed.poll(fault_hour);
-      if (feed_obs.stale) {
-        const std::size_t observed = feed_obs.observed_hour;
-        believed = demand_at(std::min(observed, evaluation_.hours() - 1));
-        apply_demand_shocks(believed, observed);
-        overrides.believed_demand_mw = believed;
-      }
-    }
+    overrides.site_available = open.available;
+    if (open.squeeze_nodes > 0) overrides.max_nodes = open.squeeze_nodes;
+    if (open.feed.stale) overrides.believed_demand_mw = open.believed_mw;
     if (coupler) {
       // Closed market loop: plan against re-derived coupled curves (inside
       // the fault envelope); the bill below then uses the LMPs the
@@ -279,14 +287,15 @@ HourRecord Simulator::run_hour(Strategy strategy, const BillCapper& capper,
       MarketCoupler::HourInputs in;
       in.premium = premium;
       in.ordinary = ordinary;
-      in.true_demand_mw = d;
-      in.budget = budget;
+      in.true_demand_mw = open.truth_mw;
+      in.budget = open.budget;
       in.overrides = &overrides;
-      in.faults = grid_faults;
+      in.faults = open.grid_faults;
       plan = coupler->plan_hour(in, capper);
       outcome = std::move(plan.outcome);
     } else {
-      outcome = capper.decide(premium, ordinary, d, budget, overrides);
+      outcome = capper.decide(premium, ordinary, open.truth_mw, open.budget,
+                              overrides);
     }
   } else {
     // Min-Only knows no budget and believes a flat price (a stale feed
@@ -297,11 +306,11 @@ HourRecord Simulator::run_hour(Strategy strategy, const BillCapper& capper,
         sites_, policies_,
         strategy == Strategy::kMinOnlyAvg ? MinOnlyPriceModel::kAverage
                                           : MinOnlyPriceModel::kLow);
-    for (std::size_t i = 0; i < available.size(); ++i)
-      if (available[i] == 0) believed[i].lambda_max = 0.0;
+    for (std::size_t i = 0; i < believed.size(); ++i)
+      if (open.available[i] == 0) believed[i].lambda_max = 0.0;
     const double admitted = std::min(arrivals, system_capacity(believed));
     OptimizerOptions opts = config_.optimizer;
-    opts.milp.max_nodes = max_nodes;
+    if (open.squeeze_nodes > 0) opts.milp.max_nodes = open.squeeze_nodes;
     lp::ArenaSolver solver;
     outcome.allocation = minimize_cost_with_fallback(believed, admitted, opts,
                                                      solver, outcome);
@@ -317,8 +326,8 @@ HourRecord Simulator::run_hour(Strategy strategy, const BillCapper& capper,
   }
   std::vector<double> lambda = outcome.allocation.lambda_vector();
   const GroundTruth truth =
-      coupler ? coupler->bill(lambda, d, grid_faults)
-              : evaluate_allocation(sites_, policies_, d, lambda);
+      coupler ? coupler->bill(lambda, open.truth_mw, open.grid_faults)
+              : evaluate_allocation(sites_, policies_, open.truth_mw, lambda);
 
   HourRecord rec;
   rec.hour = hour;
@@ -341,9 +350,9 @@ HourRecord Simulator::run_hour(Strategy strategy, const BillCapper& capper,
   rec.used_incumbent = outcome.used_incumbent;
   rec.used_heuristic = outcome.used_heuristic;
   rec.sites_down = injector_.sites_down(fault_hour);
-  rec.stale_prices = feed_obs.stale;
-  rec.feed_attempts = feed_obs.attempts;
-  rec.feed_recovered = feed_obs.recovered;
+  rec.stale_prices = open.feed.stale;
+  rec.feed_attempts = open.feed.attempts;
+  rec.feed_recovered = open.feed.recovered;
   if (coupler) {
     // An oscillating/diverging coupled plan is a degraded hour even though
     // the open-loop fallback that actually served it solved cleanly; the
@@ -428,7 +437,7 @@ MonthlyResult Simulator::run(Strategy strategy) const {
   for (std::size_t hour = 0; hour < evaluation_.hours(); ++hour) {
     HourRecord rec = run_hour(strategy, capper, feed, coupler.get(),
                               budgeter_, spent, hour, hour,
-                              evaluation_.at(hour), demand_at(hour));
+                              evaluation_.at(hour));
     spent += rec.cost;
     result.accumulate(std::move(rec));
   }
@@ -572,7 +581,7 @@ Simulator::ResumableOutcome Simulator::run_resumable(
 
     HourRecord rec = run_hour(strategy, capper, feed, coupler.get(),
                               budgeter_, st.spent, hour, hour,
-                              evaluation_.at(hour), demand_at(hour));
+                              evaluation_.at(hour));
 
     if (storm_now) {
       // One exit-storm death: the process dies before this hour's

@@ -122,6 +122,21 @@ struct HourRecord {
   std::size_t coupler_rung = 0;    ///< damping rung in force
 };
 
+/// The top of one hour, shared by every caller that decides it (simulate's
+/// hour, serve's hour boundary): the world as it is and as the controller
+/// sees it, before anything is decided.
+struct HourOpening {
+  double budget = 0.0;  ///< hourly budget; 1e18 when the cap is not enforced
+  FeedObservation feed;            ///< the hour's market-feed poll
+  std::vector<double> truth_mw;    ///< background demand, shocks applied
+  /// What planning sees: the truth, or the observed hour's demand while
+  /// the feed is stale.
+  std::vector<double> believed_mw;
+  std::vector<std::uint8_t> available;  ///< per site: 1 = up this hour
+  long squeeze_nodes = 0;  ///< a squeezed hour's node budget; 0 = none
+  market::CoupledHourFaults grid_faults;  ///< nominal when none covers it
+};
+
 /// A full month of records plus the aggregates the figures report.
 struct MonthlyResult {
   Strategy strategy = Strategy::kCostCapping;
@@ -205,19 +220,36 @@ class Simulator {
   }
   const Budgeter& budgeter() const noexcept { return budgeter_; }
   const FaultInjector& fault_injector() const noexcept { return injector_; }
-  /// Background demand per site for `hour` of the evaluation month, scaled
-  /// by the demand shocks the fault plan puts on that hour: the ground
-  /// truth run() bills that hour against. Public so the serving daemon
-  /// plans and bills against the same demand.
-  std::vector<double> shocked_demand_at(std::size_t hour) const;
   /// The effective fault schedule: the explicit plan, or the plan drawn
   /// from `fault_rates` (controller crashes live here too).
   const FaultPlan& fault_plan() const noexcept { return plan_; }
   /// The hour's grid-side hazards (line outages, demand shocks, congestion
   /// derates), resolved from the fault injector. Nominal when no grid
-  /// fault covers the hour. Public so the serving daemon can derive the
-  /// same coupled curves the batch loop plans against.
+  /// fault covers the hour.
   market::CoupledHourFaults grid_faults_at(std::size_t fault_hour) const;
+
+  /// Opens `hour` from an already-made budget and feed poll, and touches
+  /// no state: the fault overlay at `fault_hour` (shocked truth, believed
+  /// demand, site availability, squeeze node budget, grid faults).
+  /// `raw_demand` is the hour's unshocked background demand; empty means
+  /// the evaluation month's at `hour`. Min-Only hours and serve's mid-hour
+  /// resume (which replays the persisted budget and poll) call this one.
+  HourOpening open_hour(std::size_t hour, std::size_t fault_hour,
+                        double budget, const FeedObservation& feed,
+                        std::vector<double> raw_demand = {}) const;
+  /// Opens `hour` for Cost Capping: the budgeter's share after `spent`
+  /// (1e18 when the cap is not enforced), one poll of `feed` at
+  /// `fault_hour`, then the overlay above.
+  HourOpening open_hour(const Budgeter& budgeter, double spent,
+                        MarketFeed& feed, std::size_t hour,
+                        std::size_t fault_hour,
+                        std::vector<double> raw_demand = {}) const;
+
+  /// The run's market-data client, seeded from the config.
+  MarketFeed make_feed() const;
+  /// A fresh per-run coupler, or null when coupling is off / the strategy
+  /// is not Cost Capping (the baselines know no step curves to re-derive).
+  std::unique_ptr<MarketCoupler> make_coupler(Strategy strategy) const;
 
   /// Runs the whole month under one strategy.
   MonthlyResult run(Strategy strategy) const;
@@ -285,21 +317,18 @@ class Simulator {
 
  private:
   /// The one batch hour of run(), run_resumable() and run_months(): the
-  /// fault overlay (shocked demand, availability, squeeze node budget), the
-  /// strategy's decision, ground-truth billing and the record. `hour`
-  /// indexes `budgeter` (spent so far: `spent`), `fault_hour` the fault
-  /// injector (month-scoped plans do not repeat in later months), and
-  /// `raw_demand` is the unshocked background demand for the hour.
-  /// `coupler` may be null (static-curve world; always null for Min-Only).
+  /// hour's opening, the strategy's decision, ground-truth billing and the
+  /// record. `hour` indexes `budgeter` (spent so far: `spent`),
+  /// `fault_hour` the fault injector (month-scoped plans do not repeat in
+  /// later months), and `raw_demand` is the unshocked background demand
+  /// for the hour (empty: the evaluation month's). `coupler` may be null
+  /// (static-curve world; always null for Min-Only).
   HourRecord run_hour(Strategy strategy, const BillCapper& capper,
                       MarketFeed& feed, MarketCoupler* coupler,
                       const Budgeter& budgeter, double spent,
                       std::size_t hour, std::size_t fault_hour,
-                      double arrivals, std::vector<double> raw_demand) const;
-  MarketFeed make_feed() const;
-  /// A fresh per-run coupler, or null when coupling is off / the strategy
-  /// is not Cost Capping (the baselines know no step curves to re-derive).
-  std::unique_ptr<MarketCoupler> make_coupler(Strategy strategy) const;
+                      double arrivals,
+                      std::vector<double> raw_demand = {}) const;
   std::vector<double> demand_at(std::size_t hour) const;
   void apply_demand_shocks(std::vector<double>& demand,
                            std::size_t fault_hour) const;

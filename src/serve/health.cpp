@@ -18,13 +18,14 @@ const char* to_string(ServeHealth health) noexcept {
   return "unknown";
 }
 
-ServeHealth classify_health(AdmissionLevel admission, BreakerState breaker,
+ServeHealth classify_health(AdmissionLevel admission,
+                            core::BreakerState breaker,
                             bool plan_unreliable) noexcept {
   ServeHealth health = ServeHealth::kOk;
   if (plan_unreliable) health = std::max(health, ServeHealth::kDegraded);
   if (admission == AdmissionLevel::kShedOrdinary)
     health = std::max(health, ServeHealth::kShedding);
-  if (breaker != BreakerState::kClosed)
+  if (breaker != core::BreakerState::kClosed)
     health = std::max(health, ServeHealth::kBreakerOpen);
   if (admission == AdmissionLevel::kPremiumOnly)
     health = std::max(health, ServeHealth::kStandby);

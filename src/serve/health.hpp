@@ -4,8 +4,8 @@
 #include <string>
 #include <vector>
 
+#include "core/circuit_breaker.hpp"
 #include "serve/admission.hpp"
-#include "serve/replan.hpp"
 
 namespace billcap::serve {
 
@@ -23,7 +23,8 @@ const char* to_string(ServeHealth health) noexcept;
 
 /// Derives the health word from the subsystems' states. `plan_unreliable`
 /// is "the active plan is degraded or past its staleness tolerance".
-ServeHealth classify_health(AdmissionLevel admission, BreakerState breaker,
+ServeHealth classify_health(AdmissionLevel admission,
+                            core::BreakerState breaker,
                             bool plan_unreliable) noexcept;
 
 /// One recorded state change.

@@ -2,7 +2,7 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <optional>
+#include <memory>
 #include <span>
 #include <stdexcept>
 #include <string>
@@ -16,7 +16,6 @@
 #include "core/formulation.hpp"
 #include "core/market_feed.hpp"
 #include "lp/problem.hpp"
-#include "market/closed_loop.hpp"
 #include "util/fnv1a.hpp"
 #include "util/journal.hpp"
 
@@ -50,7 +49,10 @@ struct ServeState {
   std::size_t feed_seen = 0;
   std::size_t feed_dropped = 0;
 
-  CircuitBreaker::State breaker;
+  // A fresh daemon's breaker holds a one-tick cooldown: its first trip
+  // probes again on the next tick, and the configured cooldown applies
+  // from its first clean close on.
+  core::CircuitBreaker::State breaker{.current_cooldown = 1};
   AdmissionLevel admission = AdmissionLevel::kAdmitAll;
   ActivePlan plan;
 
@@ -106,9 +108,9 @@ void save_state(const std::string& path, std::size_t keep_generations,
 
   j.set_size(keys::kServeBreakerState,
              static_cast<std::size_t>(st.breaker.state));
-  j.set_size(keys::kServeBreakerDegraded, st.breaker.consecutive_degraded);
+  j.set_size(keys::kServeBreakerDegraded, st.breaker.consecutive_failed);
   j.set_size(keys::kServeBreakerCooldown, st.breaker.cooldown_remaining);
-  j.set_size(keys::kServeBreakerWindow, st.breaker.current_cooldown_ticks);
+  j.set_size(keys::kServeBreakerWindow, st.breaker.current_cooldown);
   j.set_size(keys::kServeBreakerTrips, st.breaker.trips);
   j.set_size(keys::kServeAdmissionLevel,
              static_cast<std::size_t>(st.admission));
@@ -146,12 +148,6 @@ void save_state(const std::string& path, std::size_t keep_generations,
   j.save_atomic(path);
 }
 
-BreakerState breaker_state_from(std::size_t value) {
-  if (value > static_cast<std::size_t>(BreakerState::kHalfOpen))
-    throw std::runtime_error("serve checkpoint: breaker state out of range");
-  return static_cast<BreakerState>(value);
-}
-
 AdmissionLevel admission_level_from(std::size_t value) {
   if (value > static_cast<std::size_t>(AdmissionLevel::kPremiumOnly))
     throw std::runtime_error("serve checkpoint: admission level out of range");
@@ -185,10 +181,11 @@ ServeState decode_state(const util::Journal& j) {
   st.feed_seen = j.get_size(keys::kServeFeedSeen);
   st.feed_dropped = j.get_size(keys::kServeFeedDropped);
 
-  st.breaker.state = breaker_state_from(j.get_size(keys::kServeBreakerState));
-  st.breaker.consecutive_degraded = j.get_size(keys::kServeBreakerDegraded);
+  st.breaker.state =
+      core::breaker_state_from(j.get_size(keys::kServeBreakerState));
+  st.breaker.consecutive_failed = j.get_size(keys::kServeBreakerDegraded);
   st.breaker.cooldown_remaining = j.get_size(keys::kServeBreakerCooldown);
-  st.breaker.current_cooldown_ticks = j.get_size(keys::kServeBreakerWindow);
+  st.breaker.current_cooldown = j.get_size(keys::kServeBreakerWindow);
   st.breaker.trips = j.get_size(keys::kServeBreakerTrips);
   st.admission = admission_level_from(j.get_size(keys::kServeAdmissionLevel));
 
@@ -321,9 +318,9 @@ ServeLoop::ServeLoop(const core::Simulator& sim, ServeConfig config)
   d.mix_double(config_.admission.standby_exit_fill);
   d.mix_size(config_.admission.stale_ticks_tolerated);
   d.mix_size(config_.breaker.trip_after);
-  d.mix_size(config_.breaker.cooldown_ticks);
-  d.mix_double(config_.breaker.cooldown_multiplier);
-  d.mix_size(config_.breaker.cooldown_max_ticks);
+  d.mix_size(config_.breaker.cooldown);
+  d.mix_double(static_cast<double>(core::kBreakerCooldownGrowth));
+  d.mix_size(config_.breaker.max_cooldown);
   d.mix_u64(static_cast<std::uint64_t>(config_.replan_node_budget));
   d.mix_size(config_.kill_at_ticks.size());
   for (std::size_t k : config_.kill_at_ticks) d.mix_size(k);
@@ -360,7 +357,6 @@ ServeOutcome ServeLoop::run(
   const auto& policies = sim_.policies();
   const core::FaultInjector& injector = sim_.fault_injector();
   const std::size_t n = sites.size();
-  const std::size_t eval_hours = sim_.evaluation_trace().hours();
 
   // Closed-loop coupling: planning (re-plans and the water-filling ladder)
   // runs against curves re-derived from the grid at every hour boundary,
@@ -368,28 +364,16 @@ ServeOutcome ServeLoop::run(
   // Ground-truth billing below deliberately stays on the static settlement
   // curves — the daemon prices its decisions against the coupled market but
   // is billed on the tariff it actually signed.
-  const bool coupled = sim_cfg.market_coupler.enabled;
+  const std::unique_ptr<core::MarketCoupler> coupler =
+      sim_.make_coupler(core::Strategy::kCostCapping);
   std::vector<market::PricingPolicy> active_policies = policies;
-  std::optional<market::CoupledMarket> coupled_market;
-  std::vector<double> coupled_caps;
-  if (coupled) {
-    coupled_market.emplace(market::CoupledMarket::paper());
-    if (coupled_market->num_sites() != n)
-      throw std::invalid_argument(
-          "ServeLoop: closed-loop coupling requires one site per coupled "
-          "market bus");
-    coupled_caps.resize(n);
-    for (std::size_t i = 0; i < n; ++i)
-      coupled_caps[i] = sites[i].power_mw(sites[i].max_requests_per_hour());
-  }
 
   const RequestFeed arrivals_feed(sim_.evaluation_trace(), injector,
                                   sim_cfg.premium_share, T);
 
   ServeOutcome out;
   ServeState st;
-  core::MarketFeed feed(&injector, sim_cfg.market_feed,
-                        sim_cfg.seed ^ 0x6d6172666565ULL);
+  core::MarketFeed feed = sim_.make_feed();
 
   bool resumed = false;
   if (resume && durable &&
@@ -427,9 +411,7 @@ ServeOutcome ServeLoop::run(
                                                 st.health_history);
 
   std::size_t ticks_this_attempt = 0;
-  std::vector<double> believed(n);
-  std::vector<double> truth(n);
-  std::vector<std::uint8_t> available(n);
+  core::HourOpening opening;  // the current hour's demand and availability
 
   // Re-derives the hour's coupled planning curves from the persisted
   // anchor. Replacing active_policies' CONTENTS re-points the engine's
@@ -437,34 +419,29 @@ ServeOutcome ServeLoop::run(
   // the grid cannot support (infeasible sweep under the hour's faults)
   // falls back to the static curves until the next boundary — and a resume
   // hits the same infeasibility, so the fallback is deterministic too.
-  const auto refresh_coupled = [&](std::size_t for_hour) {
-    std::vector<double> anchor_power(n, 0.0);
-    for (std::size_t i = 0; i < n; ++i) {
-      const double l =
-          i < st.coupled_anchor.size() ? st.coupled_anchor[i] : 0.0;
-      if (l > 0.0) anchor_power[i] = sites[i].power_mw(l);
-    }
-    const market::CoupledHourFaults faults = sim_.grid_faults_at(for_hour);
+  // Returns whether the coupled curves derived.
+  const auto refresh_coupled = [&] {
     try {
-      active_policies = coupled_market->derive_local_policies(
-          anchor_power, believed, believed, coupled_caps,
-          sim_cfg.market_coupler.loop, &faults);
-      ++st.coupled_refreshes;
+      active_policies = coupler->derive_curves(
+          coupler->physical_power(st.coupled_anchor), opening.believed_mw,
+          opening.grid_faults);
+      return true;
     } catch (const std::exception&) {
       active_policies = policies;
+      return false;
     }
   };
 
-  // A mid-hour resume must plan against the same curves the dead attempt
-  // did: rebuild the hour's believed demand from the persisted hour
-  // context and re-derive from the persisted anchor (not a new refresh —
-  // the counter stays what the checkpoint said).
-  if (coupled && resumed && st.coupled_anchor_valid) {
-    believed =
-        sim_.shocked_demand_at(st.hour_stale ? st.observed_hour : st.hour);
-    const std::size_t refreshes = st.coupled_refreshes;
-    refresh_coupled(st.hour);
-    st.coupled_refreshes = refreshes;
+  // A mid-hour resume re-opens the hour from its persisted budget and feed
+  // poll (neither is re-made) and re-derives the curves the dead attempt
+  // planned against from the persisted anchor (not a new refresh — the
+  // counter stays what the checkpoint said).
+  if (resumed && st.next_tick % T != 0) {
+    core::FeedObservation polled;
+    polled.observed_hour = st.observed_hour;
+    polled.stale = st.hour_stale;
+    opening = sim_.open_hour(st.hour, st.hour, st.hour_budget, polled);
+    if (coupler && st.coupled_anchor_valid) refresh_coupled();
   }
 
   while (st.next_tick < total_ticks_) {
@@ -502,13 +479,11 @@ ServeOutcome ServeLoop::run(
 
     // ---- hour boundary: fresh budget, market-feed poll ------------------
     if (tick % T == 0) {
+      opening = sim_.open_hour(sim_.budgeter(), st.spent, feed, hour, hour);
       st.hour = hour;
-      st.hour_budget = sim_cfg.enforce_budget
-                           ? sim_.budgeter().hourly_budget(hour, st.spent)
-                           : 1e18;
-      const core::FeedObservation obs = feed.poll(hour);
-      st.hour_stale = obs.stale;
-      st.observed_hour = std::min(obs.observed_hour, eval_hours - 1);
+      st.hour_budget = opening.budget;
+      st.hour_stale = opening.feed.stale;
+      st.observed_hour = opening.feed.observed_hour;
       replan_wanted = true;
     }
 
@@ -529,21 +504,15 @@ ServeOutcome ServeLoop::run(
         premium_q.fill() >= config_.admission.standby_enter_fill)
       replan_wanted = true;
 
-    // ---- world as the daemon believes it --------------------------------
-    believed = sim_.shocked_demand_at(st.hour_stale ? st.observed_hour : hour);
-    truth = sim_.shocked_demand_at(hour);
-    for (std::size_t i = 0; i < n; ++i)
-      available[i] = injector.site_available(i, hour) ? 1 : 0;
-
     // ---- closed-loop coupling: hour-boundary curve refresh --------------
     // Anchored at the plan the daemon carries into the hour; re-plans later
     // in the hour re-decide against these curves but do not re-derive them
     // (one grid sweep per hour, matching the batch coupler's cadence).
-    if (coupled && tick % T == 0) {
+    if (coupler && tick % T == 0) {
       st.coupled_anchor =
           st.plan.valid ? st.plan.lambda : std::vector<double>(n, 0.0);
       st.coupled_anchor_valid = true;
-      refresh_coupled(hour);
+      if (refresh_coupled()) ++st.coupled_refreshes;
     }
 
     // ---- breaker clock + re-plan engine ---------------------------------
@@ -556,9 +525,9 @@ ServeOutcome ServeLoop::run(
           arr.premium * static_cast<double>(T) + premium_q.depth();
       req.ordinary_rate =
           arr.ordinary * static_cast<double>(T) + ordinary_q.depth();
-      req.demand_mw = believed;
+      req.demand_mw = opening.believed_mw;
       req.hourly_budget = st.hour_budget;
-      req.site_available = available;
+      req.site_available = opening.available;
       req.tick = tick;
       replanned = engine.replan(req, st.plan);
       plan_held = !replanned;
@@ -570,7 +539,8 @@ ServeOutcome ServeLoop::run(
     inputs.ordinary_fill = ordinary_q.fill();
     inputs.plan_stale_ticks =
         st.plan.valid ? tick - st.plan.plan_tick : tolerated + 1;
-    inputs.breaker_open = engine.breaker().state() != BreakerState::kClosed;
+    inputs.breaker_open =
+        engine.breaker().state() != core::BreakerState::kClosed;
     const AdmissionLevel level = admission.update(inputs);
 
     // ---- service: plan rates or the water-filling ladder ----------------
@@ -593,9 +563,9 @@ ServeOutcome ServeLoop::run(
       models.reserve(n);
       for (std::size_t i = 0; i < n; ++i) {
         core::SiteModel m = core::make_site_model(
-            sites[i], active_policies[i], believed[i],
+            sites[i], active_policies[i], opening.believed_mw[i],
             sim_cfg.optimizer.model_cooling_network);
-        if (!available[i]) m.lambda_max = 0.0;
+        if (!opening.available[i]) m.lambda_max = 0.0;
         models.push_back(std::move(m));
       }
       core::FallbackRequest request;
@@ -637,7 +607,8 @@ ServeOutcome ServeLoop::run(
     const double tick_cost =
         dispatch.empty()
             ? 0.0
-            : core::evaluate_allocation(sites, policies, truth, dispatch)
+            : core::evaluate_allocation(sites, policies, opening.truth_mw,
+                                        dispatch)
                       .total_cost /
                   static_cast<double>(T);
     st.spent += tick_cost;

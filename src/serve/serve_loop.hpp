@@ -36,7 +36,7 @@ struct ServeConfig {
   std::size_t feed_updates_per_tick = 1;
 
   AdmissionConfig admission;
-  BreakerConfig breaker;
+  core::BreakerConfig breaker;
 
   /// Per-tick re-plan deadline: a branch-and-bound node cap (<= 0 keeps
   /// the configured MILP limit). It is deterministic, so breaker
@@ -75,7 +75,7 @@ struct TickRecord {
   bool plan_held = false;         ///< a wanted re-plan was breaker-blocked
   bool stale = false;             ///< hour planned on a stale market feed
   AdmissionLevel admission = AdmissionLevel::kAdmitAll;
-  BreakerState breaker = BreakerState::kClosed;
+  core::BreakerState breaker = core::BreakerState::kClosed;
   ServeHealth health = ServeHealth::kOk;
 };
 

@@ -142,11 +142,14 @@ void expect_states_bitwise_equal(const CheckpointState& a,
   EXPECT_EQ(x.closed_loop_hours, y.closed_loop_hours);
   EXPECT_EQ(x.coupler_fallback_hours, y.coupler_fallback_hours);
   EXPECT_EQ(x.coupler_iterations, y.coupler_iterations);
-  EXPECT_EQ(a.coupler.breaker_state, b.coupler.breaker_state);
-  EXPECT_EQ(a.coupler.consecutive_troubled, b.coupler.consecutive_troubled);
-  EXPECT_EQ(a.coupler.cooldown_remaining, b.coupler.cooldown_remaining);
-  EXPECT_EQ(a.coupler.current_cooldown_hours, b.coupler.current_cooldown_hours);
-  EXPECT_EQ(a.coupler.trips, b.coupler.trips);
+  EXPECT_EQ(a.coupler.breaker.state, b.coupler.breaker.state);
+  EXPECT_EQ(a.coupler.breaker.consecutive_failed,
+            b.coupler.breaker.consecutive_failed);
+  EXPECT_EQ(a.coupler.breaker.cooldown_remaining,
+            b.coupler.breaker.cooldown_remaining);
+  EXPECT_EQ(a.coupler.breaker.current_cooldown,
+            b.coupler.breaker.current_cooldown);
+  EXPECT_EQ(a.coupler.breaker.trips, b.coupler.breaker.trips);
   EXPECT_EQ(a.coupler.rung, b.coupler.rung);
   EXPECT_EQ(a.coupler.clean_streak, b.coupler.clean_streak);
   EXPECT_EQ(a.coupler.last_valid, b.coupler.last_valid);
@@ -400,11 +403,11 @@ TEST(CheckpointTest, DigestSeparatesStormAndCorruptionPlans) {
 /// that iterated, oscillated once, tripped the breaker and is mid-cooldown.
 CheckpointState coupler_sample_state() {
   CheckpointState st = sample_state();
-  st.coupler.breaker_state = 1;
-  st.coupler.consecutive_troubled = 2;
-  st.coupler.cooldown_remaining = 5;
-  st.coupler.current_cooldown_hours = 8;
-  st.coupler.trips = 3;
+  st.coupler.breaker.state = BreakerState::kOpen;
+  st.coupler.breaker.consecutive_failed = 2;
+  st.coupler.breaker.cooldown_remaining = 5;
+  st.coupler.breaker.current_cooldown = 8;
+  st.coupler.breaker.trips = 3;
   st.coupler.rung = 2;
   st.coupler.clean_streak = 1;
   st.coupler.last_valid = true;
@@ -473,7 +476,7 @@ TEST(CheckpointTest, PreCouplerJournalLoadsWithFreshCouplerState) {
 
   const CheckpointState back = load_checkpoint(legacy_path);
   expect_states_bitwise_equal(st, back);
-  EXPECT_EQ(back.coupler.breaker_state, 0u);
+  EXPECT_EQ(back.coupler.breaker.state, BreakerState::kClosed);
   EXPECT_EQ(back.partial.closed_loop_hours, 0u);
   EXPECT_TRUE(back.coupler.last_power_mw.empty());
 

@@ -1,7 +1,7 @@
 // Unit tests for the serving daemon's deterministic parts: the bounded
 // ingest plane (BoundedQueue, FeedUpdateQueue), the admission ladder's
-// hysteresis, the re-plan circuit breaker's exponential half-open probing,
-// and the HealthTracker's bounded, journal-round-trippable history.
+// hysteresis, and the HealthTracker's bounded, journal-round-trippable
+// history.
 #include <gtest/gtest.h>
 
 #include <stdexcept>
@@ -10,7 +10,6 @@
 #include "serve/admission.hpp"
 #include "serve/health.hpp"
 #include "serve/ingest.hpp"
-#include "serve/replan.hpp"
 
 namespace billcap::serve {
 namespace {
@@ -153,95 +152,9 @@ TEST(AdmissionControllerTest, InvertedHysteresisIsRejected) {
   EXPECT_THROW(AdmissionController{bad}, std::invalid_argument);
 }
 
-BreakerConfig breaker_config() {
-  BreakerConfig c;
-  c.trip_after = 3;
-  c.cooldown_ticks = 2;
-  c.cooldown_multiplier = 2.0;
-  c.cooldown_max_ticks = 5;
-  return c;
-}
-
-TEST(CircuitBreakerTest, TripsAfterConsecutiveDegradedReplansOnly) {
-  CircuitBreaker breaker(breaker_config());
-  breaker.on_replan(true);
-  breaker.on_replan(true);
-  // A clean re-plan resets the consecutive counter.
-  breaker.on_replan(false);
-  breaker.on_replan(true);
-  breaker.on_replan(true);
-  EXPECT_EQ(breaker.state(), BreakerState::kClosed);
-  EXPECT_TRUE(breaker.allows_replan());
-
-  EXPECT_TRUE(breaker.on_replan(true));  // third consecutive: trip
-  EXPECT_EQ(breaker.state(), BreakerState::kOpen);
-  EXPECT_FALSE(breaker.allows_replan());
-  EXPECT_EQ(breaker.trips(), 1u);
-}
-
-TEST(CircuitBreakerTest, ExponentialHalfOpenProbingThenCleanClose) {
-  CircuitBreaker breaker(breaker_config());
-  for (int i = 0; i < 3; ++i) breaker.on_replan(true);
-  ASSERT_EQ(breaker.state(), BreakerState::kOpen);
-
-  // First cooldown is 2 ticks, then exactly one probe is allowed.
-  EXPECT_FALSE(breaker.on_tick());
-  EXPECT_TRUE(breaker.on_tick());
-  EXPECT_EQ(breaker.state(), BreakerState::kHalfOpen);
-  EXPECT_TRUE(breaker.allows_replan());
-
-  // Failed probe: re-open for 2 * 2 = 4 ticks.
-  EXPECT_TRUE(breaker.on_replan(true));
-  EXPECT_EQ(breaker.state(), BreakerState::kOpen);
-  EXPECT_EQ(breaker.trips(), 2u);
-  for (int i = 0; i < 3; ++i) EXPECT_FALSE(breaker.on_tick());
-  EXPECT_TRUE(breaker.on_tick());
-  ASSERT_EQ(breaker.state(), BreakerState::kHalfOpen);
-
-  // Another failed probe: 4 * 2 = 8 caps at cooldown_max_ticks = 5.
-  breaker.on_replan(true);
-  EXPECT_EQ(breaker.snapshot().current_cooldown_ticks, 5u);
-  for (int i = 0; i < 4; ++i) EXPECT_FALSE(breaker.on_tick());
-  EXPECT_TRUE(breaker.on_tick());
-
-  // A clean probe closes the breaker and forgets the escalated cooldown.
-  EXPECT_TRUE(breaker.on_replan(false));
-  EXPECT_EQ(breaker.state(), BreakerState::kClosed);
-  EXPECT_EQ(breaker.snapshot().current_cooldown_ticks,
-            breaker_config().cooldown_ticks);
-  EXPECT_EQ(breaker.trips(), 3u);
-}
-
-TEST(CircuitBreakerTest, SnapshotRestoreRoundTripsMidCooldown) {
-  CircuitBreaker breaker(breaker_config());
-  for (int i = 0; i < 3; ++i) breaker.on_replan(true);
-  breaker.on_tick();  // one tick into the first cooldown
-  const CircuitBreaker::State snap = breaker.snapshot();
-
-  CircuitBreaker resumed(breaker_config());
-  resumed.restore(snap);
-  EXPECT_EQ(resumed.state(), BreakerState::kOpen);
-  EXPECT_EQ(resumed.trips(), 1u);
-  // The restored breaker finishes the same cooldown on the same tick.
-  EXPECT_TRUE(resumed.on_tick());
-  EXPECT_EQ(resumed.state(), BreakerState::kHalfOpen);
-}
-
-TEST(CircuitBreakerTest, DegenerateConfigsAreRejected) {
-  BreakerConfig bad = breaker_config();
-  bad.trip_after = 0;
-  EXPECT_THROW(CircuitBreaker{bad}, std::invalid_argument);
-  bad = breaker_config();
-  bad.cooldown_ticks = 0;
-  EXPECT_THROW(CircuitBreaker{bad}, std::invalid_argument);
-  bad = breaker_config();
-  bad.cooldown_multiplier = 0.5;
-  EXPECT_THROW(CircuitBreaker{bad}, std::invalid_argument);
-}
-
 TEST(HealthClassifyTest, WorstActiveConditionWins) {
   using A = AdmissionLevel;
-  using B = BreakerState;
+  using B = core::BreakerState;
   EXPECT_EQ(classify_health(A::kAdmitAll, B::kClosed, false),
             ServeHealth::kOk);
   EXPECT_EQ(classify_health(A::kAdmitAll, B::kClosed, true),

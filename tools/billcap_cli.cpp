@@ -653,7 +653,7 @@ std::vector<std::string> tick_csv_row(const serve::TickRecord& t) {
           util::format_double(t.crowd_multiplier),
           std::to_string(t.feed_updates), t.replanned ? "1" : "0",
           t.plan_held ? "1" : "0", t.stale ? "1" : "0",
-          serve::to_string(t.admission), serve::to_string(t.breaker),
+          serve::to_string(t.admission), core::to_string(t.breaker),
           serve::to_string(t.health)};
 }
 
@@ -676,8 +676,7 @@ int cmd_serve(const util::CliArgs& args, const char* /*argv0*/) {
   serve_config.admission.stale_ticks_tolerated =
       whole(args.get_integer("stale-ticks"));
   serve_config.breaker.trip_after = whole(args.get_integer("breaker-trip"));
-  serve_config.breaker.cooldown_ticks =
-      whole(args.get_integer("breaker-cooldown"));
+  serve_config.breaker.cooldown = whole(args.get_integer("breaker-cooldown"));
   serve_config.replan_node_budget = args.get_integer("replan-nodes");
   serve_config.standby = run.standby;
   for (const auto& t :
