@@ -7,7 +7,7 @@
 #include <vector>
 
 #include "datacenter/catalog.hpp"
-#include "lp/milp.hpp"
+#include "lp/arena_solver.hpp"
 #include "lp/piecewise.hpp"
 #include "lp/simplex.hpp"
 #include "market/closed_loop.hpp"
@@ -15,7 +15,6 @@
 #include "market/pjm5.hpp"
 #include "market/pricing_policy.hpp"
 #include "queueing/ggm.hpp"
-#include "queueing/mmm.hpp"
 #include "util/rng.hpp"
 #include "workload/wiki_synth.hpp"
 
@@ -57,8 +56,11 @@ void BM_MilpKnapsack(benchmark::State& state) {
   }
   p.add_constraint("cap", std::move(terms), lp::Relation::kLessEqual,
                    static_cast<double>(bits));
+  // One arena across iterations, as the capper and the fleet chunks hold
+  // theirs hour over hour.
+  lp::ArenaSolver solver;
   for (auto _ : state) {
-    const lp::Solution s = lp::solve_milp(p);
+    const lp::Solution s = solver.solve(p, lp::MilpOptions{});
     benchmark::DoNotOptimize(s.objective);
   }
 }
@@ -113,16 +115,6 @@ void BM_ServerSizing(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_ServerSizing);
-
-void BM_ErlangCLargeM(benchmark::State& state) {
-  const auto m = static_cast<std::uint64_t>(state.range(0));
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        queueing::erlang_c(m, 0.8 * static_cast<double>(m), 1.0));
-  }
-}
-BENCHMARK(BM_ErlangCLargeM)->Arg(1'000)->Arg(100'000)->Arg(300'000)
-    ->Unit(benchmark::kMicrosecond);
 
 void BM_SitePowerBreakdown(benchmark::State& state) {
   const auto sites = datacenter::paper_datacenters();

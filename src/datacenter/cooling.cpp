@@ -1,6 +1,5 @@
 #include "datacenter/cooling.hpp"
 
-#include <algorithm>
 #include <stdexcept>
 
 namespace billcap::datacenter {
@@ -14,14 +13,6 @@ double CoolingModel::power_watts(double it_power_watts) const {
   if (it_power_watts < 0.0)
     throw std::invalid_argument("CoolingModel: negative IT power");
   return it_power_watts / coe_;
-}
-
-CoolingModel CoolingModel::from_outside_air(double coe_at_15c,
-                                            double temp_celsius,
-                                            double derate_per_deg) {
-  const double derated =
-      coe_at_15c - derate_per_deg * (temp_celsius - 15.0);
-  return CoolingModel(std::max(derated, 0.2));
 }
 
 }  // namespace billcap::datacenter

@@ -21,13 +21,6 @@ class CoolingModel {
   /// Total multiplier applied to IT power: total = IT * overhead_factor().
   double overhead_factor() const noexcept { return 1.0 + 1.0 / coe_; }
 
-  /// Efficiency as a function of outside-air temperature (Celsius): a simple
-  /// linear derating anchored at `coe_at_15c` for 15 degC losing
-  /// `derate_per_deg` per additional degree, floored at 0.2. Supports the
-  /// weather-sensitivity extension discussed in Section IX.
-  static CoolingModel from_outside_air(double coe_at_15c, double temp_celsius,
-                                       double derate_per_deg = 0.03);
-
  private:
   double coe_;
 };

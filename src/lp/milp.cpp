@@ -4,14 +4,6 @@
 
 namespace billcap::lp {
 
-Solution solve_milp(const Problem& problem, const MilpOptions& options) {
-  // A fresh solver per call. Long-lived callers that want to reuse the
-  // arena's allocations hour over hour hold their own ArenaSolver; the
-  // answer is the same either way.
-  ArenaSolver solver;
-  return solver.solve(problem, options);
-}
-
 Solution solve_lp(const Problem& problem, const SimplexOptions& options) {
   MilpOptions milp;
   milp.lp = options;

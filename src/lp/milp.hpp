@@ -23,22 +23,4 @@ struct MilpOptions {
   SimplexOptions lp;               ///< options for each relaxation solve
 };
 
-/// Solves a mixed-integer linear program by LP-based branch-and-bound:
-/// depth-first on a best-bound-ordered stack, branching on the most
-/// fractional integer variable, pruning nodes whose relaxation bound cannot
-/// beat the incumbent.
-///
-/// This plays the role lp_solve plays in the paper (Section IV-C). On
-/// kOptimal the solution is integral within `integrality_tol` (values are
-/// snapped to exact integers), `best_bound` proves optimality within the
-/// gap, and `nodes`/`iterations` report search effort. Duals are not
-/// populated for MILPs.
-///
-/// This entry point runs lp::ArenaSolver (one solve-local instance: B&B
-/// children warm start from the parent basis via dual simplex; every root
-/// is solved cold, so results stay a pure function of the inputs).
-/// tests/lp/solver_differential_test.cpp holds it to the pre-arena
-/// engine, kept with the tests as the oracle (tests/lp/reference.hpp).
-Solution solve_milp(const Problem& problem, const MilpOptions& options = {});
-
 }  // namespace billcap::lp

@@ -31,10 +31,6 @@ void Problem::set_objective(int var, double coef) {
   vars_.at(static_cast<std::size_t>(var)).objective = coef;
 }
 
-void Problem::add_objective(int var, double delta) {
-  vars_.at(static_cast<std::size_t>(var)).objective += delta;
-}
-
 void Problem::set_rhs(int row, double rhs) {
   rows_.at(static_cast<std::size_t>(row)).rhs = rhs;
 }

@@ -68,10 +68,6 @@ class Problem {
   /// Replaces a constraint's right-hand side.
   void set_rhs(int row, double rhs);
 
-  /// Adds `delta` to the objective coefficient of a variable (handy when a
-  /// variable appears in several cost terms during model building).
-  void add_objective(int var, double delta);
-
   /// Sets a constant added to the objective value (default 0).
   void set_objective_constant(double c) noexcept { objective_constant_ = c; }
   double objective_constant() const noexcept { return objective_constant_; }

@@ -19,7 +19,7 @@ struct SimplexOptions {
 
 /// Solves the LP relaxation of `problem` (integrality marks are ignored)
 /// on a one-call lp::ArenaSolver: the cold two-phase tableau root that
-/// every MILP starts from. Defined beside lp::solve_milp in milp.cpp.
+/// every MILP starts from. Defined in milp.cpp.
 ///
 /// The status is the root's own: kOptimal, kInfeasible, kUnbounded or
 /// kIterationLimit when `max_iterations` pivots did not finish. On

@@ -5,10 +5,6 @@
 
 namespace billcap::market {
 
-bool RebateProgram::is_peak_hour(std::size_t hour_of_day) const noexcept {
-  return hour_of_day >= peak_start_hour && hour_of_day < peak_end_hour;
-}
-
 void RebateProgram::validate() const {
   if (baseline_mw < 0.0)
     throw std::invalid_argument("RebateProgram: negative baseline");

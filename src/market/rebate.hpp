@@ -21,9 +21,6 @@ struct RebateProgram {
   std::size_t peak_start_hour = 14;  ///< local hour the peak window opens
   std::size_t peak_end_hour = 19;    ///< first hour after the window
 
-  /// True if the given hour-of-day falls inside the peak window.
-  bool is_peak_hour(std::size_t hour_of_day) const noexcept;
-
   /// Validates shape; throws std::invalid_argument.
   void validate() const;
 };

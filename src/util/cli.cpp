@@ -5,6 +5,7 @@
 #include <cstdlib>
 #include <optional>
 #include <type_traits>
+#include <utility>
 
 namespace billcap::util {
 
@@ -115,10 +116,15 @@ CliArgs::CliArgs(std::span<const Flag> table, int argc,
         token.substr(2, eq == std::string_view::npos ? eq : eq - 2);
     const Flag* flag = find_flag(table_, name);
     if (flag == nullptr) {
+      // Nearest by edit distance; on a tie, a row whose name contains the
+      // typed one wins (a retired spelling names its renamed row).
+      const auto rank = [&](const Flag& row) {
+        return std::pair(edit_distance(name, row.name),
+                         row.name.find(name) == std::string_view::npos);
+      };
       const auto nearest = std::min_element(
-          table_.begin(), table_.end(), [&](const Flag& a, const Flag& b) {
-            return edit_distance(name, a.name) < edit_distance(name, b.name);
-          });
+          table_.begin(), table_.end(),
+          [&](const Flag& a, const Flag& b) { return rank(a) < rank(b); });
       throw UsageError(
           "unknown flag " + dashed(name) + " (nearest: " +
           (nearest == table_.end() ? "none" : dashed(nearest->name)) + ")");

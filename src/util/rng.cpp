@@ -92,8 +92,6 @@ double Rng::lognormal(double mu, double sigma) noexcept {
 
 bool Rng::bernoulli(double p) noexcept { return uniform() < p; }
 
-Rng Rng::split() noexcept { return Rng((*this)()); }
-
 std::array<std::uint64_t, 4> Rng::state() const noexcept {
   return {s_[0], s_[1], s_[2], s_[3]};
 }

@@ -48,10 +48,6 @@ class Rng {
   /// Bernoulli trial with success probability p in [0, 1].
   bool bernoulli(double p) noexcept;
 
-  /// Derives an independent child generator; lets parallel workers share a
-  /// root seed without sharing a stream.
-  Rng split() noexcept;
-
   /// The four xoshiro lanes, for durable checkpointing of a stream's
   /// position. The cached spare normal is not part of the state: set_state
   /// discards it, so save/restore is exact for the uniform/bernoulli draws

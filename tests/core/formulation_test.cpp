@@ -5,6 +5,7 @@
 #include <vector>
 
 #include "datacenter/catalog.hpp"
+#include "lp/milp_solve.hpp"
 #include "lp/simplex.hpp"
 #include "market/pricing_policy.hpp"
 

@@ -42,18 +42,5 @@ TEST(CoolingModelTest, RejectsBadInputs) {
   EXPECT_THROW(CoolingModel(1.0).power_watts(-5.0), std::invalid_argument);
 }
 
-TEST(CoolingModelTest, OutsideAirDerating) {
-  // Colder air -> higher coe -> cheaper cooling (Section IV-B).
-  const CoolingModel cold = CoolingModel::from_outside_air(1.9, 5.0);
-  const CoolingModel hot = CoolingModel::from_outside_air(1.9, 35.0);
-  EXPECT_GT(cold.coe(), hot.coe());
-  EXPECT_NEAR(CoolingModel::from_outside_air(1.9, 15.0).coe(), 1.9, 1e-12);
-}
-
-TEST(CoolingModelTest, OutsideAirFloorsAtMinimumEfficiency) {
-  const CoolingModel extreme = CoolingModel::from_outside_air(1.0, 200.0);
-  EXPECT_DOUBLE_EQ(extreme.coe(), 0.2);
-}
-
 }  // namespace
 }  // namespace billcap::datacenter

@@ -90,6 +90,11 @@ TEST(CliFlagsTest, RemovedFlagExits2ThroughTheSamePath) {
               std::string::npos)
         << r.output;
   }
+  // The hint names the renamed row, not the first row as near by edit
+  // distance (--outages).
+  const Outcome r = cli("simulate --squeezes 1:2:5");
+  EXPECT_NE(r.output.find("(nearest: --node-squeezes)"), std::string::npos)
+      << r.output;
 }
 
 TEST(CliFlagsTest, BadValuesExit2BeforeAnyMonthRuns) {

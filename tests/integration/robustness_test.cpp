@@ -7,7 +7,7 @@
 #include "core/simulator.hpp"
 #include "datacenter/catalog.hpp"
 #include "lp/lp_io.hpp"
-#include "lp/milp.hpp"
+#include "lp/milp_solve.hpp"
 #include "market/pricing_policy.hpp"
 #include "util/thread_pool.hpp"
 

@@ -284,8 +284,10 @@ Problem parse_lp_format(std::string_view text) {
       parser.next();
     }
     parse_terms(objective_terms);
+    // A variable named twice in the objective sums its coefficients.
     for (const Term& t : objective_terms)
-      problem.add_objective(t.var, t.coef);
+      problem.set_objective(t.var,
+                            problem.variable(t.var).objective + t.coef);
   }
 
   // Subject To.

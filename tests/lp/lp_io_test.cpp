@@ -4,7 +4,7 @@
 
 #include <cmath>
 
-#include "lp/milp.hpp"
+#include "lp/milp_solve.hpp"
 #include "lp/simplex.hpp"
 #include "util/rng.hpp"
 

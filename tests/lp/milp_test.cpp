@@ -1,4 +1,4 @@
-#include "lp/milp.hpp"
+#include "lp/milp_solve.hpp"
 
 #include <gtest/gtest.h>
 

@@ -5,7 +5,7 @@
 #include <cmath>
 #include <vector>
 
-#include "lp/milp.hpp"
+#include "lp/milp_solve.hpp"
 #include "lp/piecewise_value.hpp"
 #include "util/rng.hpp"
 

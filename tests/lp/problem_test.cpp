@@ -50,13 +50,6 @@ TEST(ProblemTest, ObjectiveEvaluation) {
   EXPECT_DOUBLE_EQ(p.objective_value(x), 2.0 * 3 - 4 + 5);
 }
 
-TEST(ProblemTest, AddObjectiveAccumulates) {
-  Problem p;
-  const int x = p.add_variable("x", 0, 1, 1.0);
-  p.add_objective(x, 2.5);
-  EXPECT_DOUBLE_EQ(p.variable(x).objective, 3.5);
-}
-
 TEST(ProblemTest, RowActivity) {
   Problem p;
   p.add_variable("x", 0, 10);

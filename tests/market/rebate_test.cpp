@@ -5,7 +5,7 @@
 #include <algorithm>
 #include <cmath>
 
-#include "lp/milp.hpp"
+#include "lp/milp_solve.hpp"
 #include "lp/piecewise_value.hpp"
 #include "lp/problem.hpp"
 
@@ -19,14 +19,6 @@ PricingPolicy dc1_policy() {
 
 RebateProgram program() {
   return RebateProgram{.baseline_mw = 25.0, .rebate_per_mwh = 8.0};
-}
-
-TEST(RebateProgramTest, PeakWindow) {
-  const RebateProgram p = program();
-  EXPECT_FALSE(p.is_peak_hour(10));
-  EXPECT_TRUE(p.is_peak_hour(14));
-  EXPECT_TRUE(p.is_peak_hour(18));
-  EXPECT_FALSE(p.is_peak_hour(19));
 }
 
 TEST(RebateProgramTest, Validation) {

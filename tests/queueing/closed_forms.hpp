@@ -10,10 +10,17 @@ namespace billcap::queueing {
 /// production code evaluates them: the capper sizes sites through the
 /// affine server requirement in ggm.hpp, whose provenance these check.
 
+/// Erlang-C probability that an arriving job must wait in an M/M/m queue
+/// with arrival rate lambda and per-server service rate mu. Requires
+/// stability (lambda < m*mu); returns 1.0 at or beyond saturation.
+/// Computed with a numerically-stable recurrence (no factorials).
+double erlang_c(std::uint64_t m_servers, double arrival_rate,
+                double service_rate) noexcept;
+
 /// Exact mean response time of an M/M/m queue:
 ///   R = 1/mu + C(m, lambda/mu) / (m*mu - lambda),
-/// with C the Erlang-C delay probability (queueing/mmm.hpp). Returns +inf
-/// when unstable.
+/// with C the Erlang-C delay probability above. Returns +inf when
+/// unstable.
 double mmm_response_time(std::uint64_t m_servers, double arrival_rate,
                          double service_rate) noexcept;
 

@@ -1,5 +1,3 @@
-#include "queueing/mmm.hpp"
-
 #include <gtest/gtest.h>
 
 #include <cmath>

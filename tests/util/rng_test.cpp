@@ -119,15 +119,6 @@ TEST(RngTest, BernoulliFrequency) {
   EXPECT_NEAR(static_cast<double>(hits) / kN, 0.3, 0.01);
 }
 
-TEST(RngTest, SplitProducesIndependentStream) {
-  Rng parent(37);
-  Rng child = parent.split();
-  int equal = 0;
-  for (int i = 0; i < 100; ++i)
-    if (parent() == child()) ++equal;
-  EXPECT_LT(equal, 2);
-}
-
 TEST(RngTest, SatisfiesUniformRandomBitGenerator) {
   static_assert(Rng::min() == 0);
   static_assert(Rng::max() == UINT64_MAX);
