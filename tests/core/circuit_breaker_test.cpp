@@ -106,6 +106,12 @@ TEST(CircuitBreakerTest, ClosedRestoreResumesAtTheBaseCooldown) {
   ASSERT_EQ(breaker.state(), BreakerState::kOpen);
   EXPECT_EQ(breaker.snapshot().cooldown_remaining, breaker_config().cooldown);
   EXPECT_EQ(breaker.trips(), 3u);
+
+  // A stored nonzero cooldown is kept, closed or not (serve's fresh state
+  // stores 1).
+  closed.current_cooldown = 1;
+  breaker.restore(closed);
+  EXPECT_EQ(breaker.snapshot().current_cooldown, 1u);
 }
 
 TEST(CircuitBreakerTest, PersistedStateWordIsRangeChecked) {
