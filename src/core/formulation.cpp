@@ -48,11 +48,14 @@ AllocationFormulation build_allocation_formulation(
     const SiteModel& site = sites[i];
     const std::string tag = "site" + std::to_string(i);
     SiteVars v;
-    v.lambda = f.problem.add_variable(tag + ".lambda", 0.0,
-                                      site.lambda_max / kLambdaScale);
+    // lambda_i <= lambda_max is implied by the activation row with
+    // y_i <= 1. power_i <= Ps_i is implied by cost_link, power_i = x_i <=
+    // breaks.back(), because every cost curve ends at or below the cap
+    // (a down site's power_link pins power_i to 0 instead). Each explicit
+    // bound would cost a tableau row; the binaries keep theirs.
+    v.lambda = f.problem.add_variable(tag + ".lambda", 0.0, lp::kInfinity);
     v.active = f.problem.add_binary(tag + ".active");
-    v.power =
-        f.problem.add_variable(tag + ".power", 0.0, site.power_cap_mw);
+    v.power = f.problem.add_variable(tag + ".power", 0.0, lp::kInfinity);
     v.cost = lp::add_piecewise_cost(f.problem, site.cost_curve, tag + ".cost");
 
     // lambda_i <= lambda_max * y_i.
@@ -79,6 +82,8 @@ AllocationFormulation build_allocation_formulation(
                                           {v.active, -site.power_intercept_mw}};
       for (std::size_t k = 0; k < site.power_segments.size(); ++k) {
         const auto& seg = site.power_segments[k];
+        // No row implies a class's own cap (the split row bounds only the
+        // sum), so lambda_ik <= cap_k stays a bound.
         const int lk = f.problem.add_variable(
             tag + ".class" + std::to_string(k), 0.0,
             seg.lambda_cap / kLambdaScale);

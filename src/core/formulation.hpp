@@ -28,7 +28,9 @@ struct SiteModel {
   double power_slope = 0.0;         ///< MW per (request/hour)
   double power_intercept_mw = 0.0;  ///< fixed MW while the site is active
   double power_cap_mw = 0.0;        ///< Ps_i
-  lp::PiecewiseAffine cost_curve;   ///< $(p) over p in [0, effective cap]
+  /// $(p) over p in [0, effective cap]; its last break never exceeds
+  /// power_cap_mw, which is what makes the formulation's p_i <= Ps_i implied.
+  lp::PiecewiseAffine cost_curve;
 
   /// Optional heterogeneous power curve: one (capacity, marginal-slope)
   /// segment per server class, cheapest first (Section IX extension).
@@ -79,7 +81,7 @@ struct SiteVars {
 /// throughput maximization (Section V):
 ///   lambda_i <= lambda_max_i * y_i           (activation)
 ///   p_i = slope_i * lambda_i + intercept_i * y_i
-///   p_i <= Ps_i                               (power capping, constraint b)
+///   p_i <= Ps_i     (power capping, constraint b; implied by the cost curve)
 ///   cost_i = piecewise(p_i)                   (locational pricing)
 /// The response-time constraint (c) is embedded in the power model: the
 /// affine server requirement already sizes the site for R_i <= Rs_i.

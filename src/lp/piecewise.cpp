@@ -41,7 +41,9 @@ PiecewiseVars add_piecewise_cost(Problem& problem, const PiecewiseAffine& pw,
   const std::size_t m = pw.num_segments();
 
   PiecewiseVars vars;
-  vars.x = problem.add_variable(prefix + ".x", 0.0, pw.breaks.back());
+  // x <= breaks.back() is implied: x = sum_k q_k, q_k <= breaks[k+1] z_k
+  // and sum_k z_k = 1. An explicit bound would cost a tableau row.
+  vars.x = problem.add_variable(prefix + ".x", 0.0, kInfinity);
   vars.selectors.reserve(m);
   vars.amounts.reserve(m);
 
@@ -53,7 +55,8 @@ PiecewiseVars add_piecewise_cost(Problem& problem, const PiecewiseAffine& pw,
   for (std::size_t k = 0; k < m; ++k) {
     const std::string tag = prefix + ".seg" + std::to_string(k);
     const int z = problem.add_binary(tag + ".z", scale * pw.intercepts[k]);
-    const int q = problem.add_variable(tag + ".q", 0.0, pw.breaks[k + 1],
+    // q_k <= breaks[k+1] is implied by the .ub row below with z_k <= 1.
+    const int q = problem.add_variable(tag + ".q", 0.0, kInfinity,
                                        scale * pw.slopes[k]);
     vars.selectors.push_back(z);
     vars.amounts.push_back(q);

@@ -247,11 +247,11 @@ TEST(FaultInjectionTest, LadderMonthDigestsArePinned) {
     std::size_t incumbent_hours;
     std::size_t heuristic_hours;
   };
-  for (const Pin& pin : {Pin{Strategy::kCostCapping, 0x528bf1aa80ef7892ULL,
-                             124, 508},
-                         Pin{Strategy::kMinOnlyAvg, 0x334e437f6de44223ULL,
+  for (const Pin& pin : {Pin{Strategy::kCostCapping, 0x2b0175d939cd6f8cULL,
+                             125, 507},
+                         Pin{Strategy::kMinOnlyAvg, 0x456c32ccb36da848ULL,
                              100, 95},
-                         Pin{Strategy::kMinOnlyLow, 0x1608afc25ddc5284ULL,
+                         Pin{Strategy::kMinOnlyLow, 0xa2742608cbb6c383ULL,
                              32, 0}}) {
     for (const SimulationConfig* config : {&configured, &squeezed, &loose}) {
       const MonthlyResult r = Simulator(*config).run(pin.strategy);

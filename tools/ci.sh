@@ -6,7 +6,8 @@
 # robustness suite again under AddressSanitizer + UBSan (fault paths,
 # crash/resume and the journal I/O are exactly the code most likely to
 # hide lifetime or conversion bugs that only a sanitizer sees), then the
-# race-labeled concurrency suites under ThreadSanitizer.
+# race-labeled concurrency suites under ThreadSanitizer, then the pinned
+# set again in a tree built for x86-64-v3 (AVX2 and FMA).
 #
 # Usage: tools/ci.sh [build-dir-prefix]   (default: build-ci)
 set -eu
@@ -14,6 +15,35 @@ set -eu
 ROOT="$(cd "$(dirname "$0")/.." && pwd)"
 PREFIX="${1:-build-ci}"
 JOBS="$(nproc 2>/dev/null || echo 4)"
+
+# Pinned outputs. A change that moves any of these bits re-baselines the
+# line and says why in CHANGES.md. The fleet digest covers a 24-month
+# slice of the fleet sweep; the three market digests are the
+# market_loop --smoke configurations, whose every closed-loop hour runs
+# the DC-OPF through lp::solve_lp. The tests named by PINNED_TESTS pin
+# digests, effort counts and tie-breaking cases of their own.
+FLEET_DIGEST=01abec0254ab79b9
+MARKET_DIGESTS="524042d24014b29a 7d85ac1d36928d8c da065f7db7a87846"
+PINNED_TESTS='DigestsArePinned|DigestIsPinned|RecordedReference|SolverIsFastEnoughForOnlineUse|LocalCurveTest[.]'
+
+# check_digests <build-dir>: runs the fleet slice and the market smoke in
+# <build-dir>/bench and fails unless each prints its pinned digest.
+check_digests() {
+  (cd "$1/bench" && ./fleet_sweep --months 24)
+  if ! grep -q "\"digest\": \"$FLEET_DIGEST\"" "$1/bench/BENCH_fleet.json"; then
+    echo "ci: $1: fleet_sweep --months 24 digest is not $FLEET_DIGEST" >&2
+    exit 1
+  fi
+  (cd "$1/bench" && ./market_loop --smoke)
+  for MARKET_DIGEST in $MARKET_DIGESTS; do
+    if ! grep -q "\"digest\": \"$MARKET_DIGEST\"" \
+        "$1/bench/BENCH_market.json"; then
+      echo "ci: $1: market_loop --smoke has no config with digest" \
+        "$MARKET_DIGEST" >&2
+      exit 1
+    fi
+  done
+}
 
 echo "== stage 0: static analysis (billcap-audit + clang-tidy) =="
 cmake -B "$ROOT/$PREFIX" -S "$ROOT" >/dev/null
@@ -79,45 +109,23 @@ cmake --build "$ROOT/$PREFIX" -j "$JOBS" --target tab_solver_time
 (cd "$ROOT/$PREFIX/bench" && ./tab_solver_time --benchmark_filter='^$')
 cp "$ROOT/$PREFIX/bench/BENCH_solver.json" "$ROOT/BENCH_solver.json"
 
-echo "== bench: fleet scale-out sweep (BENCH_fleet.json) =="
+echo "== bench: fleet slice and market envelope (BENCH_fleet/market.json) =="
 # A bounded slice of the fleet sweep: 24 scenario-months over the
 # 100-site / 20-region fleet, serial vs threaded, under the rotating
 # fault ladder. Exits nonzero on any fleet-hour abort or serial/threaded
 # digest mismatch, so the determinism contract is gated here, not just in
-# ctest; the digest itself must match the pinned value below. The full
-# 1000-month sweep is a manual run (`./fleet_sweep`); the JSON records
-# shape + host_cores so archived numbers stay comparable.
-cmake --build "$ROOT/$PREFIX" -j "$JOBS" --target fleet_sweep
-(cd "$ROOT/$PREFIX/bench" && ./fleet_sweep --months 24)
-# The 24-month digest is pinned: a change that moves any fleet bit must
-# re-baseline this one line and say why in CHANGES.md.
-FLEET_DIGEST=deac4797102fb5fe
-if ! grep -q "\"digest\": \"$FLEET_DIGEST\"" \
-    "$ROOT/$PREFIX/bench/BENCH_fleet.json"; then
-  echo "ci: fleet_sweep --months 24 digest is not $FLEET_DIGEST" >&2
-  exit 1
-fi
+# ctest. The full 1000-month sweep is a manual run (`./fleet_sweep`); the
+# JSON records shape + host_cores so archived numbers stay comparable.
+# Then the closed-loop market coupler envelope on the corner
+# configurations: the destabilizing gain must oscillate, open the
+# divergence breaker and still keep premium QoS; the damped paper gain
+# must converge closed-loop on every hour of the month, bitwise
+# deterministically. Exits nonzero on any broken gate. The full gain x
+# damping grid is a manual run (`./market_loop`). Both digests must be
+# the pinned ones above.
+cmake --build "$ROOT/$PREFIX" -j "$JOBS" --target fleet_sweep market_loop
+check_digests "$ROOT/$PREFIX"
 cp "$ROOT/$PREFIX/bench/BENCH_fleet.json" "$ROOT/BENCH_fleet.json"
-
-echo "== bench: closed-loop market coupler envelope (BENCH_market.json) =="
-# The coupler safety contract on the corner configurations: the
-# destabilizing gain must oscillate, open the divergence breaker and
-# still keep premium QoS; the damped paper gain must converge closed-loop
-# on every hour of the month, bitwise deterministically. Exits nonzero on
-# any broken gate. The full gain x damping grid is a manual run
-# (`./market_loop`).
-cmake --build "$ROOT/$PREFIX" -j "$JOBS" --target market_loop
-(cd "$ROOT/$PREFIX/bench" && ./market_loop --smoke)
-# The three smoke digests are pinned: every closed-loop hour runs the
-# DC-OPF through lp::solve_lp, so a change that moves an LMP bit moves
-# them. Re-baseline these lines with a reason in CHANGES.md.
-for MARKET_DIGEST in 87ceddef433bb6ea ae5ffb5552f2edc3 6de7c35749683f13; do
-  if ! grep -q "\"digest\": \"$MARKET_DIGEST\"" \
-      "$ROOT/$PREFIX/bench/BENCH_market.json"; then
-    echo "ci: market_loop --smoke has no config with digest $MARKET_DIGEST" >&2
-    exit 1
-  fi
-done
 cp "$ROOT/$PREFIX/bench/BENCH_market.json" "$ROOT/BENCH_market.json"
 
 echo "== tier 2: robustness label under address,undefined sanitizers =="
@@ -143,6 +151,20 @@ cmake --build "$ROOT/$PREFIX-tsan" -j "$JOBS" \
 TSAN_OPTIONS="suppressions=$ROOT/tools/tsan.supp" \
   ctest --test-dir "$ROOT/$PREFIX-tsan" -L race --output-on-failure \
   -j "$JOBS"
+
+echo "== tier 2c: the pinned set at x86-64-v3 =="
+# No target contracts a * b + c into one FMA (-ffp-contract=off, see
+# DESIGN.md), so a tree built for a CPU level with AVX2 and FMA must give
+# every pinned bit of the default tree: the same tests, fleet digest and
+# market digests, checked against the same pins.
+cmake -B "$ROOT/$PREFIX-v3" -S "$ROOT" \
+  -DCMAKE_CXX_FLAGS=-march=x86-64-v3 >/dev/null
+cmake --build "$ROOT/$PREFIX-v3" -j "$JOBS" --target billcap \
+  integration_test robustness_test local_curve_test fleet_test serve_test \
+  fleet_sweep market_loop
+ctest --test-dir "$ROOT/$PREFIX-v3" -R "$PINNED_TESTS" --output-on-failure \
+  -j "$JOBS"
+check_digests "$ROOT/$PREFIX-v3"
 
 echo "== tier 3: serve-daemon chaos soak (<= 30 s) =="
 # The soak drives the serving daemon through a compound chaos scenario
