@@ -842,6 +842,18 @@ struct ArenaSolver::Impl {
     return true;
   }
 
+  /// True when `x` satisfies every row of `problem` to within 1e-6.
+  static bool rows_hold(const Problem& problem, std::span<const double> x) {
+    for (int i = 0; i < problem.num_constraints(); ++i) {
+      const Constraint& c = problem.constraint(i);
+      const double a = problem.row_activity(i, x);
+      if ((c.relation != Relation::kGreaterEqual && a > c.rhs + 1e-6) ||
+          (c.relation != Relation::kLessEqual && a < c.rhs - 1e-6))
+        return false;
+    }
+    return true;
+  }
+
   int pick_branch_variable(const Problem& problem, std::span<const double> x,
                            double tol) const {
     int best = -1;
@@ -964,6 +976,21 @@ struct ArenaSolver::Impl {
       Solution relax;
       relax.status = SolveStatus::kOptimal;
       recover_x(relax);
+      // A warm repair through a tiny pivot can leave the resident tableau
+      // inconsistent, and every later warm node would inherit it. So a warm
+      // answer counts only while it satisfies the problem's rows; otherwise
+      // this node is re-solved cold, which rebuilds the tableau.
+      if (solved_warm && !rows_hold(problem, relax.x)) {
+        st = cold_build(problem, options.lp);
+        ++stat.node_cold_solves;
+        if (st == SolveStatus::kArenaExhausted) {
+          exhausted = true;
+          break;
+        }
+        if (st != SolveStatus::kOptimal) continue;
+        recover_x(relax);
+        solved_warm = false;
+      }
       relax.objective = problem.objective_value(relax.x);
 
       const double bound = to_min(relax.objective);

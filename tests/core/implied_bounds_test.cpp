@@ -59,7 +59,7 @@ SiteModel down_model() {
   return model;
 }
 
-/// A bound the formulation leaves to its rows, with the value it once had.
+/// A bound the formulation leaves to its rows, and the value they imply.
 struct DroppedBound {
   int var = -1;
   double upper = 0.0;
@@ -368,6 +368,55 @@ TEST(ImpliedBoundsTest, ReAddingTheDroppedBoundsMovesNoOptimum) {
   }
   // Most instances must reach an optimum, or the comparison shows little.
   EXPECT_GT(optimal, 400);
+}
+
+TEST(ImpliedBoundsTest, AFleetChunkThatOnceLoopedClosesWithinItsNodeBudget) {
+  // A 5-site region-hour of perfbench's fleet_month at seed 7 (hour 185,
+  // region 14). On the lean formulation a warm node repair pivoted on
+  // 1.04e-7 and left the resident tableau inconsistent; every later warm
+  // node re-branched on an already fixed selector until the chunk's
+  // 20,000-node budget ran out. Warm answers that break a row are now
+  // re-solved cold, and the search closes at the optimum the bounded
+  // formulation finds.
+  const auto site = [](double lambda_max, double slope, double intercept,
+                       double cap, std::vector<double> breaks,
+                       std::vector<double> prices) {
+    SiteModel m;
+    m.lambda_max = lambda_max;
+    m.power_slope = slope;
+    m.power_intercept_mw = intercept;
+    m.power_cap_mw = cap;
+    m.cost_curve.breaks = std::move(breaks);
+    m.cost_curve.intercepts.assign(prices.size(), 0.0);
+    m.cost_curve.slopes = std::move(prices);
+    return m;
+  };
+  const std::vector<SiteModel> models = {
+      site(0x1.1de3d26be538dp+38, 0x1.e6a2bd5c79a3ap-33, 0x1.f53825e13b18ep-13, 0x1.0fba5e353f7cfp+6,
+           {0x0p+0, 0x1.6fae44d4e585p+4, 0x1.a30a559da5f5cp+5, 0x1.0fba5e353f7cfp+6},
+           {0x1.ep+3, 0x1.8p+4, 0x1.ep+4}),
+      site(0x1.666387fa53905p+39, 0x1.9b075264ef4acp-34, 0x1.ff8b28449b294p-13, 0x1.1fb645a1cac08p+6,
+           {0x0p+0, 0x1.c4b4083307438p+4, 0x1.0660353ff5042p+6, 0x1.1fb645a1cac08p+6},
+           {0x1.4p+3, 0x1.7p+3, 0x1.ap+3}),
+      site(0x1.eca3583b453aep+38, 0x1.5cdaf2b504cf5p-34, 0x1.2b6cc4b532a2ep-13, 0x1.4fa9fbe76c8b4p+5,
+           {0x0p+0, 0x1.b0bd34c43bfcp+1, 0x1.457239b2aa264p+5, 0x1.4fa9fbe76c8b4p+5},
+           {0x1.4p+3, 0x1.bcccccccccccdp+3, 0x1.ep+3}),
+      site(0x1.1de3d26be538dp+38, 0x1.e6a2bd5c79a3ap-33, 0x1.f53825e13b18ep-13, 0x1.0fba5e353f7cfp+6,
+           {0x0p+0, 0x1.a301bcff64dp+0, 0x1.377e744e618dp+5, 0x1.0fba5e353f7cfp+6},
+           {0x1.4p+3, 0x1.ep+3, 0x1.8p+4}),
+      site(0x1.666387fa53905p+39, 0x1.9b075264ef4acp-34, 0x1.ff8b28449b294p-13, 0x1.1fb645a1cac08p+6,
+           {0x0p+0, 0x1.49cf546681ebcp+5, 0x1.1fb645a1cac08p+6},
+           {0x1.4p+3, 0x1.7p+3}),
+  };
+  const AllocationFormulation base = build_allocation_formulation(models);
+  const lp::Problem cost = min_cost_problem(base, 0x1.d970754d176c2p+38);
+  lp::MilpOptions budget;
+  budget.max_nodes = 20'000;  // the fleet's per-chunk deadline
+  lp::ArenaSolver solver;
+  const lp::Solution got = solver.solve(cost, budget);
+  ASSERT_EQ(got.status, lp::SolveStatus::kOptimal);
+  EXPECT_LT(got.nodes, 1'000);
+  expect_bounds_change_nothing(cost, dropped_bounds(base, models), "seed 7");
 }
 
 }  // namespace
