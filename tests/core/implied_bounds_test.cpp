@@ -82,7 +82,7 @@ std::vector<DroppedBound> dropped_bounds(const AllocationFormulation& f,
   return out;
 }
 
-// ---- (a) shape -------------------------------------------------------------
+// ---- shape -----------------------------------------------------------------
 
 TEST(ImpliedBoundsTest, OnlyTheBinariesOfAHomogeneousSiteKeepABound) {
   // A homogeneous site with an m-segment cost curve has 1 + m binaries
@@ -130,7 +130,7 @@ TEST(ImpliedBoundsTest, AHeterogeneousSiteKeepsItsClassCaps) {
                                          classes.size()));
 }
 
-// ---- (b) premise -----------------------------------------------------------
+// ---- premise ---------------------------------------------------------------
 
 void expect_curve_within_cap(const SiteModel& m, const std::string& tag) {
   EXPECT_LE(m.cost_curve.breaks.back(), m.power_cap_mw) << tag;
@@ -225,7 +225,7 @@ TEST(ImpliedBoundsTest, ADownSiteIsPinnedToZeroPowerByItsPowerLink) {
   }
 }
 
-// ---- (c) differential ------------------------------------------------------
+// ---- differential ----------------------------------------------------------
 
 /// A seeded allocation instance: two to five sites drawn from every model
 /// family (cooling on or off, any policy level, Min-Only beliefs, masked,
@@ -392,19 +392,28 @@ TEST(ImpliedBoundsTest, AFleetChunkThatOnceLoopedClosesWithinItsNodeBudget) {
     return m;
   };
   const std::vector<SiteModel> models = {
-      site(0x1.1de3d26be538dp+38, 0x1.e6a2bd5c79a3ap-33, 0x1.f53825e13b18ep-13, 0x1.0fba5e353f7cfp+6,
-           {0x0p+0, 0x1.6fae44d4e585p+4, 0x1.a30a559da5f5cp+5, 0x1.0fba5e353f7cfp+6},
+      site(0x1.1de3d26be538dp+38, 0x1.e6a2bd5c79a3ap-33,
+           0x1.f53825e13b18ep-13, 0x1.0fba5e353f7cfp+6,
+           {0x0p+0, 0x1.6fae44d4e585p+4, 0x1.a30a559da5f5cp+5,
+            0x1.0fba5e353f7cfp+6},
            {0x1.ep+3, 0x1.8p+4, 0x1.ep+4}),
-      site(0x1.666387fa53905p+39, 0x1.9b075264ef4acp-34, 0x1.ff8b28449b294p-13, 0x1.1fb645a1cac08p+6,
-           {0x0p+0, 0x1.c4b4083307438p+4, 0x1.0660353ff5042p+6, 0x1.1fb645a1cac08p+6},
+      site(0x1.666387fa53905p+39, 0x1.9b075264ef4acp-34,
+           0x1.ff8b28449b294p-13, 0x1.1fb645a1cac08p+6,
+           {0x0p+0, 0x1.c4b4083307438p+4, 0x1.0660353ff5042p+6,
+            0x1.1fb645a1cac08p+6},
            {0x1.4p+3, 0x1.7p+3, 0x1.ap+3}),
-      site(0x1.eca3583b453aep+38, 0x1.5cdaf2b504cf5p-34, 0x1.2b6cc4b532a2ep-13, 0x1.4fa9fbe76c8b4p+5,
-           {0x0p+0, 0x1.b0bd34c43bfcp+1, 0x1.457239b2aa264p+5, 0x1.4fa9fbe76c8b4p+5},
+      site(0x1.eca3583b453aep+38, 0x1.5cdaf2b504cf5p-34,
+           0x1.2b6cc4b532a2ep-13, 0x1.4fa9fbe76c8b4p+5,
+           {0x0p+0, 0x1.b0bd34c43bfcp+1, 0x1.457239b2aa264p+5,
+            0x1.4fa9fbe76c8b4p+5},
            {0x1.4p+3, 0x1.bcccccccccccdp+3, 0x1.ep+3}),
-      site(0x1.1de3d26be538dp+38, 0x1.e6a2bd5c79a3ap-33, 0x1.f53825e13b18ep-13, 0x1.0fba5e353f7cfp+6,
-           {0x0p+0, 0x1.a301bcff64dp+0, 0x1.377e744e618dp+5, 0x1.0fba5e353f7cfp+6},
+      site(0x1.1de3d26be538dp+38, 0x1.e6a2bd5c79a3ap-33,
+           0x1.f53825e13b18ep-13, 0x1.0fba5e353f7cfp+6,
+           {0x0p+0, 0x1.a301bcff64dp+0, 0x1.377e744e618dp+5,
+            0x1.0fba5e353f7cfp+6},
            {0x1.4p+3, 0x1.ep+3, 0x1.8p+4}),
-      site(0x1.666387fa53905p+39, 0x1.9b075264ef4acp-34, 0x1.ff8b28449b294p-13, 0x1.1fb645a1cac08p+6,
+      site(0x1.666387fa53905p+39, 0x1.9b075264ef4acp-34,
+           0x1.ff8b28449b294p-13, 0x1.1fb645a1cac08p+6,
            {0x0p+0, 0x1.49cf546681ebcp+5, 0x1.1fb645a1cac08p+6},
            {0x1.4p+3, 0x1.7p+3}),
   };
