@@ -8,6 +8,7 @@
 
 #include <array>
 #include <cstdio>
+#include <future>
 #include <vector>
 
 #include "bench_common.hpp"
@@ -23,14 +24,23 @@ int main() {
   constexpr int kPolicies = 4;
 
   std::vector<double> bills(kPolicies * kStrategies.size(), 0.0);
-  util::parallel_for(bills.size(), [&bills, &kStrategies](std::size_t task) {
-    const int policy = static_cast<int>(task) / 3;
-    const Strategy strategy = kStrategies[task % 3];
-    core::SimulationConfig config;
-    config.policy_level = policy;
-    config.enforce_budget = false;
-    bills[task] = core::Simulator(config).run(strategy).total_cost;
-  });
+  {
+    // Each task returns its month through its future, read back in index
+    // order, so the output does not depend on the schedule. The pool is
+    // declared after all its tasks read: if a get() throws, its
+    // destructor drains the queue before any of that goes away.
+    util::ThreadPool pool;
+    std::vector<std::future<double>> futures;
+    for (std::size_t task = 0; task < bills.size(); ++task)
+      futures.push_back(pool.submit([task, &kStrategies] {
+        core::SimulationConfig config;
+        config.policy_level = static_cast<int>(task) / 3;
+        config.enforce_budget = false;
+        return core::Simulator(config).run(kStrategies[task % 3]).total_cost;
+      }));
+    for (std::size_t task = 0; task < bills.size(); ++task)
+      bills[task] = futures[task].get();
+  }
 
   bench::heading("Fig. 4: monthly bill (M$) under pricing policies 0..3");
   util::Table table({"policy", "CostCapping", "MinOnly(Avg)", "MinOnly(Low)",

@@ -6,6 +6,7 @@
 
 #include <array>
 #include <cstdio>
+#include <future>
 #include <vector>
 
 #include "bench_common.hpp"
@@ -18,11 +19,22 @@ int main() {
   constexpr std::array<double, 5> kBudgets = {0.5e6, 1.0e6, 1.5e6, 2.0e6,
                                               2.5e6};
   std::vector<core::MonthlyResult> results(kBudgets.size());
-  util::parallel_for(kBudgets.size(), [&](std::size_t i) {
-    core::SimulationConfig config;
-    config.monthly_budget = kBudgets[i];
-    results[i] = core::Simulator(config).run(core::Strategy::kCostCapping);
-  });
+  {
+    // Each task returns its month through its future, read back in index
+    // order, so the output does not depend on the schedule. The pool is
+    // declared after all its tasks read: if a get() throws, its
+    // destructor drains the queue before any of that goes away.
+    util::ThreadPool pool;
+    std::vector<std::future<core::MonthlyResult>> futures;
+    for (const double budget : kBudgets)
+      futures.push_back(pool.submit([budget] {
+        core::SimulationConfig config;
+        config.monthly_budget = budget;
+        return core::Simulator(config).run(core::Strategy::kCostCapping);
+      }));
+    for (std::size_t i = 0; i < results.size(); ++i)
+      results[i] = futures[i].get();
+  }
 
   bench::heading("Fig. 10: monthly throughput vs monthly budget");
   util::Table table({"budget", "premium served", "ordinary served",

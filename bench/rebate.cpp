@@ -1,4 +1,4 @@
-#include "market/rebate.hpp"
+#include "rebate.hpp"
 
 #include <algorithm>
 #include <stdexcept>
@@ -10,8 +10,6 @@ void RebateProgram::validate() const {
     throw std::invalid_argument("RebateProgram: negative baseline");
   if (rebate_per_mwh < 0.0)
     throw std::invalid_argument("RebateProgram: negative rebate");
-  if (peak_start_hour >= peak_end_hour || peak_end_hour > 24)
-    throw std::invalid_argument("RebateProgram: bad peak window");
 }
 
 lp::PiecewiseAffine apply_rebate(const lp::PiecewiseAffine& curve,

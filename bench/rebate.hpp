@@ -1,3 +1,7 @@
+// Peak Power Rebate programs: a Section II extension that no billcap run
+// uses. It only transforms the public cost curves, so it lives beside
+// bench/rebate_experiment as the billcap_rebate library, which that bench
+// and the market tests link.
 #pragma once
 
 #include "lp/piecewise.hpp"
@@ -14,12 +18,12 @@ namespace billcap::market {
 /// `rebate_per_mwh` for every MWh it stays below its committed baseline:
 ///   cost(p) = price(p + d) * p - rebate * max(0, baseline - p).
 /// The credit makes curtailment valuable exactly when the grid is tight —
-/// one more lever the bill capper can trade against throughput.
+/// one more lever the bill capper can trade against throughput. Which
+/// hours are peak hours is the caller's choice (`rebated_cost`'s
+/// `peak_hour`).
 struct RebateProgram {
   double baseline_mw = 0.0;     ///< committed draw during peak hours
   double rebate_per_mwh = 0.0;  ///< credit per MWh of curtailment
-  std::size_t peak_start_hour = 14;  ///< local hour the peak window opens
-  std::size_t peak_end_hour = 19;    ///< first hour after the window
 
   /// Validates shape; throws std::invalid_argument.
   void validate() const;

@@ -17,7 +17,7 @@
 #include "core/cost_minimizer.hpp"
 #include "core/formulation.hpp"
 #include "datacenter/catalog.hpp"
-#include "market/rebate.hpp"
+#include "rebate.hpp"
 
 int main() {
   using namespace billcap;

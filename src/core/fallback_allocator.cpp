@@ -9,9 +9,9 @@ namespace billcap::core {
 namespace {
 
 /// One maximal stretch of requests at a site over which the believed cost
-/// is affine in lambda: fixed power slope (server class) and fixed price
-/// segment. `cost_at(lambda)` is the site's total believed cost when filled
-/// to `lambda`, valid for lambda in (lambda_lo, lambda_hi].
+/// is affine in lambda: one price segment of the site's cost curve.
+/// `cost_at(lambda)` is the site's total believed cost when filled to
+/// `lambda`, valid for lambda in (lambda_lo, lambda_hi].
 struct Chunk {
   double lambda_lo = 0.0;
   double lambda_hi = 0.0;
@@ -37,59 +37,36 @@ std::vector<Chunk> make_chunks(const SiteModel& site) {
   if (site.lambda_max <= 0.0 || site.cost_curve.num_segments() == 0)
     return chunks;
 
-  // The lambda -> power-slope map: heterogeneous class segments, or the
-  // single affine slope. Widths are clipped to lambda_max.
-  struct PowerSeg {
-    double width = 0.0;
-    double slope = 0.0;
-  };
-  std::vector<PowerSeg> power_segs;
-  if (site.power_segments.empty()) {
-    power_segs.push_back({site.lambda_max, site.power_slope});
-  } else {
-    double used = 0.0;
-    for (const auto& seg : site.power_segments) {
-      const double width = std::min(seg.lambda_cap, site.lambda_max - used);
-      if (width <= 0.0) break;
-      power_segs.push_back({width, seg.slope});
-      used += width;
-    }
-    if (power_segs.empty())
-      power_segs.push_back({site.lambda_max, site.power_slope});
-  }
-
   const lp::PiecewiseAffine& curve = site.cost_curve;
+  const double slope = site.power_slope;
   double lambda = 0.0;
   double power = site.power_intercept_mw;  // activation draw at lambda -> 0+
   const double power_max = curve.breaks.back();
-  for (const PowerSeg& seg : power_segs) {
-    double remaining = seg.width;
-    while (remaining > 1e-12) {
-      if (power >= power_max - 1e-12) return chunks;  // cost curve exhausted
-      const std::size_t k = curve.segment_of(std::min(power, power_max));
-      // Lambda until either the power segment or the price segment ends.
-      double width = remaining;
-      if (seg.slope > 0.0) {
-        const double to_break = (curve.breaks[k + 1] - power) / seg.slope;
-        width = std::min(width, to_break);
-      }
-      if (width <= 1e-12) break;
-      Chunk chunk;
-      chunk.lambda_lo = lambda;
-      chunk.lambda_hi = lambda + width;
-      chunk.power_lo = power;
-      chunk.power_slope = seg.slope;
-      chunk.price_slope = curve.slopes[k];
-      chunk.price_intercept = curve.intercepts[k];
-      const double prev_cost =
-          chunks.empty() ? 0.0 : chunks.back().cost_at(chunks.back().lambda_hi);
-      chunk.avg_price =
-          (chunk.cost_at(chunk.lambda_hi) - prev_cost) / width;
-      chunks.push_back(chunk);
-      lambda += width;
-      power += seg.slope * width;
-      remaining -= width;
+  double remaining = site.lambda_max;
+  while (remaining > 1e-12) {
+    if (power >= power_max - 1e-12) break;  // cost curve exhausted
+    const std::size_t k = curve.segment_of(std::min(power, power_max));
+    // Lambda until either the site's capacity or the price segment ends.
+    double width = remaining;
+    if (slope > 0.0) {
+      const double to_break = (curve.breaks[k + 1] - power) / slope;
+      width = std::min(width, to_break);
     }
+    if (width <= 1e-12) break;
+    Chunk chunk;
+    chunk.lambda_lo = lambda;
+    chunk.lambda_hi = lambda + width;
+    chunk.power_lo = power;
+    chunk.power_slope = slope;
+    chunk.price_slope = curve.slopes[k];
+    chunk.price_intercept = curve.intercepts[k];
+    const double prev_cost =
+        chunks.empty() ? 0.0 : chunks.back().cost_at(chunks.back().lambda_hi);
+    chunk.avg_price = (chunk.cost_at(chunk.lambda_hi) - prev_cost) / width;
+    chunks.push_back(chunk);
+    lambda += width;
+    power += slope * width;
+    remaining -= width;
   }
   return chunks;
 }

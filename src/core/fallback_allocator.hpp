@@ -19,10 +19,10 @@ struct FallbackRequest {
 
 /// Greedy water-filling over the per-site marginal step prices: every site's
 /// believed cost curve is cut into chunks of constant marginal $/request
-/// (price-level boundaries, heterogeneous server-class boundaries, the
-/// activation jump amortized into the first chunk), and chunks are consumed
-/// cheapest-first, site-contiguously, respecting each site's power cap and
-/// SLA capacity (`lambda_max` already encodes both).
+/// (price-level boundaries, the activation jump amortized into the first
+/// chunk), and chunks are consumed cheapest-first, site-contiguously,
+/// respecting each site's power cap and SLA capacity (`lambda_max` already
+/// encodes both).
 ///
 /// Never throws and always returns a feasible allocation: load beyond the
 /// believed system capacity is simply not placed (the caller sheds it), and

@@ -64,38 +64,14 @@ AllocationFormulation build_allocation_formulation(
         {{v.lambda, 1.0}, {v.active, -site.lambda_max / kLambdaScale}},
         lp::Relation::kLessEqual, 0.0);
 
-    if (site.power_segments.empty()) {
-      // Homogeneous: p_i - slope*lambda_i - intercept*y_i = 0
-      // (slope rescaled to giga-requests).
-      f.problem.add_constraint(
-          tag + ".power_link",
-          {{v.power, 1.0},
-           {v.lambda, -site.power_slope * kLambdaScale},
-           {v.active, -site.power_intercept_mw}},
-          lp::Relation::kEqual, 0.0);
-    } else {
-      // Heterogeneous: lambda_i = sum_k lambda_ik and
-      // p_i = sum_k slope_k * lambda_ik + intercept*y_i. Cost increases
-      // with power, so the solver fills cheap classes first on its own.
-      std::vector<lp::Term> split = {{v.lambda, -1.0}};
-      std::vector<lp::Term> power_link = {{v.power, 1.0},
-                                          {v.active, -site.power_intercept_mw}};
-      for (std::size_t k = 0; k < site.power_segments.size(); ++k) {
-        const auto& seg = site.power_segments[k];
-        // No row implies a class's own cap (the split row bounds only the
-        // sum), so lambda_ik <= cap_k stays a bound.
-        const int lk = f.problem.add_variable(
-            tag + ".class" + std::to_string(k), 0.0,
-            seg.lambda_cap / kLambdaScale);
-        v.lambda_segments.push_back(lk);
-        split.push_back({lk, 1.0});
-        power_link.push_back({lk, -seg.slope * kLambdaScale});
-      }
-      f.problem.add_constraint(tag + ".class_split", std::move(split),
-                               lp::Relation::kEqual, 0.0);
-      f.problem.add_constraint(tag + ".power_link", std::move(power_link),
-                               lp::Relation::kEqual, 0.0);
-    }
+    // p_i - slope*lambda_i - intercept*y_i = 0 (slope rescaled to
+    // giga-requests).
+    f.problem.add_constraint(
+        tag + ".power_link",
+        {{v.power, 1.0},
+         {v.lambda, -site.power_slope * kLambdaScale},
+         {v.active, -site.power_intercept_mw}},
+        lp::Relation::kEqual, 0.0);
 
     // Tie the piecewise aggregate to the site power.
     f.problem.add_constraint(tag + ".cost_link",
@@ -104,36 +80,6 @@ AllocationFormulation build_allocation_formulation(
     f.vars.push_back(std::move(v));
   }
   return f;
-}
-
-SiteModel make_heterogeneous_site_model(
-    const datacenter::HeterogeneousSite& site,
-    const market::PricingPolicy& policy, double other_demand_mw) {
-  SiteModel model;
-  model.power_intercept_mw = site.activation_mw();
-  model.power_cap_mw = site.power_cap_mw() * 0.999;
-
-  const auto segments = site.power_segments();
-  model.power_slope = segments.front().slope_mw_per_request;
-  double lambda_total = 0.0;
-  double power_total = model.power_intercept_mw;
-  for (const auto& seg : segments) {
-    // Clip segment capacity once the cumulative power hits the cap.
-    double cap = seg.lambda_cap;
-    if (seg.slope_mw_per_request > 0.0) {
-      const double head =
-          (model.power_cap_mw - power_total) / seg.slope_mw_per_request;
-      cap = std::min(cap, std::max(0.0, head));
-    }
-    if (cap <= 0.0) break;
-    model.power_segments.push_back({cap, seg.slope_mw_per_request});
-    lambda_total += cap;
-    power_total += cap * seg.slope_mw_per_request;
-  }
-  model.lambda_max = lambda_total;
-  model.cost_curve =
-      policy.dc_cost_curve(other_demand_mw, std::max(power_total, 1e-6));
-  return model;
 }
 
 std::vector<double> AllocationResult::lambda_vector() const {

@@ -4,7 +4,6 @@
 #include <vector>
 
 #include "datacenter/datacenter.hpp"
-#include "datacenter/heterogeneous.hpp"
 #include "lp/milp.hpp"
 #include "lp/piecewise.hpp"
 #include "lp/problem.hpp"
@@ -31,17 +30,6 @@ struct SiteModel {
   /// $(p) over p in [0, effective cap]; its last break never exceeds
   /// power_cap_mw, which is what makes the formulation's p_i <= Ps_i implied.
   lp::PiecewiseAffine cost_curve;
-
-  /// Optional heterogeneous power curve: one (capacity, marginal-slope)
-  /// segment per server class, cheapest first (Section IX extension).
-  /// Empty = homogeneous site described by power_slope alone. Because site
-  /// cost is increasing in power, a cost-minimizing solve fills cheaper
-  /// segments first without extra binaries.
-  struct PowerSegment {
-    double lambda_cap = 0.0;  ///< requests/hour the segment can absorb
-    double slope = 0.0;       ///< MW per (request/hour)
-  };
-  std::vector<PowerSegment> power_segments;
 };
 
 /// Knobs shared by the optimizers.
@@ -61,20 +49,12 @@ SiteModel make_site_model(const datacenter::DataCenter& site,
                           double other_demand_mw,
                           bool model_cooling_network = true);
 
-/// Believed model of a heterogeneous site (Section IX extension): the
-/// power curve carries one segment per server class; the cost curve uses
-/// the same locational step prices.
-SiteModel make_heterogeneous_site_model(
-    const datacenter::HeterogeneousSite& site,
-    const market::PricingPolicy& policy, double other_demand_mw);
-
 /// Variable handles for one site inside an allocation MILP.
 struct SiteVars {
   int lambda = -1;  ///< dispatched rate, giga-requests/hour
   int active = -1;  ///< binary: site powered on
   int power = -1;   ///< site draw, MW
   lp::PiecewiseVars cost;  ///< piecewise cost encoding; cost.x == power
-  std::vector<int> lambda_segments;  ///< per-class rates (heterogeneous)
 };
 
 /// The per-site skeleton shared by cost minimization (Section IV) and

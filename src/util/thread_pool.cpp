@@ -36,34 +36,4 @@ void ThreadPool::worker_loop() {
   }
 }
 
-void parallel_for(ThreadPool& pool, std::size_t n,
-                  const std::function<void(std::size_t)>& fn) {
-  std::vector<std::future<void>> futures;
-  futures.reserve(n);
-  for (std::size_t i = 0; i < n; ++i)
-    futures.push_back(pool.submit([&fn, i] { fn(i); }));
-  // Every future must complete before any exception is rethrown: pending
-  // tasks capture `fn` by reference, so returning early would let workers
-  // run against a dead frame.
-  std::exception_ptr first;
-  for (auto& fut : futures) {
-    try {
-      fut.get();
-    } catch (...) {  // billcap-lint: allow(catch-all): captured as
-      // exception_ptr and rethrown below once all tasks have completed.
-      if (!first) first = std::current_exception();
-    }
-  }
-  if (first) std::rethrow_exception(first);
-}
-
-void parallel_for(std::size_t n, const std::function<void(std::size_t)>& fn) {
-  parallel_for(shared_pool(), n, fn);
-}
-
-ThreadPool& shared_pool() {
-  static ThreadPool pool;
-  return pool;
-}
-
 }  // namespace billcap::util

@@ -31,10 +31,11 @@ struct TaskResult<void> {
   std::string error;
 };
 
-/// Fixed-size worker pool. The sweep benches (pricing policies, monthly
-/// budgets) and the Monte-Carlo property tests run independent month-long
-/// simulations through this pool; on a single-core host it degrades
-/// gracefully to near-serial execution.
+/// Fixed-size worker pool. The fleet controller shards its region chunks
+/// across it; the sweep benches (pricing policies, monthly budgets) and the
+/// Monte-Carlo property tests submit independent month-long simulations to
+/// it and read the futures in index order. On a single-core host it
+/// degrades gracefully to near-serial execution.
 class ThreadPool {
  public:
   /// Spawns `num_threads` workers (defaults to hardware concurrency, min 1).
@@ -102,17 +103,5 @@ class ThreadPool {
   std::condition_variable cv_;
   bool stopping_ = false;
 };
-
-/// Runs fn(i) for i in [0, n) on the pool, blocking until ALL tasks have
-/// completed (even when some throw — pending tasks reference `fn`, so an
-/// early return would dangle). The first exception is then rethrown.
-void parallel_for(ThreadPool& pool, std::size_t n,
-                  const std::function<void(std::size_t)>& fn);
-
-/// Convenience overload using a process-wide shared pool.
-void parallel_for(std::size_t n, const std::function<void(std::size_t)>& fn);
-
-/// The lazily-created process-wide pool used by the convenience overload.
-ThreadPool& shared_pool();
 
 }  // namespace billcap::util

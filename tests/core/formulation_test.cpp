@@ -28,7 +28,6 @@ TEST_F(FormulationTest, SiteModelBasics) {
   // Safety margin keeps the believed cap strictly below the supplier cap.
   EXPECT_LT(m.power_cap_mw, sites_[0].spec().power_cap_mw);
   EXPECT_GE(m.cost_curve.num_segments(), 1u);
-  EXPECT_TRUE(m.power_segments.empty());  // homogeneous site
 }
 
 TEST_F(FormulationTest, LambdaMaxRespectsBothLimits) {

@@ -19,7 +19,6 @@
 #include "core/formulation.hpp"
 #include "core/throughput_maximizer.hpp"
 #include "datacenter/catalog.hpp"
-#include "datacenter/heterogeneous.hpp"
 #include "lp/arena_solver.hpp"
 #include "market/closed_loop.hpp"
 #include "market/pricing_policy.hpp"
@@ -27,26 +26,6 @@
 
 namespace billcap::core {
 namespace {
-
-datacenter::ServerPool make_pool(std::string name, double req_per_sec,
-                                 double watts, std::uint64_t count) {
-  return datacenter::ServerPool{
-      .name = std::move(name),
-      .queue = {.service_rate = req_per_sec * 3600.0, .ca2 = 1.0, .cb2 = 1.0},
-      .server = datacenter::ServerModel::from_active_power(watts, 0.8),
-      .operating_utilization = 0.8,
-      .count = count,
-  };
-}
-
-/// A two-class site; a small cap clips its second class.
-datacenter::HeterogeneousSite mixed_site(double cap_mw) {
-  return datacenter::HeterogeneousSite::from_pools(
-      "mixed",
-      {make_pool("old", 300.0, 134.0, 60'000),
-       make_pool("new", 500.0, 88.88, 60'000)},
-      2.0 / (300.0 * 3600.0), cap_mw);
-}
 
 /// The model BillCapper builds for a site that is down this hour
 /// (down_site_model in src/core/bill_capper.cpp): zero capacity and power
@@ -84,50 +63,54 @@ std::vector<DroppedBound> dropped_bounds(const AllocationFormulation& f,
 
 // ---- shape -----------------------------------------------------------------
 
-TEST(ImpliedBoundsTest, OnlyTheBinariesOfAHomogeneousSiteKeepABound) {
-  // A homogeneous site with an m-segment cost curve has 1 + m binaries
-  // (the activation y and the segment selectors z_k), and they are its
-  // only variables with a finite upper bound.
-  const auto sites = datacenter::paper_datacenters();
-  const auto policies = market::paper_policies(1);
-  for (std::size_t i = 0; i < sites.size(); ++i) {
-    for (const double demand : {0.0, 190.0, 230.0, 260.0, 310.0}) {
-      const std::vector<SiteModel> model = {
-          make_site_model(sites[i], policies[i], demand)};
-      const AllocationFormulation f = build_allocation_formulation(model);
-      int finite = 0;
-      for (const lp::Variable& v : f.problem.variables()) {
-        if (v.upper == lp::kInfinity) continue;
-        ++finite;
-        EXPECT_TRUE(v.is_integer) << v.name;
-      }
-      EXPECT_EQ(finite, 1 + static_cast<int>(
-                                model[0].cost_curve.num_segments()))
-          << "site " << i << " at " << demand << " MW";
-    }
-  }
-}
-
-TEST(ImpliedBoundsTest, AHeterogeneousSiteKeepsItsClassCaps) {
-  // No row implies one class's own cap, so lambda_ik <= cap_k stays: the
-  // finite bounds are the binaries plus one per server class.
-  const auto policies = market::paper_policies(1);
-  const std::vector<SiteModel> model = {
-      make_heterogeneous_site_model(mixed_site(35.0), policies[0], 200.0)};
-  const AllocationFormulation f = build_allocation_formulation(model);
-  const std::vector<int>& classes = f.vars[0].lambda_segments;
-  ASSERT_EQ(classes.size(), model[0].power_segments.size());
+/// Expects every finite upper bound of the formulation over `models` to be
+/// on a binary, and every site to have exactly 1 + m of them (its
+/// activation y and the selectors z_k of its m-segment cost curve).
+void expect_only_binaries_bounded(std::span<const SiteModel> models,
+                                  const std::string& tag) {
+  const AllocationFormulation f = build_allocation_formulation(models);
   int finite = 0;
-  for (int j = 0; j < f.problem.num_variables(); ++j) {
-    const lp::Variable& v = f.problem.variable(j);
+  for (const lp::Variable& v : f.problem.variables()) {
     if (v.upper == lp::kInfinity) continue;
     ++finite;
-    EXPECT_TRUE(v.is_integer ||
-                std::find(classes.begin(), classes.end(), j) != classes.end())
-        << v.name;
+    EXPECT_TRUE(v.is_integer) << tag << ": " << v.name;
   }
-  EXPECT_EQ(finite, 1 + static_cast<int>(model[0].cost_curve.num_segments() +
-                                         classes.size()));
+  int binaries = 0;
+  for (const SiteModel& m : models)
+    binaries += 1 + static_cast<int>(m.cost_curve.num_segments());
+  EXPECT_EQ(finite, binaries) << tag;
+}
+
+TEST(ImpliedBoundsTest, OnlyTheBinariesOfAHomogeneousSiteKeepABound) {
+  // Every site family production builds: the Cost Capping model with and
+  // without cooling at every policy level, masked by availability, the
+  // Min-Only beliefs, and a down site.
+  const auto sites = datacenter::paper_datacenters();
+  for (int level = 0; level <= 3; ++level) {
+    const auto policies = market::paper_policies(level);
+    for (std::size_t i = 0; i < sites.size(); ++i) {
+      for (const bool cooling : {true, false}) {
+        for (const double demand : {0.0, 190.0, 230.0, 260.0, 310.0}) {
+          const std::string tag = "level " + std::to_string(level) +
+                                  " site " + std::to_string(i) + " cooling " +
+                                  std::to_string(cooling) + " at " +
+                                  std::to_string(demand) + " MW";
+          std::vector<SiteModel> model = {
+              make_site_model(sites[i], policies[i], demand, cooling)};
+          expect_only_binaries_bounded(model, tag);
+          model[0].lambda_max = 0.0;
+          expect_only_binaries_bounded(model, "masked " + tag);
+        }
+      }
+    }
+    for (const auto belief : {MinOnlyPriceModel::kAverage,
+                              MinOnlyPriceModel::kLow})
+      expect_only_binaries_bounded(
+          min_only_site_models(sites, policies, belief),
+          "min-only level " + std::to_string(level));
+  }
+  const std::vector<SiteModel> down = {down_model()};
+  expect_only_binaries_bounded(down, "down");
 }
 
 // ---- premise ---------------------------------------------------------------
@@ -184,14 +167,6 @@ TEST(ImpliedBoundsTest, EveryCostCurveEndsAtOrBelowThePowerCap) {
           make_site_model(paper[i], derived[i], background[i]),
           "coupled site " + std::to_string(i));
   }
-
-  const auto policies = market::paper_policies(1);
-  for (const double cap_mw : {8.0, 20.0, 35.0, 60.0})
-    for (double d = 0.0; d <= 400.0; d += 5.0)
-      expect_curve_within_cap(
-          make_heterogeneous_site_model(mixed_site(cap_mw), policies[0], d),
-          "heterogeneous cap " + std::to_string(cap_mw) + " d " +
-              std::to_string(d));
 }
 
 TEST(ImpliedBoundsTest, ADownSiteIsPinnedToZeroPowerByItsPowerLink) {
@@ -228,8 +203,8 @@ TEST(ImpliedBoundsTest, ADownSiteIsPinnedToZeroPowerByItsPowerLink) {
 // ---- differential ----------------------------------------------------------
 
 /// A seeded allocation instance: two to five sites drawn from every model
-/// family (cooling on or off, any policy level, Min-Only beliefs, masked,
-/// down and heterogeneous sites), a demand and a budget.
+/// family (cooling on or off, any policy level, Min-Only beliefs, masked
+/// and down sites), a demand and a budget.
 struct Instance {
   std::vector<SiteModel> models;
   double lambda = 0.0;  ///< requests/hour
@@ -249,10 +224,7 @@ Instance random_instance(util::Rng& rng) {
     SiteModel m;
     if (family < 0.08) {
       m = down_model();
-    } else if (family < 0.2) {
-      m = make_heterogeneous_site_model(mixed_site(rng.uniform(8.0, 60.0)),
-                                        policies[s], demand);
-    } else if (family < 0.3) {
+    } else if (family < 0.18) {
       m = min_only_site_models(paper, policies,
                                rng.bernoulli(0.5) ? MinOnlyPriceModel::kAverage
                                                   : MinOnlyPriceModel::kLow)[s];

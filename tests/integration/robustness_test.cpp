@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <future>
 #include <vector>
 
 #include "core/bill_capper.hpp"
@@ -83,14 +84,24 @@ TEST(RobustnessTest, AllPremiumAndAllOrdinaryMixes) {
 
 TEST(RobustnessTest, InvariantsHoldAcrossSeeds) {
   // Monte-Carlo sweep: the core guarantees are seed-independent.
-  util::ThreadPool pool(4);
   std::vector<MonthlyResult> results(4);
-  util::parallel_for(pool, results.size(), [&results](std::size_t i) {
-    SimulationConfig config;
-    config.seed = 100 + i * 37;
-    config.monthly_budget = 1.2e6;
-    results[i] = Simulator(config).run(Strategy::kCostCapping);
-  });
+  {
+    // Each task returns its month through its future, read back in index
+    // order, so the output does not depend on the schedule. The pool is
+    // declared after all its tasks read: if a get() throws, its
+    // destructor drains the queue before any of that goes away.
+    util::ThreadPool pool(4);
+    std::vector<std::future<MonthlyResult>> futures;
+    for (std::size_t i = 0; i < results.size(); ++i)
+      futures.push_back(pool.submit([i] {
+        SimulationConfig config;
+        config.seed = 100 + i * 37;
+        config.monthly_budget = 1.2e6;
+        return Simulator(config).run(Strategy::kCostCapping);
+      }));
+    for (std::size_t i = 0; i < results.size(); ++i)
+      results[i] = futures[i].get();
+  }
   for (const auto& r : results) {
     EXPECT_DOUBLE_EQ(r.premium_throughput_ratio(), 1.0);
     EXPECT_GT(r.ordinary_throughput_ratio(), 0.0);

@@ -1,4 +1,4 @@
-#include "market/rebate.hpp"
+#include "rebate.hpp"
 
 #include <gtest/gtest.h>
 
@@ -27,13 +27,6 @@ TEST(RebateProgramTest, Validation) {
   EXPECT_THROW(p.validate(), std::invalid_argument);
   p = program();
   p.rebate_per_mwh = -0.1;
-  EXPECT_THROW(p.validate(), std::invalid_argument);
-  p = program();
-  p.peak_start_hour = 20;
-  p.peak_end_hour = 18;
-  EXPECT_THROW(p.validate(), std::invalid_argument);
-  p = program();
-  p.peak_end_hour = 25;
   EXPECT_THROW(p.validate(), std::invalid_argument);
 }
 

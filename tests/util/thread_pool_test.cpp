@@ -3,7 +3,6 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
-#include <numeric>
 #include <stdexcept>
 #include <vector>
 
@@ -83,58 +82,6 @@ TEST(ThreadPoolTest, SubmitNoexceptVoidCapturesFailure) {
   const TaskResult<void> res = fut.get();
   EXPECT_FALSE(res.ok);
   EXPECT_FALSE(res.error.empty());
-}
-
-TEST(ParallelForTest, CoversAllIndicesExactlyOnce) {
-  ThreadPool pool(4);
-  std::vector<std::atomic<int>> hits(256);
-  parallel_for(pool, hits.size(),
-               [&hits](std::size_t i) { ++hits[i]; });
-  for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
-}
-
-TEST(ParallelForTest, ZeroIterationsIsNoop) {
-  ThreadPool pool(2);
-  parallel_for(pool, 0, [](std::size_t) { FAIL() << "must not be called"; });
-}
-
-TEST(ParallelForTest, PropagatesTaskException) {
-  ThreadPool pool(2);
-  EXPECT_THROW(parallel_for(pool, 8,
-                            [](std::size_t i) {
-                              if (i == 3) throw std::runtime_error("bad");
-                            }),
-               std::runtime_error);
-}
-
-TEST(ParallelForTest, AllTasksCompleteDespiteAThrow) {
-  // parallel_for must wait for every task before rethrowing — returning
-  // early would leave workers touching a destroyed closure.
-  ThreadPool pool(4);
-  std::atomic<int> completed{0};
-  EXPECT_THROW(parallel_for(pool, 64,
-                            [&completed](std::size_t i) {
-                              if (i == 0) throw std::runtime_error("early");
-                              ++completed;
-                            }),
-               std::runtime_error);
-  EXPECT_EQ(completed.load(), 63);
-}
-
-TEST(ParallelForTest, SharedPoolOverloadWorks) {
-  std::atomic<int> counter{0};
-  parallel_for(16, [&counter](std::size_t) { ++counter; });
-  EXPECT_EQ(counter.load(), 16);
-}
-
-TEST(ParallelForTest, ResultsMatchSerialComputation) {
-  ThreadPool pool(4);
-  std::vector<double> out(1000, 0.0);
-  parallel_for(pool, out.size(), [&out](std::size_t i) {
-    out[i] = static_cast<double>(i) * 0.5;
-  });
-  double total = std::accumulate(out.begin(), out.end(), 0.0);
-  EXPECT_DOUBLE_EQ(total, 0.5 * (999.0 * 1000.0 / 2.0));
 }
 
 }  // namespace

@@ -62,6 +62,9 @@ echo "== stage 0b: reachability ratchet (src/ holds only what ships) =="
 # <prefix>-reach-perf, and fails on any billcap:: symbol of the src/
 # libraries that no product binary links and tools/reachability_baseline.txt
 # does not list, or on a baseline line that is reachable again or gone.
+# A second list, tools/reachability_bench_baseline.txt, must name every
+# src/ symbol that only bench/ or examples/ programs link (not billcap or
+# perfbench), each with a program that keeps it.
 sh "$ROOT/tools/reachability.sh" "$PREFIX"
 
 echo "== stage 0c: the pivot's row kernel stays vectorized =="
