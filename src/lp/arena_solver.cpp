@@ -22,7 +22,10 @@ long dual_pivot_budget(int m) { return std::max<long>(200, 4L * m); }
 /// silently destroys B^-1 for every later warm re-solve (observed as bogus
 /// node bounds on the paper's MILPs). Warm repairs refuse such pivots and
 /// report a repair failure so the caller rebuilds cold; the cold two-phase
-/// path keeps the reference simplex's pivot_tol rule, bit for bit.
+/// path keeps the reference simplex's pivot_tol rule, bit for bit. A node's
+/// dual repair scales the floor by the leaving row's largest entry (at
+/// least 1): on a row whose entries have grown, an absolute 1e-7 once
+/// admitted a pivot that drove a row's rhs to -6e16.
 constexpr double kStablePivot = 1e-7;
 
 /// The pivot's two row kernels, d[j] *= s and d[j] -= f * s[j] over a whole
@@ -55,14 +58,23 @@ void row_sub_scaled(double* __restrict d, const double* __restrict s, double f,
 }  // namespace
 
 /// All solver state lives here, in flat capacity-reserved storage. The
-/// tableau layout matches the reference simplex exactly — columns
+/// tableau layout matches the reference simplex — columns
 /// [structural | slack/surplus | artificial | rhs], rows normalized to
-/// rhs >= 0 at build time — so the cold path reproduces the reference
-/// simplex's pivot sequence bit for bit, and the columns that started as the identity
-/// (identity_col) read back B^-1 for the node rhs swaps. Each row (and the
-/// cost row) is padded from its logical width n_total + 1 to an even
-/// stride for the row kernels; the padding lanes start at zero, pivots
+/// rhs >= 0 at build time — and the columns that started as the identity
+/// (identity_col) read back B^-1 for the duals and the rhs walk. Each row
+/// (and the cost row) is padded from its logical width n_total + 1 to an
+/// even stride for the row kernels; the padding lanes start at zero, pivots
 /// and cost loads keep them zero, and no scan reads them.
+///
+/// Bounded columns: an integer variable that maps to one shifted column
+/// with a finite upper bound gets no bound row. Its column carries the
+/// bound (col_hi) and sits nonbasic at 0 or at col_hi (at_upper), so the
+/// simplex is the bounded-variable one: an entering column may stop at its
+/// own bound (a flip, no basis change) and a basic one may leave to its
+/// upper bound. Every other finite bound keeps its row, so a problem
+/// without integer marks builds the reference's tableau and replays its
+/// pivot sequence bit for bit. The rhs column holds the basic variables'
+/// current values, nonbasic-at-upper contributions included.
 struct ArenaSolver::Impl {
   ArenaStats stat;
   std::size_t max_arena_bytes = 0;  ///< this call's byte cap; 0 = unlimited
@@ -94,6 +106,8 @@ struct ArenaSolver::Impl {
   std::vector<int> basis;
   std::vector<int> identity_col;  ///< per row: the column that was e_i at build
   std::vector<char> is_artificial;
+  std::vector<double> col_hi;     ///< per column: upper bound, kInfinity if none
+  std::vector<char> at_upper;     ///< per column: nonbasic at col_hi, not at 0
   std::size_t width = 0;   ///< logical row width, n_total + 1
   std::size_t stride = 0;  ///< width rounded up to even
   /// The largest logical tableau and cost row ever held, in doubles. The
@@ -105,6 +119,9 @@ struct ArenaSolver::Impl {
   int n_total = 0;
   int first_artificial = 0;
   int num_artificial = 0;
+  /// The current phase's objective, kept by pivots and flips. Phase 1 reads
+  /// it as the artificials' sum; phase 2 only compares it with itself (a
+  /// stall test), so it leaves out the nonbasic-at-upper columns' constant.
   double cost_value = 0.0;
   long iterations_this_solve = 0;
   long lp_iters = 0;  ///< pivots of the LP currently being solved (both phases)
@@ -113,15 +130,16 @@ struct ArenaSolver::Impl {
   /// dual-simplex warm re-solve from it is sound.
   bool resident_valid = false;
   /// Every integer variable is kShifted with a finite upper bound, so
-  /// branching moves only the rhs and children can warm start.
+  /// branching moves only column bounds and children can warm start.
   bool fast_path_ok = false;
 
   // ---- per-solve working buffers (reserved once per shape) --------------
   std::vector<double> cur_lo, cur_hi;
   std::vector<double> root_lo, root_hi;
+  /// The integer variables' bounds the resident tableau was left at: a
+  /// warm node moves only the columns whose bounds differ from these.
+  std::vector<double> res_lo, res_hi;
   std::vector<int> int_vars;
-  std::vector<double> work_rhs;  ///< b' in the build-time row convention
-  std::vector<double> work_xb;
   std::vector<double> work_x;    ///< original-space recovery
   std::vector<double> row_buf;   ///< dense std coefficients of one row
   std::vector<double> snap_buf;  ///< incumbent snapping scratch
@@ -252,17 +270,6 @@ struct ArenaSolver::Impl {
     return cur_lo[v] - cur_hi[v];  // mirrored lower-bound row
   }
 
-  /// Recomputes every row's rhs under the current bounds, in the resident
-  /// build's sign convention.
-  void compute_rhs(const Problem& problem) {
-    work_rhs.resize(static_cast<std::size_t>(m));
-    for (int k = 0; k < m; ++k) {
-      const RowMeta& rm = rows[static_cast<std::size_t>(k)];
-      const double r = raw_rhs(problem, rm);
-      work_rhs[static_cast<std::size_t>(k)] = rm.flipped ? -r : r;
-    }
-  }
-
   // ---- cold build: two-phase from scratch --------------------------------
 
   /// Builds the tableau from `problem` under the current bounds and runs
@@ -273,8 +280,16 @@ struct ArenaSolver::Impl {
   SolveStatus cold_build(const Problem& problem, const SimplexOptions& lp) {
     lp_iters = 0;
     build_maps();
+    // An integer kShifted variable with a finite upper bound is a bounded
+    // column: its bound is carried by the column, not by a row.
+    const auto bounded = [&](int j) {
+      const std::size_t v = static_cast<std::size_t>(j);
+      return problem.variable(j).is_integer && maps[v].kind == Kind::kShifted &&
+             cur_hi[v] != kInfinity;
+    };
 
-    // Row metas: original constraints, then bound rows.
+    // Row metas: original constraints, then the bound rows of every finite
+    // bound that is not a bounded column's.
     rows.clear();
     rows.reserve(static_cast<std::size_t>(problem.num_constraints() + n_orig));
     for (int i = 0; i < problem.num_constraints(); ++i) {
@@ -287,7 +302,7 @@ struct ArenaSolver::Impl {
       const VarMap& mp = maps[static_cast<std::size_t>(j)];
       const double hi = cur_hi[static_cast<std::size_t>(j)];
       const double lo = cur_lo[static_cast<std::size_t>(j)];
-      if (mp.kind == Kind::kShifted && hi != kInfinity) {
+      if (mp.kind == Kind::kShifted && hi != kInfinity && !bounded(j)) {
         RowMeta rm;
         rm.bound_var = j;
         rm.relation = Relation::kLessEqual;
@@ -342,9 +357,16 @@ struct ArenaSolver::Impl {
     basis.assign(static_cast<std::size_t>(m), -1);
     identity_col.assign(static_cast<std::size_t>(m), -1);
     is_artificial.assign(static_cast<std::size_t>(n_total), 0);
+    col_hi.assign(static_cast<std::size_t>(n_total), kInfinity);
+    at_upper.assign(static_cast<std::size_t>(n_total), 0);
+    for (const int j : int_vars) {
+      const std::size_t v = static_cast<std::size_t>(j);
+      if (bounded(j))
+        col_hi[static_cast<std::size_t>(maps[v].primary)] = cur_hi[v] - cur_lo[v];
+    }
+    res_lo = cur_lo;
+    res_hi = cur_hi;
     row_buf.assign(static_cast<std::size_t>(n_struct), 0.0);
-    work_rhs.resize(static_cast<std::size_t>(m));
-    work_xb.resize(static_cast<std::size_t>(m));
 
     int next_slack = n_struct;
     int next_art = first_artificial;
@@ -466,7 +488,7 @@ struct ArenaSolver::Impl {
           break;
         }
       }
-      if (entering >= 0) pivot(i, entering);
+      if (entering >= 0) pivot_to(i, entering, /*to_upper=*/false);
     }
   }
 
@@ -475,7 +497,9 @@ struct ArenaSolver::Impl {
   /// `stable_pivot` > 0 makes the iteration refuse pivot elements below
   /// that magnitude (returning kIterationLimit, i.e. "repair failed, go
   /// cold"). Warm polishing passes set it; the cold path leaves it 0 to
-  /// match the reference simplex's pivot sequence exactly.
+  /// match the reference simplex's pivot sequence exactly. A flip (the
+  /// entering column reaching its own bound first) changes no basis: it
+  /// counts toward max_iterations but is not a pivot.
   SolveStatus primal_iterate(bool phase1, const SimplexOptions& lp,
                              double stable_pivot = 0.0) {
     long since_improvement = 0;
@@ -487,15 +511,20 @@ struct ArenaSolver::Impl {
       const int entering = choose_entering(phase1, bland, lp);
       if (entering < 0) return SolveStatus::kOptimal;
 
-      const int leaving = choose_leaving(entering, lp);
-      if (leaving < 0) return SolveStatus::kUnbounded;
-
-      if (stable_pivot > 0.0 && at(leaving, entering) < stable_pivot)
-        return SolveStatus::kIterationLimit;
-      pivot(leaving, entering);
-      ++lp_iters;
-      ++iterations_this_solve;
-      ++stat.primal_iterations;
+      const Leaving out = choose_leaving(entering, lp);
+      if (out.flip) {
+        flip(entering);
+        ++lp_iters;
+      } else {
+        if (out.row < 0) return SolveStatus::kUnbounded;
+        if (stable_pivot > 0.0 &&
+            std::abs(at(out.row, entering)) < stable_pivot)
+          return SolveStatus::kIterationLimit;
+        pivot_to(out.row, entering, out.to_upper);
+        ++lp_iters;
+        ++iterations_this_solve;
+        ++stat.primal_iterations;
+      }
 
       if (cost_value < best_seen - 1e-12) {
         best_seen = cost_value;
@@ -507,13 +536,23 @@ struct ArenaSolver::Impl {
     }
   }
 
+  /// +1 when column j would enter by rising from 0, -1 when it would fall
+  /// from its upper bound.
+  double direction(int j) const {
+    return at_upper[static_cast<std::size_t>(j)] ? -1.0 : 1.0;
+  }
+
+  /// Dantzig pricing over the reduced costs read in each column's
+  /// direction (an at-upper column improves when its cost is positive). A
+  /// fixed column (upper bound 0) cannot move and never enters.
   int choose_entering(bool phase1, bool bland, const SimplexOptions& lp) const {
     int best = -1;
     double best_rc = -lp.optimality_tol;
     for (int j = 0; j < n_total; ++j) {
       if (!phase1 && is_artificial[static_cast<std::size_t>(j)]) continue;
-      const double rc = cost_row[static_cast<std::size_t>(j)];
+      const double rc = direction(j) * cost_row[static_cast<std::size_t>(j)];
       if (rc < -lp.optimality_tol) {
+        if (col_hi[static_cast<std::size_t>(j)] == 0.0) continue;
         if (bland) return j;
         if (rc < best_rc) {
           best_rc = rc;
@@ -524,31 +563,89 @@ struct ArenaSolver::Impl {
     return best;
   }
 
+  /// The outcome of a primal ratio test.
+  struct Leaving {
+    int row = -1;           ///< leaving row; -1 with !flip means unbounded
+    bool to_upper = false;  ///< the leaving variable stops at its upper bound
+    bool flip = false;      ///< the entering column reaches its own bound first
+  };
+
   /// Exact-minimum ratio test with a smallest-basis-index tie-break inside
   /// one absolute epsilon of the true minimum. Anchoring the window at the
   /// exact minimum (instead of letting it drift with each accepted tie)
   /// keeps degenerate pivots deterministic and cycling-resistant; the same
-  /// rule is pinned by tests/lp/simplex_test.cpp.
-  int choose_leaving(int entering, const SimplexOptions& lp) const {
+  /// rule is pinned by tests/lp/simplex_test.cpp. A basic variable stops
+  /// at 0 or, on a bounded column, at its upper bound; the entering column
+  /// flips instead when its own bound is no farther than every row's.
+  Leaving choose_leaving(int entering, const SimplexOptions& lp) const {
+    const double dir = direction(entering);
+    const auto ratio_of = [&](int i, double& ratio) {
+      const double a = dir * at(i, entering);
+      if (a > lp.pivot_tol) {
+        ratio = std::max(rhs(i), 0.0) / a;
+        return true;
+      }
+      if (a < -lp.pivot_tol) {
+        const double hi =
+            col_hi[static_cast<std::size_t>(basis[static_cast<std::size_t>(i)])];
+        if (hi == kInfinity) return false;
+        ratio = std::max(hi - rhs(i), 0.0) / -a;
+        return true;
+      }
+      return false;
+    };
     double min_ratio = kInfinity;
-    for (int i = 0; i < m; ++i) {
-      const double a = at(i, entering);
-      if (a <= lp.pivot_tol) continue;
-      const double ratio = std::max(rhs(i), 0.0) / a;
-      if (ratio < min_ratio) min_ratio = ratio;
+    double ratio = 0.0;
+    for (int i = 0; i < m; ++i)
+      if (ratio_of(i, ratio) && ratio < min_ratio) min_ratio = ratio;
+    Leaving out;
+    const double own = col_hi[static_cast<std::size_t>(entering)];
+    if (own != kInfinity && own <= min_ratio) {
+      out.flip = true;
+      return out;
     }
-    if (min_ratio == kInfinity) return -1;
-    int best = -1;
+    if (min_ratio == kInfinity) return out;
     for (int i = 0; i < m; ++i) {
-      const double a = at(i, entering);
-      if (a <= lp.pivot_tol) continue;
-      const double ratio = std::max(rhs(i), 0.0) / a;
+      if (!ratio_of(i, ratio)) continue;
       if (ratio <= min_ratio + 1e-12 &&
-          (best < 0 || basis[static_cast<std::size_t>(i)] <
-                           basis[static_cast<std::size_t>(best)]))
-        best = i;
+          (out.row < 0 || basis[static_cast<std::size_t>(i)] <
+                              basis[static_cast<std::size_t>(out.row)])) {
+        out.row = i;
+        out.to_upper = dir * at(i, entering) < 0.0;
+      }
     }
-    return best;
+    return out;
+  }
+
+  /// Moves nonbasic column e from one bound to the other: every basic
+  /// value shifts by its column times the step. O(m), no basis change.
+  void flip(int e) {
+    const std::size_t c = static_cast<std::size_t>(e);
+    const double step = direction(e) * col_hi[c];
+    for (int i = 0; i < m; ++i) at(i, n_total) -= at(i, e) * step;
+    cost_value += cost_row[c] * step;
+    at_upper[c] = at_upper[c] ? 0 : 1;
+  }
+
+  /// pivot() for the bounded simplex: the leaving variable stops at 0 or at
+  /// its upper bound, and the entering one starts from where it sits. The
+  /// row kernels move every rhs by the pivot row's rhs; taking the leaving
+  /// bound out of that rhs first makes it the entering variable's step, and
+  /// adding its starting bound back afterwards makes it its value. Both
+  /// adjustments are skipped at 0, so an unbounded problem pivots exactly
+  /// as the reference simplex does.
+  void pivot_to(int leaving_row, int entering_col, bool to_upper) {
+    const std::size_t leaving =
+        static_cast<std::size_t>(basis[static_cast<std::size_t>(leaving_row)]);
+    const std::size_t e = static_cast<std::size_t>(entering_col);
+    if (to_upper) at(leaving_row, n_total) -= col_hi[leaving];
+    const bool from_upper = at_upper[e] != 0;
+    pivot(leaving_row, entering_col);
+    if (from_upper) {
+      at(leaving_row, n_total) += col_hi[e];
+      at_upper[e] = 0;
+    }
+    at_upper[leaving] = to_upper ? 1 : 0;
   }
 
   void pivot(int leaving_row, int entering_col) {
@@ -574,71 +671,96 @@ struct ArenaSolver::Impl {
     basis[static_cast<std::size_t>(leaving_row)] = entering_col;
   }
 
-  // ---- dual simplex: repair primal feasibility after an rhs swap --------
+  // ---- dual simplex: repair primal feasibility after a bound move --------
 
-  /// Requires a dual-feasible resident tableau (phase-2 reduced costs
-  /// >= -tol, which bound branching and rhs swaps preserve). Terminates
-  /// kOptimal (primal feasible again), kInfeasible (dual unbounded: no
-  /// feasible point for this rhs), or kIterationLimit (budget blown —
+  /// Requires a dual-feasible resident tableau (every column's reduced cost
+  /// read in its direction >= -tol, which bound moves preserve). A basic
+  /// variable below 0 or above its column's upper bound leaves to the bound
+  /// it breaks, the most violated first. Terminates kOptimal (primal
+  /// feasible again), kInfeasible (dual unbounded: no feasible point for
+  /// these bounds), or kIterationLimit (budget blown or no stable pivot —
   /// caller falls back cold).
   SolveStatus dual_iterate(const SimplexOptions& lp) {
     const long budget = dual_pivot_budget(m);
     long local = 0;
     for (;;) {
       int r = -1;
-      double most = -lp.feasibility_tol;
+      bool to_upper = false;
+      double most = lp.feasibility_tol;
       for (int i = 0; i < m; ++i) {
         const double v = rhs(i);
-        if (v < most ||
-            (v == most && r >= 0 &&
+        const double over =
+            v - col_hi[static_cast<std::size_t>(basis[static_cast<std::size_t>(i)])];
+        const bool up = over > -v;
+        const double excess = up ? over : -v;
+        if (excess > most ||
+            (excess == most && r >= 0 &&
              basis[static_cast<std::size_t>(i)] <
                  basis[static_cast<std::size_t>(r)])) {
-          most = v;
+          most = excess;
           r = i;
+          to_upper = up;
         }
       }
       if (r < 0) return SolveStatus::kOptimal;
       if (++local > budget) return SolveStatus::kIterationLimit;
+      double row_max = 1.0;
+      for (int j = 0; j < n_total; ++j)
+        if (!is_artificial[static_cast<std::size_t>(j)])
+          row_max = std::max(row_max, std::abs(at(r, j)));
       int e = -1;
-      const SolveStatus st = dual_entering(r, lp, e);
+      const SolveStatus st =
+          dual_entering(r, to_upper, kStablePivot * row_max, lp, e);
       if (st != SolveStatus::kOptimal) return st;
-      pivot(r, e);
+      pivot_to(r, e, to_upper);
       ++iterations_this_solve;
       ++stat.dual_iterations;
     }
   }
 
-  /// Entering column `e` of a dual-simplex pivot on row r: exact minimum
-  /// of rc_j / -a_rj over eligible columns, smallest index inside the
-  /// epsilon window (same anchored tie-break as the primal ratio test).
-  /// Only numerically solid pivots (|a| >= kStablePivot) are eligible.
-  /// Returns kOptimal with `e` set; kInfeasible, certified only when the
-  /// row has no negative entry at all; or kIterationLimit when negative
-  /// entries exist but none is safe to pivot on, so the warm repair cannot
-  /// proceed reliably and the caller rebuilds cold instead.
-  SolveStatus dual_entering(int r, const SimplexOptions& lp, int& e) const {
+  /// Entering column `e` of a dual-simplex pivot on row r, whose basic
+  /// variable leaves up to 0 (`to_upper` false) or down to its upper bound.
+  /// A column can carry it there when moving the column off its bound
+  /// moves the basic variable that way; among those, exact minimum of
+  /// |reduced cost| / |a_rj|, smallest index inside the epsilon window
+  /// (same anchored tie-break as the primal ratio test). Only numerically
+  /// solid pivots (|a_rj| > `floor`) are eligible. Returns kOptimal with
+  /// `e` set; kInfeasible, certified only when no column can move the
+  /// variable at all; or kIterationLimit when some can but none is safe to
+  /// pivot on, so the warm repair cannot proceed reliably and the caller
+  /// rebuilds cold instead.
+  SolveStatus dual_entering(int r, bool to_upper, double floor,
+                            const SimplexOptions& lp, int& e) const {
+    const double sense = to_upper ? -1.0 : 1.0;
+    const int leaving = basis[static_cast<std::size_t>(r)];
+    // The row entry in the leaving variable's pull (< 0 when column j
+    // helps), or 0 for a column that cannot enter.
+    const auto pull = [&](int j) {
+      const std::size_t c = static_cast<std::size_t>(j);
+      if (is_artificial[c] || j == leaving || col_hi[c] == 0.0) return 0.0;
+      return sense * direction(j) * at(r, j);
+    };
     double min_ratio = kInfinity;
-    bool any_negative = false;
+    bool any_pull = false;
     for (int j = 0; j < n_total; ++j) {
-      if (is_artificial[static_cast<std::size_t>(j)]) continue;
-      const double a = at(r, j);
+      const double a = pull(j);
       if (a >= -lp.pivot_tol) continue;
-      any_negative = true;
-      if (a >= -kStablePivot) continue;
+      any_pull = true;
+      if (a >= -floor) continue;
       const double ratio =
-          std::max(cost_row[static_cast<std::size_t>(j)], 0.0) / (-a);
+          std::max(direction(j) * cost_row[static_cast<std::size_t>(j)], 0.0) /
+          (-a);
       if (ratio < min_ratio) min_ratio = ratio;
     }
     if (min_ratio == kInfinity)
-      return any_negative ? SolveStatus::kIterationLimit
-                          : SolveStatus::kInfeasible;
+      return any_pull ? SolveStatus::kIterationLimit : SolveStatus::kInfeasible;
     e = -1;
     for (int j = 0; j < n_total; ++j) {
-      if (is_artificial[static_cast<std::size_t>(j)]) continue;
-      const double a = at(r, j);
-      if (a >= -kStablePivot) continue;
+      const double a = pull(j);
+      if (a >= -floor) continue;
       const double ratio =
-          std::max(cost_row[static_cast<std::size_t>(j)], 0.0) / (-a);
+          std::max(direction(j) * cost_row[static_cast<std::size_t>(j)], 0.0) /
+          (-a);
       if (ratio <= min_ratio + 1e-12) {
         e = j;
         break;  // smallest index in the window
@@ -647,42 +769,54 @@ struct ArenaSolver::Impl {
     return e < 0 ? SolveStatus::kIterationLimit : SolveStatus::kOptimal;
   }
 
-  /// Swaps a freshly computed rhs (work_rhs) into the resident tableau via
-  /// the B^-1 columns and recomputes the objective value. O(m^2).
-  void swap_rhs() {
-    for (int i = 0; i < m; ++i) {
-      double s = 0.0;
-      for (int k = 0; k < m; ++k)
-        s += at(i, identity_col[static_cast<std::size_t>(k)]) *
-             work_rhs[static_cast<std::size_t>(k)];
-      work_xb[static_cast<std::size_t>(i)] = s;
+  /// Brings the resident tableau to the current node's integer bounds. A
+  /// nonbasic column whose bounds moved goes to the bound its reduced cost
+  /// keeps dual feasible, and every basic value shifts by its column times
+  /// the step: O(m) per moved variable. A basic one only re-anchors its
+  /// value at the new lower bound; if that leaves it outside its interval,
+  /// the dual simplex repairs it.
+  void move_bounds(const SimplexOptions& lp) {
+    for (const int j : int_vars) {
+      const std::size_t v = static_cast<std::size_t>(j);
+      const double lo = cur_lo[v];
+      const double hi = cur_hi[v];
+      if (lo == res_lo[v] && hi == res_hi[v]) continue;
+      const int col = maps[v].primary;
+      const std::size_t c = static_cast<std::size_t>(col);
+      int row = -1;
+      for (int i = 0; i < m && row < 0; ++i)
+        if (basis[static_cast<std::size_t>(i)] == col) row = i;
+      if (row >= 0) {
+        at(row, n_total) -= lo - res_lo[v];
+      } else {
+        const double d = cost_row[c];
+        bool up = at_upper[c] != 0;
+        if (up ? d > lp.optimality_tol : d < -lp.optimality_tol) up = !up;
+        const double step = (up ? hi : lo) - (at_upper[c] ? res_hi[v] : res_lo[v]);
+        if (step != 0.0)
+          for (int i = 0; i < m; ++i) at(i, n_total) -= at(i, col) * step;
+        at_upper[c] = up ? 1 : 0;
+      }
+      col_hi[c] = hi - lo;
+      res_lo[v] = lo;
+      res_hi[v] = hi;
     }
-    double obj = 0.0;
-    for (int i = 0; i < m; ++i) {
-      at(i, n_total) = work_xb[static_cast<std::size_t>(i)];
-      const int b = basis[static_cast<std::size_t>(i)];
-      if (b < n_struct)
-        obj += std_costs[static_cast<std::size_t>(b)] *
-               work_xb[static_cast<std::size_t>(i)];
-    }
-    cost_value = obj;
   }
 
-  /// Warm re-solve of the current node's LP: recompute rhs under the
-  /// current bounds, swap it in, repair with dual simplex, polish primal.
-  SolveStatus warm_eval(const Problem& problem, const SimplexOptions& lp) {
+  /// Warm re-solve of the current node's LP: move the changed bounds into
+  /// the resident tableau, repair with dual simplex, polish primal.
+  SolveStatus warm_eval(const SimplexOptions& lp) {
     lp_iters = 0;
-    compute_rhs(problem);
-    swap_rhs();
+    move_bounds(lp);
     SolveStatus st = dual_iterate(lp);
     if (st != SolveStatus::kOptimal) return st;
     st = primal_iterate(/*phase1=*/false, lp, kStablePivot);
     if (st != SolveStatus::kOptimal) return st;
     // A basic artificial that phase 1 parked at zero (redundant row) may go
-    // positive under the new rhs; the "solution" then violates its original
-    // constraint and its objective is not a valid node bound. The dual
-    // simplex cannot fix this (artificials never re-enter), so surface it
-    // as a repair failure and let the caller rebuild cold.
+    // positive under the new bounds; the "solution" then violates its
+    // original constraint and its objective is not a valid node bound. The
+    // dual simplex cannot fix this (artificials never re-enter), so surface
+    // it as a repair failure and let the caller rebuild cold.
     for (int i = 0; i < m; ++i) {
       if (is_artificial[static_cast<std::size_t>(
               basis[static_cast<std::size_t>(i)])] &&
@@ -707,8 +841,10 @@ struct ArenaSolver::Impl {
       double value = 0.0;
       switch (mp.kind) {
         case Kind::kShifted:
-          value = cur_lo[static_cast<std::size_t>(j)] +
-                  snap_buf[static_cast<std::size_t>(mp.primary)];
+          value = at_upper[static_cast<std::size_t>(mp.primary)]
+                      ? cur_hi[static_cast<std::size_t>(j)]
+                      : cur_lo[static_cast<std::size_t>(j)] +
+                            snap_buf[static_cast<std::size_t>(mp.primary)];
           break;
         case Kind::kMirrored:
           value = cur_hi[static_cast<std::size_t>(j)] -
@@ -804,7 +940,8 @@ struct ArenaSolver::Impl {
       // One dual-simplex pivot replaces it. A row with no negative entry
       // certifies that no rhs past t is feasible.
       int e = -1;
-      const SolveStatus st = dual_entering(leave, lp, e);
+      const SolveStatus st =
+          dual_entering(leave, /*to_upper=*/false, kStablePivot, lp, e);
       if (st == SolveStatus::kInfeasible) {
         out.end = RhsRange::End::kInfeasible;
         out.end_t = t;
@@ -941,7 +1078,7 @@ struct ArenaSolver::Impl {
       SolveStatus st = SolveStatus::kIterationLimit;
       bool solved_warm = false;
       if (resident_valid && fast_path_ok) {
-        st = warm_eval(problem, options.lp);
+        st = warm_eval(options.lp);
         if (st == SolveStatus::kOptimal || st == SolveStatus::kInfeasible) {
           solved_warm = true;
           ++stat.node_warm_solves;

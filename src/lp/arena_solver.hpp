@@ -49,13 +49,15 @@ struct RhsRange {
 /// index arrays and a pooled branch-and-bound node stack, sized once per
 /// shape so the solve loops never allocate.
 ///
-/// Every solve() builds its root cold (two-phase, the pivot sequence of
-/// the reference simplex the tests keep, solve_lp_reference).
-/// Branch-and-bound children re-solve from the parent's basis with a dual
-/// simplex (bound branching only moves the rhs, so the resident
-/// tableau stays dual-feasible); each child costs a handful of pivots
-/// instead of a full two-phase solve, and falls back to a cold rebuild when
-/// basis repair fails. range_rhs() walks an LP root's basis within the
+/// Every solve() builds its root cold (two-phase; for a problem without
+/// integer marks, the pivot sequence of the reference simplex the tests
+/// keep, solve_lp_reference). An integer variable's finite bounds are
+/// column bounds of a bounded-variable simplex, not tableau rows, so a
+/// branch only moves a column's bound. Branch-and-bound children re-solve
+/// from the resident basis with a dual simplex (the moved bounds keep the
+/// tableau dual-feasible); each child costs a handful of pivots instead
+/// of a full two-phase solve, and falls back to a cold rebuild when basis
+/// repair fails. range_rhs() walks an LP root's basis within the
 /// same call. No basis survives a call: a long-lived solver only keeps its
 /// allocations, so each result is a pure function of the problem and
 /// options (tests/lp/solver_differential_test.cpp pins this bitwise and
@@ -89,8 +91,9 @@ class ArenaSolver {
   /// B^-1 column (its identity column); where one reaches its bound, one
   /// dual-simplex pivot changes the basis and the row's dual may step.
   /// A pivot is refused (End::kRefused, counted in range_refusals) when no
-  /// entering column has |pivot| >= the warm paths' stability floor, when
-  /// a basic artificial would go positive, or past the dual pivot budget.
+  /// entering column has |pivot| above the absolute stability floor
+  /// (1e-7), when a basic artificial would go positive, or past the dual
+  /// pivot budget.
   /// When the start is not optimal nothing is walked (End::kRefused at 0).
   /// Throws std::invalid_argument for a MILP or an out-of-range row.
   void range_rhs(const Problem& problem, int row, double direction,

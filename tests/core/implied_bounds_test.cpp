@@ -1,7 +1,9 @@
 // The allocation MILP states no upper bound that one of its rows already
 // implies (src/core/formulation.cpp, src/lp/piecewise.cpp): the arena
-// turns every finite bound into a tableau row and a slack column. These
-// tests pin that shape, check the premise it rests on for every site-model
+// turns every finite bound of a continuous variable into a tableau row and
+// a slack column. Only the binaries keep bounds, and the arena carries
+// those as column bounds with no row. These tests pin that shape (through
+// the byte cap too), check the premise it rests on for every site-model
 // family production builds, and re-add the dropped bounds on a seeded
 // corpus to show that no optimum moves.
 #include <gtest/gtest.h>
@@ -20,6 +22,7 @@
 #include "core/throughput_maximizer.hpp"
 #include "datacenter/catalog.hpp"
 #include "lp/arena_solver.hpp"
+#include "lp/reference.hpp"
 #include "market/closed_loop.hpp"
 #include "market/pricing_policy.hpp"
 #include "util/rng.hpp"
@@ -84,7 +87,9 @@ void expect_only_binaries_bounded(std::span<const SiteModel> models,
 TEST(ImpliedBoundsTest, OnlyTheBinariesOfAHomogeneousSiteKeepABound) {
   // Every site family production builds: the Cost Capping model with and
   // without cooling at every policy level, masked by availability, the
-  // Min-Only beliefs, and a down site.
+  // Min-Only beliefs, and a down site. The binaries' bounds reach the arena
+  // as column bounds (nonbasic at 0 or at 1), not as rows, so every row of
+  // the tableau is a row of the formulation.
   const auto sites = datacenter::paper_datacenters();
   for (int level = 0; level <= 3; ++level) {
     const auto policies = market::paper_policies(level);
@@ -342,14 +347,9 @@ TEST(ImpliedBoundsTest, ReAddingTheDroppedBoundsMovesNoOptimum) {
   EXPECT_GT(optimal, 400);
 }
 
-TEST(ImpliedBoundsTest, AFleetChunkThatOnceLoopedClosesWithinItsNodeBudget) {
-  // A 5-site region-hour of perfbench's fleet_month at seed 7 (hour 185,
-  // region 14). On the lean formulation a warm node repair pivoted on
-  // 1.04e-7 and left the resident tableau inconsistent; every later warm
-  // node re-branched on an already fixed selector until the chunk's
-  // 20,000-node budget ran out. Warm answers that break a row are now
-  // re-solved cold, and the search closes at the optimum the bounded
-  // formulation finds.
+/// The 5 sites of a region-hour of perfbench's fleet_month at seed 7
+/// (hour 185, region 14).
+std::vector<SiteModel> seed7_chunk_models() {
   const auto site = [](double lambda_max, double slope, double intercept,
                        double cap, std::vector<double> breaks,
                        std::vector<double> prices) {
@@ -363,7 +363,7 @@ TEST(ImpliedBoundsTest, AFleetChunkThatOnceLoopedClosesWithinItsNodeBudget) {
     m.cost_curve.slopes = std::move(prices);
     return m;
   };
-  const std::vector<SiteModel> models = {
+  return {
       site(0x1.1de3d26be538dp+38, 0x1.e6a2bd5c79a3ap-33,
            0x1.f53825e13b18ep-13, 0x1.0fba5e353f7cfp+6,
            {0x0p+0, 0x1.6fae44d4e585p+4, 0x1.a30a559da5f5cp+5,
@@ -389,8 +389,22 @@ TEST(ImpliedBoundsTest, AFleetChunkThatOnceLoopedClosesWithinItsNodeBudget) {
            {0x0p+0, 0x1.49cf546681ebcp+5, 0x1.1fb645a1cac08p+6},
            {0x1.4p+3, 0x1.7p+3}),
   };
+}
+
+/// That region-hour's demand, requests/hour.
+constexpr double kSeed7ChunkLambda = 0x1.d970754d176c2p+38;
+
+TEST(ImpliedBoundsTest, AFleetChunkThatOnceLoopedClosesWithinItsNodeBudget) {
+  // A 5-site region-hour of perfbench's fleet_month at seed 7 (hour 185,
+  // region 14). On the lean formulation a warm node repair pivoted on
+  // 1.04e-7 and left the resident tableau inconsistent; every later warm
+  // node re-branched on an already fixed selector until the chunk's
+  // 20,000-node budget ran out. Warm answers that break a row are now
+  // re-solved cold, and the search closes at the optimum the bounded
+  // formulation finds.
+  const std::vector<SiteModel> models = seed7_chunk_models();
   const AllocationFormulation base = build_allocation_formulation(models);
-  const lp::Problem cost = min_cost_problem(base, 0x1.d970754d176c2p+38);
+  const lp::Problem cost = min_cost_problem(base, kSeed7ChunkLambda);
   lp::MilpOptions budget;
   budget.max_nodes = 20'000;  // the fleet's per-chunk deadline
   lp::ArenaSolver solver;
@@ -398,6 +412,71 @@ TEST(ImpliedBoundsTest, AFleetChunkThatOnceLoopedClosesWithinItsNodeBudget) {
   ASSERT_EQ(got.status, lp::SolveStatus::kOptimal);
   EXPECT_LT(got.nodes, 1'000);
   expect_bounds_change_nothing(cost, dropped_bounds(base, models), "seed 7");
+  // No warm verdict prunes the optimum away: the search ends where the
+  // reference branch-and-bound does.
+  const lp::Solution want = lp::solve_milp_reference(cost);
+  ASSERT_EQ(want.status, lp::SolveStatus::kOptimal);
+  EXPECT_NEAR(got.objective, want.objective,
+              1e-9 * std::max(1.0, std::abs(want.objective)));
+}
+
+/// Logical tableau bytes of `problem` with one row per constraint and no
+/// bound row: (constraints + 1) rows of structurals + slacks + artificials
+/// + 1 doubles, the cost row included. Every variable must have a finite
+/// lower bound (one structural column each). A row whose rhs is negative
+/// is flipped first, as the arena flips it; a >= or = row then takes an
+/// artificial, and every row but an = row a slack.
+std::size_t rows_only_tableau_bytes(const lp::Problem& problem) {
+  std::size_t slacks = 0;
+  std::size_t artificials = 0;
+  for (const lp::Variable& v : problem.variables()) {
+    EXPECT_EQ(v.lower, 0.0) << v.name;
+  }
+  for (const lp::Constraint& c : problem.constraints()) {
+    lp::Relation rel = c.relation;
+    if (c.rhs < 0.0 && rel != lp::Relation::kEqual)
+      rel = rel == lp::Relation::kLessEqual ? lp::Relation::kGreaterEqual
+                                            : lp::Relation::kLessEqual;
+    if (rel != lp::Relation::kEqual) ++slacks;
+    if (rel != lp::Relation::kLessEqual) ++artificials;
+  }
+  const std::size_t width =
+      static_cast<std::size_t>(problem.num_variables()) + slacks +
+      artificials + 1;
+  return (static_cast<std::size_t>(problem.num_constraints()) + 1) * width *
+         sizeof(double);
+}
+
+TEST(ImpliedBoundsTest, AFleetChunkFitsATableauWithNoBoundRows) {
+  // The byte cap counts the logical tableau. A cap of exactly one row per
+  // constraint, no bound row, plus the first 1,024-slot node pool (40
+  // bytes a slot) fits the seed-7 fleet chunk: its 19 binaries' bounds
+  // cost no row and no slack column. The same chunk with those bounds as
+  // rows (the binaries relaxed to continuous [0, 1]) is over that cap.
+  const std::vector<SiteModel> models = seed7_chunk_models();
+  const AllocationFormulation base = build_allocation_formulation(models);
+  const lp::Problem cost = min_cost_problem(base, kSeed7ChunkLambda);
+  lp::Problem relaxed = cost;
+  int binaries = 0;
+  for (int j = 0; j < cost.num_variables(); ++j) {
+    if (cost.variable(j).upper == lp::kInfinity) continue;
+    ++binaries;
+    relaxed.set_integer(j, false);
+  }
+  ASSERT_EQ(binaries, 19);
+  lp::MilpOptions capped;
+  capped.max_nodes = 20'000;
+  capped.max_arena_bytes = rows_only_tableau_bytes(cost) + 1024 * 40;
+  lp::ArenaSolver solver;
+  const lp::Solution got = solver.solve(cost, capped);
+  ASSERT_NE(got.status, lp::SolveStatus::kArenaExhausted);
+  ASSERT_EQ(got.status, lp::SolveStatus::kOptimal);
+  lp::ArenaSolver fresh;
+  EXPECT_EQ(got.objective, fresh.solve(cost).objective);
+
+  lp::ArenaSolver with_rows;
+  EXPECT_EQ(with_rows.solve(relaxed, capped).status,
+            lp::SolveStatus::kArenaExhausted);
 }
 
 }  // namespace

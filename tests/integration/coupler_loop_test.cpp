@@ -174,7 +174,7 @@ TEST(CouplerLoopTest, PinnedDeratedClosedLoopMatchesRecordedReference) {
             0x42cfc07cf7b3d045ULL)
       << m.total_served_premium;
   EXPECT_EQ(std::bit_cast<std::uint64_t>(m.total_served_ordinary),
-            0x42a93aec2225f777ULL)
+            0x42a93aec2225f774ULL)
       << m.total_served_ordinary;
   EXPECT_EQ(m.coupler_iterations, 167u);
   EXPECT_EQ(m.closed_loop_hours, 67u);

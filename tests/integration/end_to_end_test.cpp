@@ -103,11 +103,11 @@ TEST_F(EndToEndTest, SolverIsFastEnoughForOnlineUse) {
   // The paper reports ~2 ms per invocation with lp_solve; the latency here
   // is measured by bench/tab_solver_time (BENCH_solver.json). This pins the
   // deterministic effort behind it: the month's largest branch-and-bound
-  // search takes 31 nodes, far inside the 200,000-node limit.
+  // search takes 29 nodes, far inside the 200,000-node limit.
   long max_nodes = 0;
   for (const auto& h : cost_capping().hours)
     max_nodes = std::max(max_nodes, h.nodes);
-  EXPECT_EQ(max_nodes, 31);
+  EXPECT_EQ(max_nodes, 29);
 }
 
 TEST_F(EndToEndTest, SpendFeedsBackIntoBudgeter) {

@@ -247,11 +247,11 @@ TEST(FaultInjectionTest, LadderMonthDigestsArePinned) {
     std::size_t incumbent_hours;
     std::size_t heuristic_hours;
   };
-  for (const Pin& pin : {Pin{Strategy::kCostCapping, 0x2b0175d939cd6f8cULL,
-                             125, 507},
-                         Pin{Strategy::kMinOnlyAvg, 0x456c32ccb36da848ULL,
+  for (const Pin& pin : {Pin{Strategy::kCostCapping, 0xd99cc033a1622668ULL,
+                             126, 506},
+                         Pin{Strategy::kMinOnlyAvg, 0x4cea46a40d8e1c9fULL,
                              100, 95},
-                         Pin{Strategy::kMinOnlyLow, 0xa2742608cbb6c383ULL,
+                         Pin{Strategy::kMinOnlyLow, 0xefde25b56bd1fe64ULL,
                              32, 0}}) {
     for (const SimulationConfig* config : {&configured, &squeezed, &loose}) {
       const MonthlyResult r = Simulator(*config).run(pin.strategy);

@@ -239,7 +239,9 @@ TEST(ArenaSolverTest, LongLivedSolverHistoryFreeUnderRandomDrift) {
 /// (<=), every rhs nonnegative so no row is flipped. Its standard form has
 /// m = 5 + caps rows and n_total = 10 + caps columns before the rhs: four
 /// structural, one slack per bound, cover and capacity row, and the cover
-/// row's artificial. Even `caps` gives an odd logical row width.
+/// row's artificial. Marked integer, the four bounds are column bounds
+/// instead of rows: m = 1 + caps rows and n_total = 6 + caps columns. Even
+/// `caps` gives an odd logical row width either way.
 Problem width_problem(int caps, bool integers = false) {
   Problem p;
   std::vector<Term> cover;
@@ -289,12 +291,13 @@ TEST(ArenaSolverTest, PaddedRowsMatchReferenceAtOddAndEvenWidths) {
 TEST(ArenaSolverTest, ByteCapCountsLogicalNotPaddedTableau) {
   // The cap counts the logical tableau, (m + 1) rows of n_total + 1
   // doubles with the cost row, plus the node pool, never the padded
-  // stride: a MILP of odd logical width (13, padded to 14) solves under a
-  // cap of exactly those bytes and is exhausted one byte under it. The
-  // first node pool is 1024 NodeSlots of 40 bytes.
+  // stride: a MILP of odd logical width (9, padded to 10) solves under a
+  // cap of exactly those bytes and is exhausted one byte under it. Its
+  // integer bounds are column bounds, not rows (3 rows, not 7). The first
+  // node pool is 1024 NodeSlots of 40 bytes.
   const Problem p = width_problem(2, /*integers=*/true);
-  constexpr std::size_t kRows = 7;
-  constexpr std::size_t kWidth = 13;
+  constexpr std::size_t kRows = 3;
+  constexpr std::size_t kWidth = 9;
   constexpr std::size_t kPoolBytes = 1024 * 40;
   const std::size_t exact = (kRows + 1) * kWidth * sizeof(double) + kPoolBytes;
 

@@ -5,7 +5,9 @@
 // on the objective to 1e-9 relative; one long-lived arena carried across a
 // drifting sequence must in addition answer every step bitwise as a fresh
 // arena does (it keeps allocations, never a basis). Well over 200
-// instances run per suite invocation.
+// instances run per suite invocation, and over 200 of them carry integer
+// variables the arena keeps as column bounds (the bounded-variable
+// simplex's flips and bound moves) instead of bound rows.
 
 #include "lp/arena_solver.hpp"
 
@@ -104,6 +106,42 @@ TEST(SolverDifferentialTest, RandomInstancesAgreeCold) {
   EXPECT_GT(optimal, 100);
   EXPECT_GT(infeasible, 20);
   EXPECT_GT(unbounded, 20);
+}
+
+/// True when some integer variable of `p` takes the arena's column-bound
+/// path: a finite lower bound and a finite upper bound (the binaries and
+/// the bounded integers of random_problem).
+bool has_bounded_integer(const Problem& p) {
+  for (const Variable& v : p.variables())
+    if (v.is_integer && v.lower != -kInfinity && v.upper != kInfinity)
+      return true;
+  return false;
+}
+
+TEST(SolverDifferentialTest, BoundedIntegerColumnsAgree) {
+  // A fresh draw of the random corpus, kept to the instances with an
+  // integer the arena carries as a column bound (at least 200): each is
+  // held to the reference, and their warm nodes move column bounds instead
+  // of bound rows' rhs.
+  std::mt19937 rng(31337);
+  int bounded = 0, optimal = 0, infeasible = 0;
+  ArenaSolver counter;
+  for (int iter = 0; iter < 800; ++iter) {
+    const Problem p = random_problem(rng);
+    if (!has_bounded_integer(p)) continue;
+    ++bounded;
+    const Solution ref = solve_milp_reference(p);
+    ArenaSolver solver;
+    expect_agrees(ref, solver.solve(p), "bounded iter " + std::to_string(iter));
+    counter.solve(p);
+    if (ref.status == SolveStatus::kOptimal) ++optimal;
+    if (ref.status == SolveStatus::kInfeasible) ++infeasible;
+  }
+  EXPECT_GE(bounded, 200);
+  EXPECT_GT(optimal, 60);
+  EXPECT_GT(infeasible, 60);
+  EXPECT_GT(counter.stats().node_warm_solves, 30)
+      << "too few warm nodes for the bound moves to be exercised";
 }
 
 TEST(SolverDifferentialTest, RandomSequencesHistoryFree) {
@@ -301,6 +339,76 @@ TEST(SolverDifferentialTest, DcOpfDualsMatchLegacyBitwise) {
     if (want.lmp[1] != want.lmp[4]) ++congested;
   }
   EXPECT_GT(congested, 20) << "too few congested hours to exercise the duals";
+}
+
+/// A production-shaped allocation MILP: 1-6 sites cycling over the paper's
+/// three, each a make_site_model at a drawn background demand, policy
+/// level and cooling, solved as the hourly cost minimization or the
+/// throughput maximization under a budget, built as
+/// minimize_cost_over_models and maximize_throughput_over_models build it
+/// (1e-7 is the latter's cost tie-break).
+Problem allocation_problem(util::Rng& rng, bool throughput) {
+  const auto sites = datacenter::paper_datacenters();
+  const auto policies =
+      market::paper_policies(static_cast<int>(rng.below(4)));
+  std::vector<core::SiteModel> models;
+  const std::size_t n = 1 + rng.below(6);
+  for (std::size_t i = 0; i < n; ++i) {
+    const std::size_t s = i % sites.size();
+    models.push_back(core::make_site_model(sites[s], policies[s],
+                                           rng.uniform(120.0, 330.0),
+                                           rng.bernoulli(0.8)));
+  }
+  const double lambda = rng.uniform(0.05, 1.05) * core::system_capacity(models);
+  core::AllocationFormulation f = core::build_allocation_formulation(models);
+  std::vector<Term> demand;
+  for (const core::SiteVars& v : f.vars) demand.push_back({v.lambda, 1.0});
+  if (!throughput) {
+    f.problem.set_sense(Sense::kMinimize);
+    f.problem.add_constraint("demand", std::move(demand), Relation::kEqual,
+                             lambda / core::kLambdaScale);
+    return f.problem;
+  }
+  f.problem.set_sense(Sense::kMaximize);
+  std::vector<Term> spend;
+  for (std::size_t i = 0; i < models.size(); ++i) {
+    const core::SiteVars& v = f.vars[i];
+    f.problem.set_objective(v.lambda, 1.0);
+    for (std::size_t k = 0; k < v.cost.amounts.size(); ++k) {
+      const double slope = models[i].cost_curve.slopes[k];
+      const double intercept = models[i].cost_curve.intercepts[k];
+      f.problem.set_objective(v.cost.amounts[k], -1e-7 * slope);
+      f.problem.set_objective(v.cost.selectors[k], -1e-7 * intercept);
+      if (slope != 0.0) spend.push_back({v.cost.amounts[k], slope});
+      if (intercept != 0.0) spend.push_back({v.cost.selectors[k], intercept});
+    }
+  }
+  f.problem.add_constraint("demand", std::move(demand), Relation::kLessEqual,
+                           lambda / core::kLambdaScale);
+  f.problem.add_constraint("budget", std::move(spend), Relation::kLessEqual,
+                           rng.uniform(0.0, 8e4));
+  return f.problem;
+}
+
+TEST(SolverDifferentialTest, AllocationMilpsAgreeAndAreHistoryFree) {
+  // 120 seeded allocation MILPs, each a cost minimization and a throughput
+  // maximization: status and objective agree with the reference, and one
+  // long-lived arena answers every one bitwise as a fresh arena does.
+  util::Rng rng(0xa110c);
+  ArenaSolver solver;
+  int optimal = 0;
+  for (int k = 0; k < 120; ++k) {
+    for (const bool throughput : {false, true}) {
+      const Problem p = allocation_problem(rng, throughput);
+      const std::string tag = (throughput ? "throughput " : "cost ") +
+                              std::to_string(k);
+      const Solution got = solve_history_free(solver, p, tag);
+      expect_agrees(solve_milp_reference(p), got, tag);
+      if (got.ok()) ++optimal;
+    }
+  }
+  EXPECT_GT(optimal, 200);
+  EXPECT_GT(solver.stats().node_warm_solves, 1000);
 }
 
 class RealHourlyDifferentialTest : public ::testing::Test {

@@ -309,7 +309,7 @@ TEST(ServeLoopTest, TickDigestsArePinned) {
   const ServeReport closed_run =
       ServeLoop(closed_sim, month).run("", false).report;
   EXPECT_EQ(tick_digest(closed_run.ticks_this_attempt),
-            17047985626888206839ULL);
+            8423012246737092507ULL);
   EXPECT_EQ(closed_run.breaker_trips, 0u);
   EXPECT_EQ(closed_run.shed_ticks, 341u);
   EXPECT_EQ(closed_run.coupled_refreshes, 96u);

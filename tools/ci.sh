@@ -22,8 +22,8 @@ JOBS="$(nproc 2>/dev/null || echo 4)"
 # market_loop --smoke configurations, whose every closed-loop hour runs
 # the DC-OPF through lp::solve_lp. The tests named by PINNED_TESTS pin
 # digests, effort counts and tie-breaking cases of their own.
-FLEET_DIGEST=01abec0254ab79b9
-MARKET_DIGESTS="524042d24014b29a 7d85ac1d36928d8c da065f7db7a87846"
+FLEET_DIGEST=af7c785ea0d967ee
+MARKET_DIGESTS="679945c10a312e04 148d73a576df2cbf 3f08a88048e74ef2"
 PINNED_TESTS='DigestsArePinned|DigestIsPinned|RecordedReference|SolverIsFastEnoughForOnlineUse|LocalCurveTest[.]'
 
 # check_digests <build-dir>: runs the fleet slice and the market smoke in
@@ -159,14 +159,19 @@ echo "== tier 2c: the pinned set at x86-64-v3 =="
 # No target contracts a * b + c into one FMA (-ffp-contract=off, see
 # DESIGN.md), so a tree built for a CPU level with AVX2 and FMA must give
 # every pinned bit of the default tree: the same tests, fleet digest and
-# market digests, checked against the same pins.
+# market digests, checked against the same pins. The solver's own suites
+# run there too: their bitwise checks (LP answers against the reference
+# simplex, a long-lived arena against a fresh one) cover the bounded
+# columns' flips and bound moves, arithmetic no pinned run isolates.
 cmake -B "$ROOT/$PREFIX-v3" -S "$ROOT" \
   -DCMAKE_CXX_FLAGS=-march=x86-64-v3 >/dev/null
 cmake --build "$ROOT/$PREFIX-v3" -j "$JOBS" --target billcap \
   integration_test robustness_test local_curve_test fleet_test serve_test \
-  fleet_sweep market_loop
+  solver_test fleet_sweep market_loop
 ctest --test-dir "$ROOT/$PREFIX-v3" -R "$PINNED_TESTS" --output-on-failure \
   -j "$JOBS"
+ctest --test-dir "$ROOT/$PREFIX-v3" -R 'SolverDifferentialTest|ArenaSolverTest' \
+  --output-on-failure -j "$JOBS"
 check_digests "$ROOT/$PREFIX-v3"
 
 echo "== tier 3: serve-daemon chaos soak (<= 30 s) =="
