@@ -20,6 +20,7 @@
 #include <string>
 #include <vector>
 
+#include "core/allocation_problems.hpp"
 #include "core/cost_minimizer.hpp"
 #include "core/formulation.hpp"
 #include "core/throughput_maximizer.hpp"
@@ -89,25 +90,6 @@ Problem random_problem(std::mt19937& rng) {
   return p;
 }
 
-TEST(SolverDifferentialTest, RandomInstancesAgreeCold) {
-  std::mt19937 rng(12345);
-  int optimal = 0, infeasible = 0, unbounded = 0;
-  for (int iter = 0; iter < 400; ++iter) {
-    const Problem p = random_problem(rng);
-    const Solution ref = solve_milp_reference(p);
-    ArenaSolver solver;  // fresh arena: pure cold path
-    const Solution arena = solver.solve(p);
-    expect_agrees(ref, arena, "cold iter " + std::to_string(iter));
-    if (ref.status == SolveStatus::kOptimal) ++optimal;
-    if (ref.status == SolveStatus::kInfeasible) ++infeasible;
-    if (ref.status == SolveStatus::kUnbounded) ++unbounded;
-  }
-  // The draw must actually exercise every status class.
-  EXPECT_GT(optimal, 100);
-  EXPECT_GT(infeasible, 20);
-  EXPECT_GT(unbounded, 20);
-}
-
 /// True when some integer variable of `p` takes the arena's column-bound
 /// path: a finite lower bound and a finite upper bound (the binaries and
 /// the bounded integers of random_problem).
@@ -118,30 +100,30 @@ bool has_bounded_integer(const Problem& p) {
   return false;
 }
 
-TEST(SolverDifferentialTest, BoundedIntegerColumnsAgree) {
-  // A fresh draw of the random corpus, kept to the instances with an
-  // integer the arena carries as a column bound (at least 200): each is
-  // held to the reference, and their warm nodes move column bounds instead
-  // of bound rows' rhs.
-  std::mt19937 rng(31337);
-  int bounded = 0, optimal = 0, infeasible = 0;
-  ArenaSolver counter;
-  for (int iter = 0; iter < 800; ++iter) {
+TEST(SolverDifferentialTest, RandomInstancesAgreeCold) {
+  std::mt19937 rng(12345);
+  int optimal = 0, infeasible = 0, unbounded = 0, bounded = 0;
+  long warm_nodes = 0;
+  for (int iter = 0; iter < 700; ++iter) {
     const Problem p = random_problem(rng);
-    if (!has_bounded_integer(p)) continue;
-    ++bounded;
     const Solution ref = solve_milp_reference(p);
-    ArenaSolver solver;
-    expect_agrees(ref, solver.solve(p), "bounded iter " + std::to_string(iter));
-    counter.solve(p);
+    ArenaSolver solver;  // fresh arena: pure cold path
+    const Solution arena = solver.solve(p);
+    expect_agrees(ref, arena, "cold iter " + std::to_string(iter));
     if (ref.status == SolveStatus::kOptimal) ++optimal;
     if (ref.status == SolveStatus::kInfeasible) ++infeasible;
+    if (ref.status == SolveStatus::kUnbounded) ++unbounded;
+    if (has_bounded_integer(p)) ++bounded;
+    warm_nodes += solver.stats().node_warm_solves;
   }
+  // The draw must actually exercise every status class, and the arena's
+  // column bounds: at least 200 instances carry integers it keeps as
+  // bounded columns, whose warm nodes move bounds instead of bound rows.
+  EXPECT_GT(optimal, 100);
+  EXPECT_GT(infeasible, 20);
+  EXPECT_GT(unbounded, 20);
   EXPECT_GE(bounded, 200);
-  EXPECT_GT(optimal, 60);
-  EXPECT_GT(infeasible, 60);
-  EXPECT_GT(counter.stats().node_warm_solves, 30)
-      << "too few warm nodes for the bound moves to be exercised";
+  EXPECT_GT(warm_nodes, 30);
 }
 
 TEST(SolverDifferentialTest, RandomSequencesHistoryFree) {
@@ -343,10 +325,8 @@ TEST(SolverDifferentialTest, DcOpfDualsMatchLegacyBitwise) {
 
 /// A production-shaped allocation MILP: 1-6 sites cycling over the paper's
 /// three, each a make_site_model at a drawn background demand, policy
-/// level and cooling, solved as the hourly cost minimization or the
-/// throughput maximization under a budget, built as
-/// minimize_cost_over_models and maximize_throughput_over_models build it
-/// (1e-7 is the latter's cost tie-break).
+/// level and cooling, as the hourly cost minimization or the throughput
+/// maximization under a drawn budget.
 Problem allocation_problem(util::Rng& rng, bool throughput) {
   const auto sites = datacenter::paper_datacenters();
   const auto policies =
@@ -360,34 +340,9 @@ Problem allocation_problem(util::Rng& rng, bool throughput) {
                                            rng.bernoulli(0.8)));
   }
   const double lambda = rng.uniform(0.05, 1.05) * core::system_capacity(models);
-  core::AllocationFormulation f = core::build_allocation_formulation(models);
-  std::vector<Term> demand;
-  for (const core::SiteVars& v : f.vars) demand.push_back({v.lambda, 1.0});
-  if (!throughput) {
-    f.problem.set_sense(Sense::kMinimize);
-    f.problem.add_constraint("demand", std::move(demand), Relation::kEqual,
-                             lambda / core::kLambdaScale);
-    return f.problem;
-  }
-  f.problem.set_sense(Sense::kMaximize);
-  std::vector<Term> spend;
-  for (std::size_t i = 0; i < models.size(); ++i) {
-    const core::SiteVars& v = f.vars[i];
-    f.problem.set_objective(v.lambda, 1.0);
-    for (std::size_t k = 0; k < v.cost.amounts.size(); ++k) {
-      const double slope = models[i].cost_curve.slopes[k];
-      const double intercept = models[i].cost_curve.intercepts[k];
-      f.problem.set_objective(v.cost.amounts[k], -1e-7 * slope);
-      f.problem.set_objective(v.cost.selectors[k], -1e-7 * intercept);
-      if (slope != 0.0) spend.push_back({v.cost.amounts[k], slope});
-      if (intercept != 0.0) spend.push_back({v.cost.selectors[k], intercept});
-    }
-  }
-  f.problem.add_constraint("demand", std::move(demand), Relation::kLessEqual,
-                           lambda / core::kLambdaScale);
-  f.problem.add_constraint("budget", std::move(spend), Relation::kLessEqual,
-                           rng.uniform(0.0, 8e4));
-  return f.problem;
+  const core::AllocationFormulation f = core::build_allocation_formulation(models);
+  if (!throughput) return core::min_cost_problem(f, lambda);
+  return core::throughput_problem(f, models, lambda, rng.uniform(0.0, 8e4));
 }
 
 TEST(SolverDifferentialTest, AllocationMilpsAgreeAndAreHistoryFree) {
@@ -424,14 +379,8 @@ class RealHourlyDifferentialTest : public ::testing::Test {
 
   /// The hourly min-cost MILP at a given total arrival rate.
   Problem min_cost_problem(double lambda_total) const {
-    core::AllocationFormulation f =
-        core::build_allocation_formulation(models_);
-    f.problem.set_sense(Sense::kMinimize);
-    std::vector<Term> terms;
-    for (const core::SiteVars& v : f.vars) terms.push_back({v.lambda, 1.0});
-    f.problem.add_constraint("demand", std::move(terms), Relation::kEqual,
-                             lambda_total / core::kLambdaScale);
-    return f.problem;
+    return core::min_cost_problem(core::build_allocation_formulation(models_),
+                                  lambda_total);
   }
 
   std::vector<core::SiteModel> models_;
