@@ -80,7 +80,7 @@ BENCHMARK(BM_DcOpfPjm5)->Arg(300)->Arg(900)->Unit(benchmark::kMicrosecond);
 void BM_DeriveLocalPolicies(benchmark::State& state) {
   // One closed-loop curve re-derivation: the three paper sites on PJM5's
   // load buses at the paper's background demand, each at half its full
-  // power, every own-draw grid running to full power. Arg 1 derates D-E
+  // power, every own-draw walk running to full power. Arg 1 derates D-E
   // to 60 %, the hazard window of the closed-loop benchmark month.
   const market::CoupledMarket market = market::CoupledMarket::paper();
   const std::vector<double> background = {228.0, 182.0, 172.0};

@@ -38,11 +38,6 @@ void nodal_loads(const std::vector<int>& site_buses,
   }
 }
 
-/// A walk event this close below a grid draw is confirmed at that draw:
-/// a breakpoint on (or within round-off of) a grid draw may price either
-/// side there, so the cold solve decides.
-constexpr double kTieMw = 1e-6;
-
 }  // namespace
 
 OscillationDetector::OscillationDetector(std::size_t window, double tol_mw)
@@ -172,7 +167,10 @@ std::vector<PricingPolicy> CoupledMarket::derive_local_policies(
   if (!(options.price_tol > 0.0))
     throw std::invalid_argument(
         "CoupledMarket::derive_local_policies: price_tol must be > 0");
-  const double step = std::max(0.1, options.sweep_step_mw);
+  for (const double cap : sweep_cap_mw)
+    if (!std::isfinite(cap) || cap < 0.0)
+      throw std::invalid_argument(
+          "CoupledMarket::derive_local_policies: caps must be finite, >= 0");
   const Grid working = faulted_grid(faults);
   DcOpfModel model = build_dcopf_model(working);
   std::vector<double> loads(static_cast<std::size_t>(working.num_buses()));
@@ -183,64 +181,58 @@ std::vector<PricingPolicy> CoupledMarket::derive_local_policies(
   std::vector<double> point(site_power_mw.begin(), site_power_mw.end());
   for (std::size_t i = 0; i < n; ++i) {
     const double kept = point[i];
+    const double cap = sweep_cap_mw[i];
     const int row = model.balance_row[static_cast<std::size_t>(site_buses_[i])];
-    // The own-draw grid, accumulated step by step rather than as k * step
-    // so every draw (and threshold) is a linear sweep's to the last bit.
-    std::vector<double> draws;
-    for (double p = 0.0; p <= sweep_cap_mw[i] + 1e-9; p += step)
-      draws.push_back(p);
+    const auto fail = [&](const char* what, double draw) {
+      return std::runtime_error("CoupledMarket: " + std::string(what) +
+                                " sweeping site " + std::to_string(i) +
+                                " at draw " + std::to_string(draw) + " MW");
+    };
 
-    // Cold-solves the OPF at grid draw k, with the other sites pinned at
-    // the operating point, and walks the site's balance-row rhs from there
-    // to the last grid draw. Returns the cold LMP at draw k: bitwise what
-    // solve_dcopf reports there.
-    const auto solve_and_walk = [&](std::size_t k) {
-      point[i] = draws[k];
+    // Cold-solves the OPF with site i drawing `draw` and the other sites
+    // pinned at the operating point, and walks the site's balance-row rhs
+    // from there to the cap. Returns the cold LMP at `draw`.
+    const auto solve_and_walk = [&](double draw) {
+      point[i] = draw;
       nodal_loads(site_buses_, point, background_mw, options.feedback_gain,
                   faults, loads);
       set_dcopf_loads(model, working, loads);
-      solver.range_rhs(model.problem, row, options.feedback_gain,
-                       draws.back() - draws[k] + kTieMw, walk);
-      if (!walk.start.ok())
-        throw std::runtime_error(
-            "CoupledMarket: OPF infeasible sweeping site " + std::to_string(i) +
-            " at draw " + std::to_string(draws[k]) + " MW");
+      solver.range_rhs(model.problem, row, options.feedback_gain, cap - draw,
+                       walk);
+      if (!walk.start.ok()) throw fail("OPF infeasible", draw);
       return walk.start.duals[static_cast<std::size_t>(row)];
     };
 
-    std::vector<double> thresholds;
-    std::vector<double> prices;
-    if (!draws.empty()) {
-      thresholds.push_back(0.0);
-      prices.push_back(solve_and_walk(0));
-      // Every grid draw up to `confirmed` is priced: cold-solved, or within
-      // price_tol of its level by the walk that started at the latest cold
-      // solve, draws[confirmed]. That walk's next event (a dual off the
-      // level by more than price_tol, infeasibility, or a refused pivot)
-      // names the next grid draw worth a cold solve; the LMP is monotone
-      // in the own draw, so no draw before it can have moved.
-      std::size_t confirmed = 0;
-      for (;;) {
-        const double level = prices.back();
-        double event = walk.end == lp::RhsRange::End::kReachedMax
-                           ? std::numeric_limits<double>::infinity()
-                           : walk.end_t;
-        for (const lp::RhsBreakpoint& b : walk.breakpoints)
-          if (std::abs(b.dual - level) > options.price_tol) {
-            event = b.t;
-            break;
-          }
-        const double at = draws[confirmed] + event - kTieMw;
-        std::size_t k = confirmed + 1;
-        while (k < draws.size() && draws[k] < at) ++k;
-        if (k == draws.size()) break;
-        const double lmp = solve_and_walk(k);
-        if (std::abs(lmp - level) > options.price_tol) {
-          thresholds.push_back(billing_base_mw[i] + draws[k]);
-          prices.push_back(lmp);
-        }
-        confirmed = k;
+    std::vector<double> thresholds{0.0};
+    std::vector<double> prices{solve_and_walk(0.0)};
+    // The own draw is priced at `dual` from `draw` on. Several basis changes
+    // at one draw collapse into the last, so thresholds increase strictly.
+    const auto price_from = [&](double draw, double dual) {
+      const double at = billing_base_mw[i] + draw;
+      if (thresholds.size() > 1 && thresholds.back() == at) {
+        thresholds.pop_back();
+        prices.pop_back();
       }
+      if (std::abs(dual - prices.back()) > options.price_tol) {
+        thresholds.push_back(at);
+        prices.push_back(dual);
+      }
+    };
+    double from = 0.0;  // the draw the resident walk started at
+    for (;;) {
+      for (const lp::RhsBreakpoint& b : walk.breakpoints)
+        price_from(from + b.t, b.dual);
+      // A walk stopped at the cap itself has priced every draw up to it.
+      if (walk.end == lp::RhsRange::End::kReachedMax ||
+          walk.end_t >= cap - from)
+        break;
+      if (walk.end == lp::RhsRange::End::kInfeasible)
+        throw fail("OPF infeasible", from + walk.end_t);
+      // A refused pivot: restart cold where it stopped. One refused at the
+      // restart's own start would only repeat there.
+      if (walk.end_t == 0.0) throw fail("rhs walk refused", from);
+      from += walk.end_t;
+      price_from(from, solve_and_walk(from));
     }
     point[i] = kept;
     policies.emplace_back(std::move(thresholds), std::move(prices));

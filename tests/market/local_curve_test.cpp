@@ -1,33 +1,36 @@
-// The local step-curve derivation of the closed loop, proved against the
-// linear own-draw sweep it replaces. CoupledMarket::derive_local_policies
-// solves the DC-OPF cold at draw 0, walks the site's balance-row rhs on
-// the same tableau to find where the LMP moves, and confirms each move
-// with one cold solve at the grid draw it lands on; that is exact only
-// because a bus's LMP is monotone in its own load and changes only with
-// the optimal basis. This suite holds:
+// The local step-curve derivation of the closed loop, held to the linear
+// own-draw sweep as an oracle. CoupledMarket::derive_local_policies solves
+// the DC-OPF cold at draw 0 and walks the site's balance-row rhs on the
+// same tableau; each level opens at the exact draw where the walk's dual
+// moves, priced by that dual. That is exact only because a bus's LMP is
+// monotone in its own load and changes only with the optimal basis. This
+// suite holds:
 //
-//   - the differential: reference_sweep_policies (the linear sweep, kept
-//     here as the oracle) and the walk return bitwise-identical
-//     thresholds and prices over a few hundred seeded operating points,
-//     both feedback gains, 2 MW and irregular grid steps, line outages,
-//     derates and bus demand shocks, and throw the same error naming the
-//     same first infeasible draw;
-//   - the cost: per site, cold solves are at most 1 + new levels + refused
-//     walk pivots;
-//   - the walk's edge paths: a breakpoint exactly on a grid draw (either
-//     side may price there), a price move at the start draw, and an
-//     infeasible tail whose boundary is or is not a grid draw;
+//   - the oracle: over a few hundred seeded operating points, both feedback
+//     gains, 2 MW and irregular sweep steps, line outages, derates and bus
+//     demand shocks, every level of reference_sweep_policies (the linear
+//     sweep, kept here with its own step) is a walk level at a price equal
+//     to 1e-9, whose threshold lies within one sweep step below the
+//     sweep's; any other walk level is narrower than one step (the sweep
+//     stepped over it); a cold OPF just below each walk threshold prices
+//     the old level and one just above it the new level; and where the
+//     sweep throws, the walk names the same site and a draw within one
+//     step below the sweep's first infeasible draw;
+//   - the cost: per site, one cold solve plus one per refused walk pivot;
+//   - exactness: thresholds sit on the generator breakpoints, including a
+//     price move at the start draw, and an infeasible tail is named at its
+//     exact boundary;
 //   - the precondition: on PJM5 the LMP at each site's bus never falls as
 //     that site's draw rises on a fine grid, with and without a derate;
-//   - the guards and edge cases: a non-positive price tolerance is
-//     rejected, a zero cap gives a one-level curve, an empty grid fails,
-//     and a grid whose last draw is a price step keeps that step.
+//   - the guards and edge cases: a non-positive price tolerance and a
+//     negative or non-finite cap are rejected, and a zero cap gives a
+//     one-level curve.
 
 #include "market/closed_loop.hpp"
 
 #include <gtest/gtest.h>
 
-#include <bit>
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <limits>
@@ -42,24 +45,25 @@
 namespace billcap::market {
 namespace {
 
-/// The linear sweep: one OPF at every grid draw of site i's own load,
-/// collapsing the LMP series into steps whenever the price moves more than
-/// price_tol off the current level.
+/// The linear sweep: one OPF at every grid draw 0, step, 2 step, ... of
+/// site i's own load and at its cap, collapsing the LMP series into steps
+/// whenever the price moves more than price_tol off the current level.
 std::vector<PricingPolicy> reference_sweep_policies(
     const CoupledMarket& market, std::span<const double> site_power_mw,
     std::span<const double> background_mw,
     std::span<const double> billing_base_mw,
     std::span<const double> sweep_cap_mw, const ClosedLoopOptions& options,
-    const CoupledHourFaults* faults) {
+    const CoupledHourFaults* faults, double step) {
   const std::size_t n = market.num_sites();
-  const double step = std::max(0.1, options.sweep_step_mw);
   std::vector<PricingPolicy> policies;
   std::vector<double> point(site_power_mw.begin(), site_power_mw.end());
   for (std::size_t i = 0; i < n; ++i) {
     const double kept = point[i];
+    const double cap = sweep_cap_mw[i];
+    if (!(cap >= 0.0)) throw std::invalid_argument("sweep: negative cap");
     std::vector<double> thresholds;
     std::vector<double> prices;
-    for (double p = 0.0; p <= sweep_cap_mw[i] + 1e-9; p += step) {
+    for (double p = 0.0;; p = std::min(p + step, cap)) {
       point[i] = p;
       const DcOpfResult opf =
           market.solve_at(point, background_mw, options.feedback_gain, faults);
@@ -75,6 +79,7 @@ std::vector<PricingPolicy> reference_sweep_policies(
         thresholds.push_back(billing_base_mw[i] + p);
         prices.push_back(lmp);
       }
+      if (p >= cap) break;
     }
     point[i] = kept;
     policies.emplace_back(std::move(thresholds), std::move(prices));
@@ -82,12 +87,13 @@ std::vector<PricingPolicy> reference_sweep_policies(
   return policies;
 }
 
-/// One derivation request: the operating point, the hour's hazards and the
-/// loop options.
+/// One derivation request: the operating point, the hour's hazards, the
+/// loop options and the reference sweep's grid step (MW).
 struct CurveCase {
   std::vector<double> power, background, base, cap;
   ClosedLoopOptions options;
   CoupledHourFaults faults;
+  double step = 2.0;
 };
 
 /// What a derivation produced: the curves, or the error it threw.
@@ -110,7 +116,7 @@ Derived capture(Derive derive) {
 Derived by_sweep(const CoupledMarket& market, const CurveCase& c) {
   return capture([&] {
     return reference_sweep_policies(market, c.power, c.background, c.base,
-                                    c.cap, c.options, &c.faults);
+                                    c.cap, c.options, &c.faults, c.step);
   });
 }
 
@@ -121,25 +127,81 @@ Derived by_walk(const CoupledMarket& market, const CurveCase& c) {
   });
 }
 
-bool bits_equal(const std::vector<double>& a, const std::vector<double>& b) {
-  if (a.size() != b.size()) return false;
-  for (std::size_t k = 0; k < a.size(); ++k)
-    if (std::bit_cast<std::uint64_t>(a[k]) != std::bit_cast<std::uint64_t>(b[k]))
-      return false;
-  return true;
+/// The draw a derivation error names ("... at draw X MW").
+double named_draw(const std::string& error) {
+  const std::size_t at = error.find(" at draw ");
+  if (at == std::string::npos) return std::numeric_limits<double>::quiet_NaN();
+  return std::stod(error.substr(at + 9));
 }
 
-void expect_identical(const Derived& want, const Derived& got,
-                      const std::string& tag) {
-  ASSERT_EQ(want.error, got.error) << tag;
+/// Cold LMP at site i's bus with its own draw at `draw` and the other
+/// sites at the case's operating point.
+double cold_lmp(const CoupledMarket& market, const CurveCase& c, std::size_t i,
+                double draw) {
+  std::vector<double> point = c.power;
+  point[i] = draw;
+  const DcOpfResult opf =
+      market.solve_at(point, c.background, c.options.feedback_gain, &c.faults);
+  EXPECT_TRUE(opf.ok()) << "site " << i << " at draw " << draw;
+  return opf.ok() ? opf.lmp[static_cast<std::size_t>(market.site_buses()[i])]
+                  : std::numeric_limits<double>::quiet_NaN();
+}
+
+/// Holds the walk's answer `got` to the sweep's `want` for case `c`.
+void expect_matches_sweep(const CoupledMarket& market, const CurveCase& c,
+                          const Derived& want, const Derived& got,
+                          const std::string& tag) {
+  ASSERT_EQ(want.error.has_value(), got.error.has_value())
+      << tag << ": sweep '" << want.error.value_or("") << "', walk '"
+      << got.error.value_or("") << "'";
+  if (want.error) {
+    // Same site; the walk names the last feasible draw, which lies between
+    // the sweep's last feasible grid draw and its first infeasible one.
+    const std::string& w = *want.error;
+    const std::string& g = *got.error;
+    EXPECT_EQ(w.substr(0, w.find(" at draw ")), g.substr(0, g.find(" at draw ")))
+        << tag;
+    const double sweep_draw = named_draw(w);
+    const double walk_draw = named_draw(g);
+    EXPECT_LE(walk_draw, sweep_draw + 1e-6) << tag << ": " << g;
+    EXPECT_GE(walk_draw, sweep_draw - c.step - 1e-6) << tag << ": " << g;
+    return;
+  }
   ASSERT_EQ(want.policies.size(), got.policies.size()) << tag;
+  const double tol = c.options.price_tol;
   for (std::size_t i = 0; i < want.policies.size(); ++i) {
-    EXPECT_TRUE(bits_equal(want.policies[i].thresholds_mw(),
-                           got.policies[i].thresholds_mw()))
-        << tag << ": site " << i << " thresholds differ";
-    EXPECT_TRUE(bits_equal(want.policies[i].prices_per_mwh(),
-                           got.policies[i].prices_per_mwh()))
-        << tag << ": site " << i << " prices differ";
+    const std::vector<double>& sweep_at = want.policies[i].thresholds_mw();
+    const std::vector<double>& sweep_price = want.policies[i].prices_per_mwh();
+    const std::vector<double>& walk_at = got.policies[i].thresholds_mw();
+    const std::vector<double>& walk_price = got.policies[i].prices_per_mwh();
+    const std::string site = tag + ": site " + std::to_string(i);
+    std::size_t k = 0;  // the next sweep level to find in the walk
+    for (std::size_t j = 0; j < walk_at.size(); ++j) {
+      const std::string level = site + " level " + std::to_string(j);
+      if (k < sweep_at.size() && std::abs(walk_price[j] - sweep_price[k]) <= 1e-9) {
+        // The sweep sees a step at the first grid draw past the
+        // breakpoint, or on it, so the exact threshold is at most one step
+        // below.
+        if (j > 0) {
+          EXPECT_LE(walk_at[j], sweep_at[k] + 1e-9) << level;
+          EXPECT_GE(walk_at[j], sweep_at[k] - c.step - 1e-9) << level;
+        }
+        ++k;
+      } else {
+        // A level the sweep stepped over must fit between two grid draws.
+        ASSERT_GT(j, 0u) << level << ": the start prices differ";
+        const double end =
+            j + 1 < walk_at.size() ? walk_at[j + 1] : c.base[i] + c.cap[i];
+        EXPECT_LT(end - walk_at[j], c.step) << level << " is not in the sweep";
+      }
+      if (j == 0) continue;
+      const double draw = walk_at[j] - c.base[i];
+      EXPECT_NEAR(cold_lmp(market, c, i, draw - 1e-6), walk_price[j - 1], tol)
+          << level << ": just below";
+      EXPECT_NEAR(cold_lmp(market, c, i, draw + 1e-6), walk_price[j], tol)
+          << level << ": just above";
+    }
+    EXPECT_EQ(k, sweep_at.size()) << site << ": a sweep level is missing";
   }
 }
 
@@ -152,10 +214,8 @@ CurveCase random_case(const CoupledMarket& market, std::uint64_t seed) {
   const int buses = market.grid().num_buses();
   CurveCase c;
   c.options.feedback_gain = seed % 2 == 0 ? 1.0 : 4.0;
-  // Mostly the production 2 MW grid; the rest use steps with no exact
-  // binary form, where an accumulated draw and k * step part in the last
-  // bit.
-  if (rng.below(3) == 0) c.options.sweep_step_mw = rng.uniform(0.5, 3.0);
+  // Mostly a 2 MW sweep; the rest use steps with no exact binary form.
+  if (rng.below(3) == 0) c.step = rng.uniform(0.5, 3.0);
   for (std::size_t i = 0; i < n; ++i) {
     c.cap.push_back(rng.uniform(10.0, 70.0));
     c.power.push_back(rng.uniform(0.0, c.cap.back()));
@@ -192,7 +252,7 @@ TEST(LocalCurveTest, WalkMatchesLinearSweepBitwise) {
     const CurveCase c = random_case(market, seed);
     const Derived want = by_sweep(market, c);
     const Derived got = by_walk(market, c);
-    expect_identical(want, got, "seed " + std::to_string(seed));
+    expect_matches_sweep(market, c, want, got, "seed " + std::to_string(seed));
     if (want.error) ++infeasible;
     for (const PricingPolicy& policy : want.policies)
       if (policy.num_levels() > 1) {
@@ -206,35 +266,10 @@ TEST(LocalCurveTest, WalkMatchesLinearSweepBitwise) {
   EXPECT_LT(infeasible, kCases / 4) << "too many infeasible cases";
 }
 
-TEST(LocalCurveTest, GridEndingOnAPriceStepMatches) {
-  // Every price step of the seeded curves becomes the last grid draw once
-  // the cap is cut back to it: the step the walk must still find
-  // when nothing lies beyond it, including steps one index apart.
-  const CoupledMarket market = CoupledMarket::paper();
-  std::size_t cut = 0;
-  for (std::uint64_t seed = 1; seed <= 60; ++seed) {
-    const CurveCase c = random_case(market, seed);
-    const Derived full = by_sweep(market, c);
-    for (std::size_t i = 0; i < full.policies.size(); ++i) {
-      const std::vector<double>& thresholds = full.policies[i].thresholds_mw();
-      for (std::size_t k = 1; k < thresholds.size(); ++k) {
-        CurveCase truncated = c;
-        truncated.cap[i] = thresholds[k] - c.base[i];
-        expect_identical(by_sweep(market, truncated),
-                         by_walk(market, truncated),
-                         "seed " + std::to_string(seed) + " site " +
-                             std::to_string(i) + " step " + std::to_string(k));
-        ++cut;
-      }
-    }
-  }
-  EXPECT_GT(cut, 50u);
-}
-
 TEST(LocalCurveTest, GridTurningInfeasiblePartWayNamesTheSameFirstDraw) {
   // 1390.5 MW of load before site 0 draws anything: with 1530 MW of
   // generation behind the D-E limit, the OPF turns infeasible part-way up
-  // site 0's 200 MW grid, first at the 120 MW draw.
+  // site 0's 200 MW range, first at the sweep's 120 MW draw.
   const CoupledMarket market = CoupledMarket::paper();
   CurveCase c;
   c.background = {450.0, 450.0, 450.0};
@@ -244,9 +279,9 @@ TEST(LocalCurveTest, GridTurningInfeasiblePartWayNamesTheSameFirstDraw) {
   const Derived want = by_sweep(market, c);
   const Derived got = by_walk(market, c);
   ASSERT_TRUE(want.error.has_value());
-  EXPECT_EQ(want.error, got.error);
   EXPECT_NE(want.error->find("site 0 at draw 120.000000 MW"), std::string::npos)
       << *want.error;
+  expect_matches_sweep(market, c, want, got, "part-way");
 }
 
 TEST(LocalCurveTest, LmpNeverFallsAsOwnDrawRises) {
@@ -313,7 +348,7 @@ TEST(LocalCurveTest, ZeroCapGivesTheOneLevelCurveAtZeroDraw) {
   c.cap = {0.0, 0.0, 0.0};
   const Derived want = by_sweep(market, c);
   const Derived got = by_walk(market, c);
-  expect_identical(want, got, "zero cap");
+  expect_matches_sweep(market, c, want, got, "zero cap");
   ASSERT_EQ(got.policies.size(), 3u);
   for (const PricingPolicy& policy : got.policies) {
     EXPECT_EQ(policy.num_levels(), 1u);
@@ -321,39 +356,28 @@ TEST(LocalCurveTest, ZeroCapGivesTheOneLevelCurveAtZeroDraw) {
   }
 }
 
-TEST(LocalCurveTest, EmptyGridIsRejectedLikeTheSweep) {
-  // A negative cap leaves no grid draw at all; the empty curve is not a
-  // valid PricingPolicy on either path.
+TEST(LocalCurveTest, NegativeOrNonFiniteCapIsRejected) {
+  // A cap must bound a draw range that starts at 0; the walk checks every
+  // cap before any solve.
   const CoupledMarket market = CoupledMarket::paper();
   CurveCase c = nominal_case();
   c.cap = {62.0, -1.0, 62.0};
   EXPECT_THROW(by_sweep(market, c), std::invalid_argument);
-  EXPECT_THROW(by_walk(market, c), std::invalid_argument);
-}
-
-TEST(LocalCurveTest, GridEndingExactlyOnTheCapMatches) {
-  // 62 MW is a whole number of 2 MW steps, so the last grid draw is the
-  // cap itself; 61.9 MW stops one step short. Both boundaries, both gains.
-  const CoupledMarket market = CoupledMarket::paper();
-  for (double gain : {1.0, 4.0}) {
-    for (double cap : {62.0, 61.9}) {
-      CurveCase c = nominal_case();
-      c.options.feedback_gain = gain;
-      c.cap = {cap, cap, cap};
-      expect_identical(by_sweep(market, c), by_walk(market, c),
-                       "gain " + std::to_string(gain) + " cap " +
-                           std::to_string(cap));
-    }
+  for (double bad : {-1.0, -1e-12, std::numeric_limits<double>::quiet_NaN(),
+                     std::numeric_limits<double>::infinity()}) {
+    c.cap = {62.0, bad, 62.0};
+    EXPECT_THROW(by_walk(market, c), std::invalid_argument) << "cap " << bad;
   }
 }
 
 TEST(LocalCurveTest, WalkSolvesColdOnceAtDrawZeroAndOncePerLevel) {
-  // Site by site (the other sites' grids cut to their single zero draw,
-  // one cold solve each), over the differential corpus: every cold solve
-  // beyond the start must open a new level or follow a refused pivot.
+  // Site by site (the other sites' ranges cut to their zero draw, one cold
+  // solve each), over the oracle corpus: a site's only cold solves are its
+  // start at draw 0 and one restart per refused walk pivot, however many
+  // levels its curve has.
   const CoupledMarket market = CoupledMarket::paper();
   const std::size_t n = market.num_sites();
-  long sweeps = 0, cold = 0, levels = 0;
+  long sweeps = 0, levels = 0;
   for (std::uint64_t seed = 1; seed <= 240; ++seed) {
     const CurveCase c = random_case(market, seed);
     for (std::size_t i = 0; i < n; ++i) {
@@ -369,18 +393,15 @@ TEST(LocalCurveTest, WalkSolvesColdOnceAtDrawZeroAndOncePerLevel) {
       } catch (const std::runtime_error&) {
         continue;  // an infeasible tail ends the sweep early
       }
-      const long site_cold = solver.stats().cold_solves - static_cast<long>(n - 1);
-      const long new_levels = static_cast<long>(policies[i].num_levels()) - 1;
-      EXPECT_LE(site_cold, 1 + new_levels + solver.stats().range_refusals)
+      EXPECT_EQ(solver.stats().cold_solves,
+                static_cast<long>(n) + solver.stats().range_refusals)
           << "seed " << seed << " site " << i;
       ++sweeps;
-      cold += site_cold;
-      levels += new_levels;
+      levels += static_cast<long>(policies[i].num_levels()) - 1;
     }
   }
   ASSERT_GT(sweeps, 600);
   EXPECT_GT(levels, sweeps / 4) << "too few price steps to mean anything";
-  EXPECT_LT(static_cast<double>(cold) / static_cast<double>(sweeps), 3.0);
 }
 
 /// PJM5 with D-E out: no thermal limit is left, so every price step sits
@@ -426,69 +447,63 @@ std::vector<lp::RhsBreakpoint> site0_breakpoints(const CoupledMarket& market,
   return walk.breakpoints;
 }
 
-TEST(LocalCurveTest, BreakpointExactlyOnAGridDrawMatchesTheSweep) {
-  // A price step whose breakpoint is a grid draw, where both adjacent
-  // prices are optimal duals and the cold solve picks one. Brighton's
-  // 600 MW filling at draw 50 (and at the last draw, 62) prices the old
-  // side there, so the step shows one draw later or not at all;
-  // Solitude's 1330 MW filling at draw 20 (also as the last draw) prices
-  // the new side, so the step sits on the breakpoint itself.
-  struct Tie {
+TEST(LocalCurveTest, ThresholdsSitOnTheExactBreakpoints) {
+  // Brighton's 600 MW filling at draw 50 and Solitude's 1330 MW filling at
+  // draw 20: each is a price step at that exact draw, not at the next
+  // 2 MW grid draw.
+  struct Step {
     std::vector<double> background, power;
-    double cap, at;
-    std::size_t levels;
-    double first_step;  // draw of the first step; 0 = none
+    double at;
   };
-  const Tie ties[] = {
-      {{200.0, 150.0, 150.0}, {0.0, 30.0, 20.0}, 62.0, 50.0, 2, 52.0},
-      {{200.0, 150.0, 150.0}, {0.0, 18.0, 20.0}, 62.0, 62.0, 1, 0.0},
-      {{990.0, 150.0, 150.0}, {0.0, 10.0, 10.0}, 62.0, 20.0, 2, 20.0},
-      {{990.0, 150.0, 150.0}, {0.0, 10.0, 10.0}, 20.0, 20.0, 2, 20.0},
+  const Step steps[] = {
+      {{200.0, 150.0, 150.0}, {0.0, 30.0, 20.0}, 50.0},
+      {{990.0, 150.0, 150.0}, {0.0, 10.0, 10.0}, 20.0},
   };
   const CoupledMarket market = CoupledMarket::paper();
-  for (const Tie& tie : ties) {
-    const CurveCase c = uncongested_case(tie.background, tie.power, tie.cap);
-    const std::string tag =
-        "tie at " + std::to_string(tie.at) + ", cap " + std::to_string(tie.cap);
+  for (const Step& step : steps) {
+    const CurveCase c = uncongested_case(step.background, step.power, 62.0);
+    const std::string tag = "step at " + std::to_string(step.at);
     const std::vector<lp::RhsBreakpoint> breaks = site0_breakpoints(market, c);
     ASSERT_FALSE(breaks.empty()) << tag;
-    EXPECT_NEAR(breaks.front().t, tie.at, 1e-9) << tag << ": the tie";
-    const Derived want = by_sweep(market, c);
-    expect_identical(want, by_walk(market, c), tag);
-    ASSERT_FALSE(want.error.has_value()) << tag;
-    const std::vector<double>& thresholds = want.policies[0].thresholds_mw();
-    ASSERT_EQ(thresholds.size(), tie.levels) << tag;
-    if (tie.levels > 1) {
-      EXPECT_EQ(thresholds[1], c.base[0] + tie.first_step) << tag;
-    }
+    EXPECT_NEAR(breaks.front().t, step.at, 1e-9) << tag << ": the breakpoint";
+    const Derived got = by_walk(market, c);
+    expect_matches_sweep(market, c, by_sweep(market, c), got, tag);
+    ASSERT_FALSE(got.error.has_value()) << tag;
+    const std::vector<double>& thresholds = got.policies[0].thresholds_mw();
+    ASSERT_EQ(thresholds.size(), 2u) << tag;
+    EXPECT_NEAR(thresholds[1], c.base[0] + step.at, 1e-9) << tag;
   }
 }
 
 TEST(LocalCurveTest, PriceMovingAtTheStartDrawMatchesTheSweep) {
   // 600 MW before site 0 draws: draw 0 itself is Brighton's breakpoint, so
   // the cold start sits on a degenerate vertex and the price moves at
-  // t = 0+. Also the same breakpoint one grid draw up, and half a draw up,
-  // where the step must land on the very next draw.
+  // t = 0+. Also the same breakpoint one grid draw up, and half a draw up;
+  // each step opens at the breakpoint itself.
   const CoupledMarket market = CoupledMarket::paper();
   for (const double other : {50.0, 48.0, 49.0}) {
     const CurveCase c =
         uncongested_case({200.0, 150.0, 150.0}, {0.0, other, 50.0}, 40.0);
+    const std::string tag = "start at " + std::to_string(other);
     const std::vector<lp::RhsBreakpoint> breaks = site0_breakpoints(market, c);
     ASSERT_FALSE(breaks.empty());
     EXPECT_NEAR(breaks.front().t, 50.0 - other, 1e-9);
     const Derived want = by_sweep(market, c);
-    expect_identical(want, by_walk(market, c),
-                     "start at " + std::to_string(other));
-    ASSERT_FALSE(want.error.has_value());
-    EXPECT_GE(want.policies[0].num_levels(), 2u);
+    const Derived got = by_walk(market, c);
+    expect_matches_sweep(market, c, want, got, tag);
+    ASSERT_FALSE(got.error.has_value());
+    ASSERT_GE(got.policies[0].num_levels(), 2u);
+    EXPECT_NEAR(got.policies[0].thresholds_mw()[1], c.base[0] + 50.0 - other,
+                1e-9)
+        << tag;
   }
 }
 
 TEST(LocalCurveTest, InfeasibleTailNamesTheSweepsDraw) {
   // All 1530 MW of generation serve 1470 MW (or 1471 MW) before site 0
   // draws: the tail turns infeasible past draw 60, which is itself the
-  // last feasible point (or past 59, between grid draws). The walk's
-  // error must name the sweep's first infeasible draw, 62 or 60.
+  // last feasible point (or past 59, between grid draws). The sweep names
+  // its first infeasible draw, 62 or 60; the walk names the boundary.
   const CoupledMarket market = CoupledMarket::paper();
   for (const double extra : {0.0, 1.0}) {
     const CurveCase c = uncongested_case({500.0, 480.0, 440.0 + extra},
@@ -496,11 +511,13 @@ TEST(LocalCurveTest, InfeasibleTailNamesTheSweepsDraw) {
     const Derived want = by_sweep(market, c);
     const Derived got = by_walk(market, c);
     ASSERT_TRUE(want.error.has_value());
-    EXPECT_EQ(want.error, got.error);
     const std::string draw = extra == 0.0 ? "62.000000" : "60.000000";
     EXPECT_NE(want.error->find("site 0 at draw " + draw + " MW"),
               std::string::npos)
         << *want.error;
+    expect_matches_sweep(market, c, want, got, "tail");
+    ASSERT_TRUE(got.error.has_value());
+    EXPECT_NEAR(named_draw(*got.error), 60.0 - extra, 1e-6) << *got.error;
   }
 }
 

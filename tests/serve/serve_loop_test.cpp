@@ -32,6 +32,9 @@ core::SimulationConfig small_config() {
   return config;
 }
 
+/// Horizon of the pinned months below.
+constexpr std::size_t kPinnedHours = 96;
+
 ServeConfig short_serve_config() {
   ServeConfig config;
   config.ticks_per_hour = 4;
@@ -264,15 +267,13 @@ std::uint64_t tick_digest(const std::vector<TickRecord>& ticks) {
   return d.hash;
 }
 
-TEST(ServeLoopTest, TickDigestsArePinned) {
-  // Two 96-hour months pinned tick by tick, so moving the hour opening,
-  // the breaker or the coupled-curve derivation between files cannot move
-  // a decision. The chaos month is bench/serve_soak's plan (flash crowd,
-  // feed burst, stale feed, site outage) and trips the re-plan breaker;
-  // the closed-loop month derives coupled curves at every hour boundary.
-  constexpr std::size_t kHours = 96;
+/// bench/serve_soak's plan over 96 hours (flash crowd, feed burst, stale
+/// feed, site outage). A three-node re-plan budget degrades the MILP hours
+/// the crowd makes hard, so the re-plan breaker trips, probes and closes
+/// repeatedly.
+ServeReport chaos_month() {
   const auto at = [](double frac) {
-    return static_cast<std::size_t>(frac * static_cast<double>(kHours));
+    return static_cast<std::size_t>(frac * static_cast<double>(kPinnedHours));
   };
   core::SimulationConfig chaos = small_config();
   chaos.premium_share = 0.3;
@@ -281,21 +282,26 @@ TEST(ServeLoopTest, TickDigestsArePinned) {
   chaos.fault_plan.stale_intervals.push_back({at(0.40), at(0.55) - at(0.40)});
   chaos.fault_plan.outages.push_back({1, at(0.60), at(0.72) - at(0.60)});
   ServeConfig soak;
-  soak.horizon_hours = kHours;
+  soak.horizon_hours = kPinnedHours;
   soak.premium_queue_ticks = 8.0;
   soak.ordinary_queue_ticks = 6.0;
   soak.feed_updates_per_tick = 2;
   soak.admission.stale_ticks_tolerated = 8;
-  // A three-node re-plan budget degrades the MILP hours the crowd makes
-  // hard, so the breaker trips, probes and closes repeatedly.
   soak.replan_node_budget = 3;
   const core::Simulator chaos_sim(chaos);
-  const ServeReport chaos_run =
-      ServeLoop(chaos_sim, soak).run("", false).report;
+  return ServeLoop(chaos_sim, soak).run("", false).report;
+}
+
+TEST(ServeLoopTest, TickDigestsArePinned) {
+  // Two 96-hour months pinned tick by tick, so moving the hour opening,
+  // the breaker or the coupled-curve derivation between files cannot move
+  // a decision. The chaos month trips the re-plan breaker; the closed-loop
+  // month derives coupled curves at every hour boundary.
+  const ServeReport chaos_run = chaos_month();
   EXPECT_EQ(tick_digest(chaos_run.ticks_this_attempt),
-            10238932388911353377ULL);
-  EXPECT_EQ(chaos_run.breaker_trips, 24u);
-  EXPECT_EQ(chaos_run.shed_ticks, 412u);
+            11739465823535048278ULL);
+  EXPECT_EQ(chaos_run.breaker_trips, 18u);
+  EXPECT_EQ(chaos_run.shed_ticks, 437u);
   EXPECT_EQ(chaos_run.coupled_refreshes, 0u);
 
   core::SimulationConfig closed = small_config();
@@ -304,15 +310,38 @@ TEST(ServeLoopTest, TickDigestsArePinned) {
   closed.fault_plan.grid_demand_shocks.push_back({1, 50, 12, 1.6});
   closed.fault_plan.congestion_spikes.push_back({5, 60, 12, 0.6});
   ServeConfig month;
-  month.horizon_hours = kHours;
+  month.horizon_hours = kPinnedHours;
   const core::Simulator closed_sim(closed);
   const ServeReport closed_run =
       ServeLoop(closed_sim, month).run("", false).report;
   EXPECT_EQ(tick_digest(closed_run.ticks_this_attempt),
-            8423012246737092507ULL);
+            5746819615520695139ULL);
   EXPECT_EQ(closed_run.breaker_trips, 0u);
-  EXPECT_EQ(closed_run.shed_ticks, 341u);
+  EXPECT_EQ(closed_run.shed_ticks, 345u);
   EXPECT_EQ(closed_run.coupled_refreshes, 96u);
+}
+
+TEST(ServeLoopTest, FreshDaemonsFirstTripHoldsReplansForTheCooldown) {
+  // A fresh daemon starts with the configured breaker cooldown, not a
+  // one-tick one: its first trip keeps the breaker open, so no re-plan
+  // runs, for exactly that many ticks before it may probe.
+  const ServeReport run = chaos_month();
+  const std::vector<TickRecord>& ticks = run.ticks_this_attempt;
+  std::size_t trip = 0;
+  while (trip < ticks.size() && ticks[trip].breaker != core::BreakerState::kOpen)
+    ++trip;
+  const std::size_t cooldown = ServeConfig{}.breaker.cooldown;
+  ASSERT_GT(cooldown, 1u);
+  ASSERT_LT(trip + cooldown, ticks.size()) << "the breaker never tripped";
+  for (std::size_t k = trip + 1; k < trip + cooldown; ++k) {
+    EXPECT_EQ(ticks[k].breaker, core::BreakerState::kOpen)
+        << "tick " << ticks[k].tick;
+    EXPECT_FALSE(ticks[k].replanned) << "tick " << ticks[k].tick;
+  }
+  // Then it is half-open, or re-opened by a probe that ran and failed.
+  const TickRecord& probe = ticks[trip + cooldown];
+  EXPECT_TRUE(probe.breaker != core::BreakerState::kOpen || probe.replanned)
+      << "tick " << probe.tick;
 }
 
 TEST(ServeLoopTest, SupervisorProbeReadsServeCheckpointProgress) {

@@ -23,7 +23,7 @@ JOBS="$(nproc 2>/dev/null || echo 4)"
 # the DC-OPF through lp::solve_lp. The tests named by PINNED_TESTS pin
 # digests, effort counts and tie-breaking cases of their own.
 FLEET_DIGEST=af7c785ea0d967ee
-MARKET_DIGESTS="679945c10a312e04 148d73a576df2cbf 3f08a88048e74ef2"
+MARKET_DIGESTS="5cdc9a7a691dd031 6df382effbd691b8 e5beea67bde25056"
 PINNED_TESTS='DigestsArePinned|DigestIsPinned|RecordedReference|SolverIsFastEnoughForOnlineUse|LocalCurveTest[.]'
 
 # check_digests <build-dir>: runs the fleet slice and the market smoke in
