@@ -47,7 +47,6 @@
 #include "core/checkpoint.hpp"
 #include "core/simulator.hpp"
 #include "core/supervisor.hpp"
-#include "util/journal.hpp"
 
 int main() {
   using namespace billcap;
@@ -164,13 +163,13 @@ int main() {
     const core::Simulator sim(config);
     const core::MonthlyResult reference =
         sim.run(core::Strategy::kCostCapping);
-    std::remove(ck_path.c_str());
+    core::remove_checkpoint(ck_path);
     core::Simulator::ResumableOutcome outcome =
         sim.run_resumable(core::Strategy::kCostCapping, ck_path, false);
     while (outcome.crashed)
       outcome =
           sim.run_resumable(core::Strategy::kCostCapping, ck_path, true);
-    std::remove(ck_path.c_str());
+    core::remove_checkpoint(ck_path);
     const core::MonthlyResult& r = outcome.result;
     const double delta = r.total_cost - reference.total_cost;
     crash_table.add_row(
@@ -261,17 +260,13 @@ int main() {
       return core::probe_checkpoint_hour(ck_path, keep_generations);
     };
 
-    for (std::size_t g = 0; g < keep_generations; ++g)
-      std::remove(
-          util::Journal::generation_path(ck_path, g).c_str());
+    core::remove_checkpoint(ck_path);
     core::Supervisor supervisor(options, {"in-process", {}},
                                 {"in-process", {"--standby"}}, ck_path,
                                 keep_generations, hooks);
     const core::SuperviseReport report = supervisor.run();
     const core::CheckpointState final_state = core::load_checkpoint(ck_path);
-    for (std::size_t g = 0; g < keep_generations; ++g)
-      std::remove(
-          util::Journal::generation_path(ck_path, g).c_str());
+    core::remove_checkpoint(ck_path);
 
     const core::MonthlyResult& r = final_state.partial;
     supervised_all_complete &= report.exit_code == core::kExitSuccess &&

@@ -1,9 +1,11 @@
 #include "core/checkpoint.hpp"
 
+#include <algorithm>
 #include <bit>
 #include <charconv>
 #include <cstdio>
 #include <fstream>
+#include <optional>
 #include <sstream>
 #include <stdexcept>
 
@@ -17,13 +19,6 @@ namespace billcap::core {
 namespace {
 
 // ---- token stream for HourRecord ------------------------------------------
-
-void put_d(std::ostringstream& os, double v) {
-  char buf[17];
-  std::snprintf(buf, sizeof(buf), "%016llx",
-                static_cast<unsigned long long>(std::bit_cast<std::uint64_t>(v)));
-  os << buf << ' ';
-}
 
 std::uint64_t take_u(std::istringstream& is) {
   std::uint64_t v = 0;
@@ -97,53 +92,13 @@ HourRecord decode_hour(const std::string& text) {
   return rec;
 }
 
-// ---- fixed-width binary HourRecord (hour log, format v2) ------------------
+// ---- fixed-width binary HourRecord (state log, and v2's hour log) --------
 
-/// Fixed words of a log record before its two per-site arrays.
+/// Fixed words of an encoded HourRecord before its two per-site arrays.
 constexpr std::size_t kRecordWords = 20;
 
-std::string encode_record(const HourRecord& rec) {
-  std::string out(
-      8 * (kRecordWords + rec.site_lambda.size() + rec.site_power_mw.size()),
-      '\0');
-  char* at = out.data();
-  const auto put = [&at](std::uint64_t v) {
-    util::store_le64(at, v);
-    at += 8;
-  };
-  const auto put_bits = [&put](double v) {
-    put(std::bit_cast<std::uint64_t>(v));
-  };
-  put(rec.hour);
-  put(static_cast<std::uint64_t>(rec.mode));
-  put(static_cast<std::uint64_t>(rec.failure));
-  put((rec.degraded ? 1u : 0u) | (rec.used_incumbent ? 2u : 0u) |
-      (rec.used_heuristic ? 4u : 0u) | (rec.stale_prices ? 8u : 0u) |
-      (rec.feed_recovered ? 16u : 0u) | (rec.coupler_converged ? 32u : 0u) |
-      (rec.coupler_fallback ? 64u : 0u));
-  put(static_cast<std::uint64_t>(static_cast<std::int64_t>(rec.feed_attempts)));
-  put(rec.sites_down);
-  put(static_cast<std::uint64_t>(static_cast<std::int64_t>(rec.nodes)));
-  put(rec.coupler_iterations);
-  put(rec.coupler_rung);
-  put_bits(rec.arrivals);
-  put_bits(rec.premium_arrivals);
-  put_bits(rec.ordinary_arrivals);
-  put_bits(rec.served_premium);
-  put_bits(rec.served_ordinary);
-  put_bits(rec.hourly_budget);
-  put_bits(rec.cost);
-  put_bits(rec.predicted_cost);
-  put_bits(0.0);  // the retired wall-time word keeps the width
-  put(rec.site_lambda.size());
-  put(rec.site_power_mw.size());
-  for (double v : rec.site_lambda) put_bits(v);
-  for (double v : rec.site_power_mw) put_bits(v);
-  return out;
-}
-
-/// Decodes one log record; `slot` is record_bytes wide, zero-padded past
-/// the record's own arrays.
+/// Decodes one encoded HourRecord from the front of `slot`, which may run
+/// on past the record's own arrays (zero padding).
 HourRecord decode_record(std::string_view slot) {
   const std::size_t words = slot.size() / 8;
   if (words < kRecordWords)
@@ -193,91 +148,261 @@ HourRecord decode_record(std::string_view slot) {
   return rec;
 }
 
-// ---- the head journal -----------------------------------------------------
+// ---- the state log (format v3) --------------------------------------------
 
-/// Every CheckpointState field except the HourRecords, as a journal of
-/// format `version`; the caller adds the hours (inline or as a log prefix).
-util::Journal encode_head(const CheckpointState& state, int version) {
-  util::Journal journal(keys::kCheckpointMagic, version);
-  journal.set_u64(keys::kConfigDigest, state.config_digest);
-  journal.set_u64(keys::kStrategy, static_cast<std::uint64_t>(state.strategy));
-  journal.set_size(keys::kNextHour, state.next_hour);
-  journal.set_double_bits(keys::kSpent, state.spent);
-  journal.set_size(keys::kCrashesFired, state.crashes_fired);
-  journal.set_size(keys::kStormsFired, state.storms_fired);
-  journal.set_size(keys::kCorruptionsFired, state.corruptions_fired);
-  for (std::size_t i = 0; i < state.feed.rng.size(); ++i)
-    journal.set_u64(keys::feed_rng(i), state.feed.rng[i]);
-  journal.set_size(keys::kFeedRecoveredUntil, state.feed.recovered_until);
+/// The first word of every state-log record.
+enum class RecordKind : std::uint64_t {
+  kHourOnly = 0,    ///< an hour and no state: replayed, never resumed from
+  kCommitHour = 1,  ///< a commit and the last hour it carries
+  kCommit = 2,      ///< a commit that carries no hour (cursor-only)
+};
 
-  const MarketCoupler::State& cp = state.coupler;
-  journal.set_u64(keys::kCouplerBreakerState,
-                  static_cast<std::uint64_t>(cp.breaker.state));
-  journal.set_size(keys::kCouplerConsecTroubled, cp.breaker.consecutive_failed);
-  journal.set_size(keys::kCouplerCooldown, cp.breaker.cooldown_remaining);
-  journal.set_size(keys::kCouplerCurrentCooldown, cp.breaker.current_cooldown);
-  journal.set_size(keys::kCouplerTrips, cp.breaker.trips);
-  journal.set_size(keys::kCouplerRung, cp.rung);
-  journal.set_size(keys::kCouplerCleanStreak, cp.clean_streak);
-  journal.set_u64(keys::kCouplerLastValid, cp.last_valid ? 1 : 0);
-  {
-    std::ostringstream active;
-    for (std::size_t i = 0; i < cp.last_active.size(); ++i) {
-      if (i) active << ' ';
-      active << static_cast<unsigned>(cp.last_active[i]);
-    }
-    journal.set(keys::kCouplerLastActive, active.str());
-  }
-  {
-    std::ostringstream power;
-    for (double v : cp.last_power_mw) put_d(power, v);
-    journal.set(keys::kCouplerLastPower, power.str());
-  }
+/// Fixed words of a state-log record before its coupler arrays: the kind,
+/// six counters, the feed's four RNG words and cursor, the breaker's five
+/// words, rung, clean streak, last_valid and the two array lengths. An
+/// HourRecord follows the arrays; an hour-only record leaves the state
+/// words zero.
+constexpr std::size_t kStateWords = 22;
 
-  const MonthlyResult& r = state.partial;
-  journal.set_double_bits(keys::kMonthlyBudget, r.monthly_budget);
-  journal.set_double_bits(keys::kTotalCost, r.total_cost);
-  journal.set_double_bits(keys::kTotalPremiumArrivals, r.total_premium_arrivals);
-  journal.set_double_bits(keys::kTotalOrdinaryArrivals,
-                          r.total_ordinary_arrivals);
-  journal.set_double_bits(keys::kTotalServedPremium, r.total_served_premium);
-  journal.set_double_bits(keys::kTotalServedOrdinary, r.total_served_ordinary);
-  journal.set_size(keys::kDegradedHours, r.degraded_hours);
-  journal.set_size(keys::kIncumbentHours, r.incumbent_hours);
-  journal.set_size(keys::kHeuristicHours, r.heuristic_hours);
-  journal.set_size(keys::kOutageHours, r.outage_hours);
-  journal.set_size(keys::kStaleHours, r.stale_hours);
-  journal.set_size(keys::kFeedRetryAttempts, r.feed_retry_attempts);
-  journal.set_size(keys::kFeedRecoveredHours, r.feed_recovered_hours);
-  journal.set_size(keys::kCrashRecoveries, r.crash_recoveries);
-  journal.set_size(keys::kClosedLoopHours, r.closed_loop_hours);
-  journal.set_size(keys::kCouplerFallbackHours, r.coupler_fallback_hours);
-  journal.set_size(keys::kCouplerIterations, r.coupler_iterations);
-  {
-    std::ostringstream tally;
-    for (std::size_t i = 0; i < r.failure_tally.size(); ++i) {
-      if (i) tally << ' ';
-      tally << r.failure_tally[i];
-    }
-    journal.set(keys::kFailureTally, tally.str());
-  }
-  journal.set_size(keys::kDegradedChunks, r.degraded_chunks);
-  journal.set_size(keys::kQuarantinedChunks, r.quarantined_chunks);
-  journal.set_size(keys::kRegionDownChunks, r.region_down_chunks);
-  {
-    std::ostringstream tally;
-    for (std::size_t i = 0; i < r.chunk_failure_tally.size(); ++i) {
-      if (i) tally << ' ';
-      tally << r.chunk_failure_tally[i];
-    }
-    journal.set(keys::kChunkFailureTally, tally.str());
-  }
-
-  return journal;
+/// Record width for per-site arrays of length `sites`: the state words,
+/// the coupler's two arrays and an HourRecord with its two.
+std::size_t state_record_bytes(std::size_t sites) {
+  return 8 * (kStateWords + kRecordWords + 4 * sites);
 }
 
-/// Every field a head carries; partial.hours stays empty. logged_hours is
-/// the head's log prefix for v2, 0 for a v1 file (its hours are inline).
+/// One state-log record, `width` bytes wide: the commit's state (unless
+/// kHourOnly), then `hour` if given.
+std::string encode_state_record(RecordKind kind, const CheckpointState& st,
+                                const HourRecord* hour, std::size_t width) {
+  const auto too_wide = [width] {
+    return std::runtime_error("checkpoint: a record does not fit the state "
+                              "log's " + std::to_string(width) +
+                              "-byte width");
+  };
+  std::string out(width, '\0');
+  std::size_t at = 0;
+  const auto put = [&](std::uint64_t v) {
+    if (at + 8 > width) throw too_wide();
+    util::store_le64(out.data() + at, v);
+    at += 8;
+  };
+  const auto put_bits = [&put](double v) {
+    put(std::bit_cast<std::uint64_t>(v));
+  };
+  put(static_cast<std::uint64_t>(kind));
+  if (kind == RecordKind::kHourOnly) {
+    at = 8 * kStateWords;
+  } else {
+    put(st.next_hour);
+    put_bits(st.spent);
+    put(st.crashes_fired);
+    put(st.storms_fired);
+    put(st.corruptions_fired);
+    put(st.partial.crash_recoveries);
+    for (std::uint64_t w : st.feed.rng) put(w);
+    put(st.feed.recovered_until);
+    const MarketCoupler::State& cp = st.coupler;
+    put(static_cast<std::uint64_t>(cp.breaker.state));
+    put(cp.breaker.consecutive_failed);
+    put(cp.breaker.cooldown_remaining);
+    put(cp.breaker.current_cooldown);
+    put(cp.breaker.trips);
+    put(cp.rung);
+    put(cp.clean_streak);
+    put(cp.last_valid ? 1 : 0);
+    put(cp.last_active.size());
+    put(cp.last_power_mw.size());
+    for (std::uint8_t a : cp.last_active) put(a);
+    for (double v : cp.last_power_mw) put_bits(v);
+  }
+  if (hour) {
+    const std::string words = encode_hour_record(*hour);
+    if (at + words.size() > width) throw too_wide();
+    std::copy(words.begin(), words.end(), out.begin() + at);
+  }
+  return out;
+}
+
+/// Takes little-endian words off the front of a record payload; running
+/// past its end means the record is malformed.
+class WordReader {
+ public:
+  explicit WordReader(std::string_view slot) : slot_(slot) {}
+  std::uint64_t take() {
+    if (slot_.size() < 8)
+      throw std::runtime_error("checkpoint: malformed state log record");
+    const std::uint64_t v = util::load_le64(slot_.data());
+    slot_.remove_prefix(8);
+    return v;
+  }
+  double take_bits() { return std::bit_cast<double>(take()); }
+  /// A count of words still to come, checked against what is left.
+  std::size_t take_count() {
+    const std::uint64_t n = take();
+    if (n > slot_.size() / 8)
+      throw std::runtime_error("checkpoint: malformed state log record");
+    return static_cast<std::size_t>(n);
+  }
+  std::string_view rest() const { return slot_; }
+
+ private:
+  std::string_view slot_;
+};
+
+/// Decodes one state-log record: its commit fields into `st` (cursors,
+/// feed, coupler and partial.crash_recoveries; left alone for an
+/// hour-only record) and its hour into `hour`. Returns the record's kind.
+RecordKind decode_state_record(std::string_view slot, CheckpointState& st,
+                               HourRecord& hour) {
+  WordReader in(slot);
+  const std::uint64_t kind_word = in.take();
+  if (kind_word > static_cast<std::uint64_t>(RecordKind::kCommit))
+    throw std::runtime_error("checkpoint: malformed state log record");
+  const auto kind = static_cast<RecordKind>(kind_word);
+  if (kind == RecordKind::kHourOnly) {
+    for (std::size_t w = 1; w < kStateWords; ++w) in.take();
+  } else {
+    st.next_hour = static_cast<std::size_t>(in.take());
+    st.spent = in.take_bits();
+    st.crashes_fired = static_cast<std::size_t>(in.take());
+    st.storms_fired = static_cast<std::size_t>(in.take());
+    st.corruptions_fired = static_cast<std::size_t>(in.take());
+    st.partial.crash_recoveries = static_cast<std::size_t>(in.take());
+    for (std::uint64_t& w : st.feed.rng) w = in.take();
+    st.feed.recovered_until = static_cast<std::size_t>(in.take());
+    MarketCoupler::State& cp = st.coupler;
+    cp.breaker.state = breaker_state_from(in.take());
+    cp.breaker.consecutive_failed = static_cast<std::size_t>(in.take());
+    cp.breaker.cooldown_remaining = static_cast<std::size_t>(in.take());
+    cp.breaker.current_cooldown = static_cast<std::size_t>(in.take());
+    cp.breaker.trips = static_cast<std::size_t>(in.take());
+    cp.rung = static_cast<std::size_t>(in.take());
+    cp.clean_streak = static_cast<std::size_t>(in.take());
+    cp.last_valid = in.take() != 0;
+    const std::size_t n_active = in.take_count();
+    const std::size_t n_power = in.take_count();
+    cp.last_active.resize(n_active);
+    for (std::uint8_t& a : cp.last_active) a = in.take() != 0 ? 1 : 0;
+    cp.last_power_mw.resize(n_power);
+    for (double& v : cp.last_power_mw) v = in.take_bits();
+  }
+  if (kind != RecordKind::kCommit) hour = decode_record(in.rest());
+  return kind;
+}
+
+/// The state log a v3 head names, which must be the one beside it
+/// (state_log_path): a head never reads another checkpoint's log.
+std::string named_state_log(const util::Journal& head,
+                            const std::string& head_path) {
+  const std::string log_path = state_log_path(head_path);
+  const std::string& name = head.get(keys::kStateLog);
+  if (name != log_path.substr(log_path.find_last_of('/') + 1))
+    throw std::runtime_error("checkpoint: head names state log '" + name +
+                             "', not the one beside it (" + log_path + ")");
+  return log_path;
+}
+
+/// Opens the state log a v3 head names and checks that the two belong
+/// together: same writer digest, same record width.
+util::RecordLog::Reader open_state_log(const util::Journal& head,
+                                       const std::string& head_path) {
+  util::RecordLog::Reader log(named_state_log(head, head_path));
+  if (log.tag() != head.get_u64(keys::kConfigDigest))
+    throw std::runtime_error("checkpoint: state log of " + head_path +
+                             " was written under another configuration");
+  if (log.record_bytes() != head.get_size(keys::kStateLogWidth))
+    throw std::runtime_error("checkpoint: state log of " + head_path +
+                             " has another record width than its head");
+  if (log.records() == 0)
+    throw std::runtime_error("checkpoint: state log of " + head_path +
+                             " holds no record");
+  return log;
+}
+
+/// Loads the newest commit among the last `keep` records of the state log
+/// whose every record up to it verifies. Replays the hours those records
+/// carry through MonthlyResult::accumulate.
+CheckpointLoadReport load_state_log(const util::Journal& head,
+                                    const std::string& head_path,
+                                    std::size_t keep) {
+  util::RecordLog::Reader log = open_state_log(head, head_path);
+  const std::size_t n = log.records();
+  const std::size_t window = n > keep ? n - keep : 0;
+
+  CheckpointState scratch;
+  MonthlyResult month;
+  month.strategy = static_cast<Strategy>(head.get_u64(keys::kStrategy));
+  month.monthly_budget = head.get_double_bits(keys::kMonthlyBudget);
+  month.hours.reserve(n);
+  // The newest commit within the window whose every record verifies: the
+  // scan stops at the first damaged record, so it is the last one seen.
+  struct Commit {
+    std::size_t record = 0;
+    std::size_t hours = 0;  ///< hours carried by records up to this one
+    util::RecordLog::Cursor cursor;
+    CheckpointState state;
+  };
+  std::optional<Commit> commit;
+  std::size_t damaged = n;  // first record that fails its checksum
+  std::string payload;
+  HourRecord hour;
+  for (std::size_t i = 0; i < n; ++i) {
+    if (!log.next(payload)) {
+      damaged = i;
+      break;
+    }
+    const RecordKind kind = decode_state_record(payload, scratch, hour);
+    if (kind != RecordKind::kCommit) month.accumulate(std::move(hour));
+    if (kind == RecordKind::kHourOnly || i < window) continue;
+    if (scratch.next_hour != month.hours.size())
+      throw std::runtime_error(
+          "checkpoint: a state log record's next_hour does not match the "
+          "hours before it (inconsistent file)");
+    commit = Commit{i, month.hours.size(), log.cursor(), scratch};
+  }
+
+  CheckpointLoadReport report;
+  const std::string log_path = state_log_path(head_path);
+  for (std::size_t i = n; i-- > (commit ? commit->record + 1 : window);) {
+    const char* why = i == damaged  ? "fails its checksum (corrupted file)"
+                      : i > damaged ? "follows a damaged record"
+                                    : "holds no committed state";
+    report.skipped.push_back(log_path + " record " + std::to_string(i) +
+                             ": " + why);
+  }
+  if (!commit) {
+    std::string detail;
+    for (const std::string& line : report.skipped) detail += "\n  " + line;
+    throw std::runtime_error("checkpoint: no viable record among the newest " +
+                             std::to_string(n - window) + " of " + log_path +
+                             detail);
+  }
+  report.generation = n - 1 - commit->record;
+  if (commit->hours < month.hours.size()) {
+    // Fell back past hours: fold again only those before the commit.
+    MonthlyResult kept;
+    kept.strategy = month.strategy;
+    kept.monthly_budget = month.monthly_budget;
+    kept.hours.reserve(n);
+    for (std::size_t h = 0; h < commit->hours; ++h)
+      kept.accumulate(std::move(month.hours[h]));
+    month = std::move(kept);
+  }
+  CheckpointState& st = report.state;
+  st = std::move(commit->state);
+  st.config_digest = head.get_u64(keys::kConfigDigest);
+  st.strategy = month.strategy;
+  month.crash_recoveries = st.partial.crash_recoveries;
+  st.partial = std::move(month);
+  st.log = {commit->cursor, commit->hours};
+  return report;
+}
+
+// ---- legacy heads (formats v1 and v2) ------------------------------------
+
+/// Every field a v1 or v2 head carries; partial.hours stays empty and the
+/// state-log position at none, so the first commit after the load starts
+/// a state log holding every hour.
 CheckpointState decode_head(const util::Journal& journal) {
   CheckpointState state;
   state.config_digest = journal.get_u64(keys::kConfigDigest);
@@ -382,8 +507,12 @@ CheckpointState decode_head(const util::Journal& journal) {
     throw std::runtime_error(
         "checkpoint: hour count does not match next_hour (inconsistent "
         "file)");
-  state.logged_hours = journal.has(keys::kHourLog) ? state.next_hour : 0;
   return state;
+}
+
+/// Format v2's hour log beside the head at `path`.
+std::string legacy_hour_log_path(const std::string& path) {
+  return path + ".hours";
 }
 
 util::Journal load_head_journal(const std::string& path) {
@@ -392,8 +521,8 @@ util::Journal load_head_journal(const std::string& path) {
 }
 
 /// Fills state.partial.hours from the head's own keys (v1) or from the
-/// log prefix it names (v2), resolving the log's file name against the
-/// directory of `head_path`.
+/// hour-log prefix it names (v2), resolving the log's file name against
+/// the directory of `head_path`.
 void load_hours(const util::Journal& journal, const std::string& head_path,
                 CheckpointState& state) {
   std::vector<HourRecord>& hours = state.partial.hours;
@@ -409,13 +538,40 @@ void load_hours(const util::Journal& journal, const std::string& head_path,
   const std::size_t slash = head_path.find_last_of('/');
   const std::string log_path =
       slash == std::string::npos ? name : head_path.substr(0, slash + 1) + name;
-  const util::RecordLog::Contents log = util::RecordLog::read(
-      log_path, {count, journal.get_u64(keys::kHourLogChain)});
-  const std::string_view payloads = log.payloads;
+  if (count == 0) {
+    if (journal.get_u64(keys::kHourLogChain) != util::RecordLog::kEmptyChain)
+      throw std::runtime_error("checkpoint: an empty hour log prefix with a "
+                               "non-empty checksum");
+    return;
+  }
+  util::RecordLog::Reader log(log_path);
+  if (log.records() < count)
+    throw std::runtime_error("checkpoint: hour log " + log_path + " holds " +
+                             std::to_string(log.records()) +
+                             " records, the head names " +
+                             std::to_string(count));
   hours.reserve(count);
-  for (std::size_t i = 0; i < count; ++i)
-    hours.push_back(decode_record(
-        payloads.substr(i * log.record_bytes, log.record_bytes)));
+  std::string payload;
+  for (std::size_t i = 0; i < count; ++i) {
+    if (!log.next(payload))
+      throw std::runtime_error("checkpoint: hour log " + log_path +
+                               " record " + std::to_string(i) +
+                               " fails its checksum (corrupted file)");
+    hours.push_back(decode_record(payload));
+  }
+  if (log.chain() != journal.get_u64(keys::kHourLogChain))
+    throw std::runtime_error("checkpoint: the first " + std::to_string(count) +
+                             " records of hour log " + log_path +
+                             " do not match the head's checksum (rewritten "
+                             "or foreign log)");
+}
+
+/// The v1/v2 load: the head's own fields and the hours it names.
+CheckpointState load_legacy(const util::Journal& journal,
+                            const std::string& head_path) {
+  CheckpointState state = decode_head(journal);
+  load_hours(journal, head_path, state);
+  return state;
 }
 
 }  // namespace
@@ -573,42 +729,108 @@ bool checkpoint_exists(const std::string& path) noexcept {
   return probe.good();
 }
 
+std::string state_log_path(const std::string& path) { return path + ".log"; }
+
+void remove_checkpoint(const std::string& path) noexcept {
+  for (const std::string& file :
+       {path, path + ".tmp", state_log_path(path), legacy_hour_log_path(path)})
+    std::remove(file.c_str());
+}
+
+std::string encode_hour_record(const HourRecord& rec) {
+  std::string out(
+      8 * (kRecordWords + rec.site_lambda.size() + rec.site_power_mw.size()),
+      '\0');
+  char* at = out.data();
+  const auto put = [&at](std::uint64_t v) {
+    util::store_le64(at, v);
+    at += 8;
+  };
+  const auto put_bits = [&put](double v) {
+    put(std::bit_cast<std::uint64_t>(v));
+  };
+  put(rec.hour);
+  put(static_cast<std::uint64_t>(rec.mode));
+  put(static_cast<std::uint64_t>(rec.failure));
+  put((rec.degraded ? 1u : 0u) | (rec.used_incumbent ? 2u : 0u) |
+      (rec.used_heuristic ? 4u : 0u) | (rec.stale_prices ? 8u : 0u) |
+      (rec.feed_recovered ? 16u : 0u) | (rec.coupler_converged ? 32u : 0u) |
+      (rec.coupler_fallback ? 64u : 0u));
+  put(static_cast<std::uint64_t>(static_cast<std::int64_t>(rec.feed_attempts)));
+  put(rec.sites_down);
+  put(static_cast<std::uint64_t>(static_cast<std::int64_t>(rec.nodes)));
+  put(rec.coupler_iterations);
+  put(rec.coupler_rung);
+  put_bits(rec.arrivals);
+  put_bits(rec.premium_arrivals);
+  put_bits(rec.ordinary_arrivals);
+  put_bits(rec.served_premium);
+  put_bits(rec.served_ordinary);
+  put_bits(rec.hourly_budget);
+  put_bits(rec.cost);
+  put_bits(rec.predicted_cost);
+  put_bits(0.0);  // the retired wall-time word keeps the width
+  put(rec.site_lambda.size());
+  put(rec.site_power_mw.size());
+  for (double v : rec.site_lambda) put_bits(v);
+  for (double v : rec.site_power_mw) put_bits(v);
+  return out;
+}
+
 CheckpointState load_checkpoint(const std::string& path) {
-  const util::Journal journal = load_head_journal(path);
-  CheckpointState state = decode_head(journal);
-  load_hours(journal, path, state);
-  return state;
+  const util::Journal head = load_head_journal(path);
+  if (head.version() < keys::kCheckpointVersion)
+    return load_legacy(head, path);
+  return load_state_log(head, path, 1).state;
 }
-
-CheckpointState load_checkpoint_head(const std::string& path) {
-  return decode_head(load_head_journal(path));
-}
-
-std::string hour_log_path(const std::string& path) { return path + ".hours"; }
 
 void save_checkpoint_rotated(const std::string& path,
                              const CheckpointState& state,
-                             std::size_t keep_generations) {
+                             std::size_t /*keep_generations*/) {
   const std::vector<HourRecord>& hours = state.partial.hours;
-  if (state.logged_hours > hours.size())
+  CheckpointState::LogPosition& log = state.log;
+  if (log.hours > hours.size())
     throw std::invalid_argument(
-        "save_checkpoint_rotated: logged_hours exceeds the hours held");
-  std::vector<std::string> fresh;
-  fresh.reserve(hours.size() - state.logged_hours);
-  for (std::size_t i = state.logged_hours; i < hours.size(); ++i)
-    fresh.push_back(encode_record(hours[i]));
-  // The log is durable before any head names its new records: a kill in
-  // between leaves a tail no head covers, which the next commit truncates.
-  const std::string log_path = hour_log_path(path);
-  const util::RecordLog::Prefix prefix = util::RecordLog::append(
-      log_path, state.config_digest, state.logged_hours, fresh);
+        "save_checkpoint_rotated: the state holds fewer hours than its log");
+  std::size_t width = log.cursor.record_bytes;
+  if (log.cursor.count == 0) {
+    std::size_t sites = std::max({state.sites, state.coupler.last_active.size(),
+                                  state.coupler.last_power_mw.size()});
+    for (std::size_t i = log.hours; i < hours.size(); ++i)
+      sites = std::max({sites, hours[i].site_lambda.size(),
+                        hours[i].site_power_mw.size()});
+    width = state_record_bytes(sites);
+  }
+  std::vector<std::string> records;
+  for (std::size_t i = log.hours; i + 1 < hours.size(); ++i)
+    records.push_back(
+        encode_state_record(RecordKind::kHourOnly, state, &hours[i], width));
+  if (hours.size() > log.hours)
+    records.push_back(encode_state_record(RecordKind::kCommitHour, state,
+                                          &hours.back(), width));
+  else
+    records.push_back(
+        encode_state_record(RecordKind::kCommit, state, nullptr, width));
 
-  util::Journal::rotate_generations(path, keep_generations);
-  util::Journal head = encode_head(state, keys::kCheckpointVersion);
-  head.set_size(keys::kHours, prefix.count);
-  head.set(keys::kHourLog, log_path.substr(log_path.find_last_of('/') + 1));
-  head.set_u64(keys::kHourLogChain, prefix.chain);
-  head.save_atomic(path);
+  const std::string log_path = state_log_path(path);
+  if (log.cursor.count > 0) {
+    log.cursor = util::RecordLog::append(log_path, log.cursor, records);
+  } else {
+    // A new log is durable before the head that names it: a kill in
+    // between leaves no head (a fresh month removed it) or the older
+    // format's head and log, both untouched.
+    log.cursor =
+        util::RecordLog::create(log_path, state.config_digest, records);
+    util::Journal head(keys::kCheckpointMagic, keys::kCheckpointVersion);
+    head.set_u64(keys::kConfigDigest, state.config_digest);
+    head.set_u64(keys::kStrategy, static_cast<std::uint64_t>(state.strategy));
+    head.set_double_bits(keys::kMonthlyBudget, state.partial.monthly_budget);
+    head.set(keys::kStateLog, log_path.substr(log_path.find_last_of('/') + 1));
+    head.set_size(keys::kStateLogWidth, width);
+    head.save_atomic(path);
+    std::remove(legacy_hour_log_path(path).c_str());
+  }
+  log.hours = hours.size();
 }
 
 bool any_checkpoint_generation_exists(const std::string& path,
@@ -646,20 +868,46 @@ std::size_t scan_generations(
 CheckpointLoadReport load_checkpoint_fallback(const std::string& path,
                                               std::size_t keep_generations,
                                               std::uint64_t expected_digest) {
-  CheckpointLoadReport report;
-  report.generation = scan_generations(
-      path, keep_generations, "checkpoint", report.skipped,
-      [&](const std::string& gen_path) {
-        const util::Journal journal = load_head_journal(gen_path);
-        CheckpointState state = decode_head(journal);
-        if (state.config_digest != expected_digest)
-          throw std::runtime_error(
-              "config digest mismatch (checkpoint from a different "
-              "configuration)");
-        load_hours(journal, gen_path, state);
-        report.state = std::move(state);
-      });
-  return report;
+  const util::Journal head = load_head_journal(path);
+  if (head.get_u64(keys::kConfigDigest) != expected_digest)
+    throw std::runtime_error(
+        "checkpoint " + path +
+        ": config digest mismatch (checkpoint from a different "
+        "configuration)");
+  if (head.version() < keys::kCheckpointVersion) {
+    CheckpointLoadReport report;
+    report.state = load_legacy(head, path);
+    return report;
+  }
+  return load_state_log(head, path, std::max<std::size_t>(1, keep_generations));
+}
+
+std::size_t checkpoint_next_hour(const std::string& path,
+                                 std::size_t keep_generations) {
+  const util::Journal head = load_head_journal(path);
+  if (head.version() < keys::kCheckpointVersion)
+    return decode_head(head).next_hour;
+  util::RecordLog::Reader log = open_state_log(head, path);
+  const std::size_t n = log.records();
+  const std::size_t reach =
+      std::min(n, std::max<std::size_t>(1, keep_generations));
+  log.seek(n - reach);
+  std::string payload;
+  bool found = false;
+  std::size_t next_hour = 0;
+  while (log.position() < n) {
+    if (!log.next(payload)) continue;
+    WordReader words(payload);
+    if (words.take() == static_cast<std::uint64_t>(RecordKind::kHourOnly))
+      continue;
+    next_hour = static_cast<std::size_t>(words.take());
+    found = true;
+  }
+  if (!found)
+    throw std::runtime_error("checkpoint: none of the newest " +
+                             std::to_string(reach) + " records of " +
+                             state_log_path(path) + " verifies");
+  return next_hour;
 }
 
 }  // namespace billcap::core

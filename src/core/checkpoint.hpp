@@ -7,20 +7,26 @@
 
 #include "core/market_feed.hpp"
 #include "core/simulator.hpp"
+#include "util/record_log.hpp"
 
 namespace billcap::core {
 
 /// Everything the hourly control loop needs to continue a month after the
 /// controller process dies: how far it got, the budget ledger's spent
 /// total, the partial MonthlyResult (aggregates, FailureReason tallies and
-/// every committed HourRecord), the market-feed client's stream state, and
-/// the crash-plan cursor. Doubles are persisted bitwise, so a resumed
-/// month finishes with a result bit-identical to the uninterrupted run.
+/// every committed HourRecord), the market-feed client's stream state, the
+/// coupler's trajectory and the fault-plan cursors. Doubles are persisted
+/// bitwise, so a resumed month finishes with a result bit-identical to the
+/// uninterrupted run.
 ///
-/// On disk the hourly commit splits it in two (format v2): a small head
-/// journal with everything but the HourRecords, and an append-only hour
-/// log beside it (hour_log_path) that gains one fixed-width record per
-/// committed hour. The head names the log prefix it covers.
+/// On disk (format v3) a small head journal at the checkpoint path names
+/// the run (config digest, strategy, budget) and the state log beside it
+/// (state_log_path). Every commit appends one fixed-width record to that
+/// log carrying everything that changes per commit: the cursors, the feed
+/// and coupler state, and the hour it committed, if any. Aggregates are
+/// not stored: a load folds the logged hours through
+/// MonthlyResult::accumulate in order, which gives the bits the month
+/// accumulated.
 struct CheckpointState {
   /// Digest of the (config, strategy) pair that wrote the checkpoint;
   /// loading under a different configuration is refused rather than
@@ -31,9 +37,9 @@ struct CheckpointState {
   double spent = 0.0;             ///< budget ledger: $ billed so far
   std::size_t crashes_fired = 0;  ///< FaultPlan::ControllerCrash cursor
   std::size_t storms_fired = 0;   ///< FaultPlan::ExitStorm deaths consumed
-  /// FaultPlan::CheckpointCorruption cursor. Persisted into the fallback
-  /// generation *before* the corrupted one is written, so a resume that
-  /// falls back a generation does not re-fire the same corruption.
+  /// FaultPlan::CheckpointCorruption cursor. Committed in a record *before*
+  /// the one the corruption hits, so a resume that falls back a record
+  /// does not re-fire the same corruption.
   std::size_t corruptions_fired = 0;
   MarketFeed::State feed;         ///< retrying feed client's RNG + cursor
   /// Closed-loop market coupler trajectory (breaker clock, damping ladder,
@@ -41,10 +47,24 @@ struct CheckpointState {
   /// when loading pre-coupler checkpoint files.
   MarketCoupler::State coupler;
   MonthlyResult partial;          ///< committed hours + aggregates
-  /// HourRecords already durable in the hour log: 0 on a fresh start, the
-  /// head's count after a load. A commit appends only the records past it,
-  /// so its owner advances it to partial.hours.size() after each commit.
-  std::size_t logged_hours = 0;
+  /// Length of the per-site arrays the state log sizes its records for
+  /// (the month's site count). The first commit of a log takes the larger
+  /// of this and the longest per-site array the state holds, so a state
+  /// built by hand with its hours in place can leave it 0.
+  std::size_t sites = 0;
+
+  /// Where the state log stands: the writer's cursor (record width,
+  /// records durable, chain word after them) and how many HourRecords
+  /// those records carry. save_checkpoint_rotated advances it (mutable:
+  /// the commit takes the state const); a load sets it to the record it
+  /// resumed from, marking the tail past it for cutting. A cursor with no
+  /// records means no log yet: the next commit starts one and writes the
+  /// head.
+  struct LogPosition {
+    util::RecordLog::Cursor cursor;
+    std::size_t hours = 0;
+  };
+  mutable LogPosition log;
 };
 
 /// Digest of the simulation configuration fields that determine a month's
@@ -53,34 +73,42 @@ struct CheckpointState {
 std::uint64_t checkpoint_digest(const SimulationConfig& config,
                                 Strategy strategy);
 
-/// True if a checkpoint file exists at `path` (it may still fail to load).
+/// True if a checkpoint head exists at `path` (it may still fail to load).
 bool checkpoint_exists(const std::string& path) noexcept;
 
-/// Loads and verifies a checkpoint of either format: a v1 file with its
-/// hours inline, or a v2 head plus the log prefix it names. Throws
-/// std::runtime_error when the head or the log is missing, truncated,
+/// The state log beside the checkpoint head at `path` ("<path>.log").
+std::string state_log_path(const std::string& path);
+
+/// Removes every file a checkpoint at `path` may have left: the head, its
+/// temp file, the state log and a format-v2 hour log ("<path>.hours").
+void remove_checkpoint(const std::string& path) noexcept;
+
+/// The fixed-width little-endian words of one HourRecord: 20 words, then
+/// its per-site λ and power arrays. State-log records carry them, as
+/// format v2's hour log did.
+std::string encode_hour_record(const HourRecord& rec);
+
+/// Loads and verifies the newest committed state: a v3 head and the last
+/// record of its state log (every record before it must verify too), or a
+/// v2 head plus the hour-log prefix it names, or a v1 file with its hours
+/// inline. Throws std::runtime_error when a file is missing, truncated,
 /// corrupted (checksum mismatch), from an unsupported format version, or
 /// structurally inconsistent.
 CheckpointState load_checkpoint(const std::string& path);
 
-/// Loads and verifies only the head at `path`: every field but
-/// partial.hours, which stays empty; the hour log is not opened. O(1) in
-/// the month's length for a v2 head. Throws like load_checkpoint.
-CheckpointState load_checkpoint_head(const std::string& path);
-
-/// The append-only hour log beside the checkpoint at `path`
-/// ("<path>.hours"; never a Journal::generation_path of it).
-std::string hour_log_path(const std::string& path);
-
-/// The hourly commit (format v2). Appends the HourRecords past
-/// state.logged_hours to hour_log_path(path), after truncating the log to
-/// that many records, and fsyncs it; then shifts the head generations down
-/// one slot (`path` -> "<path>.1" -> ... -> "<path>.<K-1>", oldest
-/// dropped) so the last `keep_generations` heads survive, and atomically
-/// writes the new head naming the log prefix it covers. Writes O(1) bytes
-/// per committed hour; with no new records (a re-save of the same hours)
-/// only the head is written. Throws std::runtime_error on I/O failure and
-/// std::invalid_argument when state.logged_hours exceeds the hours held.
+/// The hourly commit. Appends one record to the state log with one
+/// positioned write and one fsync: the hour committed since the last
+/// commit with the state after it, or the state alone when no hour was
+/// added (a cursor-only re-persist). The first commit of a month starts
+/// the log and writes the head (config digest, strategy, budget, log name
+/// and record width) through util::Journal::save_atomic; nothing else
+/// writes the head. More than one new hour (the first commit after
+/// loading an older format) logs the earlier ones as hour-only records,
+/// which a load replays but never resumes from. `keep_generations` does
+/// not change the commit: every record stays in the log, and the load
+/// decides how far back it may walk. Throws std::runtime_error on I/O
+/// failure or a record wider than the log, and std::invalid_argument when
+/// the state holds fewer hours than its log already carries.
 void save_checkpoint_rotated(const std::string& path,
                              const CheckpointState& state,
                              std::size_t keep_generations);
@@ -89,38 +117,49 @@ void save_checkpoint_rotated(const std::string& path,
 /// step over to get there.
 struct CheckpointLoadReport {
   CheckpointState state;
-  std::size_t generation = 0;  ///< 0 = newest; g came from "<path>.<g>"
-  /// One line per rejected newer generation: its path and why it was
-  /// unusable (missing, corrupted, digest mismatch...).
+  /// Records the load walked back past: 0 = the newest commit.
+  std::size_t generation = 0;
+  /// One line per record stepped over: the log, the record and why it was
+  /// unusable (corrupted, after a damaged record...).
   std::vector<std::string> skipped;
 };
 
 /// True if any generation of the rotated set exists at `path` (the newest
-/// or any of "<path>.1" ... "<path>.<K-1>").
+/// or any of "<path>.1" ... "<path>.<K-1>"). The serving daemon's rotated
+/// journal uses it; batch checkpoints have a single head.
 bool any_checkpoint_generation_exists(const std::string& path,
                                       std::size_t keep_generations) noexcept;
 
-/// The newest-first generation scan shared by every rotated checkpoint:
-/// calls `load` on each generation of `path` that exists ("<path>", then
-/// "<path>.1" ... "<path>.<K-1>") and returns the index of the first one
-/// it loads without throwing. Each missing or throwing generation adds
-/// "<generation path>: <why>" to `skipped`. When none loads, throws
-/// std::runtime_error("<what>: no viable generation among the newest K")
-/// with the skipped lines appended.
+/// The newest-first generation scan of the serving daemon's rotated
+/// journal: calls `load` on each generation of `path` that exists
+/// ("<path>", then "<path>.1" ... "<path>.<K-1>") and returns the index of
+/// the first one it loads without throwing. Each missing or throwing
+/// generation adds "<generation path>: <why>" to `skipped`. When none
+/// loads, throws std::runtime_error("<what>: no viable generation among
+/// the newest K") with the skipped lines appended.
 std::size_t scan_generations(
     const std::string& path, std::size_t keep_generations,
     const std::string& what, std::vector<std::string>& skipped,
     const std::function<void(const std::string& generation_path)>& load);
 
-/// Scans generations newest-first and returns the first one that loads
-/// cleanly AND matches `expected_digest`; corrupted, truncated, missing or
-/// digest-mismatched generations — and those naming a log prefix the hour
-/// log no longer holds intact — are recorded in `skipped` and passed
-/// over. Each generation the scan falls back costs at most the hours
-/// between the two saves (one simulated hour for a per-hour checkpointer).
-/// Throws std::runtime_error when no viable generation exists.
+/// Loads the newest commit that verifies, walking back along the state
+/// log at most keep_generations - 1 records: a record that fails its
+/// checksum, follows one that does, or carries no committed state is
+/// listed in `skipped` and passed over. Each record walked back costs at
+/// most one simulated hour. Throws std::runtime_error when the head is
+/// missing or damaged, its digest differs from `expected_digest`, or no
+/// record within reach verifies. An older-format head (v1, v2) loads as
+/// load_checkpoint does, with no walk back.
 CheckpointLoadReport load_checkpoint_fallback(const std::string& path,
                                               std::size_t keep_generations,
                                               std::uint64_t expected_digest);
+
+/// The supervisor's progress probe: next_hour of the newest of the last
+/// keep_generations records of the state log that verifies against the
+/// chain word stored just before it, reading only that tail (a v1 or v2
+/// head answers from its own next_hour). Throws std::runtime_error when
+/// the head is missing or damaged or no record within reach verifies.
+std::size_t checkpoint_next_hour(const std::string& path,
+                                 std::size_t keep_generations);
 
 }  // namespace billcap::core

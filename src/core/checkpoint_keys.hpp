@@ -6,19 +6,25 @@
 namespace billcap::core::keys {
 
 /// The one registry of every key the checkpoint journal reads or writes.
-/// save_checkpoint_rotated and load_checkpoint (and the generation-fallback
-/// scan built on it) must both go through these constants so a typo cannot make
+/// save_checkpoint_rotated and load_checkpoint (and the fallback load built
+/// on it) must both go through these constants so a typo cannot make
 /// a field silently vanish on resume — billcap-lint rule BL011
 /// (journal-key) rejects raw string keys at Journal call sites.
 
-/// On-disk format identity of the checkpoint journal. Version 1 carries
-/// every committed HourRecord inline (kHours plus one hour() key each);
-/// version 2 is a head that names a prefix of the append-only hour log
-/// (kHours records ending on kHourLogChain in file kHourLog) instead. The
-/// loader tells them apart by kHourLog, so both load under the newest
-/// version number.
+/// On-disk format identity of the checkpoint head. Version 3 is a head
+/// written once per month (kConfigDigest, kStrategy, kMonthlyBudget, the
+/// state log's file name kStateLog and record width kStateLogWidth) beside
+/// an append-only state log holding one record per commit. Older formats
+/// still load: version 2 is a head carrying every field but the hours,
+/// naming a prefix of an append-only hour log (kHours records ending on
+/// kHourLogChain in file kHourLog); version 1 carries every committed
+/// HourRecord inline (kHours plus one hour() key each). The loader tells
+/// v1 from v2 by kHourLog.
 inline constexpr const char* kCheckpointMagic = "billcap-checkpoint";
-inline constexpr int kCheckpointVersion = 2;
+inline constexpr int kCheckpointVersion = 3;
+/// What a head naming an hour-log prefix (format v2, still loaded) is
+/// stamped with.
+inline constexpr int kCheckpointHourLogVersion = 2;
 /// What a self-contained single file with the hours inline (format v1,
 /// still loaded) is stamped with.
 inline constexpr int kCheckpointInlineVersion = 1;
@@ -82,6 +88,10 @@ inline constexpr const char* kHours = "hours";
 // value that ends the kHours-record prefix this head covers.
 inline constexpr const char* kHourLog = "hour_log";
 inline constexpr const char* kHourLogChain = "hour_log_chain";
+// Format v3 only: the state log's file name (beside the head) and the
+// width of its records.
+inline constexpr const char* kStateLog = "state_log";
+inline constexpr const char* kStateLogWidth = "state_log_record_bytes";
 
 // ---- serve-mode checkpoint -------------------------------------------------
 // The serving daemon journals tick-granular state under its own magic so a

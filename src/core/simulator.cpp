@@ -446,15 +446,17 @@ MonthlyResult Simulator::run(Strategy strategy) const {
 
 namespace {
 
-/// Simulates bit rot in a checkpoint file (FaultPlan::CheckpointCorruption):
-/// stomps a span in the middle so the journal checksum fails on the next
-/// load and the resume must fall back a generation.
-void corrupt_file(const std::string& path) {
-  std::fstream f(path, std::ios::in | std::ios::out | std::ios::binary);
+/// Simulates bit rot in the newest commit (FaultPlan::CheckpointCorruption):
+/// stomps the payload of the state log's last record, just before its
+/// chain word, so that record fails its checksum and the resume must fall
+/// back a record.
+void corrupt_newest_record(const std::string& checkpoint_path) {
+  std::fstream f(state_log_path(checkpoint_path),
+                 std::ios::in | std::ios::out | std::ios::binary);
   if (!f) return;
   f.seekg(0, std::ios::end);
   const std::streamoff size = f.tellg();
-  f.seekp(size / 2);
+  f.seekp(size - 24);
   f << "<<bit-rot>>";
 }
 
@@ -479,10 +481,10 @@ Simulator::ResumableOutcome Simulator::run_resumable(
   ResumableOutcome out;
   CheckpointState st;
   bool loaded = false;
-  if (resume && any_checkpoint_generation_exists(checkpoint_path, gens)) {
-    // Newest-first generation scan: a corrupted or mismatched generation
-    // is skipped (at the cost of replaying the hours between two saves),
-    // and only a set with no viable generation at all throws.
+  if (resume && checkpoint_exists(checkpoint_path)) {
+    // Walks back along the state log past records that fail their checksum
+    // (each costs one replayed hour), at most gens - 1 of them; a head of
+    // another configuration, or no viable record within reach, throws.
     CheckpointLoadReport report =
         load_checkpoint_fallback(checkpoint_path, gens, digest);
     st = std::move(report.state);
@@ -494,10 +496,11 @@ Simulator::ResumableOutcome Simulator::run_resumable(
     st.strategy = strategy;
     st.partial.strategy = strategy;
     st.partial.monthly_budget = config_.monthly_budget;
-    // A fresh month owns the path: no head it writes names an older run's
-    // hour log, so that log is dropped rather than left to be truncated.
-    std::remove(hour_log_path(checkpoint_path).c_str());
+    // A fresh month owns the path: with the older run's head gone, a kill
+    // before this month's first commit leaves nothing to resume from.
+    remove_checkpoint(checkpoint_path);
   }
+  st.sites = sites_.size();
 
   const BillCapper capper(sites_, policies_, config_.optimizer);
   MarketFeed feed = make_feed();
@@ -547,9 +550,8 @@ Simulator::ResumableOutcome Simulator::run_resumable(
   // Injected crashes and exit storms model defects in the primary decide
   // path; the degraded standby bypasses that path, so they do not fire.
   const bool standby = config_.standby;
-  const auto save = [&](CheckpointState& s) {
+  const auto save = [&](const CheckpointState& s) {
     save_checkpoint_rotated(checkpoint_path, s, gens);
-    s.logged_hours = s.partial.hours.size();
   };
 
   out.resumed_from = st.next_hour;
@@ -610,10 +612,10 @@ Simulator::ResumableOutcome Simulator::run_resumable(
     }
 
     if (corrupt_now) {
-      // Storage fault at this hour's commit: the newest generation will
-      // be stomped right after it is written. First re-persist the
-      // *previous* committed state carrying the advanced corruption
-      // cursor — it becomes the fallback generation, and without the
+      // Storage fault at this hour's commit: its record will be stomped
+      // right after it is written. First re-persist the *previous*
+      // committed state carrying the advanced corruption cursor — it
+      // becomes the record the resume falls back to, and without the
       // cursor the resume would replay this hour and re-corrupt itself
       // forever.
       ++st.corruptions_fired;
@@ -654,7 +656,7 @@ Simulator::ResumableOutcome Simulator::run_resumable(
     ++committed_this_attempt;
 
     if (corrupt_now) {
-      corrupt_file(checkpoint_path);
+      corrupt_newest_record(checkpoint_path);
       out.crashed = true;
       out.crash_hour = hour;
       out.result = std::move(st.partial);

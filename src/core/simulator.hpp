@@ -255,10 +255,11 @@ class Simulator {
   MonthlyResult run(Strategy strategy) const;
 
   /// One attempt at a crash-tolerant month. The state needed to continue
-  /// mid-month (budget ledger, aggregates, per-hour records, the market
-  /// feed's RNG stream, the crash cursor) is persisted to `checkpoint_path`
-  /// after every simulated hour via an atomic write-temp-then-rename, so a
-  /// kill at any instant leaves a consistent checkpoint. With `resume`
+  /// mid-month (budget ledger, per-hour records, the market feed's RNG
+  /// stream, the coupler, the fault cursors) is committed after every
+  /// simulated hour as one fsynced record appended to the state log beside
+  /// the head at `checkpoint_path`, so a kill at any instant leaves a
+  /// consistent checkpoint. With `resume`
   /// true an existing checkpoint is loaded (it must match this config and
   /// strategy — a digest guards against resuming someone else's month) and
   /// the month continues from its next hour; a missing file starts fresh.
@@ -272,10 +273,10 @@ class Simulator {
     /// the month unfinished but the checkpoint consistent. Never combined
     /// with `crashed`.
     bool stopped = false;
-    /// Which checkpoint generation the resume actually loaded (0 = the
-    /// newest), and one line per newer generation it had to skip
-    /// (corrupted / missing / digest mismatch). Empty skip list and
-    /// generation 0 for a clean resume or a fresh start.
+    /// How many state-log records the resume walked back past (0 = it
+    /// loaded the newest commit), and one line per record it stepped over
+    /// (corrupted, or after a corrupted one). Empty skip list and 0 for a
+    /// clean resume or a fresh start.
     std::size_t resumed_generation = 0;
     std::vector<std::string> resume_skipped;
   };
@@ -283,9 +284,9 @@ class Simulator {
   /// Knobs for one resumable attempt (all defaults preserve the previous
   /// single-generation, run-to-completion behaviour).
   struct ResumeControls {
-    /// Checkpoint generations kept on disk (>= 1). With K > 1 every
-    /// per-hour save rotates the chain and a resume falls back
-    /// generation-by-generation past corrupted or mismatched files.
+    /// How far a resume may fall back (>= 1): it loads the newest commit
+    /// among the last K state-log records that verifies, walking back at
+    /// most K - 1 records past corrupted ones. Commits do not depend on it.
     std::size_t keep_generations = 1;
     /// Stop gracefully after committing this many hours this attempt
     /// (0 = no limit). The supervisor uses this to bound standby attempts.

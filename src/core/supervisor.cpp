@@ -234,26 +234,25 @@ int run_child(const ChildSpec&) {
 
 std::size_t probe_checkpoint_hour(const std::string& checkpoint_path,
                                   std::size_t keep_generations) noexcept {
+  try {
+    // The head and the state log's tail only: the probe runs between every
+    // restart and must cost the same at any hour.
+    return checkpoint_next_hour(checkpoint_path, keep_generations);
+    // A noexcept probe by contract: the child that wrote a bad file
+    // already tagged its own FailureReason, so swallowing here is safe.
+    // billcap-lint: allow(catch-all): fall back to the serve probe
+  } catch (...) {
+    // Not a batch checkpoint — it may be a serve-daemon one.
+  }
   const std::size_t gens = keep_generations == 0 ? 1 : keep_generations;
   for (std::size_t g = 0; g < gens; ++g) {
-    const std::string path =
-        util::Journal::generation_path(checkpoint_path, g);
-    try {
-      // The head alone: the probe runs between every restart and must not
-      // read (or need) the month's hour log.
-      return load_checkpoint_head(path).next_hour;
-      // A noexcept probe by contract: the child that wrote a bad file
-      // already tagged its own FailureReason, so swallowing here is safe.
-      // billcap-lint: allow(catch-all): fall back to the serve probe
-    } catch (...) {
-      // Not a batch checkpoint — it may be a serve-daemon one.
-    }
     try {
       // The serving daemon checkpoints per tick under its own magic. The
       // restart policy only compares probe deltas, so tick progress is as
       // good a monotone counter as hour progress.
       const util::Journal j = util::Journal::load(
-          path, keys::kServeCheckpointMagic, keys::kServeCheckpointVersion);
+          util::Journal::generation_path(checkpoint_path, g),
+          keys::kServeCheckpointMagic, keys::kServeCheckpointVersion);
       return j.get_size(keys::kServeNextTick);
       // billcap-lint: allow(catch-all): fall back to the older generation
     } catch (...) {

@@ -104,11 +104,13 @@ struct ChildSpec {
 /// std::runtime_error when the platform cannot spawn processes.
 int run_child(const ChildSpec& spec);
 
-/// Best-effort progress probe: next_hour of the newest checkpoint
-/// generation whose head loads cleanly, or 0 when none does. It reads
-/// heads only, never the hour log, so it costs the same at any hour. Serve-daemon
-/// checkpoints are probed too (next_tick); the restart policy only
-/// compares deltas, so any monotone progress counter serves.
+/// Best-effort progress probe: next_hour of the newest of the last
+/// keep_generations state-log records that verifies (core's
+/// checkpoint_next_hour), or 0 when none does. It reads the head and the
+/// log's tail only, so it costs the same at any hour. Serve-daemon
+/// checkpoints are probed too (next_tick of the newest generation that
+/// loads); the restart policy only compares deltas, so any monotone
+/// progress counter serves.
 std::size_t probe_checkpoint_hour(const std::string& checkpoint_path,
                                   std::size_t keep_generations) noexcept;
 

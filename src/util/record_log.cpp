@@ -4,7 +4,6 @@
 #include <cerrno>
 #include <cstring>
 #include <filesystem>
-#include <fstream>
 #include <stdexcept>
 
 #include "util/fnv1a.hpp"
@@ -12,7 +11,6 @@
 
 #if defined(__unix__) || defined(__APPLE__)
 #include <fcntl.h>
-#include <sys/stat.h>
 #include <unistd.h>
 #endif
 
@@ -30,75 +28,50 @@ std::runtime_error log_error(const std::string& path, const std::string& what) {
   return std::runtime_error("record log " + path + ": " + what);
 }
 
-struct Header {
-  std::uint64_t tag = 0;
-  std::size_t record_bytes = 0;
-};
-
-std::string encode_header(const Header& h) {
+std::string encode_header(std::uint64_t tag, std::size_t record_bytes) {
   std::string out(kHeaderBytes, '\0');
   std::memcpy(out.data(), kMagic, sizeof kMagic);
-  store_le64(out.data() + 8, h.tag);
-  store_le64(out.data() + 16, h.record_bytes);
+  store_le64(out.data() + 8, tag);
+  store_le64(out.data() + 16, record_bytes);
   store_le64(out.data() + 24, fnv1a(RecordLog::kEmptyChain, {out.data(), 24}));
   return out;
 }
 
-/// Reads `n` bytes at `offset`; fewer come back when the file is shorter.
-std::string read_at(std::ifstream& in, std::uint64_t offset, std::size_t n) {
-  std::string out(n, '\0');
-  in.clear();
-  in.seekg(static_cast<std::streamoff>(offset));
-  in.read(out.data(), static_cast<std::streamsize>(n));
-  out.resize(in ? n : static_cast<std::size_t>(std::max<std::streamsize>(
-                          in.gcount(), 0)));
-  return out;
-}
-
-/// An open log with its verified header and its size on disk.
-struct Opened {
-  std::ifstream in;
-  Header header;
-  std::uint64_t size = 0;
-
-  std::uint64_t stride() const { return header.record_bytes + kChainBytes; }
-  /// Whole records on disk past the header.
-  std::uint64_t records_on_disk() const {
-    return (size - kHeaderBytes) / stride();
+/// Appends `records` to `bytes`, each zero-padded to `cursor.record_bytes`
+/// and followed by its chain word, advancing `cursor` past them.
+void encode_records(const std::string& path, RecordLog::Cursor& cursor,
+                    const std::vector<std::string>& records,
+                    std::string& bytes) {
+  bytes.reserve(bytes.size() +
+                records.size() * (cursor.record_bytes + kChainBytes));
+  for (const std::string& r : records) {
+    if (r.size() > cursor.record_bytes)
+      throw log_error(path, "a " + std::to_string(r.size()) +
+                                "-byte record does not fit the log's " +
+                                std::to_string(cursor.record_bytes) +
+                                "-byte width");
+    const std::size_t start = bytes.size();
+    bytes += r;
+    bytes.resize(start + cursor.record_bytes, '\0');
+    cursor.chain = fnv1a(cursor.chain, {bytes.data() + start,
+                                        cursor.record_bytes});
+    ++cursor.count;
+    char chain[kChainBytes];
+    store_le64(chain, cursor.chain);
+    bytes.append(chain, kChainBytes);
   }
-};
-
-Opened open_log(const std::string& path) {
-  Opened log;
-  std::error_code ec;
-  log.size = std::filesystem::file_size(path, ec);
-  if (ec) throw log_error(path, "missing (" + ec.message() + ")");
-  log.in.open(path, std::ios::binary);
-  if (!log.in) throw log_error(path, "cannot open");
-  const std::string h = read_at(log.in, 0, kHeaderBytes);
-  if (h.size() != kHeaderBytes || std::memcmp(h.data(), kMagic, 8) != 0)
-    throw log_error(path, "bad header");
-  if (load_le64(h.data() + 24) != fnv1a(RecordLog::kEmptyChain, {h.data(), 24}))
-    throw log_error(path, "header checksum mismatch (corrupted file)");
-  const std::uint64_t width = load_le64(h.data() + 16);
-  if (width > kMaxRecordBytes)
-    throw log_error(path, "record width " + std::to_string(width) +
-                              " out of range");
-  log.header = {load_le64(h.data() + 8), static_cast<std::size_t>(width)};
-  return log;
 }
 
-/// Writes `bytes` at byte `offset` of the log, first cutting the file
-/// there (offset 0 creates or empties it), and makes it durable.
-void write_tail(const std::string& path, std::uint64_t offset,
-                const std::string& bytes) {
+/// Writes `bytes` at byte `offset` of the log and makes them durable.
+/// `create` starts the file over (and fsyncs its directory, since the
+/// file may be a new entry there); `cut` first drops everything from
+/// `offset` on.
+void write_at(const std::string& path, std::uint64_t offset,
+              const std::string& bytes, bool create, bool cut) {
 #if defined(__unix__) || defined(__APPLE__)
-  const int fd = ::open(path.c_str(), O_WRONLY | (offset == 0 ? O_CREAT : 0),
-                        0644);
+  const int fd = ::open(path.c_str(),
+                        O_WRONLY | (create ? O_CREAT | O_TRUNC : 0), 0644);
   if (fd < 0) throw log_error(path, "cannot open for append");
-  struct stat st {};
-  const bool cut = ::fstat(fd, &st) == 0 &&
-                   static_cast<std::uint64_t>(st.st_size) > offset;
   if (cut && ::ftruncate(fd, static_cast<off_t>(offset)) != 0) {
     ::close(fd);
     throw log_error(path, "truncate failed");
@@ -120,18 +93,16 @@ void write_tail(const std::string& path, std::uint64_t offset,
     throw log_error(path, "fsync failed");
   }
   if (::close(fd) != 0) throw log_error(path, "close failed");
-  // A log started over may be a new directory entry; appends only need
-  // the data.
-  if (offset == 0) fsync_parent_directory(path);
+  if (create) fsync_parent_directory(path);
 #else
   std::error_code ec;
-  if (offset > 0) std::filesystem::resize_file(path, offset, ec);
+  if (cut) std::filesystem::resize_file(path, offset, ec);
   if (ec) throw log_error(path, "truncate failed");
-  // The append half of the log commit: bytes past the prefix a head names
-  // are invisible to readers, so a torn append is never resumed from.
-  // billcap-lint: allow(raw-write): append past the named prefix, torn tail ignored
+  // The append half of the log commit: a torn append is a partial record
+  // no reader counts, so it is never resumed from.
+  // billcap-lint: allow(raw-write): append past the last whole record, torn tail ignored
   std::ofstream out(path, std::ios::binary |
-                              (offset == 0 ? std::ios::trunc : std::ios::app));
+                              (create ? std::ios::trunc : std::ios::app));
   if (!out) throw log_error(path, "cannot open for append");
   out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
   out.flush();
@@ -141,91 +112,85 @@ void write_tail(const std::string& path, std::uint64_t offset,
 
 }  // namespace
 
-RecordLog::Prefix RecordLog::append(const std::string& path, std::uint64_t tag,
-                                    std::size_t keep,
+RecordLog::Cursor RecordLog::create(const std::string& path, std::uint64_t tag,
                                     const std::vector<std::string>& records) {
-  Prefix prefix;
-  Header header{tag, 0};
-  std::string bytes;
-  if (keep == 0) {
-    if (records.empty()) return prefix;
-    for (const std::string& r : records)
-      header.record_bytes = std::max(header.record_bytes, r.size());
-    if (header.record_bytes > kMaxRecordBytes)
-      throw log_error(path, "record wider than " +
-                                std::to_string(kMaxRecordBytes) + " bytes");
-    bytes = encode_header(header);
-  } else {
-    Opened log = open_log(path);
-    header = log.header;
-    if (log.records_on_disk() < keep)
-      throw log_error(path, "holds fewer than the " + std::to_string(keep) +
-                                " records to keep");
-    const std::uint64_t end = kHeaderBytes + keep * log.stride();
-    const std::string chain = read_at(log.in, end - kChainBytes, kChainBytes);
-    if (chain.size() != kChainBytes) throw log_error(path, "read failed");
-    prefix = {keep, load_le64(chain.data())};
-    if (records.empty()) return prefix;
-  }
-
-  const std::uint64_t offset =
-      keep == 0 ? 0 : kHeaderBytes + keep * (header.record_bytes + kChainBytes);
-  bytes.reserve(bytes.size() +
-                records.size() * (header.record_bytes + kChainBytes));
-  for (const std::string& r : records) {
-    if (r.size() > header.record_bytes)
-      throw log_error(path, "a " + std::to_string(r.size()) +
-                                "-byte record does not fit the log's " +
-                                std::to_string(header.record_bytes) +
-                                "-byte width");
-    std::string slot = r;
-    slot.resize(header.record_bytes, '\0');
-    prefix.chain = fnv1a(prefix.chain, slot);
-    ++prefix.count;
-    bytes += slot;
-    char chain[kChainBytes];
-    store_le64(chain, prefix.chain);
-    bytes.append(chain, kChainBytes);
-  }
-  write_tail(path, offset, bytes);
-  return prefix;
+  if (records.empty())
+    throw std::invalid_argument("RecordLog::create: no records for " + path);
+  Cursor cursor;
+  for (const std::string& r : records)
+    cursor.record_bytes = std::max(cursor.record_bytes, r.size());
+  if (cursor.record_bytes > kMaxRecordBytes)
+    throw log_error(path, "record wider than " +
+                              std::to_string(kMaxRecordBytes) + " bytes");
+  std::string bytes = encode_header(tag, cursor.record_bytes);
+  encode_records(path, cursor, records, bytes);
+  write_at(path, 0, bytes, /*create=*/true, /*cut=*/false);
+  return cursor;
 }
 
-RecordLog::Contents RecordLog::read(const std::string& path,
-                                    const Prefix& prefix) {
-  Contents out;
-  if (prefix.count == 0) {
-    if (prefix.chain != kEmptyChain)
-      throw log_error(path, "an empty prefix with a non-empty checksum");
-    return out;
+RecordLog::Cursor RecordLog::append(const std::string& path, const Cursor& at,
+                                    const std::vector<std::string>& records) {
+  Cursor cursor = at;
+  cursor.cut_tail = false;
+  std::string bytes;
+  encode_records(path, cursor, records, bytes);
+  write_at(path, kHeaderBytes + at.count * (at.record_bytes + kChainBytes),
+           bytes, /*create=*/false, at.cut_tail);
+  return cursor;
+}
+
+RecordLog::Reader::Reader(const std::string& path) : path_(path) {
+  std::error_code ec;
+  const std::uintmax_t size = std::filesystem::file_size(path, ec);
+  if (ec) throw log_error(path, "missing (" + ec.message() + ")");
+  in_.open(path, std::ios::binary);
+  if (!in_) throw log_error(path, "cannot open");
+  char h[kHeaderBytes];
+  if (size < kHeaderBytes ||
+      !in_.read(h, static_cast<std::streamsize>(kHeaderBytes)) ||
+      std::memcmp(h, kMagic, sizeof kMagic) != 0)
+    throw log_error(path, "bad header");
+  if (load_le64(h + 24) != fnv1a(kEmptyChain, {h, 24}))
+    throw log_error(path, "header checksum mismatch (corrupted file)");
+  const std::uint64_t width = load_le64(h + 16);
+  if (width > kMaxRecordBytes)
+    throw log_error(path, "record width " + std::to_string(width) +
+                              " out of range");
+  tag_ = load_le64(h + 8);
+  record_bytes_ = static_cast<std::size_t>(width);
+  const std::size_t stride = record_bytes_ + kChainBytes;
+  records_ = static_cast<std::size_t>((size - kHeaderBytes) / stride);
+  slot_.resize(stride);
+}
+
+void RecordLog::Reader::seek(std::size_t record) {
+  position_ = std::min(record, records_);
+  const std::size_t stride = slot_.size();
+  in_.clear();
+  if (position_ == 0) {
+    in_.seekg(static_cast<std::streamoff>(kHeaderBytes));
+    chain_ = kEmptyChain;
+    return;
   }
-  Opened log = open_log(path);
-  out.tag = log.header.tag;
-  out.record_bytes = log.header.record_bytes;
-  if (log.records_on_disk() < prefix.count)
-    throw log_error(path, "holds " + std::to_string(log.records_on_disk()) +
-                              " records, the head names " +
-                              std::to_string(prefix.count));
-  const std::string body = read_at(log.in, kHeaderBytes,
-                                   static_cast<std::size_t>(prefix.count *
-                                                            log.stride()));
-  if (body.size() != prefix.count * log.stride())
-    throw log_error(path, "read failed");
-  out.payloads.reserve(prefix.count * out.record_bytes);
-  std::uint64_t chain = kEmptyChain;
-  for (std::size_t i = 0; i < prefix.count; ++i) {
-    const char* rec = body.data() + i * log.stride();
-    chain = fnv1a(chain, {rec, out.record_bytes});
-    if (load_le64(rec + out.record_bytes) != chain)
-      throw log_error(path, "record " + std::to_string(i) +
-                                " fails its checksum (corrupted file)");
-    out.payloads.append(rec, out.record_bytes);
-  }
-  if (chain != prefix.chain)
-    throw log_error(path, "its first " + std::to_string(prefix.count) +
-                              " records do not match the head's checksum "
-                              "(rewritten or foreign log)");
-  return out;
+  in_.seekg(static_cast<std::streamoff>(kHeaderBytes + position_ * stride -
+                                        kChainBytes));
+  char word[kChainBytes];
+  if (!in_.read(word, kChainBytes)) throw log_error(path_, "read failed");
+  chain_ = load_le64(word);
+}
+
+bool RecordLog::Reader::next(std::string& payload) {
+  if (position_ >= records_)
+    throw log_error(path_, "no record " + std::to_string(position_) +
+                               " (it holds " + std::to_string(records_) + ")");
+  if (!in_.read(slot_.data(), static_cast<std::streamsize>(slot_.size())))
+    throw log_error(path_, "read failed");
+  payload.assign(slot_.data(), record_bytes_);
+  const std::uint64_t stored = load_le64(slot_.data() + record_bytes_);
+  const bool verifies = fnv1a(chain_, payload) == stored;
+  chain_ = stored;
+  ++position_;
+  return verifies;
 }
 
 }  // namespace billcap::util

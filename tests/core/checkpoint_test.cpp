@@ -11,9 +11,8 @@
 #include <string>
 #include <vector>
 
-#include "core/checkpoint_files.hpp"
 #include "core/checkpoint_keys.hpp"
-#include "core/checkpoint_v1.hpp"
+#include "core/checkpoint_legacy.hpp"
 #include "core/simulator.hpp"
 #include "util/journal.hpp"
 #include "util/record_log.hpp"
@@ -28,6 +27,7 @@ std::string temp_path(const std::string& name) {
 
 /// A synthetic mid-month state with every field off its default, including
 /// awkward doubles, so a save/load round trip exercises the whole format.
+/// Its aggregates are the fold of its hours, as every commit's are.
 CheckpointState sample_state() {
   CheckpointState st;
   st.config_digest = 0xdeadbeefcafef00dULL;
@@ -41,18 +41,6 @@ CheckpointState sample_state() {
   MonthlyResult& r = st.partial;
   r.strategy = st.strategy;
   r.monthly_budget = 1.5e6;
-  r.total_cost = st.spent;
-  r.total_premium_arrivals = 1000.25;
-  r.total_ordinary_arrivals = 9000.125;
-  r.total_served_premium = 1000.25;
-  r.total_served_ordinary = 8000.0625;
-  r.degraded_hours = 1;
-  r.incumbent_hours = 1;
-  r.outage_hours = 1;
-  r.stale_hours = 2;
-  r.failure_tally[1] = 1;
-  r.feed_retry_attempts = 9;
-  r.feed_recovered_hours = 2;
   r.crash_recoveries = 3;
   for (std::size_t h = 0; h < st.next_hour; ++h) {
     HourRecord rec;
@@ -76,9 +64,19 @@ CheckpointState sample_state() {
     rec.stale_prices = true;
     rec.feed_attempts = 4;
     rec.feed_recovered = (h == 0);
-    r.hours.push_back(rec);
+    r.accumulate(std::move(rec));
   }
   return st;
+}
+
+/// Folds `r`'s hours again from scratch, after a test edited them.
+void refold(MonthlyResult& r) {
+  MonthlyResult fresh;
+  fresh.strategy = r.strategy;
+  fresh.monthly_budget = r.monthly_budget;
+  fresh.crash_recoveries = r.crash_recoveries;
+  for (HourRecord& rec : r.hours) fresh.accumulate(std::move(rec));
+  r = std::move(fresh);
 }
 
 void expect_states_bitwise_equal(const CheckpointState& a,
@@ -88,6 +86,8 @@ void expect_states_bitwise_equal(const CheckpointState& a,
   EXPECT_EQ(a.next_hour, b.next_hour);
   EXPECT_EQ(a.spent, b.spent);
   EXPECT_EQ(a.crashes_fired, b.crashes_fired);
+  EXPECT_EQ(a.storms_fired, b.storms_fired);
+  EXPECT_EQ(a.corruptions_fired, b.corruptions_fired);
   EXPECT_EQ(a.feed.rng, b.feed.rng);
   EXPECT_EQ(a.feed.recovered_until, b.feed.recovered_until);
 
@@ -269,121 +269,190 @@ TEST(CheckpointTest, DefaultConfigDigestsArePinned) {
             0x278fcbb6d4517c80ULL);
 }
 
-/// Appends one committed hour to `st`, mimicking the simulator's per-hour
-/// commit, so successive rotated saves hold distinguishable states.
-void commit_one_hour(CheckpointState& st) {
-  HourRecord rec;
+/// Adds one fully populated hour to `st` (three sites, every double off its
+/// default), so log records carry real payloads.
+void add_full_hour(CheckpointState& st) {
+  HourRecord rec = st.partial.hours.back();
   rec.hour = st.next_hour++;
-  rec.cost = 100.0 + static_cast<double>(rec.hour);
+  rec.cost = 1000.0 + static_cast<double>(rec.hour) / 7.0;
+  const double h = static_cast<double>(rec.hour);
+  rec.site_lambda = {1.5 * h, 2.0 + h, 3.0 / (1.0 + h)};
   st.spent += rec.cost;
-  st.partial.hours.push_back(rec);
+  st.partial.accumulate(std::move(rec));
 }
 
-TEST(CheckpointTest, RotatedSaveKeepsExactlyKGenerations) {
-  const std::string path = temp_path("billcap_checkpoint_rotate.j");
-  remove_checkpoint_files(path, 6);
+/// The simulator's hourly commit.
+void commit(const std::string& path, const CheckpointState& st) {
+  save_checkpoint_rotated(path, st, 1);
+}
+
+std::string read_bytes(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  return std::string(std::istreambuf_iterator<char>(in),
+                     std::istreambuf_iterator<char>{});
+}
+
+void write_bytes(const std::string& path, const std::string& bytes) {
+  std::ofstream out(path, std::ios::binary | std::ios::trunc);
+  out << bytes;
+}
+
+/// The state log's header and record stride, from its size after the
+/// first commit (`first` records) and after one more.
+struct LogShape {
+  std::uintmax_t header = 0;
+  std::uintmax_t stride = 0;
+};
+
+/// Flips a byte in the middle of record `record`'s payload.
+void flip_record(const std::string& log, const LogShape& shape,
+                 std::size_t record) {
+  std::string bytes = read_bytes(log);
+  bytes[shape.header + record * shape.stride + shape.stride / 2] ^= 0x5a;
+  write_bytes(log, bytes);
+}
+
+/// Five commits of one hour each after sample_state's two: records 0 and 1
+/// carry sample_state's hours, records 2..6 are the commits (next_hour
+/// 3..7). Returns the log's shape.
+LogShape five_commits(const std::string& path, CheckpointState& st) {
+  const std::string log = state_log_path(path);
+  add_full_hour(st);
+  commit(path, st);
+  const std::uintmax_t first = std::filesystem::file_size(log);
+  add_full_hour(st);
+  commit(path, st);
+  LogShape shape;
+  shape.stride = std::filesystem::file_size(log) - first;
+  shape.header = first - 3 * shape.stride;
+  for (int i = 0; i < 3; ++i) {
+    add_full_hour(st);
+    commit(path, st);
+  }
+  return shape;
+}
+
+TEST(CheckpointTest, FallbackWalksBackAtMostKMinusOneRecords) {
+  const std::string path = temp_path("billcap_checkpoint_walk.j");
+  remove_checkpoint(path);
   CheckpointState st = sample_state();
-  for (int saves = 0; saves < 5; ++saves) {
-    save_checkpoint_rotated(path, st, 3);
-    commit_one_hour(st);
+  const LogShape shape = five_commits(path, st);
+  EXPECT_EQ(shape.header, 32u);
+  ASSERT_EQ(st.next_hour, 7u);
+
+  // Each newest record that rots costs the load one record; K = 3 reaches
+  // two records back and no further, K = 4 one more.
+  for (std::size_t rotten = 0; rotten < 3; ++rotten) {
+    const CheckpointLoadReport report =
+        load_checkpoint_fallback(path, 3, st.config_digest);
+    EXPECT_EQ(report.generation, rotten);
+    EXPECT_EQ(report.skipped.size(), rotten);
+    EXPECT_EQ(report.state.next_hour, st.next_hour - rotten);
+    flip_record(state_log_path(path), shape, 6 - rotten);
   }
-  // Five saves through a K=3 chain: generations 0..2 hold the three
-  // newest states, nothing older survives.
-  EXPECT_TRUE(any_checkpoint_generation_exists(path, 3));
-  const std::size_t newest = st.next_hour - 1;  // last saved next_hour
-  for (std::size_t g = 0; g < 3; ++g) {
-    const CheckpointState back =
-        load_checkpoint(util::Journal::generation_path(path, g));
-    EXPECT_EQ(back.next_hour, newest - g) << "generation " << g;
-  }
-  EXPECT_FALSE(
-      std::filesystem::exists(util::Journal::generation_path(path, 3)));
-  remove_checkpoint_files(path, 6);
+  EXPECT_THROW(load_checkpoint_fallback(path, 3, st.config_digest),
+               std::runtime_error);
+  EXPECT_EQ(load_checkpoint_fallback(path, 4, st.config_digest)
+                .state.next_hour,
+            st.next_hour - 3);
+  remove_checkpoint(path);
 }
 
 TEST(CheckpointTest, FallbackSkipsCorruptedNewestGeneration) {
   const std::string path = temp_path("billcap_checkpoint_fallback.j");
-  remove_checkpoint_files(path, 3);
+  remove_checkpoint(path);
   CheckpointState st = sample_state();
-  save_checkpoint_rotated(path, st, 3);
-  commit_one_hour(st);
-  save_checkpoint_rotated(path, st, 3);
+  commit(path, st);
+  const CheckpointState before = st;
+  add_full_hour(st);
+  commit(path, st);
 
-  // Pristine chain: the newest generation wins, nothing is skipped.
+  // Pristine log: the newest commit wins, nothing is skipped.
   CheckpointLoadReport report =
       load_checkpoint_fallback(path, 3, st.config_digest);
   EXPECT_EQ(report.generation, 0u);
   EXPECT_TRUE(report.skipped.empty());
   expect_states_bitwise_equal(st, report.state);
 
-  // Bit rot in the newest file: the scan falls back one generation and
+  // Bit rot in the newest record: the load falls back one commit and
   // reports what it stepped over.
   {
-    std::ofstream out(path, std::ios::binary | std::ios::app);
-    out << "<<bit-rot>>";
+    std::fstream f(state_log_path(path),
+                   std::ios::in | std::ios::out | std::ios::binary);
+    f.seekp(-24, std::ios::end);
+    f << "<<bit-rot>>";
   }
   report = load_checkpoint_fallback(path, 3, st.config_digest);
   EXPECT_EQ(report.generation, 1u);
   ASSERT_EQ(report.skipped.size(), 1u);
   EXPECT_NE(report.skipped[0].find(path), std::string::npos);
-  EXPECT_EQ(report.state.next_hour, st.next_hour - 1);
-  remove_checkpoint_files(path, 3);
+  expect_states_bitwise_equal(before, report.state);
+  remove_checkpoint(path);
 }
 
-TEST(CheckpointTest, FallbackSkipsDigestMismatchedGeneration) {
+TEST(CheckpointTest, FallbackRefusesAHeadOfAnotherConfiguration) {
+  // One head per month: a checkpoint of another configuration at the path
+  // is refused outright, however far back the load may walk.
   const std::string path = temp_path("billcap_checkpoint_digestfb.j");
-  remove_checkpoint_files(path, 2);
+  remove_checkpoint(path);
   CheckpointState st = sample_state();
-  save_checkpoint_rotated(path, st, 2);
-  CheckpointState foreign = st;
-  commit_one_hour(foreign);
-  foreign.config_digest ^= 1;  // someone else's month landed on top
-  save_checkpoint_rotated(path, foreign, 2);
-
-  const CheckpointLoadReport report =
-      load_checkpoint_fallback(path, 2, st.config_digest);
-  EXPECT_EQ(report.generation, 1u);
-  ASSERT_EQ(report.skipped.size(), 1u);
-  EXPECT_NE(report.skipped[0].find("digest"), std::string::npos);
-  expect_states_bitwise_equal(st, report.state);
-  remove_checkpoint_files(path, 2);
+  commit(path, st);
+  try {
+    load_checkpoint_fallback(path, 3, st.config_digest ^ 1);
+    FAIL() << "expected std::runtime_error";
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find("digest"), std::string::npos);
+  }
+  expect_states_bitwise_equal(
+      st, load_checkpoint_fallback(path, 3, st.config_digest).state);
+  remove_checkpoint(path);
 }
 
 TEST(CheckpointTest, FallbackThrowsWhenNoGenerationIsViable) {
   const std::string path = temp_path("billcap_checkpoint_allbad.j");
-  remove_checkpoint_files(path, 3);
-  EXPECT_FALSE(any_checkpoint_generation_exists(path, 3));
+  remove_checkpoint(path);
+  EXPECT_FALSE(checkpoint_exists(path));
   EXPECT_THROW(load_checkpoint_fallback(path, 3, 0), std::runtime_error);
 
-  // Present but all corrupted is just as dead — and the error must name
-  // every generation it tried.
-  const CheckpointState st = sample_state();
-  save_checkpoint_rotated(path, st, 2);
-  save_checkpoint_rotated(path, st, 2);
-  for (std::size_t g = 0; g < 2; ++g) {
-    std::ofstream out(util::Journal::generation_path(path, g),
-                      std::ios::binary | std::ios::trunc);
-    out << "garbage";
-  }
+  // Present but every record within reach corrupted is just as dead — and
+  // the error must name every record it tried.
+  CheckpointState st = sample_state();
+  const LogShape shape = five_commits(path, st);
+  for (std::size_t record = 5; record <= 6; ++record)
+    flip_record(state_log_path(path), shape, record);
   try {
     load_checkpoint_fallback(path, 2, st.config_digest);
     FAIL() << "expected std::runtime_error";
   } catch (const std::runtime_error& e) {
-    EXPECT_NE(std::string(e.what()).find(path), std::string::npos);
+    const std::string what = e.what();
+    EXPECT_NE(what.find(path), std::string::npos);
+    EXPECT_NE(what.find("record 5"), std::string::npos) << what;
+    EXPECT_NE(what.find("record 6"), std::string::npos) << what;
   }
-  remove_checkpoint_files(path, 3);
+  remove_checkpoint(path);
 }
 
 TEST(CheckpointTest, FaultCursorsSurviveTheRoundTrip) {
   const std::string path = temp_path("billcap_checkpoint_cursors.j");
+  remove_checkpoint(path);
   CheckpointState st = sample_state();
   st.storms_fired = 4;
   st.corruptions_fired = 2;
   save_checkpoint_v1(path, st);
-  const CheckpointState back = load_checkpoint(path);
+  CheckpointState back = load_checkpoint(path);
   EXPECT_EQ(back.storms_fired, 4u);
   EXPECT_EQ(back.corruptions_fired, 2u);
-  std::remove(path.c_str());
+
+  // Through the state log: a commit, then a cursor-only one on top.
+  remove_checkpoint(path);
+  commit(path, st);
+  ++st.storms_fired;
+  commit(path, st);
+  back = load_checkpoint(path);
+  EXPECT_EQ(back.storms_fired, 5u);
+  EXPECT_EQ(back.corruptions_fired, 2u);
+  expect_states_bitwise_equal(st, back);
+  remove_checkpoint(path);
 }
 
 TEST(CheckpointTest, DigestSeparatesStormAndCorruptionPlans) {
@@ -419,9 +488,6 @@ CheckpointState coupler_sample_state() {
   st.coupler.last_valid = true;
   st.coupler.last_power_mw = {12.5, 0.0, 30.0625};
   st.coupler.last_active = {1, 0, 1};
-  st.partial.closed_loop_hours = 1;
-  st.partial.coupler_fallback_hours = 1;
-  st.partial.coupler_iterations = 11;
   for (std::size_t h = 0; h < st.partial.hours.size(); ++h) {
     HourRecord& rec = st.partial.hours[h];
     rec.coupler_iterations = 3 + h;
@@ -430,6 +496,7 @@ CheckpointState coupler_sample_state() {
     rec.coupler_rung = h;
     if (h == 1) rec.failure = FailureReason::kPriceOscillation;
   }
+  refold(st.partial);
   return st;
 }
 
@@ -447,7 +514,7 @@ TEST(CheckpointTest, PreCouplerJournalLoadsWithFreshCouplerState) {
 
   const util::Journal modern = util::Journal::load(
       modern_path, keys::kCheckpointMagic, keys::kCheckpointVersion);
-  util::Journal legacy(keys::kCheckpointMagic, keys::kCheckpointVersion);
+  util::Journal legacy(keys::kCheckpointMagic, keys::kCheckpointInlineVersion);
   const char* v1_keys[] = {
       keys::kConfigDigest,        keys::kStrategy,
       keys::kNextHour,            keys::kSpent,
@@ -538,32 +605,22 @@ TEST(CheckpointTest, ParentCouplerBreakerWordsResume) {
   config.fault_plan.crashes.push_back({closed_at, /*before_checkpoint=*/false});
   const Simulator sim(config);
   const std::string path = temp_path("billcap_checkpoint_parent_breaker.j");
-  remove_checkpoint_files(path);
+  remove_checkpoint(path);
   Simulator::ResumableOutcome outcome =
       sim.run_resumable(Strategy::kCostCapping, path, /*resume=*/false);
   ASSERT_TRUE(outcome.crashed);
 
-  const util::Journal head = util::Journal::load(
-      path, keys::kCheckpointMagic, keys::kCheckpointVersion);
-  ASSERT_EQ(head.get_u64(keys::kCouplerBreakerState), 0u) << "not closed";
-  ASSERT_GT(head.get_size(keys::kCouplerTrips), 0u) << "never tripped";
-  // The head as an older writer left it: every key, the cooldown word 0.
-  util::Journal older_head(keys::kCheckpointMagic, keys::kCheckpointVersion);
-  std::istringstream lines(head.serialize());
-  std::string line;
-  std::getline(lines, line);  // "<magic> v<version>"
-  while (std::getline(lines, line)) {
-    const std::size_t eq = line.find('=');
-    if (eq == std::string::npos) continue;  // the checksum line
-    const std::string key = line.substr(0, eq);
-    if (key != keys::kCouplerCurrentCooldown)
-      older_head.set(key, line.substr(eq + 1));
-  }
-  older_head.set_size(keys::kCouplerCurrentCooldown, 0);
-  older_head.save_atomic(path);
+  CheckpointState older = load_checkpoint(path);
+  ASSERT_EQ(older.coupler.breaker.state, BreakerState::kClosed);
+  ASSERT_GT(older.coupler.breaker.trips, 0u) << "never tripped";
+  // The checkpoint as an older writer left it: a v2 head, the cooldown
+  // word 0.
+  older.coupler.breaker.current_cooldown = 0;
+  remove_checkpoint(path);
+  save_checkpoint_v2(path, older);
 
   outcome = sim.run_resumable(Strategy::kCostCapping, path, /*resume=*/true);
-  remove_checkpoint_files(path);
+  remove_checkpoint(path);
   ASSERT_FALSE(outcome.crashed);
   ASSERT_EQ(outcome.result.hours.size(), want.hours.size());
   EXPECT_EQ(outcome.result.total_cost, want.total_cost);
@@ -594,95 +651,77 @@ TEST(CheckpointTest, HourCountInconsistencyIsRejected) {
   std::remove(path.c_str());
 }
 
-// ---- format v2: head + append-only hour log --------------------------------
-
-/// Adds one fully populated hour to `st` (three sites, every double off its
-/// default), so log records carry real payloads.
-void add_full_hour(CheckpointState& st) {
-  HourRecord rec = st.partial.hours.back();
-  rec.hour = st.next_hour++;
-  rec.cost = 1000.0 + static_cast<double>(rec.hour) / 7.0;
-  const double h = static_cast<double>(rec.hour);
-  rec.site_lambda = {1.5 * h, 2.0 + h, 3.0 / (1.0 + h)};
-  st.spent += rec.cost;
-  st.partial.total_cost = st.spent;
-  st.partial.hours.push_back(rec);
-}
-
-/// The simulator's hourly commit: a rotated save, then logged_hours moves
-/// up to the hours now durable.
-void commit(const std::string& path, CheckpointState& st, std::size_t gens) {
-  save_checkpoint_rotated(path, st, gens);
-  st.logged_hours = st.partial.hours.size();
-}
-
-std::string read_bytes(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  return std::string(std::istreambuf_iterator<char>(in),
-                     std::istreambuf_iterator<char>{});
-}
-
-void write_bytes(const std::string& path, const std::string& bytes) {
-  std::ofstream out(path, std::ios::binary | std::ios::trunc);
-  out << bytes;
-}
+// ---- format v3: a head per month + the state log ----------------------------
 
 TEST(CheckpointTest, RotatedCommitRoundTripsThroughTheHourLog) {
-  const std::string path = temp_path("billcap_checkpoint_v2.j");
-  remove_checkpoint_files(path, 3);
+  const std::string path = temp_path("billcap_checkpoint_v3.j");
+  remove_checkpoint(path);
   CheckpointState st = coupler_sample_state();
-  commit(path, st, 3);
+  commit(path, st);
+  const std::string head_text = read_bytes(path);
   add_full_hour(st);
-  commit(path, st, 3);
+  st.coupler.rung = 1;
+  st.coupler.last_power_mw[1] = 7.75;
+  commit(path, st);
 
+  // The head names the run and its log, and later commits leave it alone.
   const util::Journal head = util::Journal::load(
       path, keys::kCheckpointMagic, keys::kCheckpointVersion);
   EXPECT_EQ(head.version(), keys::kCheckpointVersion);
-  EXPECT_TRUE(head.has(keys::kHourLog));
-  EXPECT_FALSE(head.has(keys::hour(0))) << "v2 heads carry no hour inline";
-  const CheckpointState back = load_checkpoint(path);
+  EXPECT_EQ(head.get(keys::kStateLog), "billcap_checkpoint_v3.j.log");
+  EXPECT_FALSE(head.has(keys::kNextHour)) << "the head carries no state";
+  EXPECT_EQ(read_bytes(path), head_text);
+  CheckpointState back = load_checkpoint(path);
   expect_states_bitwise_equal(st, back);
-  EXPECT_EQ(back.logged_hours, st.partial.hours.size());
+  EXPECT_EQ(back.log.hours, st.partial.hours.size());
+  EXPECT_EQ(back.log.cursor.count, 3u);  // an hour-only record, 2 commits
 
-  const CheckpointState only_head = load_checkpoint_head(path);
-  EXPECT_EQ(only_head.next_hour, st.next_hour);
-  EXPECT_TRUE(only_head.partial.hours.empty());
-  remove_checkpoint_files(path, 3);
+  // A cursor-only commit adds a record and no hour.
+  ++st.crashes_fired;
+  st.partial.crash_recoveries = st.crashes_fired;
+  commit(path, st);
+  back = load_checkpoint(path);
+  expect_states_bitwise_equal(st, back);
+  EXPECT_EQ(back.log.cursor.count, 4u);
+  EXPECT_EQ(back.log.hours, st.partial.hours.size());
+  remove_checkpoint(path);
 }
 
 TEST(CheckpointTest, RetiredWallTimeWordsOfOlderFilesAreIgnored) {
   // Until solves were bounded by node budgets alone, every hour-log record
   // carried the hour's measured solve time in word 17 and the head a
-  // max_solve_ms key. Such a file still loads, and both are ignored; a
-  // commit now writes +0.0 in the word (the record keeps its width) and no
-  // key.
+  // max_solve_ms key. Such a v2 file still loads, and both are ignored; an
+  // encoded hour now holds +0.0 in the word (the record keeps its width).
   constexpr std::size_t kWallTimeWord = 17;
   const std::string path = temp_path("billcap_checkpoint_walltime.j");
-  remove_checkpoint_files(path);
-  CheckpointState st = coupler_sample_state();
-  commit(path, st, 1);
+  const std::string log_path = path + ".hours";
+  remove_checkpoint(path);
+  const CheckpointState st = coupler_sample_state();
+  for (const HourRecord& rec : st.partial.hours)
+    EXPECT_EQ(util::load_le64(encode_hour_record(rec).data() +
+                              8 * kWallTimeWord),
+              0u);
+  save_checkpoint_v2(path, st);
 
   const util::Journal head = util::Journal::load(
       path, keys::kCheckpointMagic, keys::kCheckpointVersion);
   EXPECT_FALSE(head.has("max_solve_ms"));
-  const std::string log_path = hour_log_path(path);
-  const util::RecordLog::Contents log = util::RecordLog::read(
-      log_path,
-      {head.get_size(keys::kHours), head.get_u64(keys::kHourLogChain)});
+  util::RecordLog::Reader log(log_path);
   std::vector<std::string> older;
-  for (std::size_t at = 0; at < log.payloads.size(); at += log.record_bytes) {
-    std::string rec = log.payloads.substr(at, log.record_bytes);
-    char* word = rec.data() + 8 * kWallTimeWord;
-    EXPECT_EQ(util::load_le64(word), 0u) << "record at byte " << at;
-    util::store_le64(word, std::bit_cast<std::uint64_t>(2.5));
-    older.push_back(std::move(rec));
+  std::string rec;
+  while (log.position() < log.records()) {
+    ASSERT_TRUE(log.next(rec));
+    util::store_le64(rec.data() + 8 * kWallTimeWord,
+                     std::bit_cast<std::uint64_t>(2.5));
+    older.push_back(rec);
   }
   ASSERT_EQ(older.size(), st.partial.hours.size());
-  const util::RecordLog::Prefix prefix =
-      util::RecordLog::append(log_path, log.tag, 0, older);
+  const util::RecordLog::Cursor prefix =
+      util::RecordLog::create(log_path, log.tag(), older);
   // The head as such a writer left it: every key, the rewritten log's
   // chain and the month's slowest solve.
-  util::Journal older_head(keys::kCheckpointMagic, keys::kCheckpointVersion);
+  util::Journal older_head(keys::kCheckpointMagic,
+                           keys::kCheckpointHourLogVersion);
   std::istringstream lines(head.serialize());
   std::string line;
   std::getline(lines, line);  // "<magic> v<version>"
@@ -698,60 +737,47 @@ TEST(CheckpointTest, RetiredWallTimeWordsOfOlderFilesAreIgnored) {
 
   const CheckpointState back = load_checkpoint(path);
   expect_states_bitwise_equal(st, back);
-  remove_checkpoint_files(path);
+  remove_checkpoint(path);
 }
 
 TEST(CheckpointTest, FlippedLogByteSkipsEveryGenerationNamingIt) {
   const std::string path = temp_path("billcap_checkpoint_logrot.j");
-  const std::string log = hour_log_path(path);
-  remove_checkpoint_files(path, 3);
+  const std::string log = state_log_path(path);
+  remove_checkpoint(path);
   CheckpointState st = sample_state();
-  std::vector<std::uintmax_t> sizes;  // log size after each commit
-  for (int i = 0; i < 4; ++i) {
-    add_full_hour(st);
-    commit(path, st, 3);
-    sizes.push_back(std::filesystem::file_size(log));
-  }
-  // Generations 0..2 name 6, 5 and 4 records.
-  const std::uintmax_t stride = sizes[1] - sizes[0];
-  const std::uintmax_t header = sizes[0] - 3 * stride;
-  const auto flip_inside = [&](std::size_t record) {
-    std::string bytes = read_bytes(log);
-    bytes[header + record * stride + stride / 2] ^= 0x5a;
-    write_bytes(log, bytes);
-  };
+  const LogShape shape = five_commits(path, st);
 
-  // Record 4 rots: generations naming 5 or 6 records are skipped, each
-  // with a reason naming the log; generation 2 (4 records) still loads.
-  flip_inside(4);
+  // Record 5 rots: the commits in records 5 and 6 are skipped, each with a
+  // reason naming the log; record 4 (next_hour 5) still loads.
+  flip_record(log, shape, 5);
   const CheckpointLoadReport report =
       load_checkpoint_fallback(path, 3, st.config_digest);
   EXPECT_EQ(report.generation, 2u);
-  EXPECT_EQ(report.state.next_hour, 4u);
+  EXPECT_EQ(report.state.next_hour, 5u);
   ASSERT_EQ(report.skipped.size(), 2u);
   for (const std::string& reason : report.skipped)
     EXPECT_NE(reason.find(log), std::string::npos) << reason;
 
-  // Record 0 rots: no generation is viable, and the resume is refused
-  // rather than silently shortened.
-  flip_inside(0);
+  // Record 0 rots: every commit replays it, none is viable, and the resume
+  // is refused rather than silently shortened.
+  flip_record(log, shape, 0);
   try {
-    load_checkpoint_fallback(path, 3, st.config_digest);
+    load_checkpoint_fallback(path, 7, st.config_digest);
     FAIL() << "expected std::runtime_error";
   } catch (const std::runtime_error& e) {
     EXPECT_NE(std::string(e.what()).find(log), std::string::npos) << e.what();
   }
-  remove_checkpoint_files(path, 3);
+  remove_checkpoint(path);
 }
 
 TEST(CheckpointTest, HeadIsRejectedWithAForeignOrRewrittenLog) {
   const std::string path = temp_path("billcap_checkpoint_foreign.j");
-  const std::string log = hour_log_path(path);
-  remove_checkpoint_files(path, 1);
+  const std::string log = state_log_path(path);
+  remove_checkpoint(path);
   CheckpointState a = sample_state();
   for (int i = 0; i < 3; ++i) {
     add_full_hour(a);
-    commit(path, a, 1);
+    commit(path, a);
   }
   const std::string a_head = read_bytes(path);
   const std::string a_log = read_bytes(log);
@@ -760,62 +786,69 @@ TEST(CheckpointTest, HeadIsRejectedWithAForeignOrRewrittenLog) {
   CheckpointState b = sample_state();
   b.config_digest ^= 0xff;
   b.partial.hours[0].cost += 1.0;
-  std::remove(log.c_str());
+  refold(b.partial);
+  remove_checkpoint(path);
   for (int i = 0; i < 3; ++i) {
     add_full_hour(b);
-    commit(path, b, 1);
+    commit(path, b);
   }
   expect_states_bitwise_equal(b, load_checkpoint(path));
 
-  // b's head paired with a's log.
+  // b's head paired with a's log: the log's writer digest differs.
   write_bytes(log, a_log);
   EXPECT_THROW(load_checkpoint(path), std::runtime_error);
-  EXPECT_THROW(load_checkpoint_fallback(path, 1, b.config_digest),
+  EXPECT_THROW(load_checkpoint_fallback(path, 3, b.config_digest),
                std::runtime_error);
 
-  // a's own head, but its log rewritten from hour 0 with a different
-  // first record: the prefix checksum the head names no longer matches.
-  CheckpointState rewritten = a;
-  rewritten.partial.hours[0].served_ordinary += 1.0;
-  rewritten.logged_hours = 0;
-  commit(path, rewritten, 1);
+  // a's own head, but its log rewritten by a writer sized for more sites:
+  // the record width no longer matches the head's.
+  CheckpointState wider = a;
+  wider.sites = 5;
+  wider.log = {};
+  remove_checkpoint(path);
+  commit(path, wider);
   write_bytes(path, a_head);
   EXPECT_THROW(load_checkpoint(path), std::runtime_error);
-  EXPECT_THROW(load_checkpoint_fallback(path, 1, a.config_digest),
+  EXPECT_THROW(load_checkpoint_fallback(path, 3, a.config_digest),
                std::runtime_error);
 
   // Restoring a's log restores the pair.
   write_bytes(log, a_log);
   expect_states_bitwise_equal(a, load_checkpoint(path));
-  remove_checkpoint_files(path, 1);
+  remove_checkpoint(path);
 }
 
 TEST(CheckpointTest, MutatedHeadOrLogLoadsACommittedStateOrThrows) {
   // A seeded corpus of damaged checkpoints: byte flips, truncations and
-  // appended garbage on the two newest heads and on the hour log. Every
-  // load must either return a state equal to one that was committed, or
-  // throw std::runtime_error; any other exception escapes and fails.
+  // appended garbage on the head and on a state log that mixes hour
+  // commits with cursor-only ones. Every load must either return a state
+  // equal to one that was committed, or throw std::runtime_error; any
+  // other exception escapes and fails.
   const std::string path = temp_path("billcap_checkpoint_mutants.j");
-  const std::string log = hour_log_path(path);
-  remove_checkpoint_files(path, 2);
+  const std::string log = state_log_path(path);
+  remove_checkpoint(path);
   CheckpointState st = coupler_sample_state();
-  std::vector<CheckpointState> committed;  // indexed by next_hour - 3
+  std::vector<CheckpointState> committed;
   for (int i = 0; i < 12; ++i) {
-    add_full_hour(st);
-    commit(path, st, 2);
+    if (i % 3 == 2) {
+      ++st.storms_fired;  // a storm death: a cursor-only record
+    } else {
+      add_full_hour(st);
+      st.coupler.clean_streak = static_cast<std::size_t>(i);
+    }
+    commit(path, st);
     committed.push_back(st);
   }
-  const std::string files[] = {path, util::Journal::generation_path(path, 1),
-                               log};
-  const std::string pristine[] = {read_bytes(files[0]), read_bytes(files[1]),
-                                  read_bytes(files[2])};
+  const std::string files[] = {path, log};
+  const std::string pristine[] = {read_bytes(files[0]), read_bytes(files[1])};
 
   util::Rng rng(2012);
   std::size_t loaded = 0;
   std::size_t refused = 0;
   for (int mutant = 0; mutant < 300; ++mutant) {
-    for (int f = 0; f < 3; ++f) write_bytes(files[f], pristine[f]);
-    const std::size_t target = rng.below(3);
+    for (int f = 0; f < 2; ++f) write_bytes(files[f], pristine[f]);
+    // Three in four mutants hit the log, which carries the state.
+    const std::size_t target = rng.below(4) == 0 ? 0 : 1;
     std::string bytes = pristine[target];
     const std::uint64_t kind = rng.below(3);
     std::string what;
@@ -841,9 +874,11 @@ TEST(CheckpointTest, MutatedHeadOrLogLoadsACommittedStateOrThrows) {
 
     const auto check = [&](const CheckpointState& got) {
       ++loaded;
-      ASSERT_GE(got.next_hour, 3u);
-      ASSERT_LT(got.next_hour - 3, committed.size());
-      expect_states_bitwise_equal(committed[got.next_hour - 3], got);
+      for (const CheckpointState& c : committed)
+        if (c.next_hour == got.next_hour && c.storms_fired == got.storms_fired)
+          return expect_states_bitwise_equal(c, got);
+      ADD_FAILURE() << "loaded a state no commit wrote: next_hour "
+                    << got.next_hour << ", storms " << got.storms_fired;
     };
     try {
       check(load_checkpoint(path));
@@ -856,11 +891,11 @@ TEST(CheckpointTest, MutatedHeadOrLogLoadsACommittedStateOrThrows) {
       ++refused;
     }
   }
-  // Both outcomes occur: appended garbage past the named prefix loads, a
-  // flipped head or a cut log is refused.
+  // Both outcomes occur: a torn tail or a rotted newest record loads an
+  // older commit, a flipped head or a log cut into its header is refused.
   EXPECT_GT(loaded, 0u);
   EXPECT_GT(refused, 0u);
-  remove_checkpoint_files(path, 2);
+  remove_checkpoint(path);
 }
 
 }  // namespace

@@ -14,7 +14,7 @@
 #include <vector>
 
 #include "core/checkpoint.hpp"
-#include "core/checkpoint_v1.hpp"
+#include "core/checkpoint_legacy.hpp"
 #include "core/cost_model.hpp"
 #include "datacenter/catalog.hpp"
 #include "market/pricing_policy.hpp"

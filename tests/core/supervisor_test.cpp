@@ -6,11 +6,12 @@
 #include <cmath>
 #include <cstdio>
 #include <filesystem>
+#include <fstream>
 #include <string>
 #include <vector>
 
 #include "core/checkpoint.hpp"
-#include "core/checkpoint_files.hpp"
+#include "core/checkpoint_legacy.hpp"
 
 #if defined(__unix__) || defined(__APPLE__)
 #include <sys/wait.h>
@@ -362,40 +363,86 @@ TEST(SupervisorTest, BudgetExhaustionGivesUp) {
 
 // ---- probe_checkpoint_hour ------------------------------------------------
 
+/// Stomps the payload of the state log's newest record.
+void rot_newest_record(const std::string& path) {
+  std::fstream f(state_log_path(path),
+                 std::ios::in | std::ios::out | std::ios::binary);
+  ASSERT_TRUE(f.good());
+  f.seekp(-24, std::ios::end);
+  f << "<<bit-rot>>";
+}
+
+/// Commits one more hour on top of `st`.
+void commit_hour(const std::string& path, CheckpointState& st) {
+  HourRecord rec;
+  rec.hour = st.next_hour++;
+  st.partial.accumulate(std::move(rec));
+  save_checkpoint_rotated(path, st, 3);
+}
+
 TEST(SupervisorTest, ProbeFallsBackPastCorruptedGenerations) {
   const std::string path = temp_path("billcap_supervisor_probe.j");
-  remove_checkpoint_files(path);
+  remove_checkpoint(path);
   EXPECT_EQ(probe_checkpoint_hour(path, 3), 0u);
 
   CheckpointState st;
-  st.next_hour = 2;
-  for (std::size_t h = 0; h < st.next_hour; ++h) {
-    HourRecord rec;
-    rec.hour = h;
-    st.partial.hours.push_back(rec);
-  }
-  save_checkpoint_rotated(path, st, 3);
-  st.partial.hours.push_back(HourRecord{});
-  st.partial.hours.back().hour = st.next_hour++;
-  save_checkpoint_rotated(path, st, 3);
+  commit_hour(path, st);
+  commit_hour(path, st);
+  commit_hour(path, st);
   EXPECT_EQ(probe_checkpoint_hour(path, 3), 3u);
 
-  // Stomp the newest generation: the probe reads generation 1 instead.
-  {
-    std::FILE* f = std::fopen(path.c_str(), "wb");
-    ASSERT_NE(f, nullptr);
-    std::fputs("garbage", f);
-    std::fclose(f);
-  }
+  // Stomp the newest record: the probe reads the one before instead, and
+  // with only the newest in reach it finds nothing.
+  rot_newest_record(path);
   EXPECT_EQ(probe_checkpoint_hour(path, 3), 2u);
-  remove_checkpoint_files(path);
+  EXPECT_EQ(probe_checkpoint_hour(path, 1), 0u);
+  remove_checkpoint(path);
+}
+
+TEST(SupervisorTest, ProbeReadsTheStateLogTail) {
+  const std::string path = temp_path("billcap_supervisor_probe_tail.j");
+  const std::string log = state_log_path(path);
+  remove_checkpoint(path);
+  CheckpointState st;
+  for (int i = 0; i < 4; ++i) commit_hour(path, st);
+  const std::uintmax_t four = std::filesystem::file_size(log);
+  commit_hour(path, st);
+  const std::uintmax_t stride = std::filesystem::file_size(log) - four;
+  ASSERT_EQ(probe_checkpoint_hour(path, 2), 5u);
+
+  // A torn final record (a kill mid-append) is not a record: the newest
+  // whole one answers, even with only one in reach.
+  std::filesystem::resize_file(log, four + stride / 2);
+  EXPECT_EQ(probe_checkpoint_hour(path, 1), 4u);
+  EXPECT_EQ(probe_checkpoint_hour(path, 2), 4u);
+
+  // A corrupted final record: the one before it answers.
+  std::filesystem::resize_file(log, four);
+  rot_newest_record(path);
+  EXPECT_EQ(probe_checkpoint_hour(path, 2), 3u);
+
+  // Cursor-only records after the last hour (exit-storm deaths) answer
+  // with their own next_hour, read without the hour record before them,
+  // which here has rotted.
+  CheckpointState cursors = load_checkpoint_fallback(path, 2, 0).state;
+  ASSERT_EQ(cursors.next_hour, 3u);
+  commit_hour(path, cursors);  // record 3 again, intact: next_hour 4
+  rot_newest_record(path);
+  ++cursors.storms_fired;
+  save_checkpoint_rotated(path, cursors, 3);
+  ++cursors.storms_fired;
+  save_checkpoint_rotated(path, cursors, 3);
+  EXPECT_EQ(probe_checkpoint_hour(path, 1), 4u);
+  EXPECT_EQ(probe_checkpoint_hour(path, 3), 4u);
+  remove_checkpoint(path);
 }
 
 TEST(SupervisorTest, ProbeReadsTheHeadWithoutTheHourLog) {
   // A 700-hour v2 checkpoint whose hour log is gone: the full load fails,
-  // but the probe reads heads only and still reports the hour.
+  // but an older-format head carries its own next_hour, which the probe
+  // reads without the log.
   const std::string path = temp_path("billcap_supervisor_probe_head.j");
-  remove_checkpoint_files(path);
+  remove_checkpoint(path);
   CheckpointState st;
   st.next_hour = 700;
   for (std::size_t h = 0; h < st.next_hour; ++h) {
@@ -404,11 +451,11 @@ TEST(SupervisorTest, ProbeReadsTheHeadWithoutTheHourLog) {
     rec.site_lambda = {1.0, 2.0, 3.0};
     st.partial.hours.push_back(rec);
   }
-  save_checkpoint_rotated(path, st, 3);
-  std::remove(hour_log_path(path).c_str());
+  save_checkpoint_v2(path, st);
+  std::remove((path + ".hours").c_str());
   EXPECT_THROW(load_checkpoint(path), std::runtime_error);
   EXPECT_EQ(probe_checkpoint_hour(path, 3), 700u);
-  remove_checkpoint_files(path);
+  remove_checkpoint(path);
 }
 
 // ---- wall-clock independence (billcap-lint BL001 audit) -------------------

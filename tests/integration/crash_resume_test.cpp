@@ -17,9 +17,8 @@
 #include <vector>
 
 #include "core/checkpoint.hpp"
-#include "core/checkpoint_files.hpp"
 #include "core/checkpoint_keys.hpp"
-#include "core/checkpoint_v1.hpp"
+#include "core/checkpoint_legacy.hpp"
 #include "core/simulator.hpp"
 #include "util/journal.hpp"
 
@@ -96,7 +95,7 @@ void expect_results_bitwise_equal(const MonthlyResult& a,
 MonthlyResult run_to_completion(const Simulator& sim, Strategy strategy,
                                 const std::string& path,
                                 std::size_t* restarts = nullptr) {
-  remove_checkpoint_files(path);
+  remove_checkpoint(path);
   Simulator::ResumableOutcome outcome =
       sim.run_resumable(strategy, path, /*resume=*/false);
   std::size_t n = 0;
@@ -105,7 +104,7 @@ MonthlyResult run_to_completion(const Simulator& sim, Strategy strategy,
     outcome = sim.run_resumable(strategy, path, /*resume=*/true);
   }
   if (restarts) *restarts = n;
-  remove_checkpoint_files(path);
+  remove_checkpoint(path);
   return outcome.result;
 }
 
@@ -151,7 +150,7 @@ TEST(CrashResumeTest, CrashReportsHourAndResumePoint) {
   config.fault_plan.crashes.push_back({11, /*before_checkpoint=*/true});
   const Simulator sim(config);
   const std::string path = temp_path("billcap_resume_report.j");
-  remove_checkpoint_files(path);
+  remove_checkpoint(path);
 
   // Crash after hour 10's checkpoint: hours [0, 10] are committed.
   Simulator::ResumableOutcome outcome =
@@ -173,7 +172,7 @@ TEST(CrashResumeTest, CrashReportsHourAndResumePoint) {
   EXPECT_EQ(outcome.result.crash_recoveries, 2u);
   expect_results_bitwise_equal(sim.run(Strategy::kCostCapping),
                                outcome.result);
-  remove_checkpoint_files(path);
+  remove_checkpoint(path);
 }
 
 /// Like run_to_completion, but with explicit ResumeControls on every
@@ -182,7 +181,7 @@ MonthlyResult run_to_completion_controlled(
     const Simulator& sim, Strategy strategy, const std::string& path,
     const Simulator::ResumeControls& controls, std::size_t* restarts,
     bool fresh_start = true) {
-  if (fresh_start) remove_checkpoint_files(path, controls.keep_generations);
+  if (fresh_start) remove_checkpoint(path);
   Simulator::ResumableOutcome outcome =
       sim.run_resumable(strategy, path, !fresh_start, {}, controls);
   std::size_t n = 0;
@@ -201,7 +200,7 @@ TEST(CrashResumeTest, ExitStormDiesRepeatedlyWithoutProgressThenDrains) {
   config.fault_plan.exit_storms.push_back({5, 3});
   const Simulator sim(config);
   const std::string path = temp_path("billcap_resume_storm.j");
-  remove_checkpoint_files(path);
+  remove_checkpoint(path);
 
   // Every storm death strikes before hour 5's checkpoint commits: three
   // attempts in a row die at hour 5 with the checkpoint pinned there.
@@ -219,7 +218,7 @@ TEST(CrashResumeTest, ExitStormDiesRepeatedlyWithoutProgressThenDrains) {
   EXPECT_FALSE(outcome.crashed);
   EXPECT_EQ(outcome.result.crash_recoveries, 3u);
   expect_results_bitwise_equal(want, outcome.result);
-  remove_checkpoint_files(path);
+  remove_checkpoint(path);
 }
 
 TEST(CrashResumeTest, CheckpointCorruptionFallsBackOneGeneration) {
@@ -230,7 +229,7 @@ TEST(CrashResumeTest, CheckpointCorruptionFallsBackOneGeneration) {
   const std::string path = temp_path("billcap_resume_bitrot.j");
   Simulator::ResumeControls controls;
   controls.keep_generations = 3;
-  remove_checkpoint_files(path);
+  remove_checkpoint(path);
 
   // The first attempt commits hour 10, stomps the newest generation and
   // dies: generation 0 is unreadable, generation 1 holds the pre-hour-10
@@ -250,22 +249,20 @@ TEST(CrashResumeTest, CheckpointCorruptionFallsBackOneGeneration) {
   ASSERT_EQ(outcome.resume_skipped.size(), 1u);
   EXPECT_EQ(outcome.resumed_from, 10u);
   expect_results_bitwise_equal(want, outcome.result);
-  remove_checkpoint_files(path);
+  remove_checkpoint(path);
 }
 
 TEST(CrashResumeTest, DeathMidRotatedCheckpointWriteResumesNewestViable) {
-  // A SIGTERM (or power cut) landing while the rotated checkpoint commit
-  // is in flight leaves one of three artifact shapes on disk, depending
-  // on where in the temp-write -> rename -> rotate sequence it struck:
+  // A SIGTERM (or power cut) landing while a checkpoint commit is in
+  // flight leaves one of three artifact shapes on disk, depending on where
+  // in the commit it struck:
   //
-  //   torn tmp          the .tmp of the next write exists, never renamed;
-  //   rotation-shifted  rotate_generations ran but the new generation 0
-  //                     was never written (gen 0 missing, gen 1 newest);
-  //   truncated newest  generation 0 exists but is cut short mid-write.
+  //   torn tmp       the .tmp of a head write exists, never renamed;
+  //   torn record    the state log ends inside the record being appended;
+  //   rotted record  the newest record is whole but fails its checksum.
   //
-  // The newest-first fallback scan must resume from the newest viable
-  // generation in every shape, and the month must still complete
-  // bit-identically to the uninterrupted run.
+  // The resume must load the newest viable commit in every shape, and the
+  // month must still complete bit-identically to the uninterrupted run.
   SimulationConfig config = faulty_config();
   const MonthlyResult want = Simulator(config).run(Strategy::kCostCapping);
   config.fault_plan.crashes.push_back({12, /*before_checkpoint=*/true});
@@ -273,11 +270,12 @@ TEST(CrashResumeTest, DeathMidRotatedCheckpointWriteResumesNewestViable) {
   config.fault_plan.crashes.push_back({24, /*before_checkpoint=*/true});
   const Simulator sim(config);
   const std::string path = temp_path("billcap_resume_torn.j");
+  const std::string log = state_log_path(path);
   Simulator::ResumeControls controls;
   controls.keep_generations = 3;
-  remove_checkpoint_files(path);
+  remove_checkpoint(path);
 
-  // Crash 1 pins the chain at hour 12. Shape: torn tmp left beside it.
+  // Crash 1 pins the log at hour 12. Shape: torn tmp left beside the head.
   Simulator::ResumableOutcome outcome =
       sim.run_resumable(Strategy::kCostCapping, path, false, {}, controls);
   ASSERT_TRUE(outcome.crashed);
@@ -286,33 +284,38 @@ TEST(CrashResumeTest, DeathMidRotatedCheckpointWriteResumesNewestViable) {
     std::ofstream torn(path + ".tmp", std::ios::binary);
     torn << "half-written journal with no checksum";
   }
+  const std::uintmax_t before_18 = std::filesystem::file_size(log);
   outcome = sim.run_resumable(Strategy::kCostCapping, path, true, {}, controls);
   ASSERT_TRUE(outcome.crashed);
-  EXPECT_EQ(outcome.resumed_generation, 0u);  // tmp is invisible to the scan
+  EXPECT_EQ(outcome.resumed_generation, 0u);  // tmp is invisible to a load
   EXPECT_EQ(outcome.resumed_from, 12u);
   EXPECT_EQ(outcome.crash_hour, 18u);
   std::remove((path + ".tmp").c_str());
 
-  // Shape 2: the death struck between rotate_generations and the new
-  // generation-0 write — shift the chain up one slot by hand.
-  std::rename(util::Journal::generation_path(path, 1).c_str(),
-              util::Journal::generation_path(path, 2).c_str());
-  std::rename(util::Journal::generation_path(path, 0).c_str(),
-              util::Journal::generation_path(path, 1).c_str());
+  // Shape 2: the crash-time record that advanced the hour-18 crash cursor
+  // is torn in half. The newest whole record is hour 17's commit
+  // (next_hour 18, so no committed hour is lost), but the cursor advance
+  // is gone and the hour-18 death FIRES AGAIN: a planned death is
+  // consumed only once its cursor survives.
+  const std::uintmax_t after_18 = std::filesystem::file_size(log);
+  const std::uintmax_t stride = (after_18 - before_18) / 7;  // 6 hours + 1
+  std::filesystem::resize_file(log, after_18 - stride / 2);
   outcome = sim.run_resumable(Strategy::kCostCapping, path, true, {}, controls);
   ASSERT_TRUE(outcome.crashed);
-  EXPECT_EQ(outcome.resumed_generation, 1u);  // gen 0 missing, gen 1 newest
-  EXPECT_EQ(outcome.resumed_from, 18u);       // no committed hour was lost
+  EXPECT_EQ(outcome.resumed_generation, 0u);  // a torn record is no record
+  EXPECT_EQ(outcome.resumed_from, 18u);
+  EXPECT_EQ(outcome.crash_hour, 18u);
+  outcome = sim.run_resumable(Strategy::kCostCapping, path, true, {}, controls);
+  ASSERT_TRUE(outcome.crashed);
   EXPECT_EQ(outcome.crash_hour, 24u);
 
-  // Shape 3: generation 0 truncated mid-write (checksum cannot hold).
-  // Generation 1 is hour 23's ordinary commit — next_hour is already 24,
-  // so no committed hour is lost — but the crash-cursor advance lived
-  // only in the truncated crash-time save, so the hour-24 death FIRES
-  // AGAIN: a planned death is consumed only once its cursor survives.
+  // Shape 3: the hour-24 crash record rots. The load falls back one
+  // record to hour 23's commit — next_hour is already 24, so again no
+  // committed hour is lost — and the hour-24 death re-fires.
   {
-    const std::uintmax_t size = std::filesystem::file_size(path);
-    std::filesystem::resize_file(path, size / 2);
+    std::fstream f(log, std::ios::in | std::ios::out | std::ios::binary);
+    f.seekp(-24, std::ios::end);
+    f << "<<bit-rot>>";
   }
   outcome = sim.run_resumable(Strategy::kCostCapping, path, true, {}, controls);
   ASSERT_TRUE(outcome.crashed);
@@ -323,12 +326,12 @@ TEST(CrashResumeTest, DeathMidRotatedCheckpointWriteResumesNewestViable) {
 
   // The re-fired death re-persists its cursor; the final attempt finishes
   // the month bit-identically. crash_recoveries is cursor-derived, so the
-  // replayed death does not double-count.
+  // replayed deaths do not double-count.
   outcome = sim.run_resumable(Strategy::kCostCapping, path, true, {}, controls);
   EXPECT_FALSE(outcome.crashed);
   EXPECT_EQ(outcome.result.crash_recoveries, 3u);
   expect_results_bitwise_equal(want, outcome.result);
-  remove_checkpoint_files(path);
+  remove_checkpoint(path);
 }
 
 TEST(CrashResumeTest, KillStormWithRotationAndBitRotStillBitIdentical) {
@@ -351,7 +354,7 @@ TEST(CrashResumeTest, KillStormWithRotationAndBitRotStillBitIdentical) {
   const std::string path = temp_path("billcap_resume_storm_rot.j");
   const MonthlyResult got = run_to_completion_controlled(
       sim, Strategy::kCostCapping, path, controls, &restarts);
-  remove_checkpoint_files(path);
+  remove_checkpoint(path);
   EXPECT_EQ(restarts, month_hours + 3);  // every crash + every corruption
   expect_results_bitwise_equal(want, got);
 }
@@ -361,7 +364,7 @@ TEST(CrashResumeTest, StopFlagFinishesInFlightHourAndResumesCleanly) {
   const MonthlyResult want = Simulator(config).run(Strategy::kCostCapping);
   const Simulator sim(config);
   const std::string path = temp_path("billcap_resume_stop.j");
-  remove_checkpoint_files(path);
+  remove_checkpoint(path);
 
   // The flag flips while hour 5 is in flight (from the per-hour hook,
   // like the CLI's SIGTERM handler): the attempt must commit hour 5,
@@ -388,7 +391,7 @@ TEST(CrashResumeTest, StopFlagFinishesInFlightHourAndResumesCleanly) {
   EXPECT_FALSE(outcome.stopped);
   EXPECT_FALSE(outcome.crashed);
   expect_results_bitwise_equal(want, outcome.result);
-  remove_checkpoint_files(path);
+  remove_checkpoint(path);
 }
 
 TEST(CrashResumeTest, StandbyChunkIsPremiumOnlyAndHandsBackToPrimary) {
@@ -403,7 +406,7 @@ TEST(CrashResumeTest, StandbyChunkIsPremiumOnlyAndHandsBackToPrimary) {
   standby_config.standby = true;
   const Simulator standby(standby_config);
   const std::string path = temp_path("billcap_resume_standby.j");
-  remove_checkpoint_files(path);
+  remove_checkpoint(path);
 
   Simulator::ResumableOutcome outcome =
       primary.run_resumable(Strategy::kCostCapping, path, false);
@@ -432,7 +435,7 @@ TEST(CrashResumeTest, StandbyChunkIsPremiumOnlyAndHandsBackToPrimary) {
   EXPECT_FALSE(outcome.crashed);
   EXPECT_EQ(outcome.result.hours.size(), primary.evaluation_trace().hours());
   EXPECT_EQ(outcome.result.crash_recoveries, 99u);
-  remove_checkpoint_files(path);
+  remove_checkpoint(path);
 }
 
 TEST(CrashResumeTest, ResumeUnderDifferentConfigIsRefused) {
@@ -440,7 +443,7 @@ TEST(CrashResumeTest, ResumeUnderDifferentConfigIsRefused) {
   config.fault_plan.crashes.push_back({5, false});
   const Simulator sim(config);
   const std::string path = temp_path("billcap_resume_mismatch.j");
-  remove_checkpoint_files(path);
+  remove_checkpoint(path);
   const Simulator::ResumableOutcome outcome =
       sim.run_resumable(Strategy::kCostCapping, path, false);
   ASSERT_TRUE(outcome.crashed);
@@ -454,7 +457,7 @@ TEST(CrashResumeTest, ResumeUnderDifferentConfigIsRefused) {
   // A different strategy under the same config is a mismatch too.
   EXPECT_THROW(sim.run_resumable(Strategy::kMinOnlyAvg, path, true),
                std::runtime_error);
-  remove_checkpoint_files(path);
+  remove_checkpoint(path);
 }
 
 TEST(CrashResumeTest, CorruptedCheckpointIsRefusedOnResume) {
@@ -462,7 +465,7 @@ TEST(CrashResumeTest, CorruptedCheckpointIsRefusedOnResume) {
   config.fault_plan.crashes.push_back({5, false});
   const Simulator sim(config);
   const std::string path = temp_path("billcap_resume_corrupt.j");
-  remove_checkpoint_files(path);
+  remove_checkpoint(path);
   ASSERT_TRUE(sim.run_resumable(Strategy::kCostCapping, path, false).crashed);
 
   // Truncate the file to half: the resume must refuse, not half-load.
@@ -478,10 +481,10 @@ TEST(CrashResumeTest, CorruptedCheckpointIsRefusedOnResume) {
   }
   EXPECT_THROW(sim.run_resumable(Strategy::kCostCapping, path, true),
                std::runtime_error);
-  remove_checkpoint_files(path);
+  remove_checkpoint(path);
 }
 
-// ---- format v2: the append-only hour log -----------------------------------
+// ---- the state log: one record per commit ----------------------------------
 
 std::string read_bytes(const std::string& path) {
   std::ifstream in(path, std::ios::binary);
@@ -496,13 +499,13 @@ void write_bytes(const std::string& path, const std::string& bytes) {
 
 TEST(CrashResumeTest, EachCommitAppendsOneRecordAndKeepsTheHeadSmall) {
   // The O(1) commit: the log grows by exactly one record width per
-  // committed hour, the head does not grow with the month, and no commit
-  // rewrites a record it keeps (a byte rotted into record 5 at hour 30
-  // is still there when the month ends).
+  // committed hour, the head is written once and never again, and no
+  // commit rewrites a record it keeps (a byte rotted into record 5 at hour
+  // 30 is still there when the month ends).
   const Simulator sim(faulty_config());
   const std::string path = temp_path("billcap_resume_o1.j");
-  const std::string log = hour_log_path(path);
-  remove_checkpoint_files(path);
+  const std::string log = state_log_path(path);
+  remove_checkpoint(path);
   std::vector<std::uintmax_t> log_size;  // [h]: after h commits
   std::uintmax_t head_after_24 = 0;
   std::uintmax_t head_after_700 = 0;
@@ -526,26 +529,23 @@ TEST(CrashResumeTest, EachCommitAppendsOneRecordAndKeepsTheHeadSmall) {
   EXPECT_GT(width, 0u);
   for (std::size_t h = 2; h < log_size.size(); ++h)
     EXPECT_EQ(log_size[h] - log_size[h - 1], width) << "commit " << h;
-  const std::uintmax_t grew = head_after_700 > head_after_24
-                                  ? head_after_700 - head_after_24
-                                  : head_after_24 - head_after_700;
-  EXPECT_LT(grew, 64u) << head_after_24 << " -> " << head_after_700;
+  EXPECT_EQ(head_after_700, head_after_24);
   EXPECT_LE(head_after_700, 4096u);
   EXPECT_THROW(load_checkpoint(path), std::runtime_error);
-  remove_checkpoint_files(path);
+  remove_checkpoint(path);
 }
 
 TEST(CrashResumeTest, KillMidLogAppendResumesBitIdentically) {
-  // A kill while hour h's record is being appended leaves the head at h
-  // records and the log cut anywhere inside record h (or past it, when
-  // the log was synced but the head never landed). Every cut resumes to
-  // the uninterrupted month.
+  // A kill while hour h's record is being appended leaves the log cut
+  // anywhere inside that record: the resume starts at hour h again. Once
+  // the record is whole, hour h is committed and the resume starts at
+  // h + 1. Every cut resumes to the uninterrupted month.
   const SimulationConfig config = faulty_config();
   const MonthlyResult want = Simulator(config).run(Strategy::kCostCapping);
   const Simulator sim(config);
   const std::string path = temp_path("billcap_resume_torn_log.j");
-  const std::string log = hour_log_path(path);
-  remove_checkpoint_files(path);
+  const std::string log = state_log_path(path);
+  remove_checkpoint(path);
   const std::size_t h = want.hours.size() - 3;
 
   Simulator::ResumeControls controls;
@@ -568,50 +568,59 @@ TEST(CrashResumeTest, KillMidLogAppendResumesBitIdentically) {
     const Simulator::ResumableOutcome outcome =
         sim.run_resumable(Strategy::kCostCapping, path, true);
     ASSERT_FALSE(outcome.crashed) << "cut at " << cut;
-    EXPECT_EQ(outcome.resumed_from, h) << "cut at " << cut;
+    EXPECT_EQ(outcome.resumed_from, cut == full_log.size() ? h + 1 : h)
+        << "cut at " << cut;
     expect_results_bitwise_equal(want, outcome.result);
     // What the resumed run committed must read back, too.
     expect_results_bitwise_equal(want, load_checkpoint(path).partial);
     if (::testing::Test::HasFailure()) FAIL() << "cut at " << cut;
   }
-  remove_checkpoint_files(path);
+  remove_checkpoint(path);
 }
 
-TEST(CrashResumeTest, V1CheckpointResumesBitIdenticallyAndContinuesAsV2) {
-  // A checkpoint from the v1 writer (every hour inline, no log) resumes
-  // to the uninterrupted month, and the resumed run commits format v2.
+TEST(CrashResumeTest, OlderFormatsResumeBitIdenticallyAndContinueAsTheStateLog) {
+  // A checkpoint from the v1 writer (every hour inline) or the v2 writer
+  // (a head naming an hour-log prefix) resumes to the uninterrupted month,
+  // and the resumed run commits a v3 head and state log.
   const SimulationConfig config = faulty_config();
   const MonthlyResult want = Simulator(config).run(Strategy::kCostCapping);
   const Simulator sim(config);
-  const std::string path = temp_path("billcap_resume_v1.j");
-  const std::string log = hour_log_path(path);
-  remove_checkpoint_files(path);
+  const std::string path = temp_path("billcap_resume_older.j");
 
-  Simulator::ResumeControls controls;
-  controls.max_hours = 300;
-  ASSERT_TRUE(
-      sim.run_resumable(Strategy::kCostCapping, path, false, {}, controls)
-          .stopped);
-  const CheckpointState mid = load_checkpoint(path);
-  std::remove(log.c_str());
-  save_checkpoint_v1(path, mid);
-  ASSERT_EQ(util::Journal::load(path, keys::kCheckpointMagic,
-                                keys::kCheckpointVersion)
-                .version(),
-            keys::kCheckpointInlineVersion);
+  for (const int version : {keys::kCheckpointInlineVersion,
+                            keys::kCheckpointHourLogVersion}) {
+    SCOPED_TRACE("format v" + std::to_string(version));
+    remove_checkpoint(path);
+    Simulator::ResumeControls controls;
+    controls.max_hours = 300;
+    ASSERT_TRUE(
+        sim.run_resumable(Strategy::kCostCapping, path, false, {}, controls)
+            .stopped);
+    const CheckpointState mid = load_checkpoint(path);
+    remove_checkpoint(path);
+    if (version == keys::kCheckpointInlineVersion)
+      save_checkpoint_v1(path, mid);
+    else
+      save_checkpoint_v2(path, mid);
+    ASSERT_EQ(util::Journal::load(path, keys::kCheckpointMagic,
+                                  keys::kCheckpointVersion)
+                  .version(),
+              version);
 
-  const Simulator::ResumableOutcome outcome =
-      sim.run_resumable(Strategy::kCostCapping, path, true);
-  ASSERT_FALSE(outcome.crashed);
-  EXPECT_EQ(outcome.resumed_from, 300u);
-  expect_results_bitwise_equal(want, outcome.result);
+    const Simulator::ResumableOutcome outcome =
+        sim.run_resumable(Strategy::kCostCapping, path, true);
+    ASSERT_FALSE(outcome.crashed);
+    EXPECT_EQ(outcome.resumed_from, 300u);
+    expect_results_bitwise_equal(want, outcome.result);
 
-  const util::Journal head = util::Journal::load(
-      path, keys::kCheckpointMagic, keys::kCheckpointVersion);
-  EXPECT_EQ(head.version(), keys::kCheckpointVersion);
-  EXPECT_TRUE(head.has(keys::kHourLog));
-  expect_results_bitwise_equal(want, load_checkpoint(path).partial);
-  remove_checkpoint_files(path);
+    const util::Journal head = util::Journal::load(
+        path, keys::kCheckpointMagic, keys::kCheckpointVersion);
+    EXPECT_EQ(head.version(), keys::kCheckpointVersion);
+    EXPECT_TRUE(head.has(keys::kStateLog));
+    EXPECT_FALSE(std::filesystem::exists(path + ".hours"));
+    expect_results_bitwise_equal(want, load_checkpoint(path).partial);
+  }
+  remove_checkpoint(path);
 }
 
 }  // namespace

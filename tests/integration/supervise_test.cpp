@@ -21,7 +21,6 @@
 #include <vector>
 
 #include "core/checkpoint.hpp"
-#include "core/checkpoint_files.hpp"
 #include "core/supervisor.hpp"
 
 namespace billcap::core {
@@ -60,11 +59,11 @@ std::vector<std::string> with_squeezes(std::vector<std::string> args) {
 const CheckpointState& reference_state() {
   static const CheckpointState state = [] {
     const std::string path = temp_path("billcap_supervise_ref.j");
-    remove_checkpoint_files(path);
+    remove_checkpoint(path);
     EXPECT_EQ(run_cli(with_squeezes({"simulate", "--checkpoint", path})),
               kExitSuccess);
     CheckpointState st = load_checkpoint(path);
-    remove_checkpoint_files(path);
+    remove_checkpoint(path);
     return st;
   }();
   return state;
@@ -113,7 +112,7 @@ void expect_results_bitwise_equal(const MonthlyResult& a,
 
 TEST(SuperviseTest, KillStormCompletesBitIdenticalToUninterruptedRun) {
   const std::string path = temp_path("billcap_supervise_storm.j");
-  remove_checkpoint_files(path);
+  remove_checkpoint(path);
 
   // The child SIGKILLs itself (via --die-on-crash, forced by supervise)
   // at hours spread across the month, including the first and last hour;
@@ -129,12 +128,12 @@ TEST(SuperviseTest, KillStormCompletesBitIdenticalToUninterruptedRun) {
   EXPECT_EQ(final_state.partial.crash_recoveries, 5u);
   expect_results_bitwise_equal(reference_state().partial,
                                final_state.partial);
-  remove_checkpoint_files(path);
+  remove_checkpoint(path);
 }
 
 TEST(SuperviseTest, CorruptedNewestGenerationIsFallenBackOver) {
   const std::string path = temp_path("billcap_supervise_corrupt.j");
-  remove_checkpoint_files(path);
+  remove_checkpoint(path);
 
   // At hour 10 the child stomps its freshly written generation 0 and
   // dies. The restarted child must fall back to generation 1 (the
@@ -150,12 +149,12 @@ TEST(SuperviseTest, CorruptedNewestGenerationIsFallenBackOver) {
   EXPECT_EQ(final_state.corruptions_fired, 1u);
   expect_results_bitwise_equal(reference_state().partial,
                                final_state.partial);
-  remove_checkpoint_files(path);
+  remove_checkpoint(path);
 }
 
 TEST(SuperviseTest, ExitStormEscalatesToStandbyAndStillCompletes) {
   const std::string path = temp_path("billcap_supervise_escalate.j");
-  remove_checkpoint_files(path);
+  remove_checkpoint(path);
 
   // Three no-progress deaths in a row at hour 5 trip the escalation
   // threshold of 2; the standby child commits a 2-hour premium-only chunk
@@ -176,12 +175,12 @@ TEST(SuperviseTest, ExitStormEscalatesToStandbyAndStillCompletes) {
   EXPECT_EQ(heuristic_hours, 2u);
   EXPECT_TRUE(final_state.partial.hours.at(5).used_heuristic);
   EXPECT_TRUE(final_state.partial.hours.at(6).used_heuristic);
-  remove_checkpoint_files(path);
+  remove_checkpoint(path);
 }
 
 TEST(SuperviseTest, RestartBudgetExhaustionExitsGaveUp) {
   const std::string path = temp_path("billcap_supervise_gaveup.j");
-  remove_checkpoint_files(path);
+  remove_checkpoint(path);
 
   // An endless storm at hour 0 with a tiny budget and no escalation: the
   // supervisor must stop hammering the machine and exit kExitGaveUp, with
@@ -192,7 +191,7 @@ TEST(SuperviseTest, RestartBudgetExhaustionExitsGaveUp) {
                             "--backoff-max-ms", "5"});
   EXPECT_EQ(code, kExitGaveUp);
   EXPECT_EQ(load_checkpoint(path).next_hour, 0u);
-  remove_checkpoint_files(path);
+  remove_checkpoint(path);
 }
 
 TEST(SuperviseTest, UsageErrorsAreNotRetried) {
@@ -200,13 +199,13 @@ TEST(SuperviseTest, UsageErrorsAreNotRetried) {
   // surface as kExitGaveUp after exactly one attempt, not loop through
   // the restart budget.
   const std::string path = temp_path("billcap_supervise_usage.j");
-  remove_checkpoint_files(path);
+  remove_checkpoint(path);
   const int code = run_cli({"supervise", "--checkpoint", path,
                             "--crash-at", "nonsense"});
   EXPECT_EQ(code, kExitGaveUp);
   // A supervise invocation without a checkpoint is its own usage error.
   EXPECT_EQ(run_cli({"supervise"}), kExitUsage);
-  remove_checkpoint_files(path);
+  remove_checkpoint(path);
 }
 
 }  // namespace

@@ -99,7 +99,9 @@ constexpr util::Flag kControllerFaultFlags[] = {
 /// Set by the supervisor on its children, so supervise does not take them.
 constexpr util::Flag kRestartFlags[] = {
     {"resume", kSwitch, "continue from the checkpoint"},
-    {"keep-generations", kInteger, "checkpoint generations", "1", kAtLeastOne},
+    {"keep-generations", kInteger,
+     "newest commits a resume may load (serve: generations)", "1",
+     kAtLeastOne},
     {"standby", kSwitch, "degraded premium-only mode (no MILP)"},
     {"standby-hours", kInteger, "hours per standby attempt", "4", kAtLeastOne},
 };
@@ -143,7 +145,8 @@ constexpr util::Flag kSuperviseFlags[] = {
     {"backoff-jitter", kNumber, "restart delay jitter", "0.2", kProbability},
     {"escalate-after", kInteger, "deaths before standby", "3", kAtLeastOne},
     {"standby-hours", kInteger, "hours per standby attempt", "4", kAtLeastOne},
-    {"keep-generations", kInteger, "checkpoint generations", "3", kAtLeastOne},
+    {"keep-generations", kInteger, "newest commits a resume may load", "3",
+     kAtLeastOne},
 };
 
 constexpr util::Flag kSweepFlags[] = {
@@ -449,18 +452,20 @@ void honour_graceful_stop() {
   std::abort();
 }
 
-/// Says which checkpoint generations a resume skipped and, when it fell
-/// back past the newest, which one it resumed from.
+/// Says which checkpoint records (batch state log) or generations (serve
+/// journal) a resume skipped and, when it fell back past the newest, how
+/// far back it resumed from.
 void report_resume(const std::vector<std::string>& skipped,
-                   std::size_t generation, std::size_t from,
-                   const char* checkpoint, const char* unit) {
+                   std::size_t back, std::size_t from,
+                   const char* checkpoint, const char* step,
+                   const char* unit) {
   for (const auto& s : skipped)
-    std::fprintf(stderr, "%s generation skipped: %s\n", checkpoint, s.c_str());
-  if (generation > 0)
+    std::fprintf(stderr, "%s %s skipped: %s\n", checkpoint, step, s.c_str());
+  if (back > 0)
     std::fprintf(stderr,
-                 "resumed from %s generation %zu at %s %zu (newer "
-                 "generations unusable)\n",
-                 checkpoint, generation, unit, from);
+                 "resumed from %s %s %zu back at %s %zu (newer ones "
+                 "unusable)\n",
+                 checkpoint, step, back, unit, from);
 }
 
 int cmd_simulate(const util::CliArgs& args, const char* /*argv0*/) {
@@ -545,7 +550,7 @@ int cmd_simulate(const util::CliArgs& args, const char* /*argv0*/) {
       outcome = sim.run_resumable(strategy, run.checkpoint, resume, on_hour,
                                   controls);
       report_resume(outcome.resume_skipped, outcome.resumed_generation,
-                    outcome.resumed_from, "checkpoint", "hour");
+                    outcome.resumed_from, "checkpoint", "record", "hour");
       if (!outcome.crashed) break;
       const std::string crash =
           "controller crashed at hour " + std::to_string(outcome.crash_hour);
@@ -712,7 +717,8 @@ int cmd_serve(const util::CliArgs& args, const char* /*argv0*/) {
   for (bool resume = run.resume;; resume = true) {
     outcome = loop.run(run.checkpoint, resume, on_tick, controls);
     report_resume(outcome.resume_skipped, outcome.resumed_generation,
-                  outcome.resumed_from_tick, "serve checkpoint", "tick");
+                  outcome.resumed_from_tick, "serve checkpoint", "generation",
+                  "tick");
     if (!outcome.crashed) break;
     const std::string kill =
         "serve daemon killed at tick " + std::to_string(outcome.crash_tick);
