@@ -2,11 +2,9 @@
 
 #include <algorithm>
 #include <bit>
-#include <charconv>
 #include <cstdio>
 #include <fstream>
 #include <optional>
-#include <sstream>
 #include <stdexcept>
 
 #include "core/checkpoint_keys.hpp"
@@ -18,81 +16,7 @@ namespace billcap::core {
 
 namespace {
 
-// ---- token stream for HourRecord ------------------------------------------
-
-std::uint64_t take_u(std::istringstream& is) {
-  std::uint64_t v = 0;
-  if (!(is >> v)) throw std::runtime_error("checkpoint: truncated hour record");
-  return v;
-}
-/// EOF-tolerant read for fields appended after the v1 layout: a record from
-/// an older writer simply runs out of tokens, which must read as the field's
-/// default — only a *malformed* token still throws.
-bool take_u_opt(std::istringstream& is, std::uint64_t& out) {
-  std::string token;
-  if (!(is >> token)) return false;  // clean EOF: pre-extension record
-  std::uint64_t v = 0;
-  const auto res =
-      std::from_chars(token.data(), token.data() + token.size(), v, 10);
-  if (res.ec != std::errc{} || res.ptr != token.data() + token.size())
-    throw std::runtime_error("checkpoint: malformed hour record");
-  out = v;
-  return true;
-}
-double take_d(std::istringstream& is) {
-  std::string token;
-  if (!(is >> token) || token.size() != 16)
-    throw std::runtime_error("checkpoint: malformed hour record");
-  std::uint64_t bits = 0;
-  const auto res =
-      std::from_chars(token.data(), token.data() + token.size(), bits, 16);
-  if (res.ec != std::errc{} || res.ptr != token.data() + token.size())
-    throw std::runtime_error("checkpoint: malformed hour record");
-  return std::bit_cast<double>(bits);
-}
-
-HourRecord decode_hour(const std::string& text) {
-  std::istringstream is(text);
-  HourRecord rec;
-  rec.hour = static_cast<std::size_t>(take_u(is));
-  rec.mode = static_cast<CappingOutcome::Mode>(take_u(is));
-  rec.failure = static_cast<FailureReason>(take_u(is));
-  rec.degraded = take_u(is) != 0;
-  rec.used_incumbent = take_u(is) != 0;
-  rec.used_heuristic = take_u(is) != 0;
-  rec.stale_prices = take_u(is) != 0;
-  rec.feed_attempts = static_cast<int>(take_u(is));
-  rec.feed_recovered = take_u(is) != 0;
-  rec.sites_down = static_cast<std::size_t>(take_u(is));
-  rec.nodes = static_cast<long>(take_u(is));
-  rec.arrivals = take_d(is);
-  rec.premium_arrivals = take_d(is);
-  rec.ordinary_arrivals = take_d(is);
-  rec.served_premium = take_d(is);
-  rec.served_ordinary = take_d(is);
-  rec.hourly_budget = take_d(is);
-  rec.cost = take_d(is);
-  rec.predicted_cost = take_d(is);
-  take_d(is);  // the retired wall-time word: ignored
-  const std::size_t n_lambda = static_cast<std::size_t>(take_u(is));
-  rec.site_lambda.reserve(n_lambda);
-  for (std::size_t i = 0; i < n_lambda; ++i)
-    rec.site_lambda.push_back(take_d(is));
-  const std::size_t n_power = static_cast<std::size_t>(take_u(is));
-  rec.site_power_mw.reserve(n_power);
-  for (std::size_t i = 0; i < n_power; ++i)
-    rec.site_power_mw.push_back(take_d(is));
-  std::uint64_t v = 0;
-  if (take_u_opt(is, v)) {
-    rec.coupler_iterations = static_cast<std::size_t>(v);
-    rec.coupler_converged = take_u(is) != 0;
-    rec.coupler_fallback = take_u(is) != 0;
-    rec.coupler_rung = static_cast<std::size_t>(take_u(is));
-  }
-  return rec;
-}
-
-// ---- fixed-width binary HourRecord (state log, and v2's hour log) --------
+// ---- fixed-width binary HourRecord (the state log's hour words) ---------
 
 /// Fixed words of an encoded HourRecord before its two per-site arrays.
 constexpr std::size_t kRecordWords = 20;
@@ -102,7 +26,7 @@ constexpr std::size_t kRecordWords = 20;
 HourRecord decode_record(std::string_view slot) {
   const std::size_t words = slot.size() / 8;
   if (words < kRecordWords)
-    throw std::runtime_error("checkpoint: hour log record too narrow");
+    throw std::runtime_error("checkpoint: state log record too narrow");
   const char* at = slot.data();
   const auto take = [&at] {
     const std::uint64_t v = util::load_le64(at);
@@ -140,7 +64,7 @@ HourRecord decode_record(std::string_view slot) {
   const std::uint64_t n_power = take();
   if (n_lambda > words - kRecordWords ||
       n_power > words - kRecordWords - n_lambda)
-    throw std::runtime_error("checkpoint: malformed hour log record");
+    throw std::runtime_error("checkpoint: malformed state log record");
   rec.site_lambda.resize(static_cast<std::size_t>(n_lambda));
   for (double& v : rec.site_lambda) v = take_bits();
   rec.site_power_mw.resize(static_cast<std::size_t>(n_power));
@@ -398,180 +322,17 @@ CheckpointLoadReport load_state_log(const util::Journal& head,
   return report;
 }
 
-// ---- legacy heads (formats v1 and v2) ------------------------------------
-
-/// Every field a v1 or v2 head carries; partial.hours stays empty and the
-/// state-log position at none, so the first commit after the load starts
-/// a state log holding every hour.
-CheckpointState decode_head(const util::Journal& journal) {
-  CheckpointState state;
-  state.config_digest = journal.get_u64(keys::kConfigDigest);
-  state.strategy = static_cast<Strategy>(journal.get_u64(keys::kStrategy));
-  state.next_hour = journal.get_size(keys::kNextHour);
-  state.spent = journal.get_double_bits(keys::kSpent);
-  state.crashes_fired = journal.get_size(keys::kCrashesFired);
-  // Written since the rotated-generations format; absent in checkpoints
-  // from before that, which simply had no storms/corruptions to count.
-  state.storms_fired =
-      journal.has(keys::kStormsFired) ? journal.get_size(keys::kStormsFired) : 0;
-  state.corruptions_fired = journal.has(keys::kCorruptionsFired)
-                                ? journal.get_size(keys::kCorruptionsFired)
-                                : 0;
-  for (std::size_t i = 0; i < state.feed.rng.size(); ++i)
-    state.feed.rng[i] = journal.get_u64(keys::feed_rng(i));
-  state.feed.recovered_until = journal.get_size(keys::kFeedRecoveredUntil);
-
-  // Coupler trajectory: absent in pre-coupler checkpoints, which simply
-  // had no coupler state to carry — a fresh (default) coupler is correct.
-  if (journal.has(keys::kCouplerBreakerState)) {
-    MarketCoupler::State& cp = state.coupler;
-    cp.breaker.state =
-        breaker_state_from(journal.get_u64(keys::kCouplerBreakerState));
-    cp.breaker.consecutive_failed =
-        journal.get_size(keys::kCouplerConsecTroubled);
-    cp.breaker.cooldown_remaining = journal.get_size(keys::kCouplerCooldown);
-    cp.breaker.current_cooldown =
-        journal.get_size(keys::kCouplerCurrentCooldown);
-    cp.breaker.trips = journal.get_size(keys::kCouplerTrips);
-    cp.rung = journal.get_size(keys::kCouplerRung);
-    cp.clean_streak = journal.get_size(keys::kCouplerCleanStreak);
-    cp.last_valid = journal.get_u64(keys::kCouplerLastValid) != 0;
-    {
-      std::istringstream active(journal.get(keys::kCouplerLastActive));
-      unsigned v = 0;
-      while (active >> v) cp.last_active.push_back(v != 0 ? 1 : 0);
-    }
-    {
-      std::istringstream power(journal.get(keys::kCouplerLastPower));
-      while (power >> std::ws, power.peek() != std::istringstream::traits_type::eof()) {
-        cp.last_power_mw.push_back(take_d(power));
-      }
-    }
-  }
-
-  MonthlyResult& r = state.partial;
-  r.strategy = state.strategy;
-  r.monthly_budget = journal.get_double_bits(keys::kMonthlyBudget);
-  r.total_cost = journal.get_double_bits(keys::kTotalCost);
-  r.total_premium_arrivals = journal.get_double_bits(keys::kTotalPremiumArrivals);
-  r.total_ordinary_arrivals =
-      journal.get_double_bits(keys::kTotalOrdinaryArrivals);
-  r.total_served_premium = journal.get_double_bits(keys::kTotalServedPremium);
-  r.total_served_ordinary = journal.get_double_bits(keys::kTotalServedOrdinary);
-  r.degraded_hours = journal.get_size(keys::kDegradedHours);
-  r.incumbent_hours = journal.get_size(keys::kIncumbentHours);
-  r.heuristic_hours = journal.get_size(keys::kHeuristicHours);
-  r.outage_hours = journal.get_size(keys::kOutageHours);
-  r.stale_hours = journal.get_size(keys::kStaleHours);
-  r.feed_retry_attempts = journal.get_size(keys::kFeedRetryAttempts);
-  r.feed_recovered_hours = journal.get_size(keys::kFeedRecoveredHours);
-  r.crash_recoveries = journal.get_size(keys::kCrashRecoveries);
-  // Coupler aggregates: absent before the closed-loop format, zero then.
-  r.closed_loop_hours = journal.has(keys::kClosedLoopHours)
-                            ? journal.get_size(keys::kClosedLoopHours)
-                            : 0;
-  r.coupler_fallback_hours =
-      journal.has(keys::kCouplerFallbackHours)
-          ? journal.get_size(keys::kCouplerFallbackHours)
-          : 0;
-  r.coupler_iterations = journal.has(keys::kCouplerIterations)
-                             ? journal.get_size(keys::kCouplerIterations)
-                             : 0;
-  {
-    // Tolerant of shorter tallies: a checkpoint written before a
-    // FailureReason was added carries fewer entries, and the reasons it
-    // predates necessarily tallied zero (the array is zero-initialized).
-    std::istringstream tally(journal.get(keys::kFailureTally));
-    for (std::size_t i = 0; i < r.failure_tally.size(); ++i)
-      if (!(tally >> r.failure_tally[i])) break;
-  }
-  // Written since the fleet-controller format; absent means a pre-fleet
-  // checkpoint whose month had no chunk solves to count.
-  r.degraded_chunks = journal.has(keys::kDegradedChunks)
-                          ? journal.get_size(keys::kDegradedChunks)
-                          : 0;
-  r.quarantined_chunks = journal.has(keys::kQuarantinedChunks)
-                             ? journal.get_size(keys::kQuarantinedChunks)
-                             : 0;
-  r.region_down_chunks = journal.has(keys::kRegionDownChunks)
-                             ? journal.get_size(keys::kRegionDownChunks)
-                             : 0;
-  if (journal.has(keys::kChunkFailureTally)) {
-    // Same shorter-tally tolerance as failure_tally above.
-    std::istringstream tally(journal.get(keys::kChunkFailureTally));
-    for (std::size_t i = 0; i < r.chunk_failure_tally.size(); ++i)
-      if (!(tally >> r.chunk_failure_tally[i])) break;
-  }
-
-  if (journal.get_size(keys::kHours) != state.next_hour)
-    throw std::runtime_error(
-        "checkpoint: hour count does not match next_hour (inconsistent "
-        "file)");
-  return state;
-}
-
-/// Format v2's hour log beside the head at `path`.
-std::string legacy_hour_log_path(const std::string& path) {
-  return path + ".hours";
-}
-
+/// The head at `path`. A head of an older format (v1 or v2) is refused
+/// by name: only the state log carries a month, and those heads have none.
 util::Journal load_head_journal(const std::string& path) {
-  return util::Journal::load(path, keys::kCheckpointMagic,
-                             keys::kCheckpointVersion);
-}
-
-/// Fills state.partial.hours from the head's own keys (v1) or from the
-/// hour-log prefix it names (v2), resolving the log's file name against
-/// the directory of `head_path`.
-void load_hours(const util::Journal& journal, const std::string& head_path,
-                CheckpointState& state) {
-  std::vector<HourRecord>& hours = state.partial.hours;
-  const std::size_t count = state.next_hour;
-  if (!journal.has(keys::kHourLog)) {
-    for (std::size_t i = 0; i < count; ++i)
-      hours.push_back(decode_hour(journal.get(keys::hour(i))));
-    return;
-  }
-  const std::string& name = journal.get(keys::kHourLog);
-  if (name.empty() || name.find('/') != std::string::npos)
-    throw std::runtime_error("checkpoint: bad hour log name '" + name + "'");
-  const std::size_t slash = head_path.find_last_of('/');
-  const std::string log_path =
-      slash == std::string::npos ? name : head_path.substr(0, slash + 1) + name;
-  if (count == 0) {
-    if (journal.get_u64(keys::kHourLogChain) != util::RecordLog::kEmptyChain)
-      throw std::runtime_error("checkpoint: an empty hour log prefix with a "
-                               "non-empty checksum");
-    return;
-  }
-  util::RecordLog::Reader log(log_path);
-  if (log.records() < count)
-    throw std::runtime_error("checkpoint: hour log " + log_path + " holds " +
-                             std::to_string(log.records()) +
-                             " records, the head names " +
-                             std::to_string(count));
-  hours.reserve(count);
-  std::string payload;
-  for (std::size_t i = 0; i < count; ++i) {
-    if (!log.next(payload))
-      throw std::runtime_error("checkpoint: hour log " + log_path +
-                               " record " + std::to_string(i) +
-                               " fails its checksum (corrupted file)");
-    hours.push_back(decode_record(payload));
-  }
-  if (log.chain() != journal.get_u64(keys::kHourLogChain))
-    throw std::runtime_error("checkpoint: the first " + std::to_string(count) +
-                             " records of hour log " + log_path +
-                             " do not match the head's checksum (rewritten "
-                             "or foreign log)");
-}
-
-/// The v1/v2 load: the head's own fields and the hours it names.
-CheckpointState load_legacy(const util::Journal& journal,
-                            const std::string& head_path) {
-  CheckpointState state = decode_head(journal);
-  load_hours(journal, head_path, state);
-  return state;
+  util::Journal head = util::Journal::load(path, keys::kCheckpointMagic,
+                                           keys::kCheckpointVersion);
+  if (head.version() < keys::kCheckpointVersion)
+    throw std::runtime_error(
+        "checkpoint " + path + ": format v" + std::to_string(head.version()) +
+        " predates the state log and is no longer read; remove it to start "
+        "the month afresh");
+  return head;
 }
 
 }  // namespace
@@ -732,8 +493,7 @@ bool checkpoint_exists(const std::string& path) noexcept {
 std::string state_log_path(const std::string& path) { return path + ".log"; }
 
 void remove_checkpoint(const std::string& path) noexcept {
-  for (const std::string& file :
-       {path, path + ".tmp", state_log_path(path), legacy_hour_log_path(path)})
+  for (const std::string& file : {path, path + ".tmp", state_log_path(path)})
     std::remove(file.c_str());
 }
 
@@ -778,10 +538,7 @@ std::string encode_hour_record(const HourRecord& rec) {
 }
 
 CheckpointState load_checkpoint(const std::string& path) {
-  const util::Journal head = load_head_journal(path);
-  if (head.version() < keys::kCheckpointVersion)
-    return load_legacy(head, path);
-  return load_state_log(head, path, 1).state;
+  return load_state_log(load_head_journal(path), path, 1).state;
 }
 
 void save_checkpoint_rotated(const std::string& path,
@@ -817,8 +574,7 @@ void save_checkpoint_rotated(const std::string& path,
     log.cursor = util::RecordLog::append(log_path, log.cursor, records);
   } else {
     // A new log is durable before the head that names it: a kill in
-    // between leaves no head (a fresh month removed it) or the older
-    // format's head and log, both untouched.
+    // between leaves no head (a fresh month removed it).
     log.cursor =
         util::RecordLog::create(log_path, state.config_digest, records);
     util::Journal head(keys::kCheckpointMagic, keys::kCheckpointVersion);
@@ -828,7 +584,6 @@ void save_checkpoint_rotated(const std::string& path,
     head.set(keys::kStateLog, log_path.substr(log_path.find_last_of('/') + 1));
     head.set_size(keys::kStateLogWidth, width);
     head.save_atomic(path);
-    std::remove(legacy_hour_log_path(path).c_str());
   }
   log.hours = hours.size();
 }
@@ -874,20 +629,12 @@ CheckpointLoadReport load_checkpoint_fallback(const std::string& path,
         "checkpoint " + path +
         ": config digest mismatch (checkpoint from a different "
         "configuration)");
-  if (head.version() < keys::kCheckpointVersion) {
-    CheckpointLoadReport report;
-    report.state = load_legacy(head, path);
-    return report;
-  }
   return load_state_log(head, path, std::max<std::size_t>(1, keep_generations));
 }
 
 std::size_t checkpoint_next_hour(const std::string& path,
                                  std::size_t keep_generations) {
-  const util::Journal head = load_head_journal(path);
-  if (head.version() < keys::kCheckpointVersion)
-    return decode_head(head).next_hour;
-  util::RecordLog::Reader log = open_state_log(head, path);
+  util::RecordLog::Reader log = open_state_log(load_head_journal(path), path);
   const std::size_t n = log.records();
   const std::size_t reach =
       std::min(n, std::max<std::size_t>(1, keep_generations));

@@ -43,8 +43,7 @@ struct CheckpointState {
   std::size_t corruptions_fired = 0;
   MarketFeed::State feed;         ///< retrying feed client's RNG + cursor
   /// Closed-loop market coupler trajectory (breaker clock, damping ladder,
-  /// last executed fixed point). All defaults for open-loop months and
-  /// when loading pre-coupler checkpoint files.
+  /// last executed fixed point). All defaults for open-loop months.
   MarketCoupler::State coupler;
   MonthlyResult partial;          ///< committed hours + aggregates
   /// Length of the per-site arrays the state log sizes its records for
@@ -80,20 +79,19 @@ bool checkpoint_exists(const std::string& path) noexcept;
 std::string state_log_path(const std::string& path);
 
 /// Removes every file a checkpoint at `path` may have left: the head, its
-/// temp file, the state log and a format-v2 hour log ("<path>.hours").
+/// temp file and the state log.
 void remove_checkpoint(const std::string& path) noexcept;
 
 /// The fixed-width little-endian words of one HourRecord: 20 words, then
-/// its per-site λ and power arrays. State-log records carry them, as
-/// format v2's hour log did.
+/// its per-site λ and power arrays. State-log records carry them.
 std::string encode_hour_record(const HourRecord& rec);
 
 /// Loads and verifies the newest committed state: a v3 head and the last
-/// record of its state log (every record before it must verify too), or a
-/// v2 head plus the hour-log prefix it names, or a v1 file with its hours
-/// inline. Throws std::runtime_error when a file is missing, truncated,
-/// corrupted (checksum mismatch), from an unsupported format version, or
-/// structurally inconsistent.
+/// record of its state log (every record before it must verify too).
+/// Throws std::runtime_error when a file is missing, truncated, corrupted
+/// (checksum mismatch) or structurally inconsistent, and when the head is
+/// of another format version; a v1 or v2 head (a month begun before the
+/// state log) is refused with a message naming its format.
 CheckpointState load_checkpoint(const std::string& path);
 
 /// The hourly commit. Appends one record to the state log with one
@@ -102,9 +100,9 @@ CheckpointState load_checkpoint(const std::string& path);
 /// added (a cursor-only re-persist). The first commit of a month starts
 /// the log and writes the head (config digest, strategy, budget, log name
 /// and record width) through util::Journal::save_atomic; nothing else
-/// writes the head. More than one new hour (the first commit after
-/// loading an older format) logs the earlier ones as hour-only records,
-/// which a load replays but never resumes from. `keep_generations` does
+/// writes the head. More than one new hour (a state built with its hours
+/// in place) logs the earlier ones as hour-only records, which a load
+/// replays but never resumes from. `keep_generations` does
 /// not change the commit: every record stays in the log, and the load
 /// decides how far back it may walk. Throws std::runtime_error on I/O
 /// failure or a record wider than the log, and std::invalid_argument when
@@ -147,18 +145,17 @@ std::size_t scan_generations(
 /// checksum, follows one that does, or carries no committed state is
 /// listed in `skipped` and passed over. Each record walked back costs at
 /// most one simulated hour. Throws std::runtime_error when the head is
-/// missing or damaged, its digest differs from `expected_digest`, or no
-/// record within reach verifies. An older-format head (v1, v2) loads as
-/// load_checkpoint does, with no walk back.
+/// missing or damaged, of an older format (as load_checkpoint), its digest
+/// differs from `expected_digest`, or no record within reach verifies.
 CheckpointLoadReport load_checkpoint_fallback(const std::string& path,
                                               std::size_t keep_generations,
                                               std::uint64_t expected_digest);
 
 /// The supervisor's progress probe: next_hour of the newest of the last
 /// keep_generations records of the state log that verifies against the
-/// chain word stored just before it, reading only that tail (a v1 or v2
-/// head answers from its own next_hour). Throws std::runtime_error when
-/// the head is missing or damaged or no record within reach verifies.
+/// chain word stored just before it, reading only that tail. Throws
+/// std::runtime_error when the head is missing, damaged or of an older
+/// format (as load_checkpoint), or no record within reach verifies.
 std::size_t checkpoint_next_hour(const std::string& path,
                                  std::size_t keep_generations);
 

@@ -14,82 +14,16 @@ namespace billcap::core::keys {
 /// On-disk format identity of the checkpoint head. Version 3 is a head
 /// written once per month (kConfigDigest, kStrategy, kMonthlyBudget, the
 /// state log's file name kStateLog and record width kStateLogWidth) beside
-/// an append-only state log holding one record per commit. Older formats
-/// still load: version 2 is a head carrying every field but the hours,
-/// naming a prefix of an append-only hour log (kHours records ending on
-/// kHourLogChain in file kHourLog); version 1 carries every committed
-/// HourRecord inline (kHours plus one hour() key each). The loader tells
-/// v1 from v2 by kHourLog.
+/// an append-only state log holding one record per commit. It is the only
+/// batch format read: a head of an older version is refused by name.
 inline constexpr const char* kCheckpointMagic = "billcap-checkpoint";
 inline constexpr int kCheckpointVersion = 3;
-/// What a head naming an hour-log prefix (format v2, still loaded) is
-/// stamped with.
-inline constexpr int kCheckpointHourLogVersion = 2;
-/// What a self-contained single file with the hours inline (format v1,
-/// still loaded) is stamped with.
-inline constexpr int kCheckpointInlineVersion = 1;
 
-// ---- run identity and crash cursor ----------------------------------------
+// ---- the batch head --------------------------------------------------------
 inline constexpr const char* kConfigDigest = "config_digest";
 inline constexpr const char* kStrategy = "strategy";
-inline constexpr const char* kNextHour = "next_hour";
-inline constexpr const char* kSpent = "spent";
-inline constexpr const char* kCrashesFired = "crashes_fired";
-inline constexpr const char* kStormsFired = "storms_fired";
-inline constexpr const char* kCorruptionsFired = "corruptions_fired";
-
-// ---- market-feed retry state ----------------------------------------------
-inline constexpr const char* kFeedRecoveredUntil = "feed_recovered_until";
-
-// ---- closed-loop market coupler state -------------------------------------
-// Written unconditionally (like the chunk counters); absent keys load as a
-// fresh coupler, so pre-coupler checkpoints stay readable.
-inline constexpr const char* kCouplerBreakerState = "coupler_breaker_state";
-inline constexpr const char* kCouplerConsecTroubled =
-    "coupler_consec_troubled";
-inline constexpr const char* kCouplerCooldown = "coupler_cooldown";
-inline constexpr const char* kCouplerCurrentCooldown =
-    "coupler_current_cooldown";
-inline constexpr const char* kCouplerTrips = "coupler_trips";
-inline constexpr const char* kCouplerRung = "coupler_rung";
-inline constexpr const char* kCouplerCleanStreak = "coupler_clean_streak";
-inline constexpr const char* kCouplerLastValid = "coupler_last_valid";
-inline constexpr const char* kCouplerLastActive = "coupler_last_active";
-inline constexpr const char* kCouplerLastPower = "coupler_last_power";
-
-// ---- partial MonthlyResult aggregates -------------------------------------
 inline constexpr const char* kMonthlyBudget = "monthly_budget";
-inline constexpr const char* kTotalCost = "total_cost";
-inline constexpr const char* kTotalPremiumArrivals = "total_premium_arrivals";
-inline constexpr const char* kTotalOrdinaryArrivals = "total_ordinary_arrivals";
-inline constexpr const char* kTotalServedPremium = "total_served_premium";
-inline constexpr const char* kTotalServedOrdinary = "total_served_ordinary";
-inline constexpr const char* kDegradedHours = "degraded_hours";
-inline constexpr const char* kIncumbentHours = "incumbent_hours";
-inline constexpr const char* kHeuristicHours = "heuristic_hours";
-inline constexpr const char* kOutageHours = "outage_hours";
-inline constexpr const char* kStaleHours = "stale_hours";
-inline constexpr const char* kFeedRetryAttempts = "feed_retry_attempts";
-inline constexpr const char* kFeedRecoveredHours = "feed_recovered_hours";
-inline constexpr const char* kCrashRecoveries = "crash_recoveries";
-// Closed-loop coupler aggregates (zero and absent-tolerant like the chunk
-// counters below).
-inline constexpr const char* kClosedLoopHours = "closed_loop_hours";
-inline constexpr const char* kCouplerFallbackHours = "coupler_fallback_hours";
-inline constexpr const char* kCouplerIterations = "coupler_iterations";
-inline constexpr const char* kFailureTally = "failure_tally";
-// Fleet-mode chunk counters (zero and harmless for classic months).
-inline constexpr const char* kDegradedChunks = "degraded_chunks";
-inline constexpr const char* kQuarantinedChunks = "quarantined_chunks";
-inline constexpr const char* kRegionDownChunks = "region_down_chunks";
-inline constexpr const char* kChunkFailureTally = "chunk_failure_tally";
-inline constexpr const char* kHours = "hours";
-// Format v2 only: the hour log's file name (beside the head) and the chain
-// value that ends the kHours-record prefix this head covers.
-inline constexpr const char* kHourLog = "hour_log";
-inline constexpr const char* kHourLogChain = "hour_log_chain";
-// Format v3 only: the state log's file name (beside the head) and the
-// width of its records.
+// The state log's file name (beside the head) and the width of its records.
 inline constexpr const char* kStateLog = "state_log";
 inline constexpr const char* kStateLogWidth = "state_log_record_bytes";
 
@@ -97,10 +31,17 @@ inline constexpr const char* kStateLogWidth = "state_log_record_bytes";
 // The serving daemon journals tick-granular state under its own magic so a
 // batch checkpoint can never be mistaken for a serve checkpoint (or vice
 // versa); key constants still live in this one registry so BL011 covers
-// both writers. kConfigDigest, kSpent, the kTotal* aggregates and the
-// feed_rng family are shared with the batch checkpoint above.
+// both writers. kConfigDigest is shared with the batch head above; the
+// keys without the kServe prefix keep the on-disk names serve checkpoints
+// already carry.
 inline constexpr const char* kServeCheckpointMagic = "billcap-serve-checkpoint";
 inline constexpr int kServeCheckpointVersion = 1;
+inline constexpr const char* kSpent = "spent";
+inline constexpr const char* kFeedRecoveredUntil = "feed_recovered_until";
+inline constexpr const char* kTotalPremiumArrivals = "total_premium_arrivals";
+inline constexpr const char* kTotalOrdinaryArrivals = "total_ordinary_arrivals";
+inline constexpr const char* kTotalServedPremium = "total_served_premium";
+inline constexpr const char* kTotalServedOrdinary = "total_served_ordinary";
 inline constexpr const char* kServeNextTick = "next_tick";
 inline constexpr const char* kServeHour = "serve_hour";
 inline constexpr const char* kServeHourBudget = "serve_hour_budget";
@@ -155,8 +96,5 @@ inline constexpr const char* kServeDegradedTicks = "serve_degraded_ticks";
 inline std::string feed_rng(std::size_t i) {
   return "feed_rng" + std::to_string(i);
 }
-
-/// Key of the encoded HourRecord for committed hour `i`.
-inline std::string hour(std::size_t i) { return "h" + std::to_string(i); }
 
 }  // namespace billcap::core::keys

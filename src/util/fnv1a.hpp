@@ -8,7 +8,7 @@
 namespace billcap::util {
 
 /// 64-bit FNV-1a: the one hash behind every checksum and digest billcap
-/// writes (journal checksums, the hour-log chain, config digests, month
+/// writes (journal checksums, the state-log chain, config digests, month
 /// digests). Cheap and stable; an integrity check, not authentication.
 inline constexpr std::uint64_t kFnv1aOffset = 0xcbf29ce484222325ULL;
 inline constexpr std::uint64_t kFnv1aPrime = 0x100000001b3ULL;

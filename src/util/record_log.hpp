@@ -88,9 +88,6 @@ class RecordLog {
     /// whole record or on a read failure.
     bool next(std::string& payload);
 
-    /// The chain word stored after the record next() read last (after a
-    /// seek: the word stored before the record it positioned at).
-    std::uint64_t chain() const noexcept { return chain_; }
     /// A cursor for appending after the record next() read last,
     /// dropping every byte past it.
     Cursor cursor() const noexcept {

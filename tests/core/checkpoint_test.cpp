@@ -2,21 +2,27 @@
 
 #include <gtest/gtest.h>
 
-#include <bit>
+#include <algorithm>
 #include <cstdint>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
-#include <sstream>
+#include <functional>
 #include <string>
 #include <vector>
 
 #include "core/checkpoint_keys.hpp"
-#include "core/checkpoint_legacy.hpp"
+#include "core/exit_codes.hpp"
 #include "core/simulator.hpp"
+#include "core/supervisor.hpp"
 #include "util/journal.hpp"
+#include "util/mutation.hpp"
 #include "util/record_log.hpp"
 #include "util/rng.hpp"
+
+#if defined(__unix__) || defined(__APPLE__)
+#include <sys/wait.h>
+#endif
 
 namespace billcap::core {
 namespace {
@@ -157,68 +163,80 @@ void expect_states_bitwise_equal(const CheckpointState& a,
   EXPECT_EQ(a.coupler.last_active, b.coupler.last_active);
 }
 
+/// The simulator's hourly commit.
+void commit(const std::string& path, const CheckpointState& st) {
+  save_checkpoint_rotated(path, st, 1);
+}
+
+std::string read_bytes(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  return std::string(std::istreambuf_iterator<char>(in),
+                     std::istreambuf_iterator<char>{});
+}
+
+void write_bytes(const std::string& path, const std::string& bytes) {
+  std::ofstream out(path, std::ios::binary | std::ios::trunc);
+  out << bytes;
+}
+
 TEST(CheckpointTest, SaveLoadRoundTripIsBitwise) {
   const std::string path = temp_path("billcap_checkpoint_test.j");
+  remove_checkpoint(path);
   const CheckpointState st = sample_state();
-  save_checkpoint_v1(path, st);
+  commit(path, st);
   EXPECT_TRUE(checkpoint_exists(path));
   const CheckpointState back = load_checkpoint(path);
   expect_states_bitwise_equal(st, back);
-  std::remove(path.c_str());
+  remove_checkpoint(path);
   EXPECT_FALSE(checkpoint_exists(path));
 }
 
 TEST(CheckpointTest, RepeatedSavesOverwriteAtomically) {
   const std::string path = temp_path("billcap_checkpoint_overwrite.j");
+  remove_checkpoint(path);
   CheckpointState st = sample_state();
   for (std::size_t extra = 0; extra < 3; ++extra) {
-    save_checkpoint_v1(path, st);
+    commit(path, st);
     HourRecord rec;
     rec.hour = st.next_hour++;
     rec.cost = 1000.0 + static_cast<double>(extra);
-    st.partial.hours.push_back(rec);
     st.spent += rec.cost;
+    st.partial.accumulate(std::move(rec));
   }
-  save_checkpoint_v1(path, st);
+  commit(path, st);
   EXPECT_FALSE(std::filesystem::exists(path + ".tmp"));
   const CheckpointState back = load_checkpoint(path);
   expect_states_bitwise_equal(st, back);
-  std::remove(path.c_str());
+  remove_checkpoint(path);
 }
 
 TEST(CheckpointTest, RejectsTruncatedAndCorruptedFiles) {
   const std::string path = temp_path("billcap_checkpoint_damage.j");
-  save_checkpoint_v1(path, sample_state());
-  std::string text;
-  {
-    std::ifstream in(path, std::ios::binary);
-    text.assign(std::istreambuf_iterator<char>(in),
-                std::istreambuf_iterator<char>());
-  }
+  remove_checkpoint(path);
+  commit(path, sample_state());
+  const std::string text = read_bytes(path);
 
-  // Truncation at any prefix length must be detected, never half-loaded.
+  // Truncation of the head at any prefix length must be detected, never
+  // half-loaded.
   for (const double frac : {0.1, 0.5, 0.9, 0.99}) {
-    std::ofstream out(path, std::ios::binary | std::ios::trunc);
-    out << text.substr(0, static_cast<std::size_t>(
-                              static_cast<double>(text.size()) * frac));
-    out.close();
+    write_bytes(path, text.substr(0, static_cast<std::size_t>(
+                                         static_cast<double>(text.size()) *
+                                         frac)));
     EXPECT_THROW(load_checkpoint(path), std::runtime_error)
         << "truncated at " << frac;
   }
 
-  // Single-byte corruption in the payload must be detected.
+  // Single-byte corruption in the head's payload must be detected.
   {
     std::string corrupted = text;
-    const std::size_t pos = corrupted.find("next_hour=");
+    const std::size_t pos = corrupted.find("config_digest=");
     ASSERT_NE(pos, std::string::npos);
-    corrupted[pos + 10] = corrupted[pos + 10] == '9' ? '8' : '9';
-    std::ofstream out(path, std::ios::binary | std::ios::trunc);
-    out << corrupted;
-    out.close();
+    corrupted[pos + 14] = corrupted[pos + 14] == '9' ? '8' : '9';
+    write_bytes(path, corrupted);
     EXPECT_THROW(load_checkpoint(path), std::runtime_error);
   }
 
-  std::remove(path.c_str());
+  remove_checkpoint(path);
   EXPECT_THROW(load_checkpoint(path), std::runtime_error);  // missing file
 }
 
@@ -279,22 +297,6 @@ void add_full_hour(CheckpointState& st) {
   rec.site_lambda = {1.5 * h, 2.0 + h, 3.0 / (1.0 + h)};
   st.spent += rec.cost;
   st.partial.accumulate(std::move(rec));
-}
-
-/// The simulator's hourly commit.
-void commit(const std::string& path, const CheckpointState& st) {
-  save_checkpoint_rotated(path, st, 1);
-}
-
-std::string read_bytes(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  return std::string(std::istreambuf_iterator<char>(in),
-                     std::istreambuf_iterator<char>{});
-}
-
-void write_bytes(const std::string& path, const std::string& bytes) {
-  std::ofstream out(path, std::ios::binary | std::ios::trunc);
-  out << bytes;
 }
 
 /// The state log's header and record stride, from its size after the
@@ -438,17 +440,12 @@ TEST(CheckpointTest, FaultCursorsSurviveTheRoundTrip) {
   CheckpointState st = sample_state();
   st.storms_fired = 4;
   st.corruptions_fired = 2;
-  save_checkpoint_v1(path, st);
-  CheckpointState back = load_checkpoint(path);
-  EXPECT_EQ(back.storms_fired, 4u);
-  EXPECT_EQ(back.corruptions_fired, 2u);
 
-  // Through the state log: a commit, then a cursor-only one on top.
-  remove_checkpoint(path);
+  // A commit, then a cursor-only one on top.
   commit(path, st);
   ++st.storms_fired;
   commit(path, st);
-  back = load_checkpoint(path);
+  const CheckpointState back = load_checkpoint(path);
   EXPECT_EQ(back.storms_fired, 5u);
   EXPECT_EQ(back.corruptions_fired, 2u);
   expect_states_bitwise_equal(st, back);
@@ -500,155 +497,121 @@ CheckpointState coupler_sample_state() {
   return st;
 }
 
-TEST(CheckpointTest, PreCouplerJournalLoadsWithFreshCouplerState) {
-  // Regression gate for the ISSUE-9 format extension: a journal written
-  // BEFORE the closed-loop coupler existed — no coupler_* keys, hour
-  // records ending at the v1 field set — must load cleanly, with the
-  // coupler state reading as a fresh (default) coupler. The legacy file
-  // is rebuilt from the v1 key registry, which is byte-for-byte what the
-  // pre-coupler writer produced.
-  const std::string modern_path = temp_path("billcap_checkpoint_modern.j");
-  const std::string legacy_path = temp_path("billcap_checkpoint_legacy.j");
-  const CheckpointState st = sample_state();  // coupler fields at defaults
-  save_checkpoint_v1(modern_path, st);
-
-  const util::Journal modern = util::Journal::load(
-      modern_path, keys::kCheckpointMagic, keys::kCheckpointVersion);
-  util::Journal legacy(keys::kCheckpointMagic, keys::kCheckpointInlineVersion);
-  const char* v1_keys[] = {
-      keys::kConfigDigest,        keys::kStrategy,
-      keys::kNextHour,            keys::kSpent,
-      keys::kCrashesFired,        keys::kStormsFired,
-      keys::kCorruptionsFired,    keys::kFeedRecoveredUntil,
-      keys::kMonthlyBudget,       keys::kTotalCost,
-      keys::kTotalPremiumArrivals, keys::kTotalOrdinaryArrivals,
-      keys::kTotalServedPremium,  keys::kTotalServedOrdinary,
-      keys::kDegradedHours,       keys::kIncumbentHours,
-      keys::kHeuristicHours,      keys::kOutageHours,
-      keys::kStaleHours,          keys::kFeedRetryAttempts,
-      keys::kFeedRecoveredHours,  keys::kCrashRecoveries,
-      keys::kFailureTally,        keys::kDegradedChunks,
-      keys::kQuarantinedChunks,   keys::kRegionDownChunks,
-      keys::kChunkFailureTally,   keys::kHours,
-  };
-  for (const char* key : v1_keys) legacy.set(key, modern.get(key));
-  // The month's slowest solve in ms, which heads carried until solves were
-  // bounded by node budgets alone; a load ignores it.
-  legacy.set_double_bits("max_solve_ms", 3.14159);
-  for (std::size_t i = 0; i < 4; ++i)
-    legacy.set(keys::feed_rng(i), modern.get(keys::feed_rng(i)));
-  for (std::size_t h = 0; h < st.partial.hours.size(); ++h) {
-    // A v1 hour record is the modern blob minus the appended coupler tail
-    // (four zero tokens for a default record).
-    std::string blob = modern.get(keys::hour(h));
-    ASSERT_TRUE(blob.size() >= 8 && blob.substr(blob.size() - 8) == "0 0 0 0 ")
-        << "hour " << h << " blob does not end in the default coupler tail";
-    legacy.set(keys::hour(h), blob.substr(0, blob.size() - 8));
-  }
-  legacy.save_atomic(legacy_path);
-
-  const CheckpointState back = load_checkpoint(legacy_path);
-  expect_states_bitwise_equal(st, back);
-  EXPECT_EQ(back.coupler.breaker.state, BreakerState::kClosed);
-  EXPECT_EQ(back.partial.closed_loop_hours, 0u);
-  EXPECT_TRUE(back.coupler.last_power_mw.empty());
-
-  std::remove(modern_path.c_str());
-  std::remove(legacy_path.c_str());
-}
-
 TEST(CheckpointTest, CouplerEraJournalRoundTripsBitwise) {
-  // The other direction of the compat contract: a checkpoint carrying a
-  // live coupler trajectory (breaker mid-cooldown, per-hour iteration
-  // records, an oscillation failure) round-trips with every field intact,
-  // and re-saving the loaded state reproduces the file byte-for-byte.
+  // A checkpoint carrying a live coupler trajectory (breaker mid-cooldown,
+  // per-hour iteration records, an oscillation failure) round-trips with
+  // every field intact, and committing the loaded state afresh reproduces
+  // the head and the state log byte for byte.
   const std::string path = temp_path("billcap_checkpoint_coupler.j");
-  const std::string resaved = temp_path("billcap_checkpoint_coupler2.j");
+  remove_checkpoint(path);
   const CheckpointState st = coupler_sample_state();
-  save_checkpoint_v1(path, st);
-  const CheckpointState back = load_checkpoint(path);
+  commit(path, st);
+  CheckpointState back = load_checkpoint(path);
   expect_states_bitwise_equal(st, back);
   EXPECT_EQ(back.partial.hours[1].failure, FailureReason::kPriceOscillation);
 
-  save_checkpoint_v1(resaved, back);
-  std::ifstream a(path, std::ios::binary), b(resaved, std::ios::binary);
-  const std::string text_a(std::istreambuf_iterator<char>(a),
-                           std::istreambuf_iterator<char>{});
-  const std::string text_b(std::istreambuf_iterator<char>(b),
-                           std::istreambuf_iterator<char>{});
-  EXPECT_EQ(text_a, text_b) << "re-saved coupler-era journal differs";
-  std::remove(path.c_str());
-  std::remove(resaved.c_str());
-}
-
-TEST(CheckpointTest, ParentCouplerBreakerWordsResume) {
-  // Older writers stored a closed divergence breaker's current cooldown as
-  // 0; the breaker now stores its base cooldown there. A head carrying the
-  // old word must resume the month bitwise: the next trip still opens for
-  // the base cooldown. The month is bench/market_loop's gain-4 undamped
-  // corner, whose breaker trips, probes and closes, then trips again.
-  SimulationConfig config;
-  config.market_coupler.enabled = true;
-  config.market_coupler.loop.feedback_gain = 4.0;
-  config.market_coupler.damping = DampingMode::kOff;
-  const MonthlyResult want = Simulator(config).run(Strategy::kCostCapping);
-
-  // The first hour a clean probe closes an opened breaker: a converged
-  // hour right after one the open breaker planned with no coupled attempt.
-  std::size_t closed_at = 0;
-  for (std::size_t h = 1; h < want.hours.size() && closed_at == 0; ++h)
-    if (want.hours[h].coupler_converged && want.hours[h - 1].coupler_fallback &&
-        want.hours[h - 1].coupler_iterations == 0)
-      closed_at = h;
-  ASSERT_GT(closed_at, 0u) << "the month never closes a tripped breaker";
-
-  config.fault_plan.crashes.push_back({closed_at, /*before_checkpoint=*/false});
-  const Simulator sim(config);
-  const std::string path = temp_path("billcap_checkpoint_parent_breaker.j");
+  const std::string head = read_bytes(path);
+  const std::string log = read_bytes(state_log_path(path));
   remove_checkpoint(path);
-  Simulator::ResumableOutcome outcome =
-      sim.run_resumable(Strategy::kCostCapping, path, /*resume=*/false);
-  ASSERT_TRUE(outcome.crashed);
-
-  CheckpointState older = load_checkpoint(path);
-  ASSERT_EQ(older.coupler.breaker.state, BreakerState::kClosed);
-  ASSERT_GT(older.coupler.breaker.trips, 0u) << "never tripped";
-  // The checkpoint as an older writer left it: a v2 head, the cooldown
-  // word 0.
-  older.coupler.breaker.current_cooldown = 0;
+  back.log = {};
+  commit(path, back);
+  EXPECT_EQ(read_bytes(path), head) << "re-committed head differs";
+  EXPECT_EQ(read_bytes(state_log_path(path)), log)
+      << "re-committed state log differs";
   remove_checkpoint(path);
-  save_checkpoint_v2(path, older);
-
-  outcome = sim.run_resumable(Strategy::kCostCapping, path, /*resume=*/true);
-  remove_checkpoint(path);
-  ASSERT_FALSE(outcome.crashed);
-  ASSERT_EQ(outcome.result.hours.size(), want.hours.size());
-  EXPECT_EQ(outcome.result.total_cost, want.total_cost);
-  EXPECT_EQ(outcome.result.coupler_fallback_hours, want.coupler_fallback_hours);
-  for (std::size_t h = 0; h < want.hours.size(); ++h) {
-    EXPECT_EQ(outcome.result.hours[h].cost, want.hours[h].cost) << h;
-    EXPECT_EQ(outcome.result.hours[h].site_lambda, want.hours[h].site_lambda)
-        << h;
-    EXPECT_EQ(outcome.result.hours[h].coupler_fallback,
-              want.hours[h].coupler_fallback)
-        << h;
-    EXPECT_EQ(outcome.result.hours[h].coupler_iterations,
-              want.hours[h].coupler_iterations)
-        << h;
-  }
 }
 
 TEST(CheckpointTest, HourCountInconsistencyIsRejected) {
+  // A committed record whose next_hour disagrees with the hours logged up
+  // to it is refused, not resumed at the wrong hour.
   const std::string path = temp_path("billcap_checkpoint_inconsistent.j");
+  remove_checkpoint(path);
   CheckpointState st = sample_state();
   st.next_hour = st.partial.hours.size() + 5;  // claims more than it holds
-  EXPECT_THROW(
-      {
-        save_checkpoint_v1(path, st);
-        load_checkpoint(path);
-      },
-      std::runtime_error);
-  std::remove(path.c_str());
+  commit(path, st);
+  EXPECT_THROW(load_checkpoint(path), std::runtime_error);
+  EXPECT_THROW(load_checkpoint_fallback(path, 3, st.config_digest),
+               std::runtime_error);
+  remove_checkpoint(path);
+}
+
+/// A head as the writers before the state log left it for a month with no
+/// hour committed yet: format v1 carried its hours inline, v2 named an
+/// hour-log prefix (here the empty one). Every key such a head held, so a
+/// loader of those formats would resume it.
+util::Journal pre_state_log_head(int version, std::uint64_t digest) {
+  util::Journal head(keys::kCheckpointMagic, version);
+  head.set_u64(keys::kConfigDigest, digest);
+  head.set_u64(keys::kStrategy,
+               static_cast<std::uint64_t>(Strategy::kCostCapping));
+  for (const char* key :
+       {"next_hour", "crashes_fired", "feed_recovered_until", "degraded_hours",
+        "incumbent_hours", "heuristic_hours", "outage_hours", "stale_hours",
+        "feed_retry_attempts", "feed_recovered_hours", "crash_recoveries",
+        "failure_tally", "hours"})
+    head.set_size(key, 0);
+  for (const char* key :
+       {"spent", "monthly_budget", "total_cost", "total_premium_arrivals",
+        "total_ordinary_arrivals", "total_served_premium",
+        "total_served_ordinary"})
+    head.set_double_bits(key, 0.0);
+  for (std::size_t i = 0; i < 4; ++i) head.set_u64(keys::feed_rng(i), 0);
+  if (version == 2) {
+    head.set("hour_log", "month.ck.hours");
+    head.set_u64("hour_log_chain", util::RecordLog::kEmptyChain);
+  }
+  return head;
+}
+
+TEST(CheckpointTest, PreStateLogHeadIsRefusedNamingItsFormat) {
+  // Only the state log is read: a v1 or v2 head is refused with an error
+  // that names its format, by every load, by the supervisor's probe and by
+  // `billcap simulate --resume`, instead of resuming the month it began.
+  const std::string path = temp_path("billcap_checkpoint_pre_state_log.j");
+  const std::uint64_t digest =
+      checkpoint_digest(SimulationConfig{}, Strategy::kCostCapping);
+  for (const int version : {1, 2}) {
+    const std::string format = "format v" + std::to_string(version);
+    SCOPED_TRACE(format);
+    remove_checkpoint(path);
+    pre_state_log_head(version, digest).save_atomic(path);
+    const auto expect_refused = [&](const std::function<void()>& load) {
+      try {
+        load();
+        ADD_FAILURE() << "loaded a " << format << " head";
+      } catch (const std::runtime_error& e) {
+        EXPECT_NE(std::string(e.what()).find(format), std::string::npos)
+            << e.what();
+        EXPECT_NE(std::string(e.what()).find(path), std::string::npos)
+            << e.what();
+      }
+    };
+    expect_refused([&] { load_checkpoint(path); });
+    expect_refused([&] { load_checkpoint_fallback(path, 3, digest); });
+    expect_refused([&] { checkpoint_next_hour(path, 3); });
+    EXPECT_EQ(probe_checkpoint_hour(path, 3), 0u);
+
+#if defined(__unix__) || defined(__APPLE__)
+    const std::string command = std::string(BILLCAP_CLI_PATH) +
+                                " simulate --checkpoint " + path +
+                                " --resume 2>&1";
+    FILE* pipe = ::popen(command.c_str(), "r");
+    ASSERT_NE(pipe, nullptr);
+    std::string output;
+    char buf[4096];
+    for (std::size_t n = 0; (n = std::fread(buf, 1, sizeof buf, pipe)) > 0;)
+      output.append(buf, n);
+    const int status = ::pclose(pipe);
+    ASSERT_TRUE(WIFEXITED(status)) << output;
+    EXPECT_EQ(WEXITSTATUS(status), kExitRuntimeError) << output;
+    EXPECT_NE(output.find(format + " predates the state log"),
+              std::string::npos)
+        << output;
+#endif
+    // The refused head is left where it was, for its owner to remove.
+    EXPECT_TRUE(checkpoint_exists(path));
+  }
+  remove_checkpoint(path);
 }
 
 // ---- format v3: a head per month + the state log ----------------------------
@@ -669,7 +632,14 @@ TEST(CheckpointTest, RotatedCommitRoundTripsThroughTheHourLog) {
       path, keys::kCheckpointMagic, keys::kCheckpointVersion);
   EXPECT_EQ(head.version(), keys::kCheckpointVersion);
   EXPECT_EQ(head.get(keys::kStateLog), "billcap_checkpoint_v3.j.log");
-  EXPECT_FALSE(head.has(keys::kNextHour)) << "the head carries no state";
+  // The head carries no state: exactly the five v3 keys.
+  for (const char* key : {keys::kConfigDigest, keys::kStrategy,
+                          keys::kMonthlyBudget, keys::kStateLog,
+                          keys::kStateLogWidth})
+    EXPECT_TRUE(head.has(key)) << key;
+  const std::string head_body = head.serialize();
+  EXPECT_EQ(std::count(head_body.begin(), head_body.end(), '='), 5)
+      << head_body;
   EXPECT_EQ(read_bytes(path), head_text);
   CheckpointState back = load_checkpoint(path);
   expect_states_bitwise_equal(st, back);
@@ -688,56 +658,16 @@ TEST(CheckpointTest, RotatedCommitRoundTripsThroughTheHourLog) {
 }
 
 TEST(CheckpointTest, RetiredWallTimeWordsOfOlderFilesAreIgnored) {
-  // Until solves were bounded by node budgets alone, every hour-log record
-  // carried the hour's measured solve time in word 17 and the head a
-  // max_solve_ms key. Such a v2 file still loads, and both are ignored; an
-  // encoded hour now holds +0.0 in the word (the record keeps its width).
+  // Until solves were bounded by node budgets alone, every encoded hour
+  // carried the hour's measured solve time in word 17, and a load ignores
+  // the word. An encoded hour now holds +0.0 there (the record keeps its
+  // width).
   constexpr std::size_t kWallTimeWord = 17;
-  const std::string path = temp_path("billcap_checkpoint_walltime.j");
-  const std::string log_path = path + ".hours";
-  remove_checkpoint(path);
   const CheckpointState st = coupler_sample_state();
   for (const HourRecord& rec : st.partial.hours)
     EXPECT_EQ(util::load_le64(encode_hour_record(rec).data() +
                               8 * kWallTimeWord),
               0u);
-  save_checkpoint_v2(path, st);
-
-  const util::Journal head = util::Journal::load(
-      path, keys::kCheckpointMagic, keys::kCheckpointVersion);
-  EXPECT_FALSE(head.has("max_solve_ms"));
-  util::RecordLog::Reader log(log_path);
-  std::vector<std::string> older;
-  std::string rec;
-  while (log.position() < log.records()) {
-    ASSERT_TRUE(log.next(rec));
-    util::store_le64(rec.data() + 8 * kWallTimeWord,
-                     std::bit_cast<std::uint64_t>(2.5));
-    older.push_back(rec);
-  }
-  ASSERT_EQ(older.size(), st.partial.hours.size());
-  const util::RecordLog::Cursor prefix =
-      util::RecordLog::create(log_path, log.tag(), older);
-  // The head as such a writer left it: every key, the rewritten log's
-  // chain and the month's slowest solve.
-  util::Journal older_head(keys::kCheckpointMagic,
-                           keys::kCheckpointHourLogVersion);
-  std::istringstream lines(head.serialize());
-  std::string line;
-  std::getline(lines, line);  // "<magic> v<version>"
-  while (std::getline(lines, line)) {
-    const std::size_t eq = line.find('=');
-    if (eq == std::string::npos) continue;  // the checksum line
-    const std::string key = line.substr(0, eq);
-    if (key != keys::kHourLogChain) older_head.set(key, line.substr(eq + 1));
-  }
-  older_head.set_u64(keys::kHourLogChain, prefix.chain);
-  older_head.set_double_bits("max_solve_ms", 3.14159);
-  older_head.save_atomic(path);
-
-  const CheckpointState back = load_checkpoint(path);
-  expect_states_bitwise_equal(st, back);
-  remove_checkpoint(path);
 }
 
 TEST(CheckpointTest, FlippedLogByteSkipsEveryGenerationNamingIt) {
@@ -850,27 +780,10 @@ TEST(CheckpointTest, MutatedHeadOrLogLoadsACommittedStateOrThrows) {
     // Three in four mutants hit the log, which carries the state.
     const std::size_t target = rng.below(4) == 0 ? 0 : 1;
     std::string bytes = pristine[target];
-    const std::uint64_t kind = rng.below(3);
-    std::string what;
-    if (kind == 0) {
-      const std::uint64_t flips = 1 + rng.below(3);
-      for (std::uint64_t k = 0; k < flips; ++k) {
-        const std::size_t at = rng.below(bytes.size());
-        bytes[at] = static_cast<char>(bytes[at] ^ (1 + rng.below(255)));
-        what += " flip@" + std::to_string(at);
-      }
-    } else if (kind == 1) {
-      bytes.resize(rng.below(bytes.size()));
-      what = " truncate to " + std::to_string(bytes.size());
-    } else {
-      const std::uint64_t extra = 1 + rng.below(64);
-      for (std::uint64_t k = 0; k < extra; ++k)
-        bytes.push_back(static_cast<char>(rng.below(256)));
-      what = " append " + std::to_string(extra);
-    }
+    const util::Mutation mutation = util::mutate_bytes(rng, bytes);
     write_bytes(files[target], bytes);
     SCOPED_TRACE("mutant " + std::to_string(mutant) + " of " +
-                 files[target] + ":" + what);
+                 files[target] + ":" + mutation.what);
 
     const auto check = [&](const CheckpointState& got) {
       ++loaded;

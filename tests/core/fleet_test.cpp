@@ -8,13 +8,10 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
-#include <cstdio>
 #include <stdexcept>
 #include <string>
 #include <vector>
 
-#include "core/checkpoint.hpp"
-#include "core/checkpoint_legacy.hpp"
 #include "core/cost_model.hpp"
 #include "datacenter/catalog.hpp"
 #include "market/pricing_policy.hpp"
@@ -411,35 +408,6 @@ TEST_F(FleetTest, RunMonthAggregatesChunkCountersIntoMonthlyResult) {
   for (std::size_t count : result.chunk_failure_tally) tallied += count;
   EXPECT_EQ(tallied, result.degraded_chunks);
   EXPECT_GT(result.total_served_premium, 0.0);
-}
-
-TEST_F(FleetTest, ChunkTalliesSurviveTheCheckpointJournal) {
-  FleetMonthConfig config;
-  config.hours = 6;
-  config.seed = 11;
-  config.base_premium = 6e11;
-  config.base_ordinary = 1.5e11;
-  config.base_demand_mw = 180.0;
-  config.hourly_budget = 1e7;
-  config.faults.chunk_stalls.push_back({0, 1, 3, 1});
-  FleetController fleet = make_controller();
-  const MonthlyResult result = fleet.run_month(config);
-  ASSERT_GT(result.degraded_chunks, 0u);
-
-  CheckpointState state;
-  state.config_digest = 0xfee7;
-  state.strategy = result.strategy;
-  state.next_hour = result.hours.size();
-  state.partial = result;
-  const std::string path =
-      ::testing::TempDir() + "fleet_chunk_tally.journal";
-  save_checkpoint_v1(path, state);
-  const CheckpointState loaded = load_checkpoint(path);
-  EXPECT_EQ(loaded.partial.degraded_chunks, result.degraded_chunks);
-  EXPECT_EQ(loaded.partial.quarantined_chunks, result.quarantined_chunks);
-  EXPECT_EQ(loaded.partial.region_down_chunks, result.region_down_chunks);
-  EXPECT_EQ(loaded.partial.chunk_failure_tally, result.chunk_failure_tally);
-  std::remove(path.c_str());
 }
 
 // The ISSUE's acceptance bar: the same 100-site month at 1, 4 and 16

@@ -11,7 +11,6 @@
 #include <vector>
 
 #include "core/checkpoint.hpp"
-#include "core/checkpoint_legacy.hpp"
 
 #if defined(__unix__) || defined(__APPLE__)
 #include <sys/wait.h>
@@ -434,27 +433,6 @@ TEST(SupervisorTest, ProbeReadsTheStateLogTail) {
   save_checkpoint_rotated(path, cursors, 3);
   EXPECT_EQ(probe_checkpoint_hour(path, 1), 4u);
   EXPECT_EQ(probe_checkpoint_hour(path, 3), 4u);
-  remove_checkpoint(path);
-}
-
-TEST(SupervisorTest, ProbeReadsTheHeadWithoutTheHourLog) {
-  // A 700-hour v2 checkpoint whose hour log is gone: the full load fails,
-  // but an older-format head carries its own next_hour, which the probe
-  // reads without the log.
-  const std::string path = temp_path("billcap_supervisor_probe_head.j");
-  remove_checkpoint(path);
-  CheckpointState st;
-  st.next_hour = 700;
-  for (std::size_t h = 0; h < st.next_hour; ++h) {
-    HourRecord rec;
-    rec.hour = h;
-    rec.site_lambda = {1.0, 2.0, 3.0};
-    st.partial.hours.push_back(rec);
-  }
-  save_checkpoint_v2(path, st);
-  std::remove((path + ".hours").c_str());
-  EXPECT_THROW(load_checkpoint(path), std::runtime_error);
-  EXPECT_EQ(probe_checkpoint_hour(path, 3), 700u);
   remove_checkpoint(path);
 }
 

@@ -17,10 +17,7 @@
 #include <vector>
 
 #include "core/checkpoint.hpp"
-#include "core/checkpoint_keys.hpp"
-#include "core/checkpoint_legacy.hpp"
 #include "core/simulator.hpp"
-#include "util/journal.hpp"
 
 namespace billcap::core {
 namespace {
@@ -574,51 +571,6 @@ TEST(CrashResumeTest, KillMidLogAppendResumesBitIdentically) {
     // What the resumed run committed must read back, too.
     expect_results_bitwise_equal(want, load_checkpoint(path).partial);
     if (::testing::Test::HasFailure()) FAIL() << "cut at " << cut;
-  }
-  remove_checkpoint(path);
-}
-
-TEST(CrashResumeTest, OlderFormatsResumeBitIdenticallyAndContinueAsTheStateLog) {
-  // A checkpoint from the v1 writer (every hour inline) or the v2 writer
-  // (a head naming an hour-log prefix) resumes to the uninterrupted month,
-  // and the resumed run commits a v3 head and state log.
-  const SimulationConfig config = faulty_config();
-  const MonthlyResult want = Simulator(config).run(Strategy::kCostCapping);
-  const Simulator sim(config);
-  const std::string path = temp_path("billcap_resume_older.j");
-
-  for (const int version : {keys::kCheckpointInlineVersion,
-                            keys::kCheckpointHourLogVersion}) {
-    SCOPED_TRACE("format v" + std::to_string(version));
-    remove_checkpoint(path);
-    Simulator::ResumeControls controls;
-    controls.max_hours = 300;
-    ASSERT_TRUE(
-        sim.run_resumable(Strategy::kCostCapping, path, false, {}, controls)
-            .stopped);
-    const CheckpointState mid = load_checkpoint(path);
-    remove_checkpoint(path);
-    if (version == keys::kCheckpointInlineVersion)
-      save_checkpoint_v1(path, mid);
-    else
-      save_checkpoint_v2(path, mid);
-    ASSERT_EQ(util::Journal::load(path, keys::kCheckpointMagic,
-                                  keys::kCheckpointVersion)
-                  .version(),
-              version);
-
-    const Simulator::ResumableOutcome outcome =
-        sim.run_resumable(Strategy::kCostCapping, path, true);
-    ASSERT_FALSE(outcome.crashed);
-    EXPECT_EQ(outcome.resumed_from, 300u);
-    expect_results_bitwise_equal(want, outcome.result);
-
-    const util::Journal head = util::Journal::load(
-        path, keys::kCheckpointMagic, keys::kCheckpointVersion);
-    EXPECT_EQ(head.version(), keys::kCheckpointVersion);
-    EXPECT_TRUE(head.has(keys::kStateLog));
-    EXPECT_FALSE(std::filesystem::exists(path + ".hours"));
-    expect_results_bitwise_equal(want, load_checkpoint(path).partial);
   }
   remove_checkpoint(path);
 }

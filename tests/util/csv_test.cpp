@@ -6,7 +6,12 @@
 #include <filesystem>
 #include <fstream>
 #include <sstream>
+#include <stdexcept>
 #include <string>
+#include <vector>
+
+#include "util/mutation.hpp"
+#include "util/rng.hpp"
 
 namespace billcap::util {
 namespace {
@@ -221,6 +226,77 @@ TEST(CsvWriterTest, ResumeHeaderMismatchThrows) {
   { CsvWriter writer(path, {"a", "b"}); }
   EXPECT_THROW(CsvWriter(path, {"x", "y"}, 0), std::runtime_error);
   std::remove(path.c_str());
+}
+
+TEST(CsvTest, MutatedCsvParsesACommittedPrefixOrThrows) {
+  // A seeded corpus of damaged CSVs (byte flips, cuts, appended garbage)
+  // over a streamed-month file whose text cells need quoting, one with a
+  // quoted newline. A CSV carries no checksum, so a flip inside a row is
+  // not seen; what parse_resilient owes is the committed prefix: every
+  // row whose newline precedes the first damaged byte comes back verbatim
+  // and in order (the header too), each row has the header's width, and a
+  // cut returns exactly that prefix. Otherwise it throws one of its two
+  // types; any other exception escapes and fails.
+  Csv doc({"hour", "cost", "mode", "note"});
+  for (int h = 0; h < 12; ++h)
+    doc.add_row({std::to_string(h), format_double(1000.0 + h / 7.0),
+                 h % 4 == 3 ? "fallback" : "capped",
+                 h == 5 ? "stale feed,\nretried \"twice\"" : "ok"});
+  const std::string pristine = doc.to_string();
+  // Offset of the newline ending the header (row 0) and each data row.
+  std::vector<std::size_t> row_end;
+  {
+    Csv prefix(doc.header());
+    row_end.push_back(prefix.to_string().size() - 1);
+    for (const std::vector<std::string>& row : doc.rows()) {
+      prefix.add_row(row);
+      row_end.push_back(prefix.to_string().size() - 1);
+    }
+  }
+
+  Rng rng(2012);
+  std::size_t parsed = 0;
+  std::size_t refused = 0;
+  for (int mutant = 0; mutant < 300; ++mutant) {
+    std::string bytes = pristine;
+    const Mutation mutation = mutate_bytes(rng, bytes);
+    SCOPED_TRACE("mutant " + std::to_string(mutant) + ":" + mutation.what);
+    // Data rows wholly before the first damaged byte.
+    std::size_t intact = 0;
+    while (intact + 1 < row_end.size() &&
+           row_end[intact + 1] < mutation.first_changed)
+      ++intact;
+    const bool header_intact = row_end[0] < mutation.first_changed;
+    try {
+      const Csv back = Csv::parse_resilient(bytes);
+      ++parsed;
+      for (const std::vector<std::string>& row : back.rows())
+        EXPECT_EQ(row.size(), back.num_cols());
+      if (header_intact) {
+        EXPECT_EQ(back.header(), doc.header());
+      }
+      ASSERT_GE(back.num_rows(), intact);
+      for (std::size_t r = 0; r < intact; ++r)
+        EXPECT_EQ(back.rows()[r], doc.rows()[r]) << "row " << r;
+      if (mutation.kind == Mutation::Kind::kCut) {
+        EXPECT_TRUE(header_intact);
+        EXPECT_EQ(back.num_rows(), intact);
+      }
+    } catch (const std::runtime_error&) {
+      ++refused;
+      // Only a document without a whole header line is empty.
+      if (mutation.kind != Mutation::Kind::kFlip) {
+        EXPECT_FALSE(header_intact);
+      }
+    } catch (const std::invalid_argument&) {
+      ++refused;
+    }
+  }
+  // Both outcomes occur: a torn tail or damage late in a row leaves a
+  // committed prefix, a cut into the header or a row of the wrong width
+  // before the last is refused.
+  EXPECT_GT(parsed, 0u);
+  EXPECT_GT(refused, 0u);
 }
 
 }  // namespace

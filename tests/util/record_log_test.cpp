@@ -59,11 +59,11 @@ TEST(RecordLogTest, AppendsReadBackPaddedToTheWidestRecord) {
   // positioned mid-log checks the rest against the word stored before it.
   for (std::string payload; log.position() < log.records();)
     log.next(payload);
-  EXPECT_EQ(log.chain(), three.chain);
+  EXPECT_EQ(log.cursor().chain, three.chain);
   log.seek(1);
   std::string payload;
   EXPECT_TRUE(log.next(payload));
-  EXPECT_EQ(log.chain(),
+  EXPECT_EQ(log.cursor().chain,
             fnv1a(fnv1a(RecordLog::kEmptyChain, "alpha"),
                   std::string_view("be\0\0\0", 5)));
   EXPECT_THROW(RecordLog::append(path, three, {"too wide"}),

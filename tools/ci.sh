@@ -157,7 +157,9 @@ PY
 echo "== tier 2: robustness label under address,undefined sanitizers =="
 # Includes solver_test (the arena-vs-legacy differential harness and the
 # basis/arena property tests), which carries the robustness label so the
-# branch-and-bound node warm starts run under ASan + UBSan here.
+# branch-and-bound node warm starts run under ASan + UBSan here, and
+# parser_test (the journal, state-log and CSV readers a resume runs, with
+# their seeded mutation corpora).
 cmake -B "$ROOT/$PREFIX-asan" -S "$ROOT" \
   -DBILLCAP_SANITIZE=address,undefined >/dev/null
 cmake --build "$ROOT/$PREFIX-asan" -j "$JOBS"
